@@ -239,26 +239,6 @@ impl RankCtx {
         (recv.into_iter().map(PooledBuf::into_vec).collect(), stats)
     }
 
-    /// All-to-all over `f32` chunks (encodes to little-endian bytes on the
-    /// wire, mirroring what the uncompressed baseline pipeline sends).
-    pub fn all_to_all_f32(&self, chunks: Vec<Vec<f32>>) -> (Vec<Vec<f32>>, ExchangeBytes) {
-        let byte_chunks: Vec<Vec<u8>> = chunks
-            .into_iter()
-            .map(|c| c.iter().flat_map(|v| v.to_le_bytes()).collect())
-            .collect();
-        let (received, stats) = self.all_to_all_bytes(byte_chunks);
-        let decoded = received
-            .into_iter()
-            .map(|bytes| {
-                bytes
-                    .chunks_exact(4)
-                    .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk")))
-                    .collect()
-            })
-            .collect();
-        (decoded, stats)
-    }
-
     /// Zero-allocation variable-size all-to-all as the paper's pipeline
     /// performs it: a metadata phase announcing each chunk's size (and
     /// compressor id), then the payload phase. Functionally the sizes are
@@ -321,28 +301,6 @@ impl RankCtx {
             sent: meta_stats.sent + payload_stats.sent,
             received: meta_stats.received + payload_stats.received,
         }
-    }
-
-    /// Variable-size all-to-all over owned byte chunks (thin wrapper over
-    /// [`RankCtx::all_to_all_var_pooled`]).
-    ///
-    /// Returns `(received chunks, metadata records received, byte stats)`;
-    /// the metadata record for source `s` is `(payload_len, tag)` where `tag`
-    /// is the caller-supplied per-destination tag (e.g. compressor id).
-    pub fn all_to_all_var(
-        &self,
-        chunks: Vec<Vec<u8>>,
-        tags: &[u32],
-    ) -> (Vec<Vec<u8>>, Vec<(usize, u32)>, ExchangeBytes) {
-        let mut send: Vec<PooledBuf> = chunks.into_iter().map(|c| self.pool.adopt(c)).collect();
-        let mut recv = Vec::with_capacity(self.world);
-        let mut records = Vec::with_capacity(self.world);
-        let stats = self.all_to_all_var_pooled(&mut send, &mut recv, tags, &mut records);
-        (
-            recv.into_iter().map(PooledBuf::into_vec).collect(),
-            records,
-            stats,
-        )
     }
 
     /// Lease a send buffer for the chunked all-to-all: the first
@@ -1532,13 +1490,14 @@ mod tests {
     fn all_to_all_var_reports_sizes_and_tags() {
         let world = 3;
         cluster(world).run(move |ctx| {
-            let chunks: Vec<Vec<u8>> = (0..world)
-                .map(|dst| vec![0xAB; ctx.rank() * 10 + dst + 1])
+            let mut send: Vec<PooledBuf> = (0..world)
+                .map(|dst| ctx.pool().adopt(vec![0xAB; ctx.rank() * 10 + dst + 1]))
                 .collect();
             let tags: Vec<u32> = (0..world)
                 .map(|dst| (ctx.rank() * 100 + dst) as u32)
                 .collect();
-            let (payloads, metadata, _) = ctx.all_to_all_var(chunks, &tags);
+            let (mut payloads, mut metadata) = (Vec::new(), Vec::new());
+            ctx.all_to_all_var_pooled(&mut send, &mut payloads, &tags, &mut metadata);
             for (src, payload) in payloads.iter().enumerate() {
                 assert_eq!(payload.len(), src * 10 + ctx.rank() + 1);
                 assert_eq!(metadata[src].0, payload.len());
@@ -1591,23 +1550,6 @@ mod tests {
         for r in results {
             assert_eq!(r, vec![9, 9, 9]);
         }
-    }
-
-    #[test]
-    fn f32_all_to_all_roundtrips_values() {
-        let world = 3;
-        cluster(world).run(move |ctx| {
-            let chunks: Vec<Vec<f32>> = (0..world)
-                .map(|dst| vec![ctx.rank() as f32 + dst as f32 * 0.5; 7])
-                .collect();
-            let (received, _) = ctx.all_to_all_f32(chunks);
-            for (src, chunk) in received.iter().enumerate() {
-                assert_eq!(chunk.len(), 7);
-                assert!(chunk
-                    .iter()
-                    .all(|&v| (v - (src as f32 + ctx.rank() as f32 * 0.5)).abs() < 1e-6));
-            }
-        });
     }
 
     #[test]
@@ -1783,8 +1725,11 @@ mod tests {
             let tags = vec![3u32; world];
             let mut records = Vec::new();
             // Variable-size path.
-            let chunks: Vec<Vec<u8>> = (0..world).map(|d| vec![1u8; 10 + d]).collect();
-            let (_, _, var_stats) = ctx.all_to_all_var(chunks, &tags);
+            let mut send: Vec<PooledBuf> = (0..world)
+                .map(|d| ctx.pool().adopt(vec![1u8; 10 + d]))
+                .collect();
+            let mut recv = Vec::new();
+            let var_stats = ctx.all_to_all_var_pooled(&mut send, &mut recv, &tags, &mut records);
             // Chunked path with the same payloads.
             let mut send: Vec<PooledBuf> = (0..world)
                 .map(|d| {

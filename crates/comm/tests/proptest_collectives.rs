@@ -48,11 +48,12 @@ proptest! {
     ) {
         let cluster = SimCluster::new(world, NetworkConfig::infinite());
         cluster.run(move |ctx| {
-            let chunks: Vec<Vec<u8>> = (0..world)
-                .map(|dst| vec![7u8; base + ctx.rank() * 3 + dst])
+            let mut send: Vec<_> = (0..world)
+                .map(|dst| ctx.pool().adopt(vec![7u8; base + ctx.rank() * 3 + dst]))
                 .collect();
             let tags: Vec<u32> = (0..world).map(|d| d as u32 + 100).collect();
-            let (payloads, metadata, _) = ctx.all_to_all_var(chunks, &tags);
+            let (mut payloads, mut metadata) = (Vec::new(), Vec::new());
+            ctx.all_to_all_var_pooled(&mut send, &mut payloads, &tags, &mut metadata);
             for (src, payload) in payloads.iter().enumerate() {
                 assert_eq!(metadata[src].0, payload.len());
                 assert_eq!(metadata[src].1, ctx.rank() as u32 + 100);

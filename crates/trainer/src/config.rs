@@ -76,8 +76,8 @@ impl CompressionSetting {
     }
 }
 
-/// How (and whether) the dense MLP-gradient all-reduce (pipeline Stage 8)
-/// is compressed.
+/// How (and whether) the dense MLP-gradient all-reduce (the pipeline's
+/// `mlp all-reduce` phase) is compressed.
 ///
 /// `Off` runs the classic uncompressed sum-all-reduce and is **bit-for-bit
 /// identical** to the pre-compression trainer. `Compressed` routes the
@@ -184,12 +184,12 @@ impl DenseCompression {
         }
     }
 
-    /// True if Stage 8 runs the compressed collective.
+    /// True if the all-reduce runs the compressed collective.
     pub fn is_compressed(&self) -> bool {
         !matches!(self, DenseCompression::Off)
     }
 
-    /// True if Stage 8 folds encoded shards in the compressed domain.
+    /// True if the all-reduce folds encoded shards in the compressed domain.
     pub fn is_homomorphic(&self) -> bool {
         matches!(self, DenseCompression::Homomorphic { .. })
     }

@@ -1,11 +1,11 @@
 //! Combined backward embedding-gradient push.
 //!
-//! The per-sample backward path (pipeline stages 6–7a) ships every rank's
-//! per-sample gradient rows to the owning rank, which applies them row by
-//! row — wire volume grows with `batch × world`. This module implements the
-//! PR 9 ROADMAP follow-up: each rank first folds its shard's rows into a
-//! **dense per-table accumulator** (`cardinality × dim`, batch-order
-//! scatter-add), encodes the accumulator with a homomorphic
+//! The per-sample backward path (the pipeline's backward exchange) ships
+//! every rank's per-sample gradient rows to the owning rank, which applies
+//! them row by row — wire volume grows with `batch × world`. This module
+//! implements the PR 9 ROADMAP follow-up: each rank first folds its shard's
+//! rows into a **dense per-table accumulator** (`cardinality × dim`,
+//! batch-order scatter-add), encodes the accumulator with a homomorphic
 //! [`GradCodec`], and the wire *adds the encoded
 //! accumulators* on the way home:
 //!
@@ -83,8 +83,8 @@ impl GradPushState {
     }
 
     /// Run one iteration's backward push: accumulate → encode → combine on
-    /// the way home → decode once → dense apply. Replaces pipeline stages
-    /// 6–7a *and* the owner-side gradient apply; charges the usual
+    /// the way home → decode once → dense apply. Replaces the backward
+    /// exchange *and* the owner-side gradient apply; charges the usual
     /// `BWD_COMPRESS` / `BWD_A2A` / `BWD_DECOMPRESS` / `EMB_UPDATE` phases.
     #[allow(clippy::too_many_arguments)]
     pub fn run(

@@ -48,7 +48,7 @@
 //! and decompressed, and the zero-allocation steady state of the pooled
 //! buffers survives (chunk leases recycle through the same per-rank pools).
 //!
-//! ## The compressed dense path (Stage 8)
+//! ## The compressed dense path (`mlp all-reduce`)
 //!
 //! The MLP-gradient all-reduce has its own compression knob,
 //! [`config::DenseCompression`], independent of the embedding all-to-all's

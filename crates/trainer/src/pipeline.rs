@@ -106,18 +106,9 @@ impl ResolvedCompression {
         }
     }
 
-    /// Compress one table's payload (a `rows x dim` matrix, row-major).
-    #[cfg(test)]
-    fn compress(&self, table: usize, iter: usize, data: &[f32], dim: usize) -> Vec<u8> {
-        let mut scratch = CompressScratch::new();
-        let mut out = Vec::new();
-        self.compress_into(table, iter, data, dim, &mut scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free compression of one table's payload: *appends* the
-    /// stream to `out`, drawing intermediates from `scratch`. Byte-identical
-    /// to the legacy allocating path.
+    /// Allocation-free compression of one table's payload (a `rows x dim`
+    /// matrix, row-major): *appends* the stream to `out`, drawing
+    /// intermediates from `scratch`.
     fn compress_into(
         &self,
         table: usize,
@@ -146,15 +137,6 @@ impl ResolvedCompression {
                     .expect("lossy compression of finite training data cannot fail");
             }
         }
-    }
-
-    /// Decompress one table's payload.
-    #[cfg(test)]
-    fn decompress(&self, table: usize, bytes: &[u8]) -> Vec<f32> {
-        let mut scratch = CompressScratch::new();
-        let mut out = Vec::new();
-        self.decompress_into(table, bytes, &mut scratch, &mut out);
-        out
     }
 
     /// Allocation-free decompression of one table's payload: *appends* the
@@ -309,10 +291,6 @@ struct ObsState {
     tier_bytes_mark: (u64, u64),
     /// Per-table `(original, compressed)` forward bytes at iteration start.
     fwd_mark: Vec<(u64, u64)>,
-    /// Decompress-phase seconds at iteration start, so the modeled clock can
-    /// split an overlapped exchange region without touching measured time.
-    fwd_dec_mark: f64,
-    bwd_dec_mark: f64,
     /// Max fabric channel depth sampled at this iteration's exchange
     /// boundaries.
     depth_max: u64,
@@ -334,8 +312,6 @@ impl ObsState {
             wire_bytes_mark: 0,
             tier_bytes_mark: (0, 0),
             fwd_mark: vec![(0, 0); num_tables],
-            fwd_dec_mark: 0.0,
-            bwd_dec_mark: 0.0,
             depth_max: 0,
             prev_straggler: 1.0,
             prev_eb_scale: 1.0,
@@ -371,16 +347,8 @@ impl ObsState {
         self.wire_bytes_mark = Self::wire_bytes(ledger);
         self.tier_bytes_mark = tier_bytes;
         self.fwd_mark.copy_from_slice(fwd_traffic);
-        self.fwd_dec_mark = ledger.seconds(phases::FWD_DECOMPRESS);
-        self.bwd_dec_mark = ledger.seconds(phases::BWD_DECOMPRESS);
         self.depth_max = 0;
         self.rec.begin_iteration(iter as u64, self.modeled_mark);
-    }
-
-    /// Close the span since the previous mark as `phase` (the recorder's
-    /// modeled twin of [`WallClock::mark`]).
-    fn mark(&mut self, phase: &'static str, ledger: &TimingLedger) {
-        self.rec.mark(phase, ledger.total_seconds());
     }
 
     /// Close an overlapped exchange region: codec time to `codec_phase`, the
@@ -390,20 +358,13 @@ impl ObsState {
     fn mark_split(
         &mut self,
         codec_phase: &'static str,
-        measured_s: f64,
+        (measured_s, modeled_s): (f64, f64),
         rest_phase: &'static str,
         ledger: &TimingLedger,
     ) {
         let codec_s = match self.rec.clock() {
             ClockDomain::Wall => measured_s,
-            ClockDomain::Modeled => {
-                let mark = if codec_phase == phases::FWD_DECOMPRESS {
-                    self.fwd_dec_mark
-                } else {
-                    self.bwd_dec_mark
-                };
-                ledger.seconds(codec_phase) - mark
-            }
+            ClockDomain::Modeled => modeled_s,
         };
         self.rec
             .mark_split(codec_phase, codec_s, rest_phase, ledger.total_seconds());
@@ -509,17 +470,6 @@ impl ObsState {
         };
         self.metrics.push_row(row, &self.ratio_buf);
         self.rec.end_iteration(now);
-    }
-}
-
-/// One-line hook beside each [`WallClock::mark`]: no-op with observability
-/// off. Exchange-closing marks also sample the fabric's channel depth.
-fn obs_mark(obs: &mut Option<ObsState>, phase: &'static str, ledger: &TimingLedger, ctx: &RankCtx) {
-    if let Some(o) = obs.as_mut() {
-        if matches!(phase, phases::FWD_A2A | phases::BWD_A2A | phases::ALLREDUCE) {
-            o.sample_depth(ctx);
-        }
-        o.mark(phase, ledger);
     }
 }
 
@@ -682,17 +632,12 @@ pub struct PipelineScratch {
     float_allocated: u64,
     /// Bytes of float storage served from the recycler.
     float_reused: u64,
-    /// Requested forward send-buffer capacity per destination, learned from
-    /// earlier iterations so pool leases rarely have to grow.
-    chunk_capacity_hint: Vec<usize>,
-    /// Same, for the backward (gradient) send buffers per owner rank.
-    bwd_chunk_capacity_hint: Vec<usize>,
-    /// Per-chunk codec seconds of the current overlapped collective
-    /// (rotation order), feeding the [`OverlapTimeline`].
+    /// Per-chunk codec seconds of the current exchange (visiting order),
+    /// feeding the [`OverlapTimeline`].
     chunk_codec_s: Vec<f64>,
-    /// Per-chunk bytes this rank sent (rotation order, headers included).
+    /// Per-chunk bytes this rank sent (visiting order, headers included).
     chunk_sent: Vec<usize>,
-    /// Per-chunk bytes this rank received (rotation order, headers included).
+    /// Per-chunk bytes this rank received (visiting order, headers included).
     chunk_recv: Vec<usize>,
 }
 
@@ -709,8 +654,6 @@ impl PipelineScratch {
             float_pool: Vec::new(),
             float_allocated: 0,
             float_reused: 0,
-            chunk_capacity_hint: vec![64; world],
-            bwd_chunk_capacity_hint: vec![64; world],
             chunk_codec_s: Vec::with_capacity(world),
             chunk_sent: Vec::with_capacity(world),
             chunk_recv: Vec::with_capacity(world),
@@ -754,73 +697,122 @@ impl PipelineScratch {
     }
 }
 
-/// Serialize a list of `(table, payload)` blocks into one all-to-all chunk.
+/// A chunk whose bytes disagree with the block framing it announces.
 ///
-/// Wire format: `[count u32][table u32][len u32][payload]…` — exactly what
-/// the zero-allocation pipeline writes incrementally into its send leases
-/// (see `run_rank`), kept as a standalone function for tests and tooling.
-pub fn encode_blocks(blocks: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(blocks.iter().map(|(_, b)| b.len() + 8).sum::<usize>() + 4);
-    out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-    for (table, payload) in blocks {
-        out.extend_from_slice(&table.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(payload);
+/// `needed > available`: the chunk ends before the field or payload that
+/// starts at `offset`. `needed == 0`: `available` bytes trail the last
+/// announced block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BlockError {
+    /// Table id of the block being read, once its header was intact.
+    pub table: Option<u32>,
+    /// Byte offset in the chunk where the read started.
+    pub offset: usize,
+    /// Bytes the framing requires at `offset`.
+    pub needed: usize,
+    /// Bytes the chunk actually holds from `offset` on.
+    pub available: usize,
+}
+
+impl std::fmt::Display for BlockError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "block of table {:?}: need {} bytes at offset {}, chunk has {}",
+            self.table, self.needed, self.offset, self.available
+        )
     }
-    out
 }
 
-/// Inverse of [`encode_blocks`] (allocating; the pipeline itself walks the
-/// chunk in place with [`block_slices`]).
-pub fn decode_blocks(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
-    block_slices(bytes)
-        .map(|(table, payload)| (table, payload.to_vec()))
-        .collect()
+impl std::error::Error for BlockError {}
+
+/// Zero-copy walk over one all-to-all chunk — wire format
+/// `[count u32][table u32][len u32][payload]…`, as the exchange stage writes
+/// it — yielding `(table, payload)` with payloads borrowed from `bytes`.
+/// Total: an empty, truncated or length-corrupted chunk yields one
+/// [`BlockError`] and then ends; it never panics.
+pub fn block_slices(bytes: &[u8]) -> impl Iterator<Item = Result<(u32, &[u8]), BlockError>> {
+    BlockWalker {
+        bytes,
+        pos: 0,
+        remaining: None,
+        done: false,
+    }
 }
 
-/// Zero-copy walk over an [`encode_blocks`]-format chunk: yields
-/// `(table, payload)` with payloads borrowed from `bytes`.
-pub fn block_slices(bytes: &[u8]) -> impl Iterator<Item = (u32, &[u8])> {
-    let count = u32::from_le_bytes(bytes[0..4].try_into().expect("block count")) as usize;
-    let mut pos = 4usize;
-    (0..count).map(move |_| {
-        let table = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("table id"));
-        pos += 4;
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("payload len")) as usize;
-        pos += 4;
-        let payload = &bytes[pos..pos + len];
-        pos += len;
-        (table, payload)
-    })
+struct BlockWalker<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Blocks still to read; `None` until the count has been read.
+    remaining: Option<u32>,
+    /// Set after the last block or the first error.
+    done: bool,
 }
 
-/// Charge a compression/decompression phase: per-codec analytic seconds
-/// when a [`CodecProfile`] is configured (accumulated per block by the
-/// caller and passed as `analytic`), `bytes / throughput` under the flat
-/// device-throughput override, measured seconds otherwise.
-fn charge_codec(
-    ledger: &mut TimingLedger,
-    phase: &str,
-    measured: f64,
-    bytes: u64,
-    throughput: Option<f64>,
-    analytic: Option<f64>,
-) {
-    let seconds = match (analytic, throughput) {
-        (Some(a), _) => a,
-        (None, Some(t)) if t > 0.0 => bytes as f64 / t,
-        _ => measured,
-    };
-    ledger.add_time(phase, seconds);
-    ledger.add_bytes(phase, bytes);
+impl<'a> BlockWalker<'a> {
+    /// Checked read of `needed` bytes at the cursor.
+    fn take(&mut self, needed: usize, table: Option<u32>) -> Result<&'a [u8], BlockError> {
+        let available = self.bytes.len() - self.pos;
+        if needed > available {
+            return Err(BlockError {
+                table,
+                offset: self.pos,
+                needed,
+                available,
+            });
+        }
+        let field = &self.bytes[self.pos..self.pos + needed];
+        self.pos += needed;
+        Ok(field)
+    }
+
+    fn take_u32(&mut self, table: Option<u32>) -> Result<u32, BlockError> {
+        let field = self.take(4, table)?.try_into().expect("4-byte field");
+        Ok(u32::from_le_bytes(field))
+    }
+
+    fn next_block(&mut self) -> Result<Option<(u32, &'a [u8])>, BlockError> {
+        let remaining = match self.remaining {
+            Some(n) => n,
+            None => self.take_u32(None)?,
+        };
+        if remaining == 0 {
+            return match self.bytes.len() - self.pos {
+                0 => Ok(None),
+                trailing => Err(BlockError {
+                    table: None,
+                    offset: self.pos,
+                    needed: 0,
+                    available: trailing,
+                }),
+            };
+        }
+        self.remaining = Some(remaining - 1);
+        let table = self.take_u32(None)?;
+        let len = self.take_u32(Some(table))? as usize;
+        Ok(Some((table, self.take(len, Some(table))?)))
+    }
+}
+
+impl<'a> Iterator for BlockWalker<'a> {
+    type Item = Result<(u32, &'a [u8]), BlockError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let item = self.next_block().transpose();
+        self.done = !matches!(item, Some(Ok(_)));
+        item
+    }
 }
 
 /// Seconds one chunk's codec work is charged on the virtual codec timeline:
 /// zero for raw payloads (the byte conversion stands in for NCCL sending the
-/// original buffer), the per-codec analytic sum when a profile is
-/// configured, `bytes / throughput` under a device-throughput override, the
-/// measured seconds otherwise — chunk-level mirror of [`charge_codec`], so
-/// the timeline and the ledger always agree.
+/// original buffer), the per-codec analytic sum when a [`CodecProfile`] is
+/// configured (accumulated per block by the caller), `bytes / throughput`
+/// under the flat device-throughput override, the measured seconds
+/// otherwise.
 fn chunk_codec_seconds(
     is_raw: bool,
     measured: f64,
@@ -836,6 +828,23 @@ fn chunk_codec_seconds(
         (None, Some(t)) if t > 0.0 => bytes as f64 / t,
         _ => measured,
     }
+}
+
+/// Charge a whole compression/decompression phase at once — the phase-level
+/// mirror of [`chunk_codec_seconds`], so the timeline and the ledger always
+/// agree. Raw callers pass `measured = 0`. Returns the seconds charged.
+fn charge_codec(
+    ledger: &mut TimingLedger,
+    phase: &str,
+    measured: f64,
+    bytes: u64,
+    throughput: Option<f64>,
+    analytic: Option<f64>,
+) -> f64 {
+    let seconds = chunk_codec_seconds(false, measured, bytes, throughput, analytic);
+    ledger.add_time(phase, seconds);
+    ledger.add_bytes(phase, bytes);
+    seconds
 }
 
 /// Per-block analytic codec seconds under a per-codec throughput profile:
@@ -968,10 +977,8 @@ fn charge_hier_a2a(
 
 /// Append one `[table u32][len u32][payload]` block to a send lease,
 /// compressing the payload in place and back-patching the length — the
-/// single definition of the chunk wire format shared by the forward and
-/// backward compress stages (see [`encode_blocks`] for the standalone
-/// encoder). Returns the compressed payload length.
-#[allow(clippy::too_many_arguments)]
+/// single definition of the chunk wire format ([`block_slices`] is its
+/// reader). Returns the compressed payload length.
 fn write_block(
     resolved: &ResolvedCompression,
     table: usize,
@@ -991,16 +998,13 @@ fn write_block(
     payload_len
 }
 
-/// Measure how much each filled send lease grew beyond its capacity at take
-/// time (allocations the pool counters cannot see) and raise the per-slot
-/// capacity hints to the observed sizes. Returns the grown bytes.
-fn settle_send_leases(send: &[PooledBuf], take_caps: &[usize], hints: &mut [usize]) -> u64 {
-    let mut growth = 0u64;
-    for ((buf, &cap_at_take), hint) in send.iter().zip(take_caps).zip(hints.iter_mut()) {
-        growth += buf.capacity().saturating_sub(cap_at_take) as u64;
-        *hint = (*hint).max(buf.len());
-    }
-    growth
+/// Worst-case compressed bytes of one block of `values` floats under any
+/// codec (≤ 3× the raw bytes plus stream headers). Send leases are sized to
+/// it so a chunk never grows its lease mid-fill — compressed sizes that
+/// fluctuate with the data would otherwise defeat the zero-allocation steady
+/// state.
+fn block_worst_bytes(values: usize) -> usize {
+    values * 12 + 708
 }
 
 /// Running marks for the per-phase allocation accounting.
@@ -1010,78 +1014,201 @@ struct AllocMarks {
     float: (u64, u64),
 }
 
-/// Fold the allocation activity since the last mark into `phase`'s ledger
-/// counters (pool misses, compress-scratch growth, float-recycler misses,
-/// plus `extra_allocated` measured directly by the caller, e.g. send-lease
-/// growth). Returns the freshly allocated bytes so the caller can maintain
-/// the steady-state counter.
-fn note_alloc(
-    ledger: &mut TimingLedger,
-    phase: &str,
-    ctx: &RankCtx,
-    scratch: &PipelineScratch,
-    marks: &mut AllocMarks,
-    extra_allocated: u64,
-) -> u64 {
-    let now = ctx.pool().stats();
-    let pool_delta = now.since(&marks.pool);
-    marks.pool = now;
-    let capacity_now = scratch.compress.capacity_bytes();
-    let scratch_growth = capacity_now.saturating_sub(marks.compress_capacity);
-    marks.compress_capacity = capacity_now;
-    let (fa, fr) = scratch.float_counters();
-    let float_allocated = fa - marks.float.0;
-    let float_reused = fr - marks.float.1;
-    marks.float = (fa, fr);
-    let allocated = pool_delta.allocated_bytes + scratch_growth + float_allocated + extra_allocated;
-    // The flag is read once per process; this diagnostic sits inside the
-    // very instrumentation that demonstrates the allocation-free loop.
-    static ALLOC_DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    let debug = *ALLOC_DEBUG.get_or_init(|| std::env::var("DLRM_ALLOC_DEBUG").is_ok());
-    if debug && allocated > 0 {
-        eprintln!(
-            "[alloc] rank {} phase {phase}: pool {} scratch {} float {} extra {}",
-            ctx.rank(),
-            pool_delta.allocated_bytes,
-            scratch_growth,
-            float_allocated,
-            extra_allocated
-        );
-    }
-    ledger.add_allocated_bytes(phase, allocated);
-    ledger.add_reused_bytes(phase, pool_delta.reused_bytes + float_reused);
-    allocated
+/// One rank's accounting: the modeled ledger, the wall-clock ledger, the
+/// span trace and the allocation counters, advanced together. Stages charge
+/// modeled seconds and bytes to `ledger` directly; [`Accounting::close`] and
+/// [`Accounting::close_split`] are the only writers of phase boundaries, so
+/// the three timing systems cannot disagree about which phases ran.
+struct Accounting<'a> {
+    ctx: &'a RankCtx,
+    ledger: TimingLedger,
+    wall: WallClock,
+    obs: Option<ObsState>,
+    marks: AllocMarks,
+    /// Past warm-up: fresh allocations count against the steady state.
+    counting: bool,
+    steady_allocated: u64,
+    /// `(intra, inter)` tier bytes and un-overlapped virtual seconds of the
+    /// network phases under a hierarchical topology; zeros when flat.
+    tier_bytes: (u64, u64),
+    tier_seconds: (f64, f64),
 }
 
-/// Snapshot one rank's share of a global checkpoint: the MLP replica (rank 0
-/// only — every rank holds identical dense parameters, so one copy
-/// suffices), the embedding shards this rank owns, and the dense
-/// error-feedback residual, each encoded through the checkpoint codec.
-fn take_checkpoint(
-    iteration: usize,
-    rank: usize,
-    model: &Dlrm,
-    owned: &[usize],
-    dense: Option<&GradCompressor>,
-    codec: &mut CkptCodec,
-    flat: &mut Vec<f32>,
-) -> RankCheckpoint {
-    let t0 = Instant::now();
-    let mut part = RankCheckpoint::new(iteration, rank);
-    if rank == 0 {
-        flat.clear();
-        model.flatten_mlp_params_into(flat);
-        part.mlp = Some(codec.encode(flat));
+impl<'a> Accounting<'a> {
+    /// Start accounting; the wall clock starts here, so setup cost before
+    /// the loop is not training time.
+    fn new(
+        ctx: &'a RankCtx,
+        scratch: &PipelineScratch,
+        ledger: TimingLedger,
+        obs: Option<ObsState>,
+    ) -> Self {
+        Self {
+            ctx,
+            ledger,
+            wall: WallClock::new(),
+            obs,
+            marks: AllocMarks {
+                pool: ctx.pool().stats(),
+                compress_capacity: scratch.compress.capacity_bytes(),
+                float: scratch.float_counters(),
+            },
+            counting: false,
+            steady_allocated: 0,
+            tier_bytes: (0, 0),
+            tier_seconds: (0.0, 0.0),
+        }
     }
-    for &t in owned {
-        let w = model.embedding(t).weights();
-        part.push_table(t, w.rows(), w.cols(), codec.encode(w.as_slice()));
+
+    fn add_tiers(&mut self, intra_bytes: u64, inter_bytes: u64, (intra_s, inter_s): (f64, f64)) {
+        self.tier_bytes.0 += intra_bytes;
+        self.tier_bytes.1 += inter_bytes;
+        self.tier_seconds.0 += intra_s;
+        self.tier_seconds.1 += inter_s;
     }
-    if let Some(residual) = dense.and_then(GradCompressor::residual) {
-        part.residual = Some(codec.encode(residual));
+
+    /// Fold the allocation activity since the last close into `phase`'s
+    /// ledger counters (pool misses, compress-scratch growth, float-recycler
+    /// misses, plus `extra_allocated` measured directly by the caller, e.g.
+    /// send-lease growth) and into the steady-state counter.
+    fn note_alloc(&mut self, phase: &str, scratch: &PipelineScratch, extra_allocated: u64) {
+        let marks = &mut self.marks;
+        let now = self.ctx.pool().stats();
+        let pool_delta = now.since(&marks.pool);
+        marks.pool = now;
+        let capacity_now = scratch.compress.capacity_bytes();
+        let scratch_growth = capacity_now.saturating_sub(marks.compress_capacity);
+        marks.compress_capacity = capacity_now;
+        let (fa, fr) = scratch.float_counters();
+        let float_allocated = fa - marks.float.0;
+        let float_reused = fr - marks.float.1;
+        marks.float = (fa, fr);
+        let allocated =
+            pool_delta.allocated_bytes + scratch_growth + float_allocated + extra_allocated;
+        // The flag is read once per process; this diagnostic sits inside the
+        // very instrumentation that demonstrates the allocation-free loop.
+        static ALLOC_DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        let debug = *ALLOC_DEBUG.get_or_init(|| std::env::var("DLRM_ALLOC_DEBUG").is_ok());
+        if debug && allocated > 0 {
+            eprintln!(
+                "[alloc] rank {} phase {phase}: pool {} scratch {} float {} extra {}",
+                self.ctx.rank(),
+                pool_delta.allocated_bytes,
+                scratch_growth,
+                float_allocated,
+                extra_allocated
+            );
+        }
+        self.ledger.add_allocated_bytes(phase, allocated);
+        self.ledger
+            .add_reused_bytes(phase, pool_delta.reused_bytes + float_reused);
+        if self.counting {
+            self.steady_allocated += allocated;
+        }
     }
-    part.encode_seconds = t0.elapsed().as_secs_f64();
-    part
+
+    /// Close `phase`: everything since the previous close — allocation
+    /// activity (plus `extra_alloc`), wall time, and the trace span whose
+    /// modeled length is what the stage just charged — is attributed to it.
+    /// Wire phases also sample the fabric's channel depth.
+    fn close(&mut self, phase: &'static str, scratch: &PipelineScratch, extra_alloc: u64) {
+        self.note_alloc(phase, scratch, extra_alloc);
+        if let Some(o) = self.obs.as_mut() {
+            if matches!(phase, phases::FWD_A2A | phases::BWD_A2A | phases::ALLREDUCE) {
+                o.sample_depth(self.ctx);
+            }
+            o.rec.mark(phase, self.ledger.total_seconds());
+        }
+        self.wall.mark(phase);
+    }
+
+    /// Close a streamed exchange region, where decompression interleaves
+    /// with waiting on the wire, as two phases: the `(measured, modeled)`
+    /// codec seconds go to `codec_phase` on the wall and modeled clocks, the
+    /// rest of the region to `rest_phase`.
+    fn close_split(
+        &mut self,
+        codec_phase: &'static str,
+        codec_s: (f64, f64),
+        rest_phase: &'static str,
+        scratch: &PipelineScratch,
+    ) {
+        self.note_alloc(codec_phase, scratch, 0);
+        if let Some(o) = self.obs.as_mut() {
+            o.sample_depth(self.ctx);
+            o.mark_split(codec_phase, codec_s, rest_phase, &self.ledger);
+        }
+        self.wall.mark_split(codec_phase, codec_s.0, rest_phase);
+    }
+}
+
+/// Checkpoint state of one segment: the codec, a flatten buffer, and the
+/// totals [`RankOutcome`] reports.
+#[derive(Default)]
+struct CheckpointWriter {
+    codec: Option<CkptCodec>,
+    flat: Vec<f32>,
+    taken: usize,
+    original_bytes: u64,
+    encoded_bytes: u64,
+    write_seconds: f64,
+    last: Option<RankCheckpoint>,
+}
+
+impl CheckpointWriter {
+    /// Snapshot this rank's share of a global checkpoint of the state
+    /// `iteration` starts with: the MLP replica (rank 0 only — every rank
+    /// holds identical dense parameters, so one copy suffices), the
+    /// embedding shards this rank owns, and the dense error-feedback
+    /// residual, each encoded through the checkpoint codec, with the store
+    /// write charged at its modeled bandwidth.
+    #[allow(clippy::too_many_arguments)]
+    fn write(
+        &mut self,
+        iteration: usize,
+        spec: &CheckpointSpec,
+        model: &Dlrm,
+        owned: &[usize],
+        dense: Option<&GradCompressor>,
+        compute_scale: f64,
+        acct: &mut Accounting<'_>,
+        scratch: &PipelineScratch,
+    ) {
+        let codec = self.codec.as_mut().expect("codec built with the spec");
+        let rank = acct.ctx.rank();
+        let t0 = Instant::now();
+        let mut part = RankCheckpoint::new(iteration, rank);
+        if rank == 0 {
+            self.flat.clear();
+            model.flatten_mlp_params_into(&mut self.flat);
+            part.mlp = Some(codec.encode(&self.flat));
+        }
+        for &t in owned {
+            let w = model.embedding(t).weights();
+            part.push_table(t, w.rows(), w.cols(), codec.encode(w.as_slice()));
+        }
+        if let Some(residual) = dense.and_then(GradCompressor::residual) {
+            part.residual = Some(codec.encode(residual));
+        }
+        part.encode_seconds = t0.elapsed().as_secs_f64();
+
+        let write_s = part.write_seconds(spec.write_bandwidth);
+        self.taken += 1;
+        self.original_bytes += part.original_bytes();
+        self.encoded_bytes += part.encoded_bytes();
+        self.write_seconds += write_s;
+        acct.ledger.add_time(
+            phases::CHECKPOINT,
+            part.encode_seconds * compute_scale + write_s,
+        );
+        acct.ledger
+            .add_bytes(phases::CHECKPOINT, part.encoded_bytes());
+        if let Some(o) = acct.obs.as_mut() {
+            o.note_checkpoint(part.encoded_bytes(), write_s, &acct.ledger);
+        }
+        self.last = Some(part);
+        acct.close(phases::CHECKPOINT, scratch, 0);
+    }
 }
 
 /// Per-rank state of the closed-loop runtime controller
@@ -1211,22 +1338,22 @@ impl ControllerState {
     /// compressed byte counts are deterministic; the probe's time is charged
     /// to the controller phase (per-codec analytic under a profile, measured
     /// otherwise).
-    #[allow(clippy::too_many_arguments)]
     fn probe(
         &mut self,
-        ctx: &RankCtx,
-        resolved: &ResolvedCompression,
+        exchange: &Exchange<'_>,
         owned: &[usize],
         lookup_matrices: &[Matrix],
-        world: usize,
-        rank: usize,
-        dim: usize,
-        iter: usize,
         scratch: &mut CompressScratch,
         ledger: &mut TimingLedger,
-        profile: Option<&CodecProfile>,
-        device_compress: Option<f64>,
     ) {
+        let Exchange {
+            ctx,
+            resolved,
+            iter,
+            dim,
+            profile,
+            ..
+        } = *exchange;
         self.probe_ratios.clear();
         let t0 = Instant::now();
         let mut probed_bytes = 0u64;
@@ -1237,10 +1364,10 @@ impl ControllerState {
         // which also samples).
         const PROBE_ROWS: usize = 32;
         for (local_idx, &t) in owned.iter().enumerate() {
-            let matrix = &lookup_matrices[local_idx * world + rank];
+            let matrix = &lookup_matrices[local_idx * ctx.world() + ctx.rank()];
             let sample = &matrix.as_slice()[..matrix.len().min(PROBE_ROWS * dim)];
             let eb = resolved.effective_eb(t, iter);
-            let mut buf = ctx.take_buf(sample.len() * 12 + 708);
+            let mut buf = ctx.take_buf(block_worst_bytes(sample.len()));
             let mut ratios = Vec::with_capacity(self.candidates.len());
             for (kind, comp) in &self.candidates {
                 buf.clear();
@@ -1260,7 +1387,7 @@ impl ControllerState {
             phases::CONTROLLER,
             t0.elapsed().as_secs_f64(),
             probed_bytes,
-            device_compress,
+            exchange.device_throughput.map(|(c, _)| c),
             profile.map(|_| profile_seconds),
         );
     }
@@ -1460,6 +1587,300 @@ impl ControllerState {
     }
 }
 
+/// How one iteration's exchanges travel — derived each iteration from the
+/// topology and overlap settings, never configured on its own. The route
+/// picks the lease kind, the visiting order, the collective and its charge
+/// (tabulated in `docs/ARCHITECTURE.md`).
+#[derive(Clone, Copy)]
+enum Route<'a> {
+    /// Flat topology, sequential schedule: the two-phase variable-size
+    /// all-to-all over plain leases, visited in rank order.
+    Var,
+    /// Flat topology, double-buffered: chunk k goes to destination
+    /// `rank + k` the moment its compression finishes and arrives from
+    /// source `rank − k`, so the codec timeline runs ahead of the wire.
+    Streamed,
+    /// Hierarchical topology: the two-level collective. `overlapped` changes
+    /// only how the tiered wire time is charged against the per-chunk codec
+    /// seconds.
+    Hier {
+        topo: &'a Topology,
+        tiered: &'a TieredCostModel,
+        overlapped: bool,
+    },
+}
+
+/// What differs between the forward exchange (owners send lookups out) and
+/// the backward one (shards send embedding gradients home).
+struct Direction<'a, B, R, S> {
+    /// Ledger phases charged: compress, all-to-all, decompress.
+    phases: [&'static str; 3],
+    /// `(table, payload)` blocks of the chunk bound for a destination, in
+    /// ascending table order.
+    blocks: B,
+    /// Send-lease capacity per destination learned from earlier iterations,
+    /// so leases rarely have to grow.
+    hints: &'a mut [usize],
+    /// Per-table `(original, compressed)` payload bytes to accumulate into,
+    /// when this direction reports them.
+    traffic: Option<&'a mut [(u64, u64)]>,
+    /// Rows of every block that arrives from a source.
+    rows_from: R,
+    /// Receives each decompressed `(table, source, rows × dim matrix)`.
+    sink: S,
+}
+
+/// What one iteration's two exchanges share.
+#[derive(Clone, Copy)]
+struct Exchange<'a> {
+    ctx: &'a RankCtx,
+    resolved: &'a ResolvedCompression,
+    iter: usize,
+    dim: usize,
+    profile: Option<&'a CodecProfile>,
+    /// `(compress, decompress)` flat device-throughput override.
+    device_throughput: Option<(f64, f64)>,
+    tags: &'a [u32],
+    cost: &'a CostModel,
+    route: Route<'a>,
+}
+
+impl Exchange<'_> {
+    /// The paper's loop, once: compress per-destination chunks straight into
+    /// pooled send leases, move them through the route's all-to-all,
+    /// decompress what arrives into recycled float storage. Every route
+    /// writes byte-identical chunks and delivers bit-identical matrices —
+    /// only the charged time differs.
+    fn run<'m, B, I, R, S>(
+        &self,
+        mut dir: Direction<'_, B, R, S>,
+        scratch: &mut PipelineScratch,
+        acct: &mut Accounting<'_>,
+        mut controller: Option<&mut ControllerState>,
+    ) where
+        B: Fn(usize) -> I,
+        I: Iterator<Item = (usize, &'m Matrix)>,
+        R: Fn(usize) -> usize,
+        S: FnMut(u32, u32, Matrix),
+    {
+        let Exchange {
+            ctx,
+            resolved,
+            dim,
+            profile,
+            cost,
+            ..
+        } = *self;
+        let (rank, world) = (ctx.rank(), ctx.world());
+        let [compress, a2a, decompress] = dir.phases;
+        let streamed = matches!(self.route, Route::Streamed);
+        let mut stream = streamed.then(|| ctx.begin_chunked());
+        let header = if streamed { CHUNK_HEADER_BYTES } else { 0 };
+
+        // ── Compress, destination-major, so per-chunk codec seconds can feed
+        // the overlap timeline.
+        scratch.chunk_codec_s.clear();
+        scratch.chunk_sent.clear();
+        scratch.chunk_recv.clear();
+        scratch.send.clear();
+        let mut original_bytes = 0u64;
+        let mut lease_growth = 0u64;
+        for step in 0..world {
+            let dst = if streamed {
+                (rank + step) % world
+            } else {
+                step
+            };
+            let t0 = Instant::now();
+            let (count, worst) = (dir.blocks)(dst).fold((0u32, header + 4), |(n, w), (_, m)| {
+                (n + 1, w + block_worst_bytes(m.len()))
+            });
+            let capacity = dir.hints[dst].max(worst);
+            let mut buf = if streamed {
+                ctx.take_chunk_buf(capacity)
+            } else {
+                ctx.take_buf(capacity)
+            };
+            let cap_at_take = buf.capacity();
+            buf.extend_from_slice(&count.to_le_bytes());
+            let mut chunk_original = 0u64;
+            let mut chunk_profile_s = 0.0f64;
+            for (t, matrix) in (dir.blocks)(dst) {
+                let payload_len = write_block(
+                    resolved,
+                    t,
+                    self.iter,
+                    matrix.as_slice(),
+                    dim,
+                    &mut scratch.compress,
+                    &mut buf,
+                );
+                let raw_bytes = (matrix.len() * 4) as u64;
+                chunk_original += raw_bytes;
+                chunk_profile_s += block_profile_seconds(profile, resolved, t, raw_bytes, false);
+                if let Some(traffic) = dir.traffic.as_deref_mut() {
+                    traffic[t].0 += raw_bytes;
+                    traffic[t].1 += payload_len as u64;
+                }
+            }
+            let (buf, grown) = settle_chunk(ctx, buf, cap_at_take);
+            lease_growth += grown;
+            dir.hints[dst] = dir.hints[dst].max(buf.len());
+            scratch.chunk_codec_s.push(chunk_codec_seconds(
+                resolved.is_raw(),
+                t0.elapsed().as_secs_f64(),
+                chunk_original,
+                self.device_throughput.map(|(c, _)| c),
+                profile.map(|_| chunk_profile_s),
+            ));
+            scratch
+                .chunk_sent
+                .push(if dst == rank { 0 } else { buf.len() });
+            original_bytes += chunk_original;
+            match stream.as_mut() {
+                Some(s) => s.send(dst, buf, self.tags[dst]),
+                None => scratch.send.push(buf),
+            }
+        }
+        acct.ledger
+            .add_time(compress, scratch.chunk_codec_s.iter().sum::<f64>());
+        acct.ledger.add_bytes(compress, original_bytes);
+        acct.close(compress, scratch, lease_growth);
+
+        // ── All-to-all. Streamed chunks are already in flight; their wire
+        // time is charged once the last one has retired.
+        match self.route {
+            Route::Streamed => {}
+            Route::Var => {
+                let stats = ctx.all_to_all_var_pooled(
+                    &mut scratch.send,
+                    &mut scratch.recv,
+                    self.tags,
+                    &mut scratch.meta,
+                );
+                // `stats` includes the metadata phase's records, whose
+                // bandwidth cost `metadata_time` already charges — the
+                // payload term must not count those bytes a second time.
+                let meta_bytes = world.saturating_sub(1) * METADATA_RECORD_BYTES;
+                let sent = stats.sent.saturating_sub(meta_bytes);
+                let received = stats.received.saturating_sub(meta_bytes);
+                acct.ledger.add_time(
+                    a2a,
+                    cost.metadata_time(world.saturating_sub(1), METADATA_RECORD_BYTES)
+                        + cost.alltoall_time(sent, received),
+                );
+                acct.ledger
+                    .add_bytes(a2a, (stats.sent + stats.received) as u64);
+                if let Some(state) = controller.as_mut() {
+                    let bottleneck = sent.max(received);
+                    state.add_wire(bottleneck, cost.bandwidth_time(bottleneck));
+                }
+                acct.close(a2a, scratch, 0);
+            }
+            Route::Hier {
+                topo,
+                tiered,
+                overlapped,
+            } => {
+                let bytes = ctx.all_to_all_hier_pooled(topo, &mut scratch.send, &mut scratch.recv);
+                let tier_seconds = charge_hier_a2a(
+                    &mut acct.ledger,
+                    a2a,
+                    tiered,
+                    &bytes,
+                    overlapped,
+                    &scratch.chunk_codec_s,
+                    &scratch.chunk_sent,
+                );
+                acct.add_tiers(bytes.intra_total(), bytes.inter_total(), tier_seconds);
+                if let Some(state) = controller.as_mut() {
+                    let ex = bytes.exchange;
+                    let inter_b = ex.sent.max(ex.received);
+                    state.add_wire(inter_b, inter_b as f64 / tiered.node_fabric_bandwidth());
+                    let intra_b = bytes.gather.sent.max(bytes.gather.received)
+                        + bytes.scatter.sent.max(bytes.scatter.received);
+                    state.add_intra(intra_b, intra_b as f64 / topo.intra().alltoall_bandwidth);
+                }
+                acct.close(a2a, scratch, 0);
+            }
+        }
+
+        // ── Decompress each chunk in place as it is retired; its lease drops
+        // back to the sender's pool at once.
+        let mut recv = std::mem::take(&mut scratch.recv);
+        let mut delivered = recv.drain(..);
+        let mut decompressed_bytes = 0u64;
+        let mut profile_s = 0.0f64;
+        let mut measured_s = 0.0f64;
+        for step in 0..world {
+            let (src, chunk) = match stream.as_mut() {
+                Some(s) => {
+                    let src = (rank + world - step) % world;
+                    (src, s.recv(src).0)
+                }
+                None => (step, delivered.next().expect("one chunk per source rank")),
+            };
+            scratch
+                .chunk_recv
+                .push(if src == rank { 0 } else { chunk.len() });
+            let t0 = Instant::now();
+            let rows = (dir.rows_from)(src);
+            for block in block_slices(&chunk[header..]) {
+                let (table, payload) = block.unwrap_or_else(|e| {
+                    panic!("rank {rank}: malformed {decompress} chunk from rank {src}: {e}")
+                });
+                let mut values = scratch.take_floats(rows * dim);
+                resolved.decompress_into(
+                    table as usize,
+                    payload,
+                    &mut scratch.compress,
+                    &mut values,
+                );
+                let raw_bytes = (values.len() * 4) as u64;
+                decompressed_bytes += raw_bytes;
+                profile_s +=
+                    block_profile_seconds(profile, resolved, table as usize, raw_bytes, true);
+                assert_eq!(
+                    values.len(),
+                    rows * dim,
+                    "rank {rank}: table {table} from rank {src}: bad payload size"
+                );
+                (dir.sink)(table, src as u32, Matrix::from_vec(rows, dim, values));
+            }
+            measured_s += t0.elapsed().as_secs_f64();
+        }
+        drop(delivered);
+        scratch.recv = recv;
+        let modeled_s = charge_codec(
+            &mut acct.ledger,
+            decompress,
+            if resolved.is_raw() { 0.0 } else { measured_s },
+            decompressed_bytes,
+            self.device_throughput.map(|(_, d)| d),
+            profile.map(|_| profile_s),
+        );
+        let Some(mut stream) = stream else {
+            return acct.close(decompress, scratch, 0);
+        };
+        let stats = stream.finish();
+        debug_assert_eq!(stats.sent, scratch.chunk_sent.iter().sum::<usize>());
+        debug_assert_eq!(stats.received, scratch.chunk_recv.iter().sum::<usize>());
+        charge_overlapped_a2a(
+            &mut acct.ledger,
+            a2a,
+            cost,
+            &scratch.chunk_codec_s,
+            &scratch.chunk_sent,
+            &scratch.chunk_recv,
+        );
+        if let Some(state) = controller.as_mut() {
+            let bottleneck = stats.sent.max(stats.received);
+            state.add_wire(bottleneck, cost.bandwidth_time(bottleneck));
+        }
+        acct.close_split(decompress, (measured_s, modeled_s), a2a, scratch);
+    }
+}
+
 /// Run the full training loop on one rank. Must be called from within a
 /// [`SimCluster`](dlrm_comm::SimCluster) whose world matches
 /// `setup.trainer.world`.
@@ -1515,9 +1936,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         TopologySetting::Flat => None,
         TopologySetting::Hierarchical(topo) => Some((*topo, topo.cost_model())),
     };
-    let mut tier_bytes = (0u64, 0u64);
-    let mut tier_seconds = (0.0f64, 0.0f64);
-    // Dense-gradient (Stage 8) compression state: codec + error-feedback
+    // Dense-gradient (all-reduce) compression state: codec + error-feedback
     // residual + scratch, all per-rank and reused every iteration.
     let mut dense: Option<GradCompressor> = match &trainer.dense_compression {
         DenseCompression::Off => None,
@@ -1546,10 +1965,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     // phase and steady-state growth would break the zero-allocation test.
     let mut dense_capacity_mark = 0u64;
     let owned = partition.tables_of(rank).to_vec();
-    // Block counts of the backward chunks: how many tables each rank owns.
-    let tables_of_owner: Vec<u32> = (0..world)
-        .map(|o| partition.tables_of(o).len() as u32)
-        .collect();
 
     let model_config = DlrmConfig::from_dataset(dataset);
     let mut model = Dlrm::new_partial(model_config, trainer.seed, Some(&owned));
@@ -1560,8 +1975,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     let mut ledger = TimingLedger::new();
     let mut per_iteration = Vec::with_capacity(seg.end - seg.start);
     let mut fwd_traffic = vec![(0u64, 0u64); num_tables];
-    let codec_throughput_c = trainer.device_throughput.map(|(c, _)| c);
-    let codec_throughput_d = trainer.device_throughput.map(|(_, d)| d);
     let compute_scale = trainer.compute_time_scale;
     // The tag follows the compressor choice: constant under Static,
     // recomputed at reselection points under the runtime controller.
@@ -1578,14 +1991,9 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     let mut lookup_slots: Vec<Option<Matrix>> = Vec::new();
     let mut my_lookups: Vec<Matrix> = Vec::new();
     let mut grad_entries: Vec<(u32, u32, Matrix)> = Vec::new();
-    let mut take_caps: Vec<usize> = Vec::with_capacity(world);
-
-    let mut steady_allocated = 0u64;
-    let mut marks = AllocMarks {
-        pool: ctx.pool().stats(),
-        compress_capacity: scratch.compress.capacity_bytes(),
-        float: scratch.float_counters(),
-    };
+    // Send-lease capacity hints per destination, one set per direction.
+    let mut fwd_hints = vec![64usize; world];
+    let mut bwd_hints = vec![64usize; world];
 
     // ── Segment entry: fast-forward the shared batch stream so global
     // iteration k draws the same batch no matter how many segments precede
@@ -1596,35 +2004,32 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     for _ in 0..seg.start {
         let _ = generator.next_batch(trainer.global_batch);
     }
-    let mut ckpt_codec: Option<CkptCodec> =
-        seg.checkpoint.as_ref().map(|s| CkptCodec::new(&s.codec));
-    let mut ckpt_flat: Vec<f32> = Vec::new();
-    let mut checkpoints_taken = 0usize;
-    let mut checkpoint_original_bytes = 0u64;
-    let mut checkpoint_encoded_bytes = 0u64;
-    let mut checkpoint_write_seconds = 0.0f64;
-    let mut last_checkpoint: Option<RankCheckpoint> = None;
+    let mut checkpoints = CheckpointWriter {
+        codec: seg.checkpoint.as_ref().map(|s| CkptCodec::new(&s.codec)),
+        ..Default::default()
+    };
     if let Some(ckpt) = seg.restore.as_deref() {
+        let ckpt_flat = &mut checkpoints.flat;
         let mut codec = CkptCodec::new(&ckpt.codec);
-        codec.decode_into(&ckpt.mlp, &mut ckpt_flat);
-        model.load_flat_mlp_params(&ckpt_flat);
+        codec.decode_into(&ckpt.mlp, ckpt_flat);
+        model.load_flat_mlp_params(ckpt_flat);
         for &t in &owned {
             let section = ckpt
                 .table(t)
                 .unwrap_or_else(|| panic!("checkpoint is missing table {t}"));
-            codec.decode_into(&section.section, &mut ckpt_flat);
+            codec.decode_into(&section.section, ckpt_flat);
             let w = model.embedding_mut(t).weights_mut();
             assert_eq!(
                 (section.rows, section.cols),
                 (w.rows(), w.cols()),
                 "table {t}: checkpoint shape mismatch"
             );
-            w.as_mut_slice().copy_from_slice(&ckpt_flat);
+            w.as_mut_slice().copy_from_slice(ckpt_flat);
         }
         if let Some(section) = ckpt.residual_for(rank) {
             if let Some(state) = dense.as_mut() {
-                codec.decode_into(section, &mut ckpt_flat);
-                state.load_residual(&ckpt_flat);
+                codec.decode_into(section, ckpt_flat);
+                state.load_residual(ckpt_flat);
             }
         }
         // The restore read is charged at the store bandwidth; every rank
@@ -1644,61 +2049,44 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     // never allocates. The clock domain follows the executor — modeled
     // (deterministic) timestamps under the sequential gate, wall timestamps
     // under free-running threads.
-    let mut obs: Option<ObsState> = if trainer.obs.is_enabled() {
-        Some(ObsState::new(
+    let obs = trainer.obs.is_enabled().then(|| {
+        ObsState::new(
             rank,
             trainer.executor.clock_domain(),
             seg.end - seg.start,
             num_tables,
-        ))
-    } else {
-        None
-    };
-
-    // Wall-clock phase accounting starts when the loop does: setup cost is
-    // not training time.
-    let mut wall = WallClock::new();
+        )
+    });
+    let mut acct = Accounting::new(ctx, &scratch, ledger, obs);
 
     for iter in seg.start..seg.end {
-        if let Some(o) = obs.as_mut() {
-            o.begin_iteration(iter, &ledger, &wall, &fwd_traffic, tier_bytes);
-        }
         // Warm-up is per segment: a fresh executor (and so fresh pools)
         // backs every segment, so the allocation amnesty restarts with it.
         let local = iter - seg.start;
-        let counting = local >= WARMUP_ITERATIONS;
-        // ── Checkpoint cadence: snapshot the state this iteration *starts*
-        // with (model replica, owned shards, EF residual), encoded through
-        // the checkpoint codec, with the store write charged at its modeled
-        // bandwidth.
+        acct.counting = local >= WARMUP_ITERATIONS;
+        if let Some(o) = acct.obs.as_mut() {
+            o.begin_iteration(
+                iter,
+                &acct.ledger,
+                &acct.wall,
+                &fwd_traffic,
+                acct.tier_bytes,
+            );
+        }
+        // ── checkpoint (cadence): snapshot the state this iteration
+        // *starts* with.
         if let Some(spec) = seg.checkpoint.as_ref() {
             if iter.is_multiple_of(spec.every) {
-                let codec = ckpt_codec.as_mut().expect("codec built with the spec");
-                let part = take_checkpoint(
+                checkpoints.write(
                     iter,
-                    rank,
+                    spec,
                     &model,
                     &owned,
                     dense.as_ref(),
-                    codec,
-                    &mut ckpt_flat,
+                    compute_scale,
+                    &mut acct,
+                    &scratch,
                 );
-                let write_s = part.write_seconds(spec.write_bandwidth);
-                checkpoints_taken += 1;
-                checkpoint_original_bytes += part.original_bytes();
-                checkpoint_encoded_bytes += part.encoded_bytes();
-                checkpoint_write_seconds += write_s;
-                ledger.add_time(
-                    phases::CHECKPOINT,
-                    part.encode_seconds * compute_scale + write_s,
-                );
-                ledger.add_bytes(phases::CHECKPOINT, part.encoded_bytes());
-                if let Some(o) = obs.as_mut() {
-                    o.note_checkpoint(part.encoded_bytes(), write_s, &ledger);
-                }
-                last_checkpoint = Some(part);
-                obs_mark(&mut obs, phases::CHECKPOINT, &ledger, ctx);
-                wall.mark(phases::CHECKPOINT);
             }
         }
         // The link (and therefore every network charge) in effect this
@@ -1709,8 +2097,8 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // collective); factor 1.0 skips the rebuild entirely, keeping the
         // no-fault path bit-identical.
         let straggler = plan.map_or(1.0, |p| p.straggler_factor(iter));
-        if let Some(o) = obs.as_mut() {
-            o.note_straggler(straggler, &ledger);
+        if let Some(o) = acct.obs.as_mut() {
+            o.note_straggler(straggler, &acct.ledger);
         }
         let cost = {
             let c = match trace {
@@ -1739,7 +2127,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 Some((topo_iter, topo_iter.cost_model()))
             }
         };
-        // ── Reselection point: close the previous window, exchange
+        // ── runtime controller (reselection point): close the previous window, exchange
         // observations, and apply the controller's revisions before any of
         // this iteration's compression runs (so every rank flips codecs on
         // the same iteration).
@@ -1753,38 +2141,29 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     &fwd_traffic,
                     &mut resolved,
                     &mut tags,
-                    &mut ledger,
+                    &mut acct.ledger,
                     &mut scratch.send,
                     &mut scratch.recv,
                     hier_iter.is_some(),
                     plan.is_some_and(|p| p.degraded_at(iter)),
                 );
-                let a = note_alloc(
-                    &mut ledger,
-                    phases::CONTROLLER,
-                    ctx,
-                    &scratch,
-                    &mut marks,
-                    0,
-                );
-                steady_allocated += if counting { a } else { 0 };
-                if let Some(o) = obs.as_mut() {
+                if let Some(o) = acct.obs.as_mut() {
                     if let Some(sel) = state.ctl.log().last() {
                         if sel.iteration == iter {
-                            o.note_reselection(sel, &ledger);
+                            o.note_reselection(sel, &acct.ledger);
                         }
                     }
                 }
-                obs_mark(&mut obs, phases::CONTROLLER, &ledger, ctx);
-                wall.mark(phases::CONTROLLER);
+                acct.close(phases::CONTROLLER, &scratch, 0);
             }
         }
         let global_batch = generator.next_batch(trainer.global_batch);
         let shards = global_batch.shard(world);
         let my_shard = &shards[rank];
 
-        // ── Stage 1: owners look up their tables for every destination
-        // shard, into float storage recycled from the previous iteration.
+        // ── embedding lookup: owners look up their tables for every
+        // destination shard, into float storage recycled from the previous
+        // iteration.
         let t0 = Instant::now();
         for &t in &owned {
             for shard in &shards {
@@ -1792,498 +2171,62 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 lookup_matrices.push(model.lookup_with_storage(t, &shard.sparse[t], storage));
             }
         }
-        ledger.add_time(phases::LOOKUP, t0.elapsed().as_secs_f64() * compute_scale);
-        // Attribute lookup-storage recycler activity to LOOKUP, not to the
-        // compress phase that happens to run the next accounting mark.
-        let a = note_alloc(&mut ledger, phases::LOOKUP, ctx, &scratch, &mut marks, 0);
-        steady_allocated += if counting { a } else { 0 };
-        obs_mark(&mut obs, phases::LOOKUP, &ledger, ctx);
-        wall.mark(phases::LOOKUP);
+        acct.ledger
+            .add_time(phases::LOOKUP, t0.elapsed().as_secs_f64() * compute_scale);
+        acct.close(phases::LOOKUP, &scratch, 0);
 
-        // ── Stages 2–4: compress per-destination chunks, move them through
-        // the all-to-all, decompress the lookups for my shard. With overlap
-        // enabled this runs as one double-buffered chunked pipeline
-        // (compress chunk k+1 while chunk k is on the virtual wire);
-        // otherwise as the sequential compress → exchange → decompress
-        // schedule. Both produce bit-identical lookups — only the charged
-        // time differs.
+        // The exchange both directions run: under a hierarchical topology
+        // the two-level collective; flat with overlap on, one double-buffered
+        // chunked pipeline (compress chunk k+1 while chunk k is on the
+        // virtual wire); otherwise the sequential compress → exchange →
+        // decompress schedule.
+        let exchange = Exchange {
+            ctx,
+            resolved: &resolved,
+            iter,
+            dim,
+            profile,
+            device_throughput: trainer.device_throughput,
+            tags: &tags,
+            cost: &cost,
+            route: match &hier_iter {
+                Some((topo, tiered)) => Route::Hier {
+                    topo,
+                    tiered,
+                    overlapped,
+                },
+                None if overlapped => Route::Streamed,
+                None => Route::Var,
+            },
+        };
+
+        // ── fwd compression → fwd all-to-all → fwd decompression: every
+        // owner sends each shard the lookups of its tables.
         lookup_slots.clear();
         lookup_slots.resize_with(num_tables, || None);
-        if let Some((topo, tiered)) = &hier_iter {
-            // Hierarchical route: compress per-destination chunks
-            // (destination-major, so per-chunk codec seconds can feed the
-            // overlap timeline; block order within a chunk matches the flat
-            // paths, so chunk bytes are identical), move them through the
-            // two-level collective, decompress. Only the route and the
-            // charged time differ from the flat schedules.
-            scratch.chunk_codec_s.clear();
-            scratch.chunk_sent.clear();
-            scratch.send.clear();
-            take_caps.clear();
-            let mut fwd_original_bytes = 0u64;
-            for (dst, shard) in shards.iter().enumerate() {
-                let t0 = Instant::now();
-                let worst = 4 + owned.len() * (shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_buf(scratch.chunk_capacity_hint[dst].max(worst));
-                take_caps.push(buf.capacity());
-                buf.extend_from_slice(&(owned.len() as u32).to_le_bytes());
-                let mut chunk_original = 0u64;
-                let mut chunk_profile_s = 0.0f64;
-                for (local_idx, &t) in owned.iter().enumerate() {
-                    let matrix = &lookup_matrices[local_idx * world + dst];
-                    let payload_len = write_block(
-                        &resolved,
-                        t,
-                        iter,
-                        matrix.as_slice(),
-                        dim,
-                        &mut scratch.compress,
-                        &mut buf,
-                    );
-                    chunk_original += (matrix.len() * 4) as u64;
-                    chunk_profile_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        t,
-                        (matrix.len() * 4) as u64,
-                        false,
-                    );
-                    fwd_traffic[t].0 += (matrix.len() * 4) as u64;
-                    fwd_traffic[t].1 += payload_len as u64;
-                }
-                scratch.chunk_codec_s.push(chunk_codec_seconds(
-                    resolved.is_raw(),
-                    t0.elapsed().as_secs_f64(),
-                    chunk_original,
-                    codec_throughput_c,
-                    profile.map(|_| chunk_profile_s),
-                ));
-                scratch
-                    .chunk_sent
-                    .push(if dst == rank { 0 } else { buf.len() });
-                fwd_original_bytes += chunk_original;
-                scratch.send.push(buf);
-            }
-            let lease_growth =
-                settle_send_leases(&scratch.send, &take_caps, &mut scratch.chunk_capacity_hint);
-            ledger.add_time(
-                phases::FWD_COMPRESS,
-                scratch.chunk_codec_s.iter().sum::<f64>(),
-            );
-            ledger.add_bytes(phases::FWD_COMPRESS, fwd_original_bytes);
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::FWD_COMPRESS);
-
-            let hier_bytes = ctx.all_to_all_hier_pooled(topo, &mut scratch.send, &mut scratch.recv);
-            let (ti, te) = charge_hier_a2a(
-                &mut ledger,
-                phases::FWD_A2A,
-                tiered,
-                &hier_bytes,
-                overlapped,
-                &scratch.chunk_codec_s,
-                &scratch.chunk_sent,
-            );
-            tier_seconds.0 += ti;
-            tier_seconds.1 += te;
-            tier_bytes.0 += hier_bytes.intra_total();
-            tier_bytes.1 += hier_bytes.inter_total();
-            if let Some(state) = controller.as_mut() {
-                let ex = hier_bytes.exchange;
-                let inter_b = ex.sent.max(ex.received);
-                state.add_wire(inter_b, inter_b as f64 / tiered.node_fabric_bandwidth());
-                let intra_b = hier_bytes.gather.sent.max(hier_bytes.gather.received)
-                    + hier_bytes.scatter.sent.max(hier_bytes.scatter.received);
-                state.add_intra(intra_b, intra_b as f64 / topo.intra().alltoall_bandwidth);
-            }
-            let a = note_alloc(&mut ledger, phases::FWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_A2A, &ledger, ctx);
-            wall.mark(phases::FWD_A2A);
-
-            let t0 = Instant::now();
-            let mut decompressed_bytes = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let recv = std::mem::take(&mut scratch.recv);
-            for chunk in &recv {
-                for (table, payload) in block_slices(chunk) {
-                    let rows = my_shard.batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    decompressed_bytes += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "table {table}: bad payload size");
-                    lookup_slots[table as usize] = Some(Matrix::from_vec(rows, dim, values));
-                }
-            }
-            let mut recv = recv;
-            recv.clear(); // release the payload leases back to their pools
-            scratch.recv = recv;
-            charge_codec(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
-                },
-                decompressed_bytes,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_DECOMPRESS, &ledger, ctx);
-            wall.mark(phases::FWD_DECOMPRESS);
-        } else if overlapped {
-            // Chunk k goes to destination (rank+k) and arrives from source
-            // (rank−k); each chunk is begin-sent the moment its compression
-            // finishes, so the codec timeline runs ahead of the wire.
-            scratch.chunk_codec_s.clear();
-            scratch.chunk_sent.clear();
-            scratch.chunk_recv.clear();
-            let mut exchange = ctx.begin_chunked();
-            let mut fwd_original_bytes = 0u64;
-            let mut lease_growth = 0u64;
-            for step in 0..world {
-                let dst = (rank + step) % world;
-                let shard = &shards[dst];
-                let t0 = Instant::now();
-                // Lease capacity covers the worst case of every codec (≤ 3×
-                // the raw bytes plus per-block headers) so chunks never grow
-                // their lease mid-fill; `settle_chunk` retries if one does.
-                let worst =
-                    CHUNK_HEADER_BYTES + 4 + owned.len() * (shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_chunk_buf(scratch.chunk_capacity_hint[dst].max(worst));
-                let cap_at_take = buf.capacity();
-                buf.extend_from_slice(&(owned.len() as u32).to_le_bytes());
-                let mut chunk_original = 0u64;
-                let mut chunk_profile_s = 0.0f64;
-                for (local_idx, &t) in owned.iter().enumerate() {
-                    let matrix = &lookup_matrices[local_idx * world + dst];
-                    let payload_len = write_block(
-                        &resolved,
-                        t,
-                        iter,
-                        matrix.as_slice(),
-                        dim,
-                        &mut scratch.compress,
-                        &mut buf,
-                    );
-                    chunk_original += (matrix.len() * 4) as u64;
-                    chunk_profile_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        t,
-                        (matrix.len() * 4) as u64,
-                        false,
-                    );
-                    fwd_traffic[t].0 += (matrix.len() * 4) as u64;
-                    fwd_traffic[t].1 += payload_len as u64;
-                }
-                let (buf, grown) = settle_chunk(ctx, buf, cap_at_take);
-                lease_growth += grown;
-                let hint = &mut scratch.chunk_capacity_hint[dst];
-                *hint = (*hint).max(buf.len());
-                scratch.chunk_codec_s.push(chunk_codec_seconds(
-                    resolved.is_raw(),
-                    t0.elapsed().as_secs_f64(),
-                    chunk_original,
-                    codec_throughput_c,
-                    profile.map(|_| chunk_profile_s),
-                ));
-                scratch
-                    .chunk_sent
-                    .push(if dst == rank { 0 } else { buf.len() });
-                fwd_original_bytes += chunk_original;
-                exchange.send(dst, buf, tags[dst]);
-            }
-            ledger.add_time(
-                phases::FWD_COMPRESS,
-                scratch.chunk_codec_s.iter().sum::<f64>(),
-            );
-            ledger.add_bytes(phases::FWD_COMPRESS, fwd_original_bytes);
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::FWD_COMPRESS);
-
-            // Retire chunks in matching rotation, decompressing each as it
-            // completes; the lease drops back to its sender's pool at once.
-            let mut decompressed_bytes = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let mut decompress_measured = 0.0f64;
-            for step in 0..world {
-                let src = (rank + world - step) % world;
-                let (chunk, _payload_len, _tag) = exchange.recv(src);
-                scratch
-                    .chunk_recv
-                    .push(if src == rank { 0 } else { chunk.len() });
-                let t0 = Instant::now();
-                for (table, payload) in block_slices(&chunk[CHUNK_HEADER_BYTES..]) {
-                    let rows = my_shard.batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    decompressed_bytes += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "table {table}: bad payload size");
-                    lookup_slots[table as usize] = Some(Matrix::from_vec(rows, dim, values));
-                }
-                decompress_measured += t0.elapsed().as_secs_f64();
-            }
-            let stats = exchange.finish();
-            debug_assert_eq!(stats.sent, scratch.chunk_sent.iter().sum::<usize>());
-            debug_assert_eq!(stats.received, scratch.chunk_recv.iter().sum::<usize>());
-            let _ = stats;
-            charge_codec(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    decompress_measured
-                },
-                decompressed_bytes,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            charge_overlapped_a2a(
-                &mut ledger,
-                phases::FWD_A2A,
-                &cost,
-                &scratch.chunk_codec_s,
-                &scratch.chunk_sent,
-                &scratch.chunk_recv,
-            );
-            if let Some(state) = controller.as_mut() {
-                let bottleneck = scratch
-                    .chunk_sent
-                    .iter()
-                    .sum::<usize>()
-                    .max(scratch.chunk_recv.iter().sum::<usize>());
-                state.add_wire(bottleneck, cost.bandwidth_time(bottleneck));
-            }
-            let a = note_alloc(&mut ledger, phases::FWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            if let Some(o) = obs.as_mut() {
-                o.sample_depth(ctx);
-                o.mark_split(
-                    phases::FWD_DECOMPRESS,
-                    decompress_measured,
+        let (owned_tables, lookups) = (&owned, &lookup_matrices);
+        exchange.run(
+            Direction {
+                phases: [
+                    phases::FWD_COMPRESS,
                     phases::FWD_A2A,
-                    &ledger,
-                );
-            }
-            wall.mark_split(phases::FWD_DECOMPRESS, decompress_measured, phases::FWD_A2A);
-        } else {
-            // ── Stage 2: compress per-destination chunks *directly into*
-            // pooled send leases ([count][table][len][payload]… blocks).
-            let t0 = Instant::now();
-            scratch.send.clear();
-            take_caps.clear();
-            for (shard, hint) in shards.iter().zip(scratch.chunk_capacity_hint.iter()) {
-                // Lease capacity covers the worst case of every codec (≤ 3×
-                // the raw bytes plus per-block headers), so a compressed
-                // chunk can never grow the buffer mid-fill — sizes that
-                // fluctuate with the data would otherwise defeat the
-                // zero-allocation steady state.
-                let worst = 4 + owned.len() * (shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_buf((*hint).max(worst));
-                take_caps.push(buf.capacity());
-                buf.extend_from_slice(&(owned.len() as u32).to_le_bytes());
-                scratch.send.push(buf);
-            }
-            let mut fwd_original_bytes = 0u64;
-            let mut profile_c_s = 0.0f64;
-            for (local_idx, &t) in owned.iter().enumerate() {
-                for dst in 0..world {
-                    let matrix = &lookup_matrices[local_idx * world + dst];
-                    let payload_len = write_block(
-                        &resolved,
-                        t,
-                        iter,
-                        matrix.as_slice(),
-                        dim,
-                        &mut scratch.compress,
-                        &mut scratch.send[dst],
-                    );
-                    fwd_original_bytes += (matrix.len() * 4) as u64;
-                    profile_c_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        t,
-                        (matrix.len() * 4) as u64,
-                        false,
-                    );
-                    fwd_traffic[t].0 += (matrix.len() * 4) as u64;
-                    fwd_traffic[t].1 += payload_len as u64;
-                }
-            }
-            let lease_growth =
-                settle_send_leases(&scratch.send, &take_caps, &mut scratch.chunk_capacity_hint);
-            charge_codec(
-                &mut ledger,
-                phases::FWD_COMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
+                    phases::FWD_DECOMPRESS,
+                ],
+                blocks: |dst| {
+                    owned_tables
+                        .iter()
+                        .enumerate()
+                        .map(move |(local_idx, &t)| (t, &lookups[local_idx * world + dst]))
                 },
-                fwd_original_bytes,
-                codec_throughput_c,
-                profile.map(|_| profile_c_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::FWD_COMPRESS);
-
-            // ── Stage 3: metadata + payload all-to-all over pooled buffers.
-            let stats = ctx.all_to_all_var_pooled(
-                &mut scratch.send,
-                &mut scratch.recv,
-                &tags,
-                &mut scratch.meta,
-            );
-            // `stats` includes the metadata phase's records, whose bandwidth
-            // cost `metadata_time` already charges — the payload term must
-            // not count those bytes a second time.
-            let meta_bytes = world.saturating_sub(1) * METADATA_RECORD_BYTES;
-            let fwd_a2a_time = cost.metadata_time(world.saturating_sub(1), METADATA_RECORD_BYTES)
-                + cost.alltoall_time(
-                    stats.sent.saturating_sub(meta_bytes),
-                    stats.received.saturating_sub(meta_bytes),
-                );
-            ledger.add_time(phases::FWD_A2A, fwd_a2a_time);
-            ledger.add_bytes(phases::FWD_A2A, (stats.sent + stats.received) as u64);
-            if let Some(state) = controller.as_mut() {
-                let bottleneck = stats
-                    .sent
-                    .saturating_sub(meta_bytes)
-                    .max(stats.received.saturating_sub(meta_bytes));
-                state.add_wire(bottleneck, cost.bandwidth_time(bottleneck));
-            }
-            let a = note_alloc(&mut ledger, phases::FWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_A2A, &ledger, ctx);
-            wall.mark(phases::FWD_A2A);
-
-            // ── Stage 4: decompress the lookups for my shard (recv leases
-            // are walked in place; float storage comes from the recycler).
-            let t0 = Instant::now();
-            let mut decompressed_bytes = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let recv = std::mem::take(&mut scratch.recv);
-            for chunk in &recv {
-                for (table, payload) in block_slices(chunk) {
-                    let rows = my_shard.batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    decompressed_bytes += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "table {table}: bad payload size");
-                    lookup_slots[table as usize] = Some(Matrix::from_vec(rows, dim, values));
-                }
-            }
-            let mut recv = recv;
-            recv.clear(); // release the payload leases back to their pools
-            scratch.recv = recv;
-            charge_codec(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
-                },
-                decompressed_bytes,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_DECOMPRESS, &ledger, ctx);
-            wall.mark(phases::FWD_DECOMPRESS);
-        }
+                hints: &mut fwd_hints,
+                traffic: Some(&mut fwd_traffic),
+                rows_from: |_src| my_shard.batch_size(),
+                sink: |table, _src, lookup| lookup_slots[table as usize] = Some(lookup),
+            },
+            &mut scratch,
+            &mut acct,
+            controller.as_mut(),
+        );
         my_lookups.clear();
         my_lookups.extend(
             lookup_slots
@@ -2292,31 +2235,30 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 .map(|(t, m)| m.unwrap_or_else(|| panic!("no lookup received for table {t}"))),
         );
 
-        // ── Stage 5: data-parallel forward, metrics, backward.
+        // ── mlp forward, metrics, mlp backward (data-parallel).
         let t0 = Instant::now();
         let cache = model.forward_dense(&my_shard.dense, &my_lookups);
-        ledger.add_time(phases::MLP_FWD, t0.elapsed().as_secs_f64() * compute_scale);
+        acct.ledger
+            .add_time(phases::MLP_FWD, t0.elapsed().as_secs_f64() * compute_scale);
         per_iteration.push(EvalMetrics::from_logits(&cache.logits, &my_shard.labels));
         if let Some(state) = controller.as_mut() {
             state.loss_sum += per_iteration.last().expect("just pushed").loss;
             state.loss_n += 1;
         }
-        obs_mark(&mut obs, phases::MLP_FWD, &ledger, ctx);
-        wall.mark(phases::MLP_FWD);
+        acct.close(phases::MLP_FWD, &scratch, 0);
 
         let t0 = Instant::now();
         let grads = model.backward_dense(&cache, &my_shard.labels);
-        ledger.add_time(phases::MLP_BWD, t0.elapsed().as_secs_f64() * compute_scale);
-        obs_mark(&mut obs, phases::MLP_BWD, &ledger, ctx);
-        wall.mark(phases::MLP_BWD);
+        acct.ledger
+            .add_time(phases::MLP_BWD, t0.elapsed().as_secs_f64() * compute_scale);
+        acct.close(phases::MLP_BWD, &scratch, 0);
 
-        // ── Stages 6–7a: compress embedding gradients, send them home, and
-        // decompress them on the owning rank — the backward mirror of
-        // stages 2–4, double-buffered under the same overlap setting and
-        // hierarchical under the same topology setting. The combined push
-        // replaces the whole block (including the owner-side apply): dense
-        // per-table accumulators added in the compressed domain — at node
-        // leaders when hierarchical — so owners decode one stream per table.
+        // ── bwd compression → bwd all-to-all → bwd decompression: every
+        // shard sends each table's gradient home to its owner — the same
+        // exchange, mirrored. The combined push replaces the whole block
+        // (including the owner-side apply): dense per-table accumulators
+        // added in the compressed domain — at node leaders when hierarchical
+        // — so owners decode one stream per table.
         if let Some(push) = grad_push.as_mut() {
             push.run(
                 ctx,
@@ -2331,461 +2273,38 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 hier_iter.as_ref(),
                 &mut scratch,
                 &tags,
-                &mut ledger,
+                &mut acct.ledger,
                 compute_scale,
             );
-            obs_mark(&mut obs, phases::EMB_UPDATE, &ledger, ctx);
-            wall.mark(phases::EMB_UPDATE);
-        } else if let Some((topo, tiered)) = &hier_iter {
-            scratch.chunk_codec_s.clear();
-            scratch.chunk_sent.clear();
-            scratch.send.clear();
-            take_caps.clear();
-            let mut bwd_bytes = 0u64;
-            for (owner, &table_count) in tables_of_owner.iter().enumerate() {
-                let t0 = Instant::now();
-                let worst = 4 + table_count as usize * (my_shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_buf(scratch.bwd_chunk_capacity_hint[owner].max(worst));
-                take_caps.push(buf.capacity());
-                buf.extend_from_slice(&table_count.to_le_bytes());
-                let mut chunk_original = 0u64;
-                let mut chunk_profile_s = 0.0f64;
-                for &t in partition.tables_of(owner) {
-                    let grad = &grads.embedding_grads[t];
-                    write_block(
-                        &resolved,
-                        t,
-                        iter,
-                        grad.as_slice(),
-                        dim,
-                        &mut scratch.compress,
-                        &mut buf,
-                    );
-                    chunk_original += (grad.len() * 4) as u64;
-                    chunk_profile_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        t,
-                        (grad.len() * 4) as u64,
-                        false,
-                    );
-                }
-                scratch.chunk_codec_s.push(chunk_codec_seconds(
-                    resolved.is_raw(),
-                    t0.elapsed().as_secs_f64(),
-                    chunk_original,
-                    codec_throughput_c,
-                    profile.map(|_| chunk_profile_s),
-                ));
-                scratch
-                    .chunk_sent
-                    .push(if owner == rank { 0 } else { buf.len() });
-                bwd_bytes += chunk_original;
-                scratch.send.push(buf);
-            }
-            let lease_growth = settle_send_leases(
-                &scratch.send,
-                &take_caps,
-                &mut scratch.bwd_chunk_capacity_hint,
-            );
-            ledger.add_time(
-                phases::BWD_COMPRESS,
-                scratch.chunk_codec_s.iter().sum::<f64>(),
-            );
-            ledger.add_bytes(phases::BWD_COMPRESS, bwd_bytes);
-            let a = note_alloc(
-                &mut ledger,
-                phases::BWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::BWD_COMPRESS);
-
-            let hier_bytes = ctx.all_to_all_hier_pooled(topo, &mut scratch.send, &mut scratch.recv);
-            let (ti, te) = charge_hier_a2a(
-                &mut ledger,
-                phases::BWD_A2A,
-                tiered,
-                &hier_bytes,
-                overlapped,
-                &scratch.chunk_codec_s,
-                &scratch.chunk_sent,
-            );
-            tier_seconds.0 += ti;
-            tier_seconds.1 += te;
-            tier_bytes.0 += hier_bytes.intra_total();
-            tier_bytes.1 += hier_bytes.inter_total();
-            if let Some(state) = controller.as_mut() {
-                let ex = hier_bytes.exchange;
-                let inter_b = ex.sent.max(ex.received);
-                state.add_wire(inter_b, inter_b as f64 / tiered.node_fabric_bandwidth());
-                let intra_b = hier_bytes.gather.sent.max(hier_bytes.gather.received)
-                    + hier_bytes.scatter.sent.max(hier_bytes.scatter.received);
-                state.add_intra(intra_b, intra_b as f64 / topo.intra().alltoall_bandwidth);
-            }
-            let a = note_alloc(&mut ledger, phases::BWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_A2A, &ledger, ctx);
-            wall.mark(phases::BWD_A2A);
-
-            let t0 = Instant::now();
-            let mut bwd_decompressed = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let recv = std::mem::take(&mut scratch.recv);
-            for (src, chunk) in recv.iter().enumerate() {
-                for (table, payload) in block_slices(chunk) {
-                    let rows = shards[src].batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    bwd_decompressed += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "grad for table {table}: bad size");
-                    grad_entries.push((table, src as u32, Matrix::from_vec(rows, dim, values)));
-                }
-            }
-            let mut recv = recv;
-            recv.clear();
-            scratch.recv = recv;
-            charge_codec(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
-                },
-                bwd_decompressed,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_DECOMPRESS, &ledger, ctx);
-            wall.mark(phases::BWD_DECOMPRESS);
-        } else if overlapped {
-            scratch.chunk_codec_s.clear();
-            scratch.chunk_sent.clear();
-            scratch.chunk_recv.clear();
-            let mut exchange = ctx.begin_chunked();
-            let mut bwd_bytes = 0u64;
-            let mut lease_growth = 0u64;
-            for step in 0..world {
-                let owner = (rank + step) % world;
-                let table_count = tables_of_owner[owner];
-                let t0 = Instant::now();
-                let worst = CHUNK_HEADER_BYTES
-                    + 4
-                    + table_count as usize * (my_shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_chunk_buf(scratch.bwd_chunk_capacity_hint[owner].max(worst));
-                let cap_at_take = buf.capacity();
-                buf.extend_from_slice(&table_count.to_le_bytes());
-                let mut chunk_original = 0u64;
-                let mut chunk_profile_s = 0.0f64;
-                // `tables_of` is sorted ascending, so blocks land in the
-                // same order the sequential path writes them.
-                for &t in partition.tables_of(owner) {
-                    let grad = &grads.embedding_grads[t];
-                    write_block(
-                        &resolved,
-                        t,
-                        iter,
-                        grad.as_slice(),
-                        dim,
-                        &mut scratch.compress,
-                        &mut buf,
-                    );
-                    chunk_original += (grad.len() * 4) as u64;
-                    chunk_profile_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        t,
-                        (grad.len() * 4) as u64,
-                        false,
-                    );
-                }
-                let (buf, grown) = settle_chunk(ctx, buf, cap_at_take);
-                lease_growth += grown;
-                let hint = &mut scratch.bwd_chunk_capacity_hint[owner];
-                *hint = (*hint).max(buf.len());
-                scratch.chunk_codec_s.push(chunk_codec_seconds(
-                    resolved.is_raw(),
-                    t0.elapsed().as_secs_f64(),
-                    chunk_original,
-                    codec_throughput_c,
-                    profile.map(|_| chunk_profile_s),
-                ));
-                scratch
-                    .chunk_sent
-                    .push(if owner == rank { 0 } else { buf.len() });
-                bwd_bytes += chunk_original;
-                exchange.send(owner, buf, tags[owner]);
-            }
-            ledger.add_time(
-                phases::BWD_COMPRESS,
-                scratch.chunk_codec_s.iter().sum::<f64>(),
-            );
-            ledger.add_bytes(phases::BWD_COMPRESS, bwd_bytes);
-            let a = note_alloc(
-                &mut ledger,
-                phases::BWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::BWD_COMPRESS);
-
-            let mut bwd_decompressed = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let mut decompress_measured = 0.0f64;
-            for step in 0..world {
-                let src = (rank + world - step) % world;
-                let (chunk, _payload_len, _tag) = exchange.recv(src);
-                scratch
-                    .chunk_recv
-                    .push(if src == rank { 0 } else { chunk.len() });
-                let t0 = Instant::now();
-                for (table, payload) in block_slices(&chunk[CHUNK_HEADER_BYTES..]) {
-                    let rows = shards[src].batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    bwd_decompressed += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "grad for table {table}: bad size");
-                    grad_entries.push((table, src as u32, Matrix::from_vec(rows, dim, values)));
-                }
-                decompress_measured += t0.elapsed().as_secs_f64();
-            }
-            let stats = exchange.finish();
-            debug_assert_eq!(stats.sent, scratch.chunk_sent.iter().sum::<usize>());
-            debug_assert_eq!(stats.received, scratch.chunk_recv.iter().sum::<usize>());
-            let _ = stats;
-            charge_codec(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    decompress_measured
-                },
-                bwd_decompressed,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            charge_overlapped_a2a(
-                &mut ledger,
-                phases::BWD_A2A,
-                &cost,
-                &scratch.chunk_codec_s,
-                &scratch.chunk_sent,
-                &scratch.chunk_recv,
-            );
-            if let Some(state) = controller.as_mut() {
-                let bottleneck = scratch
-                    .chunk_sent
-                    .iter()
-                    .sum::<usize>()
-                    .max(scratch.chunk_recv.iter().sum::<usize>());
-                state.add_wire(bottleneck, cost.bandwidth_time(bottleneck));
-            }
-            let a = note_alloc(&mut ledger, phases::BWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            if let Some(o) = obs.as_mut() {
-                o.sample_depth(ctx);
-                o.mark_split(
-                    phases::BWD_DECOMPRESS,
-                    decompress_measured,
-                    phases::BWD_A2A,
-                    &ledger,
-                );
-            }
-            wall.mark_split(phases::BWD_DECOMPRESS, decompress_measured, phases::BWD_A2A);
         } else {
-            // ── Stage 6: compress embedding gradients and send them home,
-            // again straight into pooled send leases.
-            let t0 = Instant::now();
-            scratch.send.clear();
-            take_caps.clear();
-            for (owner, &table_count) in tables_of_owner.iter().enumerate() {
-                let worst = 4 + table_count as usize * (my_shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_buf(scratch.bwd_chunk_capacity_hint[owner].max(worst));
-                take_caps.push(buf.capacity());
-                buf.extend_from_slice(&table_count.to_le_bytes());
-                scratch.send.push(buf);
-            }
-            let mut bwd_bytes = 0u64;
-            let mut profile_c_s = 0.0f64;
-            for (t, grad) in grads.embedding_grads.iter().enumerate() {
-                let owner = partition.owner_of(t);
-                write_block(
-                    &resolved,
-                    t,
-                    iter,
-                    grad.as_slice(),
-                    dim,
-                    &mut scratch.compress,
-                    &mut scratch.send[owner],
-                );
-                bwd_bytes += (grad.len() * 4) as u64;
-                profile_c_s +=
-                    block_profile_seconds(profile, &resolved, t, (grad.len() * 4) as u64, false);
-            }
-            let lease_growth = settle_send_leases(
-                &scratch.send,
-                &take_caps,
-                &mut scratch.bwd_chunk_capacity_hint,
-            );
-            charge_codec(
-                &mut ledger,
-                phases::BWD_COMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
+            let table_grads = &grads.embedding_grads;
+            exchange.run(
+                Direction {
+                    phases: [
+                        phases::BWD_COMPRESS,
+                        phases::BWD_A2A,
+                        phases::BWD_DECOMPRESS,
+                    ],
+                    // `tables_of` is sorted ascending.
+                    blocks: |owner| {
+                        partition
+                            .tables_of(owner)
+                            .iter()
+                            .map(move |&t| (t, &table_grads[t]))
+                    },
+                    hints: &mut bwd_hints,
+                    traffic: None,
+                    rows_from: |src: usize| shards[src].batch_size(),
+                    sink: |table, src, grad| grad_entries.push((table, src, grad)),
                 },
-                bwd_bytes,
-                codec_throughput_c,
-                profile.map(|_| profile_c_s),
+                &mut scratch,
+                &mut acct,
+                controller.as_mut(),
             );
-            let a = note_alloc(
-                &mut ledger,
-                phases::BWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::BWD_COMPRESS);
-
-            let stats = ctx.all_to_all_var_pooled(
-                &mut scratch.send,
-                &mut scratch.recv,
-                &tags,
-                &mut scratch.meta,
-            );
-            // As in the forward exchange: don't re-charge the metadata
-            // records' bandwidth inside the payload term.
-            let meta_bytes = world.saturating_sub(1) * METADATA_RECORD_BYTES;
-            let bwd_a2a_time = cost.metadata_time(world.saturating_sub(1), METADATA_RECORD_BYTES)
-                + cost.alltoall_time(
-                    stats.sent.saturating_sub(meta_bytes),
-                    stats.received.saturating_sub(meta_bytes),
-                );
-            ledger.add_time(phases::BWD_A2A, bwd_a2a_time);
-            ledger.add_bytes(phases::BWD_A2A, (stats.sent + stats.received) as u64);
-            if let Some(state) = controller.as_mut() {
-                let bottleneck = stats
-                    .sent
-                    .saturating_sub(meta_bytes)
-                    .max(stats.received.saturating_sub(meta_bytes));
-                state.add_wire(bottleneck, cost.bandwidth_time(bottleneck));
-            }
-            let a = note_alloc(&mut ledger, phases::BWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_A2A, &ledger, ctx);
-            wall.mark(phases::BWD_A2A);
-
-            // ── Stage 7: decompress gradients for the owned tables.
-            let t0 = Instant::now();
-            let mut bwd_decompressed = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let recv = std::mem::take(&mut scratch.recv);
-            for (src, chunk) in recv.iter().enumerate() {
-                for (table, payload) in block_slices(chunk) {
-                    let rows = shards[src].batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    bwd_decompressed += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "grad for table {table}: bad size");
-                    grad_entries.push((table, src as u32, Matrix::from_vec(rows, dim, values)));
-                }
-            }
-            let mut recv = recv;
-            recv.clear();
-            scratch.recv = recv;
-            charge_codec(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
-                },
-                bwd_decompressed,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_DECOMPRESS, &ledger, ctx);
-            wall.mark(phases::BWD_DECOMPRESS);
         }
 
+        // ── embedding update (the combined push already applied its dense
+        // gradients and left no entries).
         let t0 = Instant::now();
         // Apply per table in source-rank order for determinism (tables are
         // independent, so cross-table order is irrelevant).
@@ -2799,14 +2318,13 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             );
             scratch.put_floats(grad.into_vec());
         }
-        ledger.add_time(
+        acct.ledger.add_time(
             phases::EMB_UPDATE,
             t0.elapsed().as_secs_f64() * compute_scale,
         );
-        obs_mark(&mut obs, phases::EMB_UPDATE, &ledger, ctx);
-        wall.mark(phases::EMB_UPDATE);
+        acct.close(phases::EMB_UPDATE, &scratch, 0);
 
-        // ── Stage 8: all-reduce MLP gradients and update the replicas.
+        // ── mlp all-reduce: sum MLP gradients and update the replicas.
         model.flatten_mlp_grads_into(&grads, &mut scratch.flat_grads);
         // Raw (uncompressed-schedule) charge on this cluster shape — the
         // baseline `dense_saved_seconds` compares against: the flat ring
@@ -2823,8 +2341,8 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         let dense_extra_alloc = match dense.as_mut() {
             None if hier_iter.is_none() => {
                 let ar_stats = ctx.all_reduce_sum(&mut scratch.flat_grads);
-                ledger.add_time(phases::ALLREDUCE, raw_time);
-                ledger.add_bytes(
+                acct.ledger.add_time(phases::ALLREDUCE, raw_time);
+                acct.ledger.add_bytes(
                     phases::ALLREDUCE,
                     (ar_stats.sent + ar_stats.received) as u64,
                 );
@@ -2843,15 +2361,16 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     topo,
                 );
                 let (ti, te) = tiered.allreduce_tier_times(stats.intra, stats.inter);
-                ledger.add_time(phases::ALLREDUCE, ti + te);
-                ledger.add_bytes(
+                acct.ledger.add_time(phases::ALLREDUCE, ti + te);
+                acct.ledger.add_bytes(
                     phases::ALLREDUCE,
                     (stats.stats.wire.sent + stats.stats.wire.received) as u64,
                 );
-                tier_seconds.0 += ti;
-                tier_seconds.1 += te;
-                tier_bytes.0 += (stats.intra.sent + stats.intra.received) as u64;
-                tier_bytes.1 += (stats.inter.sent + stats.inter.received) as u64;
+                acct.add_tiers(
+                    (stats.intra.sent + stats.intra.received) as u64,
+                    (stats.inter.sent + stats.inter.received) as u64,
+                    (ti, te),
+                );
                 let capacity = scratch.dense_reduce.capacity_bytes();
                 let grew = capacity.saturating_sub(dense_capacity_mark);
                 dense_capacity_mark = capacity;
@@ -2901,10 +2420,11 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 let mut ar_time = match (&hier_iter, &hier_split) {
                     (Some((_, tiered)), Some((intra, inter))) => {
                         let (ti, te) = tiered.allreduce_tier_times(*intra, *inter);
-                        tier_seconds.0 += ti;
-                        tier_seconds.1 += te;
-                        tier_bytes.0 += (intra.sent + intra.received) as u64;
-                        tier_bytes.1 += (inter.sent + inter.received) as u64;
+                        acct.add_tiers(
+                            (intra.sent + intra.received) as u64,
+                            (inter.sent + inter.received) as u64,
+                            (ti, te),
+                        );
                         ti + te
                     }
                     _ => cost.allreduce_wire_time(stats.wire.sent, stats.wire.received, world),
@@ -2942,16 +2462,17 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                             + (classic_decoded - stats.decoded_bytes as f64) / td
                             - combine_seconds;
                         homo_combine_seconds += combine_seconds;
-                        ledger.add_time(phases::COMBINE, combine_seconds);
-                        ledger.add_bytes(phases::COMBINE, stats.combined_bytes as u64);
+                        acct.ledger.add_time(phases::COMBINE, combine_seconds);
+                        acct.ledger
+                            .add_bytes(phases::COMBINE, stats.combined_bytes as u64);
                     }
                 }
                 homo_combines += stats.combines as u64;
                 dense_saved_seconds += (raw_time - ar_time - combine_seconds).max(0.0);
                 dense_traffic.0 += (stats.raw.sent + stats.raw.received) as u64;
                 dense_traffic.1 += (stats.wire.sent + stats.wire.received) as u64;
-                ledger.add_time(phases::ALLREDUCE, ar_time);
-                ledger.add_bytes(
+                acct.ledger.add_time(phases::ALLREDUCE, ar_time);
+                acct.ledger.add_bytes(
                     phases::ALLREDUCE,
                     (stats.wire.sent + stats.wire.received) as u64,
                 );
@@ -2961,61 +2482,35 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 grew
             }
         };
-        let a = note_alloc(
-            &mut ledger,
-            phases::ALLREDUCE,
-            ctx,
-            &scratch,
-            &mut marks,
-            dense_extra_alloc,
-        );
-        steady_allocated += if counting { a } else { 0 };
-        obs_mark(&mut obs, phases::ALLREDUCE, &ledger, ctx);
-        wall.mark(phases::ALLREDUCE);
+        acct.close(phases::ALLREDUCE, &scratch, dense_extra_alloc);
+
+        // ── optimizer.
         let t0 = Instant::now();
         let scale = 1.0 / world as f32;
         for g in scratch.flat_grads.iter_mut() {
             *g *= scale;
         }
         model.apply_flat_mlp_grads(&scratch.flat_grads, trainer.learning_rate);
-        ledger.add_time(
+        acct.ledger.add_time(
             phases::OPTIMIZER,
             t0.elapsed().as_secs_f64() * compute_scale,
         );
-        obs_mark(&mut obs, phases::OPTIMIZER, &ledger, ctx);
-        wall.mark(phases::OPTIMIZER);
+        acct.close(phases::OPTIMIZER, &scratch, 0);
 
-        // ── Probe the candidate codecs on live payloads when the next
+        // ── runtime controller (probe): try the candidate codecs on live payloads when the next
         // iteration is a reselection point — and once at the end of warm-up,
         // so every candidate's scratch demand and the probe lease class
         // reach working size before the steady-state counters arm.
         if let Some(state) = controller.as_mut() {
             if state.wants_probe(iter, trainer.iterations) || local + 1 == WARMUP_ITERATIONS {
                 state.probe(
-                    ctx,
-                    &resolved,
+                    &exchange,
                     &owned,
                     &lookup_matrices,
-                    world,
-                    rank,
-                    dim,
-                    iter,
                     &mut scratch.compress,
-                    &mut ledger,
-                    profile,
-                    codec_throughput_c,
+                    &mut acct.ledger,
                 );
-                let a = note_alloc(
-                    &mut ledger,
-                    phases::CONTROLLER,
-                    ctx,
-                    &scratch,
-                    &mut marks,
-                    0,
-                );
-                steady_allocated += if counting { a } else { 0 };
-                obs_mark(&mut obs, phases::CONTROLLER, &ledger, ctx);
-                wall.mark(phases::CONTROLLER);
+                acct.close(phases::CONTROLLER, &scratch, 0);
             }
         }
 
@@ -3052,16 +2547,19 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             // buffer — the large spares are therefore parked at one unified
             // capacity serving both classes.
             let max_shard_batch = trainer.global_batch.div_ceil(world);
-            let max_tables = tables_of_owner.iter().copied().max().unwrap_or(0) as usize;
-            let block_worst = max_shard_batch * dim * 12 + 708;
-            let payload_cap = scratch
-                .chunk_capacity_hint
+            let max_tables = (0..world)
+                .map(|owner| partition.tables_of(owner).len())
+                .max()
+                .unwrap_or(0);
+            let payload_cap = fwd_hints
                 .iter()
-                .chain(scratch.bwd_chunk_capacity_hint.iter())
+                .chain(bwd_hints.iter())
                 .copied()
                 .max()
                 .unwrap_or(64)
-                .max(CHUNK_HEADER_BYTES + 4 + owned.len().max(max_tables) * block_worst);
+                .max(
+                    CHUNK_HEADER_BYTES + 4 + max_tables * block_worst_bytes(max_shard_batch * dim),
+                );
             let largest_shard = shard_range(scratch.flat_grads.len(), world, 0).len();
             let dense_cap = dense
                 .as_ref()
@@ -3099,56 +2597,49 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 drop(spares);
             }
             // Parking is warm-up work; exclude it from the steady counters.
-            marks.pool = ctx.pool().stats();
+            acct.marks.pool = ctx.pool().stats();
         }
 
-        if let Some(o) = obs.as_mut() {
+        if let Some(o) = acct.obs.as_mut() {
             o.end_iteration(
                 iter,
-                &ledger,
-                &wall,
+                &acct.ledger,
+                &acct.wall,
                 &fwd_traffic,
-                tier_bytes,
+                acct.tier_bytes,
                 dense.as_ref().map_or(0.0, GradCompressor::residual_norm),
             );
         }
     }
 
-    // ── Segment exit: a planned resize checkpoints the final state so the
-    // regrown world has an exact restore point at the boundary.
+    // ── checkpoint (segment exit): a planned resize checkpoints the final
+    // state so the regrown world has an exact restore point at the boundary.
     if seg.checkpoint_at_end {
         let spec = seg
             .checkpoint
             .as_ref()
             .expect("validated: a forced end checkpoint requires a spec");
-        let codec = ckpt_codec.as_mut().expect("codec built with the spec");
-        let part = take_checkpoint(
+        checkpoints.write(
             seg.end,
-            rank,
+            spec,
             &model,
             &owned,
             dense.as_ref(),
-            codec,
-            &mut ckpt_flat,
+            compute_scale,
+            &mut acct,
+            &scratch,
         );
-        let write_s = part.write_seconds(spec.write_bandwidth);
-        checkpoints_taken += 1;
-        checkpoint_original_bytes += part.original_bytes();
-        checkpoint_encoded_bytes += part.encoded_bytes();
-        checkpoint_write_seconds += write_s;
-        ledger.add_time(
-            phases::CHECKPOINT,
-            part.encode_seconds * compute_scale + write_s,
-        );
-        ledger.add_bytes(phases::CHECKPOINT, part.encoded_bytes());
-        if let Some(o) = obs.as_mut() {
-            o.note_checkpoint(part.encoded_bytes(), write_s, &ledger);
-        }
-        last_checkpoint = Some(part);
-        obs_mark(&mut obs, phases::CHECKPOINT, &ledger, ctx);
-        wall.mark(phases::CHECKPOINT);
     }
 
+    let Accounting {
+        ledger,
+        wall,
+        obs,
+        steady_allocated,
+        tier_bytes,
+        tier_seconds,
+        ..
+    } = acct;
     let (obs_track, obs_metrics) = match obs {
         None => (None, None),
         Some(o) => (Some(RankTrack::from(o.rec)), Some(o.metrics)),
@@ -3189,11 +2680,11 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             .as_ref()
             .map_or_else(Vec::new, |s| s.ctl.log().to_vec()),
         window_traffic: controller.map_or_else(Vec::new, |s| s.window_traffic),
-        last_checkpoint,
-        checkpoints_taken,
-        checkpoint_original_bytes,
-        checkpoint_encoded_bytes,
-        checkpoint_write_seconds,
+        last_checkpoint: checkpoints.last,
+        checkpoints_taken: checkpoints.taken,
+        checkpoint_original_bytes: checkpoints.original_bytes,
+        checkpoint_encoded_bytes: checkpoints.encoded_bytes,
+        checkpoint_write_seconds: checkpoints.write_seconds,
         obs_track,
         obs_metrics,
     }
@@ -3203,28 +2694,105 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
 mod tests {
     use super::*;
     use dlrm_compress::CompressorKind;
+    use proptest::prelude::*;
+
+    /// Build one chunk of raw-fp32 blocks the way the exchange stage does.
+    fn raw_chunk(blocks: &[(u32, Vec<f32>)]) -> Vec<u8> {
+        let mut chunk = (blocks.len() as u32).to_le_bytes().to_vec();
+        let mut scratch = CompressScratch::new();
+        for (table, data) in blocks {
+            let raw = ResolvedCompression::Raw;
+            write_block(&raw, *table as usize, 0, data, 1, &mut scratch, &mut chunk);
+        }
+        chunk
+    }
+
+    /// Walk `bytes`, turning a panic inside the walker into a test failure
+    /// that names the input (the vendored proptest does not shrink).
+    fn walk(bytes: &[u8], seed: u64) -> Result<Vec<(u32, Vec<u8>)>, BlockError> {
+        std::panic::catch_unwind(|| {
+            block_slices(bytes)
+                .map(|b| b.map(|(t, p)| (t, p.to_vec())))
+                .collect()
+        })
+        .unwrap_or_else(|_| panic!("block_slices panicked: seed {seed:#x}, bytes {bytes:?}"))
+    }
 
     #[test]
     fn block_encoding_roundtrips() {
         let blocks = vec![
-            (0u32, vec![1u8, 2, 3]),
+            (0u32, vec![1.0f32, 2.0, 3.0]),
             (7u32, vec![]),
-            (25u32, (0..255u8).collect()),
+            (25u32, (0..255).map(|i| i as f32).collect()),
         ];
-        let encoded = encode_blocks(&blocks);
-        assert_eq!(decode_blocks(&encoded), blocks);
-        assert_eq!(decode_blocks(&encode_blocks(&[])), vec![]);
+        let expected: Vec<(u32, Vec<u8>)> = blocks
+            .iter()
+            .map(|(t, d)| (*t, d.iter().flat_map(|v| v.to_le_bytes()).collect()))
+            .collect();
+        assert_eq!(walk(&raw_chunk(&blocks), 0), Ok(expected));
+        assert_eq!(walk(&raw_chunk(&[]), 0), Ok(vec![]));
+        // Trailing bytes after the announced blocks are an error too.
+        let mut long = raw_chunk(&blocks[..1]);
+        long.push(0);
+        let err = walk(&long, 0).unwrap_err();
+        assert_eq!((err.needed, err.available), (0, 1));
+    }
+
+    proptest! {
+        /// The walker is total: every proper prefix of a well-formed chunk
+        /// and every corruption of its count/length fields is an error or a
+        /// (different) successful walk — never a panic.
+        #[test]
+        fn block_walker_is_total(
+            blocks in prop::collection::vec(
+                (0u32..64, prop::collection::vec(-1.0f32..1.0, 0..12)),
+                0..5,
+            ),
+            seed in any::<u64>(),
+        ) {
+            let chunk = raw_chunk(&blocks);
+            assert_eq!(walk(&chunk, seed).map(|b| b.len()), Ok(blocks.len()));
+            for cut in 0..chunk.len() {
+                let err = walk(&chunk[..cut], seed)
+                    .expect_err("a truncated chunk must not walk cleanly");
+                assert!(
+                    err.needed > err.available && err.offset + err.available == cut,
+                    "cut {cut}: {err} (seed {seed:#x}, bytes {chunk:?})"
+                );
+            }
+            // Flip one seed-chosen bit in the count field and in every
+            // block's length field.
+            let mut fields = vec![0usize];
+            let mut pos = 4;
+            for (_, data) in &blocks {
+                fields.push(pos + 4);
+                pos += 8 + data.len() * 4;
+            }
+            for (i, field) in fields.into_iter().enumerate() {
+                let pick = seed.rotate_right(5 * i as u32) as usize;
+                let mut bad = chunk.clone();
+                bad[field + pick % 4] ^= 1 << (pick / 4 % 8);
+                assert!(
+                    walk(&bad, seed) != walk(&chunk, seed),
+                    "corrupt field at {field} went unnoticed (seed {seed:#x}, bytes {bad:?})"
+                );
+            }
+        }
     }
 
     #[test]
     fn resolved_compression_roundtrips_each_mode() {
         let data: Vec<f32> = (0..64).map(|i| (i as f32 * 0.1).sin() * 0.3).collect();
-        let raw = ResolvedCompression::Raw;
-        let out = raw.decompress(0, &raw.compress(0, 0, &data, 8));
-        assert_eq!(out, data);
+        let roundtrip = |c: &ResolvedCompression, table: usize, iter: usize| {
+            let mut scratch = CompressScratch::new();
+            let (mut bytes, mut out) = (Vec::new(), Vec::new());
+            c.compress_into(table, iter, &data, 8, &mut scratch, &mut bytes);
+            c.decompress_into(table, &bytes, &mut scratch, &mut out);
+            out
+        };
+        assert_eq!(roundtrip(&ResolvedCompression::Raw, 0, 0), data);
 
-        let fp16 = ResolvedCompression::LowPrec(Precision::Fp16);
-        let out = fp16.decompress(0, &fp16.compress(0, 0, &data, 8));
+        let out = roundtrip(&ResolvedCompression::LowPrec(Precision::Fp16), 0, 0);
         for (a, b) in data.iter().zip(out.iter()) {
             assert!((a - b).abs() < 1e-3);
         }
@@ -3233,8 +2801,7 @@ mod tests {
             &CompressionSetting::fixed(0.01, CompressorKind::OursHybrid),
             3,
         );
-        let out = lossy.decompress(2, &lossy.compress(2, 5, &data, 8));
-        for (a, b) in data.iter().zip(out.iter()) {
+        for (a, b) in data.iter().zip(roundtrip(&lossy, 2, 5).iter()) {
             assert!((a - b).abs() <= 0.0101);
         }
     }

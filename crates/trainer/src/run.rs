@@ -94,7 +94,7 @@ pub struct TrainingReport {
     /// wire it merely reports virtual seconds charged per real second.
     #[serde(default)]
     pub modeled_vs_wall_ratio: f64,
-    /// Label of the dense-gradient (Stage 8) compression setting.
+    /// Label of the dense-gradient (`mlp all-reduce`) compression setting.
     #[serde(default)]
     pub dense_compression: String,
     /// Wire compression ratio of the dense all-reduce: raw bytes the

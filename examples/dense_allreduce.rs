@@ -35,7 +35,7 @@ fn print_report(report: &TrainingReport) {
 fn main() {
     let dataset = presets::tiny();
     // An allreduce-bound interconnect: fast all-to-all, slow all-reduce
-    // link, so Stage 8 dominates the wire and the dense codecs matter.
+    // link, so the MLP all-reduce dominates the wire and the dense codecs matter.
     let mut base = TrainerConfig::small_test(CompressionSetting::None);
     base.iterations = 60;
     base.network = NetworkConfig::allreduce_bound(5e7);
