@@ -212,12 +212,11 @@ impl Dlrm {
         let (bottom_out, bottom_cache) = self.bottom.forward(dense);
         let (inter_out, inter_cache) = interaction::forward(&bottom_out, embeddings);
         let (top_out, top_cache) = self.top.forward(&inter_out);
-        let logits = top_out.as_slice().to_vec();
         DenseCache {
             bottom: bottom_cache,
             interaction: inter_cache,
             top: top_cache,
-            logits,
+            logits: top_out.into_vec(),
         }
     }
 
@@ -226,27 +225,26 @@ impl Dlrm {
         ops::bce_mean(&cache.logits, labels) as f64
     }
 
+    /// Gradient of [`Dlrm::loss`] w.r.t. the logits, as a `batch x 1` matrix:
+    /// `d(mean BCE)/d(logit_i) = (sigmoid(z_i) - y_i) / batch`.
+    fn loss_grad(cache: &DenseCache, labels: &[f32]) -> Matrix {
+        let batch = labels.len();
+        assert_eq!(cache.logits.len(), batch);
+        let pairs = cache.logits.iter().zip(labels);
+        let grads = pairs.map(|(&z, &y)| ops::bce_with_logits_grad(z, y) / batch as f32);
+        Matrix::from_vec(batch, 1, grads.collect())
+    }
+
     /// Backward pass of the data-parallel part: BCE gradient through the top
     /// MLP, the interaction and the bottom MLP. Returns MLP parameter
     /// gradients and the gradient w.r.t. every table's lookup matrix.
     pub fn backward_dense(&self, cache: &DenseCache, labels: &[f32]) -> DenseGrads {
-        let batch = labels.len();
-        assert_eq!(cache.logits.len(), batch);
-        // d(mean BCE)/d(logit_i) = (sigmoid(z_i) - y_i) / batch.
-        let grad_logits = Matrix::from_vec(
-            batch,
-            1,
-            cache
-                .logits
-                .iter()
-                .zip(labels.iter())
-                .map(|(&z, &y)| ops::bce_with_logits_grad(z, y) / batch as f32)
-                .collect(),
-        );
+        let grad_logits = Self::loss_grad(cache, labels);
         let (grad_inter_out, top_grads) = self.top.backward(&cache.top, &grad_logits);
         let (grad_bottom_out, embedding_grads) =
             interaction::backward(&cache.interaction, &grad_inter_out);
-        let (_, bottom_grads) = self.bottom.backward(&cache.bottom, &grad_bottom_out);
+        // The bottom MLP's input is the batch's dense features: no gradient.
+        let bottom_grads = self.bottom.backward_params(&cache.bottom, &grad_bottom_out);
         DenseGrads {
             bottom: bottom_grads,
             top: top_grads,
@@ -442,6 +440,45 @@ mod tests {
         let c2 = direct.forward_dense(&batch.dense, &lookups);
         for (a, b) in c1.logits.iter().zip(c2.logits.iter()) {
             assert!((a - b).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn dropping_the_bottom_input_gradient_changes_no_returned_gradient() {
+        let (model, mut gen) = tiny_model(17);
+        let batch = gen.next_batch(16);
+        let lookups = model.lookup_all(&batch);
+        let cache = model.forward_dense(&batch.dense, &lookups);
+        let grads = model.backward_dense(&cache, &batch.labels);
+
+        // The same chain with every MLP's full backward, input gradient
+        // included.
+        let grad_logits = Dlrm::loss_grad(&cache, &batch.labels);
+        let (grad_inter, top) = model.top.backward(&cache.top, &grad_logits);
+        let (grad_bottom, embedding_grads) = interaction::backward(&cache.interaction, &grad_inter);
+        let (grad_dense, bottom) = model.bottom.backward(&cache.bottom, &grad_bottom);
+        assert_eq!(grad_dense.cols(), model.config().num_dense);
+
+        let full = DenseGrads {
+            bottom,
+            top,
+            embedding_grads,
+        };
+        let (flat, flat_full) = (
+            model.flatten_mlp_grads(&grads),
+            model.flatten_mlp_grads(&full),
+        );
+        assert!(flat.iter().any(|&g| g != 0.0), "gradients are all zero");
+        for (i, (a, b)) in flat.iter().zip(&flat_full).enumerate() {
+            assert!((a - b).abs() < 1e-5, "MLP gradient {i}: {a} vs {b}");
+        }
+        for (t, (a, b)) in grads
+            .embedding_grads
+            .iter()
+            .zip(&full.embedding_grads)
+            .enumerate()
+        {
+            assert!(a.max_abs_diff(b) < 1e-5, "table {t} gradient differs");
         }
     }
 

@@ -21,9 +21,11 @@ pub fn output_dim(dim: usize, num_tables: usize) -> usize {
 /// Cache of the stacked feature vectors, needed by [`backward`].
 #[derive(Debug, Clone)]
 pub struct InteractionCache {
-    /// `features[f]` is a `batch x dim` matrix; index 0 is the bottom-MLP
-    /// output, index `t + 1` is embedding table `t`.
-    features: Vec<Matrix>,
+    /// Row `i` is sample `i`'s `F x dim` tile, feature-major: the bottom-MLP
+    /// output first, then embedding table `t` at feature `t + 1`.
+    stacked: Matrix,
+    /// `F`, at least 1.
+    features: usize,
 }
 
 /// Forward pass: returns the `batch x output_dim` interaction output and the
@@ -37,66 +39,80 @@ pub fn forward(bottom: &Matrix, embeddings: &[Matrix]) -> (Matrix, InteractionCa
         assert_eq!(e.rows(), batch, "table {t}: batch size mismatch");
         assert_eq!(e.cols(), dim, "table {t}: embedding dim mismatch");
     }
-    let mut features = Vec::with_capacity(embeddings.len() + 1);
-    features.push(bottom.clone());
-    features.extend(embeddings.iter().cloned());
+    let features: Vec<&Matrix> = std::iter::once(bottom).chain(embeddings).collect();
+    let stacked = Matrix::hconcat(&features);
 
-    let f = features.len();
-    let out_dim = output_dim(dim, embeddings.len());
-    let mut out = Matrix::zeros(batch, out_dim);
+    let mut out = Matrix::zeros(batch, output_dim(dim, embeddings.len()));
+    // A zero-width tile has no feature rows to walk, not zero-sized ones.
+    let row_len = dim.max(1);
     for i in 0..batch {
-        let row = out.row_mut(i);
-        row[..dim].copy_from_slice(bottom.row(i));
-        let mut k = dim;
-        for a in 0..f {
-            for b in 0..a {
-                row[k] = dlrm_tensor::matrix::dot(features[a].row(i), features[b].row(i));
-                k += 1;
+        let tile = stacked.row(i);
+        let (passthrough, pairs) = out.row_mut(i).split_at_mut(dim);
+        passthrough.copy_from_slice(&tile[..dim]);
+        // Pair (a, b < a) in a-major order: every earlier feature against `va`.
+        let mut pairs = pairs.iter_mut();
+        for a in 1..features.len() {
+            let (earlier, rest) = tile.split_at(a * dim);
+            let va = &rest[..dim];
+            for (vb, z) in earlier.chunks_exact(row_len).zip(&mut pairs) {
+                *z = dlrm_tensor::matrix::dot(va, vb);
             }
         }
     }
-    (out, InteractionCache { features })
+    let features = features.len();
+    (out, InteractionCache { stacked, features })
 }
 
 /// Backward pass: given the gradient w.r.t. the interaction output, produce
 /// the gradient w.r.t. the bottom-MLP output and w.r.t. each embedding
 /// lookup matrix (one per table, in table order).
 pub fn backward(cache: &InteractionCache, grad_output: &Matrix) -> (Matrix, Vec<Matrix>) {
-    let features = &cache.features;
-    let f = features.len();
-    let batch = features[0].rows();
-    let dim = features[0].cols();
+    let InteractionCache { stacked, features } = cache;
+    let (batch, f) = (stacked.rows(), *features);
+    let dim = stacked.cols() / f;
     assert_eq!(grad_output.rows(), batch);
     assert_eq!(grad_output.cols(), output_dim(dim, f - 1));
 
     let mut grads: Vec<Matrix> = (0..f).map(|_| Matrix::zeros(batch, dim)).collect();
+    // One sample's gradient tile, laid out like its `stacked` row.
+    let mut dv = vec![0.0f32; f * dim];
+    let row_len = dim.max(1);
     for i in 0..batch {
-        let grow = grad_output.row(i);
+        let tile = stacked.row(i);
+        let (passthrough, pairs) = grad_output.row(i).split_at(dim);
         // Direct pass-through of the concatenated bottom output.
-        for (d, g) in grads[0].row_mut(i).iter_mut().zip(grow[..dim].iter()) {
-            *d += g;
-        }
+        dv.fill(0.0);
+        dv[..dim].copy_from_slice(passthrough);
         // Pairwise dot products: d z_ab / d v_a = v_b and vice versa.
-        let mut k = dim;
-        for a in 0..f {
-            for b in 0..a {
-                let g = grow[k];
-                k += 1;
+        let mut pairs = pairs.iter();
+        for a in 1..f {
+            let (earlier, rest) = tile.split_at(a * dim);
+            let va = &rest[..dim];
+            let (d_earlier, d_rest) = dv.split_at_mut(a * dim);
+            let da = &mut d_rest[..dim];
+            let rows = earlier.chunks_exact(row_len);
+            let d_rows = d_earlier.chunks_exact_mut(row_len);
+            for ((vb, db), &g) in rows.zip(d_rows).zip(&mut pairs) {
                 if g == 0.0 {
                     continue;
                 }
-                // grads[a] += g * features[b]; grads[b] += g * features[a].
-                for d in 0..dim {
-                    let va = features[a].row(i)[d];
-                    let vb = features[b].row(i)[d];
-                    grads[a].row_mut(i)[d] += g * vb;
-                    grads[b].row_mut(i)[d] += g * va;
-                }
+                axpy(da, g, vb);
+                axpy(db, g, va);
             }
+        }
+        for (grad, d) in grads.iter_mut().zip(dv.chunks_exact(row_len)) {
+            grad.row_mut(i).copy_from_slice(d);
         }
     }
     let bottom_grad = grads.remove(0);
     (bottom_grad, grads)
+}
+
+/// `y += alpha * x` over equal-length contiguous rows.
+fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
+    for (y, x) in y.iter_mut().zip(x) {
+        *y += alpha * x;
+    }
 }
 
 #[cfg(test)]
@@ -113,6 +129,98 @@ mod tests {
             })
             .collect();
         (bottom, embeddings)
+    }
+
+    /// The pairwise loops the tiled [`forward`] replaced, kept as the
+    /// reference: one serial dot per `(a, b < a)` over per-feature matrices.
+    fn reference_forward(features: &[&Matrix]) -> Matrix {
+        let (batch, dim) = (features[0].rows(), features[0].cols());
+        let mut out = Matrix::zeros(batch, output_dim(dim, features.len() - 1));
+        for i in 0..batch {
+            let row = out.row_mut(i);
+            row[..dim].copy_from_slice(features[0].row(i));
+            let mut k = dim;
+            for a in 0..features.len() {
+                for b in 0..a {
+                    let (va, vb) = (features[a].row(i), features[b].row(i));
+                    row[k] = va.iter().zip(vb).map(|(x, y)| x * y).sum();
+                    k += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// The element-indexed loops the tiled [`backward`] replaced; returns one
+    /// gradient per feature (bottom first).
+    fn reference_backward(features: &[&Matrix], grad_output: &Matrix) -> Vec<Matrix> {
+        let (batch, dim) = (features[0].rows(), features[0].cols());
+        let mut grads: Vec<Matrix> = features.iter().map(|_| Matrix::zeros(batch, dim)).collect();
+        for i in 0..batch {
+            let grow = grad_output.row(i);
+            for (d, g) in grads[0].row_mut(i).iter_mut().zip(grow[..dim].iter()) {
+                *d += g;
+            }
+            let mut k = dim;
+            for a in 0..features.len() {
+                for b in 0..a {
+                    let g = grow[k];
+                    k += 1;
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for d in 0..dim {
+                        let va = features[a].row(i)[d];
+                        let vb = features[b].row(i)[d];
+                        grads[a].row_mut(i)[d] += g * vb;
+                        grads[b].row_mut(i)[d] += g * va;
+                    }
+                }
+            }
+        }
+        grads
+    }
+
+    #[test]
+    fn tiled_passes_match_the_pairwise_reference() {
+        for f in [1, 2, 27] {
+            for dim in [1, 5, 32] {
+                for batch in [1, 3] {
+                    let (bottom, embs) = setup(batch, dim, f - 1);
+                    let features: Vec<&Matrix> = std::iter::once(&bottom).chain(&embs).collect();
+                    let shape = format!("F {f}, dim {dim}, batch {batch}");
+
+                    let (out, cache) = forward(&bottom, &embs);
+                    let diff = out.max_abs_diff(&reference_forward(&features));
+                    assert!(diff < 1e-5, "forward, {shape}: off by {diff}");
+
+                    // A multi-sample batch's last output gradient is exactly
+                    // zero, and every third entry elsewhere: the `g == 0.0` skip.
+                    let grad_out = Matrix::from_fn(batch, out.cols(), |r, c| {
+                        if (batch > 1 && r + 1 == batch) || c % 3 == 2 {
+                            0.0
+                        } else {
+                            ((r * 31 + c) as f32 * 0.4).sin()
+                        }
+                    });
+                    let (bottom_grad, emb_grads) = backward(&cache, &grad_out);
+                    assert_eq!(emb_grads.len(), f - 1, "{shape}");
+                    let want = reference_backward(&features, &grad_out);
+                    let got = std::iter::once(&bottom_grad).chain(&emb_grads);
+                    for (t, (got, want)) in got.zip(&want).enumerate() {
+                        let diff = got.max_abs_diff(want);
+                        assert!(diff < 1e-5, "backward, {shape}, feature {t}: off by {diff}");
+                    }
+                    if batch > 1 {
+                        let last = emb_grads.iter().map(|g| g.row(batch - 1));
+                        assert!(
+                            last.flatten().all(|&v| v == 0.0),
+                            "{shape}: zero output gradient, non-zero embedding gradient"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

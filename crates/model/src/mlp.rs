@@ -26,10 +26,9 @@ pub struct Mlp {
 /// Intermediate activations saved by [`Mlp::forward`] for the backward pass.
 #[derive(Debug, Clone)]
 pub struct MlpCache {
-    /// `inputs[l]` is the input to layer `l` (post-activation of layer `l−1`).
+    /// `inputs[l]` is the input to layer `l` (post-activation of layer `l−1`);
+    /// where it is zero, ReLU blocked layer `l−1`'s gradient.
     inputs: Vec<Matrix>,
-    /// `pre_acts[l]` is the pre-activation output of layer `l`.
-    pre_acts: Vec<Matrix>,
 }
 
 /// Gradients of every layer, in layer order.
@@ -90,38 +89,57 @@ impl Mlp {
     pub fn forward(&self, x: &Matrix) -> (Matrix, MlpCache) {
         assert_eq!(x.cols(), self.input_dim(), "MLP input width mismatch");
         let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut pre_acts = Vec::with_capacity(self.layers.len());
         let mut current = x.clone();
         for (li, layer) in self.layers.iter().enumerate() {
-            inputs.push(current.clone());
             let mut z = current.matmul(&layer.w);
             z.add_row_vector(&layer.b);
-            pre_acts.push(z.clone());
-            current = if li + 1 < self.layers.len() {
-                z.map(ops::relu)
-            } else {
-                z
-            };
+            if li + 1 < self.layers.len() {
+                z.map_inplace(ops::relu);
+            }
+            inputs.push(std::mem::replace(&mut current, z));
         }
-        (current, MlpCache { inputs, pre_acts })
+        (current, MlpCache { inputs })
     }
 
     /// Backward pass given the gradient of the loss w.r.t. the MLP output.
     /// Returns the gradient w.r.t. the MLP input and the per-layer parameter
     /// gradients.
     pub fn backward(&self, cache: &MlpCache, grad_output: &Matrix) -> (Matrix, MlpGrads) {
+        let (grad, grads) = self.backward_to_first_layer(cache, grad_output);
+        (grad.matmul_bt(&self.layers[0].w), grads)
+    }
+
+    /// [`Mlp::backward`] for a caller with no use for the input gradient (the
+    /// bottom MLP's input is data): the same parameter gradients, without
+    /// layer 0's `dY·Wᵀ`.
+    pub fn backward_params(&self, cache: &MlpCache, grad_output: &Matrix) -> MlpGrads {
+        self.backward_to_first_layer(cache, grad_output).1
+    }
+
+    /// Every layer's parameter gradients, and the gradient w.r.t. layer 0's
+    /// output that produced the last of them.
+    fn backward_to_first_layer(
+        &self,
+        cache: &MlpCache,
+        grad_output: &Matrix,
+    ) -> (Matrix, MlpGrads) {
         let mut weights = vec![Matrix::zeros(0, 0); self.layers.len()];
         let mut biases = vec![Vec::new(); self.layers.len()];
         let mut grad = grad_output.clone();
         for li in (0..self.layers.len()).rev() {
             // Output layer is linear; hidden layers pass through ReLU.
-            if li + 1 < self.layers.len() {
-                let mask = cache.pre_acts[li].map(ops::relu_grad);
-                grad = grad.hadamard(&mask);
+            if let Some(activated) = cache.inputs.get(li + 1) {
+                for (g, &y) in grad.as_mut_slice().iter_mut().zip(activated.as_slice()) {
+                    if y <= 0.0 {
+                        *g = 0.0;
+                    }
+                }
             }
             weights[li] = cache.inputs[li].matmul_at(&grad);
             biases[li] = grad.column_sums();
-            grad = grad.matmul_bt(&self.layers[li].w);
+            if li > 0 {
+                grad = grad.matmul_bt(&self.layers[li].w);
+            }
         }
         (grad, MlpGrads { weights, biases })
     }

@@ -11,8 +11,9 @@
 //! Design notes (following the hpc-parallel guides used in this project):
 //!
 //! * All hot loops operate on contiguous `&[f32]` slices so the compiler can
-//!   auto-vectorise; matrix multiplication is cache-blocked and parallelised
-//!   over row blocks with rayon when the problem is large enough.
+//!   auto-vectorise; matrix multiplication is cache-blocked, and every
+//!   reduction runs in an order fixed by the operand shapes alone (see
+//!   [`matrix::dot`]). Threads live one level up, one per rank, in `dlrm-exec`.
 //! * No `unsafe` is used; bounds checks in inner loops are avoided by slicing
 //!   rows up front.
 //! * All randomness goes through [`rng::SeededRng`] so every experiment is

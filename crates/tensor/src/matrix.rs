@@ -2,18 +2,17 @@
 //!
 //! [`Matrix`] is the only tensor type the DLRM reproduction needs: embedding
 //! batches, MLP weights and activations are all 2-D. The implementation is
-//! deliberately simple — contiguous storage, cache-blocked matmul, rayon
-//! parallelism over row blocks for large products — and avoids `unsafe`.
+//! deliberately simple — contiguous storage, cache-blocked matmul, inner
+//! loops written as fixed-width chunked passes the compiler vectorises — and
+//! avoids `unsafe`. Threads live in `dlrm-exec`, one per rank, never here.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Problems with at least this many multiply–adds go through the parallel
-/// matmul path; smaller ones stay sequential to avoid rayon overhead.
-const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
 /// Cache block edge (in elements) for the blocked matmul kernels.
 const BLOCK: usize = 64;
+
+/// Independent accumulators of a dot product (see [`dot`]).
+const LANES: usize = 8;
 
 /// A dense, row-major matrix of `f32`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -146,29 +145,15 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        let flops = self.rows * self.cols * other.cols;
-        if flops >= PAR_FLOP_THRESHOLD && self.rows > 1 {
-            let cols = self.cols;
-            let ocols = other.cols;
-            out.data
-                .par_chunks_mut(ocols)
-                .enumerate()
-                .for_each(|(r, out_row)| {
-                    let a_row = &self.data[r * cols..(r + 1) * cols];
-                    matmul_row(a_row, &other.data, ocols, out_row);
-                });
-        } else {
-            for r in 0..self.rows {
-                let a_row = self.row(r);
-                let out_row = &mut out.data[r * other.cols..(r + 1) * other.cols];
-                matmul_row(a_row, &other.data, other.cols, out_row);
-            }
+        for r in 0..self.rows {
+            let out_row = &mut out.data[r * other.cols..(r + 1) * other.cols];
+            matmul_row(self.row(r), &other.data, other.cols, out_row);
         }
         out
     }
 
     /// `self @ other.T` — useful for computing gradients without materialising
-    /// the transpose.
+    /// the transpose. Every element is one [`dot`] of two rows.
     pub fn matmul_bt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -176,24 +161,11 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
-        let cols = self.cols;
-        let orows = other.rows;
-        let body = |r: usize, out_row: &mut [f32]| {
-            let a_row = &self.data[r * cols..(r + 1) * cols];
-            for (j, o) in out_row.iter_mut().enumerate().take(orows) {
-                let b_row = &other.data[j * cols..(j + 1) * cols];
-                *o = dot(a_row, b_row);
-            }
-        };
-        if self.rows * self.cols * other.rows >= PAR_FLOP_THRESHOLD && self.rows > 1 {
-            out.data
-                .par_chunks_mut(orows)
-                .enumerate()
-                .for_each(|(r, out_row)| body(r, out_row));
-        } else {
-            for r in 0..self.rows {
-                let out_row = &mut out.data[r * orows..(r + 1) * orows];
-                body(r, out_row);
+        for r in 0..self.rows {
+            let a_row = &self.data[r * self.cols..(r + 1) * self.cols];
+            let out_row = &mut out.data[r * other.rows..(r + 1) * other.rows];
+            for (j, o) in out_row.iter_mut().enumerate() {
+                *o = dot(a_row, other.row(j));
             }
         }
         out
@@ -264,22 +236,6 @@ impl Matrix {
         self.data.iter_mut().for_each(|x| *x *= alpha);
     }
 
-    /// Element-wise product into a new matrix (Hadamard product).
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a * b)
-                .collect(),
-        }
-    }
-
     /// Sum over rows producing a length-`cols` vector (used for bias grads).
     pub fn column_sums(&self) -> Vec<f32> {
         let mut sums = vec![0.0f32; self.cols];
@@ -339,6 +295,10 @@ impl Matrix {
 }
 
 /// `out_row = a_row @ B` where `B` is `a_row.len() x ocols`, blocked over k.
+///
+/// Out of line on purpose: inlined into `matmul`'s row loop, the 8-float inner
+/// loop straddles a 64-byte line on x86-64 and measures 3–4 % slower.
+#[inline(never)]
 fn matmul_row(a_row: &[f32], b: &[f32], ocols: usize, out_row: &mut [f32]) {
     out_row.iter_mut().for_each(|x| *x = 0.0);
     let k_total = a_row.len();
@@ -359,9 +319,23 @@ fn matmul_row(a_row: &[f32], b: &[f32], ocols: usize, out_row: &mut [f32]) {
 }
 
 /// Dot product of two equal-length slices.
+///
+/// The reduction order is a function of the length alone: element `k` of the
+/// first `len − len % 8` goes to accumulator `k % 8`, the eight accumulators
+/// fold pairwise in a fixed tree, then the tail is added left to right. No
+/// thread count, CPU feature or caller changes a bit of the result.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
+    assert_eq!(a.len(), b.len(), "dot of unequal lengths");
+    let (a_chunks, b_chunks) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let tail = a_chunks.remainder().iter().zip(b_chunks.remainder());
+    let mut acc = [0.0f32; LANES];
+    for (x, y) in a_chunks.zip(b_chunks) {
+        for l in 0..LANES {
+            acc[l] += x[l] * y[l];
+        }
+    }
+    let folded = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+    tail.fold(folded, |sum, (x, y)| sum + x * y)
 }
 
 #[cfg(test)]
@@ -392,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_parallel_path_matches_naive() {
+    fn matmul_across_k_blocks_matches_naive() {
         let a = Matrix::from_fn(130, 70, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.05 - 0.3);
         let b = Matrix::from_fn(70, 90, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.02 - 0.1);
         let fast = a.matmul(&b);
@@ -416,6 +390,34 @@ mod tests {
         let direct = a.matmul_at(&b);
         let explicit = a.transpose().matmul(&b);
         assert!(direct.max_abs_diff(&explicit) < 1e-4);
+    }
+
+    /// `matmul_row` and `matmul_at` skip a left-operand element that is
+    /// exactly zero (post-ReLU activations are about half zeros): the right
+    /// operand's row is never read, so not even a NaN or an infinity in it
+    /// reaches the output.
+    #[test]
+    fn zero_left_elements_skip_the_right_row() {
+        let poisoned = Matrix::from_vec(3, 2, vec![1.0, 2.0, f32::NAN, f32::INFINITY, 3.0, 4.0]);
+        let a = Matrix::from_vec(2, 3, vec![1.0, 0.0, 2.0, -1.0, -0.0, 0.5]);
+        assert_eq!(a.matmul(&poisoned).as_slice(), &[7.0, 10.0, 0.5, 0.0]);
+        // Same product through the transposed-left flavour.
+        let at = a.transpose().matmul_at(&poisoned);
+        assert_eq!(at.as_slice(), &[7.0, 10.0, 0.5, 0.0]);
+    }
+
+    #[test]
+    fn dot_reduces_in_eight_lanes_then_the_tail() {
+        // 19 = two full chunks + a tail of 3; half-integers keep it exact.
+        let a: Vec<f32> = (0..19).map(|k| (k + 1) as f32).collect();
+        let b = vec![0.5f32; 19];
+        assert_eq!(dot(&a, &b), 95.0);
+        assert_eq!(dot(&[], &[]), 0.0);
+        // Lane 0 holds 1e8 − 1e8 = 0 before 1.0 joins at the fold; a serial
+        // left-to-right sum would absorb the 1.0 into 1e8 and return 0.
+        let mut wide = vec![0.0f32; 16];
+        (wide[0], wide[1], wide[8]) = (1e8, 1.0, -1e8);
+        assert_eq!(dot(&wide, &[1.0; 16]), 1.0);
     }
 
     #[test]
@@ -481,13 +483,6 @@ mod tests {
     #[should_panic]
     fn from_vec_wrong_len_panics() {
         let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn hadamard_multiplies_elementwise() {
-        let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[4.0, 10.0, 18.0]);
     }
 
     #[test]

@@ -11,15 +11,6 @@ pub fn relu(x: f32) -> f32 {
     }
 }
 
-/// Derivative of ReLU evaluated at the pre-activation value.
-pub fn relu_grad(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
-}
-
 /// Numerically stable logistic sigmoid.
 pub fn sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
@@ -116,8 +107,6 @@ mod tests {
     fn relu_basic() {
         assert_eq!(relu(-1.0), 0.0);
         assert_eq!(relu(2.5), 2.5);
-        assert_eq!(relu_grad(-1.0), 0.0);
-        assert_eq!(relu_grad(0.5), 1.0);
     }
 
     #[test]
