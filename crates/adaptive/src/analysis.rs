@@ -71,8 +71,16 @@ impl CompressionPlan {
 }
 
 /// Candidate back-ends the offline analysis considers (the paper limits the
-/// pool to its two specialised encoders).
-const CANDIDATES: [CompressorKind; 2] = [CompressorKind::OursVector, CompressorKind::OursHuffman];
+/// pool to its two specialised encoders): vector-LZ alone, or the hybrid,
+/// which picks vector-LZ or Huffman per chunk from the bytes each would send.
+///
+/// Huffman is not forced on a table from the offline sample: the hybrid's
+/// choice costs one histogram on top of the vector-LZ pass, never sends more
+/// than either back-end, and so also covers the traffic the sample does not
+/// show — lookups of the tables as trained (which homogenize under the error
+/// bound far more than sampled traffic) and backward gradients (all-zero
+/// codes, where Huffman's 513-byte table is six times a vector-LZ stream).
+const CANDIDATES: [CompressorKind; 2] = [CompressorKind::OursVector, CompressorKind::OursHybrid];
 
 /// Run the offline analysis over one sampled lookup batch per table.
 ///
@@ -110,7 +118,7 @@ pub fn analyze_tables(
                 best = Some((kind, speedup));
             }
         }
-        let (compressor, estimated_speedup) = best.unwrap_or((CompressorKind::OursHuffman, 1.0));
+        let (compressor, estimated_speedup) = best.unwrap_or((CompressorKind::OursHybrid, 1.0));
         tables.push(TablePlan {
             table_id,
             homo,

@@ -1,10 +1,14 @@
 //! Criterion micro-benchmark behind Figure 11: compression and decompression
-//! throughput of every registered compressor on DLRM-like embedding traffic.
+//! throughput of every registered compressor on DLRM-like embedding traffic,
+//! plus the hybrid codec's kernel rows at the two shapes the pipeline really
+//! feeds it: one 128×32 chunk per destination (training, local batch 128) and
+//! one 25×32 row group (a serving fetch), through the allocation-free
+//! `compress_into` / `decompress_into` the trainer and the server call.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dlrm_bench::workloads::{sampled_traffic, Scale};
-use dlrm_compress::CompressorKind;
-use dlrm_data::presets;
+use dlrm_compress::{CompressScratch, CompressorKind};
+use dlrm_data::{presets, EmbeddingTrafficGenerator};
 
 fn bench_compressors(c: &mut Criterion) {
     let dataset = presets::criteo_kaggle_like();
@@ -48,9 +52,58 @@ fn bench_compressors(c: &mut Criterion) {
     group.finish();
 }
 
+/// One iteration of a row is the whole table set: 26 chunks of `rows`×32,
+/// one lookup batch per table of the Kaggle-like preset (both back-ends win
+/// some tables under `Auto`).
+fn bench_pipeline_shapes(c: &mut Criterion) {
+    let dataset = presets::criteo_kaggle_like();
+    let dim = dataset.embedding_dim;
+    for (rows, eb) in [(128usize, 0.02f32), (25, 0.05)] {
+        let mut traffic = EmbeddingTrafficGenerator::new(dataset.clone(), 7);
+        let chunks: Vec<Vec<f32>> = (0..dataset.num_tables())
+            .map(|t| traffic.lookup_batch(t, rows).into_vec())
+            .collect();
+        let mut group = c.benchmark_group(format!("hybrid {rows}x{dim} x{}", chunks.len()));
+        group.throughput(Throughput::Bytes((chunks.len() * rows * dim * 4) as u64));
+        for (label, kind) in [
+            ("Auto", CompressorKind::OursHybrid),
+            ("Vlz", CompressorKind::OursVector),
+            ("Huffman", CompressorKind::OursHuffman),
+        ] {
+            let comp = kind.build();
+            let mut scratch = CompressScratch::new();
+            let mut bytes = Vec::new();
+            group.bench_function(BenchmarkId::new("encode", label), |b| {
+                b.iter(|| {
+                    for chunk in &chunks {
+                        bytes.clear();
+                        comp.compress_into(black_box(chunk), dim, eb, &mut scratch, &mut bytes)
+                            .expect("compress");
+                    }
+                })
+            });
+            let streams: Vec<Vec<u8>> = chunks
+                .iter()
+                .map(|chunk| comp.compress(chunk, dim, eb).expect("compress"))
+                .collect();
+            let mut values = Vec::new();
+            group.bench_function(BenchmarkId::new("decode", label), |b| {
+                b.iter(|| {
+                    for stream in &streams {
+                        values.clear();
+                        comp.decompress_into(black_box(stream), &mut scratch, &mut values)
+                            .expect("decompress");
+                    }
+                })
+            });
+        }
+        group.finish();
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_compressors
+    targets = bench_compressors, bench_pipeline_shapes
 }
 criterion_main!(benches);

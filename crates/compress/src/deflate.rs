@@ -38,7 +38,7 @@ pub fn compress_bytes_into(
     // Worst case ≈ 15-bit codes for every LZSS byte plus the length table.
     out.reserve(lz.len() * 2 + 600);
     varint::write_u64(out, lz.len() as u64);
-    huffman::encode_into(&scratch.symbols, &mut scratch.freqs, out);
+    huffman::encode_into(&scratch.symbols, &mut scratch.huffman, out);
     scratch.stage2 = lz;
 }
 
@@ -58,16 +58,18 @@ pub fn decompress_bytes_into(
 ) -> Result<()> {
     let mut pos = 0usize;
     let lz_len = varint::read_u64(bytes, &mut pos)? as usize;
-    huffman::decode_into(&bytes[pos..], &mut scratch.huff_table, &mut scratch.symbols)?;
-    if scratch.symbols.len() != lz_len {
-        return Err(crate::error::CompressError::Corrupt(
-            "inner LZSS stream has unexpected length",
-        ));
-    }
     let mut lz = std::mem::take(&mut scratch.stage2);
     lz.clear();
-    lz.extend(scratch.symbols.iter().map(|&s| s as u8));
-    let result = lzss::decompress_bytes_into(&lz, out);
+    let result =
+        huffman::decode_map_into(&bytes[pos..], &mut scratch.huffman, &mut lz, |s| s as u8)
+            .and_then(|decoded| {
+                if decoded != lz_len {
+                    return Err(crate::error::CompressError::Corrupt(
+                        "inner LZSS stream has unexpected length",
+                    ));
+                }
+                lzss::decompress_bytes_into(&lz, out)
+            });
     scratch.stage2 = lz;
     result
 }

@@ -34,12 +34,7 @@ pub fn compress_into(
     scratch: &mut CompressScratch,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    if dim == 0 || !data.len().is_multiple_of(dim) {
-        return Err(CompressError::DimensionMismatch {
-            len: data.len(),
-            dim,
-        });
-    }
+    quant::check_dim(data.len(), dim)?;
     quant::quantize_into(data, eb, &mut scratch.codes)?;
     quant::codes_to_symbols_into(&scratch.codes, &mut scratch.symbols);
     bitshuffle_into(&scratch.symbols, &mut scratch.stage);

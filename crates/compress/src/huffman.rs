@@ -15,13 +15,21 @@
 //!   data while keeping the common case optimal.
 //! * The code is *canonical*: only the bit length of each hot symbol is
 //!   stored in the header, and both sides rebuild the same codebook.
-//! * Decoding uses a flat lookup table indexed by `MAX_CODE_LEN` bits.
+//! * Codes are MSB-first prefix codes but the bit I/O is LSB-first, so both
+//!   sides work with the *bit-reversed* code: the encoder looks up one
+//!   pre-reversed `(code, length)` entry per symbol, the decoder indexes a
+//!   flat table with the next `longest code of this book` bits of the stream.
+//! * The stream size follows exactly from the symbol counts and code
+//!   lengths, before a byte is written — which is what lets the hybrid's
+//!   automatic selection skip emitting the losing candidate.
+//!
+//! Every buffer the two directions need lives in a reusable
+//! [`HuffmanScratch`]; a warmed-up scratch makes both allocation-free.
 
 use crate::bitio::{BitReader, BitSink};
 use crate::error::CompressError;
 use crate::varint;
 use crate::Result;
-use std::collections::BinaryHeap;
 
 /// Maximum number of symbols that get dedicated Huffman codes.
 pub const HOT_SYMBOLS: usize = 1024;
@@ -33,64 +41,228 @@ pub const MAX_CODE_LEN: u8 = 15;
 /// Internal: the escape symbol index inside the codebook.
 const ESCAPE: usize = HOT_SYMBOLS;
 
-/// A canonical Huffman codebook over `HOT_SYMBOLS + 1` symbols (the last one
-/// is the escape symbol).
-#[derive(Debug, Clone)]
-pub struct Codebook {
-    /// Bit length per symbol (0 = symbol absent).
+/// Coded symbols: the hot ones plus the escape.
+const ALPHABET: usize = HOT_SYMBOLS + 1;
+
+/// Bytes of a stream header's length table (one 4-bit length per symbol).
+const LENGTH_TABLE_BYTES: usize = ALPHABET.div_ceil(2);
+
+/// Reusable working state of [`encode_into`] and [`decode_map_into`]: the
+/// histogram, the canonical codebook in both its encode and decode forms,
+/// and the tree builder's queues.
+#[derive(Debug, Default)]
+pub struct HuffmanScratch {
+    /// Occurrences per symbol (`ALPHABET` entries).
+    freqs: Vec<u64>,
+    /// Bit length per symbol (0 = symbol absent; `ALPHABET` entries).
     lengths: Vec<u8>,
-    /// Canonical code per symbol, valid where `lengths > 0`.
+    /// Hot symbols at and above this index are absent from the current book.
+    /// Quantized embeddings use a few dozen of the 1 024 hot symbols, so the
+    /// per-stream codebook work walks `coded()` instead of the alphabet.
+    used: usize,
+    /// Encode table: per symbol, `bit-reversed code << 4 | length`.
     codes: Vec<u32>,
+    /// Decode table: `symbol << 4 | length` (0 = no such code) for every
+    /// value of the next `max length of this book` stream bits.
+    table: Vec<u16>,
+    tree: TreeBuilder,
 }
 
-impl Codebook {
-    /// Build a length-limited canonical codebook from symbol frequencies.
-    /// `freqs.len()` must be `HOT_SYMBOLS + 1`.
-    pub fn from_frequencies(freqs: &[u64]) -> Codebook {
-        assert_eq!(freqs.len(), HOT_SYMBOLS + 1);
-        let mut lengths = huffman_code_lengths(freqs);
-        limit_lengths(&mut lengths, freqs, MAX_CODE_LEN);
-        let codes = canonical_codes(&lengths);
-        Codebook { lengths, codes }
+/// The symbols that can have a code when hot symbols from `used` up are
+/// absent, in symbol order.
+fn coded(used: usize) -> impl Iterator<Item = usize> {
+    (0..used).chain([ESCAPE])
+}
+
+impl HuffmanScratch {
+    /// Heap capacity currently held, in bytes.
+    pub fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.freqs.capacity() + self.tree.internal.capacity()) * size_of::<u64>()
+            + self.lengths.capacity()
+            + (self.codes.capacity() + self.tree.links.capacity()) * size_of::<u32>()
+            + self.table.capacity() * size_of::<u16>()
+            + self.tree.leaves.capacity() * size_of::<(u64, u32)>()
     }
 
-    /// Rebuild a codebook from the per-symbol lengths stored in a header.
-    pub fn from_lengths(lengths: Vec<u8>) -> Result<Codebook> {
-        if lengths.len() != HOT_SYMBOLS + 1 {
-            return Err(CompressError::Corrupt(
-                "codebook length table has wrong size",
-            ));
+    /// Grow every buffer to its worst case (the whole alphabet present,
+    /// `MAX_CODE_LEN`-bit codes), so that a scratch's capacity is final after
+    /// its first stream in either direction, whatever that stream and later
+    /// ones look like: the allocation ledgers upstream count later growth as
+    /// a steady-state allocation.
+    fn reserve_worst_case(&mut self) {
+        fn ensure<T>(buffer: &mut Vec<T>, capacity: usize) {
+            buffer.reserve(capacity.saturating_sub(buffer.len()));
         }
-        if lengths.iter().any(|&l| l > MAX_CODE_LEN) {
-            return Err(CompressError::Corrupt("codebook length exceeds limit"));
-        }
-        // Kraft inequality check: a malformed length table would otherwise
-        // produce ambiguous decodes.
-        let kraft: u64 = lengths
-            .iter()
-            .filter(|&&l| l > 0)
-            .map(|&l| 1u64 << (MAX_CODE_LEN - l))
-            .sum();
-        if kraft > 1u64 << MAX_CODE_LEN {
-            return Err(CompressError::Corrupt("codebook violates Kraft inequality"));
-        }
-        let codes = canonical_codes(&lengths);
-        Ok(Codebook { lengths, codes })
+        ensure(&mut self.freqs, ALPHABET);
+        ensure(&mut self.lengths, ALPHABET);
+        ensure(&mut self.codes, ALPHABET);
+        ensure(&mut self.table, 1 << MAX_CODE_LEN);
+        ensure(&mut self.tree.leaves, ALPHABET);
+        ensure(&mut self.tree.internal, ALPHABET);
+        ensure(&mut self.tree.links, 2 * ALPHABET);
     }
 
-    /// Bit length of `symbol`'s code (0 if the symbol has no code).
-    pub fn length(&self, symbol: usize) -> u8 {
-        self.lengths[symbol]
+    /// Length-limited code lengths for `self.freqs`.
+    fn build_lengths(&mut self) {
+        self.lengths.clear();
+        self.lengths.resize(ALPHABET, 0);
+        let max_len = u32::from(MAX_CODE_LEN);
+        self.tree.collect_leaves(&self.freqs, self.used);
+        if self.tree.code_lengths(&mut self.lengths) <= max_len {
+            return;
+        }
+        // Naive length limiting: repeatedly flatten the tree by recomputing
+        // lengths from dampened frequencies. This converges quickly for the
+        // skewed distributions quantized embeddings produce.
+        for _ in 0..32 {
+            for (weight, _) in &mut self.tree.leaves {
+                // Compress the dynamic range of the frequencies.
+                *weight = (*weight / 2).max(1);
+            }
+            if self.tree.code_lengths(&mut self.lengths) <= max_len {
+                return;
+            }
+        }
+        // Final fallback: fixed-length code.
+        let present = self.tree.leaves.len().max(2);
+        let fixed = (usize::BITS - (present - 1).leading_zeros()) as u8;
+        for &(_, sym) in &self.tree.leaves {
+            self.lengths[sym as usize] = fixed.clamp(1, MAX_CODE_LEN);
+        }
     }
 
-    fn emit(&self, w: &mut BitSink<'_>, symbol: usize) {
-        debug_assert!(self.lengths[symbol] > 0, "emitting absent symbol {symbol}");
-        // Canonical codes are MSB-first prefix codes; the bit writer emits
-        // LSB-first, so write the bit-reversed code to keep the stream a
-        // progressive prefix code (the decoder's flat table is built the
-        // same way).
-        let len = self.lengths[symbol];
-        w.write_bits(reverse_bits(self.codes[symbol], len), len);
+    /// Fill the encode table with the canonical codes of `self.lengths`
+    /// (which must satisfy the Kraft inequality), already bit-reversed for
+    /// the LSB-first bit I/O.
+    fn assign_codes(&mut self) {
+        // Canonical codes count up within a length, in symbol order; a
+        // length's first code is the one after the previous length's last,
+        // shifted left.
+        let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+        for sym in coded(self.used) {
+            count[self.lengths[sym] as usize] += 1;
+        }
+        count[0] = 0;
+        let mut next = [0u32; MAX_CODE_LEN as usize + 1];
+        for len in 1..next.len() {
+            next[len] = (next[len - 1] + count[len - 1]) << 1;
+        }
+        self.codes.clear();
+        self.codes.resize(ALPHABET, 0);
+        for sym in coded(self.used) {
+            let len = self.lengths[sym];
+            if len > 0 {
+                let code = next[len as usize];
+                next[len as usize] += 1;
+                let reversed = (code as u16).reverse_bits() >> (16 - len);
+                self.codes[sym] = u32::from(reversed) << 4 | u32::from(len);
+            }
+        }
+    }
+
+    /// Fill the flat decode table from the encode table and return the
+    /// longest code length (0 for an empty book).
+    fn build_decode_table(&mut self) -> u32 {
+        let max_len = coded(self.used)
+            .map(|sym| self.lengths[sym])
+            .max()
+            .unwrap_or(0);
+        self.table.clear();
+        self.table.resize(1 << max_len, 0);
+        for sym in coded(self.used) {
+            let code = self.codes[sym];
+            let len = code & 0xF;
+            if len > 0 {
+                // Every slot whose low `len` bits are the reversed code.
+                let entry = (sym as u16) << 4 | len as u16;
+                let slots = self.table[(code >> 4) as usize..].iter_mut();
+                slots.step_by(1 << len).for_each(|slot| *slot = entry);
+            }
+        }
+        u32::from(max_len)
+    }
+}
+
+/// Two-queue Huffman tree construction over reusable storage.
+#[derive(Debug, Default)]
+struct TreeBuilder {
+    /// Present symbols as `(weight, symbol)`, ascending — the leaf queue.
+    leaves: Vec<(u64, u32)>,
+    /// Weights of the internal nodes in creation order — the second queue.
+    internal: Vec<u64>,
+    /// Per tree node (leaves in queue order, then internal nodes in creation
+    /// order): first its parent's node number, then its depth.
+    links: Vec<u32>,
+}
+
+impl TreeBuilder {
+    /// Queue the symbols of `coded(used)` that have a non-zero weight.
+    fn collect_leaves(&mut self, weights: &[u64], used: usize) {
+        self.leaves.clear();
+        self.leaves.extend(
+            coded(used)
+                .filter(|&sym| weights[sym] > 0)
+                .map(|sym| (weights[sym], sym as u32)),
+        );
+    }
+
+    /// Write the Huffman code length (saturating at 255) of every queued
+    /// leaf into `lengths`, leaving the other entries alone, and return the
+    /// longest.
+    ///
+    /// Merges the two lightest nodes until one is left; equal weights go
+    /// lower symbol first and leaves before internal nodes, internal nodes
+    /// oldest first. Internal nodes are born in non-decreasing weight order,
+    /// so a sorted leaf queue and a FIFO of internal nodes pop in exactly
+    /// the order a min-heap keyed `(weight, node number)` would.
+    fn code_lengths(&mut self, lengths: &mut [u8]) -> u32 {
+        self.leaves.sort_unstable();
+        let k = self.leaves.len();
+        if k <= 1 {
+            if let Some(&(_, sym)) = self.leaves.first() {
+                lengths[sym as usize] = 1;
+            }
+            return k as u32;
+        }
+
+        self.internal.clear();
+        self.links.clear();
+        self.links.resize(2 * k - 1, 0);
+        let (mut next_leaf, mut next_internal) = (0usize, 0usize);
+        for merged in 0..k - 1 {
+            let mut weight = 0u64;
+            for _ in 0..2 {
+                let take_leaf = match (self.leaves.get(next_leaf), self.internal.get(next_internal))
+                {
+                    (Some(&(leaf, _)), Some(&internal)) => leaf <= internal,
+                    (leaf, _) => leaf.is_some(),
+                };
+                let child = if take_leaf {
+                    weight += self.leaves[next_leaf].0;
+                    next_leaf += 1;
+                    next_leaf - 1
+                } else {
+                    weight += self.internal[next_internal];
+                    next_internal += 1;
+                    k + next_internal - 1
+                };
+                self.links[child] = (k + merged) as u32;
+            }
+            self.internal.push(weight);
+        }
+
+        // A parent is always numbered above its children: walking down from
+        // the root (the last node, depth 0) turns parent links into depths.
+        self.links[2 * k - 2] = 0;
+        for node in (0..2 * k - 2).rev() {
+            self.links[node] = self.links[self.links[node] as usize] + 1;
+        }
+        for (&(_, sym), &depth) in self.leaves.iter().zip(&self.links) {
+            lengths[sym as usize] = depth.min(255) as u8;
+        }
+        // The lightest leaf is never above any other.
+        self.links[0]
     }
 }
 
@@ -99,290 +271,206 @@ impl Codebook {
 /// Output layout: `[n: varint] [lengths: HOT_SYMBOLS+1 packed 4-bit pairs]
 /// [payload bits]`.
 pub fn encode(symbols: &[u32]) -> Vec<u8> {
-    let mut freqs = Vec::new();
     let mut out = Vec::new();
-    encode_into(symbols, &mut freqs, &mut out);
+    encode_into(symbols, &mut HuffmanScratch::default(), &mut out);
     out
 }
 
-/// Allocation-lean [`encode`]: *appends* the stream to `out`, reusing the
-/// caller's `freqs` buffer for the frequency count. (The codebook
-/// construction itself still uses bounded `O(HOT_SYMBOLS)` temporaries.)
-pub fn encode_into(symbols: &[u32], freqs: &mut Vec<u64>, out: &mut Vec<u8>) {
+/// Allocation-free [`encode`]: *appends* the stream to `out`.
+pub fn encode_into(symbols: &[u32], scratch: &mut HuffmanScratch, out: &mut Vec<u8>) {
+    plan(symbols, scratch);
+    emit_planned(symbols, scratch, out);
+}
+
+/// Count `symbols` and build their codebook in `scratch`; returns the exact
+/// length in bytes of the stream [`emit_planned`] would append.
+pub(crate) fn plan(symbols: &[u32], scratch: &mut HuffmanScratch) -> usize {
+    scratch.reserve_worst_case();
+    let freqs = &mut scratch.freqs;
     freqs.clear();
-    freqs.resize(HOT_SYMBOLS + 1, 0);
+    freqs.resize(ALPHABET, 0);
     for &s in symbols {
-        if (s as usize) < HOT_SYMBOLS {
-            freqs[s as usize] += 1;
-        } else {
-            freqs[ESCAPE] += 1;
-        }
+        freqs[(s as usize).min(ESCAPE)] += 1;
     }
+    let used = freqs[..ESCAPE]
+        .iter()
+        .rposition(|&f| f > 0)
+        .map_or(0, |top| top + 1);
+    scratch.used = used;
+    let escapes = freqs[ESCAPE];
     // Ensure the escape symbol always has a code if it might be needed; and
     // avoid a degenerate single-symbol alphabet (give the escape a token count).
-    if freqs.iter().filter(|&&f| f > 0).count() <= 1 {
+    if coded(used).filter(|&sym| freqs[sym] > 0).count() <= 1 {
         freqs[ESCAPE] += 1;
     }
-    let book = Codebook::from_frequencies(freqs);
+    scratch.build_lengths();
 
+    let code_bits: u64 = scratch.freqs[..used]
+        .iter()
+        .zip(&scratch.lengths)
+        .map(|(&f, &l)| f * u64::from(l))
+        .sum();
+    let escape_bits = escapes * (u64::from(scratch.lengths[ESCAPE]) + 32);
+    varint::len_u64(symbols.len() as u64)
+        + LENGTH_TABLE_BYTES
+        + (code_bits + escape_bits).div_ceil(8) as usize
+}
+
+/// Append the stream of `symbols`, whose codebook [`plan`] left in `scratch`.
+pub(crate) fn emit_planned(symbols: &[u32], scratch: &mut HuffmanScratch, out: &mut Vec<u8>) {
+    scratch.assign_codes();
     varint::write_u64(out, symbols.len() as u64);
-    // Pack lengths as 4-bit nibbles (MAX_CODE_LEN = 15 fits).
-    let mut nibble_buf = 0u8;
-    let mut have_nibble = false;
-    for &l in &book.lengths {
-        if have_nibble {
-            out.push(nibble_buf | (l << 4));
-            have_nibble = false;
-        } else {
-            nibble_buf = l;
-            have_nibble = true;
-        }
+    // Pack lengths as 4-bit nibbles (MAX_CODE_LEN = 15 fits), symbol 2k in
+    // the low half of byte k; everything from `used` up to the escape is 0.
+    let table_at = out.len();
+    out.resize(table_at + LENGTH_TABLE_BYTES, 0);
+    let pairs = scratch.lengths[..scratch.used.next_multiple_of(2)].chunks_exact(2);
+    for (byte, pair) in out[table_at..].iter_mut().zip(pairs) {
+        *byte = pair[0] | pair[1] << 4;
     }
-    if have_nibble {
-        out.push(nibble_buf);
-    }
+    out[table_at + ESCAPE / 2] = scratch.lengths[ESCAPE];
 
+    let (hot, escape) = scratch.codes.split_at(ESCAPE);
+    let escape = escape[0];
     let mut w = BitSink::new(out);
     for &s in symbols {
-        if (s as usize) < HOT_SYMBOLS && book.length(s as usize) > 0 {
-            book.emit(&mut w, s as usize);
-        } else {
-            book.emit(&mut w, ESCAPE);
-            w.write_bits(s, 32);
+        match hot.get(s as usize) {
+            Some(&code) => {
+                debug_assert!(code & 0xF > 0, "emitting absent symbol {s}");
+                w.write_bits(code >> 4, (code & 0xF) as u8);
+            }
+            None => {
+                w.write_bits(escape >> 4, (escape & 0xF) as u8);
+                w.write_bits(s, 32);
+            }
         }
     }
+    w.finish();
 }
 
 /// Decompress a stream produced by [`encode`].
 pub fn decode(bytes: &[u8]) -> Result<Vec<u32>> {
-    let mut table = Vec::new();
     let mut out = Vec::new();
-    decode_into(bytes, &mut table, &mut out)?;
+    decode_map_into(bytes, &mut HuffmanScratch::default(), &mut out, |s| s)?;
     Ok(out)
 }
 
-/// Allocation-lean [`decode`]: clears and refills `out`, reusing the
-/// caller's flat decode `table` (192 KiB once warmed — the dominant
-/// per-call allocation of the legacy path). The codebook rebuild still uses
-/// bounded `O(HOT_SYMBOLS)` temporaries per call.
-pub fn decode_into(bytes: &[u8], table: &mut Vec<(u16, u8)>, out: &mut Vec<u32>) -> Result<()> {
-    out.clear();
+/// Allocation-free [`decode`] fused with the caller's symbol conversion:
+/// *appends* `map(symbol)` for every decoded symbol to `out` and returns how
+/// many there were. On error `out` is left as it was.
+///
+/// Total over arbitrary bytes: a header that promises more symbols than the
+/// payload has bits, an unusable length table, or a stream that ends inside
+/// a code or an escape literal is [`CompressError::Corrupt`].
+pub fn decode_map_into<T: Copy + Default>(
+    bytes: &[u8],
+    scratch: &mut HuffmanScratch,
+    out: &mut Vec<T>,
+    map: impl Fn(u32) -> T,
+) -> Result<usize> {
     let mut pos = 0usize;
-    let n = varint::read_u64(bytes, &mut pos)? as usize;
-    let table_bytes = (HOT_SYMBOLS + 1).div_ceil(2);
-    let packed = bytes
-        .get(pos..pos + table_bytes)
+    let n = usize::try_from(varint::read_u64(bytes, &mut pos)?)
+        .map_err(|_| CompressError::Corrupt("symbol count overflows usize"))?;
+    let payload_at = pos
+        .checked_add(LENGTH_TABLE_BYTES)
         .ok_or(CompressError::Corrupt("truncated codebook"))?;
-    pos += table_bytes;
-    let mut lengths = Vec::with_capacity(HOT_SYMBOLS + 1);
-    for &b in packed {
-        lengths.push(b & 0x0F);
-        if lengths.len() < HOT_SYMBOLS + 1 {
-            lengths.push(b >> 4);
-        }
-    }
-    lengths.truncate(HOT_SYMBOLS + 1);
-    let book = Codebook::from_lengths(lengths)?;
-    let decoder = Decoder::new_in(&book, table);
-
-    let mut r = BitReader::new(&bytes[pos..]);
-    out.reserve(n.min(1 << 22));
-    for _ in 0..n {
-        let symbol = decoder.read_symbol(&mut r)?;
-        if symbol == ESCAPE {
-            out.push(r.read_bits(32)?);
-        } else {
-            out.push(symbol as u32);
-        }
-    }
-    Ok(())
-}
-
-/// Flat-table Huffman decoder over a borrowed table buffer.
-struct Decoder<'t> {
-    /// For every possible `MAX_CODE_LEN`-bit window: (symbol, code length).
-    table: &'t [(u16, u8)],
-}
-
-impl<'t> Decoder<'t> {
-    fn new_in(book: &Codebook, table: &'t mut Vec<(u16, u8)>) -> Decoder<'t> {
-        let size = 1usize << MAX_CODE_LEN;
-        table.clear();
-        table.resize(size, (u16::MAX, 0u8));
-        for (sym, (&len, &code)) in book.lengths.iter().zip(book.codes.iter()).enumerate() {
-            if len == 0 {
-                continue;
-            }
-            // The canonical code is MSB-first; our bit I/O is LSB-first, so
-            // store the bit-reversed code and fill every table slot whose low
-            // `len` bits match it.
-            let rev = reverse_bits(code, len);
-            let step = 1usize << len;
-            let mut idx = rev as usize;
-            while idx < size {
-                table[idx] = (sym as u16, len);
-                idx += step;
-            }
-        }
-        Decoder { table }
+    let packed = bytes
+        .get(pos..payload_at)
+        .ok_or(CompressError::Corrupt("truncated codebook"))?;
+    let payload = &bytes[payload_at..];
+    // A symbol costs at least one bit: bound `n` before reserving for it.
+    if n.div_ceil(8) > payload.len() {
+        return Err(CompressError::Corrupt("more symbols than payload bits"));
     }
 
-    fn read_symbol(&self, r: &mut BitReader<'_>) -> Result<usize> {
-        // Peek by cloning the (cheap) reader state: read up to MAX_CODE_LEN
-        // bits, look up, then consume only the code length.
-        let mut probe = r.clone();
-        let mut window = 0u32;
-        let mut got = 0u8;
-        while got < MAX_CODE_LEN {
-            match probe.read_bits(1) {
-                Ok(bit) => {
-                    window |= bit << got;
-                    got += 1;
-                }
-                Err(_) => break,
-            }
+    scratch.reserve_worst_case();
+    // Unpack the hot lengths up to the last non-zero byte, and the escape's
+    // from the low half of the final byte (its high half is padding).
+    let (hot, escape) = packed.split_at(ESCAPE / 2);
+    let hot = &hot[..hot.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1)];
+    scratch.used = hot.len() * 2;
+    scratch.lengths.clear();
+    scratch.lengths.resize(ALPHABET, 0);
+    for (pair, &byte) in scratch.lengths.chunks_exact_mut(2).zip(hot) {
+        pair[0] = byte & 0x0F;
+        pair[1] = byte >> 4;
+    }
+    scratch.lengths[ESCAPE] = escape[0] & 0x0F;
+    // Kraft inequality check: a malformed length table would otherwise
+    // produce ambiguous decodes.
+    let kraft: u64 = coded(scratch.used)
+        .map(|sym| scratch.lengths[sym])
+        .filter(|&l| l > 0)
+        .map(|l| 1u64 << (MAX_CODE_LEN - l))
+        .sum();
+    if kraft > 1u64 << MAX_CODE_LEN {
+        return Err(CompressError::Corrupt("codebook violates Kraft inequality"));
+    }
+    scratch.assign_codes();
+    let max_len = scratch.build_decode_table();
+    if n > 0 && max_len == 0 {
+        return Err(CompressError::Corrupt("symbols but no codes"));
+    }
+
+    let start = out.len();
+    out.resize(start + n, T::default());
+    let table = &scratch.table[..];
+    let mut r = BitReader::new(payload);
+    let decoded = out[start..].iter_mut().try_for_each(|slot| {
+        if r.available() < u32::from(MAX_CODE_LEN) {
+            r.refill();
         }
-        if got == 0 {
-            return Err(CompressError::Corrupt("huffman stream ended early"));
-        }
-        let (sym, len) = self.table[window as usize];
-        if sym == u16::MAX || len == 0 || len > got {
+        let entry = table[r.peek(max_len) as usize];
+        let len = u32::from(entry & 0xF);
+        if len == 0 {
             return Err(CompressError::Corrupt("invalid huffman code"));
         }
-        // Consume exactly `len` bits from the real reader.
-        r.read_bits(len)?;
-        Ok(sym as usize)
-    }
-}
-
-fn reverse_bits(code: u32, len: u8) -> u32 {
-    let mut out = 0u32;
-    for i in 0..len {
-        if code & (1 << (len - 1 - i)) != 0 {
-            out |= 1 << i;
+        if len > r.available() {
+            return Err(CompressError::Corrupt("huffman stream ended inside a code"));
         }
-    }
-    out
-}
-
-/// Classic two-queue Huffman construction returning per-symbol code lengths.
-fn huffman_code_lengths(freqs: &[u64]) -> Vec<u8> {
-    #[derive(PartialEq, Eq)]
-    struct Node {
-        weight: u64,
-        index: usize,
-    }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Min-heap by weight (BinaryHeap is a max-heap).
-            other
-                .weight
-                .cmp(&self.weight)
-                .then_with(|| other.index.cmp(&self.index))
-        }
-    }
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let n = freqs.len();
-    let present: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
-    let mut lengths = vec![0u8; n];
-    match present.len() {
-        0 => return lengths,
-        1 => {
-            lengths[present[0]] = 1;
-            return lengths;
-        }
-        _ => {}
-    }
-
-    // parent[i] for internal tree nodes; leaves occupy [0, n).
-    let mut parent = vec![usize::MAX; n + present.len()];
-    let mut heap = BinaryHeap::new();
-    for &i in &present {
-        heap.push(Node {
-            weight: freqs[i],
-            index: i,
+        r.consume(len);
+        let symbol = u32::from(entry >> 4);
+        *slot = map(if symbol as usize == ESCAPE {
+            r.read_bits(32)?
+        } else {
+            symbol
         });
+        Ok(())
+    });
+    if decoded.is_err() {
+        out.truncate(start);
     }
-    let mut next_internal = n;
-    while heap.len() > 1 {
-        let a = heap.pop().expect("len > 1");
-        let b = heap.pop().expect("len > 1");
-        parent[a.index] = next_internal;
-        parent[b.index] = next_internal;
-        heap.push(Node {
-            weight: a.weight + b.weight,
-            index: next_internal,
-        });
-        next_internal += 1;
-    }
-    for &i in &present {
-        let mut depth = 0u8;
-        let mut node = i;
-        while parent[node] != usize::MAX {
-            node = parent[node];
-            depth = depth.saturating_add(1);
-        }
-        lengths[i] = depth.max(1);
-    }
-    lengths
-}
-
-/// Naive length limiting: if any code exceeds `max_len`, repeatedly flatten
-/// the tree by recomputing lengths from dampened frequencies. This converges
-/// quickly for the skewed distributions quantized embeddings produce.
-fn limit_lengths(lengths: &mut Vec<u8>, freqs: &[u64], max_len: u8) {
-    let mut damp = freqs.to_vec();
-    let mut iterations = 0;
-    while lengths.iter().any(|&l| l > max_len) && iterations < 32 {
-        for f in damp.iter_mut() {
-            if *f > 0 {
-                // Compress the dynamic range of the frequencies.
-                *f = (*f / 2).max(1);
-            }
-        }
-        *lengths = huffman_code_lengths(&damp);
-        iterations += 1;
-    }
-    // Final fallback: fixed-length code.
-    if lengths.iter().any(|&l| l > max_len) {
-        let present = freqs.iter().filter(|&&f| f > 0).count().max(2);
-        let fixed = (usize::BITS - (present - 1).leading_zeros()) as u8;
-        for (l, &f) in lengths.iter_mut().zip(freqs.iter()) {
-            *l = if f > 0 { fixed.clamp(1, max_len) } else { 0 };
-        }
-    }
-}
-
-/// Assign canonical (MSB-first) codes from lengths.
-fn canonical_codes(lengths: &[u8]) -> Vec<u32> {
-    let mut symbols: Vec<usize> = (0..lengths.len()).filter(|&i| lengths[i] > 0).collect();
-    symbols.sort_by_key(|&i| (lengths[i], i));
-    let mut codes = vec![0u32; lengths.len()];
-    let mut code = 0u32;
-    let mut prev_len = 0u8;
-    for &sym in &symbols {
-        let len = lengths[sym];
-        code <<= len - prev_len;
-        codes[sym] = code;
-        code += 1;
-        prev_len = len;
-    }
-    codes
+    decoded.map(|()| n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
+    use proptest::prelude::*;
 
     fn roundtrip(symbols: &[u32]) {
         let enc = encode(symbols);
         let dec = decode(&enc).expect("decode");
         assert_eq!(dec, symbols);
+    }
+
+    /// New encoder and decoder against the replaced ones, on one input.
+    fn assert_matches_reference(symbols: &[u32], what: &str) {
+        let mut expected = Vec::new();
+        reference::huffman_encode_into(symbols, &mut expected);
+        let mut scratch = HuffmanScratch::default();
+        let mut bytes = Vec::new();
+        let planned = plan(symbols, &mut scratch);
+        emit_planned(symbols, &mut scratch, &mut bytes);
+        assert_eq!(bytes, expected, "{what}: stream differs for {symbols:?}");
+        assert_eq!(planned, bytes.len(), "{what}: planned size is not exact");
+        assert_eq!(
+            decode(&bytes),
+            reference::huffman_decode(&bytes),
+            "{what}: decode differs over {bytes:02x?}"
+        );
+        assert_eq!(decode(&bytes).unwrap(), symbols, "{what}");
     }
 
     #[test]
@@ -442,6 +530,97 @@ mod tests {
         roundtrip(&symbols);
     }
 
+    /// Fibonacci-like weights make the unlimited Huffman tree a 40-deep
+    /// chain, far past `MAX_CODE_LEN`.
+    fn steep_skew() -> Vec<u32> {
+        let (mut a, mut b) = (1u32, 1u32);
+        let mut symbols = Vec::new();
+        for sym in 0..24u32 {
+            symbols.extend(std::iter::repeat_n(sym, a as usize));
+            (a, b) = (b, a + b);
+        }
+        symbols
+    }
+
+    #[test]
+    fn matches_reference_on_the_edge_cases() {
+        assert_matches_reference(&[], "empty");
+        assert_matches_reference(&[7], "one symbol");
+        assert_matches_reference(&[3; 257], "one repeated symbol");
+        assert_matches_reference(&[HOT_SYMBOLS as u32], "one escape, exactly HOT_SYMBOLS");
+        assert_matches_reference(&[u32::MAX; 9], "one repeated escape");
+        let escapes: Vec<u32> = (0..300).map(|i| 5_000 + i * 77_777).collect();
+        assert_matches_reference(&escapes, "all escapes");
+        let mixed: Vec<u32> = (0..999u32)
+            .map(|i| if i % 5 == 0 { 1 << (i % 32) } else { i % 40 })
+            .collect();
+        assert_matches_reference(&mixed, "mixed escapes");
+        let full: Vec<u32> = (0..3 * ALPHABET as u32)
+            .map(|i| i % ALPHABET as u32)
+            .collect();
+        assert_matches_reference(&full, "every hot symbol and the escape");
+
+        let steep = steep_skew();
+        let mut scratch = HuffmanScratch::default();
+        plan(&steep, &mut scratch);
+        let mut unlimited = vec![0u8; ALPHABET];
+        scratch.tree.collect_leaves(&scratch.freqs, scratch.used);
+        let longest = scratch.tree.code_lengths(&mut unlimited);
+        assert!(
+            longest > u32::from(MAX_CODE_LEN) && unlimited.iter().any(|&l| l > MAX_CODE_LEN),
+            "the skew must exercise length limiting"
+        );
+        assert_matches_reference(&steep, "length-limited skew");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Byte identity with the replaced encoder and value identity with
+        /// the replaced decoder, over alphabets from tiny to escape-heavy.
+        #[test]
+        fn matches_reference_on_arbitrary_symbols(
+            spread in prop_oneof![Just(2u32), Just(40), Just(700), Just(1100), Just(5000)],
+            raw in prop::collection::vec(any::<u32>(), 0..1200),
+            square in any::<bool>(),
+        ) {
+            // Squaring the draw skews the histogram towards small symbols.
+            let symbols: Vec<u32> = raw
+                .iter()
+                .map(|&r| {
+                    let u = r % spread;
+                    if square { u * u / spread } else { u }
+                })
+                .collect();
+            assert_matches_reference(&symbols, "proptest");
+        }
+
+        /// Both decoders agree on damaged streams too: the same symbols or
+        /// an error from each (the new one may refuse earlier).
+        #[test]
+        fn damaged_streams_decode_like_the_reference(
+            raw in prop::collection::vec(0u32..1200, 1..400),
+            cut in any::<u16>(),
+            flip in any::<u32>(),
+        ) {
+            let mut bytes = encode(&raw);
+            let bit = flip as usize % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            bytes.truncate(bytes.len() - cut as usize % 4);
+            match (decode(&bytes), reference::huffman_decode(&bytes)) {
+                (Ok(new), Ok(old)) => prop_assert_eq!(new, old, "over {:02x?}", bytes),
+                (Err(_), Err(_)) => {}
+                (new, old) => prop_assert!(
+                    false,
+                    "new {:?} vs reference {:?} over {:02x?}",
+                    new.map(|v| v.len()),
+                    old.map(|v| v.len()),
+                    bytes
+                ),
+            }
+        }
+    }
+
     #[test]
     fn corrupt_stream_is_rejected_not_panicking() {
         let symbols: Vec<u32> = (0..100).map(|i| i % 3).collect();
@@ -454,36 +633,111 @@ mod tests {
         let _ = decode(&garbage);
     }
 
+    fn is_corrupt<T: std::fmt::Debug>(r: Result<T>) -> bool {
+        matches!(r, Err(CompressError::Corrupt(_)))
+    }
+
+    #[test]
+    fn symbol_count_is_bounded_by_the_payload_before_reserving() {
+        // Ten garbage bytes promising 2^56 symbols, then a valid table with
+        // a one-byte payload promising nine.
+        assert!(is_corrupt(decode(&[0xFF; 10])));
+        let mut bytes = encode(&[1, 2, 1, 2, 1, 2, 1, 2]);
+        assert_eq!(bytes.len(), 1 + LENGTH_TABLE_BYTES + 1);
+        bytes[0] = 9;
+        let mut out = vec![42u32];
+        let mut scratch = HuffmanScratch::default();
+        assert!(is_corrupt(decode_map_into(
+            &bytes,
+            &mut scratch,
+            &mut out,
+            |s| s
+        )));
+        assert_eq!(out, [42], "a failed decode must leave `out` alone");
+        assert_eq!(out.capacity(), 1, "and must not have reserved for it");
+    }
+
+    #[test]
+    fn symbols_without_any_code_are_rejected() {
+        let mut bytes = vec![3u8];
+        bytes.extend(std::iter::repeat_n(0, LENGTH_TABLE_BYTES + 4));
+        assert!(is_corrupt(decode(&bytes)));
+        bytes[0] = 0;
+        assert_eq!(decode(&bytes).unwrap(), []);
+    }
+
+    #[test]
+    fn stream_ending_inside_a_code_or_literal_is_corrupt() {
+        // Two 2-bit codes in the last byte, then nothing: a third symbol
+        // would have to start in the padding and run past the end.
+        let symbols = [0u32, 1, 2, 3, 0, 1, 2, 3];
+        let mut bytes = encode(&symbols);
+        assert_eq!(bytes.len(), 1 + LENGTH_TABLE_BYTES + 2);
+        bytes.pop();
+        assert!(is_corrupt(decode(&bytes)));
+        bytes[0] = 4;
+        assert_eq!(decode(&bytes).unwrap(), symbols[..4]);
+
+        // An escape whose 32-bit literal is cut short.
+        let mut bytes = encode(&[1, 1, 1, 90_000]);
+        bytes.pop();
+        let mut out = vec![1.5f32];
+        let mut scratch = HuffmanScratch::default();
+        assert!(is_corrupt(decode_map_into(
+            &bytes,
+            &mut scratch,
+            &mut out,
+            |s| s as f32
+        )));
+        assert_eq!(out, [1.5]);
+    }
+
     #[test]
     fn codebook_kraft_violation_detected() {
-        let mut lengths = vec![0u8; HOT_SYMBOLS + 1];
-        for l in lengths.iter_mut().take(100) {
-            *l = 1; // 100 symbols of length 1 is impossible
-        }
-        assert!(Codebook::from_lengths(lengths).is_err());
+        // 100 symbols of length 1 is impossible.
+        let mut bytes = vec![1u8];
+        bytes.extend(std::iter::repeat_n(0x11, 50));
+        bytes.extend(std::iter::repeat_n(0, LENGTH_TABLE_BYTES - 50 + 1));
+        assert!(is_corrupt(decode(&bytes)));
     }
 
     #[test]
     fn canonical_codes_are_prefix_free() {
-        let mut freqs = vec![0u64; HOT_SYMBOLS + 1];
-        for (i, f) in freqs.iter_mut().enumerate().take(20) {
-            *f = (20 - i) as u64 * 10;
-        }
-        let book = Codebook::from_frequencies(&freqs);
-        for a in 0..20 {
-            for b in 0..20 {
-                if a == b || book.lengths[a] == 0 || book.lengths[b] == 0 {
-                    continue;
-                }
-                if book.lengths[a] <= book.lengths[b] {
-                    let shift = book.lengths[b] - book.lengths[a];
+        let symbols: Vec<u32> = (0..20u32)
+            .flat_map(|i| std::iter::repeat_n(i, (20 - i as usize) * 10))
+            .collect();
+        let mut scratch = HuffmanScratch::default();
+        plan(&symbols, &mut scratch);
+        scratch.assign_codes();
+        // Reversed codes are prefix-free when no code's low bits equal a
+        // shorter (or equally long) code.
+        let codes: Vec<(u32, u32)> = scratch.codes[..20]
+            .iter()
+            .map(|&c| (c >> 4, c & 0xF))
+            .collect();
+        for (a, &(code_a, len_a)) in codes.iter().enumerate() {
+            assert!(len_a > 0);
+            for (b, &(code_b, len_b)) in codes.iter().enumerate() {
+                if a != b && len_a <= len_b {
                     assert_ne!(
-                        book.codes[a],
-                        book.codes[b] >> shift,
+                        code_a,
+                        code_b & ((1 << len_a) - 1),
                         "code {a} is a prefix of {b}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn decode_table_is_sized_by_the_longest_code() {
+        let mut scratch = HuffmanScratch::default();
+        let mut out = Vec::new();
+        decode_map_into(&encode(&[0, 1, 2, 3]), &mut scratch, &mut out, |s| s).unwrap();
+        assert_eq!(scratch.table.len(), 4);
+        decode_map_into(&encode(&steep_skew()), &mut scratch, &mut out, |s| s).unwrap();
+        let longest = scratch.lengths.iter().copied().max().unwrap();
+        assert!(longest > 10, "a steep skew needs long codes, got {longest}");
+        assert_eq!(scratch.table.len(), 1 << longest);
     }
 }

@@ -10,9 +10,13 @@
 //!
 //! The back-end can be forced per table (that is what the offline analysis of
 //! the adaptive crate does, mirroring the paper's compressor-selection step)
-//! or chosen automatically by compressing with both and keeping the smaller
-//! stream. A one-byte tag records the choice so decompression is
+//! or chosen automatically: the smaller of the two streams wins, ties going
+//! to vector-LZ. A one-byte tag records the choice so decompression is
 //! self-describing.
+//!
+//! The automatic choice costs one quantization, one vector-LZ pass and one
+//! histogram: a Huffman stream's size follows exactly from the symbol counts
+//! and code lengths, so the entropy candidate is only written when it wins.
 
 use crate::error::CompressError;
 use crate::quant;
@@ -24,8 +28,8 @@ use crate::{huffman, Result};
 /// Which lossless back-end the hybrid compressor should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Selection {
-    /// Compress with both back-ends and keep the smaller output. This is the
-    /// "no offline analysis available" fallback.
+    /// Keep the smaller of the two back-ends' streams (vector-LZ on a tie).
+    /// This is the "no offline analysis available" fallback.
     #[default]
     Auto,
     /// Always use the vector-based LZ back-end ("Ours-Vector" in Table V).
@@ -44,8 +48,8 @@ pub struct HybridConfig {
 }
 
 /// Stream tags identifying the back-end that produced the payload.
-const TAG_VLZ: u8 = 1;
-const TAG_HUFFMAN: u8 = 2;
+pub(crate) const TAG_VLZ: u8 = 1;
+pub(crate) const TAG_HUFFMAN: u8 = 2;
 
 /// Compress a batch of embedding vectors with the hybrid compressor.
 pub fn compress(data: &[f32], dim: usize, eb: f32, config: HybridConfig) -> Result<Vec<u8>> {
@@ -56,10 +60,6 @@ pub fn compress(data: &[f32], dim: usize, eb: f32, config: HybridConfig) -> Resu
 }
 
 /// Allocation-free [`compress`]: *appends* the tagged stream to `out`.
-///
-/// The `Auto` selection compresses with both back-ends into the scratch's
-/// staging buffers and copies the winner — still allocation-free once the
-/// staging buffers have warmed up.
 pub fn compress_into(
     data: &[f32],
     dim: usize,
@@ -68,45 +68,34 @@ pub fn compress_into(
     scratch: &mut CompressScratch,
     out: &mut Vec<u8>,
 ) -> Result<()> {
+    quant::check_dim(data.len(), dim)?;
+    quant::quantize_into(data, eb, &mut scratch.codes)?;
     match config.selection {
         Selection::Vlz => {
             out.push(TAG_VLZ);
-            vlz::compress_into(data, dim, eb, config.vlz, scratch, out)
+            vlz::encode_codes_into(dim, eb, config.vlz, scratch, out);
         }
         Selection::Huffman => {
             out.push(TAG_HUFFMAN);
-            entropy_compress_into(data, dim, eb, scratch, out)
+            entropy_plan(dim, scratch);
+            entropy_emit_planned(dim, eb, scratch, out);
         }
         Selection::Auto => {
-            // Stage both candidates in the scratch's byte buffers (taken out
-            // of the scratch so the codecs can borrow it mutably).
-            let mut lz = std::mem::take(&mut scratch.stage);
-            let mut hf = std::mem::take(&mut scratch.stage2);
-            lz.clear();
-            hf.clear();
-            let result = vlz::compress_into(data, dim, eb, config.vlz, scratch, &mut lz)
-                .and_then(|()| entropy_compress_into(data, dim, eb, scratch, &mut hf));
-            match result {
-                Ok(()) => {
-                    if lz.len() <= hf.len() {
-                        out.push(TAG_VLZ);
-                        out.extend_from_slice(&lz);
-                    } else {
-                        out.push(TAG_HUFFMAN);
-                        out.extend_from_slice(&hf);
-                    }
-                    scratch.stage = lz;
-                    scratch.stage2 = hf;
-                    Ok(())
-                }
-                Err(e) => {
-                    scratch.stage = lz;
-                    scratch.stage2 = hf;
-                    Err(e)
-                }
+            // Room for the larger worst case (the entropy stream's) whichever
+            // back-end wins, so the buffer's first use sizes it for good.
+            out.reserve(1 + entropy_worst_case_len(data.len()));
+            let start = out.len();
+            out.push(TAG_VLZ);
+            vlz::encode_codes_into(dim, eb, config.vlz, scratch, out);
+            let vlz_len = out.len() - start - 1;
+            if entropy_plan(dim, scratch) < vlz_len {
+                out.truncate(start);
+                out.push(TAG_HUFFMAN);
+                entropy_emit_planned(dim, eb, scratch, out);
             }
         }
     }
+    Ok(())
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -166,23 +155,39 @@ pub fn entropy_compress_into(
     scratch: &mut CompressScratch,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    if dim == 0 || !data.len().is_multiple_of(dim) {
-        return Err(CompressError::DimensionMismatch {
-            len: data.len(),
-            dim,
-        });
-    }
+    quant::check_dim(data.len(), dim)?;
     quant::quantize_into(data, eb, &mut scratch.codes)?;
+    entropy_plan(dim, scratch);
+    entropy_emit_planned(dim, eb, scratch, out);
+    Ok(())
+}
+
+/// Map `scratch.codes` to entropy symbols and build their codebook; returns
+/// the exact length of the stream [`entropy_emit_planned`] would append.
+fn entropy_plan(dim: usize, scratch: &mut CompressScratch) -> usize {
     quant::codes_to_symbols_into(&scratch.codes, &mut scratch.symbols);
-    // Worst case: every symbol escapes (15-bit code + 32-bit literal) plus
-    // the 513-byte length table — reserved up front so the output buffer
-    // never grows after its first use (zero-allocation steady state).
-    out.reserve(data.len() * 6 + 600);
-    varint::write_u64(out, data.len() as u64);
+    varint::len_u64(scratch.symbols.len() as u64)
+        + varint::len_u64(dim as u64)
+        + std::mem::size_of::<f32>()
+        + huffman::plan(&scratch.symbols, &mut scratch.huffman)
+}
+
+/// Upper bound on an entropy stream of `n` values: every symbol escapes
+/// (15-bit code + 32-bit literal) plus the 513-byte length table and header.
+fn entropy_worst_case_len(n: usize) -> usize {
+    n * 6 + 600
+}
+
+/// Append the entropy stream [`entropy_plan`] prepared in `scratch`.
+fn entropy_emit_planned(dim: usize, eb: f32, scratch: &mut CompressScratch, out: &mut Vec<u8>) {
+    let n = scratch.symbols.len();
+    // Reserved up front so the output buffer never grows after its first
+    // use (zero-allocation steady state).
+    out.reserve(entropy_worst_case_len(n));
+    varint::write_u64(out, n as u64);
     varint::write_u64(out, dim as u64);
     varint::write_f32_le(out, eb);
-    huffman::encode_into(&scratch.symbols, &mut scratch.freqs, out);
-    Ok(())
+    huffman::emit_planned(&scratch.symbols, &mut scratch.huffman, out);
 }
 
 /// Decompress a stream produced by [`entropy_compress`].
@@ -205,19 +210,24 @@ pub fn entropy_decompress_into(
     let eb = varint::read_f32_le(bytes, &mut pos)?;
     quant::validate_error_bound(eb)
         .map_err(|_| CompressError::Corrupt("bad error bound in header"))?;
-    huffman::decode_into(&bytes[pos..], &mut scratch.huff_table, &mut scratch.symbols)?;
-    if scratch.symbols.len() != n {
+    let step = 2.0f64 * eb as f64;
+    let start = out.len();
+    let decoded = huffman::decode_map_into(&bytes[pos..], &mut scratch.huffman, out, |symbol| {
+        (quant::symbol_to_code(symbol) as f64 * step) as f32
+    })?;
+    if decoded != n {
+        out.truncate(start);
         return Err(CompressError::Corrupt(
             "entropy stream decoded wrong length",
         ));
     }
-    quant::symbols_to_codes_into(&scratch.symbols, &mut scratch.codes);
-    quant::dequantize_into(&scratch.codes, eb, out)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn repeated_batch(dim: usize, n: usize, distinct: usize) -> Vec<f32> {
         let mut data = Vec::with_capacity(dim * n);
@@ -315,6 +325,144 @@ mod tests {
         let dec = entropy_decompress(&enc).unwrap();
         for (a, b) in data.iter().zip(dec.iter()) {
             assert!((a - b).abs() <= 0.00501);
+        }
+    }
+
+    /// One lookup batch per table of the Kaggle-like preset, `rows` vectors
+    /// of 32 values each — the payloads training (128 rows per destination)
+    /// and serving (25-row groups) hand the codec.
+    fn traffic(rows: usize, seed: u64) -> Vec<Vec<f32>> {
+        let dataset = dlrm_data::presets::criteo_kaggle_like();
+        assert_eq!(dataset.embedding_dim, 32);
+        let mut generator = dlrm_data::EmbeddingTrafficGenerator::new(dataset.clone(), seed);
+        (0..dataset.num_tables())
+            .map(|t| generator.lookup_batch(t, rows).into_vec())
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `compress_into`/`decompress_into` against the replaced
+    /// compress-both implementation, on one payload.
+    fn assert_matches_reference(
+        data: &[f32],
+        dim: usize,
+        eb: f32,
+        selection: Selection,
+        what: &str,
+    ) {
+        let config = HybridConfig {
+            selection,
+            ..Default::default()
+        };
+        let new = compress(data, dim, eb, config).unwrap();
+        let old = reference::hybrid_compress(data, dim, eb, selection).unwrap();
+        assert_eq!(
+            new, old,
+            "{what} {selection:?} eb {eb}: stream differs: {new:02x?}"
+        );
+        let (new_values, old_values) = (
+            decompress(&new).unwrap(),
+            reference::hybrid_decompress(&new).unwrap(),
+        );
+        assert_eq!(
+            bits(&new_values),
+            bits(&old_values),
+            "{what} {selection:?} eb {eb}: decode differs over {new:02x?}"
+        );
+    }
+
+    #[test]
+    fn traffic_streams_are_byte_identical_to_the_reference() {
+        let mut winners = [0usize; 2];
+        for seed in [7u64, 20_240_614] {
+            for rows in [128usize, 25] {
+                for (table, data) in traffic(rows, seed).iter().enumerate() {
+                    for eb in [0.02f32, 0.05, 0.005] {
+                        let what = format!("seed {seed} table {table} rows {rows}");
+                        for selection in [Selection::Auto, Selection::Vlz, Selection::Huffman] {
+                            assert_matches_reference(data, 32, eb, selection, &what);
+                        }
+                        let auto = compress(data, 32, eb, HybridConfig::default()).unwrap();
+                        winners[usize::from(auto[0] == TAG_HUFFMAN)] += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            winners.iter().all(|&w| w > 0),
+            "the payloads must exercise both outcomes of Auto: {winners:?}"
+        );
+    }
+
+    #[test]
+    fn degenerate_batches_are_byte_identical_to_the_reference() {
+        for selection in [Selection::Auto, Selection::Vlz, Selection::Huffman] {
+            assert_matches_reference(&[], 32, 0.01, selection, "empty");
+            assert_matches_reference(&[0.3], 1, 0.01, selection, "one value");
+            assert_matches_reference(&[0.0; 96], 32, 0.01, selection, "all zero");
+            // Values far beyond the hot symbols: every code escapes.
+            let wide: Vec<f32> = (0..64).map(|i| 50.0 + i as f32 * 3.7).collect();
+            assert_matches_reference(&wide, 8, 1e-3, selection, "all escapes");
+        }
+    }
+
+    /// Batches of distinct vectors whose two candidate streams are equally
+    /// long: the tie must go to vector-LZ, as it did when both were written.
+    #[test]
+    fn a_tie_stays_vector_lz_as_in_the_reference() {
+        let dim = 8usize;
+        // `distinct` literal vectors (a leading value of its own each), then
+        // `repeats` copies of the first: a literal grows the vector-LZ stream
+        // faster than the Huffman one, a repeat the other way round, so some
+        // mixes land on equal lengths.
+        let candidate = |distinct: usize, repeats: usize| -> Vec<f32> {
+            let mut data: Vec<f32> = (0..distinct * dim)
+                .map(|i| match i % dim {
+                    0 => (i / dim) as f32 * 0.02,
+                    _ => (((i * 2_654_435_761) >> 9) % 23) as f32 * 0.02 - 0.2,
+                })
+                .collect();
+            for _ in 0..repeats {
+                data.extend_from_within(..dim);
+            }
+            data
+        };
+        let len_of = |data: &[f32], selection| {
+            reference::hybrid_compress(data, dim, 0.01, selection)
+                .unwrap()
+                .len()
+        };
+        for (distinct, repeats) in [(125, 1), (127, 4), (130, 8), (133, 12)] {
+            let data = candidate(distinct, repeats);
+            let what = format!("{distinct} literals + {repeats} repeats");
+            assert_eq!(
+                len_of(&data, Selection::Vlz),
+                len_of(&data, Selection::Huffman),
+                "{what} is not a tie"
+            );
+            assert_matches_reference(&data, dim, 0.01, Selection::Auto, &what);
+            let auto = compress(&data, dim, 0.01, HybridConfig::default()).unwrap();
+            assert_eq!(auto[0], TAG_VLZ, "{what}");
+        }
+    }
+
+    #[test]
+    fn failed_compress_leaves_the_output_alone() {
+        let mut scratch = CompressScratch::new();
+        let mut out = vec![9u8];
+        for selection in [Selection::Auto, Selection::Vlz, Selection::Huffman] {
+            let config = HybridConfig {
+                selection,
+                ..Default::default()
+            };
+            assert!(
+                compress_into(&[1.0, f32::NAN], 2, 0.01, config, &mut scratch, &mut out).is_err()
+            );
+            assert!(compress_into(&[1.0; 3], 2, 0.01, config, &mut scratch, &mut out).is_err());
+            assert_eq!(out, [9]);
         }
     }
 

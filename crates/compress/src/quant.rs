@@ -33,6 +33,14 @@ pub fn validate_error_bound(eb: f32) -> Result<()> {
     Ok(())
 }
 
+/// Check that `len` values form whole vectors of `dim` values.
+pub fn check_dim(len: usize, dim: usize) -> Result<()> {
+    if dim == 0 || !len.is_multiple_of(dim) {
+        return Err(CompressError::DimensionMismatch { len, dim });
+    }
+    Ok(())
+}
+
 /// Quantize `data` with absolute error bound `eb`.
 ///
 /// Fails if `eb` is invalid, any input is non-finite, or a value is so large
@@ -147,10 +155,13 @@ pub fn symbols_to_codes(symbols: &[u32]) -> Vec<i32> {
 pub fn symbols_to_codes_into(symbols: &[u32], out: &mut Vec<i32>) {
     out.clear();
     out.reserve(symbols.len());
-    out.extend(symbols.iter().map(|&s| {
-        let v = s as u64;
-        (((v >> 1) as i64) ^ -((v & 1) as i64)) as i32
-    }));
+    out.extend(symbols.iter().map(|&s| symbol_to_code(s)));
+}
+
+/// The signed code behind one ZigZag symbol.
+#[inline]
+pub fn symbol_to_code(symbol: u32) -> i32 {
+    crate::varint::unzigzag(u64::from(symbol)) as i32
 }
 
 #[cfg(test)]

@@ -6,13 +6,14 @@
 //! allocation once the scratch buffers have grown to their working size.
 //!
 //! The scratch owns one buffer per *kind* of intermediate — quantization
-//! codes, entropy symbols, Huffman frequency/decode tables, byte staging —
-//! rather than per codec, so a single scratch serves all eight codecs and the
-//! hybrid's auto-selection path. [`CompressScratch::capacity_bytes`] reports
-//! the total capacity currently held, which the trainer's ledger uses to
-//! detect (and assert the absence of) steady-state growth.
+//! codes, entropy symbols, Huffman codebook state, byte staging — rather
+//! than per codec, so a single scratch serves all eight codecs.
+//! [`CompressScratch::capacity_bytes`] reports the total capacity currently
+//! held, which the trainer's ledger uses to detect (and assert the absence
+//! of) steady-state growth.
 
 use crate::error::CompressError;
+use crate::huffman::HuffmanScratch;
 use crate::Result;
 use std::collections::HashMap;
 
@@ -27,15 +28,12 @@ pub struct CompressScratch {
     pub codes: Vec<i32>,
     /// ZigZag-mapped entropy symbols.
     pub symbols: Vec<u32>,
-    /// Huffman symbol frequencies (`HOT_SYMBOLS + 1` entries).
-    pub freqs: Vec<u64>,
-    /// Flat Huffman decode table (`1 << MAX_CODE_LEN` entries).
-    pub huff_table: Vec<(u16, u8)>,
-    /// Primary byte staging buffer (vector-LZ candidate stream, LZSS inner
-    /// stream, bit-plane buffer, …).
+    /// Huffman histogram, codebook, decode table and tree-builder queues.
+    pub huffman: HuffmanScratch,
+    /// Primary byte staging buffer (LZSS inner stream, bit-plane buffer,
+    /// f32-to-byte staging, …).
     pub stage: Vec<u8>,
-    /// Secondary byte staging buffer (hybrid auto-selection comparison,
-    /// deflate's f32-to-byte staging, …).
+    /// Secondary byte staging buffer (deflate's inner LZSS stream).
     pub stage2: Vec<u8>,
     /// f64 staging (szlike's lock-step reconstruction buffer).
     pub f64s: Vec<f64>,
@@ -62,8 +60,7 @@ impl CompressScratch {
     pub fn capacity_bytes(&self) -> u64 {
         (self.codes.capacity() * std::mem::size_of::<i32>()
             + self.symbols.capacity() * std::mem::size_of::<u32>()
-            + self.freqs.capacity() * std::mem::size_of::<u64>()
-            + self.huff_table.capacity() * std::mem::size_of::<(u16, u8)>()
+            + self.huffman.capacity_bytes()
             + self.stage.capacity()
             + self.stage2.capacity()
             + self.f64s.capacity() * std::mem::size_of::<f64>()

@@ -38,12 +38,7 @@ pub fn compress_into(
     scratch: &mut CompressScratch,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    if dim == 0 || !data.len().is_multiple_of(dim) {
-        return Err(CompressError::DimensionMismatch {
-            len: data.len(),
-            dim,
-        });
-    }
+    quant::check_dim(data.len(), dim)?;
     quant::validate_error_bound(eb)?;
     if data.iter().any(|v| !v.is_finite()) {
         return Err(CompressError::NonFiniteInput);
@@ -80,7 +75,7 @@ pub fn compress_into(
     varint::write_u64(out, data.len() as u64);
     varint::write_u64(out, dim as u64);
     varint::write_f32_le(out, eb);
-    huffman::encode_into(&scratch.symbols, &mut scratch.freqs, out);
+    huffman::encode_into(&scratch.symbols, &mut scratch.huffman, out);
     Ok(())
 }
 
@@ -107,12 +102,17 @@ pub fn decompress_into(
     if n > 0 && (dim == 0 || !n.is_multiple_of(dim)) {
         return Err(CompressError::Corrupt("bad dimension in header"));
     }
-    huffman::decode_into(&bytes[pos..], &mut scratch.huff_table, &mut scratch.symbols)?;
-    if scratch.symbols.len() != n {
+    let codes = &mut scratch.codes;
+    codes.clear();
+    let decoded = huffman::decode_map_into(
+        &bytes[pos..],
+        &mut scratch.huffman,
+        codes,
+        quant::symbol_to_code,
+    )?;
+    if decoded != n {
         return Err(CompressError::Corrupt("wrong number of residual codes"));
     }
-    quant::symbols_to_codes_into(&scratch.symbols, &mut scratch.codes);
-    let codes = &scratch.codes;
     let step = 2.0f64 * eb as f64;
     let rows = n.checked_div(dim).unwrap_or(0);
     let recon = &mut scratch.f64s;

@@ -23,6 +23,11 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Bytes [`write_u64`] appends for `value`.
+pub fn len_u64(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros()).div_ceil(7) as usize
+}
+
 /// Read an unsigned LEB128 varint starting at `pos`; advances `pos`.
 pub fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
     let mut shift = 0u32;

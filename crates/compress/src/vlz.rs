@@ -78,20 +78,30 @@ pub fn compress_into(
     scratch: &mut CompressScratch,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    if dim == 0 || !data.len().is_multiple_of(dim) {
-        return Err(CompressError::DimensionMismatch {
-            len: data.len(),
-            dim,
-        });
-    }
+    quant::check_dim(data.len(), dim)?;
     quant::quantize_into(data, eb, &mut scratch.codes)?;
-    let n_vectors = data.len() / dim;
+    encode_codes_into(dim, eb, config, scratch, out);
+    Ok(())
+}
+
+/// The lossless half of [`compress_into`]: *appends* the stream of the
+/// quantization codes already in `scratch.codes` (a whole number of
+/// `dim`-vectors, quantized with `eb`) to `out`, leaving the codes in place.
+pub(crate) fn encode_codes_into(
+    dim: usize,
+    eb: f32,
+    config: VlzConfig,
+    scratch: &mut CompressScratch,
+    out: &mut Vec<u8>,
+) {
+    let n_values = scratch.codes.len();
+    let n_vectors = n_values / dim;
 
     // Worst case: every vector is a literal of 5-byte varint codes plus a
     // token byte. Reserving it up front means the output buffer reaches its
     // high-water capacity on the first call and never grows again — the
     // property the zero-allocation steady state relies on.
-    out.reserve(data.len() * 5 + n_vectors + 32);
+    out.reserve(n_values * 5 + n_vectors + 32);
     varint::write_u64(out, n_vectors as u64);
     varint::write_u64(out, dim as u64);
     varint::write_u64(out, config.window as u64);
@@ -156,7 +166,6 @@ pub fn compress_into(
         }
         recent.insert(key, v);
     }
-    Ok(())
 }
 
 /// FNV-1a over a vector's quantization codes.
@@ -251,12 +260,7 @@ pub struct MatchStats {
 
 /// Analyse a batch without producing output bytes.
 pub fn match_stats(data: &[f32], dim: usize, eb: f32, config: VlzConfig) -> Result<MatchStats> {
-    if dim == 0 || !data.len().is_multiple_of(dim) {
-        return Err(CompressError::DimensionMismatch {
-            len: data.len(),
-            dim,
-        });
-    }
+    quant::check_dim(data.len(), dim)?;
     let q = quant::quantize(data, eb)?;
     let n_vectors = data.len() / dim;
     let mut recent: HashMap<&[i32], usize> = HashMap::new();

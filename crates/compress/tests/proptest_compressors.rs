@@ -4,8 +4,9 @@
 //! encodings (varint, bit I/O, quantizer, Huffman) must be inverses.
 
 use dlrm_compress::registry::{all_compressors, build_compressor, CompressorKind};
-use dlrm_compress::{buffer, huffman, lzss, quant, varint};
+use dlrm_compress::{buffer, huffman, lzss, quant, varint, CompressScratch};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Finite f32 values in a training-plausible range.
 fn finite_value() -> impl Strategy<Value = f32> {
@@ -24,6 +25,95 @@ fn vector_batch() -> impl Strategy<Value = (Vec<f32>, usize)> {
             Just(dim),
         )
     })
+}
+
+/// The codecs whose frames end in the shared Huffman back-end.
+const ENTROPY_FRAMED: [CompressorKind; 4] = [
+    CompressorKind::OursHybrid,
+    CompressorKind::OursHuffman,
+    CompressorKind::SzLike,
+    CompressorKind::DeflateLike,
+];
+
+/// Feed one damaged frame to `decompress_into`: it may return values or a
+/// typed error, never panic, and what it returns must be in bound — a
+/// Huffman-coded frame cannot hold more symbols than payload bits, and a
+/// vector-LZ one spends at least a byte per vector of at most a frame's
+/// worth of values. (Deflate's inner LZSS declares its own output size, so
+/// only the no-panic half applies to it.)
+fn assert_total(
+    kind: CompressorKind,
+    comp: &dyn dlrm_compress::Compressor,
+    scratch: &mut CompressScratch,
+    frame: &[u8],
+    what: &str,
+) {
+    let mut values = Vec::new();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        comp.decompress_into(frame, scratch, &mut values)
+    }));
+    let Ok(result) = outcome else {
+        panic!("{}: panicked on {what}: {frame:02x?}", kind.label());
+    };
+    let bound = match kind {
+        CompressorKind::OursHuffman | CompressorKind::SzLike => 8 * frame.len(),
+        CompressorKind::OursHybrid => frame.len() * frame.len().max(8),
+        _ => usize::MAX,
+    };
+    assert!(
+        result.is_err() || values.len() <= bound,
+        "{}: {} values out of {what}: {frame:02x?}",
+        kind.label(),
+        values.len()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Mutation fuzzing at the frame layer: every prefix, drawn bit flips and
+    /// two-stream splices of valid streams.
+    #[test]
+    fn damaged_frames_decode_or_fail_cleanly(
+        (data, dim) in vector_batch(),
+        (other, other_dim) in vector_batch(),
+        draws in prop::collection::vec(any::<u64>(), 1024..=1024),
+    ) {
+        // The mutation sites; every failure message spells out the ones used.
+        let mut draws = draws.into_iter();
+        let mut next = move |below: usize| {
+            (draws.next().expect("enough draws for every mutation") % below as u64) as usize
+        };
+        let mut scratch = CompressScratch::new();
+        for kind in ENTROPY_FRAMED {
+            let comp = kind.build();
+            let frame = comp.compress(&data, dim, 0.01).unwrap();
+            let donor = comp.compress(&other, other_dim, 0.03).unwrap();
+
+            for cut in 0..frame.len() {
+                let what = format!("prefix {cut} of {}", frame.len());
+                assert_total(kind, comp.as_ref(), &mut scratch, &frame[..cut], &what);
+            }
+            for _ in 0..48 {
+                let mut damaged = frame.clone();
+                let flips = 1 + next(3);
+                let mut what = String::from("flipped bits");
+                for _ in 0..flips {
+                    let bit = next(damaged.len() * 8);
+                    damaged[bit / 8] ^= 1 << (bit % 8);
+                    what.push_str(&format!(" {bit}"));
+                }
+                assert_total(kind, comp.as_ref(), &mut scratch, &damaged, &what);
+            }
+            for _ in 0..24 {
+                let (head, tail) = (next(frame.len() + 1), next(donor.len() + 1));
+                let mut spliced = frame[..head].to_vec();
+                spliced.extend_from_slice(&donor[tail..]);
+                let what = format!("splice of [..{head}] and donor [{tail}..]");
+                assert_total(kind, comp.as_ref(), &mut scratch, &spliced, &what);
+            }
+        }
+    }
 }
 
 proptest! {
