@@ -7,6 +7,10 @@
 //! a brand-new phase — so call sites must name phases through these
 //! constants rather than repeating the literals.
 
+/// Handing the iteration its global batch (the first rank to ask draws it
+/// from the shared input feed). The data loader is off the modeled critical
+/// path, so this phase carries wall seconds only — zero modeled seconds.
+pub const INPUT: &str = "input batch";
 /// Embedding-table lookups on the owning rank.
 pub const LOOKUP: &str = "embedding lookup";
 /// Compression of forward all-to-all payloads.
@@ -45,6 +49,7 @@ pub const CHECKPOINT: &str = "checkpoint";
 
 /// All phases, in pipeline order.
 pub const ALL: &[&str] = &[
+    INPUT,
     LOOKUP,
     FWD_COMPRESS,
     FWD_A2A,
@@ -72,6 +77,6 @@ mod tests {
         for name in ALL {
             assert!(seen.insert(*name), "duplicate phase name {name:?}");
         }
-        assert_eq!(ALL.len(), 15);
+        assert_eq!(ALL.len(), 16);
     }
 }

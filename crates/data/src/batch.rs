@@ -4,8 +4,17 @@
 use dlrm_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
-/// One mini-batch of DLRM training data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Sizes of the `parts` contiguous shards `n` samples split into — the one
+/// split rule, shared by [`MiniBatch::shard`] and the generator's sharded
+/// fill: (almost) equal, earlier shards take the remainder samples.
+pub(crate) fn shard_sizes(n: usize, parts: usize) -> impl Iterator<Item = usize> {
+    assert!(parts > 0, "cannot shard into zero parts");
+    (0..parts).map(move |p| n / parts + usize::from(p < n % parts))
+}
+
+/// One mini-batch of DLRM training data. The default is the empty batch,
+/// which owns no storage.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MiniBatch {
     /// Dense (continuous) features, `batch_size x num_dense`.
     pub dense: Matrix,
@@ -40,14 +49,9 @@ impl MiniBatch {
     /// as the hybrid-parallel trainer does when every rank takes one shard of
     /// the global batch. Earlier shards get the remainder samples.
     pub fn shard(&self, parts: usize) -> Vec<MiniBatch> {
-        assert!(parts > 0, "cannot shard into zero parts");
-        let n = self.batch_size();
-        let base = n / parts;
-        let rem = n % parts;
         let mut out = Vec::with_capacity(parts);
         let mut start = 0usize;
-        for p in 0..parts {
-            let len = base + usize::from(p < rem);
+        for len in shard_sizes(self.batch_size(), parts) {
             let dense = self.dense.row_block(start, len);
             let sparse = self
                 .sparse

@@ -7,7 +7,7 @@
 //! That is what makes the paper's accuracy comparisons (compressed vs
 //! uncompressed training, Figures 8–10) meaningful on synthetic data.
 
-use crate::batch::MiniBatch;
+use crate::batch::{shard_sizes, MiniBatch};
 use crate::config::DatasetConfig;
 use crate::zipf::Zipf;
 use dlrm_tensor::{Matrix, SeededRng};
@@ -99,6 +99,22 @@ impl SyntheticCriteo {
     /// the hot set; without drift the stream is bit-identical to the
     /// drift-less generator.
     pub fn next_batch(&mut self, batch_size: usize) -> MiniBatch {
+        let mut shards = Vec::with_capacity(1);
+        self.next_batch_into(batch_size, 1, &mut shards);
+        shards.pop().expect("one part was requested")
+    }
+
+    /// Generate the next mini-batch of `batch_size` samples directly as its
+    /// `parts` contiguous shards — `shards` ends up equal to
+    /// `self.next_batch(batch_size).shard(parts)` — reusing whatever storage
+    /// `shards` already holds: once it has carried a batch of this shape, a
+    /// further call performs no heap allocation.
+    pub fn next_batch_into(
+        &mut self,
+        batch_size: usize,
+        parts: usize,
+        shards: &mut Vec<MiniBatch>,
+    ) {
         assert!(batch_size > 0, "batch size must be positive");
         let num_dense = self.config.num_dense;
         let num_tables = self.config.num_tables();
@@ -129,55 +145,55 @@ impl SyntheticCriteo {
         };
         let rotation_steps = drift.map_or(0, |d| d.rotation_steps(batch_index));
 
-        let mut dense = Matrix::zeros(batch_size, num_dense);
-        let mut sparse: Vec<Vec<u32>> = vec![Vec::with_capacity(batch_size); num_tables];
-        let mut labels = Vec::with_capacity(batch_size);
+        shards.resize_with(parts, MiniBatch::default);
+        // Samples are drawn in global order, shard after shard, so the
+        // stream does not depend on `parts`.
+        for (shard, len) in shards.iter_mut().zip(shard_sizes(batch_size, parts)) {
+            let mut dense = std::mem::take(&mut shard.dense).into_vec();
+            dense.clear();
+            dense.resize(len * num_dense, 0.0);
+            shard.dense = Matrix::from_vec(len, num_dense, dense);
+            shard.sparse.resize_with(num_tables, Vec::new);
+            shard.sparse.iter_mut().for_each(Vec::clear);
+            shard.labels.clear();
 
-        for i in 0..batch_size {
-            // Dense features: log-normal-ish positive values, standardised the
-            // way the DLRM reference preprocesses Criteo (log(1+x)).
-            let mut logit = self.bias;
-            {
-                let row = dense.row_mut(i);
-                for (j, v) in row.iter_mut().enumerate() {
+            for i in 0..len {
+                // Dense features: log-normal-ish positive values, standardised
+                // the way the DLRM reference preprocesses Criteo (log(1+x)).
+                let mut logit = self.bias;
+                for (v, w) in shard.dense.row_mut(i).iter_mut().zip(&self.dense_weights) {
                     let raw = self.rng.normal(0.0, 1.0).abs() * 3.0;
                     *v = (1.0 + raw).ln();
-                    logit += self.dense_weights[j] * *v;
+                    logit += w * *v;
                 }
-            }
-            // Categorical features. Hot-set rotation re-maps the sampled
-            // rank onto a rotated category identity, so which categories are
-            // hot (and therefore which vectors repeat, and which label
-            // buckets fire) churns over the run.
-            for (t, zipf) in queries.iter().enumerate() {
-                let mut cat = zipf.sample(&mut self.rng);
-                if rotation_steps > 0 {
-                    let card = self.config.tables[t].cardinality;
-                    let stride = (card / 8).max(1);
-                    cat = (cat + rotation_steps * stride) % card;
+                // Categorical features. Hot-set rotation re-maps the sampled
+                // rank onto a rotated category identity, so which categories
+                // are hot (and therefore which vectors repeat, and which label
+                // buckets fire) churns over the run.
+                for (t, zipf) in queries.iter().enumerate() {
+                    let mut cat = zipf.sample(&mut self.rng);
+                    if rotation_steps > 0 {
+                        let card = self.config.tables[t].cardinality;
+                        let stride = (card / 8).max(1);
+                        cat = (cat + rotation_steps * stride) % card;
+                    }
+                    shard.sparse[t].push(cat as u32);
+                    let bucket = bucket_of(t, cat);
+                    logit += self.table_weights[t][bucket];
                 }
-                sparse[t].push(cat as u32);
-                let bucket = bucket_of(t, cat);
-                logit += self.table_weights[t][bucket];
+                // Label noise keeps the task from being perfectly separable.
+                let noise = self.rng.normal(0.0, 0.5);
+                let p = sigmoid(logit + noise);
+                shard.labels.push(if self.rng.bernoulli(p as f64) {
+                    1.0
+                } else {
+                    0.0
+                });
             }
-            // Label noise keeps the task from being perfectly separable.
-            let noise = self.rng.normal(0.0, 0.5);
-            let p = sigmoid(logit + noise);
-            labels.push(if self.rng.bernoulli(p as f64) {
-                1.0
-            } else {
-                0.0
-            });
+            debug_assert!(shard.validate().is_ok());
         }
         self.samples_drawn += batch_size as u64;
         self.batches_drawn += 1;
-        let batch = MiniBatch {
-            dense,
-            sparse,
-            labels,
-        };
-        debug_assert!(batch.validate().is_ok());
-        batch
     }
 
     /// Generate `count` batches of the dataset's default batch size.

@@ -31,6 +31,7 @@
 
 pub mod batch;
 pub mod config;
+pub mod feed;
 pub mod generator;
 pub mod presets;
 pub mod traffic;
@@ -38,6 +39,7 @@ pub mod zipf;
 
 pub use batch::MiniBatch;
 pub use config::{DatasetConfig, TableProfile, TrafficDrift, ValueDistribution};
+pub use feed::BatchFeed;
 pub use generator::SyntheticCriteo;
 pub use traffic::EmbeddingTrafficGenerator;
 pub use zipf::Zipf;

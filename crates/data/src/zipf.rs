@@ -9,24 +9,38 @@ use dlrm_tensor::SeededRng;
 
 /// A Zipf distribution over `{0, 1, …, n-1}` with exponent `s`.
 ///
-/// Sampling uses an explicit cumulative distribution table and binary
-/// search: O(n) memory at construction, O(log n) per sample. Category `k`
-/// has unnormalised weight `1 / (k+1)^s`, so index 0 is the hottest
-/// category. `s = 0` degenerates to the uniform distribution.
+/// Sampling inverts an explicit cumulative distribution table: O(n) memory
+/// at construction, and per sample a binary search confined by a guide
+/// table to the few entries one of `K` equal slices of `[0, 1)` can land on
+/// — O(1) on average, and a few cache lines instead of a walk over the
+/// whole table. Category `k` has unnormalised weight `1 / (k+1)^s`, so
+/// index 0 is the hottest category. `s = 0` degenerates to the uniform
+/// distribution.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first index whose `cdf` value is `>= j / K`, for
+    /// `j` in `0..=K` with `K = guide.len() - 1` a power of two.
+    guide: Vec<u32>,
     n: usize,
     s: f64,
 }
+
+/// Most slices a guide table cuts `[0, 1)` into (64 KiB of `u32` per table).
+const MAX_GUIDE_SLICES: usize = 1 << 14;
 
 impl Zipf {
     /// Build the distribution.
     ///
     /// # Panics
-    /// Panics if `n == 0` or `s` is negative/non-finite.
+    /// Panics if `n == 0`, `n` does not fit a `u32`, or `s` is
+    /// negative/non-finite.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one category");
+        assert!(
+            u32::try_from(n).is_ok(),
+            "Zipf indexes categories with u32, got {n} of them"
+        );
         assert!(
             s >= 0.0 && s.is_finite(),
             "Zipf exponent must be finite and >= 0"
@@ -45,7 +59,19 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Self { cdf, n, s }
+        // `j / K` is exact (K is a power of two) and never exceeds the last
+        // entry, so the sweep stays in bounds.
+        let slices = n.next_power_of_two().min(MAX_GUIDE_SLICES);
+        let mut guide = Vec::with_capacity(slices + 1);
+        let mut first = 0usize;
+        for j in 0..=slices {
+            let edge = j as f64 / slices as f64;
+            while cdf[first] < edge {
+                first += 1;
+            }
+            guide.push(first as u32);
+        }
+        Self { cdf, guide, n, s }
     }
 
     /// Number of categories.
@@ -60,8 +86,27 @@ impl Zipf {
 
     /// Draw one category index.
     pub fn sample(&self, rng: &mut SeededRng) -> usize {
-        let u = rng.unit();
-        // partition_point returns the first index whose cdf value is >= u.
+        self.index_of(rng.unit())
+    }
+
+    /// The first index whose `cdf` value is `>= u`, for `u` in `[0, 1)`.
+    ///
+    /// With `j = ⌊u·K⌋` (exact: `K` is a power of two) `j/K <= u < (j+1)/K`,
+    /// so that index can lie neither before `guide[j]` (every earlier entry
+    /// is `< j/K <= u`) nor after `guide[j+1]` (whose entry is
+    /// `>= (j+1)/K > u`): searching `cdf[guide[j]..=guide[j+1]]` returns
+    /// exactly what searching the whole table would.
+    fn index_of(&self, u: f64) -> usize {
+        let slices = self.guide.len() - 1;
+        let j = (u * slices as f64) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        lo + self.cdf[lo..=hi].partition_point(|&c| c < u)
+    }
+
+    /// [`Zipf::index_of`] as a search of the whole table — the sampler
+    /// before the guide table, kept as the tests' reference.
+    #[cfg(test)]
+    fn reference_index_of(&self, u: f64) -> usize {
         self.cdf.partition_point(|&c| c < u).min(self.n - 1)
     }
 
@@ -90,6 +135,89 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The neighbours of `u` worth probing: itself and the adjacent floats,
+    /// kept inside the sampler's `[0, 1)` domain.
+    fn around(u: f64) -> impl Iterator<Item = f64> {
+        [
+            f64::from_bits(u.to_bits().saturating_sub(1)),
+            u,
+            f64::from_bits(u.to_bits() + 1),
+        ]
+        .into_iter()
+        .filter(|v| (0.0..1.0).contains(v))
+    }
+
+    fn assert_guided_is_reference(z: &Zipf, u: f64) {
+        assert_eq!(
+            z.index_of(u),
+            z.reference_index_of(u),
+            "n = {}, s = {}, u = {u:?} (bits {:#x})",
+            z.n,
+            z.s,
+            u.to_bits()
+        );
+    }
+
+    #[test]
+    fn guided_search_is_the_reference_at_every_edge() {
+        for n in [1, 2, 3, 7, 64, 1000, (1 << 14) + 1, 174_000] {
+            for s in [0.0, 0.7, 1.6] {
+                let z = Zipf::new(n, s);
+                let slices = z.guide.len() - 1;
+                assert_eq!(slices, n.next_power_of_two().min(MAX_GUIDE_SLICES));
+                // u = 0 and the largest f64 below 1.
+                assert_guided_is_reference(&z, 0.0);
+                assert_guided_is_reference(&z, 1.0 - f64::EPSILON / 2.0);
+                // u exactly on (and one float either side of) every slice
+                // edge and every table entry.
+                let edges = (0..slices).map(|j| j as f64 / slices as f64);
+                for u in edges.chain(z.cdf.iter().copied()).flat_map(around) {
+                    assert_guided_is_reference(&z, u);
+                }
+            }
+        }
+    }
+
+    /// `1, 2, 3, 7, 174 000` and `2^k - 1, 2^k, 2^k + 1` on both sides of
+    /// the guide table's size cap.
+    fn category_counts() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            Just(1usize),
+            Just(2usize),
+            Just(3usize),
+            Just(7usize),
+            Just(174_000usize),
+            (1u32..=17, 0usize..3).prop_map(|(k, d)| (1usize << k) + d - 1),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn guided_sample_is_the_reference_sample(
+            n in category_counts(),
+            s in prop_oneof![Just(0.0f64), Just(0.7f64), Just(1.6f64)],
+            seed in any::<u64>(),
+        ) {
+            let z = Zipf::new(n, s);
+            // Two copies of one stream: the sampler consumes one, the
+            // reference reads the same `u` from the other.
+            let mut rng = SeededRng::new(seed);
+            let mut twin = rng.clone();
+            for draw in 0..4_000 {
+                let u = twin.unit();
+                prop_assert_eq!(
+                    z.sample(&mut rng),
+                    z.reference_index_of(u),
+                    "n = {}, s = {}, seed = {}, draw {}: u = {:?}",
+                    n, s, seed, draw, u
+                );
+            }
+        }
+    }
 
     #[test]
     fn pmf_sums_to_one() {

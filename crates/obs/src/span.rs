@@ -135,9 +135,9 @@ impl SpanRecorder {
     }
 
     /// Ring capacity that holds a full run of `iterations`: the pipeline
-    /// emits ~15 phase spans + 1 iteration span per iteration, plus a
-    /// handful of instants. Capped so a million-iteration request cannot
-    /// ask for gigabytes.
+    /// emits at most 16 phase spans (one per `dlrm_comm::phase` name) + 1
+    /// iteration span per iteration, plus a handful of instants. Capped so
+    /// a million-iteration request cannot ask for gigabytes.
     pub fn capacity_for(iterations: usize) -> usize {
         iterations
             .saturating_mul(24)
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn capacity_estimate_scales_and_caps() {
-        assert!(SpanRecorder::capacity_for(10) >= 10 * 15);
+        assert!(SpanRecorder::capacity_for(10) >= 10 * (16 + 1));
         assert_eq!(SpanRecorder::capacity_for(usize::MAX), 1 << 20);
     }
 }

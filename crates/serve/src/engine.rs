@@ -9,11 +9,12 @@
 //!
 //! ## One batch window
 //!
-//! 1. Every frontend draws the **same** request batch from the shared-seed
-//!    generator and walks its own slice (`request_id % frontends == rank`):
-//!    rows on the local shard are gathered directly from the trained
-//!    weights, remote rows probe the hot-row LRU, and misses fall into the
-//!    per-owner [`BatchCoalescer`].
+//! 1. Every frontend takes the window's request batch from the cluster's one
+//!    [`BatchFeed`] (the first to ask draws it, the rest share it) and walks
+//!    its own slice (`request_id % frontends == rank`): rows on the local
+//!    shard are gathered directly from the trained weights, remote rows
+//!    probe the hot-row LRU, and misses fall into the per-owner
+//!    [`BatchCoalescer`].
 //! 2. The coalesced key lists ride one variable all-to-all (request
 //!    direction), owners gather + encode each table's rows into a single
 //!    codec stream, and the payloads ride a second all-to-all back.
@@ -54,7 +55,7 @@ use dlrm_comm::pool::PooledBuf;
 use dlrm_comm::topology::TieredCostModel;
 use dlrm_comm::{CostModel, TimingLedger, WirePolicy};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
-use dlrm_data::{DatasetConfig, SyntheticCriteo};
+use dlrm_data::{BatchFeed, DatasetConfig};
 use dlrm_exec::Executor;
 use dlrm_grad::{GradCodecKind, GradScratch};
 use dlrm_model::{Dlrm, DlrmConfig};
@@ -106,6 +107,10 @@ struct Setup {
     cfg: ServeConfig,
     partition: TablePartition,
     checkpoint: Option<Checkpoint>,
+    /// The request stream, one unsharded batch per window, shared by every
+    /// frontend so the per-window arrivals agree without any coordination
+    /// traffic.
+    feed: BatchFeed,
 }
 
 /// Everything one rank hands back to the merge step. All charges are
@@ -177,6 +182,7 @@ fn run_inner(
             cfg.frontend_count(),
         ),
         checkpoint,
+        feed: BatchFeed::new(dataset.clone(), cfg.seed, 1),
     });
     let wire = if cfg.realtime_wire {
         WirePolicy::Modeled
@@ -315,10 +321,6 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
     }
     let mlp_params = model.mlp_param_count();
 
-    // Every frontend draws the same request stream (shared seed), so the
-    // per-window arrivals agree without any coordination traffic.
-    let mut gen = is_frontend.then(|| SyntheticCriteo::new(dataset.clone(), cfg.seed));
-
     let mut cache = HotRowCache::new(if is_frontend { cfg.cache_rows } else { 0 }, dim);
     let mut coalescer = BatchCoalescer::new(world);
     coalescer.reserve((cfg.window / frontends.max(1) + 1) * tables);
@@ -424,8 +426,9 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
         scratch.store_vals.clear();
         coalescer.clear();
         let mut local_bytes = 0u64;
-        let batch = gen.as_mut().map(|g| g.next_batch(wlen));
-        if let Some(batch) = &batch {
+        let shared = is_frontend.then(|| setup.feed.step(w, wlen));
+        let batch = shared.as_deref().map(|parts| &parts[0]);
+        if let Some(batch) = batch {
             for i in 0..wlen {
                 if (wstart + i) % frontends != rank {
                     continue;
@@ -604,7 +607,7 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
 
         // --- 6. Response assembly + MLP forward. ---
         let nreq = scratch.my_ids.len();
-        if let Some(batch) = &batch {
+        if let Some(batch) = batch {
             if nreq > 0 {
                 let mut embs: Vec<Matrix> = Vec::with_capacity(tables);
                 for t in 0..tables {

@@ -14,8 +14,9 @@ const BLOCK: usize = 64;
 /// Independent accumulators of a dot product (see [`dot`]).
 const LANES: usize = 8;
 
-/// A dense, row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A dense, row-major matrix of `f32`. The default is the empty `0 x 0`
+/// matrix, which owns no storage.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -52,8 +52,10 @@ impl SeededRng {
 
     /// Standard normal `f32` via Box–Muller.
     pub fn normal(&mut self, mean: f32, std: f32) -> f32 {
-        // Box–Muller transform; consumes two uniforms per pair but we keep it
-        // simple and regenerate (this is nowhere near a hot path).
+        // Box–Muller transform. It yields a pair per two uniforms; we use one
+        // and regenerate. This *is* on the input hot path (14 of the 41 draws
+        // behind every synthetic sample), but caching the spare would change
+        // every seeded stream in the repo.
         let u1: f32 = self.inner.gen_range(f32::EPSILON..1.0);
         let u2: f32 = self.inner.gen_range(0.0..1.0);
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();

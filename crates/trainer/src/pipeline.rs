@@ -28,7 +28,7 @@ use dlrm_comm::topology::{HierExchangeBytes, TieredCostModel, Topology};
 use dlrm_comm::{CostModel, OverlapTimeline, TimingLedger};
 use dlrm_compress::lowprec::{self, Precision};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
-use dlrm_data::{DatasetConfig, SyntheticCriteo};
+use dlrm_data::{BatchFeed, DatasetConfig};
 use dlrm_grad::GradCompressor;
 use dlrm_model::{Dlrm, DlrmConfig, EvalMetrics};
 use dlrm_obs::{ClockDomain, MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecorder};
@@ -518,6 +518,10 @@ pub struct RankSetup {
     pub partition: TablePartition,
     /// The slice of global iterations this execution covers.
     pub segment: SegmentSpec,
+    /// The cluster's one input stream, cut into `trainer.world` shards and
+    /// already positioned at `segment.start`: step `k` is global iteration
+    /// `k`'s batch no matter how many segments precede it.
+    pub feed: BatchFeed,
 }
 
 /// Per-rank result of a training run.
@@ -1968,9 +1972,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
 
     let model_config = DlrmConfig::from_dataset(dataset);
     let mut model = Dlrm::new_partial(model_config, trainer.seed, Some(&owned));
-    // Every rank draws the same stream so the global batch is identical
-    // everywhere; each rank then works on its own shard of it.
-    let mut generator = SyntheticCriteo::new(dataset.clone(), trainer.seed.wrapping_add(1));
 
     let mut ledger = TimingLedger::new();
     let mut per_iteration = Vec::with_capacity(seg.end - seg.start);
@@ -1995,15 +1996,10 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     let mut fwd_hints = vec![64usize; world];
     let mut bwd_hints = vec![64usize; world];
 
-    // ── Segment entry: fast-forward the shared batch stream so global
-    // iteration k draws the same batch no matter how many segments precede
-    // it, then restore from the checkpoint this segment resumes from
-    // (recovery after a rank loss, or re-sharding onto a resized world).
-    // Sections are keyed by table id, so the restore works for any
+    // ── Segment entry: restore from the checkpoint this segment resumes
+    // from (recovery after a rank loss, or re-sharding onto a resized
+    // world). Sections are keyed by table id, so the restore works for any
     // partition of the surviving world.
-    for _ in 0..seg.start {
-        let _ = generator.next_batch(trainer.global_batch);
-    }
     let mut checkpoints = CheckpointWriter {
         codec: seg.checkpoint.as_ref().map(|s| CkptCodec::new(&s.codec)),
         ..Default::default()
@@ -2157,16 +2153,20 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 acct.close(phases::CONTROLLER, &scratch, 0);
             }
         }
-        let global_batch = generator.next_batch(trainer.global_batch);
-        let shards = global_batch.shard(world);
+        // ── input batch: the global batch, one shard per rank. Whichever
+        // rank asks first draws it; the modeled clock charges nothing (the
+        // paper's data loader is off the critical path), the wall clock
+        // does.
+        let shards = setup.feed.step(iter, trainer.global_batch);
         let my_shard = &shards[rank];
+        acct.close(phases::INPUT, &scratch, 0);
 
         // ── embedding lookup: owners look up their tables for every
         // destination shard, into float storage recycled from the previous
         // iteration.
         let t0 = Instant::now();
         for &t in &owned {
-            for shard in &shards {
+            for shard in shards.iter() {
                 let storage = scratch.take_floats(shard.batch_size() * dim);
                 lookup_matrices.push(model.lookup_with_storage(t, &shard.sparse[t], storage));
             }

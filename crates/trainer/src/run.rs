@@ -7,7 +7,7 @@ use crate::pipeline::{self, RankOutcome, RankSetup, SegmentSpec};
 use dlrm_adaptive::{DenseAdvice, Reselection};
 use dlrm_ckpt::{Checkpoint, RankCheckpoint};
 use dlrm_comm::{TimingLedger, WirePolicy, WorldEvent};
-use dlrm_data::DatasetConfig;
+use dlrm_data::{BatchFeed, DatasetConfig};
 use dlrm_exec::Executor;
 use dlrm_model::EvalMetrics;
 use dlrm_obs::{MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecord, TraceExport};
@@ -353,11 +353,14 @@ pub fn run_training(dataset: &DatasetConfig, config: &TrainerConfig) -> Training
         };
         let mut trainer = config.clone();
         trainer.world = world;
+        let feed = BatchFeed::new(dataset.clone(), config.seed.wrapping_add(1), world)
+            .starting_at(cursor, config.global_batch);
         let setup = Arc::new(RankSetup {
             dataset: dataset.clone(),
             trainer,
             partition: partition.clone(),
             segment,
+            feed,
         });
         let (mut outcomes, wall_seconds) = execute_segment(setup);
         outcomes.sort_by_key(|o| o.rank);
