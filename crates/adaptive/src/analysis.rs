@@ -75,11 +75,12 @@ impl CompressionPlan {
 /// which picks vector-LZ or Huffman per chunk from the bytes each would send.
 ///
 /// Huffman is not forced on a table from the offline sample: the hybrid's
-/// choice costs one histogram on top of the vector-LZ pass, never sends more
-/// than either back-end, and so also covers the traffic the sample does not
-/// show — lookups of the tables as trained (which homogenize under the error
-/// bound far more than sampled traffic) and backward gradients (all-zero
-/// codes, where Huffman's 513-byte table is six times a vector-LZ stream).
+/// choice costs at most one histogram on top of the vector-LZ pass, never
+/// sends more than either back-end, and so also covers the traffic the sample
+/// does not show — lookups of the tables as trained (which homogenize under
+/// the error bound far more than sampled traffic) and backward gradients
+/// (all-zero codes, where Huffman's 513-byte table is six times a vector-LZ
+/// stream).
 const CANDIDATES: [CompressorKind; 2] = [CompressorKind::OursVector, CompressorKind::OursHybrid];
 
 /// Run the offline analysis over one sampled lookup batch per table.
@@ -109,16 +110,23 @@ pub fn analyze_tables(
 
         // Compressor selection (Algorithm 2): measure both candidates on the
         // sample at the table's own bound and keep the better Equation-2 score.
-        let mut best: Option<(CompressorKind, f64)> = None;
+        //
+        // A later candidate must also send fewer bytes than the incumbent.
+        // The hybrid that kept its vector-LZ stream is the vector-LZ encoder
+        // plus a tag byte, and since it skips the entropy plan on streams no
+        // plan can beat, it is not measurably slower either: without this,
+        // timer noise would pick the back-end of every repeat-heavy table.
+        let mut best: Option<(CompressorKind, f64, usize)> = None;
         for kind in CANDIDATES {
             let comp = kind.build();
             let report = measure_roundtrip(comp.as_ref(), sample, dim, base_eb)?;
             let speedup = estimate_speedup(SpeedupInputs::from_report(&report, bandwidth));
-            if best.is_none_or(|(_, s)| speedup > s) {
-                best = Some((kind, speedup));
+            if best.is_none_or(|(_, s, bytes)| speedup > s && report.compressed_bytes < bytes) {
+                best = Some((kind, speedup, report.compressed_bytes));
             }
         }
-        let (compressor, estimated_speedup) = best.unwrap_or((CompressorKind::OursHybrid, 1.0));
+        let (compressor, estimated_speedup, _) =
+            best.unwrap_or((CompressorKind::OursHybrid, 1.0, 0));
         tables.push(TablePlan {
             table_id,
             homo,

@@ -3,12 +3,15 @@
 //! plus the hybrid codec's kernel rows at the two shapes the pipeline really
 //! feeds it: one 128×32 chunk per destination (training, local batch 128) and
 //! one 25×32 row group (a serving fetch), through the allocation-free
-//! `compress_into` / `decompress_into` the trainer and the server call.
+//! `compress_into` / `decompress_into` the trainer and the server call —
+//! and the two rounding front-ends on their own: `quantize_into` on the
+//! training chunks and the dense path's lattice encode on a gradient shard.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dlrm_bench::workloads::{sampled_traffic, Scale};
-use dlrm_compress::{CompressScratch, CompressorKind};
+use dlrm_compress::{quant, CompressScratch, CompressorKind};
 use dlrm_data::{presets, EmbeddingTrafficGenerator};
+use dlrm_grad::{GradCodecKind, GradScratch};
 
 fn bench_compressors(c: &mut Criterion) {
     let dataset = presets::criteo_kaggle_like();
@@ -101,9 +104,45 @@ fn bench_pipeline_shapes(c: &mut Criterion) {
     }
 }
 
+/// The quantizer in front of every hybrid stream, on the training row's 26
+/// chunks, and the lattice quantizer of the homomorphic all-reduce on a
+/// gradient-shaped shard (small values, nothing saturating at 1e-3).
+fn bench_rounding_front_ends(c: &mut Criterion) {
+    let dataset = presets::criteo_kaggle_like();
+    let mut traffic = EmbeddingTrafficGenerator::new(dataset.clone(), 7);
+    let chunks: Vec<Vec<f32>> = (0..dataset.num_tables())
+        .map(|t| traffic.lookup_batch(t, 128).into_vec())
+        .collect();
+    let values: usize = chunks.iter().map(Vec::len).sum();
+    let mut group = c.benchmark_group("rounding");
+    group.throughput(Throughput::Bytes((values * 4) as u64));
+    let mut codes = Vec::new();
+    group.bench_function("quantize_into", |b| {
+        b.iter(|| {
+            for chunk in &chunks {
+                quant::quantize_into(black_box(chunk), 0.02, &mut codes).expect("quantize");
+            }
+        })
+    });
+
+    let grads: Vec<f32> = (0..values)
+        .map(|i| (i as f32 * 0.37).sin() * 4e-3)
+        .collect();
+    let codec = GradCodecKind::Lattice { error_bound: 1e-3 }.build();
+    let mut scratch = GradScratch::new();
+    let mut encoded = Vec::new();
+    group.bench_function("lattice_encode", |b| {
+        b.iter(|| {
+            encoded.clear();
+            codec.encode_into(black_box(&grads), &mut scratch, &mut encoded);
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_compressors, bench_pipeline_shapes
+    targets = bench_compressors, bench_pipeline_shapes, bench_rounding_front_ends
 }
 criterion_main!(benches);

@@ -90,7 +90,7 @@ impl HuffmanScratch {
     /// its first stream in either direction, whatever that stream and later
     /// ones look like: the allocation ledgers upstream count later growth as
     /// a steady-state allocation.
-    fn reserve_worst_case(&mut self) {
+    pub(crate) fn reserve_worst_case(&mut self) {
         fn ensure<T>(buffer: &mut Vec<T>, capacity: usize) {
             buffer.reserve(capacity.saturating_sub(buffer.len()));
         }
@@ -280,6 +280,12 @@ pub fn encode(symbols: &[u32]) -> Vec<u8> {
 pub fn encode_into(symbols: &[u32], scratch: &mut HuffmanScratch, out: &mut Vec<u8>) {
     plan(symbols, scratch);
     emit_planned(symbols, scratch, out);
+}
+
+/// Bytes of the shortest stream `n` symbols can have: the count, the length
+/// table and one bit per symbol (no code is shorter, see [`plan`]).
+pub(crate) fn min_stream_len(n: usize) -> usize {
+    varint::len_u64(n as u64) + LENGTH_TABLE_BYTES + n.div_ceil(8)
 }
 
 /// Count `symbols` and build their codebook in `scratch`; returns the exact

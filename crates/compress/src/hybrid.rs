@@ -14,9 +14,12 @@
 //! to vector-LZ. A one-byte tag records the choice so decompression is
 //! self-describing.
 //!
-//! The automatic choice costs one quantization, one vector-LZ pass and one
-//! histogram: a Huffman stream's size follows exactly from the symbol counts
-//! and code lengths, so the entropy candidate is only written when it wins.
+//! The automatic choice costs one quantization, one vector-LZ pass and at
+//! most one histogram: a Huffman stream's size follows exactly from the
+//! symbol counts and code lengths, so the entropy candidate is only written
+//! when it wins — and not even planned when the vector-LZ stream is already
+//! no longer than the least an entropy stream of that many values can take
+//! (header, length table, one bit per value).
 
 use crate::error::CompressError;
 use crate::quant;
@@ -88,7 +91,14 @@ pub fn compress_into(
             out.push(TAG_VLZ);
             vlz::encode_codes_into(dim, eb, config.vlz, scratch, out);
             let vlz_len = out.len() - start - 1;
-            if entropy_plan(dim, scratch) < vlz_len {
+            if vlz_len <= entropy_floor(data.len(), dim) {
+                // No entropy stream can be strictly smaller: skip its plan,
+                // but size the buffers it would have used, so that a later
+                // chunk that does need them grows nothing.
+                scratch.symbols.clear();
+                scratch.symbols.reserve(data.len());
+                scratch.huffman.reserve_worst_case();
+            } else if entropy_plan(dim, scratch) < vlz_len {
                 out.truncate(start);
                 out.push(TAG_HUFFMAN);
                 entropy_emit_planned(dim, eb, scratch, out);
@@ -166,10 +176,19 @@ pub fn entropy_compress_into(
 /// the exact length of the stream [`entropy_emit_planned`] would append.
 fn entropy_plan(dim: usize, scratch: &mut CompressScratch) -> usize {
     quant::codes_to_symbols_into(&scratch.codes, &mut scratch.symbols);
-    varint::len_u64(scratch.symbols.len() as u64)
-        + varint::len_u64(dim as u64)
-        + std::mem::size_of::<f32>()
+    entropy_header_len(scratch.symbols.len(), dim)
         + huffman::plan(&scratch.symbols, &mut scratch.huffman)
+}
+
+/// Bytes of an entropy stream's `[n varint] [dim varint] [eb f32]` header.
+fn entropy_header_len(n: usize, dim: usize) -> usize {
+    varint::len_u64(n as u64) + varint::len_u64(dim as u64) + std::mem::size_of::<f32>()
+}
+
+/// Lower bound on the entropy stream of `n` values, whatever they are: the
+/// header and a Huffman stream that spends its minimum of one bit a symbol.
+fn entropy_floor(n: usize, dim: usize) -> usize {
+    entropy_header_len(n, dim) + huffman::min_stream_len(n)
 }
 
 /// Upper bound on an entropy stream of `n` values: every symbol escapes
@@ -446,6 +465,51 @@ mod tests {
             assert_matches_reference(&data, dim, 0.01, Selection::Auto, &what);
             let auto = compress(&data, dim, 0.01, HybridConfig::default()).unwrap();
             assert_eq!(auto[0], TAG_VLZ, "{what}");
+        }
+    }
+
+    /// Chunks whose vector-LZ stream lands one byte under, on, and one and
+    /// two bytes over the least an entropy stream of the chunk can take —
+    /// and whose entropy stream *is* that least (two symbols, one bit
+    /// each). Up to the floor the plan is skipped and vector-LZ keeps the
+    /// chunk, as it did on a tie; from one byte over, Huffman takes it.
+    #[test]
+    fn auto_matches_the_reference_on_either_side_of_the_skip_floor() {
+        let dim = 8usize;
+        let eb = 0.01f32;
+        // 64 literal vectors over the codes {0, 1}, 100 copies of the last
+        // one (a one-byte token each), then `far` copies of early vectors
+        // from 128 or more back (two-byte tokens): one more byte per copy
+        // on the vector-LZ side, one more byte (8 one-bit symbols) on the
+        // other.
+        let chunk = |far: usize| -> Vec<f32> {
+            let ids = (0..64).chain([63; 100]).chain(0..far);
+            ids.flat_map(|id| (0..dim).map(move |j| (id >> j & 1) as f32 * 2.0 * eb))
+                .collect()
+        };
+        for (far, winner) in [
+            (0, TAG_VLZ),
+            (1, TAG_VLZ),
+            (2, TAG_HUFFMAN),
+            (3, TAG_HUFFMAN),
+        ] {
+            let data = chunk(far);
+            let what = format!("{far} far copies");
+            let len_of = |selection| {
+                reference::hybrid_compress(&data, dim, eb, selection)
+                    .unwrap()
+                    .len()
+            };
+            let floor = 1 + entropy_floor(data.len(), dim);
+            assert_eq!(len_of(Selection::Huffman), floor, "{what}: entropy stream");
+            assert_eq!(
+                len_of(Selection::Vlz) + 1,
+                floor + far,
+                "{what}: vector-LZ stream"
+            );
+            assert_matches_reference(&data, dim, eb, Selection::Auto, &what);
+            let auto = compress(&data, dim, eb, HybridConfig::default()).unwrap();
+            assert_eq!(auto[0], winner, "{what}");
         }
     }
 

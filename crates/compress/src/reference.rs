@@ -1,17 +1,17 @@
-//! Test-only oracle: the bit-at-a-time entropy back-end and the
-//! compress-both hybrid selection that the word-at-a-time code replaced,
-//! kept verbatim so the byte-identity tests can demand `new bytes ==
-//! reference bytes` and `new decode == reference decode`.
+//! Test-only oracle: the bit-at-a-time entropy back-end, the compress-both
+//! hybrid selection, the libm-rounding quantizer and the FNV + `HashMap`
+//! vector-LZ encoder that faster code replaced, kept verbatim so the
+//! byte-identity tests can demand `new bytes == reference bytes` and
+//! `new decode == reference decode`.
 //!
 //! Nothing outside `#[cfg(test)]` may call into this module.
 
 use crate::error::CompressError;
 use crate::huffman::{HOT_SYMBOLS, MAX_CODE_LEN};
 use crate::hybrid::{Selection, TAG_HUFFMAN, TAG_VLZ};
-use crate::scratch::CompressScratch;
 use crate::vlz::VlzConfig;
 use crate::{quant, varint, vlz, Result};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 const ESCAPE: usize = HOT_SYMBOLS;
 
@@ -364,10 +364,89 @@ fn canonical_codes(lengths: &[u8]) -> Vec<u32> {
     codes
 }
 
+/// The rounding `quant::round_half_away` replaced: libm's, ties away from
+/// zero.
+pub fn round(q: f64) -> f64 {
+    q.round()
+}
+
+/// The replaced `quant::quantize_into`: one `f64::round` per value, with the
+/// first offender's error and the codes before it left in `codes`.
+pub fn quantize_into(data: &[f32], eb: f32, codes: &mut Vec<i32>) -> Result<()> {
+    quant::validate_error_bound(eb)?;
+    codes.clear();
+    let step = 2.0f64 * eb as f64;
+    for &x in data {
+        if !x.is_finite() {
+            return Err(CompressError::NonFiniteInput);
+        }
+        let code = round(x as f64 / step);
+        if code.abs() > quant::MAX_CODE_MAGNITUDE as f64 {
+            return Err(CompressError::CodeOverflow(x));
+        }
+        codes.push(code as i32);
+    }
+    Ok(())
+}
+
+/// The replaced `vlz::compress`: the match table is a `HashMap` from the
+/// FNV-1a hash of a vector's codes to the most recent index with that hash.
+/// Literals go out one varint at a time, without the encoder's 8-wide
+/// shortcut.
+pub fn vlz_compress(data: &[f32], dim: usize, eb: f32, config: VlzConfig) -> Result<Vec<u8>> {
+    quant::check_dim(data.len(), dim)?;
+    let mut all_codes = Vec::new();
+    quantize_into(data, eb, &mut all_codes)?;
+    let n_vectors = all_codes.len() / dim;
+
+    let mut out = Vec::new();
+    varint::write_u64(&mut out, n_vectors as u64);
+    varint::write_u64(&mut out, dim as u64);
+    varint::write_u64(&mut out, config.window as u64);
+    varint::write_f32_le(&mut out, eb);
+
+    let mut recent: HashMap<u64, usize> = HashMap::new();
+    for v in 0..n_vectors {
+        let codes = &all_codes[v * dim..(v + 1) * dim];
+        let key = fnv1a(codes);
+        let matched = match recent.get(&key) {
+            Some(&prev)
+                if v - prev <= config.window
+                    && all_codes[prev * dim..(prev + 1) * dim] == *codes =>
+            {
+                Some(prev)
+            }
+            _ => None,
+        };
+        match matched {
+            Some(prev) => varint::write_u64(&mut out, (v - prev) as u64),
+            None => {
+                varint::write_u64(&mut out, 0);
+                for &c in codes {
+                    varint::write_i64(&mut out, c as i64);
+                }
+            }
+        }
+        recent.insert(key, v);
+    }
+    Ok(out)
+}
+
+/// FNV-1a over a vector's quantization codes.
+fn fnv1a(codes: &[i32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
+    for &c in codes {
+        h ^= c as u32 as u64;
+        h = h.wrapping_mul(0x100_0000_01b3); // FNV prime (2^40 + 0x1b3)
+    }
+    h
+}
+
 /// The replaced entropy stream ("Ours-Huffman"):
 /// `[n varint] [dim varint] [eb f32] [huffman stream]`.
 fn entropy_compress_into(data: &[f32], dim: usize, eb: f32, out: &mut Vec<u8>) -> Result<()> {
-    let codes = quant::quantize(data, eb)?.codes;
+    let mut codes = Vec::new();
+    quantize_into(data, eb, &mut codes)?;
     varint::write_u64(out, data.len() as u64);
     varint::write_u64(out, dim as u64);
     varint::write_f32_le(out, eb);
@@ -378,11 +457,10 @@ fn entropy_compress_into(data: &[f32], dim: usize, eb: f32, out: &mut Vec<u8>) -
 /// The replaced `hybrid::compress`: `Auto` compresses with both back-ends
 /// and keeps the vector-LZ stream unless the Huffman one is strictly smaller.
 pub fn hybrid_compress(data: &[f32], dim: usize, eb: f32, selection: Selection) -> Result<Vec<u8>> {
-    let mut scratch = CompressScratch::new();
     let mut lz = Vec::new();
     let mut hf = Vec::new();
     if selection != Selection::Huffman {
-        vlz::compress_into(data, dim, eb, VlzConfig::default(), &mut scratch, &mut lz)?;
+        lz = vlz_compress(data, dim, eb, VlzConfig::default())?;
     }
     if selection != Selection::Vlz {
         entropy_compress_into(data, dim, eb, &mut hf)?;

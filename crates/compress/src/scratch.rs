@@ -15,7 +15,6 @@
 use crate::error::CompressError;
 use crate::huffman::HuffmanScratch;
 use crate::Result;
-use std::collections::HashMap;
 
 /// Number of candidate positions per LZSS hash bucket (mirrors
 /// [`crate::lzss`]'s chain depth).
@@ -37,9 +36,9 @@ pub struct CompressScratch {
     pub stage2: Vec<u8>,
     /// f64 staging (szlike's lock-step reconstruction buffer).
     pub f64s: Vec<f64>,
-    /// Vector-LZ match table: content hash of a quantized vector → most
-    /// recent vector index with that hash.
-    pub vlz_map: HashMap<u64, usize>,
+    /// Vector-LZ match table: open-addressed `(content hash, 1 + most
+    /// recent vector index with that hash)` slots, `0` for an empty one.
+    pub(crate) vlz_table: Vec<(u64, u32)>,
     /// LZSS hash-chain table.
     pub lzss_table: Vec<[usize; LZSS_CHAIN]>,
     /// LZSS pending-literal run.
@@ -64,7 +63,7 @@ impl CompressScratch {
             + self.stage.capacity()
             + self.stage2.capacity()
             + self.f64s.capacity() * std::mem::size_of::<f64>()
-            + self.vlz_map.capacity() * std::mem::size_of::<(u64, u64, usize)>()
+            + self.vlz_table.capacity() * std::mem::size_of::<(u64, u32)>()
             + self.lzss_table.capacity() * std::mem::size_of::<[usize; LZSS_CHAIN]>()
             + self.literals.capacity()) as u64
     }

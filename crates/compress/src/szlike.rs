@@ -59,11 +59,10 @@ pub fn compress_into(
             let idx = r * dim + c;
             let pred = lorenzo_pred(recon, dim, r, c);
             let residual = data[idx] as f64 - pred;
-            let code = (residual / step).round();
-            if code.abs() > quant::MAX_CODE_MAGNITUDE as f64 {
+            let (code, in_range) = quant::round_half_away(residual / step);
+            if !in_range {
                 return Err(CompressError::CodeOverflow(data[idx]));
             }
-            let code = code as i32;
             codes.push(code);
             recon[idx] = pred + code as f64 * step;
         }

@@ -18,6 +18,11 @@
 //! paper; run on raw bit patterns it would be lossless, but that mode is not
 //! needed here.
 //!
+//! Matches are found through a flat, linearly probed table from a 64-bit
+//! content hash to the most recent vector carrying it (`MatchTable`); every
+//! hit is verified against the codes themselves, so neither the table nor
+//! the hash function is visible in the stream.
+//!
 //! Stream layout (all byte-aligned):
 //! `[n_vectors varint] [dim varint] [window varint] [eb f32]` then, per
 //! vector, one varint token: `0` = literal (followed by `dim` ZigZag varint
@@ -107,36 +112,24 @@ pub(crate) fn encode_codes_into(
     varint::write_u64(out, config.window as u64);
     varint::write_f32_le(out, eb);
 
-    // Map from vector *content hash* to the most recent index at which that
-    // content appeared; a hit is verified against the actual codes so a
-    // 64-bit collision degrades to a literal instead of a wrong match. The
-    // "extended window" is enforced by checking the distance at match time;
-    // stale entries are simply overwritten as new vectors arrive.
-    let recent = &mut scratch.vlz_map;
-    recent.clear();
-    // Worst case: every vector distinct. Reserving it up front pins the
-    // map's capacity on the first call with this batch shape, so a later
-    // batch with more distinct vectors cannot grow it mid-steady-state.
-    recent.reserve(n_vectors);
+    // Content hash → most recent vector with that hash. A hit is verified
+    // against the actual codes, so a 64-bit collision degrades to a literal
+    // instead of a wrong match; the "extended window" is enforced by
+    // checking the distance at match time, and a stale entry is simply
+    // overwritten when its content comes round again.
+    let mut recent = MatchTable::reset(&mut scratch.vlz_table, n_vectors);
 
     for v in 0..n_vectors {
         let codes = &scratch.codes[v * dim..(v + 1) * dim];
-        let key = hash_codes(codes);
-        let matched = match recent.get(&key) {
-            Some(&prev)
+        match recent.replace(hash_codes(codes), v) {
+            Some(prev)
                 if v - prev <= config.window
                     && scratch.codes[prev * dim..(prev + 1) * dim] == *codes =>
             {
-                Some(prev)
-            }
-            _ => None,
-        };
-        match matched {
-            Some(prev) => {
                 // Match: emit the backward distance (>= 1).
                 varint::write_u64(out, (v - prev) as u64);
             }
-            None => {
+            _ => {
                 // Literal: token 0 followed by the zigzag-coded values.
                 // Quantized embedding codes concentrate near zero, so most
                 // chunks of 8 zigzags fit a single varint byte each — those
@@ -164,18 +157,81 @@ pub(crate) fn encode_codes_into(
                 }
             }
         }
-        recent.insert(key, v);
     }
 }
 
-/// FNV-1a over a vector's quantization codes.
-fn hash_codes(codes: &[i32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-    for &c in codes {
-        h ^= c as u32 as u64;
-        h = h.wrapping_mul(0x100_0000_01b3); // FNV prime (2^40 + 0x1b3)
+/// The encoder's match table: an open-addressed, linearly probed map from a
+/// vector's content hash to the most recent vector index carrying that hash,
+/// laid over a slice of `scratch.vlz_table`.
+///
+/// Contract: the slice is a power of two at least twice the batch's vector
+/// count, so with one entry per distinct hash it is never more than half
+/// full and every probe ends at the hash or at an empty slot; entries are
+/// only ever added or overwritten (no tombstones). A slot is `(hash, index +
+/// 1)`, `0` marking it empty, so resetting is a zero fill.
+struct MatchTable<'a> {
+    slots: &'a mut [(u64, u32)],
+}
+
+impl<'a> MatchTable<'a> {
+    /// An empty table for a batch of `n_vectors`. The backing buffer only
+    /// depends on the batch *shape*: it reaches its size on the first batch
+    /// and a later one with more distinct vectors cannot grow it.
+    fn reset(buffer: &'a mut Vec<(u64, u32)>, n_vectors: usize) -> Self {
+        assert!(
+            n_vectors < u32::MAX as usize,
+            "vector-LZ indexes vectors with 32 bits"
+        );
+        buffer.clear();
+        buffer.resize((2 * n_vectors).next_power_of_two(), (0, 0));
+        Self { slots: buffer }
     }
-    h
+
+    /// Record `index` as the most recent vector hashing to `hash` and return
+    /// the one it replaces, if any.
+    fn replace(&mut self, hash: u64, index: usize) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = &mut self.slots[at];
+            if slot.1 == 0 || slot.0 == hash {
+                let previous = (slot.1 as usize).checked_sub(1);
+                *slot = (hash, index as u32 + 1);
+                return previous;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+}
+
+/// Content hash of one vector's quantization codes: four independent
+/// multiply–rotate lanes, each fed one `u64` pair of codes per 8-code block
+/// (so the multiplies of a block overlap instead of forming one serial
+/// chain), folded and finished with an avalanche so the table can index by
+/// the low bits. Never written to the stream.
+fn hash_codes(codes: &[i32]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15; // 2^64 / golden ratio, odd
+    let step = |lane: u64, word: u64| (lane ^ word).wrapping_mul(K).rotate_left(31);
+    let pair = |lo: i32, hi: i32| u64::from(lo as u32) | u64::from(hi as u32) << 32;
+    let mut lanes = [
+        0x243F_6A88_85A3_08D3u64,
+        0x1319_8A2E_0370_7344,
+        0xA409_3822_299F_31D0,
+        0x082E_FA98_EC4E_6C89,
+    ];
+    let mut blocks = codes.chunks_exact(8);
+    for block in &mut blocks {
+        for (lane, words) in lanes.iter_mut().zip(block.chunks_exact(2)) {
+            *lane = step(*lane, pair(words[0], words[1]));
+        }
+    }
+    for (lane, words) in lanes.iter_mut().zip(blocks.remainder().chunks(2)) {
+        *lane = step(*lane, pair(words[0], words.get(1).copied().unwrap_or(0)));
+    }
+    let mut h =
+        lanes[0] ^ lanes[1].rotate_left(16) ^ lanes[2].rotate_left(32) ^ lanes[3].rotate_left(48);
+    h = (h ^ h >> 32).wrapping_mul(K);
+    h ^ h >> 29
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -287,6 +343,149 @@ pub fn match_stats(data: &[f32], dim: usize, eb: f32, config: VlzConfig) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
+    use proptest::prelude::*;
+
+    const DIMS: [usize; 5] = [1, 7, 8, 9, 32];
+    const WINDOWS: [usize; 3] = [1, 2, 255];
+
+    /// Vector `id` of a pool: distinct per id in every coordinate range the
+    /// literal writer distinguishes (one-byte codes, or some wider ones).
+    fn pool_vector(id: usize, dim: usize, wide: bool) -> impl Iterator<Item = f32> {
+        (0..dim).map(move |j| {
+            let small = ((id * 31 + j * 7) % 23) as f32 - 11.0;
+            let far = if wide && (id + j).is_multiple_of(5) {
+                90.0
+            } else {
+                0.0
+            };
+            (small + far + (id / 23) as f32 * 23.0 * f32::from(j == 0)) * 0.02
+        })
+    }
+
+    fn assert_matches_reference(data: &[f32], dim: usize, window: usize, what: &str) -> Vec<u8> {
+        let config = VlzConfig::with_window(window);
+        let new = compress(data, dim, 0.01, config).unwrap();
+        let old = reference::vlz_compress(data, dim, 0.01, config).unwrap();
+        assert_eq!(
+            new, old,
+            "{what}, dim {dim}, window {window}: stream differs"
+        );
+        new
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The flat match table and the lane hash find exactly the matches
+        /// the `HashMap` over FNV-1a found: duplicate-heavy batches, from
+        /// one distinct vector to hundreds (long probe chains).
+        #[test]
+        fn streams_are_byte_identical_to_the_reference(
+            dim in (0..DIMS.len()).prop_map(|i| DIMS[i]),
+            window in (0..WINDOWS.len()).prop_map(|i| WINDOWS[i]),
+            distinct in prop_oneof![1usize..6, 1usize..300],
+            picks in prop::collection::vec(any::<u16>(), 0..400),
+            wide in any::<bool>(),
+        ) {
+            let data: Vec<f32> = picks
+                .iter()
+                .flat_map(|&pick| pool_vector(pick as usize % distinct, dim, wide))
+                .collect();
+            assert_matches_reference(&data, dim, window, "proptest");
+        }
+    }
+
+    #[test]
+    fn matches_reach_exactly_as_far_as_the_window() {
+        for dim in DIMS {
+            for window in WINDOWS {
+                // Vectors 0..gap of the pool (all distinct), then vector 0
+                // again: a match at distance `gap` when the window reaches
+                // that far, a literal when it does not.
+                let distinct = |gap: usize| -> Vec<f32> {
+                    (0..gap)
+                        .flat_map(|id| pool_vector(id, dim, false))
+                        .collect()
+                };
+                let tokens = |data: &[f32], what: &str| -> Vec<u8> {
+                    let stream = assert_matches_reference(data, dim, window, what);
+                    let header = varint::len_u64((data.len() / dim) as u64)
+                        + varint::len_u64(dim as u64)
+                        + varint::len_u64(window as u64)
+                        + 4;
+                    stream[header..].to_vec()
+                };
+                let first = tokens(&distinct(1), "one vector");
+                for (gap, what) in [(window, "at the window"), (window + 1, "past it")] {
+                    let mut data = distinct(gap);
+                    let mut expected = tokens(&data, "distinct vectors");
+                    data.extend_from_within(..dim);
+                    if gap <= window {
+                        varint::write_u64(&mut expected, gap as u64);
+                    } else {
+                        expected.extend_from_slice(&first);
+                    }
+                    assert_eq!(
+                        tokens(&data, what),
+                        expected,
+                        "dim {dim} window {window}: {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_single_vector_batches_match_the_reference() {
+        for dim in DIMS {
+            for window in WINDOWS {
+                assert_matches_reference(&[], dim, window, "no vector");
+                let one: Vec<f32> = pool_vector(3, dim, true).collect();
+                assert_matches_reference(&one, dim, window, "one vector");
+            }
+        }
+    }
+
+    #[test]
+    fn match_table_probes_past_other_hashes_and_keeps_the_latest_index() {
+        let mut buffer = vec![(9, 9); 3]; // stale content from another batch
+        let mut table = MatchTable::reset(&mut buffer, 4);
+        assert_eq!(table.slots.len(), 8);
+        // Three hashes that all start probing at slot 5, the last wrapping.
+        let (a, b, c) = (0x15u64, 0x25, 0xF5);
+        assert_eq!(table.replace(a, 0), None);
+        assert_eq!(table.replace(b, 1), None);
+        assert_eq!(table.replace(a, 2), Some(0));
+        assert_eq!(table.replace(c, 3), None);
+        assert_eq!(table.replace(b, 4), Some(1));
+        assert_eq!(table.replace(c, 5), Some(3));
+        assert_eq!(table.replace(a, 6), Some(2));
+        assert_eq!(table.slots[5..], [(a, 7), (b, 5), (c, 6)]);
+        assert!(MatchTable::reset(&mut buffer, 4)
+            .slots
+            .iter()
+            .all(|&s| s == (0, 0)));
+    }
+
+    #[test]
+    fn one_changed_code_changes_the_hash() {
+        for dim in DIMS {
+            let base: Vec<i32> = (0..dim as i32).map(|j| j % 5 - 2).collect();
+            let mut seen = vec![hash_codes(&base)];
+            for at in 0..dim {
+                for delta in [1, -1, 1 << 20] {
+                    let mut other = base.clone();
+                    other[at] += delta;
+                    seen.push(hash_codes(&other));
+                }
+            }
+            let total = seen.len();
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len(), total, "dim {dim}");
+        }
+    }
 
     fn vec_batch(vectors: &[Vec<f32>]) -> (Vec<f32>, usize) {
         let dim = vectors[0].len();

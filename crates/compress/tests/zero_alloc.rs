@@ -62,6 +62,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const ROWS: usize = 128;
 const DIM: usize = 32;
+const EB: f32 = 0.02;
 
 /// A 128×32 chunk. `flavour` 0 repeats a few vectors (vector-LZ wins
 /// `Auto`), 1 is near-zero noise with distinct vectors (Huffman wins), 2
@@ -81,9 +82,44 @@ fn chunk(flavour: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
+/// What one scratch does after its single warm-up roundtrip (`warm_up`):
+/// heap allocations over four rounds of `later`, the first stream bytes seen
+/// there (the hybrid's tag: 1 = vector-LZ, 2 = Huffman), and the warm-up
+/// stream's first byte and length.
+fn after_warm_up(
+    kind: CompressorKind,
+    warm_up: &[f32],
+    later: &[Vec<f32>],
+) -> (u64, [bool; 256], (u8, usize)) {
+    let comp = kind.build();
+    let mut scratch = CompressScratch::new();
+    let mut bytes = Vec::new();
+    let mut values = Vec::new();
+    let mut roundtrip = |data: &[f32]| {
+        bytes.clear();
+        comp.compress_into(data, DIM, EB, &mut scratch, &mut bytes)
+            .expect("compress");
+        values.clear();
+        comp.decompress_into(&bytes, &mut scratch, &mut values)
+            .expect("decompress");
+        assert_eq!(values.len(), data.len());
+        (bytes[0], bytes.len())
+    };
+    let first = roundtrip(warm_up);
+
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    ARMED.with(|a| a.set(true));
+    let mut tags = [false; 256];
+    for data in later.iter().cycle().take(4 * later.len()) {
+        tags[usize::from(roundtrip(data).0)] = true;
+    }
+    ARMED.with(|a| a.set(false));
+    let allocated = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+    (allocated, tags, first)
+}
+
 #[test]
 fn warmed_up_codecs_never_allocate() {
-    let eb = 0.02f32;
     let chunks: Vec<Vec<f32>> = (0..9).map(|i| chunk(i % 3, i)).collect();
     for kind in [
         CompressorKind::OursHybrid,
@@ -91,33 +127,8 @@ fn warmed_up_codecs_never_allocate() {
         CompressorKind::OursVector,
         CompressorKind::SzLike,
     ] {
-        let comp = kind.build();
-        let mut scratch = CompressScratch::new();
-        let mut bytes = Vec::new();
-        let mut values = Vec::new();
-        let mut roundtrip = |data: &[f32]| {
-            bytes.clear();
-            comp.compress_into(data, DIM, eb, &mut scratch, &mut bytes)
-                .expect("compress");
-            values.clear();
-            comp.decompress_into(&bytes, &mut scratch, &mut values)
-                .expect("decompress");
-            assert_eq!(values.len(), data.len());
-            bytes[0]
-        };
-
         // The one warm-up call, on the blandest chunk.
-        roundtrip(&chunks[0]);
-
-        let before = ALLOC_CALLS.load(Ordering::SeqCst);
-        ARMED.with(|a| a.set(true));
-        let mut tags = [false; 256];
-        for data in chunks.iter().cycle().take(4 * chunks.len()) {
-            tags[usize::from(roundtrip(data))] = true;
-        }
-        ARMED.with(|a| a.set(false));
-        let allocated = ALLOC_CALLS.load(Ordering::SeqCst) - before;
-
+        let (allocated, tags, _) = after_warm_up(kind, &chunks[0], &chunks);
         assert_eq!(
             allocated,
             0,
@@ -125,9 +136,46 @@ fn warmed_up_codecs_never_allocate() {
             kind.label()
         );
         if kind == CompressorKind::OursHybrid {
-            // Not a vacuous pass: both back-ends won some chunk (the first
-            // stream byte is the hybrid's tag, 1 = vector-LZ, 2 = Huffman).
+            // Not a vacuous pass: both back-ends won some chunk.
             assert!(tags[1] && tags[2], "Auto never switched back-end");
         }
+    }
+}
+
+/// `Auto` skips the entropy plan when the vector-LZ stream is already at or
+/// under the least an entropy stream of the chunk can take. A scratch that
+/// warmed up on such a chunk has never planned anything, and must still have
+/// sized the plan's buffers for the chunks that do need it.
+#[test]
+fn a_warm_up_under_the_skip_floor_sizes_the_entropy_scratch_anyway() {
+    // Header (two 2-byte counts, dim, eb), length table, one bit per value.
+    let floor = 2 + 1 + 4 + 2 + 513 + ROWS * DIM / 8;
+    let later: Vec<Vec<f32>> = (1..7).map(|i| chunk(1 + i % 2, i)).collect();
+    let (allocated, tags, (tag, len)) =
+        after_warm_up(CompressorKind::OursHybrid, &chunk(0, 0), &later);
+    assert!(
+        tag == 1 && len - 1 <= floor,
+        "the warm-up chunk must take the skip: tag {tag}, {} B against a floor of {floor}",
+        len - 1
+    );
+    assert!(tags[2], "no later chunk went to the entropy back-end");
+    assert_eq!(allocated, 0, "{allocated} heap allocation(s) after warm-up");
+}
+
+/// The match table is sized by the chunk's shape, not by what the warm-up
+/// chunk happened to contain: one distinct vector first, 128 later.
+#[test]
+fn more_distinct_vectors_than_the_warm_up_grow_nothing() {
+    let one_vector: Vec<f32> = (0..ROWS * DIM).map(|i| (i % DIM) as f32 * 0.01).collect();
+    let later: Vec<Vec<f32>> = (1..5).map(|i| chunk(1 + i % 2, i)).collect();
+    for kind in [CompressorKind::OursVector, CompressorKind::OursHybrid] {
+        let (allocated, _, (_, len)) = after_warm_up(kind, &one_vector, &later);
+        assert!(len < 200, "the warm-up chunk is one literal and 127 copies");
+        assert_eq!(
+            allocated,
+            0,
+            "{}: {allocated} heap allocation(s) after warm-up",
+            kind.label()
+        );
     }
 }

@@ -65,12 +65,41 @@ pub(crate) fn lattice_encode(data: &[f32], error_bound: f32, out: &mut Vec<u8>) 
     let step = lattice_step(error_bound);
     out.reserve(4 + data.len() * 2);
     out.extend_from_slice(&step.to_le_bytes());
-    for &v in data {
-        // Saturating quantization: values beyond the i16 lattice range clamp
-        // to its edge, mirroring the saturating combine.
-        let q = (v / step).round().clamp(i16::MIN as f32, i16::MAX as f32) as i16;
-        out.extend_from_slice(&q.to_le_bytes());
+    let start = out.len();
+    out.resize(start + data.len() * 2, 0);
+    for (code, &v) in out[start..].chunks_exact_mut(2).zip(data) {
+        code.copy_from_slice(&lattice_code(v / step).to_le_bytes());
     }
+}
+
+/// `1.5·2^23`: adding it to a `|q| < 2^22` lands in `[2^23, 2^24)`, where
+/// consecutive floats are 1 apart, so the sum is `MAGIC + rne(q)` (ties to
+/// even) with `rne(q)` in its low mantissa bits, two's complement.
+const MAGIC: f32 = 12_582_912.0;
+
+/// `f32::round` of `q` (ties away from zero) saturated to the `i16` lattice
+/// range — values beyond it clamp to its edge, mirroring the saturating
+/// combine — and `0` for NaN: bit for bit what rounding, clamping to
+/// `i16::MIN..=i16::MAX` and casting `as i16` gives, without the libm call
+/// or the float→int cast that keep the loop scalar.
+///
+/// Clamping first is the same thing (rounding is monotone and the edges are
+/// integers) and bounds `|q|` by `2^15`. There `m = q + MAGIC` holds
+/// `r = rne(q)` in its low 16 bits, `m − MAGIC` is exact (one binade) and so
+/// is `diff = q − r` (`|diff| ≤ 0.5`, Sterbenz); the two roundings differ
+/// only on a tie, where `rne` took the even side: `diff == 0.5` on a positive
+/// `q` must go up, `diff == −0.5` on a negative one down. Neither step can
+/// leave the range, since both edges are integers and so never ties.
+#[inline(always)]
+fn lattice_code(q: f32) -> i16 {
+    let q = if q.is_nan() { 0.0 } else { q };
+    let q = q.clamp(i16::MIN as f32, i16::MAX as f32);
+    let m = q + MAGIC;
+    let r = m.to_bits() as i16;
+    let diff = q - (m - MAGIC);
+    let up = (diff == 0.5) & (q > 0.0);
+    let down = (diff == -0.5) & (q < 0.0);
+    r + i16::from(up) - i16::from(down)
 }
 
 pub(crate) fn lattice_decode(
@@ -446,6 +475,75 @@ mod tests {
         for (a, b) in data.iter().zip(back.iter()) {
             assert!((a - b).abs() <= eb * 1.0001, "{a} vs {b}");
         }
+    }
+
+    /// The expression `lattice_code` replaced, stream and all.
+    fn libm_lattice(data: &[f32], error_bound: f32) -> Vec<u8> {
+        let step = lattice_step(error_bound);
+        let mut out = step.to_le_bytes().to_vec();
+        for &v in data {
+            let q = (v / step).round().clamp(i16::MIN as f32, i16::MAX as f32) as i16;
+            out.extend_from_slice(&q.to_le_bytes());
+        }
+        out
+    }
+
+    fn assert_encodes_like_libm(data: &[f32], error_bound: f32, what: &str) {
+        let mut new = vec![0xAB]; // appended to, not overwritten
+        lattice_encode(data, error_bound, &mut new);
+        let old = libm_lattice(data, error_bound);
+        assert_eq!(new[0], 0xAB);
+        assert_eq!(new[1..5], old[..4], "{what}: step");
+        let code = |bytes: &[u8], i: usize| i16::from_le_bytes([bytes[2 * i], bytes[2 * i + 1]]);
+        for (i, &v) in data.iter().enumerate() {
+            let (new, old) = (code(&new[5..], i), code(&old[4..], i));
+            assert_eq!(new, old, "{what}, eb {error_bound}: value {v:e} (#{i})");
+        }
+        assert_eq!(new.len(), 1 + old.len(), "{what}");
+    }
+
+    fn within_3_ulp(x: f32) -> impl Iterator<Item = f32> {
+        (-3i32..=3).map(move |d| f32::from_bits(x.to_bits().wrapping_add_signed(d)))
+    }
+
+    #[test]
+    fn lattice_rounding_is_libm_round_around_every_boundary_and_clamp_edge() {
+        for eb in [0.005f32, 0.01, 0.02, 0.05, 1e-3, 0.5] {
+            let step = lattice_step(eb);
+            // Half-integer multiples of the step (the ties and their
+            // neighbours), then the saturation edges.
+            let boundaries = (-4097i32..=4096).map(|k| (k as f32 + 0.5) * step);
+            let edges = [32766.5f32, 32767.0, 32767.5, 32768.0, 32768.5, 40000.0]
+                .into_iter()
+                .flat_map(|q| [q * step, -q * step]);
+            let data: Vec<f32> = boundaries.chain(edges).flat_map(within_3_ulp).collect();
+            assert_encodes_like_libm(&data, eb, "boundaries and clamp edges");
+        }
+    }
+
+    #[test]
+    fn lattice_rounding_is_libm_round_on_random_bit_patterns() {
+        // SplitMix64 over every kind of f32: subnormals, ±0, huge, ±inf, NaN.
+        let seed = 0x5EED_2024_0614u64;
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let data: Vec<f32> = (0..60_000)
+            .map(|_| f32::from_bits(next() as u32))
+            .chain(specials)
+            .chain([f32::MIN_POSITIVE, -1e-45, f32::MAX, f32::MIN])
+            .collect();
+        for eb in [0.005f32, 0.01, 0.02, 0.05, 1e-3] {
+            assert_encodes_like_libm(&data, eb, &format!("seed {seed:#x}"));
+        }
+        // A degenerate step divides to ±inf and NaN only.
+        assert_encodes_like_libm(&[1.0, -1.0, 0.0, f32::NAN], 0.0, "zero step");
     }
 
     #[test]
