@@ -23,8 +23,9 @@ use crate::pool::{BufferPool, PooledBuf};
 use crate::reduce::{
     shard_range, RawF32Codec, ReduceCodec, ReduceScratch, ReduceStats, TieredReduceStats,
 };
-use crate::topology::{HierExchangeBytes, Tier, Topology};
+use crate::topology::{HierExchangeBytes, Topology};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Bytes of metadata exchanged per peer in the metadata phase of a
 /// variable-size all-to-all (compressed size + compressor id + flags).
@@ -534,16 +535,18 @@ impl RankCtx {
             // onward to their destination rank. A single-node topology has
             // neither phase.
             if nodes > 1 {
-                for src_node in (0..nodes).filter(|&n| n != my_node) {
-                    let bundle = self.fabric.recv(topo.leader_of_node(src_node));
+                let sources = (0..nodes)
+                    .filter(|&n| n != my_node)
+                    .map(|n| topo.leader_of_node(n));
+                for src in sources.clone() {
+                    let bundle = self.fabric.recv(src);
                     bytes.exchange.received += bundle.len();
                     bufs_a.push(bundle);
                 }
                 lens.clear();
                 lens.resize(rpn, 0);
-                for bundle in &bufs_a {
-                    for (_src, dst, payload) in hier_entries(bundle) {
-                        let dst = dst as usize;
+                for (bundle, src) in bufs_a.iter().zip(sources.clone()) {
+                    for (_, dst, payload) in bundle_entries(rank, src, bundle) {
                         assert!(
                             topo.node_of(dst) == my_node,
                             "rank {rank}: bundle entry for foreign rank {dst}"
@@ -558,9 +561,8 @@ impl RankCtx {
                     b.extend_from_slice(&((world - rpn) as u32).to_le_bytes());
                     bufs_b.push(b);
                 }
-                for bundle in &bufs_a {
-                    for (src, dst, payload) in hier_entries(bundle) {
-                        let (src, dst) = (src as usize, dst as usize);
+                for (bundle, from) in bufs_a.iter().zip(sources) {
+                    for (src, dst, payload) in bundle_entries(rank, from, bundle) {
                         if dst == rank {
                             let mut chunk = self.pool.take(payload.len());
                             chunk.extend_from_slice(payload);
@@ -592,13 +594,15 @@ impl RankCtx {
             if nodes > 1 {
                 let bundle = self.fabric.recv(leader);
                 bytes.scatter.received += bundle.len();
+                let entries = bundle_entries(rank, leader, &bundle);
+                // The framing is checked, so the count field is present.
                 let count = u32::from_le_bytes(bundle[0..4].try_into().expect("4 bytes")) as usize;
                 assert_eq!(count, world - rpn, "scatter bundle with wrong entry count");
-                for (src, dst, payload) in hier_entries(&bundle) {
-                    assert_eq!(dst as usize, rank, "misrouted scatter entry");
+                for (src, dst, payload) in entries {
+                    assert_eq!(dst, rank, "misrouted scatter entry");
                     let mut chunk = self.pool.take(payload.len());
                     chunk.extend_from_slice(payload);
-                    slots[src as usize] = Some(chunk);
+                    slots[src] = Some(chunk);
                 }
             }
         }
@@ -634,20 +638,15 @@ impl RankCtx {
         (recv.into_iter().map(PooledBuf::into_vec).collect(), stats)
     }
 
-    /// Sum-all-reduce over an `f32` vector. Every rank ends with the
-    /// element-wise sum across ranks; summation is performed in rank order so
-    /// the result is bit-identical on every rank.
+    /// Sum-all-reduce over an `f32` vector: every rank ends with the
+    /// element-wise sum, accumulated in rank order, so the result is
+    /// bit-identical on every rank and to a full-replication schedule's.
     ///
-    /// Runs as a **reduce-scatter + all-gather**: each element's sum is
-    /// computed once, on the rank owning its shard, and distributed — so a
-    /// rank's traffic is `2·(P−1)/P` of the vector, exactly the volume
-    /// [`CostModel::allreduce_time`]'s ring formula assumes (the former
-    /// full-replication schedule moved `(P−1)·V` per rank while the ledger
-    /// charged ring time). Because every element is still accumulated in
-    /// rank order 0..P, the result is bit-for-bit identical to the
-    /// full-replication schedule's.
-    ///
-    /// All transfers ride pool leases, so the steady state allocates nothing.
+    /// Runs as a **reduce-scatter + all-gather**: each element is summed
+    /// once, on the rank owning its shard, so a rank moves `2·(P−1)/P` of the
+    /// vector — the volume [`CostModel::allreduce_time`]'s ring formula
+    /// assumes. All transfers ride pool leases, so the steady state
+    /// allocates nothing.
     pub fn all_reduce_sum(&self, data: &mut [f32]) -> ExchangeBytes {
         let mut scratch = self.scratch.borrow_mut();
         let mut reduce = std::mem::take(&mut scratch.reduce);
@@ -658,46 +657,37 @@ impl RankCtx {
     }
 
     /// Sum-all-reduce whose hops carry `codec`-encoded shards: a
-    /// reduce-scatter + all-gather schedule ([`shard_range`] split) where
-    /// each contribution is **decoded → reduced → re-encoded** on the shard's
-    /// owner. The owner round-trips its own reduced shard through the codec
-    /// before use, so every rank ends with bit-identical values — and with a
-    /// lossless codec ([`RawF32Codec`]) the result is bit-identical to
-    /// [`RankCtx::all_reduce_sum`] (rank-order summation per element).
-    ///
-    /// When the codec advertises [`ReduceCodec::is_homomorphic`], the owner
-    /// instead **combines the encoded contributions in the compressed
-    /// domain** (in the same rank order) and forwards the combined encoding
-    /// during the all-gather: `world − 1` decodes and the re-encode vanish
-    /// from every owner's critical path, which the returned
-    /// [`ReduceStats::combines`]/[`ReduceStats::combined_bytes`] account
-    /// for. The owner's own contribution is then also routed through the
-    /// codec (it must enter the lattice like everyone else's), so a lossy
-    /// homomorphic codec quantizes `world` contributions where the classic
-    /// path quantizes `world − 1`; a lossless homomorphic codec still
-    /// reproduces [`RankCtx::all_reduce_sum`] bit for bit.
+    /// reduce-scatter + all-gather ([`shard_range`] split) where every
+    /// contribution goes straight to its shard's owner, which folds them in
+    /// rank order — **decoded and added**, then re-encoded once, or, for a
+    /// codec that [`ReduceCodec::is_homomorphic`], **combined in the
+    /// compressed domain** with no owner decodes or re-encode (counted in
+    /// [`ReduceStats::combines`]). The owner round-trips its reduced shard
+    /// through the codec, so every rank ends with bit-identical values, and
+    /// a lossless codec reproduces [`RankCtx::all_reduce_sum`] bit for bit.
+    /// A combine fold encodes the owner's own contribution too, so a lossy
+    /// homomorphic codec quantizes `world` contributions, not `world − 1`.
     ///
     /// The codec's `offset` argument tells stateful codecs (error feedback)
-    /// which elements of the full vector a shard covers. Returns wire bytes
-    /// (encoded) alongside the raw bytes the same schedule would have moved
-    /// uncompressed. Pool leases and `scratch` make the steady state
-    /// allocation-free.
+    /// which elements a shard covers. Returns the wire bytes and the raw
+    /// bytes the same schedule would have moved uncompressed. Pool leases and
+    /// `scratch` make the steady state allocation-free.
     pub fn all_reduce_compressed<C: ReduceCodec + ?Sized>(
         &self,
         data: &mut [f32],
         codec: &mut C,
         scratch: &mut ReduceScratch,
     ) -> ReduceStats {
-        self.all_reduce_impl(data, codec, scratch, None).stats
+        self.all_reduce_sharded(data, codec, scratch, Route::Direct(None))
+            .stats
     }
 
     /// [`RankCtx::all_reduce_compressed`] with per-tier byte accounting over
-    /// a node-aware [`Topology`]: the schedule, the wire bytes and the
-    /// reduced values are **identical** (rank-order summation per element —
-    /// bit-for-bit the flat collective's result); the returned
-    /// [`TieredReduceStats`] additionally buckets each hop's wire bytes by
-    /// the tier the `(src, dst)` pair crosses, which is what
+    /// a node-aware [`Topology`]: the same direct route, wire bytes and
+    /// reduced values (bit for bit), with each hop's wire bytes also
+    /// bucketed by the tier its `(src, dst)` pair crosses — what
     /// [`crate::topology::TieredCostModel::allreduce_tier_times`] charges.
+    /// Homomorphic codecs stay on the direct route here as well.
     pub fn all_reduce_compressed_tiered<C: ReduceCodec + ?Sized>(
         &self,
         data: &mut [f32],
@@ -705,33 +695,22 @@ impl RankCtx {
         scratch: &mut ReduceScratch,
         topo: &Topology,
     ) -> TieredReduceStats {
-        assert_eq!(
-            topo.world(),
-            self.world,
-            "topology does not match the cluster's world"
-        );
-        self.all_reduce_impl(data, codec, scratch, Some(topo))
+        self.all_reduce_sharded(data, codec, scratch, Route::Direct(Some(topo)))
     }
 
     /// Leader-combined hierarchical all-reduce, for homomorphic codecs only:
-    /// the same sharded sum as [`RankCtx::all_reduce_compressed_tiered`],
-    /// but members hand their encoded contributions to their node leader,
-    /// which **combines them in the compressed domain** into one
-    /// node-aggregate per destination shard before the fabric hop — the
+    /// [`RankCtx::all_reduce_compressed_tiered`] over the **relayed** route.
+    /// Members hand remote-node contributions to their node leader, which
+    /// combines them into one aggregate per destination shard, so the
     /// reduce-scatter crosses the fabric once per node pair instead of once
-    /// per rank pair (`ranks_per_node×` less inter-tier volume), and the
-    /// all-gather fans reduced shards back out through one leader bundle per
-    /// node pair.
+    /// per rank pair; the all-gather fans the reduced shards back out
+    /// through one leader bundle per node pair.
     ///
-    /// Contributions fold in a node-grouped order (within-node rank order,
-    /// then node aggregates in node order). For a codec whose combine is
-    /// associative and commutative — the integer-lattice codec — the result
-    /// is bit-identical to the flat combine schedule; for an order-sensitive
-    /// f32-summing combine it is the same sum under a different
-    /// parenthesisation, still within the codec's stated bound.
-    ///
-    /// Degenerate shapes (single node, or one rank per node) fall back to
-    /// the flat combine schedule, which they match hop for hop.
+    /// An owner folds its node in rank order, then the remote node
+    /// aggregates in node order: bit-identical to the direct route for an
+    /// associative, commutative combine (the integer lattice), the same sum
+    /// re-parenthesised for an f32 one. Degenerate shapes (one node, or one
+    /// rank per node) take the direct route, which they match hop for hop.
     ///
     /// # Panics
     /// Panics if the topology's world disagrees with the cluster's or the
@@ -743,558 +722,320 @@ impl RankCtx {
         scratch: &mut ReduceScratch,
         topo: &Topology,
     ) -> TieredReduceStats {
-        assert_eq!(
-            topo.world(),
-            self.world,
-            "topology does not match the cluster's world"
-        );
         assert!(
             codec.is_homomorphic(),
             "leader-combined all-reduce requires a homomorphic codec"
         );
-        if topo.is_single_tier() || topo.ranks_per_node() == 1 {
-            return self.all_reduce_impl(data, codec, scratch, Some(topo));
-        }
-        let world = self.world;
-        let rank = self.rank;
-        let nodes = topo.nodes();
-        let rpn = topo.ranks_per_node();
-        let my_node = topo.node_of(rank);
-        let leader = topo.leader_of(rank);
-        let am_leader = rank == leader;
-        let node_ranks = |n: usize| (n * rpn)..((n + 1) * rpn);
-        let mut out = TieredReduceStats::default();
-
-        // ── Reduce-scatter, phase 1: post contributions. Same-node shards go
-        // straight to their owner; remote-node shards go to the local leader
-        // as one bundle per remote node (leaders keep their own remote
-        // contributions for the combine below). Send order is dst-node
-        // ascending on every rank, so each FIFO channel drains in a globally
-        // agreed order.
-        for dst_node in 0..nodes {
-            if dst_node == my_node {
-                for dst in node_ranks(dst_node) {
-                    if dst == rank {
-                        continue;
-                    }
-                    let range = shard_range(data.len(), world, dst);
-                    let shard = &data[range.clone()];
-                    let mut buf = self.pool.take(codec.max_encoded_bytes(shard.len()));
-                    codec.encode_into(range.start, shard, &mut buf);
-                    out.stats.encoded_bytes += shard.len() * 4;
-                    out.record_sent(Some(Tier::Intra), buf.len());
-                    out.stats.raw.sent += shard.len() * 4;
-                    self.fabric.send(dst, buf);
-                }
-            } else if !am_leader {
-                let mut cap = 4 + rpn * HIER_ENTRY_HEADER_BYTES;
-                for dst in node_ranks(dst_node) {
-                    cap += codec.max_encoded_bytes(shard_range(data.len(), world, dst).len());
-                }
-                let mut bundle = self.pool.take(cap);
-                bundle.extend_from_slice(&(rpn as u32).to_le_bytes());
-                for dst in node_ranks(dst_node) {
-                    let range = shard_range(data.len(), world, dst);
-                    scratch.own_enc.clear();
-                    codec.encode_into(range.start, &data[range.clone()], &mut scratch.own_enc);
-                    out.stats.encoded_bytes += range.len() * 4;
-                    write_hier_entry(&mut bundle, rank, dst, &scratch.own_enc);
-                    out.stats.raw.sent += range.len() * 4;
-                }
-                out.record_sent(Some(Tier::Intra), bundle.len());
-                self.fabric.send(leader, bundle);
-            }
-        }
-
-        // Seed the own-shard accumulator with this rank's own encoded
-        // contribution (folded at its in-node rank position below).
-        let own = shard_range(data.len(), world, rank);
-        scratch.own_enc.clear();
-        codec.encode_into(own.start, &data[own.clone()], &mut scratch.own_enc);
-        out.stats.encoded_bytes += own.len() * 4;
-        scratch.encoded.clear();
-
-        // ── Reduce-scatter, phase 2: fold same-node contributions in
-        // in-node rank order. Leaders additionally combine each member
-        // bundle into per-destination node aggregates and exchange them
-        // leader-to-leader; members receive their shard's node aggregates
-        // from their leader.
-        if am_leader {
-            // Drain member channels in the members' send order (dst-node
-            // ascending): the direct chunk for this leader's own shard sits
-            // at the my-node position between the remote-node bundles.
-            for dst_node in 0..nodes {
-                if dst_node == my_node {
-                    // Own-shard contributions: self first (the leader is the
-                    // lowest in-node rank), then members in rank order.
-                    scratch.encoded.extend_from_slice(&scratch.own_enc);
-                    for src in node_ranks(my_node) {
-                        if src == rank {
-                            continue;
-                        }
-                        let chunk = self.fabric.recv(src);
-                        out.record_received(Some(Tier::Intra), chunk.len());
-                        out.stats.raw.received += own.len() * 4;
-                        out.stats.combines += 1;
-                        out.stats.combined_bytes += chunk.len();
-                        codec
-                            .combine(own.start, &mut scratch.encoded, &chunk)
-                            .unwrap_or_else(|e| {
-                                panic!("rank {rank}: combining own-shard chunk from {src}: {e}")
-                            });
-                    }
-                } else {
-                    // Node aggregates for dst_node's shards: seed each
-                    // accumulator with this leader's own contribution, fold
-                    // member bundles in rank order, ship one bundle to the
-                    // destination leader.
-                    scratch.accs.resize(rpn, Vec::new());
-                    for (slot, dst) in node_ranks(dst_node).enumerate() {
-                        let range = shard_range(data.len(), world, dst);
-                        let acc = &mut scratch.accs[slot];
-                        acc.clear();
-                        codec.encode_into(range.start, &data[range.clone()], acc);
-                        out.stats.encoded_bytes += range.len() * 4;
-                    }
-                    for src in node_ranks(my_node) {
-                        if src == rank {
-                            continue;
-                        }
-                        let bundle = self.fabric.recv(src);
-                        out.record_received(Some(Tier::Intra), bundle.len());
-                        for (entry_src, dst, payload) in hier_entries(&bundle) {
-                            let slot = dst as usize - dst_node * rpn;
-                            let range = shard_range(data.len(), world, dst as usize);
-                            out.stats.raw.received += range.len() * 4;
-                            out.stats.combines += 1;
-                            out.stats.combined_bytes += payload.len();
-                            codec
-                                .combine(range.start, &mut scratch.accs[slot], payload)
-                                .unwrap_or_else(|e| {
-                                    panic!(
-                                        "rank {rank}: combining contribution \
-                                         {entry_src}→{dst}: {e}"
-                                    )
-                                });
-                        }
-                    }
-                    // Worst-case lease: variable-size payloads (the sum
-                    // sketch) grow over training, and a current-length cap
-                    // would demand ever-larger pool classes after warm-up.
-                    let cap = 4 + node_ranks(dst_node)
-                        .map(|dst| {
-                            HIER_ENTRY_HEADER_BYTES
-                                + codec.max_encoded_bytes(shard_range(data.len(), world, dst).len())
-                        })
-                        .sum::<usize>();
-                    let mut bundle = self.pool.take(cap);
-                    bundle.extend_from_slice(&(rpn as u32).to_le_bytes());
-                    for (slot, dst) in node_ranks(dst_node).enumerate() {
-                        write_hier_entry(&mut bundle, rank, dst, &scratch.accs[slot]);
-                        out.stats.raw.sent += shard_range(data.len(), world, dst).len() * 4;
-                    }
-                    out.record_sent(Some(Tier::Inter), bundle.len());
-                    self.fabric.send(topo.leader_of_node(dst_node), bundle);
-                }
-            }
-            // Fold the remote node aggregates for this leader's own shard
-            // and forward members theirs.
-            for src_node in 0..nodes {
-                if src_node == my_node {
-                    continue;
-                }
-                let bundle = self.fabric.recv(topo.leader_of_node(src_node));
-                out.record_received(Some(Tier::Inter), bundle.len());
-                for (_, dst, payload) in hier_entries(&bundle) {
-                    let range = shard_range(data.len(), world, dst as usize);
-                    out.stats.raw.received += range.len() * 4;
-                    if dst as usize == rank {
-                        out.stats.combines += 1;
-                        out.stats.combined_bytes += payload.len();
-                        codec
-                            .combine(own.start, &mut scratch.encoded, payload)
-                            .unwrap_or_else(|e| {
-                                panic!("rank {rank}: combining node {src_node} aggregate: {e}")
-                            });
-                    } else {
-                        let mut buf = self.pool.take(codec.max_encoded_bytes(range.len()));
-                        buf.extend_from_slice(payload);
-                        out.record_sent(Some(Tier::Intra), buf.len());
-                        out.stats.raw.sent += range.len() * 4;
-                        self.fabric.send(dst as usize, buf);
-                    }
-                }
-            }
+        let route = if topo.is_single_tier() || topo.ranks_per_node() == 1 {
+            Route::Direct(Some(topo))
         } else {
-            // Members: fold same-node direct contributions in in-node rank
-            // order, then the node aggregates their leader forwards.
-            for src in node_ranks(my_node) {
-                if src == rank {
-                    if scratch.encoded.is_empty() {
-                        scratch.encoded.extend_from_slice(&scratch.own_enc);
-                    } else {
-                        out.stats.combines += 1;
-                        out.stats.combined_bytes += scratch.own_enc.len();
-                        codec
-                            .combine(own.start, &mut scratch.encoded, &scratch.own_enc)
-                            .unwrap_or_else(|e| {
-                                panic!("rank {rank}: combining own contribution: {e}")
-                            });
-                    }
-                    continue;
-                }
-                let chunk = self.fabric.recv(src);
-                out.record_received(Some(Tier::Intra), chunk.len());
-                out.stats.raw.received += own.len() * 4;
-                if scratch.encoded.is_empty() {
-                    scratch.encoded.extend_from_slice(&chunk);
-                } else {
-                    out.stats.combines += 1;
-                    out.stats.combined_bytes += chunk.len();
-                    codec
-                        .combine(own.start, &mut scratch.encoded, &chunk)
-                        .unwrap_or_else(|e| {
-                            panic!("rank {rank}: combining own-shard chunk from {src}: {e}")
-                        });
-                }
-            }
-            for src_node in 0..nodes {
-                if src_node == my_node {
-                    continue;
-                }
-                let chunk = self.fabric.recv(leader);
-                out.record_received(Some(Tier::Intra), chunk.len());
-                out.stats.raw.received += own.len() * 4;
-                out.stats.combines += 1;
-                out.stats.combined_bytes += chunk.len();
-                codec
-                    .combine(own.start, &mut scratch.encoded, &chunk)
-                    .unwrap_or_else(|e| {
-                        panic!("rank {rank}: combining node {src_node} aggregate: {e}")
-                    });
-            }
-        }
-
-        // ── All-gather: the combined own shard goes to every same-node peer
-        // directly; across the fabric, each leader ships one bundle of its
-        // node's reduced shards per remote node and fans received bundles
-        // out to its members.
-        for dst in node_ranks(my_node) {
-            if dst == rank {
-                continue;
-            }
-            let mut buf = self.pool.take(codec.max_encoded_bytes(own.len()));
-            buf.extend_from_slice(&scratch.encoded);
-            out.record_sent(Some(Tier::Intra), buf.len());
-            out.stats.raw.sent += own.len() * 4;
-            self.fabric.send(dst, buf);
-        }
-        // Own shard round-trips through the codec like everyone else's copy.
-        scratch.decode.clear();
-        codec
-            .decode_into(own.start, &scratch.encoded, &mut scratch.decode)
-            .unwrap_or_else(|e| panic!("rank {rank}: decoding own reduced shard: {e}"));
-        out.stats.decoded_bytes += own.len() * 4;
-        assert_eq!(scratch.decode.len(), own.len(), "own shard round-trip size");
-        data[own.clone()].copy_from_slice(&scratch.decode);
-
-        // Lease size covering any rank's reduced encoded shard (rank 0 owns
-        // the largest shard), for the all-gather leader bundles.
-        let max_shard = shard_range(data.len(), world, 0).len();
-        let gather_bundle_cap =
-            4 + rpn * (HIER_ENTRY_HEADER_BYTES + codec.max_encoded_bytes(max_shard));
-
-        let mut decode_shard = |ctx_rank: usize,
-                                src: usize,
-                                payload: &[u8],
-                                data: &mut [f32],
-                                scratch_decode: &mut Vec<f32>,
-                                out: &mut TieredReduceStats| {
-            let range = shard_range(data.len(), world, src);
-            out.stats.raw.received += range.len() * 4;
-            scratch_decode.clear();
-            codec
-                .decode_into(range.start, payload, scratch_decode)
-                .unwrap_or_else(|e| {
-                    panic!("rank {ctx_rank}: decoding reduced shard from {src}: {e}")
-                });
-            out.stats.decoded_bytes += range.len() * 4;
-            assert_eq!(
-                scratch_decode.len(),
-                range.len(),
-                "rank {ctx_rank}: reduced shard from {src} decoded to the wrong size",
-            );
-            data[range].copy_from_slice(scratch_decode);
+            Route::Relayed(topo)
         };
-
-        if am_leader {
-            // Gather the node's reduced shards (members' arrive on the same
-            // channels as their reduce-scatter traffic, fully drained
-            // above), bundling them for the remote leaders.
-            let mut bundle = self.pool.take(gather_bundle_cap);
-            bundle.extend_from_slice(&(rpn as u32).to_le_bytes());
-            write_hier_entry(&mut bundle, rank, rank, &scratch.encoded);
-            for src in node_ranks(my_node) {
-                if src == rank {
-                    continue;
-                }
-                let chunk = self.fabric.recv(src);
-                out.record_received(Some(Tier::Intra), chunk.len());
-                write_hier_entry(&mut bundle, src, src, &chunk);
-                decode_shard(rank, src, &chunk, data, &mut scratch.decode, &mut out);
-            }
-            for dst_node in 0..nodes {
-                if dst_node == my_node {
-                    continue;
-                }
-                let mut copy = self.pool.take(gather_bundle_cap);
-                copy.extend_from_slice(&bundle);
-                out.record_sent(Some(Tier::Inter), copy.len());
-                for src in node_ranks(my_node) {
-                    out.stats.raw.sent += shard_range(data.len(), world, src).len() * 4;
-                }
-                self.fabric.send(topo.leader_of_node(dst_node), copy);
-            }
-            for src_node in 0..nodes {
-                if src_node == my_node {
-                    continue;
-                }
-                let bundle = self.fabric.recv(topo.leader_of_node(src_node));
-                out.record_received(Some(Tier::Inter), bundle.len());
-                for dst in node_ranks(my_node) {
-                    if dst == rank {
-                        continue;
-                    }
-                    let mut copy = self.pool.take(gather_bundle_cap);
-                    copy.extend_from_slice(&bundle);
-                    out.record_sent(Some(Tier::Intra), copy.len());
-                    for src in node_ranks(src_node) {
-                        out.stats.raw.sent += shard_range(data.len(), world, src).len() * 4;
-                    }
-                    self.fabric.send(dst, copy);
-                }
-                for (src, _, payload) in hier_entries(&bundle) {
-                    decode_shard(
-                        rank,
-                        src as usize,
-                        payload,
-                        data,
-                        &mut scratch.decode,
-                        &mut out,
-                    );
-                }
-            }
-        } else {
-            // Members: same-node reduced shards arrive directly, remote ones
-            // as forwarded leader bundles in node order.
-            for src in node_ranks(my_node) {
-                if src == rank {
-                    continue;
-                }
-                let chunk = self.fabric.recv(src);
-                out.record_received(Some(Tier::Intra), chunk.len());
-                decode_shard(rank, src, &chunk, data, &mut scratch.decode, &mut out);
-            }
-            for src_node in 0..nodes {
-                if src_node == my_node {
-                    continue;
-                }
-                let bundle = self.fabric.recv(leader);
-                out.record_received(Some(Tier::Intra), bundle.len());
-                for (src, _, payload) in hier_entries(&bundle) {
-                    decode_shard(
-                        rank,
-                        src as usize,
-                        payload,
-                        data,
-                        &mut scratch.decode,
-                        &mut out,
-                    );
-                }
-            }
-        }
-        out
+        self.all_reduce_sharded(data, codec, scratch, route)
     }
 
-    fn all_reduce_impl<C: ReduceCodec + ?Sized>(
+    /// The one sharded reduce-scatter + all-gather behind every all-reduce
+    /// entry point: `route` decides where a contribution travels, and
+    /// [`ReduceCodec::is_homomorphic`] decides the fold — decode-and-add
+    /// into `accum` then re-encode once, or combine while encoded.
+    ///
+    /// The direct route is one group of every rank; the relayed route groups
+    /// ranks by node, with node leaders (local rank 0) building, exchanging
+    /// and fanning out one bundle per node pair. Every rank walks nodes in
+    /// ascending order, so each FIFO channel drains in the order its
+    /// receiver expects. An owner folds its group in rank order, the group's
+    /// first rank seeding a combine fold, then the remote node aggregates in
+    /// ascending node order, each folded in rank order at its leader.
+    fn all_reduce_sharded<C: ReduceCodec + ?Sized>(
         &self,
         data: &mut [f32],
         codec: &mut C,
         scratch: &mut ReduceScratch,
-        topo: Option<&Topology>,
+        route: Route<'_>,
     ) -> TieredReduceStats {
-        let world = self.world;
-        let mut out = TieredReduceStats::default();
-        // The tier a hop to/from `peer` crosses (`None` without a topology —
-        // wire bytes then land only in the untiered totals).
-        let tier_of = |peer: usize| topo.map(|t| t.tier_of(self.rank, peer));
+        let (world, rank) = (self.world, self.rank);
+        let (topo, rpn) = match route {
+            Route::Direct(topo) => (topo, world),
+            Route::Relayed(topo) => (Some(topo), topo.ranks_per_node()),
+        };
+        assert!(
+            topo.is_none_or(|t| t.world() == world),
+            "topology does not match the cluster's world"
+        );
+        let homomorphic = codec.is_homomorphic();
         if world == 1 {
-            return out;
+            return TieredReduceStats::default();
         }
+        let ReduceScratch {
+            accum,
+            decode,
+            encoded,
+            own_enc,
+            accs,
+        } = scratch;
+        let mut s = Sharded {
+            ctx: self,
+            codec,
+            topo,
+            len: data.len(),
+            stage: decode,
+            out: TieredReduceStats::default(),
+        };
+        let (nodes, my_node, leader) = (world / rpn, rank / rpn, rank / rpn * rpn);
+        let am_leader = nodes > 1 && rank == leader;
+        let group = |node: usize| node * rpn..(node + 1) * rpn;
+        let remote_nodes = || (0..nodes).filter(move |&n| n != my_node);
+        let own = s.range(rank);
 
-        // ── Reduce-scatter: encode each peer's shard and post it.
-        for dst in 0..world {
-            if dst == self.rank {
-                continue;
-            }
-            let range = shard_range(data.len(), world, dst);
-            let shard = &data[range.clone()];
-            let mut buf = self.pool.take(codec.max_encoded_bytes(shard.len()));
-            codec.encode_into(range.start, shard, &mut buf);
-            out.stats.encoded_bytes += shard.len() * 4;
-            out.record_sent(tier_of(dst), buf.len());
-            out.stats.raw.sent += shard.len() * 4;
-            self.fabric.send(dst, buf);
-        }
-
-        // Own shard: fold every rank's contribution in rank order
-        // (bit-identity across ranks and with the uncompressed schedule).
-        // A homomorphic codec folds in the compressed domain — the encoded
-        // accumulator in `scratch.encoded` goes straight out in the
-        // all-gather, skipping `world − 1` decodes and the re-encode; the
-        // classic path decodes into `scratch.accum` and re-encodes once.
-        let own = shard_range(data.len(), world, self.rank);
-        if codec.is_homomorphic() {
-            scratch.own_enc.clear();
-            codec.encode_into(own.start, &data[own.clone()], &mut scratch.own_enc);
-            out.stats.encoded_bytes += own.len() * 4;
-            scratch.encoded.clear();
-            for src in 0..world {
-                if src == self.rank {
-                    if src == 0 {
-                        scratch.encoded.extend_from_slice(&scratch.own_enc);
-                    } else {
-                        out.stats.combines += 1;
-                        out.stats.combined_bytes += scratch.own_enc.len();
-                        codec
-                            .combine(own.start, &mut scratch.encoded, &scratch.own_enc)
-                            .unwrap_or_else(|e| {
-                                panic!("rank {}: combining own contribution: {e}", self.rank)
-                            });
-                    }
-                } else {
-                    let chunk = self.fabric.recv(src);
-                    out.record_received(tier_of(src), chunk.len());
-                    out.stats.raw.received += own.len() * 4;
-                    if src == 0 {
-                        scratch.encoded.extend_from_slice(&chunk);
-                    } else {
-                        out.stats.combines += 1;
-                        out.stats.combined_bytes += chunk.len();
-                        codec
-                            .combine(own.start, &mut scratch.encoded, &chunk)
-                            .unwrap_or_else(|e| {
-                                panic!("rank {}: combining shard from {src}: {e}", self.rank)
-                            });
-                    }
+        // ── Reduce-scatter posts: own-group shards go straight to their
+        // owner; a relayed member bundles each remote node's shards for its
+        // leader, which keeps its own for the node aggregates below.
+        for dst_node in 0..nodes {
+            if dst_node == my_node {
+                for dst in group(dst_node).filter(|&d| d != rank) {
+                    let mut buf = self.pool.take(s.max_encoded(dst));
+                    s.encode_shard(dst, &data[s.range(dst)], &mut buf);
+                    s.post(dst, buf, s.range(dst).len());
                 }
+            } else if !am_leader {
+                let mut bundle = s.bundle(group(dst_node));
+                for dst in group(dst_node) {
+                    own_enc.clear();
+                    s.encode_shard(dst, &data[s.range(dst)], own_enc);
+                    write_hier_entry(&mut bundle, rank, dst, own_enc);
+                }
+                s.post(leader, bundle, s.span(group(dst_node)));
             }
+        }
+
+        // ── Own-group fold, drained in the senders' node order: a relayed
+        // leader meets each member's remote-node bundles around the direct
+        // chunk for its own shard, folds them into one aggregate per
+        // destination shard (seeded by its own contribution) and ships it.
+        if homomorphic {
+            own_enc.clear();
+            s.encode_shard(rank, &data[own.clone()], own_enc);
         } else {
-            scratch.accum.clear();
-            scratch.accum.resize(own.len(), 0.0);
-            for src in 0..world {
-                if src == self.rank {
-                    for (a, &v) in scratch.accum.iter_mut().zip(&data[own.clone()]) {
-                        *a += v;
+            accum.clear();
+            accum.resize(own.len(), 0.0);
+        }
+        for dst_node in 0..nodes {
+            if dst_node == my_node {
+                for src in group(my_node) {
+                    let chunk = (src != rank).then(|| s.recv(src, own.len()));
+                    if homomorphic {
+                        let payload = chunk.as_ref().map_or(&own_enc[..], |c| &c[..]);
+                        s.fold_contribution(encoded, src == leader, rank, src, payload);
+                        continue;
                     }
-                } else {
-                    let chunk = self.fabric.recv(src);
-                    out.record_received(tier_of(src), chunk.len());
-                    out.stats.raw.received += own.len() * 4;
-                    scratch.decode.clear();
-                    codec
-                        .decode_into(own.start, &chunk, &mut scratch.decode)
-                        .unwrap_or_else(|e| {
-                            panic!("rank {}: decoding shard from {src}: {e}", self.rank)
-                        });
-                    out.stats.decoded_bytes += own.len() * 4;
-                    assert_eq!(
-                        scratch.decode.len(),
-                        own.len(),
-                        "rank {}: shard from {src} decoded to the wrong size",
-                        self.rank
-                    );
-                    for (a, &v) in scratch.accum.iter_mut().zip(scratch.decode.iter()) {
+                    let shard = match &chunk {
+                        Some(chunk) => s.decode_shard(rank, src, chunk),
+                        None => &data[own.clone()],
+                    };
+                    for (a, &v) in accum.iter_mut().zip(shard) {
                         *a += v;
                     }
                 }
+            } else if am_leader {
+                accs.resize(rpn, Vec::new());
+                for (acc, dst) in accs.iter_mut().zip(group(dst_node)) {
+                    acc.clear();
+                    s.encode_shard(dst, &data[s.range(dst)], acc);
+                }
+                for src in group(my_node).filter(|&r| r != rank) {
+                    let bundle = s.recv(src, s.span(group(dst_node)));
+                    for (from, dst, payload) in bundle_entries(rank, src, &bundle) {
+                        let acc = &mut accs[dst - dst_node * rpn];
+                        s.fold_contribution(acc, false, dst, from, payload);
+                    }
+                }
+                let mut bundle = s.bundle(group(dst_node));
+                for (acc, dst) in accs.iter().zip(group(dst_node)) {
+                    write_hier_entry(&mut bundle, rank, dst, acc);
+                }
+                s.post(dst_node * rpn, bundle, s.span(group(dst_node)));
             }
-            // Re-encode the reduced shard once for the all-gather.
-            scratch.encoded.clear();
-            codec.encode_into(own.start, &scratch.accum, &mut scratch.encoded);
-            out.stats.encoded_bytes += own.len() * 4;
         }
 
-        // ── All-gather: the reduced encoded shard goes to every peer.
-        for dst in 0..world {
-            if dst == self.rank {
+        // ── Remote node aggregates, in node order: a leader folds its own
+        // shard's entry and forwards the rest; members fold what it forwards.
+        for src_node in remote_nodes() {
+            if !am_leader {
+                let chunk = s.recv(leader, own.len());
+                s.fold_contribution(encoded, false, rank, leader, &chunk);
                 continue;
             }
-            // Worst-case lease, not current-length: variable-size payloads
-            // (the sum sketch) grow over training, and a current-length cap
-            // would demand a fresh pool class after warm-up.
-            let mut buf = self.pool.take(codec.max_encoded_bytes(own.len()));
-            buf.extend_from_slice(&scratch.encoded);
-            out.record_sent(tier_of(dst), buf.len());
-            out.stats.raw.sent += own.len() * 4;
-            self.fabric.send(dst, buf);
-        }
-        // Round-trip the own shard through the codec so this rank holds the
-        // same (possibly lossy) values its peers will decode.
-        scratch.decode.clear();
-        codec
-            .decode_into(own.start, &scratch.encoded, &mut scratch.decode)
-            .unwrap_or_else(|e| panic!("rank {}: decoding own reduced shard: {e}", self.rank));
-        out.stats.decoded_bytes += own.len() * 4;
-        assert_eq!(scratch.decode.len(), own.len(), "own shard round-trip size");
-        data[own].copy_from_slice(&scratch.decode);
-        for src in 0..world {
-            if src == self.rank {
-                continue;
+            let bundle = s.recv(src_node * rpn, s.span(group(my_node)));
+            for (from, dst, payload) in bundle_entries(rank, src_node * rpn, &bundle) {
+                if dst == rank {
+                    s.fold_contribution(encoded, false, rank, from, payload);
+                } else {
+                    s.post_copy(dst, s.max_encoded(dst), payload, s.range(dst).len());
+                }
             }
-            let chunk = self.fabric.recv(src);
-            out.record_received(tier_of(src), chunk.len());
-            let range = shard_range(data.len(), world, src);
-            out.stats.raw.received += range.len() * 4;
-            scratch.decode.clear();
-            codec
-                .decode_into(range.start, &chunk, &mut scratch.decode)
-                .unwrap_or_else(|e| {
-                    panic!("rank {}: decoding reduced shard from {src}: {e}", self.rank)
-                });
-            out.stats.decoded_bytes += range.len() * 4;
-            assert_eq!(
-                scratch.decode.len(),
-                range.len(),
-                "rank {}: reduced shard from {src} decoded to the wrong size",
-                self.rank
-            );
-            data[range].copy_from_slice(&scratch.decode);
         }
-        out
+        if !homomorphic {
+            encoded.clear();
+            s.encode_shard(rank, accum, encoded);
+        }
+
+        // ── All-gather: the reduced own shard goes to every own-group peer
+        // and round-trips through the codec here, so this rank holds the
+        // values its peers decode. A relayed leader bundles its node's
+        // reduced shards once per remote node and fans remote bundles out.
+        for dst in group(my_node).filter(|&d| d != rank) {
+            s.post_copy(dst, s.max_encoded(rank), encoded, own.len());
+        }
+        data[own].copy_from_slice(s.decode_shard(rank, rank, encoded));
+        // Gather bundles have room for rank 0's (the largest) shard per entry.
+        let gather_cap = 4 + rpn * (HIER_ENTRY_HEADER_BYTES + s.max_encoded(0));
+        let mut gathered = am_leader.then(|| {
+            let mut bundle = self.pool.take(gather_cap);
+            bundle.extend_from_slice(&(rpn as u32).to_le_bytes());
+            write_hier_entry(&mut bundle, rank, rank, encoded);
+            bundle
+        });
+        for src in group(my_node).filter(|&r| r != rank) {
+            let chunk = s.recv(src, s.range(src).len());
+            if let Some(bundle) = gathered.as_mut() {
+                write_hier_entry(bundle, src, src, &chunk);
+            }
+            data[s.range(src)].copy_from_slice(s.decode_shard(src, src, &chunk));
+        }
+        for dst_node in remote_nodes() {
+            if let Some(bundle) = &gathered {
+                s.post_copy(dst_node * rpn, gather_cap, bundle, s.span(group(my_node)));
+            }
+        }
+        for src_node in remote_nodes() {
+            let from = if am_leader { src_node * rpn } else { leader };
+            let bundle = s.recv(from, s.span(group(src_node)));
+            for dst in group(my_node).filter(|&d| am_leader && d != rank) {
+                s.post_copy(dst, gather_cap, &bundle, s.span(group(src_node)));
+            }
+            for (src, _, payload) in bundle_entries(rank, from, &bundle) {
+                data[s.range(src)].copy_from_slice(s.decode_shard(src, src, payload));
+            }
+        }
+        s.out
+    }
+}
+
+/// Where a sharded all-reduce's contributions travel.
+enum Route<'t> {
+    /// Peer → owner; wire bytes are bucketed by tier when a topology is given.
+    Direct(Option<&'t Topology>),
+    /// Remote-node contributions combine at the sender's node leader, and
+    /// leaders exchange and fan out one bundle per node pair.
+    Relayed(&'t Topology),
+}
+
+/// One rank's sharded all-reduce in flight: the codec, tier map, decode
+/// staging and running accounting every hop of either route shares.
+struct Sharded<'a, C: ?Sized> {
+    ctx: &'a RankCtx,
+    codec: &'a mut C,
+    topo: Option<&'a Topology>,
+    len: usize,
+    stage: &'a mut Vec<f32>,
+    out: TieredReduceStats,
+}
+
+impl<C: ReduceCodec + ?Sized> Sharded<'_, C> {
+    /// Element range of `owner`'s shard.
+    fn range(&self, owner: usize) -> Range<usize> {
+        shard_range(self.len, self.ctx.world, owner)
     }
 
-    /// Broadcast a byte buffer from `root` to every rank.
-    pub fn broadcast_bytes(&self, buffer: Vec<u8>, root: usize) -> (Vec<u8>, ExchangeBytes) {
-        let mut stats = ExchangeBytes::default();
-        if self.world == 1 {
-            return (buffer, stats);
+    /// Elements the contiguous shards of `owners` cover together.
+    fn span(&self, owners: Range<usize>) -> usize {
+        self.range(owners.end - 1).end - self.range(owners.start).start
+    }
+
+    /// Worst-case encoded size of `owner`'s shard, which sizes every lease:
+    /// variable-size payloads (the sum sketch) grow over training, and
+    /// current-length leases would need new pool classes after warm-up.
+    fn max_encoded(&self, owner: usize) -> usize {
+        self.codec.max_encoded_bytes(self.range(owner).len())
+    }
+
+    /// A bundle lease for one entry per rank of `owners`, count written.
+    fn bundle(&self, owners: Range<usize>) -> PooledBuf {
+        let payloads: usize = owners.clone().map(|o| self.max_encoded(o)).sum();
+        let cap = 4 + owners.len() * HIER_ENTRY_HEADER_BYTES + payloads;
+        let mut bundle = self.ctx.pool.take(cap);
+        bundle.extend_from_slice(&(owners.len() as u32).to_le_bytes());
+        bundle
+    }
+
+    /// Send `buf` to `dst`, recording its wire bytes by tier and the `raw`
+    /// f32 elements it stands for.
+    fn post(&mut self, dst: usize, buf: PooledBuf, raw: usize) {
+        let tier = self.topo.map(|t| t.tier_of(self.ctx.rank, dst));
+        self.out.record_sent(tier, buf.len());
+        self.out.stats.raw.sent += raw * 4;
+        self.ctx.fabric.send(dst, buf);
+    }
+
+    /// [`Sharded::post`] a copy of `bytes` in a lease of `cap` bytes.
+    fn post_copy(&mut self, dst: usize, cap: usize, bytes: &[u8], raw: usize) {
+        let mut buf = self.ctx.pool.take(cap);
+        buf.extend_from_slice(bytes);
+        self.post(dst, buf, raw);
+    }
+
+    /// Receive from `src`, recording what [`Sharded::post`] records.
+    fn recv(&mut self, src: usize, raw: usize) -> PooledBuf {
+        let buf = self.ctx.fabric.recv(src);
+        let tier = self.topo.map(|t| t.tier_of(self.ctx.rank, src));
+        self.out.record_received(tier, buf.len());
+        self.out.stats.raw.received += raw * 4;
+        buf
+    }
+
+    /// Append the encoding of `shard`, `owner`'s shard, to `out`.
+    fn encode_shard(&mut self, owner: usize, shard: &[f32], out: &mut Vec<u8>) {
+        self.codec.encode_into(self.range(owner).start, shard, out);
+        self.out.stats.encoded_bytes += shard.len() * 4;
+    }
+
+    /// Fold `src`'s encoded contribution to `owner`'s shard into `acc`: the
+    /// first contribution in fold order seeds it, later ones are combined.
+    fn fold_contribution(
+        &mut self,
+        acc: &mut Vec<u8>,
+        first: bool,
+        owner: usize,
+        src: usize,
+        bytes: &[u8],
+    ) {
+        if first {
+            acc.clear();
+            acc.extend_from_slice(bytes);
+            return;
         }
-        if self.rank == root {
-            for dst in 0..self.world {
-                if dst != root {
-                    let mut b = self.pool.take(buffer.len());
-                    b.extend_from_slice(&buffer);
-                    stats.sent += b.len();
-                    self.fabric.send(dst, b);
-                }
-            }
-            (buffer, stats)
-        } else {
-            let received = self.fabric.recv(root);
-            stats.received += received.len();
-            (received.into_vec(), stats)
+        self.out.stats.combines += 1;
+        self.out.stats.combined_bytes += bytes.len();
+        let (offset, rank) = (self.range(owner).start, self.ctx.rank);
+        if let Err(e) = self.codec.combine(offset, acc, bytes) {
+            panic!("rank {rank}: combining shard {owner} from {src}: {e}");
         }
+    }
+
+    /// Decode `owner`'s shard, as sent by `src`, into the staging buffer.
+    fn decode_shard(&mut self, owner: usize, src: usize, bytes: &[u8]) -> &[f32] {
+        let (range, rank) = (self.range(owner), self.ctx.rank);
+        self.stage.clear();
+        if let Err(e) = self.codec.decode_into(range.start, bytes, self.stage) {
+            panic!("rank {rank}: decoding shard {owner} from {src}: {e}");
+        }
+        self.out.stats.decoded_bytes += range.len() * 4;
+        assert_eq!(
+            self.stage.len(),
+            range.len(),
+            "rank {rank}: shard {owner} from {src}: wrong decoded size"
+        );
+        self.stage
     }
 }
 
@@ -1307,20 +1048,66 @@ fn write_hier_entry(bundle: &mut PooledBuf, src: usize, dst: usize, payload: &[u
     bundle.extend_from_slice(payload);
 }
 
+/// A hierarchical bundle whose framing runs past its end: the entry count,
+/// an entry header or a payload starting at byte `offset` does not fit in
+/// the bundle's `len` bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BundleOverrun {
+    offset: usize,
+    len: usize,
+}
+
+impl std::fmt::Display for BundleOverrun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Self { offset, len } = self;
+        write!(
+            f,
+            "bundle framing at byte {offset} overruns its {len} bytes"
+        )
+    }
+}
+
 /// Walk a hierarchical bundle's `[count u32]` + entry stream, yielding
-/// `(src, dst, payload)` with payloads borrowed from `bundle`.
-fn hier_entries(bundle: &[u8]) -> impl Iterator<Item = (u32, u32, &[u8])> {
-    let count = u32::from_le_bytes(bundle[0..4].try_into().expect("entry count")) as usize;
-    let mut pos = 4usize;
-    (0..count).map(move |_| {
-        let src = u32::from_le_bytes(bundle[pos..pos + 4].try_into().expect("src"));
-        let dst = u32::from_le_bytes(bundle[pos + 4..pos + 8].try_into().expect("dst"));
-        let len = u32::from_le_bytes(bundle[pos + 8..pos + 12].try_into().expect("len")) as usize;
-        pos += HIER_ENTRY_HEADER_BYTES;
-        let payload = &bundle[pos..pos + len];
-        pos += len;
-        (src, dst, payload)
-    })
+/// `(src, dst, payload)` with payloads borrowed from `bundle`. The whole
+/// framing is checked before the first entry is yielded.
+fn hier_entries(
+    bundle: &[u8],
+) -> Result<impl Iterator<Item = (usize, usize, &[u8])>, BundleOverrun> {
+    let overrun = |offset| BundleOverrun {
+        offset,
+        len: bundle.len(),
+    };
+    let word = move |at: usize| {
+        let bytes = bundle.get(at..at + 4)?;
+        Some(u32::from_le_bytes(bytes.try_into().expect("4 bytes")) as usize)
+    };
+    let count = word(0).ok_or(overrun(0))?;
+    let mut end = 4;
+    for _ in 0..count {
+        let len = word(end + 8).ok_or(overrun(end))?;
+        end += HIER_ENTRY_HEADER_BYTES;
+        if len > bundle.len() - end {
+            return Err(overrun(end));
+        }
+        end += len;
+    }
+    let mut pos = 4;
+    Ok((0..count).map(move |_| {
+        let field = |at| word(at).expect("framing checked");
+        let (src, dst, len) = (field(pos), field(pos + 4), field(pos + 8));
+        pos += HIER_ENTRY_HEADER_BYTES + len;
+        (src, dst, &bundle[pos - len..pos])
+    }))
+}
+
+/// [`hier_entries`] for a collective on `rank`: a bundle from `src` whose
+/// framing overruns is one panic naming both ranks and the byte offset.
+fn bundle_entries(
+    rank: usize,
+    src: usize,
+    bundle: &[u8],
+) -> impl Iterator<Item = (usize, usize, &[u8])> {
+    hier_entries(bundle).unwrap_or_else(|e| panic!("rank {rank}: bundle from {src}: {e}"))
 }
 
 /// Handle of an in-flight non-blocking chunked all-to-all.
@@ -1532,23 +1319,6 @@ mod tests {
         });
         for r in &results[1..] {
             assert_eq!(r, &results[0], "all-reduce results diverged across ranks");
-        }
-    }
-
-    #[test]
-    fn broadcast_delivers_root_buffer() {
-        let world = 4;
-        let results = cluster(world).run(move |ctx| {
-            let buffer = if ctx.rank() == 2 {
-                vec![9, 9, 9]
-            } else {
-                vec![ctx.rank() as u8]
-            };
-            let (received, _) = ctx.broadcast_bytes(buffer, 2);
-            received
-        });
-        for r in results {
-            assert_eq!(r, vec![9, 9, 9]);
         }
     }
 
@@ -1853,33 +1623,8 @@ mod tests {
 
     #[test]
     fn compressed_all_reduce_reports_raw_and_wire_bytes() {
-        // A codec that halves every payload (truncates to fp16-ish by
-        // dropping the low half of each f32) is enough to check accounting;
-        // values are powers of two so the truncation is exact.
-        struct HalfCodec;
-        impl crate::reduce::ReduceCodec for HalfCodec {
-            fn encode_into(&mut self, _o: usize, data: &[f32], out: &mut Vec<u8>) {
-                for v in data {
-                    out.extend_from_slice(&v.to_le_bytes()[2..4]);
-                }
-            }
-            fn decode_into(
-                &mut self,
-                _o: usize,
-                bytes: &[u8],
-                out: &mut Vec<f32>,
-            ) -> Result<(), crate::reduce::ReduceError> {
-                out.extend(
-                    bytes
-                        .chunks_exact(2)
-                        .map(|b| f32::from_le_bytes([0, 0, b[0], b[1]])),
-                );
-                Ok(())
-            }
-            fn max_encoded_bytes(&self, len: usize) -> usize {
-                len * 2
-            }
-        }
+        // HalfCodec halves every payload, which is enough to check
+        // accounting; values are powers of two so the truncation is exact.
         let world = 4;
         let len = 64;
         let results = cluster(world).run(move |ctx| {
@@ -1933,6 +1678,40 @@ mod tests {
         (0..len)
             .map(|i| (src as u8) ^ (dst as u8).wrapping_mul(7) ^ (i as u8))
             .collect()
+    }
+
+    #[test]
+    fn hier_entries_rejects_every_truncation_and_an_overclaimed_count() {
+        // A leader-exchange bundle of a 2×2 topology: node 0 → node 1.
+        let pairs = [(0, 2), (0, 3), (1, 2), (1, 3)];
+        let mut bundle = BufferPool::new().take(256);
+        bundle.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+        for (src, dst) in pairs {
+            write_hier_entry(&mut bundle, src, dst, &hier_chunk(src, dst));
+        }
+        let entries: Vec<_> = hier_entries(&bundle).expect("valid bundle").collect();
+        assert_eq!(entries.len(), pairs.len());
+        for ((src, dst, payload), (s, d)) in entries.into_iter().zip(pairs) {
+            assert_eq!((src, dst, payload), (s, d, hier_chunk(s, d).as_slice()));
+        }
+        for cut in 0..bundle.len() {
+            let err = hier_entries(&bundle[..cut]).err();
+            let err = err.unwrap_or_else(|| panic!("{cut}-byte prefix accepted"));
+            assert_eq!(err.len, cut);
+            assert!(err.offset <= cut, "{cut}: {err}");
+        }
+        let mut over = bundle.to_vec();
+        over[0..4].copy_from_slice(&(pairs.len() as u32 + 1).to_le_bytes());
+        let err = hier_entries(&over)
+            .err()
+            .expect("overclaimed count accepted");
+        assert_eq!(
+            err,
+            BundleOverrun {
+                offset: bundle.len(),
+                len: bundle.len()
+            }
+        );
     }
 
     #[test]
@@ -2069,6 +1848,33 @@ mod tests {
             let (intra, inter) = crate::reduce::allreduce_tier_bytes(len, &topo, rank);
             assert_eq!(stats.intra, intra, "rank {rank}");
             assert_eq!(stats.inter, inter, "rank {rank}");
+        }
+    }
+
+    /// Lossy non-homomorphic test codec: truncates each f32 to its high half
+    /// (fp16-ish), so every payload is half the raw size.
+    struct HalfCodec;
+    impl crate::reduce::ReduceCodec for HalfCodec {
+        fn encode_into(&mut self, _o: usize, data: &[f32], out: &mut Vec<u8>) {
+            for v in data {
+                out.extend_from_slice(&v.to_le_bytes()[2..4]);
+            }
+        }
+        fn decode_into(
+            &mut self,
+            _o: usize,
+            bytes: &[u8],
+            out: &mut Vec<f32>,
+        ) -> Result<(), crate::reduce::ReduceError> {
+            out.extend(
+                bytes
+                    .chunks_exact(2)
+                    .map(|b| f32::from_le_bytes([0, 0, b[0], b[1]])),
+            );
+            Ok(())
+        }
+        fn max_encoded_bytes(&self, len: usize) -> usize {
+            len * 2
         }
     }
 
@@ -2450,5 +2256,205 @@ mod tests {
             let delta = ctx.pool().stats().since(&warm);
             assert_eq!(delta.allocations, 0, "steady state allocated: {delta:?}");
         });
+    }
+
+    /// 64-bit FNV-1a over a byte stream.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// One rank's fingerprint of a reduce: the result's bits and every
+    /// [`TieredReduceStats`] field.
+    fn reduce_fingerprint(data: &[f32], t: &TieredReduceStats) -> u64 {
+        let s = &t.stats;
+        let fields = [
+            s.wire.sent,
+            s.wire.received,
+            s.raw.sent,
+            s.raw.received,
+            s.combines,
+            s.combined_bytes,
+            s.encoded_bytes,
+            s.decoded_bytes,
+            t.intra.sent,
+            t.intra.received,
+            t.inter.sent,
+            t.inter.received,
+        ];
+        fnv1a(
+            data.iter()
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .chain(fields.iter().flat_map(|&f| (f as u64).to_le_bytes())),
+        )
+    }
+
+    /// One golden-table row: `entry codec NODESxRPN len: per-rank prints`.
+    fn golden_reduce_row(
+        entry: &'static str,
+        codec: &'static str,
+        (nodes, rpn): (usize, usize),
+        len: usize,
+    ) -> String {
+        let topo = hier_topo(nodes, rpn);
+        let prints = cluster(topo.world()).run(move |ctx| {
+            let mut data: Vec<f32> = (0..len)
+                .map(|i| ((ctx.rank() * len + i) as f32 * 0.37).sin())
+                .collect();
+            let mut scratch = ReduceScratch::new();
+            let mut codec: Box<dyn ReduceCodec> = match codec {
+                "raw" => Box::new(RawF32Codec),
+                "half" => Box::new(HalfCodec),
+                "lattice" => Box::new(I32LatticeCodec),
+                _ => Box::new(SumF32Codec),
+            };
+            let codec = codec.as_mut();
+            let stats = match entry {
+                "compressed" => TieredReduceStats {
+                    stats: ctx.all_reduce_compressed(&mut data, codec, &mut scratch),
+                    ..Default::default()
+                },
+                "tiered" => ctx.all_reduce_compressed_tiered(&mut data, codec, &mut scratch, &topo),
+                _ => ctx.all_reduce_homomorphic_hier(&mut data, codec, &mut scratch, &topo),
+            };
+            reduce_fingerprint(&data, &stats)
+        });
+        let prints: Vec<String> = prints.iter().map(|p| format!("{p:016x}")).collect();
+        format!("{entry} {codec} {nodes}x{rpn} {len}: {}", prints.join(" "))
+    }
+
+    /// Every all-reduce entry × codec × shape × length, fingerprinted per
+    /// rank before the direct and leader-combined schedules were merged. The
+    /// f32-summing `sum` codec is order-sensitive, so its `homomorphic_hier`
+    /// rows also pin the relayed route's fold order.
+    const GOLDEN_REDUCE: &str = "\
+compressed raw 2x2 41: 835fa6d1b7f48b3c 228aeba615604488 228aeba615604488 228aeba615604488
+compressed raw 2x2 300: 346870499b018a86 346870499b018a86 346870499b018a86 346870499b018a86
+compressed raw 2x3 41: 0a59962926eb5e7f 0a59962926eb5e7f 0a59962926eb5e7f 0a59962926eb5e7f 0a59962926eb5e7f 24688720e12f8923
+compressed raw 2x3 300: 479d1ad6bc4545cd 479d1ad6bc4545cd 479d1ad6bc4545cd 479d1ad6bc4545cd 479d1ad6bc4545cd 479d1ad6bc4545cd
+compressed raw 3x2 41: 0a59962926eb5e7f 0a59962926eb5e7f 0a59962926eb5e7f 0a59962926eb5e7f 0a59962926eb5e7f 24688720e12f8923
+compressed raw 3x2 300: 479d1ad6bc4545cd 479d1ad6bc4545cd 479d1ad6bc4545cd 479d1ad6bc4545cd 479d1ad6bc4545cd 479d1ad6bc4545cd
+compressed raw 1x4 41: 835fa6d1b7f48b3c 228aeba615604488 228aeba615604488 228aeba615604488
+compressed raw 1x4 300: 346870499b018a86 346870499b018a86 346870499b018a86 346870499b018a86
+compressed raw 4x1 41: 835fa6d1b7f48b3c 228aeba615604488 228aeba615604488 228aeba615604488
+compressed raw 4x1 300: 346870499b018a86 346870499b018a86 346870499b018a86 346870499b018a86
+compressed half 2x2 41: 2720a2147e4e8152 d575a1d5b9f4ee7e d575a1d5b9f4ee7e d575a1d5b9f4ee7e
+compressed half 2x2 300: 4bf01b89073f5138 4bf01b89073f5138 4bf01b89073f5138 4bf01b89073f5138
+compressed half 2x3 41: 690802b31d73edce 690802b31d73edce 690802b31d73edce 690802b31d73edce 690802b31d73edce f6156f404bea446a
+compressed half 2x3 300: 0419241dcd125a42 0419241dcd125a42 0419241dcd125a42 0419241dcd125a42 0419241dcd125a42 0419241dcd125a42
+compressed half 3x2 41: 690802b31d73edce 690802b31d73edce 690802b31d73edce 690802b31d73edce 690802b31d73edce f6156f404bea446a
+compressed half 3x2 300: 0419241dcd125a42 0419241dcd125a42 0419241dcd125a42 0419241dcd125a42 0419241dcd125a42 0419241dcd125a42
+compressed half 1x4 41: 2720a2147e4e8152 d575a1d5b9f4ee7e d575a1d5b9f4ee7e d575a1d5b9f4ee7e
+compressed half 1x4 300: 4bf01b89073f5138 4bf01b89073f5138 4bf01b89073f5138 4bf01b89073f5138
+compressed half 4x1 41: 2720a2147e4e8152 d575a1d5b9f4ee7e d575a1d5b9f4ee7e d575a1d5b9f4ee7e
+compressed half 4x1 300: 4bf01b89073f5138 4bf01b89073f5138 4bf01b89073f5138 4bf01b89073f5138
+compressed lattice 2x2 41: 99b8bcdfb57314ac 6dfb0b80a7d2a7d0 6dfb0b80a7d2a7d0 6dfb0b80a7d2a7d0
+compressed lattice 2x2 300: 2261c804bf8a9258 2261c804bf8a9258 2261c804bf8a9258 2261c804bf8a9258
+compressed lattice 2x3 41: b5c3a6e20a4737b7 b5c3a6e20a4737b7 b5c3a6e20a4737b7 b5c3a6e20a4737b7 b5c3a6e20a4737b7 1654cf03902ad4a3
+compressed lattice 2x3 300: 9350c547edd3fd08 9350c547edd3fd08 9350c547edd3fd08 9350c547edd3fd08 9350c547edd3fd08 9350c547edd3fd08
+compressed lattice 3x2 41: b5c3a6e20a4737b7 b5c3a6e20a4737b7 b5c3a6e20a4737b7 b5c3a6e20a4737b7 b5c3a6e20a4737b7 1654cf03902ad4a3
+compressed lattice 3x2 300: 9350c547edd3fd08 9350c547edd3fd08 9350c547edd3fd08 9350c547edd3fd08 9350c547edd3fd08 9350c547edd3fd08
+compressed lattice 1x4 41: 99b8bcdfb57314ac 6dfb0b80a7d2a7d0 6dfb0b80a7d2a7d0 6dfb0b80a7d2a7d0
+compressed lattice 1x4 300: 2261c804bf8a9258 2261c804bf8a9258 2261c804bf8a9258 2261c804bf8a9258
+compressed lattice 4x1 41: 99b8bcdfb57314ac 6dfb0b80a7d2a7d0 6dfb0b80a7d2a7d0 6dfb0b80a7d2a7d0
+compressed lattice 4x1 300: 2261c804bf8a9258 2261c804bf8a9258 2261c804bf8a9258 2261c804bf8a9258
+compressed sum 2x2 41: 2768bd12b7a6655c 29f41e9276ba7320 29f41e9276ba7320 29f41e9276ba7320
+compressed sum 2x2 300: 5870c4f9a8a0ba18 5870c4f9a8a0ba18 5870c4f9a8a0ba18 5870c4f9a8a0ba18
+compressed sum 2x3 41: a0998b09ba3345f9 a0998b09ba3345f9 a0998b09ba3345f9 a0998b09ba3345f9 a0998b09ba3345f9 b2d60ca8222d440d
+compressed sum 2x3 300: 9bffd1a475bafbdd 9bffd1a475bafbdd 9bffd1a475bafbdd 9bffd1a475bafbdd 9bffd1a475bafbdd 9bffd1a475bafbdd
+compressed sum 3x2 41: a0998b09ba3345f9 a0998b09ba3345f9 a0998b09ba3345f9 a0998b09ba3345f9 a0998b09ba3345f9 b2d60ca8222d440d
+compressed sum 3x2 300: 9bffd1a475bafbdd 9bffd1a475bafbdd 9bffd1a475bafbdd 9bffd1a475bafbdd 9bffd1a475bafbdd 9bffd1a475bafbdd
+compressed sum 1x4 41: 2768bd12b7a6655c 29f41e9276ba7320 29f41e9276ba7320 29f41e9276ba7320
+compressed sum 1x4 300: 5870c4f9a8a0ba18 5870c4f9a8a0ba18 5870c4f9a8a0ba18 5870c4f9a8a0ba18
+compressed sum 4x1 41: 2768bd12b7a6655c 29f41e9276ba7320 29f41e9276ba7320 29f41e9276ba7320
+compressed sum 4x1 300: 5870c4f9a8a0ba18 5870c4f9a8a0ba18 5870c4f9a8a0ba18 5870c4f9a8a0ba18
+tiered raw 2x2 41: 4cda99c8e3f9f2bc 36b34f1e7f0d5b08 7de69b5bf45afa08 7de69b5bf45afa08
+tiered raw 2x2 300: 6db878284f28a786 6db878284f28a786 6db878284f28a786 6db878284f28a786
+tiered raw 2x3 41: 238f30e7c6c131ff 238f30e7c6c131ff 238f30e7c6c131ff dc5be4aa517392ff dc5be4aa517392ff d8b19624ead311e3
+tiered raw 2x3 300: f6202251a42faf2d f6202251a42faf2d f6202251a42faf2d f6202251a42faf2d f6202251a42faf2d f6202251a42faf2d
+tiered raw 3x2 41: 64f345bfaa590cbf 64f345bfaa590cbf 64f345bfaa590cbf 64f345bfaa590cbf eab81988e81931ff 0ecbf7524dc02063
+tiered raw 3x2 300: f8b4a58ab061824d f8b4a58ab061824d f8b4a58ab061824d f8b4a58ab061824d f8b4a58ab061824d f8b4a58ab061824d
+tiered raw 1x4 41: 56a8a2f01450f3bc 0a953be5e8e1da08 0a953be5e8e1da08 0a953be5e8e1da08
+tiered raw 1x4 300: db7d6d95994e3fa6 db7d6d95994e3fa6 db7d6d95994e3fa6 db7d6d95994e3fa6
+tiered raw 4x1 41: 45144151eb72d3bc e79c31a6c4507a08 e79c31a6c4507a08 e79c31a6c4507a08
+tiered raw 4x1 300: ca3b222a75d7f7a6 ca3b222a75d7f7a6 ca3b222a75d7f7a6 ca3b222a75d7f7a6
+tiered half 2x2 41: 737794c5b0763912 ca6c54230faa83be a8bce5f13feb733e a8bce5f13feb733e
+tiered half 2x2 300: bc36623f037c6728 bc36623f037c6728 bc36623f037c6728 bc36623f037c6728
+tiered half 2x3 41: d40c241763ff208e d40c241763ff208e d40c241763ff208e b0727df8a958510e b0727df8a958510e 64e173014effde2a
+tiered half 2x3 300: ed2e279b3fbe7832 ed2e279b3fbe7832 ed2e279b3fbe7832 ed2e279b3fbe7832 ed2e279b3fbe7832 ed2e279b3fbe7832
+tiered half 3x2 41: 4334030b3cda3c8e 4334030b3cda3c8e 4334030b3cda3c8e 4334030b3cda3c8e 200434cd86ed310e 2bee8fafe864acaa
+tiered half 3x2 300: b49819d08a3f05a2 b49819d08a3f05a2 b49819d08a3f05a2 b49819d08a3f05a2 b49819d08a3f05a2 b49819d08a3f05a2
+tiered half 1x4 41: 18d932b66b79b892 b51706645513e33e b51706645513e33e b51706645513e33e
+tiered half 1x4 300: d0c5c79c3585bdd8 d0c5c79c3585bdd8 d0c5c79c3585bdd8 d0c5c79c3585bdd8
+tiered half 4x1 41: 06a2f1b948b1e892 f3e21acbd7f0b33e f3e21acbd7f0b33e f3e21acbd7f0b33e
+tiered half 4x1 300: 235cf1f1d46595d8 235cf1f1d46595d8 235cf1f1d46595d8 235cf1f1d46595d8
+tiered lattice 2x2 41: 3231b6519765a22c 537d642999c9ea50 9ab0b0670f178950 9ab0b0670f178950
+tiered lattice 2x2 300: 0e2243383532b018 0e2243383532b018 0e2243383532b018 0e2243383532b018
+tiered lattice 2x3 41: cd3d1ae3ef4abd37 cd3d1ae3ef4abd37 cd3d1ae3ef4abd37 7523c51f2aeee037 7523c51f2aeee037 cdec9d0fbf9c7d63
+tiered lattice 2x3 300: 68dc02e4c690fdc8 68dc02e4c690fdc8 68dc02e4c690fdc8 68dc02e4c690fdc8 68dc02e4c690fdc8 68dc02e4c690fdc8
+tiered lattice 3x2 41: 046d6b7d775bd7f7 046d6b7d775bd7f7 046d6b7d775bd7f7 046d6b7d775bd7f7 90a65ae3e2be7d37 f9951053011dcde3
+tiered lattice 3x2 300: 66f79a01c4343128 66f79a01c4343128 66f79a01c4343128 66f79a01c4343128 66f79a01c4343128 66f79a01c4343128
+tiered lattice 1x4 41: 921943753704212c 275f50f1039e6950 275f50f1039e6950 275f50f1039e6950
+tiered lattice 1x4 300: 60a72c2cfbab44e8 60a72c2cfbab44e8 60a72c2cfbab44e8 60a72c2cfbab44e8
+tiered lattice 4x1 41: 58887038c7dd012c 30fb1a1c3f220950 30fb1a1c3f220950 30fb1a1c3f220950
+tiered lattice 4x1 300: 3a9e17efe09a20e8 3a9e17efe09a20e8 3a9e17efe09a20e8 3a9e17efe09a20e8
+tiered sum 2x2 41: 99328a5926f444dc 39fa1340b125e1a0 7d58efa450a402a0 7d58efa450a402a0
+tiered sum 2x2 300: 977d1eaad3be08d8 977d1eaad3be08d8 977d1eaad3be08d8 977d1eaad3be08d8
+tiered sum 2x3 41: 869b0abd548f1cf9 869b0abd548f1cf9 869b0abd548f1cf9 b8aa05b8a0453bf9 b8aa05b8a0453bf9 fbd627ad278ad04d
+tiered sum 2x3 300: f5ed881a9e4df87d f5ed881a9e4df87d f5ed881a9e4df87d f5ed881a9e4df87d f5ed881a9e4df87d f5ed881a9e4df87d
+tiered sum 3x2 41: fdea2c13072a54b9 fdea2c13072a54b9 fdea2c13072a54b9 fdea2c13072a54b9 eeaae9510eb2fbf9 a7c8381a7a65e2cd
+tiered sum 3x2 300: ceb3379070b8ec1d ceb3379070b8ec1d ceb3379070b8ec1d ceb3379070b8ec1d ceb3379070b8ec1d ceb3379070b8ec1d
+tiered sum 1x4 41: 4e6f4e77b0ed45dc 66182679475162a0 66182679475162a0 66182679475162a0
+tiered sum 1x4 300: 96b62921e4c16ca8 96b62921e4c16ca8 96b62921e4c16ca8 96b62921e4c16ca8
+tiered sum 4x1 41: e849a7d0e1b125dc e70e85ef209982a0 e70e85ef209982a0 e70e85ef209982a0
+tiered sum 4x1 300: 70ad14e4c9b048a8 70ad14e4c9b048a8 70ad14e4c9b048a8 70ad14e4c9b048a8
+homomorphic_hier lattice 2x2 41: 9255030353afc1cf 09957dfe12c9da51 ce6f15bb1bd46a43 09957dfe12c9da51
+homomorphic_hier lattice 2x2 300: 489cf49325d6a5d5 02b632992d44b689 489cf49325d6a5d5 02b632992d44b689
+homomorphic_hier lattice 2x3 41: b125044263c4e30b 007c354aad8e4d15 007c354aad8e4d15 e6f50e9ee81dc6f7 007c354aad8e4d15 ec37daf154510d8d
+homomorphic_hier lattice 2x3 300: c292895ed5758af4 e46fe7e38375b7fc e46fe7e38375b7fc c292895ed5758af4 e46fe7e38375b7fc e46fe7e38375b7fc
+homomorphic_hier lattice 3x2 41: 086aad978c556476 ab1cb35956660c81 086aad978c556476 ab1cb35956660c81 172062c34fb5ff4a c884126db5b40b0d
+homomorphic_hier lattice 3x2 300: 9a0ce991ccc51d12 065f8ac4f98f257f 9a0ce991ccc51d12 065f8ac4f98f257f 9a0ce991ccc51d12 065f8ac4f98f257f
+homomorphic_hier lattice 1x4 41: 921943753704212c 275f50f1039e6950 275f50f1039e6950 275f50f1039e6950
+homomorphic_hier lattice 1x4 300: 60a72c2cfbab44e8 60a72c2cfbab44e8 60a72c2cfbab44e8 60a72c2cfbab44e8
+homomorphic_hier lattice 4x1 41: 58887038c7dd012c 30fb1a1c3f220950 30fb1a1c3f220950 30fb1a1c3f220950
+homomorphic_hier lattice 4x1 300: 3a9e17efe09a20e8 3a9e17efe09a20e8 3a9e17efe09a20e8 3a9e17efe09a20e8
+homomorphic_hier sum 2x2 41: b699567f4c20a08d 66feadbf20d00b1b fb89c2b4ef844901 66feadbf20d00b1b
+homomorphic_hier sum 2x2 300: df271d3f6de0034a 38f7aeccc9051bb2 df271d3f6de0034a 38f7aeccc9051bb2
+homomorphic_hier sum 2x3 41: f9b7720b3322aa45 30558b6105f24e73 30558b6105f24e73 82b95b835ba5f0c9 30558b6105f24e73 d5ee1b4a510684ab
+homomorphic_hier sum 2x3 300: 52ddbb1c72bfa8f2 7d9701c7292441da 7d9701c7292441da 52ddbb1c72bfa8f2 7d9701c7292441da 7d9701c7292441da
+homomorphic_hier sum 3x2 41: 37f27cd093ec9d39 db2227dab46b489e 37f27cd093ec9d39 db2227dab46b489e 75009b23fc75a50d 6f20960c419e4c12
+homomorphic_hier sum 3x2 300: fb1f12782a4a983e 194b899c38c1b22b fb1f12782a4a983e 194b899c38c1b22b fb1f12782a4a983e 194b899c38c1b22b
+homomorphic_hier sum 1x4 41: 4e6f4e77b0ed45dc 66182679475162a0 66182679475162a0 66182679475162a0
+homomorphic_hier sum 1x4 300: 96b62921e4c16ca8 96b62921e4c16ca8 96b62921e4c16ca8 96b62921e4c16ca8
+homomorphic_hier sum 4x1 41: e849a7d0e1b125dc e70e85ef209982a0 e70e85ef209982a0 e70e85ef209982a0
+homomorphic_hier sum 4x1 300: 70ad14e4c9b048a8 70ad14e4c9b048a8 70ad14e4c9b048a8 70ad14e4c9b048a8
+";
+
+    #[test]
+    fn golden_reduce_table_is_unchanged() {
+        let mut rows = Vec::new();
+        for entry in ["compressed", "tiered", "homomorphic_hier"] {
+            for codec in ["raw", "half", "lattice", "sum"] {
+                if entry == "homomorphic_hier" && matches!(codec, "raw" | "half") {
+                    continue;
+                }
+                for shape in [(2, 2), (2, 3), (3, 2), (1, 4), (4, 1)] {
+                    for len in [41, 300] {
+                        rows.push(golden_reduce_row(entry, codec, shape, len));
+                    }
+                }
+            }
+        }
+        let golden: Vec<&str> = GOLDEN_REDUCE.lines().collect();
+        for (row, want) in rows.iter().zip(&golden) {
+            assert_eq!(row, want, "golden reduce row changed");
+        }
+        assert_eq!(
+            rows.len(),
+            golden.len(),
+            "golden reduce table size; computed:\n{}",
+            rows.join("\n")
+        );
     }
 }

@@ -43,26 +43,26 @@
 
 //! ## Compressed all-reduce
 //!
-//! The sum-all-reduce runs as a reduce-scatter + all-gather
-//! ([`reduce::shard_range`] split, rank-order summation on each shard's
-//! owner), so a rank's traffic matches the `2·(P−1)/P` volume the cost
-//! model's ring formula charges. [`cluster::RankCtx::all_reduce_compressed`]
-//! generalises it: every hop carries bytes produced by a
-//! [`reduce::ReduceCodec`] (decode → reduce → re-encode at each owner), which
-//! is how the trainer's error-feedback dense-gradient compression
-//! (`dlrm-grad`) shrinks the MLP all-reduce. With the lossless
-//! [`reduce::RawF32Codec`] the compressed collective is bit-identical to
+//! Every all-reduce entry point runs one sharded reduce-scatter +
+//! all-gather schedule ([`reduce::shard_range`] split, rank-order folding on
+//! each shard's owner), so a rank's traffic matches the `2·(P−1)/P` volume
+//! the cost model's ring formula charges. Every hop carries bytes produced
+//! by a [`reduce::ReduceCodec`], which is how the trainer's error-feedback
+//! dense-gradient compression (`dlrm-grad`) shrinks the MLP all-reduce; with
+//! the lossless [`reduce::RawF32Codec`]
+//! [`cluster::RankCtx::all_reduce_compressed`] is bit-identical to
 //! [`cluster::RankCtx::all_reduce_sum`].
 //!
-//! A codec advertising [`reduce::ReduceCodec::is_homomorphic`] supplies
-//! [`reduce::ReduceCodec::combine`] — summation **in the compressed
-//! domain** — and the collective then folds encoded contributions at each
-//! owner instead of decode → reduce → re-encode, eliminating `world − 1`
-//! decodes and the re-encode per shard. On a hierarchical topology,
-//! [`cluster::RankCtx::all_reduce_homomorphic_hier`] goes further: node
-//! leaders combine their members' encoded contributions into one aggregate
-//! per destination shard before the fabric hop, cutting inter-tier
-//! reduce-scatter volume by `ranks_per_node×`.
+//! The schedule is a **route × fold**. The fold decodes and adds each
+//! contribution then re-encodes once, or — for a codec advertising
+//! [`reduce::ReduceCodec::is_homomorphic`] — sums **in the compressed
+//! domain** with [`reduce::ReduceCodec::combine`], eliminating `world − 1`
+//! decodes and the re-encode per shard. The direct route sends every
+//! contribution peer → owner; the relayed route
+//! ([`cluster::RankCtx::all_reduce_homomorphic_hier`]) has node leaders
+//! combine their members' contributions into one aggregate per destination
+//! shard before the fabric hop, cutting inter-tier reduce-scatter volume by
+//! `ranks_per_node×`.
 
 //! ## Node-aware hierarchical topology
 //!
@@ -76,9 +76,9 @@
 //! node's leader, one aggregated bundle per node pair across the fabric,
 //! intra-node scatter — delivering payloads **bit-identical** to the flat
 //! all-to-all (property-tested) while reporting per-tier
-//! [`topology::HierExchangeBytes`]. The compressed all-reduce has a tiered
-//! twin ([`cluster::RankCtx::all_reduce_compressed_tiered`]) that buckets
-//! its wire bytes by tier for the same charging.
+//! [`topology::HierExchangeBytes`]. Given a topology, the all-reduce
+//! ([`cluster::RankCtx::all_reduce_compressed_tiered`]) also buckets its
+//! wire bytes by tier for the same charging.
 
 //! ## The fabric and real-time execution policies
 //!

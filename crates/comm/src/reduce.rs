@@ -3,9 +3,9 @@
 //!
 //! The collective is a **reduce-scatter + all-gather** schedule: the vector
 //! is split into `world` contiguous shards, every rank sends each peer's
-//! shard to its owner (reduce-scatter), the owner sums the contributions in
-//! rank order, and finally every owner distributes its reduced shard to all
-//! peers (all-gather). Every hop carries bytes produced by a [`ReduceCodec`],
+//! shard to its owner — directly, or through node leaders on the relayed
+//! route (reduce-scatter) — the owner sums the contributions, and finally
+//! every owner distributes its reduced shard to all peers (all-gather). Every hop carries bytes produced by a [`ReduceCodec`],
 //! so a lossy gradient codec shrinks the wire traffic of *both* phases; the
 //! trivial [`RawF32Codec`] reproduces the classic uncompressed all-reduce
 //! bit for bit.
@@ -197,9 +197,9 @@ pub struct ReduceScratch {
     /// This rank's own contribution to its own shard, encoded once per call
     /// on the homomorphic path (the classic path adds it raw).
     pub(crate) own_enc: Vec<u8>,
-    /// Leader-side per-destination combine accumulators of the
-    /// leader-combined hierarchical schedule (`ranks_per_node` of them,
-    /// reused across remote nodes and across calls).
+    /// Leader-side per-destination combine accumulators of the relayed
+    /// route (`ranks_per_node` of them, reused across remote nodes and
+    /// across calls).
     pub(crate) accs: Vec<Vec<u8>>,
 }
 
@@ -260,10 +260,12 @@ impl ReduceStats {
 }
 
 /// [`ReduceStats`] with the wire bytes additionally bucketed by the tier
-/// each hop crossed — what
-/// [`RankCtx::all_reduce_compressed_tiered`](crate::cluster::RankCtx::all_reduce_compressed_tiered)
-/// returns over a node-aware topology. `intra + inter == stats.wire` when a
-/// topology was supplied; both stay zero without one.
+/// each hop crossed — what the all-reduce returns over a node-aware
+/// topology, on either route
+/// ([`RankCtx::all_reduce_compressed_tiered`](crate::cluster::RankCtx::all_reduce_compressed_tiered),
+/// [`RankCtx::all_reduce_homomorphic_hier`](crate::cluster::RankCtx::all_reduce_homomorphic_hier)).
+/// `intra + inter == stats.wire` when a topology was supplied; both stay
+/// zero without one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TieredReduceStats {
     /// The untiered accounting (wire and raw bytes).

@@ -2338,150 +2338,102 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 ti + te
             }
         };
-        let dense_extra_alloc = match dense.as_mut() {
-            None if hier_iter.is_none() => {
-                let ar_stats = ctx.all_reduce_sum(&mut scratch.flat_grads);
-                acct.ledger.add_time(phases::ALLREDUCE, raw_time);
-                acct.ledger.add_bytes(
-                    phases::ALLREDUCE,
-                    (ar_stats.sent + ar_stats.received) as u64,
-                );
-                0
+        // Error feedback re-injects what compression lost so far, and the
+        // collective rebuilds the residual from the bytes it actually sends.
+        // `Off` reduces through the lossless codec: bit for bit the plain
+        // rank-order sum.
+        let mut lossless = RawF32Codec;
+        let codec: &mut dyn ReduceCodec = match dense.as_mut() {
+            Some(state) => {
+                state.compensate(&mut scratch.flat_grads);
+                state
             }
-            None => {
-                // Uncompressed on a hierarchical topology: the identical
-                // rank-order schedule (bit-for-bit the flat result, through
-                // the lossless codec), with wire bytes bucketed by tier and
-                // the tiered charge replacing the flat ring formula.
-                let (topo, tiered) = hier_iter.as_ref().expect("hierarchical topology");
-                let stats = ctx.all_reduce_compressed_tiered(
-                    &mut scratch.flat_grads,
-                    &mut RawF32Codec,
-                    &mut scratch.dense_reduce,
-                    topo,
-                );
-                let (ti, te) = tiered.allreduce_tier_times(stats.intra, stats.inter);
-                acct.ledger.add_time(phases::ALLREDUCE, ti + te);
-                acct.ledger.add_bytes(
-                    phases::ALLREDUCE,
-                    (stats.stats.wire.sent + stats.stats.wire.received) as u64,
-                );
+            None => &mut lossless,
+        };
+        // A combine-capable codec on a hierarchy takes the leader-combined
+        // schedule (one aggregate per node pair over the inter tier); every
+        // other pairing the direct one, its bytes bucketed by tier (a flat
+        // cluster is a single tier).
+        let (topo, relayed) = match &hier_iter {
+            Some((topo, _)) => (*topo, codec.is_homomorphic()),
+            None => (Topology::flat(world, cost.config()), false),
+        };
+        let all_reduce = if relayed {
+            RankCtx::all_reduce_homomorphic_hier
+        } else {
+            RankCtx::all_reduce_compressed_tiered
+        };
+        let tiered = all_reduce(
+            ctx,
+            &mut scratch.flat_grads,
+            codec,
+            &mut scratch.dense_reduce,
+            &topo,
+        );
+        let stats = tiered.stats;
+        // Wire charge: the tiered charge under a hierarchy; flat, the ring
+        // formula for `Off` and the measured wire bytes for a codec.
+        let mut ar_time = match &hier_iter {
+            Some((_, tiered_cost)) => {
+                let (ti, te) = tiered_cost.allreduce_tier_times(tiered.intra, tiered.inter);
                 acct.add_tiers(
-                    (stats.intra.sent + stats.intra.received) as u64,
-                    (stats.inter.sent + stats.inter.received) as u64,
+                    (tiered.intra.sent + tiered.intra.received) as u64,
+                    (tiered.inter.sent + tiered.inter.received) as u64,
                     (ti, te),
                 );
-                let capacity = scratch.dense_reduce.capacity_bytes();
-                let grew = capacity.saturating_sub(dense_capacity_mark);
-                dense_capacity_mark = capacity;
-                grew
+                ti + te
             }
-            Some(state) => {
-                // Error feedback: re-inject what compression lost so far,
-                // then let the compressed reduce-scatter + all-gather
-                // rebuild the residual from the bytes it actually sends.
-                state.compensate(&mut scratch.flat_grads);
-                let (stats, hier_split) = match &hier_iter {
-                    None => (
-                        ctx.all_reduce_compressed(
-                            &mut scratch.flat_grads,
-                            state,
-                            &mut scratch.dense_reduce,
-                        ),
-                        None,
-                    ),
-                    Some((topo, _)) => {
-                        // A combine-capable codec takes the leader-combined
-                        // hierarchical schedule: members bundle encoded
-                        // shards to their node leader, which folds them in
-                        // the compressed domain and sends one aggregate per
-                        // node pair over the inter tier.
-                        let tiered_stats = if ReduceCodec::is_homomorphic(state) {
-                            ctx.all_reduce_homomorphic_hier(
-                                &mut scratch.flat_grads,
-                                state,
-                                &mut scratch.dense_reduce,
-                                topo,
-                            )
-                        } else {
-                            ctx.all_reduce_compressed_tiered(
-                                &mut scratch.flat_grads,
-                                state,
-                                &mut scratch.dense_reduce,
-                                topo,
-                            )
-                        };
-                        (
-                            tiered_stats.stats,
-                            Some((tiered_stats.intra, tiered_stats.inter)),
-                        )
-                    }
-                };
-                let mut ar_time = match (&hier_iter, &hier_split) {
-                    (Some((_, tiered)), Some((intra, inter))) => {
-                        let (ti, te) = tiered.allreduce_tier_times(*intra, *inter);
-                        acct.add_tiers(
-                            (intra.sent + intra.received) as u64,
-                            (inter.sent + inter.received) as u64,
-                            (ti, te),
-                        );
-                        ti + te
-                    }
-                    _ => cost.allreduce_wire_time(stats.wire.sent, stats.wire.received, world),
-                };
-                // Codec time: charged under a device-throughput override
-                // (the same convention the a2a codecs use for the breakdown
-                // experiments); without one the codec is treated as hidden
-                // behind the reduction arithmetic. The charge follows the
-                // work the collective actually performed — the stats carry
-                // the raw f32 bytes pushed through encode and decode, so the
-                // classic schedule charges V/Tc + ((P−1)·own + V)/Td exactly
-                // as `estimate_allreduce_speedup` models it, while the
-                // homomorphic schedule's eliminated owner-shard decodes
-                // vanish from the bill and a compressed-domain combine term
-                // (encoded bytes folded, at the codec's nominal combine
-                // throughput) appears in its place under
-                // [`phases::COMBINE`].
-                let mut combine_seconds = 0.0f64;
-                if let Some((tc, td)) = trainer.device_throughput {
-                    ar_time += stats.encoded_bytes as f64 / tc + stats.decoded_bytes as f64 / td;
-                    if stats.combines > 0 {
-                        let tm = dlrm_grad::stats::nominal_combine_throughput(state.codec().kind())
-                            .unwrap_or(td);
-                        combine_seconds = stats.combined_bytes as f64 / tm;
-                        // What the classic counterpart of this schedule
-                        // would have charged: every element encoded once
-                        // (V), plus P−1 own-shard contribution decodes, the
-                        // own-shard round-trip and the gathered shards
-                        // ((P−1)·own + V).
-                        let volume = (scratch.flat_grads.len() * 4) as f64;
-                        let own_shard =
-                            (shard_range(scratch.flat_grads.len(), world, rank).len() * 4) as f64;
-                        let classic_decoded = (world as f64 - 1.0) * own_shard + volume;
-                        homo_saved_seconds += (volume - stats.encoded_bytes as f64) / tc
-                            + (classic_decoded - stats.decoded_bytes as f64) / td
-                            - combine_seconds;
-                        homo_combine_seconds += combine_seconds;
-                        acct.ledger.add_time(phases::COMBINE, combine_seconds);
-                        acct.ledger
-                            .add_bytes(phases::COMBINE, stats.combined_bytes as u64);
-                    }
-                }
-                homo_combines += stats.combines as u64;
-                dense_saved_seconds += (raw_time - ar_time - combine_seconds).max(0.0);
-                dense_traffic.0 += (stats.raw.sent + stats.raw.received) as u64;
-                dense_traffic.1 += (stats.wire.sent + stats.wire.received) as u64;
-                acct.ledger.add_time(phases::ALLREDUCE, ar_time);
-                acct.ledger.add_bytes(
-                    phases::ALLREDUCE,
-                    (stats.wire.sent + stats.wire.received) as u64,
-                );
-                let capacity = state.capacity_bytes() + scratch.dense_reduce.capacity_bytes();
-                let grew = capacity.saturating_sub(dense_capacity_mark);
-                dense_capacity_mark = capacity;
-                grew
-            }
+            None if dense.is_none() => raw_time,
+            None => cost.allreduce_wire_time(stats.wire.sent, stats.wire.received, world),
         };
+        // Codec time: charged under a device-throughput override (the same
+        // convention the a2a codecs use for the breakdown experiments);
+        // without one the codec is treated as hidden behind the reduction
+        // arithmetic. The charge follows the work the collective actually
+        // performed — the stats carry the raw f32 bytes pushed through
+        // encode and decode, so the classic schedule charges
+        // V/Tc + ((P−1)·own + V)/Td exactly as `estimate_allreduce_speedup`
+        // models it, while the homomorphic schedule's eliminated owner-shard
+        // decodes vanish from the bill and a compressed-domain combine term
+        // (encoded bytes folded, at the codec's nominal combine throughput)
+        // appears in its place under [`phases::COMBINE`].
+        let mut combine_seconds = 0.0f64;
+        if let (Some(state), Some((tc, td))) = (dense.as_ref(), trainer.device_throughput) {
+            ar_time += stats.encoded_bytes as f64 / tc + stats.decoded_bytes as f64 / td;
+            if stats.combines > 0 {
+                let tm = dlrm_grad::stats::nominal_combine_throughput(state.codec().kind())
+                    .unwrap_or(td);
+                combine_seconds = stats.combined_bytes as f64 / tm;
+                // What the classic counterpart of this schedule would have
+                // charged: every element encoded once (V), plus P−1
+                // own-shard contribution decodes, the own-shard round-trip
+                // and the gathered shards ((P−1)·own + V).
+                let volume = (scratch.flat_grads.len() * 4) as f64;
+                let own_shard =
+                    (shard_range(scratch.flat_grads.len(), world, rank).len() * 4) as f64;
+                let classic_decoded = (world as f64 - 1.0) * own_shard + volume;
+                homo_saved_seconds += (volume - stats.encoded_bytes as f64) / tc
+                    + (classic_decoded - stats.decoded_bytes as f64) / td
+                    - combine_seconds;
+                homo_combine_seconds += combine_seconds;
+                acct.ledger.add_time(phases::COMBINE, combine_seconds);
+                acct.ledger
+                    .add_bytes(phases::COMBINE, stats.combined_bytes as u64);
+            }
+        }
+        homo_combines += stats.combines as u64;
+        dense_saved_seconds += (raw_time - ar_time - combine_seconds).max(0.0);
+        dense_traffic.0 += (stats.raw.sent + stats.raw.received) as u64;
+        dense_traffic.1 += (stats.wire.sent + stats.wire.received) as u64;
+        acct.ledger.add_time(phases::ALLREDUCE, ar_time);
+        acct.ledger.add_bytes(
+            phases::ALLREDUCE,
+            (stats.wire.sent + stats.wire.received) as u64,
+        );
+        let capacity = dense.as_ref().map_or(0, GradCompressor::capacity_bytes)
+            + scratch.dense_reduce.capacity_bytes();
+        let dense_extra_alloc = capacity.saturating_sub(dense_capacity_mark);
+        dense_capacity_mark = capacity;
         acct.close(phases::ALLREDUCE, &scratch, dense_extra_alloc);
 
         // ── optimizer.

@@ -283,6 +283,90 @@ fn analytic_codec_charge_counts_each_element_encoded_once() {
     );
 }
 
+/// Bit patterns of every charge the dense stage makes: ALLREDUCE and
+/// COMBINE seconds and bytes, the dense ratio, the saved seconds, the
+/// combine count and the inter-tier bytes.
+fn dense_charges(report: &TrainingReport) -> [u64; 9] {
+    use dlrm_comm::phase as phases;
+    [
+        report.breakdown.seconds(phases::ALLREDUCE).to_bits(),
+        report.breakdown.bytes(phases::ALLREDUCE),
+        report.breakdown.seconds(phases::COMBINE).to_bits(),
+        report.breakdown.bytes(phases::COMBINE),
+        report.dense_ratio.to_bits(),
+        report.dense_saved_seconds.to_bits(),
+        report.homo_combines,
+        report.homo_saved_seconds.to_bits(),
+        report.inter_tier_bytes,
+    ]
+}
+
+/// [`dense_charges`] per dense setting × topology, captured before the
+/// dense stage's three arms were merged into one.
+#[rustfmt::skip]
+const DENSE_CHARGES: &[(&str, [u64; 9])] = &[
+    ("dense-fp32 / flat", [0x3f4005293d43b5eb, 0x0000000000022c50, 0x0000000000000000, 0x0000000000000000, 0x3ff0000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000]),
+    ("dense-fp32 / 2x2", [0x3f1478ae77ad21c0, 0x0000000000022c50, 0x0000000000000000, 0x0000000000000000, 0x3ff0000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x000000000008dd80]),
+    ("dense-fp16 / flat", [0x3f4458abd7789125, 0x0000000000011820, 0x0000000000000000, 0x0000000000000000, 0x3fffc66593bc9ff4, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000]),
+    ("dense-fp16 / 2x2", [0x3f2bb905230c3ff0, 0x0000000000011820, 0x0000000000000000, 0x0000000000000000, 0x3fffc66593bc9ff4, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x000000000005fd60]),
+    ("dense-homo-lattice-eb0.0001 / flat", [0x3f43c33958c4c5cb, 0x0000000000011868, 0x3e7349e81ed30793, 0x000000000000462c, 0x3fffbe3bdb8533c4, 0x0000000000000000, 0x0000000000000048, 0x3ef29c3b2b30eafc, 0x0000000000000000]),
+    ("dense-homo-lattice-eb0.0001 / 2x2", [0x3f296897243ba201, 0x00000000000190f8, 0x3e79b1474f88ee37, 0x0000000000005d78, 0x3fff7893064f13a2, 0x0000000000000000, 0x0000000000000048, 0x3ef29905d5622bec, 0x0000000000048db0]),
+    ("dense-lattice-eb0.0001 / flat", [0x3f4458b5815f43bb, 0x0000000000011868, 0x0000000000000000, 0x0000000000000000, 0x3fffbe3bdb8533c4, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000]),
+    ("dense-lattice-eb0.0001 / 2x2", [0x3f2bb91f980a1b36, 0x0000000000011868, 0x0000000000000000, 0x0000000000000000, 0x3fffbe3bdb8533c4, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x000000000005fe20]),
+    ("dense-homo-sumsketch / flat", [0x3f43e871bb509aef, 0x0000000000022db8, 0x3e93fb4e59432c14, 0x0000000000008b92, 0x3fefec5d657007c0, 0x0000000000000000, 0x0000000000000048, 0x3ef25f97d9eab153, 0x0000000000000000]),
+    ("dense-homo-sumsketch / 2x2", [0x3f29d2682ffdbe43, 0x000000000003199e, 0x3e9a9d893f0dc4d5, 0x000000000000b9e8, 0x3fefc8e8de1a517d, 0x0000000000000000, 0x0000000000000048, 0x3ef271004f2e8714, 0x000000000005ff40]),
+];
+
+#[test]
+fn dense_stage_charges_are_pinned() {
+    // Every charge is analytic under a device-throughput override, so the
+    // bit patterns are stable run to run.
+    use dlrm_comm::{NetworkConfig, Topology};
+    use dlrm_trainer::TopologySetting;
+    let dataset = presets::tiny();
+    let hier = TopologySetting::Hierarchical(Topology::new(
+        2,
+        2,
+        NetworkConfig::nvlink_intra_node(),
+        NetworkConfig::paper_figure11(),
+    ));
+    let mut rows = Vec::new();
+    for dense in [
+        DenseCompression::Off,
+        DenseCompression::fp16(),
+        DenseCompression::lattice(1e-4),
+        DenseCompression::lattice_classic(1e-4),
+        DenseCompression::sum_sketch(),
+    ] {
+        for topo in [TopologySetting::Flat, hier] {
+            let mut cfg = tiny_config(dense.clone(), 6).with_topology(topo);
+            cfg.device_throughput = Some((0.5e9, 2e9));
+            let report = run_training(&dataset, &cfg);
+            let tag = format!("{} / {}", dense.label(), topo.label());
+            rows.push((tag, dense_charges(&report)));
+        }
+    }
+    for ((tag, got), (want_tag, want)) in rows.iter().zip(DENSE_CHARGES) {
+        assert_eq!(
+            (tag.as_str(), got),
+            (*want_tag, want),
+            "dense charges moved"
+        );
+    }
+    assert_eq!(
+        rows.len(),
+        DENSE_CHARGES.len(),
+        "dense charge table size; computed:\n{}",
+        rows.iter()
+            .map(|(tag, c)| {
+                let c: Vec<String> = c.iter().map(|v| format!("{v:#018x}")).collect();
+                format!("    ({tag:?}, [{}]),", c.join(", "))
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
 #[test]
 fn zero_allocation_steady_state_survives_dense_compression() {
     // Acceptance: steady_state_allocated_bytes == 0 with dense compression
