@@ -46,7 +46,6 @@ pub use controller::{
 pub use decay::{DecaySchedule, EbSchedule, TrainingPhases};
 pub use homo::{homogenization_index, pattern_counts, HomoReport};
 pub use speedup::{
-    estimate_allreduce_speedup, estimate_allreduce_speedup_auto, estimate_hierarchical_speedup,
-    estimate_homomorphic_allreduce_speedup, estimate_speedup, select_allreduce_compressor,
-    select_compressor, select_compressor_per_tier, SpeedupInputs, TierSelection,
+    estimate_allreduce_speedup, estimate_allreduce_speedup_auto,
+    estimate_homomorphic_allreduce_speedup, estimate_speedup, select_compressor, SpeedupInputs,
 };

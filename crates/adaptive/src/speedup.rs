@@ -166,107 +166,6 @@ pub fn estimate_allreduce_speedup_auto(
     }
 }
 
-/// Pick the gradient compressor with the best estimated **all-reduce**
-/// speedup from measured reports — the dense-path analogue of
-/// [`select_compressor`]. Returns `(kind, estimated speedup)`; `None` if
-/// `reports` is empty.
-pub fn select_allreduce_compressor(
-    reports: &[(CompressorKind, CompressionReport)],
-    bandwidth: f64,
-    world: usize,
-) -> Option<(CompressorKind, f64)> {
-    reports
-        .iter()
-        .map(|(kind, report)| {
-            (
-                *kind,
-                estimate_allreduce_speedup(SpeedupInputs::from_report(report, bandwidth), world),
-            )
-        })
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-}
-
-/// Tier-aware Equation 2 for a node-aware hierarchical topology: the
-/// end-to-end all-to-all speedup when only the `inter_fraction` of the
-/// traffic that crosses the fabric is compressed (`inputs.bandwidth` is the
-/// **inter-node** — bottleneck — tier) while the remaining intra-node share
-/// rides a link of `intra_bandwidth` uncompressed:
-///
-/// ```text
-/// t_raw  = f·V/B_inter + (1−f)·V/B_intra
-/// t_comp = f·(V/Tc + V/(CR·B_inter) + V/Td) + (1−f)·V/B_intra
-/// speedup = t_raw / t_comp
-/// ```
-///
-/// With `inter_fraction == 1` (one rank per node: everything crosses the
-/// fabric) this is exactly [`estimate_speedup`]; with `inter_fraction == 0`
-/// (a single node) nothing is compressed and the estimate is 1. The
-/// `inter_fraction` of a uniform all-to-all is
-/// `Topology::inter_fraction()` in `dlrm-comm`
-/// (`(world − ranks_per_node) / (world − 1)`).
-pub fn estimate_hierarchical_speedup(
-    inputs: SpeedupInputs,
-    intra_bandwidth: f64,
-    inter_fraction: f64,
-) -> f64 {
-    validate(inputs);
-    assert!(intra_bandwidth > 0.0, "intra bandwidth must be positive");
-    assert!(
-        (0.0..=1.0).contains(&inter_fraction),
-        "inter fraction must be in [0, 1]"
-    );
-    let f = inter_fraction;
-    if f == 0.0 {
-        return 1.0;
-    }
-    let intra = (1.0 - f) / intra_bandwidth; // seconds per byte of V
-    let raw = f / inputs.bandwidth + intra;
-    let comp = f
-        * (1.0 / inputs.compress_throughput
-            + 1.0 / (inputs.ratio * inputs.bandwidth)
-            + 1.0 / inputs.decompress_throughput)
-        + intra;
-    raw / comp
-}
-
-/// Per-tier compressor choice on a two-tier topology — [`select_compressor`]
-/// answered once against each link a payload may cross.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TierSelection {
-    /// Best `(compressor, estimated speedup)` for intra-node traffic. A
-    /// speedup below 1 means even the best candidate loses to the fast
-    /// link — send those payloads uncompressed.
-    pub intra: Option<(CompressorKind, f64)>,
-    /// Best `(compressor, estimated speedup)` for inter-node traffic.
-    pub inter: Option<(CompressorKind, f64)>,
-}
-
-impl TierSelection {
-    /// The intra-tier choice, `None` when compression would slow the fast
-    /// link down (estimated speedup ≤ 1) — the "lighter-or-none" half of
-    /// tier-aware selection.
-    pub fn intra_worthwhile(&self) -> Option<(CompressorKind, f64)> {
-        self.intra.filter(|&(_, s)| s > 1.0)
-    }
-}
-
-/// Run Equation-2 selection once per tier: the same measured reports ranked
-/// against the intra-node and the inter-node bandwidth. On a realistic
-/// cluster (NVLink-class intra, slow fabric) this chooses heavy compression
-/// for inter-node traffic and lighter-or-none intra-node — the decision a
-/// flat bandwidth figure cannot express.
-pub fn select_compressor_per_tier(
-    reports: &[(CompressorKind, CompressionReport)],
-    intra_bandwidth: f64,
-    inter_bandwidth: f64,
-    overlapped: bool,
-) -> TierSelection {
-    TierSelection {
-        intra: select_compressor_with(reports, intra_bandwidth, overlapped),
-        inter: select_compressor_with(reports, inter_bandwidth, overlapped),
-    }
-}
-
 /// Equation-2 estimate under a given overlap mode — what compressor
 /// selection uses so a pipeline that hides codec time ranks codecs by their
 /// *exposed* cost, not their raw cost.
@@ -474,64 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_estimate_degenerates_at_the_fraction_extremes() {
-        let i = inputs(19.9, 40.5e9, 205.4e9, 4e9);
-        // Everything crosses the fabric (one rank per node): plain Eq. 2.
-        let all_inter = estimate_hierarchical_speedup(i, 150e9, 1.0);
-        assert!((all_inter - estimate_speedup(i)).abs() < 1e-12);
-        // Single node: nothing to compress.
-        assert_eq!(estimate_hierarchical_speedup(i, 150e9, 0.0), 1.0);
-    }
-
-    #[test]
-    fn hierarchical_estimate_grows_with_the_fabric_share() {
-        // The more traffic crosses the slow fabric, the more end-to-end win
-        // compressing it buys (for a codec that beats the fabric).
-        let i = inputs(19.9, 40.5e9, 205.4e9, 4e9);
-        let mut last = 1.0;
-        for f in [0.25, 0.5, 0.75, 1.0] {
-            let s = estimate_hierarchical_speedup(i, 150e9, f);
-            assert!(s > last, "f={f}: {s} <= {last}");
-            last = s;
-        }
-        // And the whole-exchange speedup never exceeds the fabric-only one.
-        assert!(last <= estimate_speedup(i) + 1e-12);
-    }
-
-    #[test]
-    fn per_tier_selection_compresses_the_fabric_not_the_nvlink() {
-        use dlrm_compress::CompressionReport;
-        let mk = |ratio: f64, tc: f64, td: f64| CompressionReport {
-            compressor: "x".into(),
-            original_bytes: 1_000_000,
-            compressed_bytes: (1_000_000.0 / ratio) as usize,
-            ratio,
-            compress_seconds: 1.0,
-            decompress_seconds: 1.0,
-            compress_throughput: tc,
-            decompress_throughput: td,
-            max_abs_error: 0.0,
-            error_bound: 0.01,
-        };
-        let reports = vec![
-            (CompressorKind::FzLike, mk(6.2, 136e9, 136e9)),
-            (CompressorKind::OursHybrid, mk(19.9, 40.5e9, 205.4e9)),
-        ];
-        // NVLink-class intra tier vs the paper's 4 GB/s fabric.
-        let sel = select_compressor_per_tier(&reports, 150e9, 4e9, false);
-        let (inter_kind, inter_speedup) = sel.inter.unwrap();
-        assert_eq!(inter_kind, CompressorKind::OursHybrid);
-        assert!(inter_speedup > 1.0);
-        // On the fast link every codec loses: lighter-or-none means none.
-        let (_, intra_speedup) = sel.intra.unwrap();
-        assert!(intra_speedup < 1.0, "{intra_speedup}");
-        assert!(sel.intra_worthwhile().is_none());
-        // A slow "intra" link flips the answer back to worthwhile.
-        let slow = select_compressor_per_tier(&reports, 4e9, 4e9, false);
-        assert!(slow.intra_worthwhile().is_some());
-    }
-
-    #[test]
     fn allreduce_estimate_limits_and_monotonicity() {
         // Infinitely fast codecs: the speedup approaches the ratio — the
         // wire term shrinks by CR in both phases of the schedule.
@@ -581,30 +422,5 @@ mod tests {
             estimate_allreduce_speedup_auto(i, Some(120e9), 8),
             estimate_homomorphic_allreduce_speedup(i, 120e9, 8)
         );
-    }
-
-    #[test]
-    fn allreduce_selection_ranks_by_the_allreduce_estimate() {
-        use dlrm_compress::CompressionReport;
-        let mk = |ratio: f64, tc: f64, td: f64| CompressionReport {
-            compressor: "x".into(),
-            original_bytes: 1_000_000,
-            compressed_bytes: (1_000_000.0 / ratio) as usize,
-            ratio,
-            compress_seconds: 1.0,
-            decompress_seconds: 1.0,
-            compress_throughput: tc,
-            decompress_throughput: td,
-            max_abs_error: 0.0,
-            error_bound: 0.01,
-        };
-        let reports = vec![
-            (CompressorKind::Fp16, mk(2.0, 300e9, 300e9)),
-            (CompressorKind::SzLike, mk(10.0, 60e9, 120e9)),
-        ];
-        let (kind, speedup) = select_allreduce_compressor(&reports, 8e9, 8).unwrap();
-        assert_eq!(kind, CompressorKind::SzLike);
-        assert!(speedup > 1.0);
-        assert!(select_allreduce_compressor(&[], 8e9, 8).is_none());
     }
 }

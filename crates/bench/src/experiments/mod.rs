@@ -2,27 +2,18 @@
 //! ablations), each producing a plain-text report.
 
 pub mod accuracy;
-pub mod adapt;
 pub mod breakdown;
 pub mod buffer_opt;
 pub mod compressors;
 pub mod decay;
-pub mod dense;
-pub mod exec;
-pub mod fault;
-pub mod homo;
 pub mod meta;
-pub mod overlap;
-pub mod serve;
-pub mod topology;
-pub mod trace;
 
 use crate::workloads::Scale;
 
 /// Options shared by every experiment run.
 #[derive(Debug, Clone, Copy)]
 pub struct ExpOptions {
-    /// Run scale (quick for CI, full for the numbers in `EXPERIMENTS.md`).
+    /// Run scale (quick for CI, full for the paper-scale numbers).
     pub scale: Scale,
 }
 
@@ -43,8 +34,8 @@ impl ExpOptions {
 
 /// A registered experiment.
 pub struct Experiment {
-    /// Identifier used by `DESIGN.md`, `EXPERIMENTS.md` and the CLI
-    /// (`fig11`, `tab5`, `abl2`, …).
+    /// The paper artifact's identifier, as the CLI takes it (`fig11`,
+    /// `tab5`, `abl2`, …).
     pub id: &'static str,
     /// What the corresponding paper artifact shows.
     pub title: &'static str,
@@ -141,51 +132,6 @@ pub fn registry() -> Vec<Experiment> {
             run: compressors::tab6,
         },
         Experiment {
-            id: "ovl1",
-            title: "Sequential vs overlapped (double-buffered) chunked all-to-all breakdown",
-            run: overlap::ovl1,
-        },
-        Experiment {
-            id: "exec1",
-            title: "Real-time executor: sequential vs thread-per-rank wall time, paced wire",
-            run: exec::exec1,
-        },
-        Experiment {
-            id: "dense1",
-            title: "Dense path: fp32 vs fp16 vs error-feedback compressed gradient all-reduce",
-            run: dense::dense1,
-        },
-        Experiment {
-            id: "homo1",
-            title: "Homomorphic aggregation: combine-in-compressed-domain vs classic all-reduce",
-            run: homo::homo1,
-        },
-        Experiment {
-            id: "topo1",
-            title: "Node-aware topology sweep: modeled time vs ranks per node at fixed world",
-            run: topology::topo1,
-        },
-        Experiment {
-            id: "adapt1",
-            title: "Runtime adaptivity: static plans vs the closed-loop controller under drift",
-            run: adapt::adapt1,
-        },
-        Experiment {
-            id: "fault1",
-            title: "Elastic fault tolerance: stragglers, checkpointed rank loss, live scale-out",
-            run: fault::fault1,
-        },
-        Experiment {
-            id: "trace1",
-            title: "Structured tracing: per-rank spans, Perfetto trace export, metrics series",
-            run: trace::trace1,
-        },
-        Experiment {
-            id: "serve1",
-            title: "Sharded online inference: hot-row caching and compressed cross-rank fetches",
-            run: serve::serve1,
-        },
-        Experiment {
             id: "abl2",
             title: "Ablation: Lorenzo prediction hurts on homogenized tables",
             run: compressors::abl2,
@@ -211,16 +157,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_ids_are_unique_and_cover_design_doc() {
-        let reg = registry();
-        let ids: std::collections::HashSet<&str> = reg.iter().map(|e| e.id).collect();
-        assert_eq!(ids.len(), reg.len(), "duplicate experiment id");
-        for required in [
-            "fig1", "fig5", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-            "fig15", "tab1", "tab2", "tab3", "tab4", "tab5", "tab6",
-        ] {
-            assert!(ids.contains(required), "missing experiment {required}");
-        }
+    fn registry_holds_exactly_the_papers_figures_tables_and_ablations() {
+        let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
+        assert_eq!(
+            ids,
+            [
+                "fig1", "fig5", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+                "fig14", "fig15", "tab1", "tab2", "tab3", "tab4", "tab5", "tab6", "abl2", "abl3",
+            ]
+        );
     }
 
     #[test]

@@ -2,15 +2,12 @@
 //! per table, scaled-down trainer configurations, and the network settings
 //! the paper's evaluation assumes.
 
-use dlrm_adaptive::{CodecProfile, EbConfig, EbSchedule, Thresholds, TrainingPhases};
-use dlrm_ckpt::CheckpointSpec;
-use dlrm_comm::{BandwidthTrace, FaultPlan, NetworkConfig, Topology};
+use dlrm_adaptive::{EbConfig, EbSchedule, Thresholds, TrainingPhases};
+use dlrm_comm::NetworkConfig;
 use dlrm_compress::CompressorKind;
 use dlrm_data::{presets, DatasetConfig, EmbeddingTrafficGenerator};
-use dlrm_grad::GradCodecKind;
 use dlrm_trainer::{
-    plan, AdaptiveSetting, CompressionSetting, DenseCompression, ExecutorSetting, FaultSetting,
-    ObsSetting, OverlapSetting, TopologySetting, TrainerConfig,
+    plan, CompressionSetting, ExecutorSetting, ObsSetting, OverlapSetting, TrainerConfig,
 };
 
 /// The all-to-all bandwidth the paper's Figure 11 speedup analysis assumes.
@@ -26,7 +23,7 @@ pub const PAPER_HYBRID_THROUGHPUT: (f64, f64) = (40.5e9, 205.4e9);
 pub enum Scale {
     /// Small and fast — used by integration tests and `--quick`.
     Quick,
-    /// The default scale used to produce `EXPERIMENTS.md`.
+    /// The paper-scale default.
     Full,
 }
 
@@ -147,376 +144,6 @@ pub fn breakdown_trainer(
     }
 }
 
-/// The trainer configuration the overlap breakdown experiment uses: a slow
-/// link and analytic codec throughputs sized so the codec can genuinely hide
-/// behind the wire, with measured compute scaled far down — the experiment
-/// is about the deterministic comm/codec schedule, not this CPU.
-pub fn overlap_trainer(compression: CompressionSetting, scale: Scale) -> TrainerConfig {
-    let (world, iterations) = match scale {
-        Scale::Quick => (4, 4),
-        Scale::Full => (8, 6),
-    };
-    TrainerConfig {
-        world,
-        global_batch: world * 64,
-        iterations,
-        learning_rate: 0.05,
-        compression,
-        overlap: OverlapSetting::Off,
-        dense_compression: Default::default(),
-        grad_push: Default::default(),
-        network: NetworkConfig::alltoall_bound(5e7),
-        topology: Default::default(),
-        adaptive: Default::default(),
-        bandwidth_trace: None,
-        fault: None,
-        codec_profile: None,
-        executor: ExecutorSetting::Threaded,
-        realtime_wire: false,
-        obs: ObsSetting::Off,
-        seed: 20_240_614,
-        device_throughput: Some((0.5e9, 2e9)),
-        compute_time_scale: 1.0 / 5000.0,
-    }
-}
-
-/// The wire the real-time executor experiment (`exec1`) paces against: an
-/// all-to-all link slow enough that modeled per-message wire time dominates
-/// an iteration, so hiding it (or failing to) moves real wall-clock time.
-pub fn exec_link() -> NetworkConfig {
-    NetworkConfig::alltoall_bound(1e5)
-}
-
-/// The trainer configuration the real-time executor experiment (`exec1`)
-/// uses: overlap on, `realtime_wire` on (wire pacing costs real wall time),
-/// and the executor under test. Under [`ExecutorSetting::Sequential`] ranks
-/// take turns and every paced sleep is exposed; under
-/// [`ExecutorSetting::Threaded`] one rank's in-flight payloads hide behind
-/// the other ranks' work even on a single core.
-pub fn exec_trainer(executor: ExecutorSetting, scale: Scale) -> TrainerConfig {
-    let (world, iterations) = match scale {
-        Scale::Quick => (4, 4),
-        Scale::Full => (8, 4),
-    };
-    TrainerConfig {
-        world,
-        global_batch: world * 64,
-        iterations,
-        learning_rate: 0.05,
-        compression: CompressionSetting::fixed(0.02, CompressorKind::OursHybrid),
-        overlap: OverlapSetting::DoubleBuffered,
-        dense_compression: Default::default(),
-        grad_push: Default::default(),
-        network: exec_link(),
-        topology: Default::default(),
-        adaptive: Default::default(),
-        bandwidth_trace: None,
-        fault: None,
-        codec_profile: None,
-        executor,
-        realtime_wire: true,
-        obs: ObsSetting::Off,
-        seed: 20_240_614,
-        device_throughput: Some((0.5e9, 2e9)),
-        compute_time_scale: 1.0 / 5000.0,
-    }
-}
-
-/// The trainer configuration the dense-path experiment (`dense1`) uses: an
-/// allreduce-bound interconnect (slow all-reduce link, fast all-to-all) so
-/// the MLP-gradient exchange dominates the wire, with measured compute
-/// scaled far down — the dense schedule, not this CPU, is under test.
-pub fn dense_trainer(dense: DenseCompression, scale: Scale) -> TrainerConfig {
-    let (world, iterations) = match scale {
-        Scale::Quick => (4, 12),
-        Scale::Full => (8, 60),
-    };
-    TrainerConfig {
-        world,
-        global_batch: world * 32,
-        iterations,
-        learning_rate: 0.2,
-        compression: CompressionSetting::None,
-        overlap: OverlapSetting::Off,
-        dense_compression: dense,
-        grad_push: Default::default(),
-        network: NetworkConfig::allreduce_bound(5e7),
-        topology: Default::default(),
-        adaptive: Default::default(),
-        bandwidth_trace: None,
-        fault: None,
-        codec_profile: None,
-        executor: ExecutorSetting::Threaded,
-        realtime_wire: false,
-        obs: ObsSetting::Off,
-        seed: 20_240_614,
-        device_throughput: None,
-        compute_time_scale: 1.0 / 5000.0,
-    }
-}
-
-/// The trainer configuration the homomorphic-aggregation experiment
-/// (`homo1`) uses: the `dense1` shape (allreduce-bound interconnect, deep
-/// compute scale-down) plus an analytic device-throughput override — the
-/// owner-shard codec work is exactly what the homomorphic schedule
-/// eliminates, so it must be on the bill for the comparison to mean
-/// anything.
-pub fn homo_trainer(dense: DenseCompression, scale: Scale) -> TrainerConfig {
-    let mut cfg = dense_trainer(dense, scale);
-    cfg.device_throughput = Some((0.5e9, 2e9));
-    cfg
-}
-
-/// World size of the `topo1` topology sweep (fixed while `ranks_per_node`
-/// varies).
-pub const TOPOLOGY_WORLD: usize = 8;
-
-/// The intra-node (NVLink-class) tier of the `topo1` sweep.
-pub fn topology_intra_link() -> NetworkConfig {
-    NetworkConfig::nvlink_intra_node()
-}
-
-/// The inter-node fabric of the `topo1` sweep: a slow, high-latency link —
-/// the regime where node awareness pays (and where the paper's compression
-/// matters most).
-pub fn topology_inter_link() -> NetworkConfig {
-    NetworkConfig {
-        alltoall_bandwidth: 5e7,
-        allreduce_bandwidth: 5e7,
-        latency: 20e-6,
-    }
-}
-
-/// The `topo1` cluster shape at a given `ranks_per_node` (must divide
-/// [`TOPOLOGY_WORLD`]).
-pub fn topology_shape(ranks_per_node: usize) -> Topology {
-    assert_eq!(TOPOLOGY_WORLD % ranks_per_node, 0, "shape must tile world");
-    Topology::new(
-        TOPOLOGY_WORLD / ranks_per_node,
-        ranks_per_node,
-        topology_intra_link(),
-        topology_inter_link(),
-    )
-}
-
-/// The trainer configuration the topology sweep (`topo1`) uses: fixed world
-/// over a two-tier cluster, analytic codec throughputs and measured compute
-/// scaled far down so the deterministic tiered wire time dominates — the
-/// sweep is about the cluster shape, not this CPU.
-pub fn topology_trainer(ranks_per_node: usize, scale: Scale) -> TrainerConfig {
-    let iterations = match scale {
-        Scale::Quick => 3,
-        Scale::Full => 6,
-    };
-    TrainerConfig {
-        world: TOPOLOGY_WORLD,
-        global_batch: TOPOLOGY_WORLD * 32,
-        iterations,
-        learning_rate: 0.05,
-        compression: fixed_lossy_setting(),
-        overlap: OverlapSetting::Off,
-        dense_compression: Default::default(),
-        grad_push: Default::default(),
-        network: topology_inter_link(),
-        topology: TopologySetting::Hierarchical(topology_shape(ranks_per_node)),
-        adaptive: Default::default(),
-        bandwidth_trace: None,
-        fault: None,
-        codec_profile: None,
-        executor: ExecutorSetting::Threaded,
-        realtime_wire: false,
-        obs: ObsSetting::Off,
-        seed: 20_240_614,
-        device_throughput: Some(PAPER_HYBRID_THROUGHPUT),
-        compute_time_scale: 1.0 / 5000.0,
-    }
-}
-
-/// World size of the `adapt1` runtime-adaptivity sweep.
-pub const ADAPT_WORLD: usize = 4;
-
-/// Controller window of the `adapt1` sweep (iterations per reselection
-/// point).
-pub const ADAPT_WINDOW: usize = 3;
-
-/// Iterations of the `adapt1` sweep at a given scale (the drift lands at the
-/// midpoint).
-pub fn adapt_iterations(scale: Scale) -> usize {
-    match scale {
-        Scale::Quick => 24,
-        Scale::Full => 48,
-    }
-}
-
-/// The healthy fabric of the `adapt1` sweep: fast enough that heavy
-/// compression cannot pay for its codec time.
-pub fn adapt_fast_link() -> NetworkConfig {
-    NetworkConfig::alltoall_bound(2e9)
-}
-
-/// The degraded fabric of the `adapt1` sweep: 10x slower, where Equation 2
-/// flips to the heavy codec.
-pub fn adapt_slow_link() -> NetworkConfig {
-    NetworkConfig::alltoall_bound(2e8)
-}
-
-/// The `adapt1` drift scenario: the run starts on a degraded fabric (a
-/// co-tenant job saturates the links) that recovers 10x at mid-run. The
-/// runtime arm starts on the codec the degraded fabric wants, so its
-/// one-window reaction lag after the recovery only delays its upside — the
-/// honest shape of a closed loop that can only observe the past window.
-pub fn adapt_drift_trace(scale: Scale) -> BandwidthTrace {
-    BandwidthTrace::step(
-        adapt_slow_link(),
-        adapt_fast_link(),
-        adapt_iterations(scale) / 2,
-    )
-}
-
-/// The per-codec analytic throughput model of the `adapt1` sweep: a very
-/// fast cheap cast against a slow heavy codec (with the FZ-like baseline
-/// priced out), so the speed/ratio trade-off Equation 2 arbitrates is stark
-/// and deterministic.
-pub fn adapt_profile() -> CodecProfile {
-    CodecProfile::paper_reference()
-        .with(CompressorKind::Fp16, 200e9, 200e9)
-        .with(CompressorKind::OursHybrid, 2e9, 10e9)
-        .with(CompressorKind::FzLike, 1e9, 1e9)
-}
-
-/// The error bound every `adapt1` arm compresses at.
-pub const ADAPT_EB: f32 = 0.05;
-
-/// One `adapt1` arm: a fixed-EB lossy run over the drift trace with the
-/// per-codec profile, either static on `codec` or runtime-adaptive starting
-/// from `codec`. Measured compute is scaled far down — the deterministic
-/// wire + codec schedule is what the arms compare.
-pub fn adapt_trainer(
-    codec: CompressorKind,
-    adaptive: AdaptiveSetting,
-    scale: Scale,
-) -> TrainerConfig {
-    TrainerConfig {
-        world: ADAPT_WORLD,
-        global_batch: ADAPT_WORLD * 32,
-        iterations: adapt_iterations(scale),
-        learning_rate: 0.05,
-        compression: CompressionSetting::fixed(ADAPT_EB, codec),
-        overlap: OverlapSetting::Off,
-        dense_compression: Default::default(),
-        grad_push: Default::default(),
-        network: adapt_slow_link(),
-        topology: Default::default(),
-        adaptive,
-        bandwidth_trace: Some(adapt_drift_trace(scale)),
-        fault: None,
-        codec_profile: Some(adapt_profile()),
-        executor: ExecutorSetting::Threaded,
-        realtime_wire: false,
-        obs: ObsSetting::Off,
-        seed: 20_240_614,
-        device_throughput: None,
-        // Deep scale-down: the arms are compared on their deterministic
-        // wire + analytic codec schedules; measured CPU noise must not be
-        // able to blur a percent-level margin.
-        compute_time_scale: 1.0 / 50_000.0,
-    }
-}
-
-/// World size the `fault1` elasticity sweep starts from.
-pub const FAULT_WORLD: usize = 4;
-
-/// Checkpoint cadence of the `fault1` sweep (iterations between snapshots).
-pub const FAULT_CKPT_EVERY: usize = 4;
-
-/// Iterations of the `fault1` sweep at a given scale. World events land at
-/// the midpoint, the straggler window covers the middle third.
-pub fn fault_iterations(scale: Scale) -> usize {
-    match scale {
-        Scale::Quick => 24,
-        Scale::Full => 48,
-    }
-}
-
-/// The healthy fabric of the `fault1` sweep: fast enough that the cheap cast
-/// wins Equation 2 — until a straggler drags the effective link down 10x.
-pub fn fault_link() -> NetworkConfig {
-    NetworkConfig::alltoall_bound(2e9)
-}
-
-/// Compressed-checkpoint policy of the `fault1` sweep: error-bounded hybrid
-/// sections at a bound tight enough that a restored run stays on the
-/// no-fault trajectory, every [`FAULT_CKPT_EVERY`] iterations.
-pub fn fault_ckpt_spec() -> CheckpointSpec {
-    CheckpointSpec::new(
-        FAULT_CKPT_EVERY,
-        GradCodecKind::ErrorBounded {
-            compressor: CompressorKind::OursHybrid,
-            error_bound: 1e-3,
-        },
-    )
-}
-
-/// Base trainer of the `fault1` sweep: the `adapt1` shape (same profile,
-/// deep compute scale-down so the deterministic wire + codec schedule
-/// dominates) on a steady healthy fabric, with the fault plan left to the
-/// scenario builders.
-pub fn fault_trainer(
-    codec: CompressorKind,
-    adaptive: AdaptiveSetting,
-    scale: Scale,
-) -> TrainerConfig {
-    TrainerConfig {
-        world: FAULT_WORLD,
-        global_batch: FAULT_WORLD * 32,
-        iterations: fault_iterations(scale),
-        learning_rate: 0.05,
-        compression: CompressionSetting::fixed(ADAPT_EB, codec),
-        overlap: OverlapSetting::Off,
-        dense_compression: Default::default(),
-        grad_push: Default::default(),
-        network: fault_link(),
-        topology: Default::default(),
-        adaptive,
-        bandwidth_trace: None,
-        fault: None,
-        codec_profile: Some(adapt_profile()),
-        executor: ExecutorSetting::Threaded,
-        realtime_wire: false,
-        obs: ObsSetting::Off,
-        seed: 20_240_614,
-        device_throughput: None,
-        compute_time_scale: 1.0 / 50_000.0,
-    }
-}
-
-/// The straggler scenario: rank 1's links run 10x slower over the middle
-/// third of the run. On the healthy fabric Equation 2 wants the cheap cast;
-/// behind the straggler it flips to the heavy codec — the reselection the
-/// acceptance test asserts.
-pub fn fault_straggler_plan(scale: Scale) -> FaultPlan {
-    let iters = fault_iterations(scale);
-    FaultPlan::none().with_straggler(1, iters / 3, 2 * iters / 3, 10.0)
-}
-
-/// The rank-loss scenario: the last rank dies at the midpoint; training
-/// rolls back to the last compressed checkpoint, re-shards the lost rank's
-/// tables over the survivors and replays.
-pub fn fault_loss_plan(scale: Scale) -> FaultPlan {
-    FaultPlan::none().with_rank_loss(fault_iterations(scale) / 2, FAULT_WORLD - 1)
-}
-
-/// The scale-out scenario: the world grows 4 -> 6 at the midpoint behind a
-/// boundary checkpoint — no lost work, just a re-shard onto the new ranks.
-pub fn fault_resize_plan(scale: Scale) -> FaultPlan {
-    FaultPlan::none().with_resize(fault_iterations(scale) / 2, FAULT_WORLD + 2)
-}
-
-/// A fault setting with the sweep's compressed-checkpoint policy attached.
-pub fn fault_setting(plan: FaultPlan) -> FaultSetting {
-    FaultSetting::new(plan).with_checkpoint(fault_ckpt_spec())
-}
-
 /// The paper-default adaptive compression setting for a dataset (offline
 /// analysis with EBs 0.05/0.03/0.01, step-wise decay over the initial phase).
 pub fn adaptive_setting(dataset: &DatasetConfig, iterations: usize) -> CompressionSetting {
@@ -559,46 +186,9 @@ pub fn decay_schedule(
     }
 }
 
-/// The serving workload of the `serve1` experiment: the paper's Figure-11
-/// network carrying a sharded online-inference tier under peak (queueing)
-/// load — hybrid compressed cross-rank fetches, per-frontend hot-row
-/// caching. Quick runs keep the tiny preset and the `small_test` shape so
-/// CI stays fast; full runs serve the Kaggle-like preset on 8 ranks.
-pub fn serve_workload(scale: Scale) -> (dlrm_data::DatasetConfig, dlrm_serve::ServeConfig) {
-    let mut cfg = dlrm_serve::ServeConfig::small_test();
-    match scale {
-        Scale::Quick => {
-            // Push arrivals well past the service rate: under overload the
-            // queue integrates every window's processing time, so the tail
-            // and throughput comparisons between arms are strict.
-            cfg.arrival_qps = 20_000_000.0;
-            (presets::tiny(), cfg)
-        }
-        Scale::Full => {
-            cfg.world = 8;
-            cfg.requests = 32_768;
-            cfg.window = 256;
-            cfg.warmup_windows = 4;
-            cfg.cache_rows = 8_192;
-            cfg.arrival_qps = 20_000_000.0;
-            cfg.executor = ExecutorSetting::Threaded;
-            (presets::criteo_kaggle_like(), cfg)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serve_configs_validate() {
-        for scale in [Scale::Quick, Scale::Full] {
-            let (dataset, cfg) = serve_workload(scale);
-            assert!(cfg.validate().is_ok(), "{scale:?}");
-            assert!(dataset.num_tables() > 0);
-        }
-    }
 
     #[test]
     fn sampled_traffic_has_one_batch_per_table() {

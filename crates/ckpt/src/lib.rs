@@ -11,8 +11,8 @@
 //! the simulated cluster holds it in memory as per-section
 //! [`EncodedSection`]s, reports the compression ratio, and charges the
 //! modeled write/read time (`encoded bytes / bandwidth`) to the trainer's
-//! timing ledger, which is how `BENCH_fault.json` gets its recovery-cost
-//! numbers.
+//! timing ledger, so a report prices checkpointing and recovery next to
+//! the exchanges.
 //!
 //! Layout. Every rank produces a [`RankCheckpoint`] for the state it owns:
 //! rank 0 encodes the (replicated) MLP parameters once, each rank encodes

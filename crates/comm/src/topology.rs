@@ -195,9 +195,7 @@ impl Topology {
     }
 
     /// Fraction of a uniform all-to-all's traffic that crosses the fabric:
-    /// `(world − ranks_per_node) / (world − 1)`, 0 for a single rank. This is
-    /// the `inter_fraction` input of the tier-aware Equation-2 model
-    /// (`dlrm_adaptive::speedup::estimate_hierarchical_speedup`).
+    /// `(world − ranks_per_node) / (world − 1)`, 0 for a single rank.
     pub fn inter_fraction(&self) -> f64 {
         let world = self.world();
         if world <= 1 {

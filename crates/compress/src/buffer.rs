@@ -10,13 +10,15 @@
 //!
 //! The CPU analogue implemented here:
 //!
-//! * [`compress_chunks_fused`] — compress all chunks **in parallel** (rayon)
-//!   and reserve each chunk's span in the shared send buffer with an atomic
-//!   fetch-add, writing each compressed chunk exactly once.
-//! * [`compress_chunks_naive`] — sequential per-chunk compression followed by
-//!   a gathering copy, the baseline of Figure 15.
-//! * [`decompress_chunks_parallel`] / [`decompress_chunks_serial`] — the two
-//!   decompression paths.
+//! * [`compress_chunks_fused`] — compress every chunk straight into its span
+//!   of the shared send buffer, one chunk after another through one shared
+//!   scratch, writing each compressed chunk exactly once (the spans are
+//!   contiguous and in chunk order, the offsets the paper's atomic counter
+//!   would hand out).
+//! * [`compress_chunks_naive`] — per-chunk compression into its own
+//!   allocation followed by a gathering copy, the baseline of Figure 15.
+//! * [`decompress_chunks_parallel`] / [`decompress_chunks_serial`] — the
+//!   fused (one shared scratch) and per-chunk decompression paths.
 //!
 //! Both paths produce the same logical result (tests assert byte-identical
 //! decompressed output), so the only difference benchmarks see is time.
@@ -24,9 +26,7 @@
 use crate::registry::Compressor;
 use crate::scratch::CompressScratch;
 use crate::Result;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A contiguous send buffer holding every destination's compressed chunk plus
 /// the offset table that the variable-size all-to-all sends as metadata.
@@ -56,54 +56,27 @@ impl FusedBuffer {
     }
 }
 
-/// Fused path: compress every chunk in parallel and write each one directly
-/// into its reserved span of the shared output buffer.
+/// Fused path: compress every chunk directly into its span of one fresh
+/// send buffer — [`compress_chunks_into`] with a fresh scratch.
 pub fn compress_chunks_fused(
     compressor: &dyn Compressor,
     chunks: &[&[f32]],
     dim: usize,
     eb: f32,
 ) -> Result<FusedBuffer> {
-    // Compress in parallel. Each worker produces its chunk's bytes; the
-    // shared cursor (the paper's Atomic Add) assigns the output offset as
-    // soon as the size is known, so writes into the send buffer never
-    // overlap and need no further coordination.
-    let compressed: Vec<Result<Vec<u8>>> = chunks
-        .par_iter()
-        .map(|chunk| compressor.compress(chunk, dim, eb))
-        .collect();
-    let mut payloads = Vec::with_capacity(chunks.len());
-    for c in compressed {
-        payloads.push(c?);
-    }
-
-    let total: usize = payloads.iter().map(Vec::len).sum();
-    let mut bytes = vec![0u8; total];
-    let cursor = AtomicUsize::new(0);
-    let mut spans = vec![(0usize, 0usize); payloads.len()];
-
-    // Reserve spans with the atomic cursor, then scatter the writes in
-    // parallel over disjoint slices of the send buffer.
-    for (i, payload) in payloads.iter().enumerate() {
-        let off = cursor.fetch_add(payload.len(), Ordering::Relaxed);
-        spans[i] = (off, payload.len());
-    }
-    {
-        // Split the buffer into the reserved spans (they are contiguous and
-        // in order because the cursor was advanced in index order).
-        let mut rest: &mut [u8] = &mut bytes;
-        let mut slices: Vec<&mut [u8]> = Vec::with_capacity(payloads.len());
-        for &(_, len) in &spans {
-            let (head, tail) = rest.split_at_mut(len);
-            slices.push(head);
-            rest = tail;
-        }
-        slices
-            .into_par_iter()
-            .zip(payloads.par_iter())
-            .for_each(|(dst, src)| dst.copy_from_slice(src));
-    }
-    Ok(FusedBuffer { bytes, spans })
+    let mut out = FusedBuffer {
+        bytes: Vec::new(),
+        spans: Vec::new(),
+    };
+    compress_chunks_into(
+        compressor,
+        chunks,
+        dim,
+        eb,
+        &mut CompressScratch::new(),
+        &mut out,
+    )?;
+    Ok(out)
 }
 
 /// Incremental, allocation-free encoder of a per-destination chunk stream —
@@ -251,10 +224,10 @@ impl ChunkDecoder {
 /// send buffer through a streaming [`ChunkEncoder`], reusing the caller's
 /// scratch and the `FusedBuffer`'s own storage across calls.
 ///
-/// Produces exactly the same chunks as [`compress_chunks_fused`] /
-/// [`compress_chunks_naive`], but performs no per-chunk allocation and no
-/// gather copy at all — each chunk's bytes are written once, in place. This
-/// is the path the trainer's steady-state pipeline uses.
+/// Produces exactly the same chunks as [`compress_chunks_naive`], but
+/// performs no per-chunk allocation and no gather copy at all — each chunk's
+/// bytes are written once, in place. [`compress_chunks_fused`] is this call
+/// with fresh storage; the trainer's steady-state pipeline reuses its own.
 pub fn compress_chunks_into(
     compressor: &dyn Compressor,
     chunks: &[&[f32]],
@@ -317,16 +290,21 @@ pub fn compress_chunks_naive(
     Ok(FusedBuffer { bytes, spans })
 }
 
-/// Decompress every chunk of a fused buffer in parallel.
+/// Fused receive path: decompress every chunk of a fused buffer through one
+/// shared scratch, instead of building a fresh one per chunk as
+/// [`decompress_chunks_serial`] does.
 pub fn decompress_chunks_parallel(
     compressor: &dyn Compressor,
     buffer: &FusedBuffer,
 ) -> Result<Vec<Vec<f32>>> {
-    let results: Vec<Result<Vec<f32>>> = (0..buffer.num_chunks())
-        .into_par_iter()
-        .map(|i| compressor.decompress(buffer.chunk(i)))
-        .collect();
-    results.into_iter().collect()
+    let mut scratch = CompressScratch::new();
+    (0..buffer.num_chunks())
+        .map(|i| {
+            let mut values = Vec::new();
+            compressor.decompress_into(buffer.chunk(i), &mut scratch, &mut values)?;
+            Ok(values)
+        })
+        .collect()
 }
 
 /// Decompress every chunk serially (the baseline of Figure 15's bottom half).

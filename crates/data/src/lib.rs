@@ -10,7 +10,7 @@
 //!
 //! * **26 categorical features** whose cardinalities span fewer than ten to
 //!   hundreds of thousands of categories (the Figure 6 size spread, scaled
-//!   down to laptop memory — see `DESIGN.md` for the scaling note).
+//!   down to laptop memory).
 //! * **Unbalanced query frequency** — categorical lookups follow per-table
 //!   Zipf distributions, so hot categories repeat within a batch. This is
 //!   the source of repeated embedding vectors, vector homogenization and

@@ -6,7 +6,7 @@
 //! millions of rows; they are scaled down to at most a few hundred thousand
 //! rows so the whole workspace runs on a laptop — the compression behaviour
 //! only depends on the query skew and value distribution, not on the absolute
-//! row count (see DESIGN.md, substitution table).
+//! row count.
 
 use crate::config::{DatasetConfig, TableProfile, ValueDistribution};
 

@@ -5,8 +5,8 @@
 //! id), so a serving fleet with a *different* world size can restore the same
 //! snapshot: each rank decodes only the table sections it owns plus the
 //! replicated MLP. [`snapshot_model`] produces such a checkpoint directly
-//! from an in-process model — the single-process path the `serve1`
-//! experiment uses to train briefly and hand the state to the fleet.
+//! from an in-process model — the single-process path that hands a model
+//! trained in this process to the fleet.
 
 use dlrm_ckpt::{Checkpoint, CkptCodec, RankCheckpoint};
 use dlrm_grad::GradCodecKind;

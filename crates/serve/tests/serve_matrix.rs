@@ -11,10 +11,22 @@
 //!    the identity codec;
 //! 4. **zero-alloc steady state** — after the warm-up windows, pools and
 //!    engine scratch stop allocating.
+//!
+//! Plus the wins the engine exists for, on the paper's figure-11 network
+//! under overload (arrivals past the service rate, so the queue integrates
+//! every per-window saving): caching and compressed fetches each strictly
+//! improve the modeled p99 and QPS, the controller moves tables off a
+//! mediocre codec under drifting traffic, and serving from a restored
+//! checkpoint answers bit for bit what the in-memory model answers.
 
-use dlrm_data::presets;
+use dlrm_compress::CompressorKind;
+use dlrm_data::{presets, TrafficDrift};
 use dlrm_grad::GradCodecKind;
-use dlrm_serve::{run_serving, FetchSetting, ServeConfig};
+use dlrm_model::{Dlrm, DlrmConfig};
+use dlrm_serve::{
+    run_serving, run_serving_from_checkpoint, snapshot_model, FetchSetting, ServeAdaptive,
+    ServeConfig, ServingReport,
+};
 use dlrm_trainer::ExecutorSetting;
 
 #[test]
@@ -110,4 +122,118 @@ fn steady_state_allocates_nothing() {
     off.cache_rows = 0;
     let report = run_serving(&dataset, &off);
     assert_eq!(report.steady_state_allocated_bytes, 0);
+}
+
+/// [`ServeConfig::small_test`] with arrivals far past the service rate.
+fn overloaded() -> ServeConfig {
+    let mut cfg = ServeConfig::small_test();
+    cfg.arrival_qps = 20_000_000.0;
+    cfg
+}
+
+/// One arm of the fetch transport × hot-row caching grid.
+fn grid_arm(fetch: FetchSetting, cached: bool) -> ServingReport {
+    let mut cfg = overloaded();
+    cfg.fetch = fetch;
+    if !cached {
+        cfg.cache_rows = 0;
+    }
+    run_serving(&presets::tiny(), &cfg)
+}
+
+#[test]
+fn caching_and_compressed_fetches_strictly_improve_tail_and_throughput() {
+    let hybrid = || FetchSetting::hybrid(0.05);
+    let raw_cold = grid_arm(FetchSetting::Raw, false);
+    let raw_hot = grid_arm(FetchSetting::Raw, true);
+    let comp_cold = grid_arm(hybrid(), false);
+    let comp_hot = grid_arm(hybrid(), true);
+    assert!(
+        comp_hot.hit_rate > 0.2,
+        "hit rate {} too low",
+        comp_hot.hit_rate
+    );
+    // Caching wins on both wires; compression wins with and without a cache.
+    for (label, better, worse) in [
+        ("cache / hybrid", &comp_hot, &comp_cold),
+        ("cache / raw", &raw_hot, &raw_cold),
+        ("hybrid / no cache", &comp_cold, &raw_cold),
+        ("hybrid / cached", &comp_hot, &raw_hot),
+    ] {
+        assert!(
+            better.p99_ms < worse.p99_ms,
+            "{label}: p99 {} not strictly under {}",
+            better.p99_ms,
+            worse.p99_ms
+        );
+        assert!(
+            better.modeled_qps > worse.modeled_qps,
+            "{label}: qps {} not strictly over {}",
+            better.modeled_qps,
+            worse.modeled_qps
+        );
+    }
+    for (comp, raw) in [(&comp_cold, &raw_cold), (&comp_hot, &raw_hot)] {
+        assert!(comp.fetch_ratio > 1.0, "ratio {}", comp.fetch_ratio);
+        assert!(comp.fetch_wire_bytes < raw.fetch_wire_bytes);
+    }
+}
+
+#[test]
+fn controller_reselects_under_drift() {
+    // Every table starts on an fp16 cast; drifting hot rows must make the
+    // Equation-2 score move at least one table to a better-ratio codec.
+    let mut cfg = overloaded();
+    let windows = cfg.num_windows();
+    let dataset = presets::tiny().with_drift(TrafficDrift::hot_rotation(windows / 4, windows / 8));
+    cfg.fetch = FetchSetting::Compressed {
+        codec: GradCodecKind::ErrorBounded {
+            compressor: CompressorKind::Fp16,
+            error_bound: 0.05,
+        },
+    };
+    cfg.adaptive = Some(ServeAdaptive::new(2, 0.05));
+    let report = run_serving(&dataset, &cfg);
+    assert!(
+        report.codec_switches >= 1,
+        "no codec reselection under drift: {:?}",
+        report.final_codecs
+    );
+    assert!(!report.reselections.is_empty());
+    assert!(
+        report
+            .final_codecs
+            .iter()
+            .any(|label| !label.contains("fp16")),
+        "every table still on the initial fp16: {:?}",
+        report.final_codecs
+    );
+}
+
+#[test]
+fn checkpoint_restored_serving_is_bitwise_identical() {
+    // Snapshot the fleet's model, then serve from the restored checkpoint
+    // under a different model seed: every response bit must come from the
+    // checkpoint, not from the fleet's own initialization.
+    let dataset = presets::tiny();
+    let cfg = overloaded();
+    let in_memory = run_serving(&dataset, &cfg);
+    let model = Dlrm::new(DlrmConfig::from_dataset(&dataset), cfg.model_seed);
+    let ckpt = snapshot_model(&model, &GradCodecKind::Identity, 0);
+    let mut restored_cfg = cfg;
+    restored_cfg.model_seed ^= 0xDEAD_BEEF;
+    let restored = run_serving_from_checkpoint(
+        &dataset,
+        &restored_cfg,
+        &ckpt,
+        Some("snapshot of the in-memory model".to_string()),
+    );
+    assert!(restored.from_checkpoint);
+    assert!(!in_memory.from_checkpoint);
+    assert_eq!(in_memory.response_bits(), restored.response_bits());
+    assert_eq!(in_memory.p99_ms.to_bits(), restored.p99_ms.to_bits());
+    assert_eq!(
+        restored.provenance.as_deref(),
+        Some("snapshot of the in-memory model")
+    );
 }

@@ -317,7 +317,7 @@ impl OverlapSetting {
 /// changes is *wall-clock* behaviour: `Threaded` free-runs one OS thread
 /// per rank, so codec work genuinely overlaps in-flight payloads;
 /// `Sequential` serializes the ranks under a turn-taking gate, the honest
-/// single-core baseline the `exec1` experiment measures speedups against.
+/// single-core baseline.
 ///
 /// One caveat: under [`AdaptiveSetting::Runtime`] with **no**
 /// [`TrainerConfig::codec_profile`] and no
@@ -368,7 +368,7 @@ impl ExecutorSetting {
 /// (`dlrm-obs`).
 ///
 /// `Off` takes exactly the code path the pre-observability trainer took —
-/// bit for bit, with no recorder allocated (asserted by the `trace1` test
+/// bit for bit, with no recorder allocated (asserted by the trace test
 /// matrix). `On` attaches a preallocated per-rank span ring and metrics
 /// series; records are `Copy` and ring capacity is sized up front, so the
 /// zero-allocation steady state survives with tracing enabled. Timestamps
@@ -690,8 +690,7 @@ impl TrainerConfig {
     }
 
     /// The same configuration with the given cluster topology
-    /// (builder-style convenience for the topology test matrix and the
-    /// `topo1` experiment).
+    /// (builder-style convenience for the topology test matrix).
     pub fn with_topology(mut self, topology: TopologySetting) -> Self {
         self.topology = topology;
         self
@@ -712,8 +711,7 @@ impl TrainerConfig {
     }
 
     /// The same configuration with the given adaptive setting
-    /// (builder-style convenience for the adaptive test matrix and the
-    /// `adapt1` experiment).
+    /// (builder-style convenience for the adaptive test matrix).
     pub fn with_adaptive(mut self, adaptive: AdaptiveSetting) -> Self {
         self.adaptive = adaptive;
         self
@@ -738,8 +736,7 @@ impl TrainerConfig {
     }
 
     /// The same configuration under the given execution mode
-    /// (builder-style convenience for the executor test matrix and the
-    /// `exec1` experiment).
+    /// (builder-style convenience for the executor test matrix).
     pub fn with_executor(mut self, executor: ExecutorSetting) -> Self {
         self.executor = executor;
         self
@@ -753,8 +750,7 @@ impl TrainerConfig {
     }
 
     /// The same configuration with the given observability setting
-    /// (builder-style convenience for the trace test matrix and the
-    /// `trace1` experiment).
+    /// (builder-style convenience for the trace test matrix).
     pub fn with_obs(mut self, obs: ObsSetting) -> Self {
         self.obs = obs;
         self

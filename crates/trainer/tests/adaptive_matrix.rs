@@ -9,7 +9,9 @@
 //!   equality);
 //! * the zero-allocation steady state holds with the controller on;
 //! * loss-plateau error-bound control tightens the bound and the run still
-//!   learns.
+//!   learns;
+//! * under a bandwidth drift the controller beats every static plan, and a
+//!   traffic drift shows up in the per-window measured ratio it probes.
 
 use dlrm_adaptive::{CodecProfile, PlateauEbControl};
 use dlrm_comm::{BandwidthTrace, NetworkConfig, Topology};
@@ -260,5 +262,81 @@ fn plateau_eb_control_tightens_and_still_learns() {
     assert!(
         last <= first + 1e-9,
         "ratio rose under a tightened bound: {first} -> {last}"
+    );
+}
+
+/// Per-codec analytic throughputs with a stark speed/ratio trade-off: a very
+/// fast cheap cast against a slow heavy codec, the FZ-like baseline priced
+/// out.
+fn drift_profile() -> CodecProfile {
+    CodecProfile::paper_reference()
+        .with(CompressorKind::Fp16, 200e9, 200e9)
+        .with(CompressorKind::OursHybrid, 2e9, 10e9)
+        .with(CompressorKind::FzLike, 1e9, 1e9)
+}
+
+/// A fixed-EB lossy run on `codec` with the drift profile; compute is
+/// scaled far down so the deterministic wire + codec schedule decides the
+/// comparison, not CPU noise.
+fn drift_arm_config(codec: CompressorKind, adaptive: AdaptiveSetting) -> TrainerConfig {
+    let mut cfg = TrainerConfig::small_test(CompressionSetting::fixed(0.05, codec))
+        .with_adaptive(adaptive)
+        .with_codec_profile(drift_profile());
+    cfg.iterations = 24;
+    cfg.learning_rate = 0.05;
+    cfg.compute_time_scale = 1.0 / 50_000.0;
+    cfg
+}
+
+#[test]
+fn runtime_controller_beats_every_static_plan_under_bandwidth_drift() {
+    // The fabric starts degraded and recovers 10x at mid-run, so every
+    // static plan is wrong in one half. The runtime arm starts on the heavy
+    // codec the degraded fabric wants.
+    let dataset = dlrm_data::presets::tiny();
+    let slow = NetworkConfig::alltoall_bound(2e8);
+    let fast = NetworkConfig::alltoall_bound(2e9);
+    let run = |codec, adaptive| {
+        let mut cfg = drift_arm_config(codec, adaptive)
+            .with_bandwidth_trace(BandwidthTrace::step(slow, fast, 12));
+        cfg.network = slow;
+        run_training(&dataset, &cfg)
+    };
+    let runtime = run(CompressorKind::OursHybrid, AdaptiveSetting::runtime(3, 0.1));
+    assert!(
+        runtime.total_reselections() >= 1,
+        "no mid-run reselection under a 10x bandwidth drift: {:?}",
+        runtime.reselections
+    );
+    for codec in [
+        CompressorKind::Fp16,
+        CompressorKind::FzLike,
+        CompressorKind::OursHybrid,
+    ] {
+        let fixed = run(codec, AdaptiveSetting::Static);
+        assert!(
+            runtime.total_seconds < fixed.total_seconds,
+            "runtime ({:.6}s) not strictly better than static-{} ({:.6}s)",
+            runtime.total_seconds,
+            codec.label(),
+            fixed.total_seconds
+        );
+    }
+}
+
+#[test]
+fn traffic_drift_raises_the_measured_ratio() {
+    // A steady fabric, and the query skew sharpens at mid-run: repeated
+    // vectors homogenize and the measured ratio the controller probes rises.
+    let dataset =
+        dlrm_data::presets::tiny().with_drift(dlrm_data::TrafficDrift::exponent_shift(12, 1.5));
+    let mut cfg = drift_arm_config(CompressorKind::OursHybrid, AdaptiveSetting::runtime(3, 0.1));
+    cfg.network = NetworkConfig::alltoall_bound(5e8);
+    let report = run_training(&dataset, &cfg);
+    let first = report.window_ratios.first().copied().expect("windows");
+    let last = report.window_ratios.last().copied().expect("windows");
+    assert!(
+        last > first,
+        "skew shift did not raise the measured ratio: {first} -> {last}"
     );
 }

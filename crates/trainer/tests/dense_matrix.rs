@@ -3,7 +3,8 @@
 //! finite reports, `Off` is bit-for-bit the pre-compression path (pinned via
 //! the lossless identity codec, which the comm-level tests pin to the
 //! full-replication reference), fp16 with error feedback converges within
-//! tolerance of uncompressed while its residual stays bounded, and the
+//! tolerance of uncompressed while its residual stays bounded, compression
+//! strictly cuts the all-reduce charge on an allreduce-bound link, and the
 //! zero-allocation steady state survives with dense compression enabled.
 
 use dlrm_compress::CompressorKind;
@@ -400,4 +401,30 @@ fn zero_allocation_steady_state_survives_dense_compression() {
             );
         }
     }
+}
+
+#[test]
+fn dense_compression_strictly_reduces_allreduce_time() {
+    // On an allreduce-bound link with compute scaled far down, the
+    // error-feedback fp16 run charges less all-reduce time than fp32 and
+    // records the saved seconds.
+    use dlrm_comm::phase as phases;
+    let dataset = presets::tiny();
+    let run = |dense| {
+        let mut cfg = tiny_config(dense, 12);
+        cfg.network = dlrm_comm::NetworkConfig::allreduce_bound(5e7);
+        cfg.compute_time_scale = 1.0 / 5000.0;
+        run_training(&dataset, &cfg)
+    };
+    let base = run(DenseCompression::Off);
+    let ef = run(DenseCompression::fp16_ef());
+    let ar = |r: &TrainingReport| r.breakdown.seconds(phases::ALLREDUCE);
+    assert!(
+        ar(&ef) < ar(&base),
+        "compressed {} >= baseline {}",
+        ar(&ef),
+        ar(&base)
+    );
+    assert!(ef.dense_saved_seconds > 0.0);
+    assert!((ef.dense_ratio - 2.0).abs() < 0.1, "{}", ef.dense_ratio);
 }

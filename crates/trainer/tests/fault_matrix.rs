@@ -3,8 +3,11 @@
 //! to end under both executors with compression on and off, the empty fault
 //! plan is bit-identical to running without one, straggler degradation
 //! charges the wire exactly as a statically degraded `NetworkConfig` would,
-//! and the zero-allocation steady state survives segmented runs.
+//! the zero-allocation steady state survives segmented runs, the runtime
+//! controller reselects while a straggler is active, and a run recovered
+//! from a compressed checkpoint lands next to the no-fault run.
 
+use dlrm_adaptive::CodecProfile;
 use dlrm_ckpt::CheckpointSpec;
 use dlrm_comm::phase as phases;
 use dlrm_comm::{FaultPlan, NetworkConfig, Topology};
@@ -12,8 +15,8 @@ use dlrm_compress::CompressorKind;
 use dlrm_data::presets;
 use dlrm_grad::GradCodecKind;
 use dlrm_trainer::{
-    run_training, CompressionSetting, ExecutorSetting, FaultSetting, TopologySetting,
-    TrainerConfig, TrainingReport,
+    run_training, AdaptiveSetting, CompressionSetting, ExecutorSetting, FaultSetting,
+    TopologySetting, TrainerConfig, TrainingReport,
 };
 
 const ITERS: usize = 24;
@@ -269,4 +272,72 @@ fn straggler_degrades_only_the_inter_tier_of_a_hierarchical_topology() {
     );
     assert_eq!(a.intra_tier_bytes, b.intra_tier_bytes);
     assert_eq!(a.inter_tier_bytes, b.inter_tier_bytes);
+}
+
+/// A fixed-EB lossy run on `codec` over a healthy 2 GB/s fabric with
+/// analytic per-codec throughputs (a very fast cheap cast against a slow
+/// heavy codec) and compute scaled far down, so the deterministic wire +
+/// codec schedule drives the controller.
+fn profiled_config(codec: CompressorKind, adaptive: AdaptiveSetting) -> TrainerConfig {
+    let mut cfg = TrainerConfig::small_test(CompressionSetting::fixed(0.05, codec))
+        .with_adaptive(adaptive)
+        .with_codec_profile(
+            CodecProfile::paper_reference()
+                .with(CompressorKind::Fp16, 200e9, 200e9)
+                .with(CompressorKind::OursHybrid, 2e9, 10e9)
+                .with(CompressorKind::FzLike, 1e9, 1e9),
+        );
+    cfg.world = WORLD;
+    cfg.iterations = ITERS;
+    cfg.learning_rate = 0.05;
+    cfg.network = NetworkConfig::alltoall_bound(2e9);
+    cfg.compute_time_scale = 1.0 / 50_000.0;
+    cfg
+}
+
+#[test]
+fn controller_reselects_while_the_straggler_is_active() {
+    // The healthy fabric wants the cheap cast; rank 1's links run 10x
+    // slower over the middle third, where Equation 2 flips to the heavy
+    // codec.
+    let dataset = presets::tiny();
+    let cfg = profiled_config(CompressorKind::Fp16, AdaptiveSetting::runtime(3, 0.1)).with_fault(
+        FaultSetting::new(FaultPlan::none().with_straggler(1, ITERS / 3, 2 * ITERS / 3, 10.0)),
+    );
+    let report = run_training(&dataset, &cfg);
+    assert!(
+        report
+            .reselections
+            .iter()
+            .any(|r| r.degraded && !r.switches.is_empty()),
+        "no degraded-window codec switch: {:?}",
+        report.reselections
+    );
+}
+
+#[test]
+fn rank_loss_recovery_lands_within_tolerance_of_the_no_fault_run() {
+    // The restore is lossy (error-bounded sections) and the replay runs on
+    // a re-sharded world, so the trajectories are close but not equal.
+    const LOSS_TOLERANCE: f64 = 0.1;
+    let dataset = presets::tiny();
+    let baseline = run_training(
+        &dataset,
+        &profiled_config(CompressorKind::OursHybrid, AdaptiveSetting::Static),
+    );
+    let loss = run_training(
+        &dataset,
+        &profiled_config(CompressorKind::OursHybrid, AdaptiveSetting::Static).with_fault(
+            FaultSetting::new(FaultPlan::none().with_rank_loss(ITERS / 2, WORLD - 1))
+                .with_checkpoint(ckpt_spec()),
+        ),
+    );
+    assert!(loss.recovery_iterations > 0, "nothing was replayed");
+    let drift = (loss.final_metrics.loss - baseline.final_metrics.loss).abs();
+    assert!(
+        drift <= LOSS_TOLERANCE * baseline.final_metrics.loss.abs(),
+        "recovered run drifted from the no-fault run: {} vs {}",
+        loss.final_metrics.loss,
+        baseline.final_metrics.loss
+    );
 }
