@@ -141,41 +141,47 @@ fn grid_arm(fetch: FetchSetting, cached: bool) -> ServingReport {
     run_serving(&presets::tiny(), &cfg)
 }
 
+/// The hybrid fetch transport at the serving error bound.
+fn hybrid() -> FetchSetting {
+    FetchSetting::hybrid(0.05)
+}
+
+/// `better` has a strictly lower modeled p99 AND a strictly higher QPS.
+fn assert_strictly_better(label: &str, better: &ServingReport, worse: &ServingReport) {
+    assert!(
+        better.p99_ms < worse.p99_ms,
+        "{label}: p99 {} not strictly under {}",
+        better.p99_ms,
+        worse.p99_ms
+    );
+    assert!(
+        better.modeled_qps > worse.modeled_qps,
+        "{label}: qps {} not strictly over {}",
+        better.modeled_qps,
+        worse.modeled_qps
+    );
+}
+
 #[test]
-fn caching_and_compressed_fetches_strictly_improve_tail_and_throughput() {
-    let hybrid = || FetchSetting::hybrid(0.05);
+fn caching_strictly_improves_tail_and_throughput() {
+    let cold = grid_arm(hybrid(), false);
+    let hot = grid_arm(hybrid(), true);
+    assert!(hot.hit_rate > 0.2, "hit rate {} too low", hot.hit_rate);
+    assert_strictly_better("cache / hybrid", &hot, &cold);
+    // And the same holds on the raw wire, where a hit saves more bytes.
     let raw_cold = grid_arm(FetchSetting::Raw, false);
     let raw_hot = grid_arm(FetchSetting::Raw, true);
-    let comp_cold = grid_arm(hybrid(), false);
-    let comp_hot = grid_arm(hybrid(), true);
-    assert!(
-        comp_hot.hit_rate > 0.2,
-        "hit rate {} too low",
-        comp_hot.hit_rate
-    );
-    // Caching wins on both wires; compression wins with and without a cache.
-    for (label, better, worse) in [
-        ("cache / hybrid", &comp_hot, &comp_cold),
-        ("cache / raw", &raw_hot, &raw_cold),
-        ("hybrid / no cache", &comp_cold, &raw_cold),
-        ("hybrid / cached", &comp_hot, &raw_hot),
-    ] {
-        assert!(
-            better.p99_ms < worse.p99_ms,
-            "{label}: p99 {} not strictly under {}",
-            better.p99_ms,
-            worse.p99_ms
-        );
-        assert!(
-            better.modeled_qps > worse.modeled_qps,
-            "{label}: qps {} not strictly over {}",
-            better.modeled_qps,
-            worse.modeled_qps
-        );
-    }
-    for (comp, raw) in [(&comp_cold, &raw_cold), (&comp_hot, &raw_hot)] {
+    assert_strictly_better("cache / raw", &raw_hot, &raw_cold);
+}
+
+#[test]
+fn compressed_fetches_strictly_beat_raw() {
+    for cached in [false, true] {
+        let raw = grid_arm(FetchSetting::Raw, cached);
+        let comp = grid_arm(hybrid(), cached);
         assert!(comp.fetch_ratio > 1.0, "ratio {}", comp.fetch_ratio);
         assert!(comp.fetch_wire_bytes < raw.fetch_wire_bytes);
+        assert_strictly_better(&format!("hybrid / cached={cached}"), &comp, &raw);
     }
 }
 

@@ -4,8 +4,9 @@
 //! `TopologySetting::Flat` reproduces the topology-less trainer's reports
 //! bit for bit, tier accounting is recorded exactly when a hierarchy is
 //! configured, the zero-allocation steady state survives the hierarchical
-//! route, and at a fixed world the modeled time falls strictly as more
-//! ranks share a node.
+//! route, at a fixed world the modeled time falls strictly as more ranks
+//! share a node, and fabric traffic vanishes when a single node holds them
+//! all.
 
 use dlrm_comm::phase as phases;
 use dlrm_comm::{NetworkConfig, Topology};
@@ -211,46 +212,48 @@ fn zero_allocation_steady_state_survives_the_hierarchical_route() {
     }
 }
 
-#[test]
-fn modeled_time_falls_strictly_as_ranks_per_node_grow() {
-    // World 8 over a slow, high-latency fabric with NVLink-class nodes,
-    // paper GPU codec throughputs and compute scaled far down: packing more
-    // ranks per node keeps more traffic on the fast tier, so the total and
-    // the network phases both fall at every step.
-    let dataset = presets::tiny();
+/// World 8 with `rpn` ranks per node over a slow, high-latency fabric with
+/// NVLink-class nodes, paper GPU codec throughputs and compute scaled far
+/// down.
+fn sweep_run(rpn: usize) -> TrainingReport {
     let inter = NetworkConfig {
         alltoall_bandwidth: 5e7,
         allreduce_bandwidth: 5e7,
         latency: 20e-6,
     };
+    let mut cfg = tiny_config(
+        CompressionSetting::fixed(0.02, CompressorKind::OursHybrid),
+        3,
+    )
+    .with_topology(TopologySetting::Hierarchical(Topology::new(
+        8 / rpn,
+        rpn,
+        NetworkConfig::nvlink_intra_node(),
+        inter,
+    )));
+    cfg.world = 8;
+    cfg.global_batch = 256;
+    cfg.learning_rate = 0.05;
+    cfg.network = inter;
+    cfg.device_throughput = Some((40.5e9, 205.4e9));
+    cfg.compute_time_scale = 1.0 / 5000.0;
+    run_training(&presets::tiny(), &cfg)
+}
+
+#[test]
+fn modeled_time_falls_strictly_as_ranks_per_node_grow() {
+    // Packing more ranks per node keeps more traffic on the fast tier, so
+    // the total and the network phases both fall at every step.
     let mut totals = Vec::new();
     let mut network = Vec::new();
-    let mut tier_bytes = Vec::new();
     for rpn in [1, 2, 4, 8] {
-        let mut cfg = tiny_config(
-            CompressionSetting::fixed(0.02, CompressorKind::OursHybrid),
-            3,
-        )
-        .with_topology(TopologySetting::Hierarchical(Topology::new(
-            8 / rpn,
-            rpn,
-            NetworkConfig::nvlink_intra_node(),
-            inter,
-        )));
-        cfg.world = 8;
-        cfg.global_batch = 256;
-        cfg.learning_rate = 0.05;
-        cfg.network = inter;
-        cfg.device_throughput = Some((40.5e9, 205.4e9));
-        cfg.compute_time_scale = 1.0 / 5000.0;
-        let report = run_training(&dataset, &cfg);
+        let report = sweep_run(rpn);
         totals.push(report.total_seconds);
         network.push(
             report.breakdown.seconds(phases::FWD_A2A)
                 + report.breakdown.seconds(phases::BWD_A2A)
                 + report.breakdown.seconds(phases::ALLREDUCE),
         );
-        tier_bytes.push((report.intra_tier_bytes, report.inter_tier_bytes));
     }
     assert!(
         totals.windows(2).all(|w| w[1] < w[0]),
@@ -260,9 +263,16 @@ fn modeled_time_falls_strictly_as_ranks_per_node_grow() {
         network.windows(2).all(|w| w[1] < w[0]),
         "network seconds not strictly decreasing: {network:?}"
     );
+}
+
+#[test]
+fn fabric_traffic_vanishes_at_a_single_node() {
     // One rank per node: everything crosses the fabric. One node: nothing
     // does.
-    let (spread, packed) = (tier_bytes[0], tier_bytes[3]);
-    assert!(spread.0 == 0 && spread.1 > 0, "1 rank/node: {spread:?}");
-    assert!(packed.0 > 0 && packed.1 == 0, "8 ranks/node: {packed:?}");
+    let spread = sweep_run(1);
+    let packed = sweep_run(8);
+    assert!(spread.inter_tier_bytes > 0);
+    assert_eq!(spread.intra_tier_bytes, 0);
+    assert_eq!(packed.inter_tier_bytes, 0);
+    assert!(packed.intra_tier_bytes > 0);
 }
