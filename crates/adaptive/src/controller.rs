@@ -28,7 +28,11 @@
 //! an SPMD trainer can therefore run an identical controller on identical
 //! gathered observations and arrive at identical revisions, which is what
 //! keeps a mid-run codec switch consistent between the rank that compresses
-//! a table and the ranks that decompress it.
+//! a table and the ranks that decompress it. The gathered inputs have one
+//! format for training and serving alike: each rank encodes a
+//! [`WindowShare`], every rank decodes all of them (a total decoder with a
+//! typed [`ShareError`]) and [`WindowShare::fold`]s them into the
+//! observation.
 //!
 //! ```
 //! use dlrm_adaptive::controller::{
@@ -69,7 +73,7 @@
 //! ```
 
 use crate::speedup::{estimate_allreduce_speedup_auto, estimate_speedup_with, SpeedupInputs};
-use dlrm_compress::CompressorKind;
+use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
 use serde::{Deserialize, Serialize};
 
 /// One dense-path all-reduce codec candidate for
@@ -386,6 +390,218 @@ pub struct WindowObservation {
     pub tables: Vec<TableObservation>,
 }
 
+/// Rows of live payload sampled per owned table to probe the candidate
+/// codecs: a bounded sample keeps the probe's cost constant in the batch
+/// size (the offline analysis samples too).
+pub const PROBE_ROWS: usize = 32;
+
+/// Compression ratio of each candidate codec on `sample` (row-major, `dim`
+/// wide) at error bound `eb`, in candidate order — the runtime analogue of
+/// Algorithm 2's offline sampling. `out` is the reused output buffer.
+///
+/// # Panics
+/// Panics if a candidate cannot compress `sample` (non-finite values).
+pub fn probe_candidates(
+    candidates: &[Box<dyn Compressor>],
+    sample: &[f32],
+    dim: usize,
+    eb: f32,
+    scratch: &mut CompressScratch,
+    out: &mut Vec<u8>,
+) -> Vec<f64> {
+    candidates
+        .iter()
+        .map(|codec| {
+            out.clear();
+            codec
+                .compress_into(sample, dim, eb, scratch, out)
+                .expect("candidate probe of finite data compresses");
+            (sample.len() * 4) as f64 / out.len().max(1) as f64
+        })
+        .collect()
+}
+
+/// One rank's measurements over one controller window. At a window boundary
+/// every rank all-gathers its share and [`WindowShare::fold`]s all of them,
+/// in rank order, into the [`WindowObservation`] its controller replica
+/// decides on — identical inputs on every rank, hence identical decisions.
+///
+/// Wire format, little-endian 8-byte words: `loss_sum`, `loss_n`,
+/// `wire_bytes`, `wire_seconds`, `intra_bytes`, `intra_seconds`,
+/// `codec_bytes`, `codec_seconds`, the table count, then per table its id,
+/// original and compressed bytes and one ratio per candidate codec.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WindowShare {
+    /// Sum and count of the window's loss signal.
+    pub loss_sum: f64,
+    pub loss_n: u64,
+    /// Bottleneck-tier wire bytes and the β seconds charged for them (their
+    /// quotient is the effective bandwidth the controller reselects against).
+    pub wire_bytes: f64,
+    pub wire_seconds: f64,
+    /// Intra-node tier bytes and seconds (zero on a flat cluster).
+    pub intra_bytes: f64,
+    pub intra_seconds: f64,
+    /// Bytes the running codecs compressed and the seconds charged for them
+    /// (their quotient calibrates the throughput profile).
+    pub codec_bytes: f64,
+    pub codec_seconds: f64,
+    /// One entry per table this rank owns.
+    pub tables: Vec<TableObservation>,
+}
+
+/// Bytes that do not decode as a [`WindowShare`].
+///
+/// `needed > available`: the bytes end before the field (or, after the table
+/// count, the tables) that starts at `offset`. `needed == 0`: `available`
+/// bytes trail the last table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShareError {
+    /// Byte offset where the failed read started.
+    pub offset: usize,
+    /// Bytes the format requires at `offset`.
+    pub needed: usize,
+    /// Bytes present from `offset` on.
+    pub available: usize,
+}
+
+impl std::fmt::Display for ShareError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (needed, offset, available) = (self.needed, self.offset, self.available);
+        if needed == 0 {
+            write!(f, "{available} trailing bytes at offset {offset}")
+        } else {
+            write!(
+                f,
+                "need {needed} bytes at offset {offset}, have {available}"
+            )
+        }
+    }
+}
+
+impl std::error::Error for ShareError {}
+
+impl WindowShare {
+    /// Encoded bytes of the eight scalars and the table count.
+    const HEADER_BYTES: usize = 9 * 8;
+
+    /// Encoded bytes of a share over `tables` tables and `candidates`
+    /// candidate codecs — exact, so a lease of this size never grows.
+    pub fn encoded_len(tables: usize, candidates: usize) -> usize {
+        Self::HEADER_BYTES + tables * (3 + candidates) * 8
+    }
+
+    /// Append the wire encoding to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let header = [
+            self.loss_sum.to_bits(),
+            self.loss_n,
+            self.wire_bytes.to_bits(),
+            self.wire_seconds.to_bits(),
+            self.intra_bytes.to_bits(),
+            self.intra_seconds.to_bits(),
+            self.codec_bytes.to_bits(),
+            self.codec_seconds.to_bits(),
+            self.tables.len() as u64,
+        ];
+        let tables = self.tables.iter().flat_map(|t| {
+            [t.table_id as u64, t.original_bytes, t.compressed_bytes]
+                .into_iter()
+                .chain(t.candidate_ratios.iter().map(|r| r.to_bits()))
+        });
+        for word in header.into_iter().chain(tables) {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+
+    /// Decode a share whose tables carry `candidates` ratios each. Total:
+    /// bytes that end early (a truncated header, or fewer tables than the
+    /// count announces) or run on past the last table are a [`ShareError`],
+    /// never a panic, and nothing is allocated before the length checks out.
+    pub fn decode(bytes: &[u8], candidates: usize) -> Result<Self, ShareError> {
+        let error = |offset: usize, needed| {
+            let available = bytes.len() - offset;
+            Err(ShareError {
+                offset,
+                needed,
+                available,
+            })
+        };
+        let (words, _) = bytes.as_chunks::<8>();
+        let Some((header, body)) = words.split_first_chunk::<9>() else {
+            return error(0, Self::HEADER_BYTES);
+        };
+        let u = |w: &[u8; 8]| u64::from_le_bytes(*w);
+        let f = |w: &[u8; 8]| f64::from_le_bytes(*w);
+        let entry = 3 + candidates;
+        let (at, available) = (Self::HEADER_BYTES, bytes.len() - Self::HEADER_BYTES);
+        let needed = usize::try_from(u(&header[8]))
+            .ok()
+            .and_then(|count| count.checked_mul(entry * 8))
+            .unwrap_or(usize::MAX);
+        if needed > available {
+            return error(at, needed);
+        }
+        if needed < available {
+            return error(at + needed, 0);
+        }
+        Ok(WindowShare {
+            loss_sum: f(&header[0]),
+            loss_n: u(&header[1]),
+            wire_bytes: f(&header[2]),
+            wire_seconds: f(&header[3]),
+            intra_bytes: f(&header[4]),
+            intra_seconds: f(&header[5]),
+            codec_bytes: f(&header[6]),
+            codec_seconds: f(&header[7]),
+            tables: (body.chunks_exact(entry))
+                .map(|t| TableObservation {
+                    table_id: u(&t[0]) as usize,
+                    original_bytes: u(&t[1]),
+                    compressed_bytes: u(&t[2]),
+                    candidate_ratios: t[3..].iter().map(f).collect(),
+                })
+                .collect(),
+        })
+    }
+
+    /// Fold every rank's share, in rank order, into the window's
+    /// observation: scalars summed, tables sorted by id. The effective
+    /// bandwidth falls back to `fallback_bandwidth` when the window charged
+    /// no wire time, and `mean_loss` turns the summed loss signal
+    /// `(sum, count)` into the plateau signal.
+    pub fn fold(
+        shares: impl IntoIterator<Item = WindowShare>,
+        iteration: usize,
+        fallback_bandwidth: f64,
+        mean_loss: impl FnOnce(f64, u64) -> f64,
+    ) -> WindowObservation {
+        let mut sum = WindowShare::default();
+        for share in shares {
+            sum.loss_sum += share.loss_sum;
+            sum.loss_n += share.loss_n;
+            sum.wire_bytes += share.wire_bytes;
+            sum.wire_seconds += share.wire_seconds;
+            sum.intra_bytes += share.intra_bytes;
+            sum.intra_seconds += share.intra_seconds;
+            sum.codec_bytes += share.codec_bytes;
+            sum.codec_seconds += share.codec_seconds;
+            sum.tables.extend(share.tables);
+        }
+        sum.tables.sort_by_key(|t| t.table_id);
+        let rate = |bytes: f64, seconds: f64| (seconds > 0.0).then(|| bytes / seconds);
+        WindowObservation {
+            iteration,
+            effective_bandwidth: rate(sum.wire_bytes, sum.wire_seconds)
+                .unwrap_or(fallback_bandwidth),
+            intra_bandwidth: rate(sum.intra_bytes, sum.intra_seconds),
+            mean_loss: mean_loss(sum.loss_sum, sum.loss_n),
+            measured_compress_throughput: rate(sum.codec_bytes, sum.codec_seconds).unwrap_or(0.0),
+            tables: sum.tables,
+        }
+    }
+}
+
 /// One table's codec switch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TableRevision {
@@ -699,6 +915,145 @@ mod tests {
             measured_compress_throughput: 0.0,
             tables,
         }
+    }
+
+    /// A valid two-table share over three candidate codecs.
+    fn two_table_share() -> WindowShare {
+        WindowShare {
+            loss_sum: 1.5,
+            loss_n: 3,
+            wire_bytes: 4096.0,
+            wire_seconds: 2e-6,
+            intra_bytes: 512.0,
+            intra_seconds: 1e-7,
+            codec_bytes: 8192.0,
+            codec_seconds: 3e-7,
+            tables: vec![
+                TableObservation {
+                    table_id: 7,
+                    original_bytes: 1 << 12,
+                    compressed_bytes: 1 << 10,
+                    candidate_ratios: vec![2.0, 5.5, 11.25],
+                },
+                table(2, &[2.0, 3.0, 4.0]),
+            ],
+        }
+    }
+
+    /// Decode under `catch_unwind`, so a panicking decoder fails the test
+    /// with the input that broke it.
+    fn decode(bytes: &[u8], candidates: usize) -> Result<WindowShare, ShareError> {
+        std::panic::catch_unwind(|| WindowShare::decode(bytes, candidates))
+            .unwrap_or_else(|_| panic!("decode panicked on {} bytes", bytes.len()))
+    }
+
+    #[test]
+    fn window_share_roundtrips_in_the_fixed_word_layout() {
+        let share = two_table_share();
+        let mut bytes = Vec::new();
+        share.encode_into(&mut bytes);
+        assert_eq!(bytes.len(), WindowShare::encoded_len(2, 3));
+        assert_eq!(bytes.len(), 72 + 2 * (3 + 3) * 8);
+        let word = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
+        assert_eq!(word(0), 1.5f64.to_bits());
+        assert_eq!(word(1), 3, "loss count");
+        assert_eq!(word(8), 2, "table count");
+        assert_eq!((word(9), word(10), word(11)), (7, 1 << 12, 1 << 10));
+        assert_eq!(word(12), 2.0f64.to_bits());
+        assert_eq!(decode(&bytes, 3), Ok(share));
+    }
+
+    #[test]
+    fn window_share_decoder_is_total() {
+        let mut bytes = Vec::new();
+        two_table_share().encode_into(&mut bytes);
+        // Every strict prefix: a truncated header or truncated tables.
+        for len in 0..bytes.len() {
+            let e = decode(&bytes[..len], 3).expect_err("a strict prefix decoded");
+            assert!(e.needed > e.available, "prefix {len}: {e}");
+            assert_eq!(e.offset, if len < 72 { 0 } else { 72 }, "prefix {len}: {e}");
+        }
+        // A table count one too many, and an absurd one: nothing to read.
+        for count in [3u64, u64::MAX] {
+            let mut bad = bytes.clone();
+            bad[64..72].copy_from_slice(&count.to_le_bytes());
+            let e = decode(&bad, 3).expect_err("an overcounted share decoded");
+            assert_eq!((e.offset, e.available), (72, bytes.len() - 72), "{e}");
+            assert!(e.needed > e.available, "{e}");
+        }
+        // Trailing bytes past the last table.
+        let mut long = bytes.clone();
+        long.extend_from_slice(&[0xAB; 5]);
+        let e = decode(&long, 3).expect_err("trailing bytes decoded");
+        assert_eq!(
+            e,
+            ShareError {
+                offset: bytes.len(),
+                needed: 0,
+                available: 5
+            }
+        );
+        assert_eq!(
+            e.to_string(),
+            format!("5 trailing bytes at offset {}", bytes.len())
+        );
+        // A candidate-count mismatch misreads the per-table stride either way.
+        let short = decode(&bytes, 2).expect_err("fewer candidates decoded");
+        assert_eq!((short.offset, short.needed), (72 + 2 * 5 * 8, 0));
+        let wide = decode(&bytes, 4).expect_err("more candidates decoded");
+        assert_eq!((wide.offset, wide.needed), (72, 2 * 7 * 8));
+        assert!(wide.to_string().contains("at offset 72"), "{wide}");
+    }
+
+    #[test]
+    fn fold_sums_shares_in_rank_order_and_sorts_tables() {
+        let a = two_table_share();
+        let mut b = WindowShare {
+            wire_bytes: 1024.0,
+            wire_seconds: 1e-6,
+            tables: vec![table(4, &[1.0, 1.0, 1.0])],
+            ..WindowShare::default()
+        };
+        b.loss_sum = 0.5;
+        b.loss_n = 1;
+        let obs = WindowShare::fold([a.clone(), b.clone()], 9, 1e9, |sum, n| {
+            assert_eq!((sum, n), (2.0, 4));
+            sum / n as f64
+        });
+        assert_eq!(obs.iteration, 9);
+        assert_eq!(obs.mean_loss, 0.5);
+        assert_eq!(obs.effective_bandwidth, (4096.0 + 1024.0) / (2e-6 + 1e-6));
+        assert_eq!(obs.intra_bandwidth, Some(512.0 / 1e-7));
+        assert_eq!(obs.measured_compress_throughput, 8192.0 / 3e-7);
+        let ids: Vec<usize> = obs.tables.iter().map(|t| t.table_id).collect();
+        assert_eq!(ids, [2, 4, 7]);
+        // A window that charged no wire (or intra, or codec) time falls back.
+        let idle = WindowShare::fold([WindowShare::default()], 3, 1e9, |_, _| 0.0);
+        assert_eq!(idle.effective_bandwidth, 1e9);
+        assert_eq!(idle.intra_bandwidth, None);
+        assert_eq!(idle.measured_compress_throughput, 0.0);
+        assert!(idle.tables.is_empty());
+    }
+
+    #[test]
+    fn probe_reports_one_ratio_per_candidate() {
+        let candidates: Vec<Box<dyn Compressor>> =
+            [CompressorKind::Fp16, CompressorKind::OursHybrid]
+                .iter()
+                .map(|k| k.build())
+                .collect();
+        let sample: Vec<f32> = (0..PROBE_ROWS * 8).map(|i| (i % 5) as f32 * 0.25).collect();
+        let (mut scratch, mut out) = (CompressScratch::new(), Vec::new());
+        let ratios = probe_candidates(&candidates, &sample, 8, 0.01, &mut scratch, &mut out);
+        assert_eq!(ratios.len(), 2);
+        assert!(
+            (ratios[0] - 2.0).abs() < 0.1,
+            "fp16 is a fixed 2x: {ratios:?}"
+        );
+        assert!(
+            ratios[1] > ratios[0],
+            "repeated rows favour the hybrid: {ratios:?}"
+        );
     }
 
     fn two_codec_config(hysteresis: f64) -> ControllerConfig {

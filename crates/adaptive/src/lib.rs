@@ -39,9 +39,9 @@ pub mod speedup;
 pub use analysis::{analyze_tables, CompressionPlan, TablePlan};
 pub use classify::{EbClass, EbConfig, Thresholds};
 pub use controller::{
-    advise_dense_allreduce, CodecProfile, ControllerConfig, DenseAdvice, DenseCandidate,
-    PlateauEbControl, Reselection, RuntimeController, TableObservation, TableRevision, TierAdvice,
-    WindowObservation,
+    advise_dense_allreduce, probe_candidates, CodecProfile, ControllerConfig, DenseAdvice,
+    DenseCandidate, PlateauEbControl, Reselection, RuntimeController, ShareError, TableObservation,
+    TableRevision, TierAdvice, WindowObservation, WindowShare, PROBE_ROWS,
 };
 pub use decay::{DecaySchedule, EbSchedule, TrainingPhases};
 pub use homo::{homogenization_index, pattern_counts, HomoReport};

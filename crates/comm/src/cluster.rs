@@ -574,18 +574,24 @@ impl RankCtx {
         bytes
     }
 
-    /// All-gather: every rank contributes one byte chunk and receives all
-    /// chunks in rank order.
-    pub fn all_gather_bytes(&self, chunk: Vec<u8>) -> (Vec<Vec<u8>>, ExchangeBytes) {
-        let mut send: Vec<PooledBuf> = Vec::with_capacity(self.world);
-        for _ in 0..self.world {
-            let mut b = self.pool.take(chunk.len());
-            b.extend_from_slice(&chunk);
-            send.push(b);
-        }
-        let mut recv = Vec::with_capacity(self.world);
-        let stats = self.all_to_all_pooled(&mut send, &mut recv);
-        (recv.into_iter().map(PooledBuf::into_vec).collect(), stats)
+    /// All-gather over pool leases: every rank contributes `chunk`, and
+    /// [`RankCtx::all_to_all_pooled`] moves one copy per rank out of `send`,
+    /// so `recv`'s entry `s` is the chunk of rank `s`. Each copy rides a lease
+    /// of exactly `chunk.len()` bytes, so a caller that parked leases of that
+    /// size allocates nothing.
+    pub fn all_gather_pooled(
+        &self,
+        chunk: &[u8],
+        send: &mut Vec<PooledBuf>,
+        recv: &mut Vec<PooledBuf>,
+    ) -> ExchangeBytes {
+        send.clear();
+        send.extend((0..self.world).map(|_| {
+            let mut lease = self.pool.take(chunk.len());
+            lease.extend_from_slice(chunk);
+            lease
+        }));
+        self.all_to_all_pooled(send, recv)
     }
 
     /// Sum-all-reduce over an `f32` vector: every rank ends with the
@@ -1220,6 +1226,35 @@ mod tests {
         for stats in results {
             assert_eq!(stats.sent, 2 * 3);
             assert_eq!(stats.received, 2 * 3);
+        }
+    }
+
+    #[test]
+    fn all_gather_delivers_every_chunk_in_rank_order_on_exact_leases() {
+        let world = 4;
+        let results = cluster(world).run(move |ctx| {
+            let chunk = vec![ctx.rank() as u8; 10 + ctx.rank()];
+            // Park leases of the chunk's size: the gather must reuse them.
+            drop(
+                (0..world)
+                    .map(|_| ctx.take_buf(chunk.len()))
+                    .collect::<Vec<_>>(),
+            );
+            let before = ctx.pool().stats();
+            let (mut send, mut recv) = (Vec::new(), Vec::new());
+            let stats = ctx.all_gather_pooled(&chunk, &mut send, &mut recv);
+            for (src, got) in recv.iter().enumerate() {
+                assert_eq!(got.as_slice(), vec![src as u8; 10 + src].as_slice());
+            }
+            assert_eq!(ctx.pool().stats().since(&before).allocations, 0);
+            stats
+        });
+        for (rank, stats) in results.iter().enumerate() {
+            assert_eq!(stats.sent, 3 * (10 + rank));
+            assert_eq!(
+                stats.received,
+                (0..world).filter(|&s| s != rank).map(|s| 10 + s).sum()
+            );
         }
     }
 

@@ -37,16 +37,21 @@
 //! ## Adaptation
 //!
 //! With [`ServeAdaptive`](crate::config::ServeAdaptive) enabled, every rank
-//! runs a replica of the PR 5 [`RuntimeController`] fed by an identical,
-//! all-gathered [`WindowObservation`] built from live fetch traffic, and
-//! applies the same per-table codec switches — off the request latency path.
-//! A switch flushes the hot-row cache so stale-codec rows never resurface.
+//! runs a replica of the trainer's [`RuntimeController`] and applies the same
+//! per-table codec switches — off the request latency path. At each
+//! controller window boundary a rank encodes its [`WindowShare`] (live fetch
+//! traffic, candidate ratios probed on fetched rows, its cache hits as the
+//! miss-rate plateau signal), the shares ride the pooled all-gather, and every
+//! rank decodes and folds them into the identical observation; a malformed
+//! share is one panic naming both ranks and the byte offset. A switch
+//! flushes the hot-row cache so stale-codec rows never resurface. Without
+//! adaptation no window state is kept at all.
 
 use std::sync::Arc;
 
 use dlrm_adaptive::{
-    ControllerConfig, PlateauEbControl, Reselection, RuntimeController, TableObservation,
-    WindowObservation,
+    probe_candidates, ControllerConfig, PlateauEbControl, Reselection, RuntimeController,
+    TableObservation, WindowShare, PROBE_ROWS,
 };
 use dlrm_ckpt::Checkpoint;
 use dlrm_comm::cluster::RankCtx;
@@ -72,10 +77,6 @@ use crate::fetch::{
 use crate::latency::{percentile, timeline};
 use crate::report::ServingReport;
 use crate::snapshot::restore_owned;
-
-/// Rows of live payload sampled per owned table per observation window for
-/// candidate-codec probing.
-const PROBE_ROWS: usize = 32;
 
 /// Serve `cfg.requests` requests against freshly-initialized model weights
 /// (`cfg.model_seed` stands in for the trained state).
@@ -244,48 +245,139 @@ impl Scratch {
     }
 }
 
-/// Per-observation-window accumulators feeding the runtime controller.
-struct CtlAccum {
+/// One rank's controller replica and its window inputs; `None` without
+/// [`ServeConfig::adaptive`], so a plain run accumulates nothing.
+struct Adaptation {
+    ctl: RuntimeController,
+    /// Prebuilt candidate codecs, in controller-candidate order.
+    candidates: Vec<Box<dyn Compressor>>,
+    /// The fetch error bound the controller's scale multiplies.
+    base_eb: f32,
+    /// This rank's share of the current window. Its loss signal counts cache
+    /// hits (`loss_sum`) over remote lookups (`loss_n`); its tables are
+    /// filled at the boundary.
+    share: WindowShare,
     /// Per-table `(original, compressed)` fetch bytes this window.
-    orig: Vec<u64>,
-    comp: Vec<u64>,
+    traffic: Vec<(u64, u64)>,
     /// Per-table probe sample of live payload rows (owner side).
     probe: Vec<Vec<f32>>,
-    wire_bytes: u64,
-    wire_seconds: f64,
-    enc_raw: u64,
-    enc_seconds: f64,
-    hits: u64,
-    probes: u64,
+    scratch: CompressScratch,
+    /// Reused probe output and share encoding.
+    out: Vec<u8>,
+    blob: Vec<u8>,
 }
 
-impl CtlAccum {
-    fn new(tables: usize, dim: usize) -> Self {
-        Self {
-            orig: vec![0; tables],
-            comp: vec![0; tables],
+impl Adaptation {
+    fn new(cfg: &ServeConfig, tables: usize, dim: usize) -> Option<Self> {
+        let a = cfg.adaptive.as_ref()?;
+        let mut ctl_cfg = ControllerConfig::new(a.window, a.hysteresis)
+            .with_candidates(a.candidates.clone())
+            .with_profile(cfg.profile.clone());
+        if a.eb_control {
+            ctl_cfg = ctl_cfg.with_eb_control(PlateauEbControl::default());
+        }
+        let (initial, base_eb) = match cfg.fetch.resolved_kind() {
+            GradCodecKind::ErrorBounded {
+                compressor,
+                error_bound,
+            } => (compressor, error_bound),
+            // Unreachable behind validate(); a harmless default keeps this total.
+            _ => (CompressorKind::OursHybrid, 0.0),
+        };
+        Some(Self {
+            ctl: RuntimeController::new(ctl_cfg, vec![initial; tables]),
+            candidates: a.candidates.iter().map(|k| k.build()).collect(),
+            base_eb,
+            share: WindowShare::default(),
+            traffic: vec![(0, 0); tables],
             probe: (0..tables)
                 .map(|_| Vec::with_capacity(PROBE_ROWS * dim))
                 .collect(),
-            wire_bytes: 0,
-            wire_seconds: 0.0,
-            enc_raw: 0,
-            enc_seconds: 0.0,
-            hits: 0,
-            probes: 0,
-        }
+            scratch: CompressScratch::new(),
+            out: Vec::new(),
+            blob: Vec::new(),
+        })
     }
 
-    fn reset(&mut self) {
-        self.orig.iter_mut().for_each(|v| *v = 0);
-        self.comp.iter_mut().for_each(|v| *v = 0);
+    /// Owner side: table `t`'s gathered `rows` went out as `encoded` bytes.
+    fn note_payload(&mut self, t: usize, rows: &[f32], encoded: usize, dim: usize) {
+        let raw = (rows.len() * 4) as u64;
+        self.traffic[t].0 += raw;
+        self.traffic[t].1 += encoded as u64;
+        self.share.codec_bytes += raw as f64;
+        // Candidate probing wants a fresh sample of live payload.
+        let probe = &mut self.probe[t];
+        let take = (PROBE_ROWS * dim)
+            .saturating_sub(probe.len())
+            .min(rows.len());
+        probe.extend_from_slice(&rows[..take]);
+    }
+
+    /// Close the controller window ending before batch window `iteration`:
+    /// probe the candidates on each owned table's sample (its leading weight
+    /// rows when nothing was fetched), all-gather the shares, fold the
+    /// identical observation on every rank, and apply the replica's switches
+    /// to the codec bank.
+    #[allow(clippy::too_many_arguments)]
+    fn boundary(
+        &mut self,
+        ctx: &RankCtx,
+        cfg: &ServeConfig,
+        owned: &[usize],
+        model: &Dlrm,
+        codecs: &mut FetchCodecs,
+        iteration: usize,
+        send: &mut Vec<PooledBuf>,
+        recv: &mut Vec<PooledBuf>,
+    ) -> Reselection {
+        let eb = self.base_eb * self.ctl.eb_scale();
+        let (candidates, scratch, out) = (&self.candidates, &mut self.scratch, &mut self.out);
+        for &t in owned {
+            let table = model.embedding(t);
+            let (dim, rows) = (table.dim(), PROBE_ROWS.min(table.cardinality()));
+            let sample = match self.probe[t].as_slice() {
+                [] => &table.weights().as_slice()[..rows * dim],
+                live => live,
+            };
+            let candidate_ratios = probe_candidates(candidates, sample, dim, eb, scratch, out);
+            self.share.tables.push(TableObservation {
+                table_id: t,
+                original_bytes: self.traffic[t].0,
+                compressed_bytes: self.traffic[t].1,
+                candidate_ratios,
+            });
+        }
+        self.blob.clear();
+        self.share.encode_into(&mut self.blob);
+        ctx.all_gather_pooled(&self.blob, send, recv);
+        let (rank, candidates) = (ctx.rank(), self.candidates.len());
+        let shares = recv.iter().enumerate().map(|(src, chunk)| {
+            WindowShare::decode(chunk, candidates).unwrap_or_else(|e| {
+                panic!("rank {rank}: malformed window share from rank {src}: {e}")
+            })
+        });
+        // The miss-rate plateau signal, when error-bound control is on.
+        let eb_control = self.ctl.config().eb_control.is_some();
+        let miss_rate = |hits: f64, lookups: u64| {
+            if eb_control && lookups > 0 {
+                1.0 - hits / lookups as f64
+            } else {
+                0.0
+            }
+        };
+        let fallback = cfg.network.alltoall_bandwidth;
+        let mut obs = WindowShare::fold(shares, iteration, fallback, miss_rate);
+        recv.clear();
+        obs.intra_bandwidth = cfg.topology.as_ref().map(|t| t.intra().alltoall_bandwidth);
+        let resel = self.ctl.observe(&obs);
+        let new_eb = self.base_eb * self.ctl.eb_scale();
+        for s in &resel.switches {
+            codecs.set_compressor(s.table_id, s.to, new_eb);
+        }
+        self.share = WindowShare::default();
+        self.traffic.fill((0, 0));
         self.probe.iter_mut().for_each(Vec::clear);
-        self.wire_bytes = 0;
-        self.wire_seconds = 0.0;
-        self.enc_raw = 0;
-        self.enc_seconds = 0.0;
-        self.hits = 0;
-        self.probes = 0;
+        resel
     }
 }
 
@@ -325,37 +417,9 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
     let mut coalescer = BatchCoalescer::new(world);
     coalescer.reserve((cfg.window / frontends.max(1) + 1) * tables);
     let mut codecs = FetchCodecs::new(tables, cfg.fetch.resolved_kind());
-    let base_eb = match cfg.fetch.resolved_kind() {
-        GradCodecKind::ErrorBounded { error_bound, .. }
-        | GradCodecKind::Lattice { error_bound } => error_bound,
-        _ => 0.0,
-    };
-
     // Controller replica (identical on every rank; decisions replayed from
     // an identical all-gathered observation).
-    let mut controller = cfg.adaptive.as_ref().map(|a| {
-        let mut ctl_cfg = ControllerConfig::new(a.window, a.hysteresis)
-            .with_candidates(a.candidates.clone())
-            .with_profile(cfg.profile.clone());
-        if a.eb_control {
-            ctl_cfg = ctl_cfg.with_eb_control(PlateauEbControl::default());
-        }
-        let initial = match cfg.fetch.resolved_kind() {
-            GradCodecKind::ErrorBounded { compressor, .. } => compressor,
-            // Unreachable behind validate(); a harmless default keeps this total.
-            _ => CompressorKind::OursHybrid,
-        };
-        RuntimeController::new(ctl_cfg, vec![initial; tables])
-    });
-    let candidates: Vec<Box<dyn Compressor>> = cfg
-        .adaptive
-        .as_ref()
-        .map(|a| a.candidates.iter().map(|k| k.build()).collect())
-        .unwrap_or_default();
-    let mut probe_scratch = CompressScratch::new();
-    let mut probe_out: Vec<u8> = Vec::new();
-    let mut accum = CtlAccum::new(tables, dim);
-    let mut reselections: Vec<Reselection> = Vec::new();
+    let mut adaptation = Adaptation::new(cfg, tables, dim);
 
     let mut gscratch = GradScratch::new();
     let max_group_rows = cfg.window;
@@ -391,23 +455,26 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
     let mut pool_mark = None;
     let mut cap_mark = 0u64;
 
+    // Worst-case lease capacities, independent of window content, keep the
+    // pool's high-water mark flat after warm-up; the payload's follows the
+    // codec bank, which the controller may switch.
+    let my_req_max = cfg.window / frontends + 1;
+    let req_cap = 4 + tables * (8 + my_req_max * 4);
+    let pay_cap = |codecs: &FetchCodecs| {
+        let groups = owned
+            .iter()
+            .map(|&t| 12 + codecs.max_encoded_bytes(t, my_req_max * dim));
+        4 + groups.sum::<usize>()
+    };
     // Pre-warm the buffer pool to its in-flight high-water mark: each window
     // keeps up to two windows' worth of send buffers in flight (peers return
     // leases one exchange late), so park that many worst-case-sized buffers
     // up front. Without this the pool keeps allocating for a few windows
     // past any fixed warm-up as traffic ramps.
-    {
-        let my_req_max = cfg.window / frontends + 1;
-        let req_cap = 4 + tables * (8 + my_req_max * 4);
-        let pay_cap = 4 + owned
-            .iter()
-            .map(|&t| 12 + codecs.max_encoded_bytes(t, my_req_max * dim))
-            .sum::<usize>();
-        let warm_big: Vec<_> = (0..4 * world)
-            .map(|_| ctx.take_buf(req_cap.max(pay_cap)))
-            .collect();
-        drop(warm_big);
-    }
+    let warm_big: Vec<_> = (0..4 * world)
+        .map(|_| ctx.take_buf(req_cap.max(pay_cap(&codecs))))
+        .collect();
+    drop(warm_big);
 
     for w in 0..windows {
         let wstart = w * cfg.window;
@@ -437,9 +504,12 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                         local_bytes += (dim * 4) as u64;
                         continue;
                     }
-                    accum.probes += 1;
-                    if let Some(vals) = cache.get(t as u32, row) {
-                        accum.hits += 1;
+                    let cached = cache.get(t as u32, row);
+                    if let Some(a) = adaptation.as_mut() {
+                        a.share.loss_n += 1;
+                        a.share.loss_sum += f64::from(u8::from(cached.is_some()));
+                    }
+                    if let Some(vals) = cached {
                         let slot = (scratch.store_vals.len() / dim) as u32;
                         scratch
                             .store_keys
@@ -455,14 +525,7 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
         coalescer.finish();
 
         // --- 2. Request-direction all-to-all (coalesced key lists). ---
-        // Fixed worst-case buffer capacities (independent of window content)
-        // keep the pool's high-water mark flat after warm-up.
-        let my_req_max = cfg.window / frontends + 1;
-        let req_cap = 4 + tables * (8 + my_req_max * 4);
-        let pay_cap = 4 + owned
-            .iter()
-            .map(|&t| 12 + codecs.max_encoded_bytes(t, my_req_max * dim))
-            .sum::<usize>();
+        let pay_cap = pay_cap(&codecs);
         let mut my_wire_seconds = 0.0f64;
         for dst in 0..world {
             let rows = coalescer.rows(dst);
@@ -470,20 +533,11 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
             if !rows.is_empty() {
                 buf.extend_from_slice(&[0u8; 4]);
                 let mut groups = 0u32;
-                let mut at = 0;
-                while at < rows.len() {
-                    let t = rows[at].0;
-                    let mut end = at + 1;
-                    while end < rows.len() && rows[end].0 == t {
-                        end += 1;
-                    }
+                for group in rows.chunk_by(|a, b| a.0 == b.0) {
                     scratch.idx_buf.clear();
-                    scratch
-                        .idx_buf
-                        .extend(rows[at..end].iter().map(|&(_, r)| r));
-                    write_request_group(&mut buf, t, &scratch.idx_buf);
+                    scratch.idx_buf.extend(group.iter().map(|&(_, r)| r));
+                    write_request_group(&mut buf, group[0].0, &scratch.idx_buf);
                     groups += 1;
-                    at = end;
                 }
                 buf[0..4].copy_from_slice(&groups.to_le_bytes());
             }
@@ -491,7 +545,6 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
             req_sent[w * world + dst] = bytes;
             request_wire_bytes += bytes;
             my_wire_seconds += pair_cost(&cost, tiered.as_ref(), rank, dst, bytes);
-            accum.wire_bytes += bytes;
             send.push(buf);
         }
         ctx.all_to_all_pooled(&mut send, &mut recv);
@@ -525,18 +578,12 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                         &scratch.enc_buf,
                     );
                     groups += 1;
-                    accum.orig[t] += raw;
-                    accum.comp[t] += scratch.enc_buf.len() as u64;
-                    accum.enc_raw += raw;
                     let (enc_tput, _) = codec_throughput(codecs.kind(t), &cfg.profile);
                     if enc_tput.is_finite() {
                         enc_seconds += raw as f64 / enc_tput;
                     }
-                    // Candidate probing wants a fresh sample of live payload.
-                    let probe = &mut accum.probe[t];
-                    if probe.len() < PROBE_ROWS * dim {
-                        let take = (PROBE_ROWS * dim - probe.len()).min(scratch.owner_rows.len());
-                        probe.extend_from_slice(&scratch.owner_rows[..take]);
+                    if let Some(a) = adaptation.as_mut() {
+                        a.note_payload(t, &scratch.owner_rows, scratch.enc_buf.len(), dim);
                     }
                 }
                 buf[0..4].copy_from_slice(&groups.to_le_bytes());
@@ -545,15 +592,12 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
             pay_sent[w * world + src] = bytes;
             fetch_wire_bytes += bytes;
             my_wire_seconds += pair_cost(&cost, tiered.as_ref(), rank, src, bytes);
-            accum.wire_bytes += bytes;
             send.push(buf);
         }
         recv.clear();
-        accum.enc_seconds += enc_seconds;
 
         // --- 4. Payload-direction all-to-all. ---
         ctx.all_to_all_pooled(&mut send, &mut pay_recv);
-        accum.wire_seconds += my_wire_seconds;
         ledger.add_time(phases::FWD_A2A, my_wire_seconds);
 
         // --- 5. Frontend decode: fill the window store + cache. ---
@@ -649,29 +693,28 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
         ledger.add_time(phases::FWD_DECOMPRESS, dec_seconds);
         ledger.add_time(phases::MLP_FWD, mlp_s[w]);
 
-        // --- 7. Controller boundary (off the request latency path). ---
-        if let (Some(ctl), Some(adaptive)) = (controller.as_mut(), cfg.adaptive.as_ref()) {
-            if (w + 1) % adaptive.window == 0 {
-                let resel = observe_boundary(
+        // --- 7. Controller window: this window's wire and encode totals,
+        // then the boundary (off the request latency path). ---
+        if let Some(a) = adaptation.as_mut() {
+            let sent = w * world..(w + 1) * world;
+            let bytes: u64 = req_sent[sent.clone()].iter().chain(&pay_sent[sent]).sum();
+            a.share.wire_bytes += bytes as f64;
+            a.share.wire_seconds += my_wire_seconds;
+            a.share.codec_seconds += enc_seconds;
+            if (w + 1) % a.ctl.config().window == 0 {
+                let resel = a.boundary(
                     ctx,
                     cfg,
                     &owned,
-                    ctl,
-                    &mut accum,
-                    &candidates,
-                    &mut probe_scratch,
-                    &mut probe_out,
-                    base_eb,
-                    w + 1,
-                    &mut codecs,
                     &model,
-                    dim,
+                    &mut codecs,
+                    w + 1,
+                    &mut send,
+                    &mut recv,
                 );
                 if !resel.switches.is_empty() {
                     cache.clear();
                 }
-                reselections.push(resel);
-                accum.reset();
             }
         }
 
@@ -709,137 +752,11 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
         fetch_raw_bytes,
         fetch_wire_bytes,
         request_wire_bytes,
-        reselections,
+        reselections: adaptation.map_or_else(Vec::new, |a| a.ctl.log().to_vec()),
         final_codecs: (0..tables).map(|t| codecs.kind(t).label()).collect(),
         steady_alloc,
         ledger,
     }
-}
-
-/// One controller observation boundary: all-gather per-rank traffic
-/// statistics, assemble the identical [`WindowObservation`] on every rank,
-/// feed the controller replica, and apply its switches to the codec bank.
-#[allow(clippy::too_many_arguments)]
-fn observe_boundary(
-    ctx: &RankCtx,
-    cfg: &ServeConfig,
-    owned: &[usize],
-    ctl: &mut RuntimeController,
-    accum: &mut CtlAccum,
-    candidates: &[Box<dyn Compressor>],
-    probe_scratch: &mut CompressScratch,
-    probe_out: &mut Vec<u8>,
-    base_eb: f32,
-    iteration: usize,
-    codecs: &mut FetchCodecs,
-    model: &Dlrm,
-    dim: usize,
-) -> Reselection {
-    // Per-rank blob: owned-table stats + this rank's wire/encode/cache
-    // contributions. Fixed little-endian framing, rank order via all-gather.
-    let eb = base_eb * ctl.eb_scale();
-    let mut blob: Vec<u8> = Vec::with_capacity(64 + owned.len() * (20 + candidates.len() * 8));
-    blob.extend_from_slice(&(owned.len() as u32).to_le_bytes());
-    for &t in owned {
-        blob.extend_from_slice(&(t as u32).to_le_bytes());
-        blob.extend_from_slice(&accum.orig[t].to_le_bytes());
-        blob.extend_from_slice(&accum.comp[t].to_le_bytes());
-        // Candidate ratios on a fresh probe of live payload (falling back to
-        // the table's own leading rows when nothing was fetched).
-        let probe: &[f32] = if accum.probe[t].is_empty() {
-            let card = model.embedding(t).cardinality();
-            let take = PROBE_ROWS.min(card) * dim;
-            &model.embedding(t).weights().as_slice()[..take]
-        } else {
-            &accum.probe[t]
-        };
-        for cand in candidates {
-            probe_out.clear();
-            cand.compress_into(probe, dim, eb, probe_scratch, probe_out)
-                .expect("candidate probe compresses");
-            let ratio = (probe.len() * 4) as f64 / probe_out.len().max(1) as f64;
-            blob.extend_from_slice(&ratio.to_le_bytes());
-        }
-    }
-    blob.extend_from_slice(&accum.wire_bytes.to_le_bytes());
-    blob.extend_from_slice(&accum.wire_seconds.to_le_bytes());
-    blob.extend_from_slice(&accum.enc_raw.to_le_bytes());
-    blob.extend_from_slice(&accum.enc_seconds.to_le_bytes());
-    blob.extend_from_slice(&accum.hits.to_le_bytes());
-    blob.extend_from_slice(&accum.probes.to_le_bytes());
-
-    let (chunks, _) = ctx.all_gather_bytes(blob);
-
-    let mut tables: Vec<TableObservation> = Vec::new();
-    let (mut wire_bytes, mut wire_seconds) = (0u64, 0.0f64);
-    let (mut enc_raw, mut enc_seconds) = (0u64, 0.0f64);
-    let (mut hits, mut probes) = (0u64, 0u64);
-    for chunk in &chunks {
-        let mut at = 0usize;
-        let read_u32 = |b: &[u8], at: &mut usize| {
-            let v = u32::from_le_bytes(b[*at..*at + 4].try_into().expect("u32"));
-            *at += 4;
-            v
-        };
-        let read_u64 = |b: &[u8], at: &mut usize| {
-            let v = u64::from_le_bytes(b[*at..*at + 8].try_into().expect("u64"));
-            *at += 8;
-            v
-        };
-        let read_f64 = |b: &[u8], at: &mut usize| f64::from_bits(read_u64(b, at));
-        let n = read_u32(chunk, &mut at) as usize;
-        for _ in 0..n {
-            let table_id = read_u32(chunk, &mut at) as usize;
-            let original_bytes = read_u64(chunk, &mut at);
-            let compressed_bytes = read_u64(chunk, &mut at);
-            let candidate_ratios = (0..candidates.len())
-                .map(|_| read_f64(chunk, &mut at))
-                .collect();
-            tables.push(TableObservation {
-                table_id,
-                original_bytes,
-                compressed_bytes,
-                candidate_ratios,
-            });
-        }
-        wire_bytes += read_u64(chunk, &mut at);
-        wire_seconds += read_f64(chunk, &mut at);
-        enc_raw += read_u64(chunk, &mut at);
-        enc_seconds += read_f64(chunk, &mut at);
-        hits += read_u64(chunk, &mut at);
-        probes += read_u64(chunk, &mut at);
-    }
-    tables.sort_by_key(|t| t.table_id);
-
-    let effective_bandwidth = if wire_seconds > 0.0 {
-        wire_bytes as f64 / wire_seconds
-    } else {
-        cfg.network.alltoall_bandwidth
-    };
-    let eb_control = cfg.adaptive.as_ref().is_some_and(|a| a.eb_control);
-    let mean_loss = if eb_control && probes > 0 {
-        1.0 - hits as f64 / probes as f64
-    } else {
-        0.0
-    };
-    let obs = WindowObservation {
-        iteration,
-        effective_bandwidth,
-        intra_bandwidth: cfg.topology.as_ref().map(|t| t.intra().alltoall_bandwidth),
-        mean_loss,
-        measured_compress_throughput: if enc_seconds > 0.0 {
-            enc_raw as f64 / enc_seconds
-        } else {
-            0.0
-        },
-        tables,
-    };
-    let resel = ctl.observe(&obs);
-    let new_eb = base_eb * ctl.eb_scale();
-    for s in &resel.switches {
-        codecs.set_compressor(s.table_id, s.to, new_eb);
-    }
-    resel
 }
 
 fn merge(

@@ -17,8 +17,12 @@
 //! every per-window saving): caching and compressed fetches each strictly
 //! improve the modeled p99 and QPS, the controller moves tables off a
 //! mediocre codec under drifting traffic, and serving from a restored
-//! checkpoint answers bit for bit what the in-memory model answers.
+//! checkpoint answers bit for bit what the in-memory model answers. A golden
+//! table freezes the controller windows: every reselection, the final codecs
+//! and the response fingerprint over topology × error-bound control.
 
+use dlrm_adaptive::Reselection;
+use dlrm_comm::{NetworkConfig, Topology};
 use dlrm_compress::CompressorKind;
 use dlrm_data::{presets, TrafficDrift};
 use dlrm_grad::GradCodecKind;
@@ -214,6 +218,146 @@ fn controller_reselects_under_drift() {
         "every table still on the initial fp16: {:?}",
         report.final_codecs
     );
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every field of a reselection, floats by bits, codecs by label.
+fn reselection_words(r: &Reselection) -> Vec<u64> {
+    let kind = |k: CompressorKind| fnv(k.label().bytes().map(u64::from));
+    let mut w = vec![
+        r.index as u64,
+        r.iteration as u64,
+        r.effective_bandwidth.to_bits(),
+        r.mean_loss.to_bits(),
+        r.plateaued as u64,
+        r.eb_scale.to_bits() as u64,
+        r.degraded as u64,
+        r.switches.len() as u64,
+    ];
+    for s in &r.switches {
+        w.extend([
+            s.table_id as u64,
+            kind(s.from),
+            kind(s.to),
+            s.estimated_speedup.to_bits(),
+            s.incumbent_speedup.to_bits(),
+        ]);
+    }
+    match &r.tier_advice {
+        None => w.push(0),
+        Some(a) => {
+            w.push(1);
+            match a.intra {
+                None => w.push(0),
+                Some((k, s)) => w.extend([1, kind(k), s.to_bits()]),
+            }
+            w.extend([kind(a.inter.0), a.inter.1.to_bits()]);
+        }
+    }
+    w
+}
+
+/// Golden serving controller windows over the drift setup of
+/// `controller_reselects_under_drift`: `(row label, codec switches, FNV over
+/// every reselection field, FNV over the final codec labels, the report
+/// fingerprint)`. The fingerprint covers every response bit, so a moved
+/// error-bound scale shows up there too.
+const SERVE_CONTROLLER_GOLDEN: [(&str, usize, u64, u64, u64); 4] = [
+    (
+        "flat/eb-fixed",
+        4,
+        0xb324f27738903d03,
+        0xd2fe3784ff160581,
+        0x77d49444d8730f95,
+    ),
+    (
+        "flat/eb-plateau",
+        4,
+        0x683fcb5b18ed4e0d,
+        0xd2fe3784ff160581,
+        0x77d49444d8730f95,
+    ),
+    (
+        "2x2/eb-fixed",
+        4,
+        0x37c819ae29065988,
+        0xd2fe3784ff160581,
+        0x1dcf8d8a03611308,
+    ),
+    (
+        "2x2/eb-plateau",
+        4,
+        0xe7ad826307740dd9,
+        0xd2fe3784ff160581,
+        0x1dcf8d8a03611308,
+    ),
+];
+
+#[test]
+fn controller_windows_are_pinned() {
+    let mut rows = Vec::new();
+    for hierarchical in [false, true] {
+        for eb_control in [false, true] {
+            let mut cfg = overloaded();
+            let windows = cfg.num_windows();
+            let dataset =
+                presets::tiny().with_drift(TrafficDrift::hot_rotation(windows / 4, windows / 8));
+            cfg.fetch = FetchSetting::Compressed {
+                codec: GradCodecKind::ErrorBounded {
+                    compressor: CompressorKind::Fp16,
+                    error_bound: 0.05,
+                },
+            };
+            let mut adaptive = ServeAdaptive::new(2, 0.05);
+            adaptive.eb_control = eb_control;
+            cfg.adaptive = Some(adaptive);
+            if hierarchical {
+                cfg.topology = Some(Topology::new(
+                    2,
+                    2,
+                    NetworkConfig::nvlink_intra_node(),
+                    cfg.network,
+                ));
+            }
+            let report = run_serving(&dataset, &cfg);
+            let label = format!(
+                "{}/{}",
+                if hierarchical { "2x2" } else { "flat" },
+                if eb_control { "eb-plateau" } else { "eb-fixed" },
+            );
+            rows.push((
+                label,
+                report.codec_switches,
+                fnv(report.reselections.iter().flat_map(reselection_words)),
+                fnv(report
+                    .final_codecs
+                    .iter()
+                    .flat_map(|l| l.bytes().chain([0]).map(u64::from))),
+                report.fingerprint(),
+            ));
+        }
+    }
+    let table: String = rows
+        .iter()
+        .map(|(label, n, r, c, f)| {
+            format!("    (\"{label}\", {n}, {r:#018x}, {c:#018x}, {f:#018x}),\n")
+        })
+        .collect();
+    for ((label, n, r, c, f), golden) in rows.iter().zip(SERVE_CONTROLLER_GOLDEN) {
+        assert_eq!(
+            (label.as_str(), *n, *r, *c, *f),
+            golden,
+            "serving controller window drifted; actual table:\n{table}"
+        );
+    }
+    // A grid where nothing switches pins nothing worth pinning.
+    assert!(rows.iter().any(|r| r.1 > 0), "no row switched a codec");
 }
 
 #[test]

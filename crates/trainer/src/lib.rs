@@ -100,8 +100,9 @@
 //! Under the runtime setting the pipeline accumulates per-window
 //! observations — per-table measured ratios, candidate-codec ratios probed
 //! on live payloads, the effective wire bandwidth derived from the virtual
-//! charges, the mean loss — all-gathers the raw measurements at each window
-//! boundary, and runs the identical deterministic
+//! charges, the mean loss — all-gathers every rank's
+//! [`dlrm_adaptive::WindowShare`] at each window boundary (the format
+//! serving shares), and runs the identical deterministic
 //! [`dlrm_adaptive::RuntimeController`] on every rank, so codec switches
 //! stay coherent between compressing and decompressing ranks. Revisions and
 //! per-window ratios surface as [`run::TrainingReport::reselections`] and

@@ -13,7 +13,8 @@ use crate::config::{
 use crate::grad_push::GradPushState;
 use crate::partition::TablePartition;
 use dlrm_adaptive::controller::{
-    ControllerConfig, Reselection, RuntimeController, TableObservation, WindowObservation,
+    probe_candidates, ControllerConfig, Reselection, RuntimeController, TableObservation,
+    WindowShare, PROBE_ROWS,
 };
 use dlrm_adaptive::{advise_dense_allreduce, CodecProfile, DenseAdvice, EbSchedule};
 use dlrm_ckpt::{Checkpoint, CheckpointSpec, CkptCodec, RankCheckpoint};
@@ -577,9 +578,10 @@ pub struct RankOutcome {
     /// [`AdaptiveSetting::Static`]; identical on every rank — asserted by
     /// the report merger).
     pub reselections: Vec<Reselection>,
-    /// `(original, compressed)` forward-payload bytes of this rank's owned
-    /// tables per completed controller window (empty under `Static`).
-    pub window_traffic: Vec<(u64, u64)>,
+    /// Measured forward-payload compression ratio over every table per
+    /// completed controller window (empty under `Static`; identical on every
+    /// rank, read off the folded observation).
+    pub window_ratios: Vec<f64>,
     /// The last checkpoint part this rank produced in its segment (`None`
     /// without a [`CheckpointSpec`]); the driver assembles the per-rank
     /// parts into the global restore point for the next segment.
@@ -1158,32 +1160,22 @@ impl CheckpointWriter {
 /// ([`AdaptiveSetting::Runtime`]); `None` under the bit-exact
 /// [`AdaptiveSetting::Static`] path.
 ///
-/// The controller itself ([`RuntimeController`]) is pure decision logic;
-/// this wrapper owns the trainer-side plumbing: window accumulators
-/// (per-table traffic, virtual wire bytes/seconds per tier, the loss sum),
-/// candidate-codec probing on live payloads, and the window-boundary
-/// **observation all-gather** that makes every rank decide on identical
-/// inputs — which is what keeps a mid-run codec switch consistent between
-/// the rank that compresses a table and the ranks that decompress it.
+/// The controller ([`RuntimeController`]) and the window boundary's
+/// observation format ([`WindowShare`]) live in `dlrm-adaptive`; this
+/// wrapper owns the trainer's side: the window accumulators, probing the
+/// candidate codecs on live payloads and charging it, and applying each
+/// reselection (codec swaps and the error-bound scale) to the compression
+/// state.
 struct ControllerState {
     ctl: RuntimeController,
     /// Prebuilt candidate codecs, in controller-candidate order.
-    candidates: Vec<(CompressorKind, Box<dyn Compressor>)>,
-    /// Iterations per observation window.
-    window: usize,
+    candidates: Vec<Box<dyn Compressor>>,
     /// `fwd_traffic` snapshot at the current window's start.
     traffic_mark: Vec<(u64, u64)>,
-    /// Sum and count of per-iteration losses in the current window.
-    loss_sum: f64,
-    loss_n: u32,
-    /// Bottleneck-tier wire accounting of the window: bytes and the β
-    /// seconds the cost model charged for them (their quotient is the
-    /// effective bandwidth the controller reselects against).
-    wire_bytes: f64,
-    wire_seconds: f64,
-    /// Intra-node tier accounting (hierarchical topologies only).
-    intra_bytes: f64,
-    intra_seconds: f64,
+    /// This rank's share of the current window: the loss, wire and intra
+    /// sums accumulate as it runs, the codec and table fields are filled at
+    /// the boundary.
+    share: WindowShare,
     /// Codec-phase marks at the window start (ledger seconds/bytes of the
     /// two compress phases), for measured-throughput calibration.
     codec_seconds_mark: f64,
@@ -1191,23 +1183,28 @@ struct ControllerState {
     /// Candidate compression ratios per owned table (local index), probed on
     /// the iteration preceding a window boundary.
     probe_ratios: Vec<Vec<f64>>,
-    /// Reusable serialization buffer for the observation exchange.
+    /// Reusable encoding buffer for the observation exchange.
     blob: Vec<u8>,
-    /// `(original, compressed)` bytes of this rank's owned tables per
-    /// completed window.
-    window_traffic: Vec<(u64, u64)>,
+    /// Measured compression ratio over every table per completed window.
+    window_ratios: Vec<f64>,
 }
 
 impl ControllerState {
+    /// The controller state `trainer` asks for; `None` under
+    /// [`AdaptiveSetting::Static`].
     fn new(
-        window: usize,
-        hysteresis: f64,
-        eb_control: Option<dlrm_adaptive::PlateauEbControl>,
-        overlapped: bool,
-        profile: Option<&CodecProfile>,
+        trainer: &TrainerConfig,
         resolved: &ResolvedCompression,
         num_tables: usize,
-    ) -> Self {
+    ) -> Option<Self> {
+        let AdaptiveSetting::Runtime {
+            window,
+            hysteresis,
+            eb_control,
+        } = trainer.adaptive
+        else {
+            return None;
+        };
         let initial: Vec<CompressorKind> = (0..num_tables)
             .map(|t| {
                 resolved
@@ -1215,45 +1212,31 @@ impl ControllerState {
                     .expect("validated: runtime adaptation requires a lossy setting")
             })
             .collect();
-        let mut cfg = ControllerConfig::new(window, hysteresis).with_overlap(overlapped);
-        if let Some(p) = profile {
+        let mut cfg = ControllerConfig::new(window, hysteresis)
+            .with_overlap(matches!(trainer.overlap, OverlapSetting::DoubleBuffered));
+        if let Some(p) = &trainer.codec_profile {
             cfg = cfg.with_profile(p.clone());
         }
         if let Some(ebc) = eb_control {
             cfg = cfg.with_eb_control(ebc);
         }
-        let candidates = cfg.candidates.iter().map(|&k| (k, k.build())).collect();
-        Self {
+        let candidates = cfg.candidates.iter().map(|k| k.build()).collect();
+        Some(Self {
             ctl: RuntimeController::new(cfg, initial),
             candidates,
-            window,
             traffic_mark: vec![(0, 0); num_tables],
-            loss_sum: 0.0,
-            loss_n: 0,
-            wire_bytes: 0.0,
-            wire_seconds: 0.0,
-            intra_bytes: 0.0,
-            intra_seconds: 0.0,
+            share: WindowShare::default(),
             codec_seconds_mark: 0.0,
             codec_bytes_mark: 0,
             probe_ratios: Vec::new(),
             blob: Vec::new(),
-            window_traffic: Vec::new(),
-        }
-    }
-
-    /// Worst-case observation-blob bytes this rank can produce — the lease
-    /// capacity the control exchange requests (spares of this class are
-    /// parked at warm-up so the steady state stays allocation-free).
-    fn blob_capacity(&self, owned_tables: usize) -> usize {
-        // 9 u64-sized header fields, then per table: id + orig + comp
-        // (3 x u64) plus one f64 ratio per candidate.
-        72 + owned_tables * (24 + 8 * self.candidates.len())
+            window_ratios: Vec::new(),
+        })
     }
 
     /// True when `iter` starts a new window (a reselection point).
     fn is_boundary(&self, iter: usize) -> bool {
-        iter > 0 && iter.is_multiple_of(self.window)
+        iter > 0 && iter.is_multiple_of(self.ctl.config().window)
     }
 
     /// True when the iteration *before* `boundary_iter` should probe the
@@ -1263,24 +1246,11 @@ impl ControllerState {
         next < iterations && self.is_boundary(next)
     }
 
-    /// Record one bottleneck-tier wire charge.
-    fn add_wire(&mut self, bytes: usize, seconds: f64) {
-        self.wire_bytes += bytes as f64;
-        self.wire_seconds += seconds;
-    }
-
-    /// Record one intra-tier wire charge (hierarchical topologies).
-    fn add_intra(&mut self, bytes: usize, seconds: f64) {
-        self.intra_bytes += bytes as f64;
-        self.intra_seconds += seconds;
-    }
-
-    /// Compress every candidate codec over each owned table's live payload
-    /// (this rank's own shard of the lookups) and record the achieved
-    /// ratios — the runtime analogue of Algorithm 2's offline sampling. The
-    /// compressed byte counts are deterministic; the probe's time is charged
-    /// to the controller phase (per-codec analytic under a profile, measured
-    /// otherwise).
+    /// Probe every candidate codec on a [`PROBE_ROWS`] sample of each owned
+    /// table's live payload (this rank's own shard of the lookups) and
+    /// record the ratios. The compressed byte counts are deterministic; the
+    /// probe's time is charged to the controller phase (per-codec analytic
+    /// under a profile, measured otherwise).
     fn probe(
         &mut self,
         exchange: &Exchange<'_>,
@@ -1301,29 +1271,19 @@ impl ControllerState {
         let t0 = Instant::now();
         let mut probed_bytes = 0u64;
         let mut profile_seconds = 0.0f64;
-        // Probing every candidate over the full payload would make the
-        // controller's overhead scale with the batch; a bounded row sample
-        // estimates the ratios at constant cost (like the offline analysis,
-        // which also samples).
-        const PROBE_ROWS: usize = 32;
         for (local_idx, &t) in owned.iter().enumerate() {
             let matrix = &lookup_matrices[local_idx * ctx.world() + ctx.rank()];
             let sample = &matrix.as_slice()[..matrix.len().min(PROBE_ROWS * dim)];
             let eb = resolved.effective_eb(t, iter);
             let mut buf = ctx.take_buf(block_worst_bytes(sample.len()));
-            let mut ratios = Vec::with_capacity(self.candidates.len());
-            for (kind, comp) in &self.candidates {
-                buf.clear();
-                comp.compress_into(sample, dim, eb, scratch, &mut buf)
-                    .expect("probe compression of finite training data cannot fail");
-                ratios.push((sample.len() * 4) as f64 / buf.len().max(1) as f64);
+            let ratios = probe_candidates(&self.candidates, sample, dim, eb, scratch, &mut buf);
+            self.probe_ratios.push(ratios);
+            for codec in &self.candidates {
                 probed_bytes += (sample.len() * 4) as u64;
                 if let Some(p) = profile {
-                    profile_seconds += (sample.len() * 4) as f64 / p.throughput(*kind).0;
+                    profile_seconds += (sample.len() * 4) as f64 / p.throughput(codec.kind()).0;
                 }
             }
-            drop(buf);
-            self.probe_ratios.push(ratios);
         }
         charge_codec(
             ledger,
@@ -1335,11 +1295,11 @@ impl ControllerState {
         );
     }
 
-    /// Close the window ending at `iter`: all-gather every rank's raw
-    /// measurements, assemble the identical global [`WindowObservation`] on
-    /// every rank, run the controller, and apply its revisions (codec swaps
-    /// and the error-bound scale) to this rank's compression state. The
-    /// control exchange rides pool leases and is charged to the controller
+    /// Close the window ending at `iter`: fill in this rank's share,
+    /// all-gather every rank's, fold the identical
+    /// [`WindowObservation`](dlrm_adaptive::WindowObservation) on every rank,
+    /// run the controller, apply its revisions to this rank's compression
+    /// state, and return them. The exchange is charged to the controller
     /// phase.
     #[allow(clippy::too_many_arguments)]
     fn window_boundary(
@@ -1353,72 +1313,39 @@ impl ControllerState {
         ledger: &mut TimingLedger,
         send: &mut Vec<PooledBuf>,
         recv: &mut Vec<PooledBuf>,
-        hierarchical: bool,
         degraded: bool,
-    ) {
-        let world = ctx.world();
+    ) -> Reselection {
+        let rank = ctx.rank();
         // Codec throughput over the window, from the ledger's compress
         // phases (deterministic whenever codec time is charged
         // analytically).
-        let codec_seconds = ledger.seconds(phases::FWD_COMPRESS)
-            + ledger.seconds(phases::BWD_COMPRESS)
-            - self.codec_seconds_mark;
-        let codec_bytes = ledger.bytes(phases::FWD_COMPRESS) + ledger.bytes(phases::BWD_COMPRESS)
-            - self.codec_bytes_mark;
-
-        // ── Serialize this rank's share of the observation.
-        self.blob.clear();
-        let blob = &mut self.blob;
-        blob.extend_from_slice(&self.loss_sum.to_le_bytes());
-        blob.extend_from_slice(&(self.loss_n as u64).to_le_bytes());
-        blob.extend_from_slice(&self.wire_bytes.to_le_bytes());
-        blob.extend_from_slice(&self.wire_seconds.to_le_bytes());
-        blob.extend_from_slice(&self.intra_bytes.to_le_bytes());
-        blob.extend_from_slice(&self.intra_seconds.to_le_bytes());
-        blob.extend_from_slice(&(codec_bytes as f64).to_le_bytes());
-        blob.extend_from_slice(&codec_seconds.to_le_bytes());
-        blob.extend_from_slice(&(owned.len() as u64).to_le_bytes());
-        let mut window_orig = 0u64;
-        let mut window_comp = 0u64;
-        for (local_idx, &t) in owned.iter().enumerate() {
-            let (orig, comp) = (
-                fwd_traffic[t].0 - self.traffic_mark[t].0,
-                fwd_traffic[t].1 - self.traffic_mark[t].1,
-            );
-            window_orig += orig;
-            window_comp += comp;
-            blob.extend_from_slice(&(t as u64).to_le_bytes());
-            blob.extend_from_slice(&orig.to_le_bytes());
-            blob.extend_from_slice(&comp.to_le_bytes());
+        let codec_seconds =
+            ledger.seconds(phases::FWD_COMPRESS) + ledger.seconds(phases::BWD_COMPRESS);
+        let codec_bytes = ledger.bytes(phases::FWD_COMPRESS) + ledger.bytes(phases::BWD_COMPRESS);
+        let share = &mut self.share;
+        share.codec_seconds = codec_seconds - self.codec_seconds_mark;
+        share.codec_bytes = (codec_bytes - self.codec_bytes_mark) as f64;
+        let mut probes = self.probe_ratios.drain(..);
+        for &t in owned {
+            let mut table = TableObservation {
+                table_id: t,
+                original_bytes: fwd_traffic[t].0 - self.traffic_mark[t].0,
+                compressed_bytes: fwd_traffic[t].1 - self.traffic_mark[t].1,
+                candidate_ratios: Vec::new(),
+            };
             // A missing probe (no probe iteration ran yet) reports the
             // measured ratio for every candidate: selection then holds.
-            let fallback = if comp == 0 {
-                1.0
-            } else {
-                orig as f64 / comp as f64
-            };
-            for c in 0..self.candidates.len() {
-                let ratio = self
-                    .probe_ratios
-                    .get(local_idx)
-                    .and_then(|r| r.get(c))
-                    .copied()
-                    .unwrap_or(fallback);
-                blob.extend_from_slice(&ratio.to_le_bytes());
-            }
+            table.candidate_ratios = probes
+                .next()
+                .unwrap_or_else(|| vec![table.measured_ratio(); self.candidates.len()]);
+            share.tables.push(table);
         }
+        drop(probes);
 
-        // ── Exchange: every rank sends its blob to every rank over pool
-        // leases (an all-gather on the control plane).
-        let cap = self.blob_capacity(owned.len()).max(self.blob.len());
-        send.clear();
-        for _ in 0..world {
-            let mut b = ctx.take_buf(cap);
-            b.extend_from_slice(&self.blob);
-            send.push(b);
-        }
-        let stats = ctx.all_to_all_pooled(send, recv);
-        // Charged as extra *bytes*, not an extra collective: the blob is
+        self.blob.clear();
+        share.encode_into(&mut self.blob);
+        let stats = ctx.all_gather_pooled(&self.blob, send, recv);
+        // Charged as extra *bytes*, not an extra collective: the share is
         // a few hundred bytes and rides the α already paid by the
         // iteration's forward all-to-all, so only the bandwidth term is
         // charged here.
@@ -1427,80 +1354,24 @@ impl ControllerState {
             cost.bandwidth_time(stats.sent.max(stats.received)),
         );
         ledger.add_bytes(phases::CONTROLLER, (stats.sent + stats.received) as u64);
-
-        // ── Assemble the global observation (identical on every rank: the
-        // same blobs arrive in the same rank order everywhere).
-        let mut loss_sum = 0.0f64;
-        let mut loss_n = 0u64;
-        let mut wire = (0.0f64, 0.0f64);
-        let mut intra = (0.0f64, 0.0f64);
-        let mut codec = (0.0f64, 0.0f64);
-        let mut tables: Vec<TableObservation> = Vec::new();
-        for chunk in recv.iter() {
-            let mut pos = 0usize;
-            let f = |p: &mut usize| {
-                let v = f64::from_le_bytes(chunk[*p..*p + 8].try_into().expect("f64 field"));
-                *p += 8;
-                v
-            };
-            loss_sum += f(&mut pos);
-            loss_n += u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("loss count"));
-            pos += 8;
-            wire.0 += f(&mut pos);
-            wire.1 += f(&mut pos);
-            intra.0 += f(&mut pos);
-            intra.1 += f(&mut pos);
-            codec.0 += f(&mut pos);
-            codec.1 += f(&mut pos);
-            let count = u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("count")) as usize;
-            pos += 8;
-            for _ in 0..count {
-                let table_id =
-                    u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("table id")) as usize;
-                pos += 8;
-                let original =
-                    u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("orig bytes"));
-                pos += 8;
-                let compressed =
-                    u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("comp bytes"));
-                pos += 8;
-                let mut candidate_ratios = Vec::with_capacity(self.candidates.len());
-                for _ in 0..self.candidates.len() {
-                    candidate_ratios.push(f(&mut pos));
-                }
-                tables.push(TableObservation {
-                    table_id,
-                    original_bytes: original,
-                    compressed_bytes: compressed,
-                    candidate_ratios,
-                });
-            }
-        }
+        let candidates = self.candidates.len();
+        let shares = recv.iter().enumerate().map(|(src, chunk)| {
+            WindowShare::decode(chunk, candidates).unwrap_or_else(|e| {
+                panic!("rank {rank}: malformed window share from rank {src}: {e}")
+            })
+        });
+        let mean = |sum: f64, n: u64| if n > 0 { sum / n as f64 } else { 0.0 };
+        let obs = WindowShare::fold(shares, iter, cost.config().alltoall_bandwidth, mean);
         recv.clear(); // release the leases back to their origin pools
-        tables.sort_by_key(|t| t.table_id);
-
-        let effective_bandwidth = if wire.1 > 0.0 {
-            wire.0 / wire.1
+        let (orig, comp) = (obs.tables.iter()).fold((0, 0), |(o, c), t| {
+            (o + t.original_bytes, c + t.compressed_bytes)
+        });
+        let ratio = if comp > 0 {
+            orig as f64 / comp as f64
         } else {
-            cost.config().alltoall_bandwidth
+            1.0
         };
-        let intra_bandwidth = (hierarchical && intra.1 > 0.0).then(|| intra.0 / intra.1);
-        let obs = WindowObservation {
-            iteration: iter,
-            effective_bandwidth,
-            intra_bandwidth,
-            mean_loss: if loss_n > 0 {
-                loss_sum / loss_n as f64
-            } else {
-                0.0
-            },
-            measured_compress_throughput: if codec.1 > 0.0 {
-                codec.0 / codec.1
-            } else {
-                0.0
-            },
-            tables,
-        };
+        self.window_ratios.push(ratio);
 
         // ── Decide and apply. A fault-degraded network drops the
         // hysteresis guard so the controller reacts within one window.
@@ -1511,19 +1382,10 @@ impl ControllerState {
         resolved.set_eb_scale(self.ctl.eb_scale());
 
         // ── Roll the window state.
-        self.window_traffic.push((window_orig, window_comp));
+        self.share = WindowShare::default();
         self.traffic_mark.copy_from_slice(fwd_traffic);
-        self.loss_sum = 0.0;
-        self.loss_n = 0;
-        self.wire_bytes = 0.0;
-        self.wire_seconds = 0.0;
-        self.intra_bytes = 0.0;
-        self.intra_seconds = 0.0;
-        self.codec_seconds_mark =
-            ledger.seconds(phases::FWD_COMPRESS) + ledger.seconds(phases::BWD_COMPRESS);
-        self.codec_bytes_mark =
-            ledger.bytes(phases::FWD_COMPRESS) + ledger.bytes(phases::BWD_COMPRESS);
-        self.probe_ratios.clear();
+        (self.codec_seconds_mark, self.codec_bytes_mark) = (codec_seconds, codec_bytes);
+        reselection
     }
 }
 
@@ -1695,13 +1557,16 @@ impl Exchange<'_> {
                 scratch.chunk_sent.iter().copied(),
             );
             acct.add_tiers(bytes.intra_total(), bytes.inter_total(), (intra_t, inter_t));
-            if let Some(state) = controller.as_mut() {
+            if let Some(share) = controller.as_mut().map(|c| &mut c.share) {
                 let ex = bytes.exchange;
-                let inter_b = ex.sent.max(ex.received);
-                state.add_wire(inter_b, inter_b as f64 / tiered.node_fabric_bandwidth());
-                let intra_b = bytes.gather.sent.max(bytes.gather.received)
-                    + bytes.scatter.sent.max(bytes.scatter.received);
-                state.add_intra(intra_b, intra_b as f64 / topo.intra().alltoall_bandwidth);
+                let inter_b = ex.sent.max(ex.received) as f64;
+                share.wire_bytes += inter_b;
+                share.wire_seconds += inter_b / tiered.node_fabric_bandwidth();
+                let intra_b = (bytes.gather.sent.max(bytes.gather.received)
+                    + bytes.scatter.sent.max(bytes.scatter.received))
+                    as f64;
+                share.intra_bytes += intra_b;
+                share.intra_seconds += intra_b / topo.intra().alltoall_bandwidth;
             }
             acct.close(a2a, scratch, 0);
         }
@@ -1779,9 +1644,10 @@ impl Exchange<'_> {
             &scratch.chunk_codec_s,
             (scratch.chunk_sent.iter().zip(&scratch.chunk_recv)).map(|(&s, &r)| s.max(r)),
         );
-        if let Some(state) = controller.as_mut() {
+        if let Some(share) = controller.as_mut().map(|c| &mut c.share) {
             let bottleneck = stats.sent.max(stats.received);
-            state.add_wire(bottleneck, cost.bandwidth_time(bottleneck));
+            share.wire_bytes += bottleneck as f64;
+            share.wire_seconds += cost.bandwidth_time(bottleneck);
         }
         acct.close_split(decompress, (measured_s, modeled_s), a2a, scratch);
     }
@@ -1819,22 +1685,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     let mut resolved = ResolvedCompression::from_setting(&trainer.compression, num_tables);
     let overlapped = matches!(trainer.overlap, OverlapSetting::DoubleBuffered);
     // Closed-loop runtime controller (None under the bit-exact Static path).
-    let mut controller: Option<ControllerState> = match &trainer.adaptive {
-        AdaptiveSetting::Static => None,
-        AdaptiveSetting::Runtime {
-            window,
-            hysteresis,
-            eb_control,
-        } => Some(ControllerState::new(
-            *window,
-            *hysteresis,
-            *eb_control,
-            overlapped,
-            profile,
-            &resolved,
-            num_tables,
-        )),
-    };
+    let mut controller = ControllerState::new(trainer, &resolved, num_tables);
     // Hierarchical topology: the two-level collective replaces both
     // all-to-alls and every network phase is charged by the tiered model.
     // `None` (flat) takes exactly the topology-less code paths.
@@ -2026,7 +1877,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // the same iteration).
         if let Some(state) = controller.as_mut() {
             if state.is_boundary(iter) {
-                state.window_boundary(
+                let sel = state.window_boundary(
                     ctx,
                     &cost,
                     iter,
@@ -2036,15 +1887,10 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     &mut acct.ledger,
                     &mut scratch.send,
                     &mut scratch.recv,
-                    hier_iter.is_some(),
                     plan.is_some_and(|p| p.degraded_at(iter)),
                 );
                 if let Some(o) = acct.obs.as_mut() {
-                    if let Some(sel) = state.ctl.log().last() {
-                        if sel.iteration == iter {
-                            o.note_reselection(sel, &acct.ledger);
-                        }
-                    }
+                    o.note_reselection(&sel, &acct.ledger);
                 }
                 acct.close(phases::CONTROLLER, &scratch, 0);
             }
@@ -2131,9 +1977,9 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         acct.ledger
             .add_time(phases::MLP_FWD, t0.elapsed().as_secs_f64() * compute_scale);
         per_iteration.push(EvalMetrics::from_logits(&cache.logits, &my_shard.labels));
-        if let Some(state) = controller.as_mut() {
-            state.loss_sum += per_iteration.last().expect("just pushed").loss;
-            state.loss_n += 1;
+        if let Some(share) = controller.as_mut().map(|c| &mut c.share) {
+            share.loss_sum += per_iteration.last().expect("just pushed").loss;
+            share.loss_n += 1;
         }
         acct.close(phases::MLP_FWD, &scratch, 0);
 
@@ -2431,9 +2277,9 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             }
             if let Some(state) = &controller {
                 // The window-boundary observation exchange takes one
-                // blob-sized lease per peer; park two sets so a boundary
+                // share-sized lease per peer; park two sets so a boundary
                 // racing peers' in-flight returns never allocates.
-                let cap = state.blob_capacity(owned.len()).max(64);
+                let cap = WindowShare::encoded_len(owned.len(), state.candidates.len()).max(64);
                 let spares: Vec<PooledBuf> = (0..2 * world).map(|_| ctx.take_buf(cap)).collect();
                 drop(spares);
             }
@@ -2520,7 +2366,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         reselections: controller
             .as_ref()
             .map_or_else(Vec::new, |s| s.ctl.log().to_vec()),
-        window_traffic: controller.map_or_else(Vec::new, |s| s.window_traffic),
+        window_ratios: controller.map_or_else(Vec::new, |s| s.window_ratios),
         last_checkpoint: checkpoints.last,
         checkpoints_taken: checkpoints.taken,
         checkpoint_original_bytes: checkpoints.original_bytes,

@@ -173,7 +173,8 @@ pub struct TrainingReport {
     #[serde(default)]
     pub reselections: Vec<Reselection>,
     /// Overall forward-payload compression ratio per controller window
-    /// (summed across ranks). Empty under the static setting.
+    /// (over every table of the folded observation). Empty under the static
+    /// setting.
     #[serde(default)]
     pub window_ratios: Vec<f64>,
     /// Bytes of fresh buffer capacity the compress/send path allocated after
@@ -713,23 +714,7 @@ fn merge_segments(
             );
         }
         reselections.extend_from_slice(seg_reselections);
-        let windows = seg
-            .outcomes
-            .iter()
-            .map(|o| o.window_traffic.len())
-            .max()
-            .unwrap_or(0);
-        window_ratios.extend((0..windows).map(|w| {
-            let (orig, comp) = seg.outcomes.iter().fold((0u64, 0u64), |acc, o| {
-                let &(wo, wc) = o.window_traffic.get(w).unwrap_or(&(0, 0));
-                (acc.0 + wo, acc.1 + wc)
-            });
-            if comp == 0 {
-                1.0
-            } else {
-                orig as f64 / comp as f64
-            }
-        }));
+        window_ratios.extend_from_slice(&seg.outcomes[0].window_ratios);
     }
     let total_seconds = breakdown.total_seconds();
     let overlap_saved_seconds = breakdown.total_overlap_saved();

@@ -11,14 +11,17 @@
 //! * loss-plateau error-bound control tightens the bound and the run still
 //!   learns;
 //! * under a bandwidth drift the controller beats every static plan, and a
-//!   traffic drift shows up in the per-window measured ratio it probes.
+//!   traffic drift shows up in the per-window measured ratio it probes;
+//! * the controller windows are frozen: a golden table pins every
+//!   reselection, window ratio, controller-phase charge and final loss over
+//!   topology × overlap × error-bound control × drift shape.
 
-use dlrm_adaptive::{CodecProfile, PlateauEbControl};
-use dlrm_comm::{BandwidthTrace, NetworkConfig, Topology};
+use dlrm_adaptive::{CodecProfile, PlateauEbControl, Reselection};
+use dlrm_comm::{BandwidthTrace, FaultPlan, NetworkConfig, Topology};
 use dlrm_compress::CompressorKind;
 use dlrm_trainer::{
-    run_training, AdaptiveSetting, CompressionSetting, OverlapSetting, TopologySetting,
-    TrainerConfig, TrainingReport,
+    run_training, AdaptiveSetting, CompressionSetting, ExecutorSetting, FaultSetting,
+    OverlapSetting, TopologySetting, TrainerConfig, TrainingReport,
 };
 
 /// Bitwise fingerprint of a run's numerics: every per-iteration metric.
@@ -338,5 +341,170 @@ fn traffic_drift_raises_the_measured_ratio() {
     assert!(
         last > first,
         "skew shift did not raise the measured ratio: {first} -> {last}"
+    );
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every field of a reselection, floats by bits, codecs by label.
+fn reselection_words(r: &Reselection) -> Vec<u64> {
+    let kind = |k: CompressorKind| fnv(k.label().bytes().map(u64::from));
+    let mut w = vec![
+        r.index as u64,
+        r.iteration as u64,
+        r.effective_bandwidth.to_bits(),
+        r.mean_loss.to_bits(),
+        r.plateaued as u64,
+        r.eb_scale.to_bits() as u64,
+        r.degraded as u64,
+        r.switches.len() as u64,
+    ];
+    for s in &r.switches {
+        w.extend([
+            s.table_id as u64,
+            kind(s.from),
+            kind(s.to),
+            s.estimated_speedup.to_bits(),
+            s.incumbent_speedup.to_bits(),
+        ]);
+    }
+    match &r.tier_advice {
+        None => w.push(0),
+        Some(a) => {
+            w.push(1);
+            match a.intra {
+                None => w.push(0),
+                Some((k, s)) => w.extend([1, kind(k), s.to_bits()]),
+            }
+            w.extend([kind(a.inter.0), a.inter.1.to_bits()]);
+        }
+    }
+    w
+}
+
+/// Golden controller windows: `(row label, codec switches, FNV over every
+/// reselection field, the window ratios, the controller phase's ledger
+/// seconds and bytes, and the final loss)`. Any change to the observation
+/// format, its exchange or charge, or the controller's decisions moves a
+/// row.
+const CONTROLLER_GOLDEN: [(&str, usize, u64); 16] = [
+    ("flat/sequential/eb-none/drift", 4, 0x9a98938d5b004b3b),
+    ("flat/sequential/eb-none/straggler", 4, 0xc76feae355ad0672),
+    ("flat/sequential/eb-plateau/drift", 4, 0xa5492615ecb76096),
+    (
+        "flat/sequential/eb-plateau/straggler",
+        4,
+        0x26f780118e793d81,
+    ),
+    ("flat/overlapped/eb-none/drift", 4, 0xe59d326fe578daa3),
+    ("flat/overlapped/eb-none/straggler", 4, 0xc1d4b81fe4c394e1),
+    ("flat/overlapped/eb-plateau/drift", 4, 0xcc45c7f279956a36),
+    (
+        "flat/overlapped/eb-plateau/straggler",
+        5,
+        0x012a2bb85538a3d2,
+    ),
+    ("2x2/sequential/eb-none/drift", 4, 0x252f45c2104a2764),
+    ("2x2/sequential/eb-none/straggler", 4, 0x1cdaddb912b3eae3),
+    ("2x2/sequential/eb-plateau/drift", 4, 0xcc5343f2477b85af),
+    ("2x2/sequential/eb-plateau/straggler", 4, 0x47cd4876f7c9a1dd),
+    ("2x2/overlapped/eb-none/drift", 4, 0xac837340a6569d27),
+    ("2x2/overlapped/eb-none/straggler", 4, 0x8337753feca46bcc),
+    ("2x2/overlapped/eb-plateau/drift", 4, 0xf4aaf1f16b31d8e4),
+    ("2x2/overlapped/eb-plateau/straggler", 5, 0x51122e716007ca50),
+];
+
+#[test]
+fn controller_windows_are_pinned() {
+    let dataset = dlrm_data::presets::tiny();
+    let fast = NetworkConfig::alltoall_bound(60e9);
+    let slow = NetworkConfig::alltoall_bound(5e8);
+    let mut rows = Vec::new();
+    for hierarchical in [false, true] {
+        for overlap in [OverlapSetting::Off, OverlapSetting::DoubleBuffered] {
+            for eb_control in [None, Some(PlateauEbControl::default())] {
+                for straggler in [false, true] {
+                    let mut cfg = TrainerConfig::small_test(CompressionSetting::fixed(
+                        0.05,
+                        CompressorKind::Fp16,
+                    ));
+                    cfg.iterations = 12;
+                    cfg.global_batch = 64;
+                    cfg.network = fast;
+                    let mut cfg = cfg
+                        .with_executor(ExecutorSetting::Sequential)
+                        .with_overlap(overlap)
+                        .with_adaptive(AdaptiveSetting::Runtime {
+                            window: 3,
+                            hysteresis: 0.1,
+                            eb_control,
+                        })
+                        .with_codec_profile(CodecProfile::paper_reference());
+                    if hierarchical {
+                        cfg = cfg.with_topology(TopologySetting::Hierarchical(Topology::new(
+                            2,
+                            2,
+                            NetworkConfig::nvlink_intra_node(),
+                            fast,
+                        )));
+                    }
+                    cfg = if straggler {
+                        cfg.with_fault(FaultSetting::new(
+                            FaultPlan::none().with_straggler(1, 3, 7, 120.0),
+                        ))
+                    } else {
+                        cfg.with_bandwidth_trace(BandwidthTrace::step(fast, slow, 6))
+                    };
+                    let report = run_training(&dataset, &cfg);
+                    let mut words: Vec<u64> = report
+                        .reselections
+                        .iter()
+                        .flat_map(reselection_words)
+                        .collect();
+                    words.extend(report.window_ratios.iter().map(|r| r.to_bits()));
+                    words.extend([
+                        report
+                            .breakdown
+                            .seconds(dlrm_comm::phase::CONTROLLER)
+                            .to_bits(),
+                        report.breakdown.bytes(dlrm_comm::phase::CONTROLLER),
+                        report.final_metrics.loss.to_bits(),
+                    ]);
+                    let label = format!(
+                        "{}/{}/{}/{}",
+                        if hierarchical { "2x2" } else { "flat" },
+                        overlap.label(),
+                        if eb_control.is_some() {
+                            "eb-plateau"
+                        } else {
+                            "eb-none"
+                        },
+                        if straggler { "straggler" } else { "drift" },
+                    );
+                    rows.push((label, report.total_reselections(), fnv(words)));
+                }
+            }
+        }
+    }
+    let table: String = rows
+        .iter()
+        .map(|(label, n, h)| format!("    (\"{label}\", {n}, {h:#018x}),\n"))
+        .collect();
+    for ((label, n, h), golden) in rows.iter().zip(CONTROLLER_GOLDEN) {
+        assert_eq!(
+            (label.as_str(), *n, *h),
+            golden,
+            "controller window drifted; actual table:\n{table}"
+        );
+    }
+    // A grid where nothing switches pins nothing worth pinning.
+    assert!(
+        rows.iter().any(|&(_, n, _)| n > 0),
+        "no row switched a codec"
     );
 }
