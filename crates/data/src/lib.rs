@@ -31,6 +31,7 @@
 
 pub mod batch;
 pub mod config;
+pub mod distinct;
 pub mod feed;
 pub mod generator;
 pub mod presets;
@@ -39,6 +40,7 @@ pub mod zipf;
 
 pub use batch::MiniBatch;
 pub use config::{DatasetConfig, TableProfile, TrafficDrift, ValueDistribution};
+pub use distinct::DistinctRows;
 pub use feed::BatchFeed;
 pub use generator::SyntheticCriteo;
 pub use traffic::EmbeddingTrafficGenerator;

@@ -6,13 +6,14 @@
 //! counting global allocator and asserts that, after one warm-up step per
 //! slot, drawing a batch into recycled storage — directly, or through a
 //! [`BatchFeed`] step with every rank taking its clone — performs zero heap
-//! allocations.
+//! allocations. The same holds for the distinct-row index the trainer builds
+//! per lookup column: building it and re-expanding a block through it.
 //!
 //! The counter is armed per thread: the libtest harness keeps helper threads
 //! of its own alive during the run, and a stray allocation on one of them
 //! must not be charged to the code under test.
 
-use dlrm_data::{presets, BatchFeed, SyntheticCriteo};
+use dlrm_data::{presets, BatchFeed, DistinctRows, MiniBatch, SyntheticCriteo};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,4 +101,37 @@ fn a_warmed_up_input_path_never_allocates() {
     });
     assert_eq!(stepped, 0, "a feed step allocated after warm-up");
     assert_eq!((feed.generated(), feed.spills()), (8, 0));
+}
+
+#[test]
+fn a_warmed_up_distinct_index_never_allocates() {
+    let dataset = presets::criteo_kaggle_like();
+    let dim = dataset.embedding_dim;
+    let mut generator = SyntheticCriteo::new(dataset, 5);
+    let mut shards = Vec::new();
+    let mut rows = DistinctRows::new();
+    let mut values: Vec<f32> = Vec::new();
+    // Index and re-expand every column of every shard. Each distinct row
+    // holds its own index, so the expansion is checked sample by sample.
+    let mut index_batch = |shards: &[MiniBatch]| {
+        for column in shards.iter().flat_map(|s| &s.sparse) {
+            rows.build(column);
+            values.clear();
+            for &i in rows.unique() {
+                values.resize(values.len() + dim, i as f32);
+            }
+            rows.expand_in_place(&mut values, dim);
+            let expanded = values.chunks_exact(dim).map(|row| row[0]);
+            assert!(column.iter().map(|&i| i as f32).eq(expanded));
+        }
+    };
+    generator.next_batch_into(GLOBAL_BATCH, WORLD, &mut shards);
+    index_batch(&shards);
+    let steady = allocations_in(|| {
+        for _ in 0..4 {
+            generator.next_batch_into(GLOBAL_BATCH, WORLD, &mut shards);
+            index_batch(&shards);
+        }
+    });
+    assert_eq!(steady, 0, "build + expand_in_place allocated after warm-up");
 }

@@ -8,11 +8,13 @@
 //! iteration runs the same four communication-heavy stages as the paper's
 //! Figure 3 pipeline:
 //!
-//! 1. owners look up their tables for every rank's batch shard and
-//!    **compress** the per-destination chunks;
-//! 2. the **all-to-all** moves the compressed lookups, each chunk behind a
+//! 1. owners look up the distinct rows of their tables for every rank's
+//!    batch shard ([`dlrm_data::DistinctRows`]) and **compress** the
+//!    per-destination chunks;
+//! 2. the **all-to-all** moves the compressed rows, each chunk behind a
 //!    16-byte header announcing its size;
-//! 3. receivers **decompress** and run the data-parallel forward/backward;
+//! 3. receivers **decompress**, re-expand each block to one row per sample
+//!    from their own indices, and run the data-parallel forward/backward;
 //! 4. embedding gradients are compressed and sent back to the owning ranks
 //!    (the symmetric backward all-to-all), and MLP gradients are all-reduced.
 //!

@@ -27,7 +27,7 @@ use dlrm_comm::topology::{TieredCostModel, Topology};
 use dlrm_comm::{CostModel, OverlapTimeline, TimingLedger};
 use dlrm_compress::lowprec::{self, Precision};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
-use dlrm_data::{BatchFeed, DatasetConfig};
+use dlrm_data::{BatchFeed, DatasetConfig, DistinctRows};
 use dlrm_grad::GradCompressor;
 use dlrm_model::{Dlrm, DlrmConfig, EvalMetrics};
 use dlrm_obs::{ClockDomain, MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecorder};
@@ -530,8 +530,12 @@ pub struct RankOutcome {
     /// the loop's wall time on this rank.
     pub wall: TimingLedger,
     /// Per-table `(original bytes, compressed bytes)` of the forward
-    /// all-to-all payloads this rank produced as a table owner.
+    /// all-to-all payloads this rank produced as a table owner. Original
+    /// bytes are what the codec encoded: the distinct rows of every block.
     pub fwd_traffic: Vec<(u64, u64)>,
+    /// Per-table bytes of the re-expanded `rows × dim` lookups this rank
+    /// received for its own shard.
+    pub fwd_delivered: Vec<u64>,
     /// Final counters of this rank's buffer pool.
     pub pool_stats: PoolStats,
     /// Bytes of fresh buffer capacity the compress/send path allocated
@@ -943,6 +947,40 @@ fn write_block(
     payload_len
 }
 
+/// Grow the codec scratch to the largest demand an exchange can make of it:
+/// encode and decode every table's full-shard `blocks[t]` under its own codec
+/// and under each runtime-controller candidate.
+///
+/// Forward blocks carry however many distinct rows a batch has, so the
+/// warm-up batches need not have shown a codec the largest block it will
+/// see; a later batch with more distinct rows would then grow the scratch in
+/// the steady state. Raw and cast settings draw nothing from the scratch.
+fn warm_codec_scratch(
+    resolved: &ResolvedCompression,
+    candidates: &[Box<dyn Compressor>],
+    iter: usize,
+    blocks: &[Matrix],
+    scratch: &mut CompressScratch,
+) {
+    let ResolvedCompression::Lossy { per_table, .. } = resolved else {
+        return;
+    };
+    let (mut bytes, mut values) = (Vec::new(), Vec::new());
+    for (t, block) in blocks.iter().enumerate() {
+        let eb = resolved.effective_eb(t, iter);
+        for codec in std::iter::once(&per_table[t].0).chain(candidates) {
+            bytes.clear();
+            values.clear();
+            codec
+                .compress_into(block.as_slice(), block.cols(), eb, scratch, &mut bytes)
+                .expect("lossy compression of finite training data cannot fail");
+            codec
+                .decompress_into(&bytes, scratch, &mut values)
+                .expect("a stream this codec just wrote decodes");
+        }
+    }
+}
+
 /// Worst-case compressed bytes of one block of `values` floats under any
 /// codec (≤ 3× the raw bytes plus stream headers). Send leases are sized to
 /// it so a chunk never grows its lease mid-fill — compressed sizes that
@@ -1275,7 +1313,7 @@ impl ControllerState {
             let matrix = &lookup_matrices[local_idx * ctx.world() + ctx.rank()];
             let sample = &matrix.as_slice()[..matrix.len().min(PROBE_ROWS * dim)];
             let eb = resolved.effective_eb(t, iter);
-            let mut buf = ctx.take_buf(block_worst_bytes(sample.len()));
+            let mut buf = ctx.take_buf(block_worst_bytes(PROBE_ROWS * dim));
             let ratios = probe_candidates(&self.candidates, sample, dim, eb, scratch, &mut buf);
             self.probe_ratios.push(ratios);
             for codec in &self.candidates {
@@ -1408,13 +1446,16 @@ enum Route<'a> {
     },
 }
 
-/// What differs between the forward exchange (owners send lookups out) and
-/// the backward one (shards send embedding gradients home).
+/// What differs between the forward exchange (owners send the distinct
+/// rows of each shard's lookups out) and the backward one (shards send
+/// embedding gradients home).
 struct Direction<'a, B, R, S> {
     /// Ledger phases charged: compress, all-to-all, decompress.
     phases: [&'static str; 3],
-    /// `(table, payload)` blocks of the chunk bound for a destination, in
-    /// ascending table order.
+    /// `(table, payload, rows delivered)` blocks of the chunk bound for a
+    /// destination, in ascending table order. Send leases are sized for the
+    /// delivered rows, so a lease request stays the same every iteration
+    /// however few rows the payload carries.
     blocks: B,
     /// Send-lease capacity per destination learned from earlier iterations,
     /// so leases rarely have to grow.
@@ -1422,9 +1463,12 @@ struct Direction<'a, B, R, S> {
     /// Per-table `(original, compressed)` payload bytes to accumulate into,
     /// when this direction reports them.
     traffic: Option<&'a mut [(u64, u64)]>,
-    /// Rows of every block that arrives from a source.
+    /// Rows of every block that arrives from a source, as delivered.
     rows_from: R,
-    /// Receives each decompressed `(table, source, rows × dim matrix)`.
+    /// This rank's index of its own shard per table, when blocks carry only
+    /// the distinct rows: each arriving block is re-expanded through it.
+    distinct: Option<&'a [DistinctRows]>,
+    /// Receives each delivered `(table, source, rows × dim matrix)`.
     sink: S,
 }
 
@@ -1447,9 +1491,9 @@ struct Exchange<'a> {
 impl Exchange<'_> {
     /// The paper's loop, once: compress per-destination chunks straight into
     /// pooled send leases, move them through the route's all-to-all,
-    /// decompress what arrives into recycled float storage. Every route
-    /// writes byte-identical chunks and delivers bit-identical matrices —
-    /// only the charged time differs.
+    /// decompress what arrives into recycled float storage, re-expanding
+    /// distinct-row blocks in place. Every route writes byte-identical chunks
+    /// and delivers bit-identical matrices — only the charged time differs.
     fn run<'m, B, I, R, S>(
         &self,
         mut dir: Direction<'_, B, R, S>,
@@ -1458,7 +1502,7 @@ impl Exchange<'_> {
         mut controller: Option<&mut ControllerState>,
     ) where
         B: Fn(usize) -> I,
-        I: Iterator<Item = (usize, &'m Matrix)>,
+        I: Iterator<Item = (usize, &'m Matrix, usize)>,
         R: Fn(usize) -> usize,
         S: FnMut(u32, u32, Matrix),
     {
@@ -1487,9 +1531,10 @@ impl Exchange<'_> {
         for step in 0..world {
             let dst = if flat { (rank + step) % world } else { step };
             let t0 = Instant::now();
-            let (count, worst) = (dir.blocks)(dst).fold((0u32, header + 4), |(n, w), (_, m)| {
-                (n + 1, w + block_worst_bytes(m.len()))
-            });
+            let (count, worst) = (dir.blocks)(dst)
+                .fold((0u32, header + 4), |(n, w), (_, _, rows)| {
+                    (n + 1, w + block_worst_bytes(rows * dim))
+                });
             let capacity = dir.hints[dst].max(worst);
             let mut buf = if flat {
                 ctx.take_chunk_buf(capacity)
@@ -1500,7 +1545,7 @@ impl Exchange<'_> {
             buf.extend_from_slice(&count.to_le_bytes());
             let mut chunk_original = 0u64;
             let mut chunk_profile_s = 0.0f64;
-            for (t, matrix) in (dir.blocks)(dst) {
+            for (t, matrix, _) in (dir.blocks)(dst) {
                 let payload_len = write_block(
                     resolved,
                     t,
@@ -1606,11 +1651,15 @@ impl Exchange<'_> {
                 decompressed_bytes += raw_bytes;
                 profile_s +=
                     block_profile_seconds(profile, resolved, table as usize, raw_bytes, true);
+                let index = dir.distinct.map(|d| &d[table as usize]);
                 assert_eq!(
                     values.len(),
-                    rows * dim,
+                    index.map_or(rows, |d| d.unique().len()) * dim,
                     "rank {rank}: table {table} from rank {src}: bad payload size"
                 );
+                if let Some(index) = index {
+                    index.expand_in_place(&mut values, dim);
+                }
                 (dir.sink)(table, src as u32, Matrix::from_vec(rows, dim, values));
             }
             measured_s += t0.elapsed().as_secs_f64();
@@ -1729,6 +1778,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     let mut ledger = TimingLedger::new();
     let mut per_iteration = Vec::with_capacity(seg.end - seg.start);
     let mut fwd_traffic = vec![(0u64, 0u64); num_tables];
+    let mut fwd_delivered = vec![0u64; num_tables];
     let compute_scale = trainer.compute_time_scale;
     // Combined backward push (None on the bit-exact per-sample default).
     let mut grad_push = GradPushState::from_setting(&trainer.grad_push);
@@ -1736,6 +1786,13 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
 
     // Reusable per-rank state: everything the steady-state loop touches.
     let mut scratch = PipelineScratch::new(world);
+    // The distinct rows of this rank's own shard per table (what arriving
+    // forward blocks re-expand through), and one index reused for every
+    // other shard's column of an owned table. Capacity-tracked like the
+    // dense state, so their warm-up growth is charged to the LOOKUP phase.
+    let mut own_distinct: Vec<DistinctRows> = vec![DistinctRows::new(); num_tables];
+    let mut peer_distinct = DistinctRows::new();
+    let mut distinct_capacity_mark = 0u64;
     let mut lookup_matrices: Vec<Matrix> = Vec::new(); // [local_idx * world + dst]
     let mut lookup_slots: Vec<Option<Matrix>> = Vec::new();
     let mut my_lookups: Vec<Matrix> = Vec::new();
@@ -1903,19 +1960,36 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         let my_shard = &shards[rank];
         acct.close(phases::INPUT, &scratch, 0);
 
-        // ── embedding lookup: owners look up their tables for every
+        // ── embedding lookup: every rank indexes its own shard's columns;
+        // owners look up the distinct rows of their tables for every
         // destination shard, into float storage recycled from the previous
-        // iteration.
+        // iteration and sized for the full shard.
         let t0 = Instant::now();
+        for (index, column) in own_distinct.iter_mut().zip(&my_shard.sparse) {
+            index.build(column);
+        }
         for &t in &owned {
-            for shard in shards.iter() {
+            for (s, shard) in shards.iter().enumerate() {
+                let index = if s == rank {
+                    &own_distinct[t]
+                } else {
+                    peer_distinct.build(&shard.sparse[t]);
+                    &peer_distinct
+                };
                 let storage = scratch.take_floats(shard.batch_size() * dim);
-                lookup_matrices.push(model.lookup_with_storage(t, &shard.sparse[t], storage));
+                lookup_matrices.push(model.lookup_with_storage(t, index.unique(), storage));
             }
         }
         acct.ledger
             .add_time(phases::LOOKUP, t0.elapsed().as_secs_f64() * compute_scale);
-        acct.close(phases::LOOKUP, &scratch, 0);
+        let capacity = own_distinct
+            .iter()
+            .map(DistinctRows::capacity_bytes)
+            .sum::<u64>()
+            + peer_distinct.capacity_bytes();
+        let distinct_extra_alloc = capacity.saturating_sub(distinct_capacity_mark);
+        distinct_capacity_mark = capacity;
+        acct.close(phases::LOOKUP, &scratch, distinct_extra_alloc);
 
         // The exchange both directions run: under a hierarchical topology
         // the two-level collective, flat the chunked pipeline (chunk k+1 is
@@ -1937,7 +2011,8 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         };
 
         // ── fwd compression → fwd all-to-all → fwd decompression: every
-        // owner sends each shard the lookups of its tables.
+        // owner sends each shard the distinct rows of its tables' lookups,
+        // and every shard re-expands them from its own indices.
         lookup_slots.clear();
         lookup_slots.resize_with(num_tables, || None);
         let (owned_tables, lookups) = (&owned, &lookup_matrices);
@@ -1948,16 +2023,19 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     phases::FWD_A2A,
                     phases::FWD_DECOMPRESS,
                 ],
-                blocks: |dst| {
-                    owned_tables
-                        .iter()
-                        .enumerate()
-                        .map(move |(local_idx, &t)| (t, &lookups[local_idx * world + dst]))
+                blocks: |dst: usize| {
+                    let rows = shards[dst].batch_size();
+                    (owned_tables.iter().enumerate())
+                        .map(move |(local_idx, &t)| (t, &lookups[local_idx * world + dst], rows))
                 },
                 hints: &mut fwd_hints,
                 traffic: Some(&mut fwd_traffic),
                 rows_from: |_src| my_shard.batch_size(),
-                sink: |table, _src, lookup| lookup_slots[table as usize] = Some(lookup),
+                distinct: Some(&own_distinct),
+                sink: |table, _src, lookup: Matrix| {
+                    fwd_delivered[table as usize] += (lookup.len() * 4) as u64;
+                    lookup_slots[table as usize] = Some(lookup);
+                },
             },
             &mut scratch,
             &mut acct,
@@ -2022,14 +2100,13 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     ],
                     // `tables_of` is sorted ascending.
                     blocks: |owner| {
-                        partition
-                            .tables_of(owner)
-                            .iter()
-                            .map(move |&t| (t, &table_grads[t]))
+                        (partition.tables_of(owner).iter())
+                            .map(move |&t| (t, &table_grads[t], table_grads[t].rows()))
                     },
                     hints: &mut bwd_hints,
                     traffic: None,
                     rows_from: |src: usize| shards[src].batch_size(),
+                    distinct: None,
                     sink: |table, src, grad| grad_entries.push((table, src, grad)),
                 },
                 &mut scratch,
@@ -2186,8 +2263,8 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
 
         // ── runtime controller (probe): try the candidate codecs on live payloads when the next
         // iteration is a reselection point — and once at the end of warm-up,
-        // so every candidate's scratch demand and the probe lease class
-        // reach working size before the steady-state counters arm.
+        // so the probe lease class reaches working size before the
+        // steady-state counters arm.
         if let Some(state) = controller.as_mut() {
             if state.wants_probe(iter, trainer.iterations) || local + 1 == WARMUP_ITERATIONS {
                 state.probe(
@@ -2199,6 +2276,18 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 );
                 acct.close(phases::CONTROLLER, &scratch, 0);
             }
+        }
+
+        // End of warm-up: grow the codec scratch to a full-shard block.
+        if local + 1 == WARMUP_ITERATIONS {
+            let candidates = controller.as_ref().map_or(&[][..], |s| &s.candidates[..]);
+            warm_codec_scratch(
+                &resolved,
+                candidates,
+                iter,
+                &my_lookups,
+                &mut scratch.compress,
+            );
         }
 
         // Reclaim the float storage of this iteration's matrices for reuse.
@@ -2283,8 +2372,10 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 let spares: Vec<PooledBuf> = (0..2 * world).map(|_| ctx.take_buf(cap)).collect();
                 drop(spares);
             }
-            // Parking is warm-up work; exclude it from the steady counters.
+            // Parking and warming the codec scratch are warm-up work;
+            // exclude them from the steady counters.
             acct.marks.pool = ctx.pool().stats();
+            acct.marks.compress_capacity = scratch.compress.capacity_bytes();
         }
 
         if let Some(o) = acct.obs.as_mut() {
@@ -2351,6 +2442,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         ledger,
         wall: wall.into_ledger(),
         fwd_traffic,
+        fwd_delivered,
         pool_stats: ctx.pool().stats(),
         steady_state_allocated_bytes: steady_allocated,
         dense_traffic,
@@ -2463,6 +2555,148 @@ mod tests {
                     walk(&bad, seed) != walk(&chunk, seed),
                     "corrupt field at {field} went unnoticed (seed {seed:#x}, bytes {bad:?})"
                 );
+            }
+        }
+    }
+
+    /// Rows per shard, embedding width and table cardinality of the
+    /// two-rank forward exchanges below: every column repeats rows.
+    const SHARD: usize = 24;
+    const DIM: usize = 8;
+    const CARD: usize = 11;
+
+    /// Table `t`'s weights and its column of shard `s`, `columns[t][s]`.
+    fn two_rank_traffic() -> (Vec<Matrix>, Vec<Vec<Vec<u32>>>) {
+        let weights = (0..2)
+            .map(|t| {
+                Matrix::from_fn(CARD, DIM, |r, c| {
+                    ((t * 131 + r * 17 + c * 5) as f32 * 0.37).sin() * 0.8
+                })
+            })
+            .collect();
+        let column =
+            |t: usize, s: usize| (0..SHARD).map(move |i| ((i / 2 * 3 + 5 * t + s) % CARD) as u32);
+        let columns = (0..2)
+            .map(|t| (0..2).map(|s| column(t, s).collect()).collect())
+            .collect();
+        (weights, columns)
+    }
+
+    fn gather(weights: &Matrix, ids: &[u32]) -> Matrix {
+        let values = ids.iter().flat_map(|&i| weights.row(i as usize)).copied();
+        Matrix::from_vec(ids.len(), weights.cols(), values.collect())
+    }
+
+    /// One forward exchange through the stage on a flat two-rank cluster,
+    /// rank `t` owning table `t`: each owner looks up the distinct rows of
+    /// every shard's column and sends them. Returns, per rank, the matrix it
+    /// was delivered for each table.
+    fn forward_exchange(setting: &CompressionSetting) -> Vec<Vec<Matrix>> {
+        use dlrm_comm::{NetworkConfig, SimCluster};
+        let setting = setting.clone();
+        SimCluster::new(2, NetworkConfig::infinite()).run(move |ctx| {
+            let rank = ctx.rank();
+            let (weights, columns) = two_rank_traffic();
+            let resolved = ResolvedCompression::from_setting(&setting, 2);
+            let index = |column: &[u32]| {
+                let mut d = DistinctRows::new();
+                d.build(column);
+                d
+            };
+            let own: Vec<DistinctRows> = (0..2).map(|t| index(&columns[t][rank])).collect();
+            let lookups: Vec<Matrix> = (0..2)
+                .map(|s| gather(&weights[rank], index(&columns[rank][s]).unique()))
+                .collect();
+            let mut scratch = PipelineScratch::new(2);
+            let mut acct = Accounting::new(&ctx, &scratch, TimingLedger::new(), None);
+            let cost = ctx.cost_model();
+            let exchange = Exchange {
+                ctx: &ctx,
+                resolved: &resolved,
+                iter: 0,
+                dim: DIM,
+                profile: None,
+                device_throughput: None,
+                cost: &cost,
+                route: Route::Flat,
+                overlapped: false,
+            };
+            let mut delivered: Vec<Option<Matrix>> = vec![None, None];
+            exchange.run(
+                Direction {
+                    phases: [
+                        phases::FWD_COMPRESS,
+                        phases::FWD_A2A,
+                        phases::FWD_DECOMPRESS,
+                    ],
+                    blocks: |dst: usize| std::iter::once((rank, &lookups[dst], SHARD)),
+                    hints: &mut [64; 2],
+                    traffic: None,
+                    rows_from: |_| SHARD,
+                    distinct: Some(&own),
+                    sink: |t, _, m: Matrix| delivered[t as usize] = Some(m),
+                },
+                &mut scratch,
+                &mut acct,
+                None,
+            );
+            delivered
+                .into_iter()
+                .map(|m| m.expect("a block per table"))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn forward_exchange_is_the_full_row_exchange_under_pointwise_codecs() {
+        let (weights, columns) = two_rank_traffic();
+        for setting in [
+            CompressionSetting::None,
+            CompressionSetting::Fp16,
+            CompressionSetting::Fp8,
+            CompressionSetting::fixed(0.02, CompressorKind::OursHybrid),
+            CompressionSetting::fixed(0.02, CompressorKind::OursVector),
+            CompressionSetting::fixed(0.02, CompressorKind::FzLike),
+        ] {
+            let resolved = ResolvedCompression::from_setting(&setting, 2);
+            for (rank, delivered) in forward_exchange(&setting).iter().enumerate() {
+                for (t, got) in delivered.iter().enumerate() {
+                    // What one row per sample through the same codec decodes to.
+                    let full = gather(&weights[t], &columns[t][rank]);
+                    let (mut scratch, mut bytes, mut want) =
+                        (CompressScratch::new(), Vec::new(), Vec::new());
+                    resolved.compress_into(t, 0, full.as_slice(), DIM, &mut scratch, &mut bytes);
+                    resolved.decompress_into(t, &bytes, &mut scratch, &mut want);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(&want),
+                        "{}: rank {rank} table {t}",
+                        setting.label()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_exchange_keeps_sz_like_within_the_bound_once_re_expanded() {
+        // SZ-like's Lorenzo predictor couples neighbouring values, so the
+        // distinct-row block decodes to other bits than the full one would;
+        // the bound must still hold value by value.
+        let eb = 0.02f32;
+        let (weights, columns) = two_rank_traffic();
+        let setting = CompressionSetting::fixed(eb, CompressorKind::SzLike);
+        for (rank, delivered) in forward_exchange(&setting).iter().enumerate() {
+            for (t, got) in delivered.iter().enumerate() {
+                let full = gather(&weights[t], &columns[t][rank]);
+                assert_eq!((got.rows(), got.cols()), (SHARD, DIM));
+                for (i, (a, b)) in got.as_slice().iter().zip(full.as_slice()).enumerate() {
+                    assert!(
+                        (a - b).abs() <= eb * 1.0001,
+                        "rank {rank} table {t} value {i}: {a} vs owner's {b}"
+                    );
+                }
             }
         }
     }

@@ -16,15 +16,21 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Per-table forward all-to-all compression statistics, summed over the whole
-/// run and over all owning ranks.
+/// run and over all ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TableCompressionStats {
     /// Table id.
     pub table_id: usize,
-    /// Uncompressed payload bytes.
+    /// Uncompressed bytes the codec encoded: the distinct rows of every
+    /// block, which is also what raw fp32 sends and what Equation 2 compares
+    /// a codec against.
     pub original_bytes: u64,
     /// Compressed payload bytes.
     pub compressed_bytes: u64,
+    /// `rows × dim × 4` bytes the receivers got once each block was
+    /// re-expanded to one row per sample.
+    #[serde(default)]
+    pub delivered_bytes: u64,
 }
 
 impl TableCompressionStats {
@@ -65,8 +71,14 @@ pub struct TrainingReport {
     pub breakdown: TimingLedger,
     /// Per-table forward-payload compression statistics.
     pub per_table: Vec<TableCompressionStats>,
-    /// Overall forward-payload compression ratio.
+    /// Overall forward-payload compression ratio (over the distinct rows the
+    /// codec encoded).
     pub overall_ratio: f64,
+    /// Distinct-row bytes over delivered bytes of the forward exchange, over
+    /// every table: the share of one-row-per-sample traffic the owners sent
+    /// (1.0 when nothing was delivered).
+    #[serde(default)]
+    pub fwd_unique_frac: f64,
     /// Total modelled time of the run (sum of the breakdown's phases).
     pub total_seconds: f64,
     /// Virtual seconds the double-buffered pipeline hid (codec time that ran
@@ -732,12 +744,16 @@ fn merge_segments(
             table_id,
             original_bytes: 0,
             compressed_bytes: 0,
+            delivered_bytes: 0,
         })
         .collect();
     for o in all() {
         for (t, &(orig, comp)) in o.fwd_traffic.iter().enumerate() {
             per_table[t].original_bytes += orig;
             per_table[t].compressed_bytes += comp;
+        }
+        for (stats, &delivered) in per_table.iter_mut().zip(&o.fwd_delivered) {
+            stats.delivered_bytes += delivered;
         }
     }
     let steady_state_allocated_bytes: u64 = all().map(|o| o.steady_state_allocated_bytes).sum();
@@ -788,6 +804,12 @@ fn merge_segments(
     } else {
         total_orig as f64 / total_comp as f64
     };
+    let total_delivered: u64 = per_table.iter().map(|t| t.delivered_bytes).sum();
+    let fwd_unique_frac = if total_delivered == 0 {
+        1.0
+    } else {
+        total_orig as f64 / total_delivered as f64
+    };
 
     let (trace, metrics) = merge_obs(config, segments, num_tables);
 
@@ -802,6 +824,7 @@ fn merge_segments(
         breakdown,
         per_table,
         overall_ratio,
+        fwd_unique_frac,
         total_seconds,
         overlap_saved_seconds,
         executor: config.executor.label().to_string(),
@@ -871,6 +894,23 @@ mod tests {
         assert!(last < first, "loss did not decrease: {first} -> {last}");
         // No compression → ratio 1.
         assert!((report.overall_ratio - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn forward_traffic_counts_distinct_and_delivered_rows() {
+        let dataset = presets::tiny();
+        let cfg = tiny_config(CompressionSetting::None, 6);
+        let report = run_training(&dataset, &cfg);
+        let delivered = (6 * cfg.global_batch * dataset.embedding_dim * 4) as u64;
+        for t in &report.per_table {
+            // Every sample's row arrives once per iteration; raw fp32 sends
+            // the distinct rows as they are.
+            assert_eq!(t.delivered_bytes, delivered, "table {}", t.table_id);
+            assert_eq!(t.original_bytes, t.compressed_bytes);
+            assert!(t.original_bytes <= t.delivered_bytes);
+        }
+        // Zipf traffic repeats rows, so some of them stayed home.
+        assert!(report.fwd_unique_frac > 0.0 && report.fwd_unique_frac < 1.0);
     }
 
     #[test]

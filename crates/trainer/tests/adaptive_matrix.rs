@@ -11,7 +11,7 @@
 //! * loss-plateau error-bound control tightens the bound and the run still
 //!   learns;
 //! * under a bandwidth drift the controller beats every static plan, and a
-//!   traffic drift shows up in the per-window measured ratio it probes;
+//!   traffic drift shows up as fewer distinct rows on the forward wire;
 //! * the controller windows are frozen: a golden table pins every
 //!   reselection, window ratio, controller-phase charge and final loss over
 //!   topology × overlap × error-bound control × drift shape.
@@ -258,9 +258,13 @@ fn plateau_eb_control_tightens_and_still_learns() {
     assert!(report.reselections.iter().skip(1).any(|r| r.plateaued));
     // Tightening the bound must not break training.
     assert!(report.final_metrics.loss < report.initial_metrics.loss);
-    // A tighter bound compresses less: the last window's ratio must not
-    // exceed the first's (same codec, smaller bins ⇒ lower ratio).
-    let first = report.window_ratios.first().copied().unwrap_or(1.0);
+    // A tighter bound compresses less: from the first window on the final
+    // codecs (the one after the last switch) to the last window, the ratio
+    // must not rise (same codecs, smaller bins ⇒ lower ratio).
+    let settled = (report.reselections.iter())
+        .rposition(|r| !r.switches.is_empty())
+        .map_or(0, |i| i + 1);
+    let first = report.window_ratios[settled];
     let last = report.window_ratios.last().copied().unwrap_or(1.0);
     assert!(
         last <= first + 1e-9,
@@ -328,20 +332,26 @@ fn runtime_controller_beats_every_static_plan_under_bandwidth_drift() {
 }
 
 #[test]
-fn traffic_drift_raises_the_measured_ratio() {
-    // A steady fabric, and the query skew sharpens at mid-run: repeated
-    // vectors homogenize and the measured ratio the controller probes rises.
-    let dataset =
-        dlrm_data::presets::tiny().with_drift(dlrm_data::TrafficDrift::exponent_shift(12, 1.5));
+fn traffic_drift_shrinks_the_distinct_rows_sent() {
+    // A steady fabric, and the query skew sharpens at mid-run: hot rows
+    // repeat more, and a repeat never leaves its owner — the owners send a
+    // smaller share of distinct rows and the forward wire carries fewer
+    // bytes than under the steady skew.
+    let steady = dlrm_data::presets::tiny();
+    let drifting = steady
+        .clone()
+        .with_drift(dlrm_data::TrafficDrift::exponent_shift(12, 1.5));
     let mut cfg = drift_arm_config(CompressorKind::OursHybrid, AdaptiveSetting::runtime(3, 0.1));
     cfg.network = NetworkConfig::alltoall_bound(5e8);
-    let report = run_training(&dataset, &cfg);
-    let first = report.window_ratios.first().copied().expect("windows");
-    let last = report.window_ratios.last().copied().expect("windows");
+    let (before, after) = (run_training(&steady, &cfg), run_training(&drifting, &cfg));
     assert!(
-        last > first,
-        "skew shift did not raise the measured ratio: {first} -> {last}"
+        after.fwd_unique_frac < before.fwd_unique_frac,
+        "skew shift did not cut the distinct share: {} -> {}",
+        before.fwd_unique_frac,
+        after.fwd_unique_frac
     );
+    let fwd_bytes = |r: &TrainingReport| r.breakdown.bytes(dlrm_comm::phase::FWD_A2A);
+    assert!(fwd_bytes(&after) < fwd_bytes(&before));
 }
 
 /// FNV-1a over 64-bit words.
@@ -387,36 +397,33 @@ fn reselection_words(r: &Reselection) -> Vec<u64> {
     w
 }
 
-/// Golden controller windows: `(row label, codec switches, FNV over every
-/// reselection field, the window ratios, the controller phase's ledger
-/// seconds and bytes, and the final loss)`. Any change to the observation
-/// format, its exchange or charge, or the controller's decisions moves a
-/// row.
-const CONTROLLER_GOLDEN: [(&str, usize, u64); 16] = [
-    ("flat/sequential/eb-none/drift", 4, 0x9a98938d5b004b3b),
-    ("flat/sequential/eb-none/straggler", 4, 0xc76feae355ad0672),
-    ("flat/sequential/eb-plateau/drift", 4, 0xa5492615ecb76096),
-    (
-        "flat/sequential/eb-plateau/straggler",
-        4,
-        0x26f780118e793d81,
-    ),
-    ("flat/overlapped/eb-none/drift", 4, 0xe59d326fe578daa3),
-    ("flat/overlapped/eb-none/straggler", 4, 0xc1d4b81fe4c394e1),
-    ("flat/overlapped/eb-plateau/drift", 4, 0xcc45c7f279956a36),
-    (
-        "flat/overlapped/eb-plateau/straggler",
-        5,
-        0x012a2bb85538a3d2,
-    ),
-    ("2x2/sequential/eb-none/drift", 4, 0x252f45c2104a2764),
-    ("2x2/sequential/eb-none/straggler", 4, 0x1cdaddb912b3eae3),
-    ("2x2/sequential/eb-plateau/drift", 4, 0xcc5343f2477b85af),
-    ("2x2/sequential/eb-plateau/straggler", 4, 0x47cd4876f7c9a1dd),
-    ("2x2/overlapped/eb-none/drift", 4, 0xac837340a6569d27),
-    ("2x2/overlapped/eb-none/straggler", 4, 0x8337753feca46bcc),
-    ("2x2/overlapped/eb-plateau/drift", 4, 0xf4aaf1f16b31d8e4),
-    ("2x2/overlapped/eb-plateau/straggler", 5, 0x51122e716007ca50),
+/// Golden controller windows, one column per quantity so a change shows
+/// which moved: `(row label, codec switches, FNV over every reselection
+/// field, FNV over the window ratios, the controller phase's ledger seconds
+/// (bits) and bytes, and the final loss (bits))`. Any change to the
+/// observation format, its exchange or charge, or the controller's decisions
+/// moves a row. Re-pinned once when the forward exchange began sending each
+/// distinct row once: window ratios and the codec ratios probed on live
+/// payloads are now over distinct rows, so the two FNV columns moved on
+/// every row, and with them two rows' final loss and two rows' switch count.
+#[rustfmt::skip]
+const CONTROLLER_GOLDEN: &[(&str, usize, u64, u64, u64, u64, u64)] = &[
+    ("flat/sequential/eb-none/drift", 4, 0xc7af51416d18eefe, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe64a721aaaaaab),
+    ("flat/sequential/eb-none/straggler", 4, 0x7639b32c031c7470, 0xa484c239bf90b7f9, 0x3eb979b528fd3972, 8304, 0x3fe647386aaaaaab),
+    ("flat/sequential/eb-plateau/drift", 4, 0x1ca34a05c36b0fcb, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe6478528000000),
+    ("flat/sequential/eb-plateau/straggler", 4, 0xe1cd7f8fdd8f92f6, 0xce3f792cf6a6013c, 0x3eb979b528fd3972, 8304, 0x3fe6475168000000),
+    ("flat/overlapped/eb-none/drift", 4, 0x319aa0102058f773, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe64a721aaaaaab),
+    ("flat/overlapped/eb-none/straggler", 4, 0x4822fc16690fb437, 0x85fd5bed6ab0faa7, 0x3eb979b528fd3972, 8304, 0x3fe6473a0aaaaaab),
+    ("flat/overlapped/eb-plateau/drift", 4, 0xd50931d01b0fa5cd, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe6478528000000),
+    ("flat/overlapped/eb-plateau/straggler", 4, 0xc3c4566523c2ba9e, 0x88c473962fde7901, 0x3eb979b528fd3972, 8304, 0x3fe64afdeaaaaaab),
+    ("2x2/sequential/eb-none/drift", 4, 0xc3930cb821b4e35e, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe64a721aaaaaab),
+    ("2x2/sequential/eb-none/straggler", 4, 0x9161ec4cc79308d4, 0x85fd5bed6ab0faa7, 0x3eb979b528fd3972, 8304, 0x3fe6473a0aaaaaab),
+    ("2x2/sequential/eb-plateau/drift", 4, 0x01c41ff5214cab38, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe6478528000000),
+    ("2x2/sequential/eb-plateau/straggler", 4, 0xed987732cad621c1, 0x88c473962fde7901, 0x3eb979b528fd3972, 8304, 0x3fe64afdeaaaaaab),
+    ("2x2/overlapped/eb-none/drift", 4, 0xb3f6265b92fe464d, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe64a721aaaaaab),
+    ("2x2/overlapped/eb-none/straggler", 4, 0x12b94cb9499ad5fc, 0x85fd5bed6ab0faa7, 0x3eb979b528fd3972, 8304, 0x3fe6473a0aaaaaab),
+    ("2x2/overlapped/eb-plateau/drift", 4, 0x8cad817ebf63aba7, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe6478528000000),
+    ("2x2/overlapped/eb-plateau/straggler", 4, 0x96ec14a379349953, 0x88c473962fde7901, 0x3eb979b528fd3972, 8304, 0x3fe64afdeaaaaaab),
 ];
 
 #[test]
@@ -461,20 +468,17 @@ fn controller_windows_are_pinned() {
                         cfg.with_bandwidth_trace(BandwidthTrace::step(fast, slow, 6))
                     };
                     let report = run_training(&dataset, &cfg);
-                    let mut words: Vec<u64> = report
-                        .reselections
-                        .iter()
-                        .flat_map(reselection_words)
-                        .collect();
-                    words.extend(report.window_ratios.iter().map(|r| r.to_bits()));
-                    words.extend([
+                    let columns = (
+                        report.total_reselections(),
+                        fnv(report.reselections.iter().flat_map(reselection_words)),
+                        fnv(report.window_ratios.iter().map(|r| r.to_bits())),
                         report
                             .breakdown
                             .seconds(dlrm_comm::phase::CONTROLLER)
                             .to_bits(),
                         report.breakdown.bytes(dlrm_comm::phase::CONTROLLER),
                         report.final_metrics.loss.to_bits(),
-                    ]);
+                    );
                     let label = format!(
                         "{}/{}/{}/{}",
                         if hierarchical { "2x2" } else { "flat" },
@@ -486,25 +490,36 @@ fn controller_windows_are_pinned() {
                         },
                         if straggler { "straggler" } else { "drift" },
                     );
-                    rows.push((label, report.total_reselections(), fnv(words)));
+                    rows.push((label, columns));
                 }
             }
         }
     }
     let table: String = rows
         .iter()
-        .map(|(label, n, h)| format!("    (\"{label}\", {n}, {h:#018x}),\n"))
+        .map(|(label, (n, resel, ratios, secs, bytes, loss))| {
+            format!(
+                "    (\"{label}\", {n}, {resel:#018x}, {ratios:#018x}, {secs:#018x}, {bytes}, {loss:#018x}),\n"
+            )
+        })
         .collect();
-    for ((label, n, h), golden) in rows.iter().zip(CONTROLLER_GOLDEN) {
+    assert_eq!(
+        rows.len(),
+        CONTROLLER_GOLDEN.len(),
+        "actual table:\n{table}"
+    );
+    for ((label, (n, resel, ratios, secs, bytes, loss)), golden) in
+        rows.iter().zip(CONTROLLER_GOLDEN)
+    {
         assert_eq!(
-            (label.as_str(), *n, *h),
-            golden,
+            (label.as_str(), *n, *resel, *ratios, *secs, *bytes, *loss),
+            *golden,
             "controller window drifted; actual table:\n{table}"
         );
     }
     // A grid where nothing switches pins nothing worth pinning.
     assert!(
-        rows.iter().any(|&(_, n, _)| n > 0),
+        rows.iter().any(|(_, (n, ..))| *n > 0),
         "no row switched a codec"
     );
 }

@@ -221,23 +221,25 @@ fn a2a_charges(report: &TrainingReport) -> [u64; 6] {
 /// gradient push per topology, at `timing_config`'s analytic throughputs.
 /// Captured while the flat sequential exchange and the push still ran a
 /// separate metadata round: their rows were re-pinned once when it went,
-/// each all-to-all second lower by exactly one α per exchange.
+/// each all-to-all second lower by exactly one α per exchange. The forward
+/// columns were re-pinned once more when owners began sending each distinct
+/// row once: forward bytes fell on every row, the backward columns stayed.
 #[rustfmt::skip]
 const A2A_CHARGES: &[(&str, [u64; 6])] = &[
-    ("fp32-baseline / flat / sequential", [0x3f4978f7e37be5d5, 0x00000000000123f0, 0x0000000000000000, 0x3f4978f7e37be5d5, 0x00000000000123f0, 0x0000000000000000]),
-    ("fp32-baseline / flat / overlapped", [0x3f4978f7e37be5d5, 0x00000000000123f0, 0x0000000000000000, 0x3f4978f7e37be5d5, 0x00000000000123f0, 0x0000000000000000]),
-    ("fp32-baseline / 2x2 / sequential", [0x3f41b14bf38ea493, 0x000000000002a7b0, 0x0000000000000000, 0x3f41b14bf38ea493, 0x000000000002a7b0, 0x0000000000000000]),
-    ("fp32-baseline / 2x2 / overlapped", [0x3f41b14bf38ea494, 0x000000000002a7b0, 0x0000000000000000, 0x3f41b14bf38ea494, 0x000000000002a7b0, 0x0000000000000000]),
-    ("fp16 / flat / sequential", [0x3f3adb4d991006dd, 0x000000000000945c, 0x0000000000000000, 0x3f3adb4d991006dd, 0x000000000000945c, 0x0000000000000000]),
-    ("fp16 / flat / overlapped", [0x3f37a2ab5d88bea2, 0x000000000000945c, 0x3f09c511dc3a41e4, 0x3f37a2ab5d88bea2, 0x000000000000945c, 0x3f09c511dc3a41e4]),
-    ("fp16 / 2x2 / sequential", [0x3f3350141591dcbe, 0x00000000000158ac, 0x0000000000000000, 0x3f3350141591dcbe, 0x00000000000158ac, 0x0000000000000000]),
-    ("fp16 / 2x2 / overlapped", [0x3f301771da0a9482, 0x00000000000158ac, 0x3f1353cd652bb168, 0x3f301771da0a9482, 0x00000000000158ac, 0x3f1353cd652bb168]),
-    ("lossy-ours-hybrid-eb0.02 / flat / sequential", [0x3f284cfddf944fae, 0x0000000000002b0c, 0x0000000000000000, 0x3f12269e246dc886, 0x0000000000000f54, 0x0000000000000000]),
-    ("lossy-ours-hybrid-eb0.02 / flat / overlapped", [0x3f21dbb96885bf36, 0x0000000000002b0c, 0x3f09c511dc3a41e0, 0x3f06961987658f7c, 0x0000000000000f54, 0x3efb6e4582ec0322]),
-    ("lossy-ours-hybrid-eb0.02 / 2x2 / sequential", [0x3f1bc3601af1dffd, 0x00000000000056dc, 0x0000000000000000, 0x3f11af3867ff8671, 0x0000000000002244, 0x0000000000000000]),
-    ("lossy-ours-hybrid-eb0.02 / 2x2 / overlapped", [0x3f10d6b731ce5143, 0x00000000000056dc, 0x3f065667774dfacc, 0x3f0a783e4749897a, 0x0000000000002244, 0x3ef1cc65116b06d0]),
-    ("push / flat", [0x3f4978f7e37be5d5, 0x00000000000123f0, 0x0000000000000000, 0x3f9d88a1a4aaefad, 0x000000000016d220, 0x0000000000000000]),
-    ("push / 2x2", [0x3f41b14bf38ea493, 0x000000000002a7b0, 0x0000000000000000, 0x3f85ca1dbfb45889, 0x0000000000105600, 0x0000000000000000]),
+    ("fp32-baseline / flat / sequential", [0x3f4841954bac25e3, 0x000000000000c110, 0x0000000000000000, 0x3f4978f7e37be5d5, 0x00000000000123f0, 0x0000000000000000]),
+    ("fp32-baseline / flat / overlapped", [0x3f4841954bac25e5, 0x000000000000c110, 0x0000000000000000, 0x3f4978f7e37be5d5, 0x00000000000123f0, 0x0000000000000000]),
+    ("fp32-baseline / 2x2 / sequential", [0x3f3cb92053fcbc31, 0x0000000000016b50, 0x0000000000000000, 0x3f41b14bf38ea493, 0x000000000002a7b0, 0x0000000000000000]),
+    ("fp32-baseline / 2x2 / overlapped", [0x3f3cb92053fcbc32, 0x0000000000016b50, 0x0000000000000000, 0x3f41b14bf38ea494, 0x000000000002a7b0, 0x0000000000000000]),
+    ("fp16 / flat / sequential", [0x3f39a3eb014046ee, 0x00000000000062e6, 0x0000000000000000, 0x3f3adb4d991006dd, 0x000000000000945c, 0x0000000000000000]),
+    ("fp16 / flat / overlapped", [0x3f369861a4fa64a5, 0x00000000000062e6, 0x3f085c4ae22f1242, 0x3f37a2ab5d88bea2, 0x000000000000945c, 0x3f09c511dc3a41e4]),
+    ("fp16 / 2x2 / sequential", [0x3f2ff6b0400d2d02, 0x000000000000ba6a, 0x0000000000000000, 0x3f3350141591dcbe, 0x00000000000158ac, 0x0000000000000000]),
+    ("fp16 / 2x2 / overlapped", [0x3f2c678091560ab4, 0x000000000000ba6a, 0x3f085c4ae22f1245, 0x3f301771da0a9482, 0x00000000000158ac, 0x3f1353cd652bb168]),
+    ("lossy-ours-hybrid-eb0.02 / flat / sequential", [0x3f273bdbce477636, 0x0000000000002712, 0x0000000000000000, 0x3f12269e246dc886, 0x0000000000000f54, 0x0000000000000000]),
+    ("lossy-ours-hybrid-eb0.02 / flat / overlapped", [0x3f230e6969140488, 0x0000000000002712, 0x3f02bdc08b98a082, 0x3f06961987658f7c, 0x0000000000000f54, 0x3efb6e4582ec0322]),
+    ("lossy-ours-hybrid-eb0.02 / 2x2 / sequential", [0x3f1aee31288dce60, 0x0000000000004cf9, 0x0000000000000000, 0x3f11af3867ff8671, 0x0000000000002244, 0x0000000000000000]),
+    ("lossy-ours-hybrid-eb0.02 / 2x2 / overlapped", [0x3f13cf16886a8db7, 0x0000000000004cf9, 0x3f05424f383b725c, 0x3f0a783e4749897a, 0x0000000000002244, 0x3ef1cc65116b06d0]),
+    ("push / flat", [0x3f4841954bac25e3, 0x000000000000c110, 0x0000000000000000, 0x3f9d88a1a4aaefad, 0x000000000016d220, 0x0000000000000000]),
+    ("push / 2x2", [0x3f3cb92053fcbc31, 0x0000000000016b50, 0x0000000000000000, 0x3f85ca1dbfb45889, 0x0000000000105600, 0x0000000000000000]),
 ];
 
 #[test]

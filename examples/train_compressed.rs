@@ -18,6 +18,10 @@ fn print_report(report: &TrainingReport) {
         "  final accuracy {:.4}   final loss {:.4}   fwd payload compression {:.2}x",
         report.final_metrics.accuracy, report.final_metrics.loss, report.overall_ratio
     );
+    println!(
+        "  distinct rows sent: {:.1}% of the rows delivered (repeats re-expanded from indices)",
+        100.0 * report.fwd_unique_frac
+    );
     let a2a = report.breakdown.seconds(phases::FWD_A2A) + report.breakdown.seconds(phases::BWD_A2A);
     println!(
         "  modelled time {:.4}s of which all-to-all {:.4}s ({:.1}%)",
