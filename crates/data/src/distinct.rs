@@ -6,7 +6,10 @@
 //! for the lookup, the data-parallel rank drew them — so the owner can send
 //! each distinct row once and the receiver can rebuild the full block from
 //! its own copy of the indices, with no match search and no bytes spent on
-//! saying where the repeats were.
+//! saying where the repeats were. The backward all-to-all runs the other way:
+//! an owner's SGD step needs only each row's summed gradient, so the
+//! data-parallel rank sums its per-sample gradient rows per distinct index
+//! before sending, and the owner applies one update row per distinct index.
 //!
 //! [`DistinctRows`] is that shared index: the distinct values of an index
 //! list in first-occurrence order, and for every sample the position of its
@@ -38,6 +41,11 @@ struct Entry {
 /// let mut values = vec![7.0, 7.5, 3.0, 3.5, 9.0, 9.5];
 /// rows.expand_in_place(&mut values, 2);
 /// assert_eq!(values, [7.0, 7.5, 3.0, 3.5, 7.0, 7.5, 9.0, 9.5, 3.0, 3.5]);
+///
+/// // And back: one gradient row per sample, summed per distinct index.
+/// let mut sums = Vec::new();
+/// rows.sum_rows_into(&values, 2, &mut sums);
+/// assert_eq!(sums, [14.0, 15.0, 6.0, 7.0, 9.0, 9.5]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DistinctRows {
@@ -139,6 +147,37 @@ impl DistinctRows {
         }
     }
 
+    /// Sum `values`, one row of `dim` values per sample, into `out`, one row
+    /// per distinct index — the adjoint of
+    /// [`DistinctRows::expand_in_place`], and how a gradient reaches a row
+    /// that several samples looked up.
+    ///
+    /// Row `j` of `out` is the sum of every sample row whose slot is `j`,
+    /// added in sample order starting from `+0.0`. `out` is overwritten and
+    /// keeps its storage, so it allocates only if it lacks the capacity for
+    /// one row per distinct index.
+    ///
+    /// # Panics
+    /// Panics if `values` does not hold exactly one row per sample.
+    pub fn sum_rows_into(&self, values: &[f32], dim: usize, out: &mut Vec<f32>) {
+        assert_eq!(
+            values.len(),
+            self.slots.len() * dim,
+            "expected one row of {dim} values per sample"
+        );
+        out.clear();
+        out.resize(self.unique.len() * dim, 0.0);
+        if dim == 0 {
+            return;
+        }
+        for (&slot, row) in self.slots.iter().zip(values.chunks_exact(dim)) {
+            let slot = slot as usize;
+            for (acc, &v) in out[slot * dim..(slot + 1) * dim].iter_mut().zip(row) {
+                *acc += v;
+            }
+        }
+    }
+
     /// Heap bytes the index holds, for allocation accounting.
     pub fn capacity_bytes(&self) -> u64 {
         ((self.unique.capacity() + self.slots.capacity()) * 4
@@ -180,12 +219,20 @@ mod tests {
         let mut values = Vec::new();
         rows.expand_in_place(&mut values, 4);
         assert!(values.is_empty());
+        let mut sums = vec![1.0; 3];
+        rows.sum_rows_into(&values, 4, &mut sums);
+        assert!(sums.is_empty());
     }
 
     #[test]
     fn one_row_is_its_own_distinct_row() {
         let rows = built(&[42]);
         assert_eq!((rows.unique(), rows.slots()), (&[42][..], &[0][..]));
+        let mut sums = Vec::new();
+        rows.sum_rows_into(&[1.5, -0.0, 3.0], 3, &mut sums);
+        // Summed from +0.0: a lone -0.0 comes back as +0.0.
+        assert_eq!(sums, [1.5, 0.0, 3.0]);
+        assert!(sums[1].is_sign_positive());
     }
 
     #[test]
@@ -196,6 +243,29 @@ mod tests {
         let mut values = vec![1.0, 2.0];
         rows.expand_in_place(&mut values, 2);
         assert_eq!(values, [1.0, 2.0].repeat(100));
+        let mut sums = Vec::new();
+        rows.sum_rows_into(&values, 2, &mut sums);
+        assert_eq!(sums, [100.0, 200.0]);
+    }
+
+    #[test]
+    fn all_distinct_rows_sum_to_themselves() {
+        let indices: Vec<u32> = (0..257).rev().collect();
+        let rows = built(&indices);
+        let values: Vec<f32> = (0..257 * 3).map(|v| v as f32 - 300.0).collect();
+        let mut sums = vec![9.0; 5000];
+        rows.sum_rows_into(&values, 3, &mut sums);
+        assert_eq!(sums, values);
+    }
+
+    #[test]
+    fn rows_sum_in_sample_order() {
+        // 1e8 + 1 − 1e8 is 0 in f32 sample order; cancelling the large
+        // pair first would leave 1.
+        let rows = built(&[4, 2, 4, 4]);
+        let mut sums = Vec::new();
+        rows.sum_rows_into(&[1e8, 7.0, 1.0, -1e8], 1, &mut sums);
+        assert_eq!(sums, [0.0, 7.0]);
     }
 
     #[test]
@@ -271,6 +341,70 @@ mod tests {
             prop_assert_eq!(
                 values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 full.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
+
+        /// The sum is, bit for bit, a per-slot reference that adds every
+        /// sample row of the slot in sample order from +0.0 — over arbitrary
+        /// bit patterns, infinities and NaNs included. Which input NaN's
+        /// payload an addition keeps is up to the code generator (it may
+        /// swap an addition's operands), so NaNs compare as NaN.
+        #[test]
+        fn summed_rows_are_the_sample_order_sums(
+            indices in prop::collection::vec(0u32..40, 0..300),
+            dim in 1usize..9,
+            seed in any::<u32>(),
+        ) {
+            let values: Vec<f32> = (0..(indices.len() * dim) as u32)
+                .map(|v| f32::from_bits(v.wrapping_mul(0x9e37_79b9) ^ seed))
+                .collect();
+            let rows = built(&indices);
+            let mut sums = vec![f32::NAN; 7];
+            rows.sum_rows_into(&values, dim, &mut sums);
+            let mut want = Vec::new();
+            for slot in 0..rows.unique().len() {
+                for c in 0..dim {
+                    let mut acc = 0.0f32;
+                    for (i, &s) in rows.slots().iter().enumerate() {
+                        if s as usize == slot {
+                            acc += values[i * dim + c];
+                        }
+                    }
+                    want.push(acc);
+                }
+            }
+            let bits = |v: &[f32]| -> Vec<u32> {
+                v.iter()
+                    .map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() })
+                    .collect()
+            };
+            prop_assert_eq!(bits(&sums), bits(&want));
+        }
+
+        /// Summing is the adjoint of re-expanding:
+        /// ⟨expand(y), g⟩ = ⟨y, sum(g)⟩ up to f32 rounding.
+        #[test]
+        fn summing_is_the_adjoint_of_expanding(
+            indices in prop::collection::vec(0u32..40, 0..300),
+            dim in 1usize..9,
+            seed in any::<u32>(),
+        ) {
+            let rows = built(&indices);
+            let unit = |k: u32| (k.wrapping_mul(0x9e37_79b9) ^ seed) as f32 / u32::MAX as f32 - 0.5;
+            let y: Vec<f32> = (0..(rows.unique().len() * dim) as u32).map(unit).collect();
+            let g: Vec<f32> = (0..(indices.len() * dim) as u32).map(|k| unit(!k)).collect();
+            let dot = |a: &[f32], b: &[f32]| -> f64 {
+                a.iter().zip(b).map(|(&x, &y)| f64::from(x) * f64::from(y)).sum()
+            };
+            let mut expanded = y.clone();
+            rows.expand_in_place(&mut expanded, dim);
+            let mut summed = Vec::new();
+            rows.sum_rows_into(&g, dim, &mut summed);
+            let (lhs, rhs) = (dot(&expanded, &g), dot(&y, &summed));
+            let scale: f64 = expanded.iter().zip(&g).map(|(&a, &b)| f64::from((a * b).abs())).sum();
+            prop_assert!(
+                (lhs - rhs).abs() <= 1e-5 * scale + 1e-12,
+                "⟨expand(y), g⟩ = {} but ⟨y, sum(g)⟩ = {}", lhs, rhs
             );
         }
     }

@@ -7,7 +7,8 @@
 //! slot, drawing a batch into recycled storage — directly, or through a
 //! [`BatchFeed`] step with every rank taking its clone — performs zero heap
 //! allocations. The same holds for the distinct-row index the trainer builds
-//! per lookup column: building it and re-expanding a block through it.
+//! per lookup column: building it, re-expanding a block through it and
+//! summing a gradient block back through it.
 //!
 //! The counter is armed per thread: the libtest harness keeps helper threads
 //! of its own alive during the run, and a stray allocation on one of them
@@ -111,8 +112,10 @@ fn a_warmed_up_distinct_index_never_allocates() {
     let mut shards = Vec::new();
     let mut rows = DistinctRows::new();
     let mut values: Vec<f32> = Vec::new();
-    // Index and re-expand every column of every shard. Each distinct row
-    // holds its own index, so the expansion is checked sample by sample.
+    let mut sums: Vec<f32> = Vec::new();
+    // Index, re-expand and sum back every column of every shard. Each
+    // distinct row holds its own index, so the expansion is checked sample
+    // by sample; summing rows of ones counts each index's samples.
     let mut index_batch = |shards: &[MiniBatch]| {
         for column in shards.iter().flat_map(|s| &s.sparse) {
             rows.build(column);
@@ -123,6 +126,11 @@ fn a_warmed_up_distinct_index_never_allocates() {
             rows.expand_in_place(&mut values, dim);
             let expanded = values.chunks_exact(dim).map(|row| row[0]);
             assert!(column.iter().map(|&i| i as f32).eq(expanded));
+            values.fill(1.0);
+            rows.sum_rows_into(&values, dim, &mut sums);
+            let counts = sums.chunks_exact(dim).map(|row| row[0]);
+            assert!(counts.clone().all(|n| n >= 1.0));
+            assert_eq!(counts.sum::<f32>(), column.len() as f32);
         }
     };
     generator.next_batch_into(GLOBAL_BATCH, WORLD, &mut shards);
@@ -133,5 +141,8 @@ fn a_warmed_up_distinct_index_never_allocates() {
             index_batch(&shards);
         }
     });
-    assert_eq!(steady, 0, "build + expand_in_place allocated after warm-up");
+    assert_eq!(
+        steady, 0,
+        "build + expand_in_place + sum_rows_into allocated after warm-up"
+    );
 }

@@ -227,8 +227,9 @@ impl DenseCompression {
 
 /// How the backward embedding gradients travel home to their owning rank.
 ///
-/// `PerSample` is today's path, bit for bit: every rank compresses its
-/// shard's per-sample gradient rows and the owner applies them row by row.
+/// `PerSample` is the pipeline's own backward exchange: every rank sums its
+/// shard's per-sample gradient rows per distinct index, compresses one row
+/// per distinct index, and the owner applies them row by row.
 /// `Combined` folds each rank's rows into a **dense per-table accumulator**
 /// first, encodes it with a homomorphic codec, and lets the wire *add the
 /// encoded accumulators* — at node leaders under a hierarchical topology,
@@ -240,7 +241,8 @@ impl DenseCompression {
 /// saturation).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub enum GradPushSetting {
-    /// Per-sample gradient rows shipped to the owner — today's path.
+    /// Per-sample gradient rows, summed per distinct index, shipped to the
+    /// owner by the pipeline's backward exchange — the default path.
     #[default]
     PerSample,
     /// Dense per-table accumulators combined in the compressed domain on
@@ -585,7 +587,7 @@ pub struct TrainerConfig {
     #[serde(default)]
     pub dense_compression: DenseCompression,
     /// How backward embedding gradients travel home (defaults to
-    /// [`GradPushSetting::PerSample`], the bit-exact per-sample path).
+    /// [`GradPushSetting::PerSample`], the pipeline's backward exchange).
     #[serde(default)]
     pub grad_push: GradPushSetting,
     /// Simulated interconnect.

@@ -1,8 +1,9 @@
 //! Combined backward embedding-gradient push.
 //!
-//! The per-sample backward path (the pipeline's backward exchange) ships
-//! every rank's per-sample gradient rows to the owning rank, which applies
-//! them row by row — wire volume grows with `batch × world`. This module
+//! The default backward path (the pipeline's backward exchange) ships every
+//! rank's gradient rows, summed per distinct index, to the owning rank,
+//! which applies them row by row — wire volume grows with the distinct rows
+//! of every shard, up to `batch × world`. This module
 //! implements the PR 9 ROADMAP follow-up: each rank first folds its shard's
 //! rows into a **dense per-table accumulator** (`cardinality × dim`,
 //! batch-order scatter-add), encodes the accumulator with a homomorphic

@@ -15,8 +15,10 @@
 //!    16-byte header announcing its size;
 //! 3. receivers **decompress**, re-expand each block to one row per sample
 //!    from their own indices, and run the data-parallel forward/backward;
-//! 4. embedding gradients are compressed and sent back to the owning ranks
-//!    (the symmetric backward all-to-all), and MLP gradients are all-reduced.
+//! 4. each rank sums its embedding gradient rows per distinct index
+//!    ([`dlrm_data::DistinctRows::sum_rows_into`]), compresses them and sends
+//!    them back to the owning ranks (the symmetric backward all-to-all), which
+//!    apply one update row per distinct index; MLP gradients are all-reduced.
 //!
 //! Communication time is charged by the α–β cost model; compute and
 //! compression time is measured; both are recorded per phase in a

@@ -27,7 +27,7 @@ use dlrm_comm::topology::{TieredCostModel, Topology};
 use dlrm_comm::{CostModel, OverlapTimeline, TimingLedger};
 use dlrm_compress::lowprec::{self, Precision};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
-use dlrm_data::{BatchFeed, DatasetConfig, DistinctRows};
+use dlrm_data::{BatchFeed, DatasetConfig, DistinctRows, MiniBatch};
 use dlrm_grad::GradCompressor;
 use dlrm_model::{Dlrm, DlrmConfig, EvalMetrics};
 use dlrm_obs::{ClockDomain, MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecorder};
@@ -536,6 +536,10 @@ pub struct RankOutcome {
     /// Per-table bytes of the re-expanded `rows × dim` lookups this rank
     /// received for its own shard.
     pub fwd_delivered: Vec<u64>,
+    /// Per-table `(original bytes, compressed bytes)` of the backward
+    /// all-to-all payloads this rank produced for its own shard: one summed
+    /// gradient row per distinct index of every block.
+    pub bwd_traffic: Vec<(u64, u64)>,
     /// Final counters of this rank's buffer pool.
     pub pool_stats: PoolStats,
     /// Bytes of fresh buffer capacity the compress/send path allocated
@@ -564,7 +568,7 @@ pub struct RankOutcome {
     /// than the decodes it replaces).
     pub homo_saved_seconds: f64,
     /// Compressed-domain combines of the backward embedding-gradient push
-    /// (leader + owner roles; zero on the per-sample default path).
+    /// (leader + owner roles; zero on the default backward exchange).
     pub grad_push_combines: u64,
     /// Combine-aware Equation-2 advice over the dense candidate pool,
     /// evaluated on the last post-all-reduce gradient (`None` when the
@@ -951,10 +955,11 @@ fn write_block(
 /// encode and decode every table's full-shard `blocks[t]` under its own codec
 /// and under each runtime-controller candidate.
 ///
-/// Forward blocks carry however many distinct rows a batch has, so the
-/// warm-up batches need not have shown a codec the largest block it will
-/// see; a later batch with more distinct rows would then grow the scratch in
-/// the steady state. Raw and cast settings draw nothing from the scratch.
+/// Blocks of both directions carry however many distinct rows a batch has,
+/// so the warm-up batches need not have shown a codec the largest block it
+/// will see; a later batch with more distinct rows would then grow the
+/// scratch in the steady state. Raw and cast settings draw nothing from the
+/// scratch.
 fn warm_codec_scratch(
     resolved: &ResolvedCompression,
     candidates: &[Box<dyn Compressor>],
@@ -1447,29 +1452,71 @@ enum Route<'a> {
 }
 
 /// What differs between the forward exchange (owners send the distinct
-/// rows of each shard's lookups out) and the backward one (shards send
-/// embedding gradients home).
-struct Direction<'a, B, R, S> {
+/// rows of each shard's lookups out) and the backward one (shards send each
+/// distinct row's summed gradient home). Both move one row per distinct
+/// index of a (table, shard) column.
+struct Direction<'a, B, X, S> {
     /// Ledger phases charged: compress, all-to-all, decompress.
     phases: [&'static str; 3],
-    /// `(table, payload, rows delivered)` blocks of the chunk bound for a
+    /// `(table, distinct rows, shard rows)` blocks of the chunk bound for a
     /// destination, in ascending table order. Send leases are sized for the
-    /// delivered rows, so a lease request stays the same every iteration
-    /// however few rows the payload carries.
+    /// shard's full row count, so a lease request stays the same every
+    /// iteration however few rows the payload carries.
     blocks: B,
     /// Send-lease capacity per destination learned from earlier iterations,
     /// so leases rarely have to grow.
     hints: &'a mut [usize],
-    /// Per-table `(original, compressed)` payload bytes to accumulate into,
-    /// when this direction reports them.
-    traffic: Option<&'a mut [(u64, u64)]>,
-    /// Rows of every block that arrives from a source, as delivered.
-    rows_from: R,
-    /// This rank's index of its own shard per table, when blocks carry only
-    /// the distinct rows: each arriving block is re-expanded through it.
-    distinct: Option<&'a [DistinctRows]>,
-    /// Receives each delivered `(table, source, rows × dim matrix)`.
+    /// Per-table `(original, compressed)` payload bytes to accumulate into.
+    traffic: &'a mut [(u64, u64)],
+    /// The index each arriving `(table, source)` block is checked against:
+    /// the block carries one row per distinct index of it.
+    index: X,
+    /// Receives each delivered `(table, source, distinct rows × dim matrix)`.
     sink: S,
+}
+
+/// An owner's distinct-row index of every shard's column of each table it
+/// owns, rebuilt in every lookup phase. The forward exchange sends each
+/// index's distinct rows; the backward exchange checks the shard's summed
+/// gradient block against the same index, and the update applies it through
+/// the index's distinct rows.
+struct ShardIndices {
+    /// Position of each table among the owned ones (`None` if not owned).
+    local: Vec<Option<usize>>,
+    world: usize,
+    /// One index per `(owned table, shard)`, at `local * world + shard`.
+    indices: Vec<DistinctRows>,
+}
+
+impl ShardIndices {
+    fn new(owned: &[usize], num_tables: usize, world: usize) -> Self {
+        let mut local = vec![None; num_tables];
+        for (i, &t) in owned.iter().enumerate() {
+            local[t] = Some(i);
+        }
+        Self {
+            local,
+            world,
+            indices: vec![DistinctRows::new(); owned.len() * world],
+        }
+    }
+
+    /// Index every shard's column of every owned table.
+    fn build(&mut self, owned: &[usize], shards: &[MiniBatch]) {
+        for (i, index) in self.indices.iter_mut().enumerate() {
+            index.build(&shards[i % self.world].sparse[owned[i / self.world]]);
+        }
+    }
+
+    /// The index of `shard`'s column of owned `table`.
+    fn get(&self, table: usize, shard: usize) -> &DistinctRows {
+        let local = self.local[table].unwrap_or_else(|| panic!("table {table} is not owned here"));
+        &self.indices[local * self.world + shard]
+    }
+
+    fn capacity_bytes(&self) -> u64 {
+        self.indices.iter().map(DistinctRows::capacity_bytes).sum()
+    }
 }
 
 /// What one iteration's two exchanges share.
@@ -1490,20 +1537,20 @@ struct Exchange<'a> {
 
 impl Exchange<'_> {
     /// The paper's loop, once: compress per-destination chunks straight into
-    /// pooled send leases, move them through the route's all-to-all,
-    /// decompress what arrives into recycled float storage, re-expanding
-    /// distinct-row blocks in place. Every route writes byte-identical chunks
-    /// and delivers bit-identical matrices — only the charged time differs.
-    fn run<'m, B, I, R, S>(
+    /// pooled send leases, move them through the route's all-to-all, and
+    /// decompress what arrives into recycled float storage sized for the
+    /// source's full shard. Every route writes byte-identical chunks and
+    /// delivers bit-identical matrices — only the charged time differs.
+    fn run<'m, B, I, X, S>(
         &self,
-        mut dir: Direction<'_, B, R, S>,
+        mut dir: Direction<'_, B, X, S>,
         scratch: &mut PipelineScratch,
         acct: &mut Accounting<'_>,
         mut controller: Option<&mut ControllerState>,
     ) where
         B: Fn(usize) -> I,
         I: Iterator<Item = (usize, &'m Matrix, usize)>,
-        R: Fn(usize) -> usize,
+        X: Fn(usize, usize) -> &'m DistinctRows,
         S: FnMut(u32, u32, Matrix),
     {
         let Exchange {
@@ -1558,10 +1605,8 @@ impl Exchange<'_> {
                 let raw_bytes = (matrix.len() * 4) as u64;
                 chunk_original += raw_bytes;
                 chunk_profile_s += block_profile_seconds(profile, resolved, t, raw_bytes, false);
-                if let Some(traffic) = dir.traffic.as_deref_mut() {
-                    traffic[t].0 += raw_bytes;
-                    traffic[t].1 += payload_len as u64;
-                }
+                dir.traffic[t].0 += raw_bytes;
+                dir.traffic[t].1 += payload_len as u64;
             }
             let (buf, grown) = settle_chunk(ctx, buf, cap_at_take);
             lease_growth += grown;
@@ -1635,12 +1680,12 @@ impl Exchange<'_> {
                 .chunk_recv
                 .push(if src == rank { 0 } else { chunk.len() });
             let t0 = Instant::now();
-            let rows = (dir.rows_from)(src);
             for block in block_slices(&chunk[header..]) {
                 let (table, payload) = block.unwrap_or_else(|e| {
                     panic!("rank {rank}: malformed {decompress} chunk from rank {src}: {e}")
                 });
-                let mut values = scratch.take_floats(rows * dim);
+                let index = (dir.index)(table as usize, src);
+                let mut values = scratch.take_floats(index.slots().len() * dim);
                 resolved.decompress_into(
                     table as usize,
                     payload,
@@ -1651,15 +1696,12 @@ impl Exchange<'_> {
                 decompressed_bytes += raw_bytes;
                 profile_s +=
                     block_profile_seconds(profile, resolved, table as usize, raw_bytes, true);
-                let index = dir.distinct.map(|d| &d[table as usize]);
+                let rows = index.unique().len();
                 assert_eq!(
                     values.len(),
-                    index.map_or(rows, |d| d.unique().len()) * dim,
+                    rows * dim,
                     "rank {rank}: table {table} from rank {src}: bad payload size"
                 );
-                if let Some(index) = index {
-                    index.expand_in_place(&mut values, dim);
-                }
                 (dir.sink)(table, src as u32, Matrix::from_vec(rows, dim, values));
             }
             measured_s += t0.elapsed().as_secs_f64();
@@ -1779,23 +1821,26 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     let mut per_iteration = Vec::with_capacity(seg.end - seg.start);
     let mut fwd_traffic = vec![(0u64, 0u64); num_tables];
     let mut fwd_delivered = vec![0u64; num_tables];
+    let mut bwd_traffic = vec![(0u64, 0u64); num_tables];
     let compute_scale = trainer.compute_time_scale;
-    // Combined backward push (None on the bit-exact per-sample default).
+    // Combined backward push (None on the default backward exchange).
     let mut grad_push = GradPushState::from_setting(&trainer.grad_push);
     let push_cards: Vec<usize> = dataset.tables.iter().map(|t| t.cardinality).collect();
 
     // Reusable per-rank state: everything the steady-state loop touches.
     let mut scratch = PipelineScratch::new(world);
     // The distinct rows of this rank's own shard per table (what arriving
-    // forward blocks re-expand through), and one index reused for every
-    // other shard's column of an owned table. Capacity-tracked like the
-    // dense state, so their warm-up growth is charged to the LOOKUP phase.
+    // forward blocks re-expand through and outgoing gradients are summed
+    // through), and, as an owner, of every shard's column of each owned
+    // table. Capacity-tracked like the dense state, so their warm-up growth
+    // is charged to the LOOKUP phase.
     let mut own_distinct: Vec<DistinctRows> = vec![DistinctRows::new(); num_tables];
-    let mut peer_distinct = DistinctRows::new();
+    let mut shard_distinct = ShardIndices::new(&owned, num_tables, world);
     let mut distinct_capacity_mark = 0u64;
     let mut lookup_matrices: Vec<Matrix> = Vec::new(); // [local_idx * world + dst]
     let mut lookup_slots: Vec<Option<Matrix>> = Vec::new();
     let mut my_lookups: Vec<Matrix> = Vec::new();
+    let mut grad_sums: Vec<Matrix> = Vec::new();
     let mut grad_entries: Vec<(u32, u32, Matrix)> = Vec::new();
     // Send-lease capacity hints per destination, one set per direction.
     let mut fwd_hints = vec![64usize; world];
@@ -1960,24 +2005,20 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         let my_shard = &shards[rank];
         acct.close(phases::INPUT, &scratch, 0);
 
-        // ── embedding lookup: every rank indexes its own shard's columns;
-        // owners look up the distinct rows of their tables for every
-        // destination shard, into float storage recycled from the previous
-        // iteration and sized for the full shard.
+        // ── embedding lookup: every rank indexes its own shard's columns,
+        // and owners every shard's column of their tables; owners look up
+        // the distinct rows for every destination shard, into float storage
+        // recycled from the previous iteration and sized for the full shard.
         let t0 = Instant::now();
         for (index, column) in own_distinct.iter_mut().zip(&my_shard.sparse) {
             index.build(column);
         }
+        shard_distinct.build(&owned, &shards);
         for &t in &owned {
             for (s, shard) in shards.iter().enumerate() {
-                let index = if s == rank {
-                    &own_distinct[t]
-                } else {
-                    peer_distinct.build(&shard.sparse[t]);
-                    &peer_distinct
-                };
                 let storage = scratch.take_floats(shard.batch_size() * dim);
-                lookup_matrices.push(model.lookup_with_storage(t, index.unique(), storage));
+                let unique = shard_distinct.get(t, s).unique();
+                lookup_matrices.push(model.lookup_with_storage(t, unique, storage));
             }
         }
         acct.ledger
@@ -1986,7 +2027,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             .iter()
             .map(DistinctRows::capacity_bytes)
             .sum::<u64>()
-            + peer_distinct.capacity_bytes();
+            + shard_distinct.capacity_bytes();
         let distinct_extra_alloc = capacity.saturating_sub(distinct_capacity_mark);
         distinct_capacity_mark = capacity;
         acct.close(phases::LOOKUP, &scratch, distinct_extra_alloc);
@@ -2015,7 +2056,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // and every shard re-expands them from its own indices.
         lookup_slots.clear();
         lookup_slots.resize_with(num_tables, || None);
-        let (owned_tables, lookups) = (&owned, &lookup_matrices);
+        let (owned_tables, lookups, own) = (&owned, &lookup_matrices, &own_distinct);
         exchange.run(
             Direction {
                 phases: [
@@ -2029,11 +2070,14 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                         .map(move |(local_idx, &t)| (t, &lookups[local_idx * world + dst], rows))
                 },
                 hints: &mut fwd_hints,
-                traffic: Some(&mut fwd_traffic),
-                rows_from: |_src| my_shard.batch_size(),
-                distinct: Some(&own_distinct),
-                sink: |table, _src, lookup: Matrix| {
-                    fwd_delivered[table as usize] += (lookup.len() * 4) as u64;
+                traffic: &mut fwd_traffic,
+                index: |table, _src| &own[table],
+                sink: |table, _src, rows: Matrix| {
+                    let index = &own[table as usize];
+                    let mut values = rows.into_vec();
+                    index.expand_in_place(&mut values, dim);
+                    fwd_delivered[table as usize] += (values.len() * 4) as u64;
+                    let lookup = Matrix::from_vec(index.slots().len(), dim, values);
                     lookup_slots[table as usize] = Some(lookup);
                 },
             },
@@ -2061,18 +2105,28 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         }
         acct.close(phases::MLP_FWD, &scratch, 0);
 
+        // The gradient of each distinct row of this shard's columns: its
+        // samples' gradient rows, summed in sample order (the combined push
+        // accumulates per-sample rows itself).
         let t0 = Instant::now();
         let grads = model.backward_dense(&cache, &my_shard.labels);
+        if grad_push.is_none() {
+            for (index, grad) in own_distinct.iter().zip(&grads.embedding_grads) {
+                let mut sums = scratch.take_floats(grad.len());
+                index.sum_rows_into(grad.as_slice(), dim, &mut sums);
+                grad_sums.push(Matrix::from_vec(index.unique().len(), dim, sums));
+            }
+        }
         acct.ledger
             .add_time(phases::MLP_BWD, t0.elapsed().as_secs_f64() * compute_scale);
         acct.close(phases::MLP_BWD, &scratch, 0);
 
         // ── bwd compression → bwd all-to-all → bwd decompression: every
-        // shard sends each table's gradient home to its owner — the same
-        // exchange, mirrored. The combined push replaces the whole block
-        // (including the owner-side apply): dense per-table accumulators
-        // added in the compressed domain — at node leaders when hierarchical
-        // — so owners decode one stream per table.
+        // shard sends each table's summed gradient rows home to its owner —
+        // the same exchange, mirrored. The combined push replaces the whole
+        // block (including the owner-side apply): dense per-table
+        // accumulators added in the compressed domain — at node leaders when
+        // hierarchical — so owners decode one stream per table.
         if let Some(push) = grad_push.as_mut() {
             push.run(
                 ctx,
@@ -2090,7 +2144,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 compute_scale,
             );
         } else {
-            let table_grads = &grads.embedding_grads;
+            let (sums, shard_index) = (&grad_sums, &shard_distinct);
             exchange.run(
                 Direction {
                     phases: [
@@ -2101,22 +2155,25 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     // `tables_of` is sorted ascending.
                     blocks: |owner| {
                         (partition.tables_of(owner).iter())
-                            .map(move |&t| (t, &table_grads[t], table_grads[t].rows()))
+                            .map(move |&t| (t, &sums[t], my_shard.batch_size()))
                     },
                     hints: &mut bwd_hints,
-                    traffic: None,
-                    rows_from: |src: usize| shards[src].batch_size(),
-                    distinct: None,
+                    traffic: &mut bwd_traffic,
+                    index: |table, src| shard_index.get(table, src),
                     sink: |table, src, grad| grad_entries.push((table, src, grad)),
                 },
                 &mut scratch,
                 &mut acct,
                 controller.as_mut(),
             );
+            for m in grad_sums.drain(..) {
+                scratch.put_floats(m.into_vec());
+            }
         }
 
-        // ── embedding update (the combined push already applied its dense
-        // gradients and left no entries).
+        // ── embedding update: one row per distinct index of each shard's
+        // column (the combined push already applied its dense gradients and
+        // left no entries).
         let t0 = Instant::now();
         // Apply per table in source-rank order for determinism (tables are
         // independent, so cross-table order is irrelevant).
@@ -2124,7 +2181,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         for (table, src, grad) in grad_entries.drain(..) {
             model.apply_embedding_grad(
                 table as usize,
-                &shards[src as usize].sparse[table as usize],
+                shard_distinct.get(table as usize, src as usize).unique(),
                 &grad,
                 trainer.learning_rate,
             );
@@ -2443,6 +2500,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         wall: wall.into_ledger(),
         fwd_traffic,
         fwd_delivered,
+        bwd_traffic,
         pool_stats: ctx.pool().stats(),
         steady_state_allocated_bytes: steady_allocated,
         dense_traffic,
@@ -2582,68 +2640,148 @@ mod tests {
         (weights, columns)
     }
 
+    /// Table `t`'s per-sample gradient rows of shard `s`, `grads[t][s]`.
+    fn two_rank_grads() -> Vec<Vec<Matrix>> {
+        (0..2)
+            .map(|t| {
+                (0..2)
+                    .map(|s| {
+                        Matrix::from_fn(SHARD, DIM, |r, c| {
+                            ((t * 71 + s * 29 + r * 13 + c * 3) as f32 * 0.53).cos() * 0.3
+                        })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     fn gather(weights: &Matrix, ids: &[u32]) -> Matrix {
         let values = ids.iter().flat_map(|&i| weights.row(i as usize)).copied();
         Matrix::from_vec(ids.len(), weights.cols(), values.collect())
     }
 
-    /// One forward exchange through the stage on a flat two-rank cluster,
-    /// rank `t` owning table `t`: each owner looks up the distinct rows of
-    /// every shard's column and sends them. Returns, per rank, the matrix it
-    /// was delivered for each table.
+    fn indexed(column: &[u32]) -> DistinctRows {
+        let mut index = DistinctRows::new();
+        index.build(column);
+        index
+    }
+
+    /// `grad`'s rows summed per distinct index of `column`.
+    fn summed(column: &[u32], grad: &Matrix) -> Matrix {
+        let index = indexed(column);
+        let mut sums = Vec::new();
+        index.sum_rows_into(grad.as_slice(), DIM, &mut sums);
+        Matrix::from_vec(index.unique().len(), DIM, sums)
+    }
+
+    /// What `data` decodes to through `setting`'s codec for `table`.
+    fn roundtrip(setting: &CompressionSetting, table: usize, data: &Matrix) -> Vec<f32> {
+        let resolved = ResolvedCompression::from_setting(setting, 2);
+        let (mut scratch, mut bytes, mut out) = (CompressScratch::new(), Vec::new(), Vec::new());
+        resolved.compress_into(table, 0, data.as_slice(), DIM, &mut scratch, &mut bytes);
+        resolved.decompress_into(table, &bytes, &mut scratch, &mut out);
+        out
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// One exchange through the stage on this rank of a flat two-rank
+    /// cluster: `blocks[dst]` is the `(table, distinct rows)` block sent to
+    /// `dst`, and `index(table, src)` what an arriving block is checked
+    /// against. Returns every delivered `(table, source, matrix)`.
+    fn two_rank_exchange<'m>(
+        ctx: &RankCtx,
+        setting: &CompressionSetting,
+        blocks: &'m [(usize, Matrix)],
+        index: impl Fn(usize, usize) -> &'m DistinctRows,
+    ) -> Vec<(u32, u32, Matrix)> {
+        let resolved = ResolvedCompression::from_setting(setting, 2);
+        let mut scratch = PipelineScratch::new(2);
+        let mut acct = Accounting::new(ctx, &scratch, TimingLedger::new(), None);
+        let cost = ctx.cost_model();
+        let exchange = Exchange {
+            ctx,
+            resolved: &resolved,
+            iter: 0,
+            dim: DIM,
+            profile: None,
+            device_throughput: None,
+            cost: &cost,
+            route: Route::Flat,
+            overlapped: false,
+        };
+        let mut delivered = Vec::new();
+        exchange.run(
+            Direction {
+                phases: [
+                    phases::FWD_COMPRESS,
+                    phases::FWD_A2A,
+                    phases::FWD_DECOMPRESS,
+                ],
+                blocks: |dst: usize| {
+                    let (table, block) = &blocks[dst];
+                    std::iter::once((*table, block, SHARD))
+                },
+                hints: &mut [64; 2],
+                traffic: &mut [(0, 0); 2],
+                index,
+                sink: |t, src, m| delivered.push((t, src, m)),
+            },
+            &mut scratch,
+            &mut acct,
+            None,
+        );
+        delivered
+    }
+
+    /// One forward exchange, rank `t` owning table `t`: each owner looks up
+    /// the distinct rows of every shard's column and sends them, and each
+    /// shard re-expands them from its own index. Returns, per rank, the
+    /// matrix it was delivered for each table.
     fn forward_exchange(setting: &CompressionSetting) -> Vec<Vec<Matrix>> {
         use dlrm_comm::{NetworkConfig, SimCluster};
         let setting = setting.clone();
         SimCluster::new(2, NetworkConfig::infinite()).run(move |ctx| {
             let rank = ctx.rank();
             let (weights, columns) = two_rank_traffic();
-            let resolved = ResolvedCompression::from_setting(&setting, 2);
-            let index = |column: &[u32]| {
-                let mut d = DistinctRows::new();
-                d.build(column);
-                d
-            };
-            let own: Vec<DistinctRows> = (0..2).map(|t| index(&columns[t][rank])).collect();
-            let lookups: Vec<Matrix> = (0..2)
-                .map(|s| gather(&weights[rank], index(&columns[rank][s]).unique()))
+            let own: Vec<DistinctRows> = (0..2).map(|t| indexed(&columns[t][rank])).collect();
+            let lookups: Vec<(usize, Matrix)> = (0..2)
+                .map(|s| {
+                    let unique = indexed(&columns[rank][s]).unique().to_vec();
+                    (rank, gather(&weights[rank], &unique))
+                })
                 .collect();
-            let mut scratch = PipelineScratch::new(2);
-            let mut acct = Accounting::new(&ctx, &scratch, TimingLedger::new(), None);
-            let cost = ctx.cost_model();
-            let exchange = Exchange {
-                ctx: &ctx,
-                resolved: &resolved,
-                iter: 0,
-                dim: DIM,
-                profile: None,
-                device_throughput: None,
-                cost: &cost,
-                route: Route::Flat,
-                overlapped: false,
-            };
             let mut delivered: Vec<Option<Matrix>> = vec![None, None];
-            exchange.run(
-                Direction {
-                    phases: [
-                        phases::FWD_COMPRESS,
-                        phases::FWD_A2A,
-                        phases::FWD_DECOMPRESS,
-                    ],
-                    blocks: |dst: usize| std::iter::once((rank, &lookups[dst], SHARD)),
-                    hints: &mut [64; 2],
-                    traffic: None,
-                    rows_from: |_| SHARD,
-                    distinct: Some(&own),
-                    sink: |t, _, m: Matrix| delivered[t as usize] = Some(m),
-                },
-                &mut scratch,
-                &mut acct,
-                None,
-            );
+            for (t, _, rows) in two_rank_exchange(&ctx, &setting, &lookups, |t, _| &own[t]) {
+                let mut values = rows.into_vec();
+                own[t as usize].expand_in_place(&mut values, DIM);
+                delivered[t as usize] = Some(Matrix::from_vec(SHARD, DIM, values));
+            }
             delivered
                 .into_iter()
                 .map(|m| m.expect("a block per table"))
                 .collect()
+        })
+    }
+
+    /// One backward exchange, rank `t` owning table `t`: each shard sums its
+    /// gradient rows per distinct index of its own column and sends them
+    /// home. Returns, per owner, the `(table, source, summed rows)` it was
+    /// delivered.
+    fn backward_exchange(setting: &CompressionSetting) -> Vec<Vec<(u32, u32, Matrix)>> {
+        use dlrm_comm::{NetworkConfig, SimCluster};
+        let setting = setting.clone();
+        SimCluster::new(2, NetworkConfig::infinite()).run(move |ctx| {
+            let rank = ctx.rank();
+            let (_, columns) = two_rank_traffic();
+            let grads = two_rank_grads();
+            let sums: Vec<(usize, Matrix)> = (0..2)
+                .map(|t| (t, summed(&columns[t][rank], &grads[t][rank])))
+                .collect();
+            let peers: Vec<DistinctRows> = (0..2).map(|s| indexed(&columns[rank][s])).collect();
+            two_rank_exchange(&ctx, &setting, &sums, |_, src| &peers[src])
         })
     }
 
@@ -2658,16 +2796,10 @@ mod tests {
             CompressionSetting::fixed(0.02, CompressorKind::OursVector),
             CompressionSetting::fixed(0.02, CompressorKind::FzLike),
         ] {
-            let resolved = ResolvedCompression::from_setting(&setting, 2);
             for (rank, delivered) in forward_exchange(&setting).iter().enumerate() {
                 for (t, got) in delivered.iter().enumerate() {
                     // What one row per sample through the same codec decodes to.
-                    let full = gather(&weights[t], &columns[t][rank]);
-                    let (mut scratch, mut bytes, mut want) =
-                        (CompressScratch::new(), Vec::new(), Vec::new());
-                    resolved.compress_into(t, 0, full.as_slice(), DIM, &mut scratch, &mut bytes);
-                    resolved.decompress_into(t, &bytes, &mut scratch, &mut want);
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let want = roundtrip(&setting, t, &gather(&weights[t], &columns[t][rank]));
                     assert_eq!(
                         bits(got.as_slice()),
                         bits(&want),
@@ -2675,6 +2807,95 @@ mod tests {
                         setting.label()
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn backward_exchange_sums_each_distinct_row() {
+        let (_, columns) = two_rank_traffic();
+        let grads = two_rank_grads();
+        for setting in [
+            CompressionSetting::None,
+            CompressionSetting::Fp16,
+            CompressionSetting::fixed(0.02, CompressorKind::OursHybrid),
+        ] {
+            for (owner, delivered) in backward_exchange(&setting).iter().enumerate() {
+                assert_eq!(
+                    delivered.len(),
+                    2,
+                    "{}: a block per source",
+                    setting.label()
+                );
+                for (table, src, got) in delivered {
+                    let (t, s) = (*table as usize, *src as usize);
+                    assert_eq!(t, owner);
+                    let sum = summed(&columns[t][s], &grads[t][s]);
+                    assert!(sum.rows() < SHARD, "the column repeats rows");
+                    assert_eq!((got.rows(), got.cols()), (sum.rows(), DIM));
+                    let want = match setting {
+                        CompressionSetting::None => sum.as_slice().to_vec(),
+                        _ => roundtrip(&setting, t, &sum),
+                    };
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(&want),
+                        "{}: table {t} from rank {s}",
+                        setting.label()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backward_exchange_keeps_sz_like_within_the_bound() {
+        let eb = 0.02f32;
+        let (_, columns) = two_rank_traffic();
+        let grads = two_rank_grads();
+        let setting = CompressionSetting::fixed(eb, CompressorKind::SzLike);
+        for delivered in backward_exchange(&setting) {
+            for (table, src, got) in delivered {
+                let (t, s) = (table as usize, src as usize);
+                let sum = summed(&columns[t][s], &grads[t][s]);
+                assert_eq!((got.rows(), got.cols()), (sum.rows(), DIM));
+                for (i, (a, b)) in got.as_slice().iter().zip(sum.as_slice()).enumerate() {
+                    assert!(
+                        (a - b).abs() <= eb * 1.0001,
+                        "table {t} from rank {s} value {i}: {a} vs summed {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn applying_summed_rows_is_the_per_sample_update() {
+        use dlrm_model::EmbeddingTable;
+        use dlrm_tensor::SeededRng;
+        let lr = 0.05;
+        let (_, columns) = two_rank_traffic();
+        let grads = two_rank_grads();
+        for (owner, delivered) in backward_exchange(&CompressionSetting::None)
+            .into_iter()
+            .enumerate()
+        {
+            let initial = EmbeddingTable::new(owner, CARD, DIM, &mut SeededRng::new(3));
+            let (mut per_sample, mut per_row) = (initial.clone(), initial.clone());
+            for (_, src, sum) in delivered {
+                let column = &columns[owner][src as usize];
+                per_sample.apply_sparse_grad(column, &grads[owner][src as usize], lr);
+                per_row.apply_sparse_grad(indexed(column).unique(), &sum, lr);
+            }
+            let weights = |table: &EmbeddingTable| table.weights().as_slice().to_vec();
+            let (w0, a, b) = (weights(&initial), weights(&per_sample), weights(&per_row));
+            for (i, ((x, y), w)) in a.iter().zip(&b).zip(&w0).enumerate() {
+                // Relative to the largest value the updates passed through.
+                let scale = x.abs().max(y.abs()).max(w.abs());
+                assert!(
+                    (x - y).abs() <= 1e-6 * scale,
+                    "owner {owner} weight {i}: per-sample {x} vs summed {y}"
+                );
             }
         }
     }

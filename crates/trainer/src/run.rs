@@ -79,6 +79,11 @@ pub struct TrainingReport {
     /// (1.0 when nothing was delivered).
     #[serde(default)]
     pub fwd_unique_frac: f64,
+    /// Overall backward-payload compression ratio: raw bytes of the summed
+    /// gradient rows over their encoded bytes, over every table (1.0 when
+    /// the backward exchange sent nothing, as under the combined push).
+    #[serde(default)]
+    pub bwd_ratio: f64,
     /// Total modelled time of the run (sum of the breakdown's phases).
     pub total_seconds: f64,
     /// Virtual seconds the double-buffered pipeline hid (codec time that ran
@@ -148,7 +153,7 @@ pub struct TrainingReport {
     #[serde(default)]
     pub grad_push: String,
     /// Compressed-domain combines of the backward push, summed across ranks
-    /// and iterations (zero on the per-sample default path).
+    /// and iterations (zero on the default backward exchange).
     #[serde(default)]
     pub grad_push_combines: u64,
     /// Label of the cluster topology the run used (`"flat"` or
@@ -810,6 +815,14 @@ fn merge_segments(
     } else {
         total_orig as f64 / total_delivered as f64
     };
+    let (bwd_orig, bwd_comp) = all()
+        .flat_map(|o| &o.bwd_traffic)
+        .fold((0u64, 0u64), |(o, c), &(orig, comp)| (o + orig, c + comp));
+    let bwd_ratio = if bwd_comp == 0 {
+        1.0
+    } else {
+        bwd_orig as f64 / bwd_comp as f64
+    };
 
     let (trace, metrics) = merge_obs(config, segments, num_tables);
 
@@ -825,6 +838,7 @@ fn merge_segments(
         per_table,
         overall_ratio,
         fwd_unique_frac,
+        bwd_ratio,
         total_seconds,
         overlap_saved_seconds,
         executor: config.executor.label().to_string(),
@@ -975,12 +989,13 @@ mod tests {
                 CompressionSetting::Fp16 => 2.0,
                 _ => 4.0,
             };
-            assert!(
-                (report.overall_ratio - expected).abs() < 0.1,
-                "{}: ratio {}",
-                report.label,
-                report.overall_ratio
-            );
+            for ratio in [report.overall_ratio, report.bwd_ratio] {
+                assert!(
+                    (ratio - expected).abs() < 0.1,
+                    "{}: ratio {ratio}",
+                    report.label
+                );
+            }
         }
     }
 

@@ -1,14 +1,17 @@
-//! The forward exchange is frozen where its numerics are concerned.
+//! Both embedding exchanges are frozen where their numerics are concerned.
 //!
 //! Owners send each distinct embedding row of a (table, destination) block
 //! once, and the receiver re-expands the block from its own indices. Under
 //! every pointwise codec a repeated row decodes to the bits of its first
-//! occurrence, so the matrices `forward_dense` sees — and every loss after
-//! them — are the ones a full-row exchange delivers. The golden table below
-//! pins that over compression × topology × executor × overlap: an FNV over
-//! every per-iteration loss bit pattern, the backward all-to-all's bytes and
-//! the dense all-reduce's bytes. It also keeps the forward all-to-all bytes a
-//! full-row exchange moved, which the forward bytes may never exceed.
+//! occurrence, so the matrices `forward_dense` sees are the ones a full-row
+//! exchange delivers. Backward, each shard sums its gradient rows per
+//! distinct index in sample order and sends one row per distinct index, and
+//! the owner applies one update row per distinct index. The golden table
+//! below pins that over compression × topology × executor × overlap: an FNV
+//! over every per-iteration loss bit pattern, the backward all-to-all's bytes
+//! and the dense all-reduce's bytes. It also keeps the forward bytes of a
+//! full-row exchange and the backward bytes of a per-sample exchange, which
+//! the two exchanges may never exceed.
 
 use dlrm_comm::phase as phases;
 use dlrm_comm::{NetworkConfig, Topology};
@@ -96,58 +99,63 @@ fn grid() -> &'static [Row] {
 }
 
 /// Golden rows: `(label, loss FNV, BWD_A2A bytes, ALLREDUCE bytes, FWD_A2A
-/// bytes of the full-row exchange)`, captured while every owner still sent
-/// one row per sample.
+/// bytes of the full-row exchange, BWD_A2A bytes of the per-sample
+/// exchange)`. The last two columns were captured while every owner still
+/// sent one row per sample and every shard one gradient row per sample. The
+/// loss FNVs and BWD bytes were re-pinned once when shards began summing
+/// their gradient rows per distinct index: `w − lr·(g₁ + g₂)` rounds
+/// differently from `(w − lr·g₁) − lr·g₂`, and a lossy codec quantizes the
+/// summed row rather than each of its parts.
 #[rustfmt::skip]
-const GOLDEN: &[(&str, u64, u64, u64, u64)] = &[
-    ("fp32-baseline / flat / sequential / sequential", 0x4edfab0da01a39c5, 50496, 189888, 50496),
-    ("fp32-baseline / flat / sequential / overlapped", 0x4edfab0da01a39c5, 50496, 189888, 50496),
-    ("fp32-baseline / flat / threaded / sequential", 0x4edfab0da01a39c5, 50496, 189888, 50496),
-    ("fp32-baseline / flat / threaded / overlapped", 0x4edfab0da01a39c5, 50496, 189888, 50496),
-    ("fp32-baseline / 2x2 / sequential / sequential", 0x4edfab0da01a39c5, 117312, 189888, 117312),
-    ("fp32-baseline / 2x2 / sequential / overlapped", 0x4edfab0da01a39c5, 117312, 189888, 117312),
-    ("fp32-baseline / 2x2 / threaded / sequential", 0x4edfab0da01a39c5, 117312, 189888, 117312),
-    ("fp32-baseline / 2x2 / threaded / overlapped", 0x4edfab0da01a39c5, 117312, 189888, 117312),
-    ("fp16 / flat / sequential / sequential", 0xbd52d567081a39c5, 26064, 189888, 26064),
-    ("fp16 / flat / sequential / overlapped", 0xbd52d567081a39c5, 26064, 189888, 26064),
-    ("fp16 / flat / threaded / sequential", 0xbd52d567081a39c5, 26064, 189888, 26064),
-    ("fp16 / flat / threaded / overlapped", 0xbd52d567081a39c5, 26064, 189888, 26064),
-    ("fp16 / 2x2 / sequential / sequential", 0xbd52d567081a39c5, 60304, 189888, 60304),
-    ("fp16 / 2x2 / sequential / overlapped", 0xbd52d567081a39c5, 60304, 189888, 60304),
-    ("fp16 / 2x2 / threaded / sequential", 0xbd52d567081a39c5, 60304, 189888, 60304),
-    ("fp16 / 2x2 / threaded / overlapped", 0xbd52d567081a39c5, 60304, 189888, 60304),
-    ("fp8 / flat / sequential / sequential", 0x65ef7a77401a39c5, 13776, 189888, 13776),
-    ("fp8 / flat / sequential / overlapped", 0x65ef7a77401a39c5, 13776, 189888, 13776),
-    ("fp8 / flat / threaded / sequential", 0x65ef7a77401a39c5, 13776, 189888, 13776),
-    ("fp8 / flat / threaded / overlapped", 0x65ef7a77401a39c5, 13776, 189888, 13776),
-    ("fp8 / 2x2 / sequential / sequential", 0x65ef7a77401a39c5, 31632, 189888, 31632),
-    ("fp8 / 2x2 / sequential / overlapped", 0x65ef7a77401a39c5, 31632, 189888, 31632),
-    ("fp8 / 2x2 / threaded / sequential", 0x65ef7a77401a39c5, 31632, 189888, 31632),
-    ("fp8 / 2x2 / threaded / overlapped", 0x65ef7a77401a39c5, 31632, 189888, 31632),
-    ("lossy-ours-hybrid-eb0.02 / flat / sequential / sequential", 0xe91f5f5de01a39c5, 3696, 189888, 9208),
-    ("lossy-ours-hybrid-eb0.02 / flat / sequential / overlapped", 0xe91f5f5de01a39c5, 3696, 189888, 9208),
-    ("lossy-ours-hybrid-eb0.02 / flat / threaded / sequential", 0xe91f5f5de01a39c5, 3696, 189888, 9208),
-    ("lossy-ours-hybrid-eb0.02 / flat / threaded / overlapped", 0xe91f5f5de01a39c5, 3696, 189888, 9208),
-    ("lossy-ours-hybrid-eb0.02 / 2x2 / sequential / sequential", 0xe91f5f5de01a39c5, 8112, 189888, 18968),
-    ("lossy-ours-hybrid-eb0.02 / 2x2 / sequential / overlapped", 0xe91f5f5de01a39c5, 8112, 189888, 18968),
-    ("lossy-ours-hybrid-eb0.02 / 2x2 / threaded / sequential", 0xe91f5f5de01a39c5, 8112, 189888, 18968),
-    ("lossy-ours-hybrid-eb0.02 / 2x2 / threaded / overlapped", 0xe91f5f5de01a39c5, 8112, 189888, 18968),
-    ("lossy-ours-vector-eb0.02 / flat / sequential / sequential", 0xe91f5f5de01a39c5, 3696, 189888, 9208),
-    ("lossy-ours-vector-eb0.02 / flat / sequential / overlapped", 0xe91f5f5de01a39c5, 3696, 189888, 9208),
-    ("lossy-ours-vector-eb0.02 / flat / threaded / sequential", 0xe91f5f5de01a39c5, 3696, 189888, 9208),
-    ("lossy-ours-vector-eb0.02 / flat / threaded / overlapped", 0xe91f5f5de01a39c5, 3696, 189888, 9208),
-    ("lossy-ours-vector-eb0.02 / 2x2 / sequential / sequential", 0xe91f5f5de01a39c5, 8112, 189888, 18968),
-    ("lossy-ours-vector-eb0.02 / 2x2 / sequential / overlapped", 0xe91f5f5de01a39c5, 8112, 189888, 18968),
-    ("lossy-ours-vector-eb0.02 / 2x2 / threaded / sequential", 0xe91f5f5de01a39c5, 8112, 189888, 18968),
-    ("lossy-ours-vector-eb0.02 / 2x2 / threaded / overlapped", 0xe91f5f5de01a39c5, 8112, 189888, 18968),
-    ("lossy-adaptive / flat / sequential / sequential", 0xadc81da9d01a39c5, 3696, 189888, 7608),
-    ("lossy-adaptive / flat / sequential / overlapped", 0xadc81da9d01a39c5, 3696, 189888, 7608),
-    ("lossy-adaptive / flat / threaded / sequential", 0xadc81da9d01a39c5, 3696, 189888, 7608),
-    ("lossy-adaptive / flat / threaded / overlapped", 0xadc81da9d01a39c5, 3696, 189888, 7608),
-    ("lossy-adaptive / 2x2 / sequential / sequential", 0xadc81da9d01a39c5, 8112, 189888, 15952),
-    ("lossy-adaptive / 2x2 / sequential / overlapped", 0xadc81da9d01a39c5, 8112, 189888, 15952),
-    ("lossy-adaptive / 2x2 / threaded / sequential", 0xadc81da9d01a39c5, 8112, 189888, 15952),
-    ("lossy-adaptive / 2x2 / threaded / overlapped", 0xadc81da9d01a39c5, 8112, 189888, 15952),
+const GOLDEN: &[(&str, u64, u64, u64, u64, u64)] = &[
+    ("fp32-baseline / flat / sequential / sequential", 0x72c93b50381a39c5, 36928, 189888, 50496, 50496),
+    ("fp32-baseline / flat / sequential / overlapped", 0x72c93b50381a39c5, 36928, 189888, 50496, 50496),
+    ("fp32-baseline / flat / threaded / sequential", 0x72c93b50381a39c5, 36928, 189888, 50496, 50496),
+    ("fp32-baseline / flat / threaded / overlapped", 0x72c93b50381a39c5, 36928, 189888, 50496, 50496),
+    ("fp32-baseline / 2x2 / sequential / sequential", 0x72c93b50381a39c5, 72832, 189888, 117312, 117312),
+    ("fp32-baseline / 2x2 / sequential / overlapped", 0x72c93b50381a39c5, 72832, 189888, 117312, 117312),
+    ("fp32-baseline / 2x2 / threaded / sequential", 0x72c93b50381a39c5, 72832, 189888, 117312, 117312),
+    ("fp32-baseline / 2x2 / threaded / overlapped", 0x72c93b50381a39c5, 72832, 189888, 117312, 117312),
+    ("fp16 / flat / sequential / sequential", 0x9aea49dc201a39c5, 19268, 189888, 26064, 26064),
+    ("fp16 / flat / sequential / overlapped", 0x9aea49dc201a39c5, 19268, 189888, 26064, 26064),
+    ("fp16 / flat / threaded / sequential", 0x9aea49dc201a39c5, 19268, 189888, 26064, 26064),
+    ("fp16 / flat / threaded / overlapped", 0x9aea49dc201a39c5, 19268, 189888, 26064, 26064),
+    ("fp16 / 2x2 / sequential / sequential", 0x9aea49dc201a39c5, 38028, 189888, 60304, 60304),
+    ("fp16 / 2x2 / sequential / overlapped", 0x9aea49dc201a39c5, 38028, 189888, 60304, 60304),
+    ("fp16 / 2x2 / threaded / sequential", 0x9aea49dc201a39c5, 38028, 189888, 60304, 60304),
+    ("fp16 / 2x2 / threaded / overlapped", 0x9aea49dc201a39c5, 38028, 189888, 60304, 60304),
+    ("fp8 / flat / sequential / sequential", 0x4467fc0fe01a39c5, 10372, 189888, 13776, 13776),
+    ("fp8 / flat / sequential / overlapped", 0x4467fc0fe01a39c5, 10372, 189888, 13776, 13776),
+    ("fp8 / flat / threaded / sequential", 0x4467fc0fe01a39c5, 10372, 189888, 13776, 13776),
+    ("fp8 / flat / threaded / overlapped", 0x4467fc0fe01a39c5, 10372, 189888, 13776, 13776),
+    ("fp8 / 2x2 / sequential / sequential", 0x4467fc0fe01a39c5, 20476, 189888, 31632, 31632),
+    ("fp8 / 2x2 / sequential / overlapped", 0x4467fc0fe01a39c5, 20476, 189888, 31632, 31632),
+    ("fp8 / 2x2 / threaded / sequential", 0x4467fc0fe01a39c5, 20476, 189888, 31632, 31632),
+    ("fp8 / 2x2 / threaded / overlapped", 0x4467fc0fe01a39c5, 20476, 189888, 31632, 31632),
+    ("lossy-ours-hybrid-eb0.02 / flat / sequential / sequential", 0x8542537b501a39c5, 3272, 189888, 9208, 3696),
+    ("lossy-ours-hybrid-eb0.02 / flat / sequential / overlapped", 0x8542537b501a39c5, 3272, 189888, 9208, 3696),
+    ("lossy-ours-hybrid-eb0.02 / flat / threaded / sequential", 0x8542537b501a39c5, 3272, 189888, 9208, 3696),
+    ("lossy-ours-hybrid-eb0.02 / flat / threaded / overlapped", 0x8542537b501a39c5, 3272, 189888, 9208, 3696),
+    ("lossy-ours-hybrid-eb0.02 / 2x2 / sequential / sequential", 0x8542537b501a39c5, 6738, 189888, 18968, 8112),
+    ("lossy-ours-hybrid-eb0.02 / 2x2 / sequential / overlapped", 0x8542537b501a39c5, 6738, 189888, 18968, 8112),
+    ("lossy-ours-hybrid-eb0.02 / 2x2 / threaded / sequential", 0x8542537b501a39c5, 6738, 189888, 18968, 8112),
+    ("lossy-ours-hybrid-eb0.02 / 2x2 / threaded / overlapped", 0x8542537b501a39c5, 6738, 189888, 18968, 8112),
+    ("lossy-ours-vector-eb0.02 / flat / sequential / sequential", 0x8542537b501a39c5, 3272, 189888, 9208, 3696),
+    ("lossy-ours-vector-eb0.02 / flat / sequential / overlapped", 0x8542537b501a39c5, 3272, 189888, 9208, 3696),
+    ("lossy-ours-vector-eb0.02 / flat / threaded / sequential", 0x8542537b501a39c5, 3272, 189888, 9208, 3696),
+    ("lossy-ours-vector-eb0.02 / flat / threaded / overlapped", 0x8542537b501a39c5, 3272, 189888, 9208, 3696),
+    ("lossy-ours-vector-eb0.02 / 2x2 / sequential / sequential", 0x8542537b501a39c5, 6738, 189888, 18968, 8112),
+    ("lossy-ours-vector-eb0.02 / 2x2 / sequential / overlapped", 0x8542537b501a39c5, 6738, 189888, 18968, 8112),
+    ("lossy-ours-vector-eb0.02 / 2x2 / threaded / sequential", 0x8542537b501a39c5, 6738, 189888, 18968, 8112),
+    ("lossy-ours-vector-eb0.02 / 2x2 / threaded / overlapped", 0x8542537b501a39c5, 6738, 189888, 18968, 8112),
+    ("lossy-adaptive / flat / sequential / sequential", 0xadc81da9d01a39c5, 3272, 189888, 7608, 3696),
+    ("lossy-adaptive / flat / sequential / overlapped", 0xadc81da9d01a39c5, 3272, 189888, 7608, 3696),
+    ("lossy-adaptive / flat / threaded / sequential", 0xadc81da9d01a39c5, 3272, 189888, 7608, 3696),
+    ("lossy-adaptive / flat / threaded / overlapped", 0xadc81da9d01a39c5, 3272, 189888, 7608, 3696),
+    ("lossy-adaptive / 2x2 / sequential / sequential", 0xadc81da9d01a39c5, 6722, 189888, 15952, 8112),
+    ("lossy-adaptive / 2x2 / sequential / overlapped", 0xadc81da9d01a39c5, 6722, 189888, 15952, 8112),
+    ("lossy-adaptive / 2x2 / threaded / sequential", 0xadc81da9d01a39c5, 6722, 189888, 15952, 8112),
+    ("lossy-adaptive / 2x2 / threaded / overlapped", 0xadc81da9d01a39c5, 6722, 189888, 15952, 8112),
 ];
 
 fn table(rows: &[Row]) -> String {
@@ -167,8 +175,10 @@ fn exchange_numerics_are_pinned() {
         "golden table size; computed:\n{}",
         table(rows)
     );
-    for ((label, loss, bwd, ar, fwd), &(want_label, want_loss, want_bwd, want_ar, full_fwd)) in
-        rows.iter().zip(GOLDEN)
+    for (
+        (label, loss, bwd, ar, fwd),
+        &(want_label, want_loss, want_bwd, want_ar, full_fwd, per_sample_bwd),
+    ) in rows.iter().zip(GOLDEN)
     {
         assert_eq!(
             (label.as_str(), *loss, *bwd, *ar),
@@ -179,6 +189,10 @@ fn exchange_numerics_are_pinned() {
         assert!(
             *fwd <= full_fwd,
             "{label}: forward bytes {fwd} above the full-row exchange's {full_fwd}"
+        );
+        assert!(
+            *bwd <= per_sample_bwd,
+            "{label}: backward bytes {bwd} above the per-sample exchange's {per_sample_bwd}"
         );
     }
 }
@@ -191,5 +205,16 @@ fn distinct_rows_shrink_the_forward_exchange() {
     assert!(
         sent < full_rows,
         "forward bytes {sent} did not fall below the full-row exchange's {full_rows}"
+    );
+}
+
+#[test]
+fn distinct_rows_shrink_the_backward_exchange() {
+    let rows = grid();
+    let sent: u64 = rows.iter().map(|r| r.2).sum();
+    let per_sample: u64 = GOLDEN.iter().map(|g| g.5).sum();
+    assert!(
+        sent < per_sample,
+        "backward bytes {sent} did not fall below the per-sample exchange's {per_sample}"
     );
 }

@@ -224,20 +224,24 @@ fn a2a_charges(report: &TrainingReport) -> [u64; 6] {
 /// each all-to-all second lower by exactly one α per exchange. The forward
 /// columns were re-pinned once more when owners began sending each distinct
 /// row once: forward bytes fell on every row, the backward columns stayed.
+/// The backward columns of the per-sample rows were re-pinned once when
+/// shards began sending one summed gradient row per distinct index: under
+/// fp32 and fp16 the backward bytes now equal the forward bytes, and the
+/// forward columns and the combined push's rows stayed.
 #[rustfmt::skip]
 const A2A_CHARGES: &[(&str, [u64; 6])] = &[
-    ("fp32-baseline / flat / sequential", [0x3f4841954bac25e3, 0x000000000000c110, 0x0000000000000000, 0x3f4978f7e37be5d5, 0x00000000000123f0, 0x0000000000000000]),
-    ("fp32-baseline / flat / overlapped", [0x3f4841954bac25e5, 0x000000000000c110, 0x0000000000000000, 0x3f4978f7e37be5d5, 0x00000000000123f0, 0x0000000000000000]),
-    ("fp32-baseline / 2x2 / sequential", [0x3f3cb92053fcbc31, 0x0000000000016b50, 0x0000000000000000, 0x3f41b14bf38ea493, 0x000000000002a7b0, 0x0000000000000000]),
-    ("fp32-baseline / 2x2 / overlapped", [0x3f3cb92053fcbc32, 0x0000000000016b50, 0x0000000000000000, 0x3f41b14bf38ea494, 0x000000000002a7b0, 0x0000000000000000]),
-    ("fp16 / flat / sequential", [0x3f39a3eb014046ee, 0x00000000000062e6, 0x0000000000000000, 0x3f3adb4d991006dd, 0x000000000000945c, 0x0000000000000000]),
-    ("fp16 / flat / overlapped", [0x3f369861a4fa64a5, 0x00000000000062e6, 0x3f085c4ae22f1242, 0x3f37a2ab5d88bea2, 0x000000000000945c, 0x3f09c511dc3a41e4]),
-    ("fp16 / 2x2 / sequential", [0x3f2ff6b0400d2d02, 0x000000000000ba6a, 0x0000000000000000, 0x3f3350141591dcbe, 0x00000000000158ac, 0x0000000000000000]),
-    ("fp16 / 2x2 / overlapped", [0x3f2c678091560ab4, 0x000000000000ba6a, 0x3f085c4ae22f1245, 0x3f301771da0a9482, 0x00000000000158ac, 0x3f1353cd652bb168]),
-    ("lossy-ours-hybrid-eb0.02 / flat / sequential", [0x3f273bdbce477636, 0x0000000000002712, 0x0000000000000000, 0x3f12269e246dc886, 0x0000000000000f54, 0x0000000000000000]),
-    ("lossy-ours-hybrid-eb0.02 / flat / overlapped", [0x3f230e6969140488, 0x0000000000002712, 0x3f02bdc08b98a082, 0x3f06961987658f7c, 0x0000000000000f54, 0x3efb6e4582ec0322]),
-    ("lossy-ours-hybrid-eb0.02 / 2x2 / sequential", [0x3f1aee31288dce60, 0x0000000000004cf9, 0x0000000000000000, 0x3f11af3867ff8671, 0x0000000000002244, 0x0000000000000000]),
-    ("lossy-ours-hybrid-eb0.02 / 2x2 / overlapped", [0x3f13cf16886a8db7, 0x0000000000004cf9, 0x3f05424f383b725c, 0x3f0a783e4749897a, 0x0000000000002244, 0x3ef1cc65116b06d0]),
+    ("fp32-baseline / flat / sequential", [0x3f4841954bac25e3, 0x000000000000c110, 0x0000000000000000, 0x3f4841954bac25e3, 0x000000000000c110, 0x0000000000000000]),
+    ("fp32-baseline / flat / overlapped", [0x3f4841954bac25e5, 0x000000000000c110, 0x0000000000000000, 0x3f4841954bac25e4, 0x000000000000c110, 0x0000000000000000]),
+    ("fp32-baseline / 2x2 / sequential", [0x3f3cb92053fcbc31, 0x0000000000016b50, 0x0000000000000000, 0x3f3cb98a9d3c28a7, 0x0000000000016b50, 0x0000000000000000]),
+    ("fp32-baseline / 2x2 / overlapped", [0x3f3cb92053fcbc32, 0x0000000000016b50, 0x0000000000000000, 0x3f3cb98a9d3c28a7, 0x0000000000016b50, 0x0000000000000000]),
+    ("fp16 / flat / sequential", [0x3f39a3eb014046ee, 0x00000000000062e6, 0x0000000000000000, 0x3f39a3eb014046ee, 0x00000000000062e6, 0x0000000000000000]),
+    ("fp16 / flat / overlapped", [0x3f369861a4fa64a5, 0x00000000000062e6, 0x3f085c4ae22f1242, 0x3f38f09a64f9318e, 0x00000000000062e6, 0x3f0477dc2f9645a6]),
+    ("fp16 / 2x2 / sequential", [0x3f2ff6b0400d2d02, 0x000000000000ba6a, 0x0000000000000000, 0x3f2ff71a894c9978, 0x000000000000ba6a, 0x0000000000000000]),
+    ("fp16 / 2x2 / overlapped", [0x3f2c678091560ab4, 0x000000000000ba6a, 0x3f085c4ae22f1245, 0x3f2e907950be6eba, 0x000000000000ba6a, 0x3efd20102f91d7c6]),
+    ("lossy-ours-hybrid-eb0.02 / flat / sequential", [0x3f273bdbce477636, 0x0000000000002712, 0x0000000000000000, 0x3f11d8c57e79d88a, 0x0000000000000c3d, 0x0000000000000000]),
+    ("lossy-ours-hybrid-eb0.02 / flat / overlapped", [0x3f230e6969140488, 0x0000000000002712, 0x3f02bdc08b98a082, 0x3f0e17061abb0616, 0x0000000000000c3d, 0x3ef6ed12a3acd41a]),
+    ("lossy-ours-hybrid-eb0.02 / 2x2 / sequential", [0x3f1aee31288dce60, 0x0000000000004cf9, 0x0000000000000000, 0x3f10da16bec36261, 0x0000000000001861, 0x0000000000000000]),
+    ("lossy-ours-hybrid-eb0.02 / 2x2 / overlapped", [0x3f13cf16886a8db7, 0x0000000000004cf9, 0x3f05424f383b725c, 0x3f0c19a89b4e19c5, 0x0000000000001861, 0x3ef310f60ab33570]),
     ("push / flat", [0x3f4841954bac25e3, 0x000000000000c110, 0x0000000000000000, 0x3f9d88a1a4aaefad, 0x000000000016d220, 0x0000000000000000]),
     ("push / 2x2", [0x3f3cb92053fcbc31, 0x0000000000016b50, 0x0000000000000000, 0x3f85ca1dbfb45889, 0x0000000000105600, 0x0000000000000000]),
 ];

@@ -19,8 +19,10 @@ fn print_report(report: &TrainingReport) {
         report.final_metrics.accuracy, report.final_metrics.loss, report.overall_ratio
     );
     println!(
-        "  distinct rows sent: {:.1}% of the rows delivered (repeats re-expanded from indices)",
-        100.0 * report.fwd_unique_frac
+        "  distinct rows sent: {:.1}% of the rows delivered (repeats re-expanded from indices)   \
+         bwd payload compression {:.2}x (summed gradient rows)",
+        100.0 * report.fwd_unique_frac,
+        report.bwd_ratio
     );
     let a2a = report.breakdown.seconds(phases::FWD_A2A) + report.breakdown.seconds(phases::BWD_A2A);
     println!(
