@@ -17,7 +17,7 @@
 //! expose this directly through caller-owned send/recv containers; the
 //! classic `Vec<u8>`-based entry points remain as thin wrappers.
 
-use crate::cost::{CostModel, NetworkConfig};
+use crate::cost::{CostModel, Link, NetworkConfig};
 use crate::fabric::{run_on_mesh, Fabric, GatePolicy, WirePolicy};
 use crate::pool::{BufferPool, PooledBuf};
 use crate::reduce::{
@@ -924,13 +924,14 @@ impl<C: ReduceCodec + ?Sized> Sharded<'_, C> {
         bundle
     }
 
-    /// Send `buf` to `dst`, recording its wire bytes by tier and the `raw`
-    /// f32 elements it stands for.
+    /// Send `buf` to `dst` on the all-reduce link, recording its wire bytes
+    /// by tier and the `raw` f32 elements it stands for. The one send site
+    /// of every route.
     fn post(&mut self, dst: usize, buf: PooledBuf, raw: usize) {
         let tier = self.topo.map(|t| t.tier_of(self.ctx.rank, dst));
         self.out.record_sent(tier, buf.len());
         self.out.stats.raw.sent += raw * 4;
-        self.ctx.fabric.send(dst, buf);
+        self.ctx.fabric.send_on(dst, buf, Link::AllReduce);
     }
 
     /// [`Sharded::post`] a copy of `bytes` in a lease of `cap` bytes.

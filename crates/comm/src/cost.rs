@@ -84,7 +84,10 @@ impl NetworkConfig {
 
     /// A network whose all-to-all link is the bottleneck: the given
     /// all-to-all bandwidth under a fast (8 GB/s) all-reduce link — the
-    /// shape the overlap experiments use to make codec time hideable.
+    /// shape the overlap experiments use to make codec time hideable. Both
+    /// the ledger and a paced fabric honour the split: each link class has
+    /// its own egress queue at its own bandwidth, so the dense all-reduce
+    /// moves at 8 GB/s on the wall too.
     pub fn alltoall_bound(alltoall_bandwidth: f64) -> Self {
         Self {
             alltoall_bandwidth,
@@ -109,6 +112,17 @@ impl NetworkConfig {
     pub fn cost_model(&self) -> CostModel {
         CostModel { config: *self }
     }
+}
+
+/// The link class a message rides: which of a [`NetworkConfig`]'s two
+/// bandwidths prices it. A paced fabric gives each class its own egress
+/// queue, as the ledger charges each collective on its own link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Link {
+    /// The embedding exchanges and the controller's all-gather.
+    AllToAll,
+    /// The dense (MLP-gradient) all-reduce.
+    AllReduce,
 }
 
 /// Computes virtual communication time from byte counts.
@@ -175,9 +189,14 @@ impl CostModel {
             + sent_bytes.max(recv_bytes) as f64 / self.config.allreduce_bandwidth
     }
 
-    /// Time to move `bytes` point-to-point.
-    pub fn p2p_time(&self, bytes: usize) -> f64 {
-        self.config.latency + bytes as f64 / self.config.alltoall_bandwidth
+    /// Time to move one `bytes`-long message over `link`: one α plus the
+    /// bytes over that link's bandwidth.
+    pub fn message_time(&self, link: Link, bytes: usize) -> f64 {
+        let bandwidth = match link {
+            Link::AllToAll => self.config.alltoall_bandwidth,
+            Link::AllReduce => self.config.allreduce_bandwidth,
+        };
+        self.config.latency + bytes as f64 / bandwidth
     }
 
     /// The bandwidth (β) term alone of moving `bytes` over the all-to-all
@@ -265,6 +284,21 @@ mod tests {
             (summed - bulk).abs() < 1e-12,
             "chunked {summed} vs bulk {bulk}"
         );
+    }
+
+    #[test]
+    fn message_time_prices_each_link_at_its_own_bandwidth() {
+        let m = NetworkConfig {
+            alltoall_bandwidth: 1e6,
+            allreduce_bandwidth: 4e6,
+            latency: 1e-3,
+        }
+        .cost_model();
+        assert_eq!(m.message_time(Link::AllToAll, 2_000_000), 1e-3 + 2.0);
+        assert_eq!(m.message_time(Link::AllReduce, 2_000_000), 1e-3 + 0.5);
+        // One α per message, whatever its size or link.
+        assert_eq!(m.message_time(Link::AllToAll, 0), 1e-3);
+        assert_eq!(m.message_time(Link::AllReduce, 0), 1e-3);
     }
 
     #[test]

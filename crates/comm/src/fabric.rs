@@ -3,11 +3,11 @@
 //! one.
 //!
 //! [`RankCtx`]'s collectives consume exactly four
-//! primitives — `send`, blocking `recv`, non-blocking `try_recv`, and
-//! `barrier` — captured here as the [`Fabric`] trait. The one backend,
-//! [`ChannelFabric`], runs them over the vendored crossbeam channels (one
-//! FIFO per ordered `(src, dst)` pair) and layers two orthogonal policies on
-//! top:
+//! primitives — `send_on` a [`Link`] class, blocking `recv`, non-blocking
+//! `try_recv`, and `barrier` — captured here as the [`Fabric`] trait. The
+//! one backend, [`ChannelFabric`], runs them over the vendored crossbeam
+//! channels (one FIFO per ordered `(src, dst)` pair) and layers two
+//! orthogonal policies on top:
 //!
 //! * [`GatePolicy`] — whether rank threads run freely
 //!   ([`GatePolicy::FreeRunning`], the default: real concurrency, one OS
@@ -22,8 +22,9 @@
 //! * [`WirePolicy`] — whether messages are delivered instantly
 //!   ([`WirePolicy::Instant`], the default: correctness-only simulation) or
 //!   paced by the α–β [`CostModel`] ([`WirePolicy::Modeled`]): each message
-//!   becomes *ready* only `latency + bytes/bandwidth` after its sender's
-//!   egress link frees up, with real wall-clock sleeps covering the
+//!   is sent on a [`Link`] class and becomes *ready* only
+//!   `latency + bytes/bandwidth(link)` after its sender's egress queue for
+//!   that class frees up, with real wall-clock sleeps covering the
 //!   remainder at receive time. Under the serial gate the pacing sleep holds
 //!   the token (nothing overlaps a serialized wire); free-running threads
 //!   sleep without the token, so other ranks' codec work proceeds while a
@@ -32,14 +33,21 @@
 //!
 //! ## Modeled-vs-wall contract
 //!
-//! The pacing model charges α per *message* on the sender's serialized
-//! egress link, while the virtual ledger charges α once per collective and
+//! Each link class has its own egress queue and its own bandwidth, as the
+//! virtual ledger charges each collective on its own link: every
+//! all-to-all (and the controller's all-gather) rides [`Link::AllToAll`] at
+//! `alltoall_bandwidth`, the dense all-reduce rides [`Link::AllReduce`] at
+//! `allreduce_bandwidth`, and a message on one queue never waits behind the
+//! other's. The pacing model charges α per *message* on the sender's
+//! serialized queue, while the ledger charges α once per collective and
 //! takes the max of the send/receive directions. Wall wire time therefore
 //! tracks, but does not exactly equal, modeled wire time (expect an extra
-//! `(world − 2)·α` per collective and egress-only serialization). The
-//! cross-validation lives in `TrainingReport::modeled_vs_wall_ratio`.
+//! `(world − 2)·α` per collective and egress-only serialization). Tiers are
+//! not paced: under a topology every message rides the flat network's two
+//! queues. The cross-validation lives in
+//! `TrainingReport::modeled_vs_wall_ratio`.
 
-use crate::cost::{CostModel, NetworkConfig};
+use crate::cost::{CostModel, Link, NetworkConfig};
 use crate::pool::{BufferPool, PooledBuf};
 use crate::RankCtx;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
@@ -65,9 +73,11 @@ pub enum WirePolicy {
     /// Messages are available to the receiver as soon as they are sent.
     #[default]
     Instant,
-    /// Messages become available `latency + bytes/bandwidth` (the α–β
-    /// model's point-to-point time) after the sender's egress link frees
-    /// up; receivers sleep off any remainder. Makes wire time *real*.
+    /// Messages become available [`CostModel::message_time`] — `latency +
+    /// bytes/bandwidth` of their [`Link`] class — after the sender's egress
+    /// queue for that class frees up; receivers sleep off any remainder.
+    /// Each class has its own queue and its own bandwidth. Makes wire time
+    /// *real*.
     Modeled,
 }
 
@@ -122,11 +132,19 @@ pub trait Fabric: Send {
     fn rank(&self) -> usize;
     /// Number of ranks on the fabric.
     fn world(&self) -> usize;
-    /// Post `buf` to `dst` without blocking.
+    /// Post `buf` to `dst` on `link`'s egress queue without blocking.
     ///
     /// # Panics
     /// Panics if `dst`'s endpoint has been dropped ("peer rank hung up").
-    fn send(&self, dst: usize, buf: PooledBuf);
+    fn send_on(&self, dst: usize, buf: PooledBuf, link: Link);
+    /// [`Fabric::send_on`] the all-to-all link, which every collective but
+    /// the all-reduce rides.
+    ///
+    /// # Panics
+    /// Panics if `dst`'s endpoint has been dropped ("peer rank hung up").
+    fn send(&self, dst: usize, buf: PooledBuf) {
+        self.send_on(dst, buf, Link::AllToAll);
+    }
     /// Block until the next message from `src` is delivered.
     ///
     /// # Panics
@@ -166,9 +184,10 @@ pub struct ChannelFabric {
     gate: Option<Arc<SerialGate>>,
     /// `Some` under [`WirePolicy::Modeled`]: the cost model pacing delivery.
     wire: Option<CostModel>,
-    /// When this rank's modeled egress link next frees up: messages ride
-    /// the link one after another, as on a real NIC.
-    link_free_at: Cell<Instant>,
+    /// When this rank's modeled egress queue of each [`Link`] class next
+    /// frees up: a class's messages ride its queue one after another, as on
+    /// a real NIC, and never wait behind the other class's.
+    link_free_at: [Cell<Instant>; 2],
     /// Per-source parcel that has arrived but is still inside its modeled
     /// flight time — `try_recv` must not deliver it early.
     staged: RefCell<Vec<Option<Parcel>>>,
@@ -225,7 +244,7 @@ impl ChannelFabric {
                 barrier: Arc::clone(&barrier),
                 gate: shared_gate.clone(),
                 wire: cost,
-                link_free_at: Cell::new(now),
+                link_free_at: [Cell::new(now), Cell::new(now)],
                 staged: RefCell::new((0..world).map(|_| None).collect()),
             })
             .collect()
@@ -281,11 +300,12 @@ impl Fabric for ChannelFabric {
         self.world
     }
 
-    fn send(&self, dst: usize, buf: PooledBuf) {
+    fn send_on(&self, dst: usize, buf: PooledBuf, link: Link) {
         let ready_at = self.wire.map(|cost| {
-            let start = self.link_free_at.get().max(Instant::now());
-            let done = start + Duration::from_secs_f64(cost.p2p_time(buf.len()));
-            self.link_free_at.set(done);
+            let free_at = &self.link_free_at[link as usize];
+            let start = free_at.get().max(Instant::now());
+            let done = start + Duration::from_secs_f64(cost.message_time(link, buf.len()));
+            free_at.set(done);
             done
         });
         self.senders[dst]
@@ -543,6 +563,107 @@ mod tests {
         assert!(
             elapsed[1] >= 0.09,
             "receiver finished in {}s — wire was not paced",
+            elapsed[1]
+        );
+    }
+
+    /// Seconds rank 1 waits, from a shared barrier, for one `bytes`-long
+    /// message rank 0 sends it on `link` over a paced `network`.
+    fn paced_delivery(network: NetworkConfig, link: Link, bytes: usize) -> f64 {
+        let elapsed = run_on_mesh(
+            2,
+            network,
+            GatePolicy::FreeRunning,
+            WirePolicy::Modeled,
+            move |ctx| {
+                ctx.barrier();
+                let t0 = Instant::now();
+                if ctx.rank() == 0 {
+                    ctx.fabric().send_on(1, fill(&ctx, bytes), link);
+                } else {
+                    assert_eq!(ctx.fabric().recv(0).len(), bytes);
+                }
+                t0.elapsed().as_secs_f64()
+            },
+        );
+        elapsed[1]
+    }
+
+    #[test]
+    fn each_link_is_paced_at_its_own_bandwidth() {
+        // 100 KB: ≈ 100 ms at 1 MB/s, ≈ 0.1 ms at 1 GB/s.
+        let alltoall_bound = NetworkConfig {
+            alltoall_bandwidth: 1e6,
+            allreduce_bandwidth: 1e9,
+            latency: 0.0,
+        };
+        let reduce = paced_delivery(alltoall_bound, Link::AllReduce, 100_000);
+        assert!(
+            reduce < 0.02,
+            "all-reduce message paced at the a2a link ({reduce}s)"
+        );
+        let exchange = paced_delivery(alltoall_bound, Link::AllToAll, 100_000);
+        assert!(
+            exchange >= 0.09,
+            "all-to-all message was not paced ({exchange}s)"
+        );
+    }
+
+    #[test]
+    fn swapping_the_bandwidths_swaps_the_pacing() {
+        let allreduce_bound = NetworkConfig {
+            alltoall_bandwidth: 1e9,
+            allreduce_bandwidth: 1e6,
+            latency: 0.0,
+        };
+        let exchange = paced_delivery(allreduce_bound, Link::AllToAll, 100_000);
+        assert!(
+            exchange < 0.02,
+            "all-to-all message paced at the all-reduce link ({exchange}s)"
+        );
+        let reduce = paced_delivery(allreduce_bound, Link::AllReduce, 100_000);
+        assert!(
+            reduce >= 0.09,
+            "all-reduce message was not paced ({reduce}s)"
+        );
+    }
+
+    #[test]
+    fn link_classes_have_independent_egress_queues() {
+        // Rank 0 fills its all-to-all queue for ≈ 50 ms, then posts a small
+        // all-reduce message: that one must not wait behind the exchange.
+        let network = NetworkConfig {
+            alltoall_bandwidth: 1e6,
+            allreduce_bandwidth: 1e6,
+            latency: 0.0,
+        };
+        let elapsed = run_on_mesh(
+            3,
+            network,
+            GatePolicy::FreeRunning,
+            WirePolicy::Modeled,
+            |ctx| {
+                ctx.barrier();
+                let t0 = Instant::now();
+                match ctx.rank() {
+                    0 => {
+                        ctx.fabric().send_on(1, fill(&ctx, 50_000), Link::AllToAll);
+                        ctx.fabric().send_on(2, fill(&ctx, 100), Link::AllReduce);
+                    }
+                    1 => assert_eq!(ctx.fabric().recv(0).len(), 50_000),
+                    _ => assert_eq!(ctx.fabric().recv(0).len(), 100),
+                }
+                t0.elapsed().as_secs_f64()
+            },
+        );
+        assert!(
+            elapsed[2] < 0.02,
+            "all-reduce message queued behind the all-to-all ({}s)",
+            elapsed[2]
+        );
+        assert!(
+            elapsed[1] >= 0.045,
+            "all-to-all message was not paced ({}s)",
             elapsed[1]
         );
     }

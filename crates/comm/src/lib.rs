@@ -89,7 +89,8 @@
 //! concurrency) or **serialized** under a [`fabric::SerialGate`] (at most
 //! one rank progresses at a time — the single-core wall-clock baseline),
 //! and its wire can deliver **instantly** or **paced** by the α–β model
-//! with real sleeps ([`fabric::WirePolicy::Modeled`]), which is what lets
+//! with real sleeps ([`fabric::WirePolicy::Modeled`]; each [`cost::Link`]
+//! class on its own egress queue at its own bandwidth), which is what lets
 //! `dlrm-exec` cross-validate modeled seconds against wall-clock seconds.
 //! [`fabric::run_on_mesh`] is the one thread-spawn loop behind both
 //! [`cluster::SimCluster::run`] and `dlrm-exec`'s executor.
@@ -134,7 +135,7 @@ pub use cluster::{
     ChunkedAllToAll, ExchangeBytes, RankCtx, SimCluster, CHUNK_HEADER_BYTES,
     HIER_ENTRY_HEADER_BYTES,
 };
-pub use cost::{CostModel, NetworkConfig};
+pub use cost::{CostModel, Link, NetworkConfig};
 pub use fabric::{ChannelFabric, Fabric, GatePolicy, SerialGate, WirePolicy};
 pub use fault::{FaultPlan, StragglerWindow, WorldEvent};
 pub use ledger::TimingLedger;

@@ -30,7 +30,7 @@
 //! traffic moves off the slow tier entirely.
 
 use crate::cluster::ExchangeBytes;
-use crate::cost::{CostModel, NetworkConfig};
+use crate::cost::{CostModel, Link, NetworkConfig};
 use serde::{Deserialize, Serialize};
 
 /// Which link a message crosses.
@@ -301,8 +301,7 @@ impl TieredCostModel {
     /// Point-to-point time of `bytes` from `src` to `dst` over whichever
     /// link the pair crosses.
     pub fn pair_time(&self, src: usize, dst: usize, bytes: usize) -> f64 {
-        let link = self.topo.link_of(src, dst);
-        link.latency + bytes as f64 / link.alltoall_bandwidth
+        CostModel::new(self.topo.link_of(src, dst)).message_time(Link::AllToAll, bytes)
     }
 
     /// The fabric bandwidth available to a leader-driven exchange: the node's

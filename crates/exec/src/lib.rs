@@ -26,8 +26,12 @@
 //! Wall-clock numbers only mean something when the wire costs wall-clock
 //! time, so the executor can pace message delivery by the α–β model
 //! ([`WirePolicy::Modeled`](dlrm_comm::WirePolicy)): each message becomes
-//! deliverable `latency + bytes/bandwidth` after its sender's egress link
-//! frees up, enforced with real sleeps. Under `Threaded`, a sleeping
+//! deliverable `latency + bytes/bandwidth` after its sender's egress queue
+//! frees up, enforced with real sleeps. Each link class
+//! ([`Link`](dlrm_comm::Link)) has its own egress queue and its own
+//! bandwidth: the all-to-alls ride `alltoall_bandwidth`, the dense
+//! all-reduce `allreduce_bandwidth`, as the ledger charges them. Under
+//! `Threaded`, a sleeping
 //! receiver yields its core to other ranks — wire time hides behind codec
 //! time exactly as the paper's overlap pipeline intends. Under
 //! `Sequential`, the pacing sleep holds the serial token — nothing hides,

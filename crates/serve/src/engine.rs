@@ -58,7 +58,7 @@ use dlrm_comm::cluster::RankCtx;
 use dlrm_comm::phase as phases;
 use dlrm_comm::pool::PooledBuf;
 use dlrm_comm::topology::TieredCostModel;
-use dlrm_comm::{CostModel, TimingLedger, WirePolicy};
+use dlrm_comm::{CostModel, Link, TimingLedger, WirePolicy};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
 use dlrm_data::{BatchFeed, DatasetConfig};
 use dlrm_exec::Executor;
@@ -158,7 +158,7 @@ fn pair_cost(
     }
     match tiered {
         Some(t) => t.pair_time(src, dst, bytes as usize),
-        None => cost.p2p_time(bytes as usize),
+        None => cost.message_time(Link::AllToAll, bytes as usize),
     }
 }
 

@@ -828,6 +828,22 @@ impl TrainerConfig {
         if let Some(trace) = &self.bandwidth_trace {
             trace.validate()?;
         }
+        // A paced fabric has one egress queue per link class of the flat
+        // `network`: it cannot pace tiers or follow a trace's steps.
+        if self.realtime_wire && self.topology.is_hierarchical() {
+            return Err(
+                "realtime_wire paces the flat network only; a hierarchical topology's tiers \
+                 would all ride it"
+                    .into(),
+            );
+        }
+        if self.realtime_wire && self.bandwidth_trace.is_some() {
+            return Err(
+                "realtime_wire paces the fixed network; the fabric never sees a bandwidth \
+                 trace's steps"
+                    .into(),
+            );
+        }
         if let Some(fault) = &self.fault {
             fault.plan.validate()?;
             if let Some(spec) = &fault.checkpoint {
@@ -1136,6 +1152,36 @@ mod tests {
             ),
         );
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn realtime_wire_rejects_a_hierarchical_topology() {
+        let hier = TrainerConfig::small_test(CompressionSetting::None).with_topology(
+            TopologySetting::Hierarchical(Topology::new(
+                2,
+                2,
+                NetworkConfig::nvlink_intra_node(),
+                NetworkConfig::paper_figure11(),
+            )),
+        );
+        assert!(hier.validate().is_ok());
+        let err = hier.with_realtime_wire(true).validate().unwrap_err();
+        assert!(err.contains("hierarchical topology"), "{err}");
+    }
+
+    #[test]
+    fn realtime_wire_rejects_a_bandwidth_trace() {
+        use dlrm_comm::BandwidthTrace;
+        let traced = TrainerConfig::small_test(CompressionSetting::None).with_bandwidth_trace(
+            BandwidthTrace::step(
+                NetworkConfig::default(),
+                NetworkConfig::alltoall_bound(5e8),
+                4,
+            ),
+        );
+        assert!(traced.validate().is_ok());
+        let err = traced.with_realtime_wire(true).validate().unwrap_err();
+        assert!(err.contains("bandwidth trace"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! wall-clock fields may differ between executors.
 
 use dlrm_adaptive::CodecProfile;
-use dlrm_comm::{BandwidthTrace, NetworkConfig, Topology};
+use dlrm_comm::{phase as phases, BandwidthTrace, NetworkConfig, Topology};
 use dlrm_compress::CompressorKind;
 use dlrm_data::presets;
 use dlrm_trainer::{
@@ -166,6 +166,48 @@ fn executors_agree_under_realtime_wire() {
         // The wall phase buckets must account for some real time.
         let bucket_sum: f64 = r.wall_phase_seconds.phases().iter().map(|(_, s)| s).sum();
         assert!(bucket_sum > 0.0, "{}: empty wall buckets", r.executor);
+    }
+}
+
+#[test]
+fn paced_allreduce_rides_its_own_link() {
+    // At 100 KB/s the dense all-reduce's ≈ 12 KB per rank per iteration
+    // would take ≈ 120 ms paced at the all-to-all bandwidth; on its own
+    // 8 GB/s link its wire time is well under a millisecond, and what the
+    // wall bucket keeps is waiting for the slowest rank. The mirror network
+    // puts the slow bandwidth under the all-reduce, where its wall must show.
+    let dataset = presets::tiny();
+    let iterations = 4;
+    let slow = 1e5;
+    for (network, allreduce_is_slow) in [
+        (NetworkConfig::alltoall_bound(slow), false),
+        (NetworkConfig::allreduce_bound(slow), true),
+    ] {
+        let mut cfg = tiny_config(CompressionSetting::None, iterations)
+            .with_executor(ExecutorSetting::Threaded)
+            .with_realtime_wire(true);
+        cfg.network = network;
+        let paced = run_training(&dataset, &cfg);
+        let instant = run_training(&dataset, &cfg.with_realtime_wire(false));
+        assert_eq!(numeric_fingerprint(&paced), numeric_fingerprint(&instant));
+        // The ledger's ALLREDUCE bytes are one rank's sent + received.
+        let sent_per_iter =
+            paced.breakdown.bytes(phases::ALLREDUCE) as f64 / (2.0 * iterations as f64);
+        let wall_per_iter = paced.wall_phase_seconds.seconds(phases::ALLREDUCE) / iterations as f64;
+        if allreduce_is_slow {
+            let floor = 0.5 * sent_per_iter / network.allreduce_bandwidth;
+            assert!(
+                wall_per_iter >= floor,
+                "all-reduce on a slow link took {wall_per_iter}s/iter, under {floor}s"
+            );
+        } else {
+            let at_a2a_pace = sent_per_iter / network.alltoall_bandwidth;
+            assert!(at_a2a_pace >= 0.05, "sized too small: {at_a2a_pace}s");
+            assert!(
+                wall_per_iter < 0.25 * at_a2a_pace,
+                "all-reduce took {wall_per_iter}s/iter: paced at the a2a link ({at_a2a_pace}s)"
+            );
+        }
     }
 }
 
