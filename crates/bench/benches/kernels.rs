@@ -1,13 +1,14 @@
 //! Micro-benchmark of the dense path's kernels at the shapes the benchmark's
 //! workloads run (`criteo_kaggle_like`, world 4, global batch 512 → local
 //! batch 128): the three matmul flavours at the top MLP's first layer
-//! (383 → 128), the 27×32 feature interaction forward and backward, and the
-//! whole `forward_dense` / `backward_dense` they add up to.
+//! (383 → 128), `matmul` and `matmul_at` also with a post-ReLU left operand,
+//! the 27×32 feature interaction forward and backward, and the whole
+//! `forward_dense` / `backward_dense` they add up to.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dlrm_data::{presets, EmbeddingTrafficGenerator, SyntheticCriteo};
 use dlrm_model::{interaction, Dlrm, DlrmConfig};
-use dlrm_tensor::Matrix;
+use dlrm_tensor::{ops, Matrix, SeededRng};
 
 const LOCAL_BATCH: usize = 128;
 
@@ -22,17 +23,28 @@ fn bench_matmul(c: &mut Criterion) {
     let x = pattern(LOCAL_BATCH, k, 0);
     let w = pattern(k, n, 1);
     let dy = pattern(LOCAL_BATCH, n, 2);
+    // A post-ReLU activation, like the MLP's real left operands: half its
+    // elements are exact zeros, at random positions, which `matmul` and
+    // `matmul_at` skip.
+    let mut rng = SeededRng::new(3);
+    let relu = Matrix::from_fn(LOCAL_BATCH, k, |_, _| ops::relu(rng.uniform(-1.0, 1.0)));
 
     let mut group = c.benchmark_group("matmul");
     group.throughput(Throughput::Elements((2 * LOCAL_BATCH * k * n) as u64));
     group.bench_function("matmul 128x383 . 383x128", |b| {
         b.iter(|| black_box(&x).matmul(black_box(&w)))
     });
+    group.bench_function("matmul relu(128x383) . 383x128", |b| {
+        b.iter(|| black_box(&relu).matmul(black_box(&w)))
+    });
     group.bench_function("matmul_bt 128x128 . (383x128)^T", |b| {
         b.iter(|| black_box(&dy).matmul_bt(black_box(&w)))
     });
     group.bench_function("matmul_at (128x383)^T . 128x128", |b| {
         b.iter(|| black_box(&x).matmul_at(black_box(&dy)))
+    });
+    group.bench_function("matmul_at relu(128x383)^T . 128x128", |b| {
+        b.iter(|| black_box(&relu).matmul_at(black_box(&dy)))
     });
     group.finish();
 }

@@ -209,9 +209,11 @@ impl Dlrm {
             self.config.num_tables(),
             "one lookup matrix per table"
         );
-        let (bottom_out, bottom_cache) = self.bottom.forward(dense);
+        // The bottom MLP caches its own copy of the batch's dense features;
+        // the interaction output is handed over.
+        let (bottom_out, bottom_cache) = self.bottom.forward(dense.clone());
         let (inter_out, inter_cache) = interaction::forward(&bottom_out, embeddings);
-        let (top_out, top_cache) = self.top.forward(&inter_out);
+        let (top_out, top_cache) = self.top.forward(inter_out);
         DenseCache {
             bottom: bottom_cache,
             interaction: inter_cache,

@@ -6,11 +6,17 @@
 //! lower triangle), and concatenates them with the bottom-MLP output. The
 //! result feeds the top MLP.
 
-use dlrm_tensor::Matrix;
+use dlrm_tensor::{matrix, Matrix};
+use std::ops::Range;
 
 /// Number of pairwise interaction terms for `f` feature vectors.
 pub fn num_pairs(f: usize) -> usize {
     f * f.saturating_sub(1) / 2
+}
+
+/// Where feature `a`'s pairs `(a, 0..a)` sit among a sample's pair terms.
+fn pair_range(a: usize) -> Range<usize> {
+    num_pairs(a)..num_pairs(a + 1)
 }
 
 /// Output width of the interaction layer: `dim + pairs(num_tables + 1)`.
@@ -43,20 +49,14 @@ pub fn forward(bottom: &Matrix, embeddings: &[Matrix]) -> (Matrix, InteractionCa
     let stacked = Matrix::hconcat(&features);
 
     let mut out = Matrix::zeros(batch, output_dim(dim, embeddings.len()));
-    // A zero-width tile has no feature rows to walk, not zero-sized ones.
-    let row_len = dim.max(1);
     for i in 0..batch {
         let tile = stacked.row(i);
         let (passthrough, pairs) = out.row_mut(i).split_at_mut(dim);
         passthrough.copy_from_slice(&tile[..dim]);
         // Pair (a, b < a) in a-major order: every earlier feature against `va`.
-        let mut pairs = pairs.iter_mut();
         for a in 1..features.len() {
             let (earlier, rest) = tile.split_at(a * dim);
-            let va = &rest[..dim];
-            for (vb, z) in earlier.chunks_exact(row_len).zip(&mut pairs) {
-                *z = dlrm_tensor::matrix::dot(va, vb);
-            }
+            matrix::dots(&rest[..dim], earlier, &mut pairs[pair_range(a)]);
         }
     }
     let features = features.len();
@@ -84,19 +84,19 @@ pub fn backward(cache: &InteractionCache, grad_output: &Matrix) -> (Matrix, Vec<
         dv.fill(0.0);
         dv[..dim].copy_from_slice(passthrough);
         // Pairwise dot products: d z_ab / d v_a = v_b and vice versa.
-        let mut pairs = pairs.iter();
         for a in 1..f {
             let (earlier, rest) = tile.split_at(a * dim);
             let va = &rest[..dim];
             let (d_earlier, d_rest) = dv.split_at_mut(a * dim);
-            let da = &mut d_rest[..dim];
-            let rows = earlier.chunks_exact(row_len);
-            let d_rows = d_earlier.chunks_exact_mut(row_len);
-            for ((vb, db), &g) in rows.zip(d_rows).zip(&mut pairs) {
+            let g = &pairs[pair_range(a)];
+            // `da` is still zero here (only features `b < a` were written), so
+            // `da = Σ_b g_ab · v_b` is one vector-matrix product, held in
+            // registers across the `b` loop, skipping zero `g_ab`.
+            matrix::vecmat(g, earlier, &mut d_rest[..dim]);
+            for (db, &g) in d_earlier.chunks_exact_mut(row_len).zip(g) {
                 if g == 0.0 {
                     continue;
                 }
-                axpy(da, g, vb);
                 axpy(db, g, va);
             }
         }

@@ -85,11 +85,12 @@ impl Mlp {
     }
 
     /// Forward pass. Returns the output (`batch x output_dim`) and the cache
-    /// needed by [`Mlp::backward`].
-    pub fn forward(&self, x: &Matrix) -> (Matrix, MlpCache) {
+    /// needed by [`Mlp::backward`]. Takes its input by value: it becomes the
+    /// cache's first entry, as every layer's output becomes the next one.
+    pub fn forward(&self, x: Matrix) -> (Matrix, MlpCache) {
         assert_eq!(x.cols(), self.input_dim(), "MLP input width mismatch");
         let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut current = x.clone();
+        let mut current = x;
         for (li, layer) in self.layers.iter().enumerate() {
             let mut z = current.matmul(&layer.w);
             z.add_row_vector(&layer.b);
@@ -242,7 +243,7 @@ mod tests {
     fn forward_shapes() {
         let mlp = tiny_mlp();
         let x = Matrix::from_fn(5, 4, |r, c| (r + c) as f32 * 0.1);
-        let (y, _) = mlp.forward(&x);
+        let (y, _) = mlp.forward(x);
         assert_eq!(y.rows(), 5);
         assert_eq!(y.cols(), 2);
         assert_eq!(mlp.num_params(), 4 * 8 + 8 + 8 * 2 + 2);
@@ -253,7 +254,7 @@ mod tests {
         // Numerically verify dLoss/dInput where Loss = sum(output).
         let mlp = tiny_mlp();
         let x = Matrix::from_fn(3, 4, |r, c| ((r * 4 + c) as f32 * 0.3).sin());
-        let (_, cache) = mlp.forward(&x);
+        let (_, cache) = mlp.forward(x.clone());
         let grad_out = Matrix::filled(3, 2, 1.0);
         let (grad_in, _) = mlp.backward(&cache, &grad_out);
 
@@ -264,8 +265,8 @@ mod tests {
                 xp.set(r, c, x.get(r, c) + eps);
                 let mut xm = x.clone();
                 xm.set(r, c, x.get(r, c) - eps);
-                let fp: f32 = mlp.forward(&xp).0.as_slice().iter().sum();
-                let fm: f32 = mlp.forward(&xm).0.as_slice().iter().sum();
+                let fp: f32 = mlp.forward(xp).0.as_slice().iter().sum();
+                let fm: f32 = mlp.forward(xm).0.as_slice().iter().sum();
                 let numeric = (fp - fm) / (2.0 * eps);
                 let analytic = grad_in.get(r, c);
                 assert!(
@@ -280,7 +281,7 @@ mod tests {
     fn weight_gradient_check() {
         let mlp = tiny_mlp();
         let x = Matrix::from_fn(2, 4, |r, c| ((r + c) as f32 * 0.7).cos());
-        let (_, cache) = mlp.forward(&x);
+        let (_, cache) = mlp.forward(x.clone());
         let grad_out = Matrix::filled(2, 2, 1.0);
         let (_, grads) = mlp.backward(&cache, &grad_out);
 
@@ -290,8 +291,8 @@ mod tests {
         plus.layers[0].w.set(1, 2, mlp.layers[0].w.get(1, 2) + eps);
         let mut minus = mlp.clone();
         minus.layers[0].w.set(1, 2, mlp.layers[0].w.get(1, 2) - eps);
-        let fp: f32 = plus.forward(&x).0.as_slice().iter().sum();
-        let fm: f32 = minus.forward(&x).0.as_slice().iter().sum();
+        let fp: f32 = plus.forward(x.clone()).0.as_slice().iter().sum();
+        let fm: f32 = minus.forward(x.clone()).0.as_slice().iter().sum();
         let numeric = (fp - fm) / (2.0 * eps);
         let analytic = grads.weights[0].get(1, 2);
         assert!(
@@ -306,7 +307,7 @@ mod tests {
         let mut mlp = tiny_mlp();
         let x = Matrix::from_fn(4, 4, |r, c| (r as f32 - c as f32) * 0.2);
         let loss = |m: &Mlp| -> f32 {
-            m.forward(&x)
+            m.forward(x.clone())
                 .0
                 .as_slice()
                 .iter()
@@ -315,7 +316,7 @@ mod tests {
         };
         let initial = loss(&mlp);
         for _ in 0..50 {
-            let (y, cache) = mlp.forward(&x);
+            let (y, cache) = mlp.forward(x.clone());
             let grad_out = y.map(|v| 2.0 * v);
             let (_, grads) = mlp.backward(&cache, &grad_out);
             mlp.apply_grads(&grads, 0.01);
@@ -327,7 +328,7 @@ mod tests {
     fn flatten_unflatten_roundtrip() {
         let mlp = tiny_mlp();
         let x = Matrix::from_fn(3, 4, |r, c| (r * c) as f32 * 0.05);
-        let (y, cache) = mlp.forward(&x);
+        let (y, cache) = mlp.forward(x);
         let (_, grads) = mlp.backward(&cache, &y);
         let flat = Mlp::flatten_grads(&grads);
         assert_eq!(flat.len(), mlp.num_params());
@@ -353,6 +354,6 @@ mod tests {
     fn wrong_input_width_panics() {
         let mlp = tiny_mlp();
         let x = Matrix::zeros(2, 5);
-        let _ = mlp.forward(&x);
+        let _ = mlp.forward(x);
     }
 }

@@ -1,0 +1,45 @@
+//! The dense pass, pinned by bits: the FNV of `forward_dense`'s logits and of
+//! `backward_dense`'s flat MLP gradients and embedding gradients at the
+//! benchmark's shape (`criteo_kaggle_like`, local batch 128, seed 1).
+//!
+//! The dense kernels guarantee a summation order that is a function of the
+//! operand shapes alone, so a rewrite of them that keeps that order must pass
+//! this table unmodified. A change here means every loss, gradient and
+//! fingerprint downstream moved.
+
+use dlrm_data::{presets, EmbeddingTrafficGenerator, SyntheticCriteo};
+use dlrm_model::{Dlrm, DlrmConfig};
+
+const LOCAL_BATCH: usize = 128;
+
+/// `(logits, flat MLP gradients, embedding gradients)` FNVs, captured with
+/// the row-at-a-time kernels the register-blocked ones replaced.
+const PINNED: (u64, u64, u64) = (
+    11_438_893_357_781_917_968,
+    10_236_258_065_918_326_565,
+    4_782_322_704_470_129_418,
+);
+
+fn fnv(values: impl IntoIterator<Item = f32>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn dense_pass_bits_are_pinned() {
+    let dataset = presets::criteo_kaggle_like();
+    let model = Dlrm::new_partial(DlrmConfig::from_dataset(&dataset), 1, Some(&[]));
+    let batch = SyntheticCriteo::new(dataset.clone(), 1).next_batch(LOCAL_BATCH);
+    let lookups = EmbeddingTrafficGenerator::new(dataset, 1).all_tables_batch(LOCAL_BATCH);
+
+    let cache = model.forward_dense(&batch.dense, &lookups);
+    let grads = model.backward_dense(&cache, &batch.labels);
+    let embedding_grads = grads.embedding_grads.iter().flat_map(|g| g.as_slice());
+    let got = (
+        fnv(cache.logits.iter().copied()),
+        fnv(model.flatten_mlp_grads(&grads)),
+        fnv(embedding_grads.copied()),
+    );
+    assert_eq!(got, PINNED, "(logits, MLP grads, embedding grads) FNV");
+}

@@ -1,17 +1,22 @@
 //! Row-major dense `f32` matrix.
 //!
 //! [`Matrix`] is the only tensor type the DLRM reproduction needs: embedding
-//! batches, MLP weights and activations are all 2-D. The implementation is
-//! deliberately simple — contiguous storage, cache-blocked matmul, inner
-//! loops written as fixed-width chunked passes the compiler vectorises — and
-//! avoids `unsafe`. Threads live in `dlrm-exec`, one per rank, never here.
+//! batches, MLP weights and activations are all 2-D. Storage is contiguous
+//! and row-major. The dense kernels — [`dot`], [`dots`], [`vecmat`] and the
+//! three matmul flavours built on them — are register-blocked over a private
+//! 4-lane vector (SSE2 on x86_64; `unsafe` is confined to that module), and
+//! each fixes the sequence of float operations behind every output element
+//! as a function of the operand shapes alone. Threads live in `dlrm-exec`,
+//! one per rank, never here.
 
+use crate::lanes::F4;
 use serde::{Deserialize, Serialize};
 
-/// Cache block edge (in elements) for the blocked matmul kernels.
-const BLOCK: usize = 64;
+/// Output columns [`vecmat`] keeps in registers across the whole reduction:
+/// eight 4-lane accumulators.
+const STRIP: usize = 32;
 
-/// Independent accumulators of a dot product (see [`dot`]).
+/// Accumulators of a dot product, held as two 4-lane halves (see [`dot`]).
 const LANES: usize = 8;
 
 /// A dense, row-major matrix of `f32`. The default is the empty `0 x 0`
@@ -135,7 +140,8 @@ impl Matrix {
         out
     }
 
-    /// `self @ other` (standard matrix product).
+    /// `self @ other` (standard matrix product): row `r` is
+    /// [`vecmat`]`(self.row(r), other)`.
     ///
     /// # Panics
     /// Panics if `self.cols() != other.rows()`.
@@ -147,14 +153,14 @@ impl Matrix {
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
         for r in 0..self.rows {
-            let out_row = &mut out.data[r * other.cols..(r + 1) * other.cols];
-            matmul_row(self.row(r), &other.data, other.cols, out_row);
+            vecmat(self.row(r), &other.data, out.row_mut(r));
         }
         out
     }
 
     /// `self @ other.T` — useful for computing gradients without materialising
-    /// the transpose. Every element is one [`dot`] of two rows.
+    /// the transpose: row `r` is [`dots`]`(self.row(r), other)`, so every
+    /// element is bit for bit one [`dot`] of two rows.
     pub fn matmul_bt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -163,17 +169,15 @@ impl Matrix {
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
         for r in 0..self.rows {
-            let a_row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let out_row = &mut out.data[r * other.rows..(r + 1) * other.rows];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = dot(a_row, other.row(j));
-            }
+            dots(self.row(r), &other.data, out.row_mut(r));
         }
         out
     }
 
     /// `self.T @ other` — the other gradient flavour (e.g. weight gradients
-    /// `X^T @ dY`).
+    /// `X^T @ dY`): row `i` is [`vecmat`] of column `i` of `self` with
+    /// `other`, so element `(i, j)` sums `self(r, i) · other(r, j)` over
+    /// ascending `r`, skipping every `self(r, i)` that is exactly zero.
     pub fn matmul_at(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
@@ -181,19 +185,9 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.cols, other.cols);
-        // Accumulate rank-1 updates row by row: out += a_row^T * b_row.
-        for r in 0..self.rows {
-            let a_row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let b_row = &other.data[r * other.cols..(r + 1) * other.cols];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
+        for i in 0..self.cols {
+            let column = self.data.iter().skip(i).step_by(self.cols).copied();
+            vecmat_by(column, &other.data, out.row_mut(i));
         }
         out
     }
@@ -295,27 +289,55 @@ impl Matrix {
     }
 }
 
-/// `out_row = a_row @ B` where `B` is `a_row.len() x ocols`, blocked over k.
+/// `out = x · B`, where `B` is the row-major `x.len() × out.len()` matrix
+/// `b`; `out` is overwritten.
 ///
-/// Out of line on purpose: inlined into `matmul`'s row loop, the 8-float inner
-/// loop straddles a 64-byte line on x86-64 and measures 3–4 % slower.
-#[inline(never)]
-fn matmul_row(a_row: &[f32], b: &[f32], ocols: usize, out_row: &mut [f32]) {
-    out_row.iter_mut().for_each(|x| *x = 0.0);
-    let k_total = a_row.len();
-    let mut k0 = 0;
-    while k0 < k_total {
-        let k1 = (k0 + BLOCK).min(k_total);
-        for (k, &a) in a_row.iter().enumerate().take(k1).skip(k0) {
+/// Element `j` starts at `+0.0` and adds `x[k] · B(k, j)` for ascending `k`,
+/// skipping every `x[k]` that is exactly zero (post-ReLU inputs are about
+/// half zeros), so no value in a skipped row of `B` — not even a NaN or an
+/// infinity — reaches `out`. Each 32-column strip of `out` stays in eight
+/// 4-lane registers across the whole `k` loop; the `out.len() % 32` tail
+/// columns take the same steps one float at a time.
+///
+/// # Panics
+/// Panics if `b.len() != x.len() * out.len()`.
+pub fn vecmat(x: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(b.len(), x.len() * out.len(), "vecmat shape mismatch");
+    vecmat_by(x.iter().copied(), b, out);
+}
+
+/// [`vecmat`] over a left operand given as an iterator (`matmul_at` walks a
+/// column), walked once per strip.
+fn vecmat_by(x: impl Iterator<Item = f32> + Clone, b: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    let (strips, tail) = out.split_at_mut(n - n % STRIP);
+    for (s, strip) in strips.chunks_exact_mut(STRIP).enumerate() {
+        let j0 = s * STRIP;
+        let mut acc = [F4::zero(); STRIP / 4];
+        for (k, a) in x.clone().enumerate() {
             if a == 0.0 {
                 continue;
             }
-            let b_row = &b[k * ocols..(k + 1) * ocols];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
+            let (a, row) = (F4::splat(a), &b[k * n + j0..k * n + j0 + STRIP]);
+            for (acc, row) in acc.iter_mut().zip(row.chunks_exact(4)) {
+                *acc = *acc + a * F4::load(row);
+            }
+        }
+        for (acc, strip) in acc.iter().zip(strip.chunks_exact_mut(4)) {
+            acc.store(strip);
+        }
+    }
+    if !tail.is_empty() {
+        let j0 = n - tail.len();
+        tail.fill(0.0);
+        for (k, a) in x.enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &bv) in tail.iter_mut().zip(&b[k * n + j0..(k + 1) * n]) {
                 *o += a * bv;
             }
         }
-        k0 = k1;
     }
 }
 
@@ -323,20 +345,82 @@ fn matmul_row(a_row: &[f32], b: &[f32], ocols: usize, out_row: &mut [f32]) {
 ///
 /// The reduction order is a function of the length alone: element `k` of the
 /// first `len − len % 8` goes to accumulator `k % 8`, the eight accumulators
-/// fold pairwise in a fixed tree, then the tail is added left to right. No
-/// thread count, CPU feature or caller changes a bit of the result.
+/// fold in the fixed tree `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`, then the
+/// tail is added left to right. Accumulators 0–3 and 4–7 are two 4-lane
+/// registers, `lo` and `hi`, so the fold is `t = lo + hi`, then
+/// `(t0+t2)+(t1+t3)`. No thread count, CPU feature or caller changes a bit of
+/// the result.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot of unequal lengths");
-    let (a_chunks, b_chunks) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
-    let tail = a_chunks.remainder().iter().zip(b_chunks.remainder());
-    let mut acc = [0.0f32; LANES];
-    for (x, y) in a_chunks.zip(b_chunks) {
-        for l in 0..LANES {
-            acc[l] += x[l] * y[l];
+    let body = a.len() - a.len() % LANES;
+    let (mut lo, mut hi) = (F4::zero(), F4::zero());
+    let chunks = a[..body]
+        .chunks_exact(LANES)
+        .zip(b[..body].chunks_exact(LANES));
+    for (x, y) in chunks {
+        lo = lo + F4::load(&x[..4]) * F4::load(&y[..4]);
+        hi = hi + F4::load(&x[4..]) * F4::load(&y[4..]);
+    }
+    let [t0, t1, t2, t3] = (lo + hi).to_array();
+    add_products((t0 + t2) + (t1 + t3), &a[body..], &b[body..])
+}
+
+/// `out[j] = dot(x, B(j))` for every row `j` of the row-major
+/// `out.len() × x.len()` matrix `rows`, bit for bit.
+///
+/// Four rows are in flight at a time, each dot as [`dot`]'s two 4-lane halves
+/// (eight registers), sharing the loads of `x`; a 4×4 transpose then folds
+/// all four at once in `dot`'s tree. The `out.len() % 4` last rows go
+/// through [`dot`] itself.
+///
+/// # Panics
+/// Panics if `rows.len() != x.len() * out.len()`.
+pub fn dots(x: &[f32], rows: &[f32], out: &mut [f32]) {
+    let len = x.len();
+    assert_eq!(rows.len(), len * out.len(), "dots shape mismatch");
+    if len == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let (quads, rest) = out.split_at_mut(out.len() - out.len() % 4);
+    let (quad_rows, rest_rows) = rows.split_at(quads.len() * len);
+    for (out, b) in quads
+        .chunks_exact_mut(4)
+        .zip(quad_rows.chunks_exact(4 * len))
+    {
+        let b = [0, 1, 2, 3].map(|j| &b[j * len..(j + 1) * len]);
+        out.copy_from_slice(&dot4(x, b));
+    }
+    for (o, b) in rest.iter_mut().zip(rest_rows.chunks_exact(len)) {
+        *o = dot(x, b);
+    }
+}
+
+/// `[dot(x, b[0]), …, dot(x, b[3])]` with the four reductions interleaved.
+fn dot4(x: &[f32], b: [&[f32]; 4]) -> [f32; 4] {
+    let body = x.len() - x.len() % LANES;
+    let b = b.map(|b| &b[..x.len()]);
+    let (mut lo, mut hi) = ([F4::zero(); 4], [F4::zero(); 4]);
+    for k in (0..body).step_by(LANES) {
+        let (xl, xh) = (F4::load(&x[k..]), F4::load(&x[k + 4..]));
+        for j in 0..4 {
+            lo[j] = lo[j] + xl * F4::load(&b[j][k..]);
+            hi[j] = hi[j] + xh * F4::load(&b[j][k + 4..]);
         }
     }
-    let folded = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
-    tail.fold(folded, |sum, (x, y)| sum + x * y)
+    // Lane `l` of `t[j]` is `dot`'s `t_l` for row `j`; after the transpose,
+    // lane `j` of `s[l]` is, so one vector fold serves all four rows.
+    let [s0, s1, s2, s3] = F4::transpose([0, 1, 2, 3].map(|j| lo[j] + hi[j]));
+    let mut sums = ((s0 + s2) + (s1 + s3)).to_array();
+    for (sum, b) in sums.iter_mut().zip(b) {
+        *sum = add_products(*sum, &x[body..], &b[body..]);
+    }
+    sums
+}
+
+/// `sum + a[0]·b[0] + a[1]·b[1] + …`, left to right: a dot product's tail.
+fn add_products(sum: f32, a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).fold(sum, |sum, (x, y)| sum + x * y)
 }
 
 #[cfg(test)]

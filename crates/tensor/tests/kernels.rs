@@ -1,4 +1,5 @@
-//! The dense kernels against an f64 reference over ragged shapes, and their
+//! The dense kernels bit for bit against scalar loops written in their
+//! documented order, against an f64 reference over ragged shapes, and their
 //! bit-determinism: the reduction order is a function of the operand shapes
 //! alone, so repeated and concurrent calls return identical bits.
 
@@ -87,6 +88,139 @@ proptest! {
         let out = at.matmul_at(&b);
         prop_assert_eq!((out.rows(), out.cols()), (m, n), "matmul_at shape, {}", context);
         assert_product(&out, inner, |i, k| at.get(k, i), |k, j| b.get(k, j), &format!("matmul_at, {context}"));
+    }
+}
+
+/// Every reduced and output length the contract is checked at: the 4- and
+/// 8-lane edges, the 32-column strip edges, and the top MLP's 383-wide input.
+const SIZES: [usize; 14] = [0, 1, 3, 4, 7, 8, 9, 31, 32, 33, 64, 127, 128, 383];
+
+/// `(m, k, n)` problems: every triple of [`SIZES`] with at most one length
+/// of 64 or more, plus the three products of the top MLP's first layer at
+/// the benchmark's local batch of 128.
+fn shapes() -> Vec<(usize, usize, usize)> {
+    let mut shapes = Vec::new();
+    for &m in &SIZES {
+        for &k in &SIZES {
+            for &n in &SIZES {
+                if [m, k, n].iter().filter(|&&d| d >= 64).count() <= 1 {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+    }
+    shapes.extend([(128, 383, 128), (128, 128, 383), (383, 128, 128)]);
+    shapes
+}
+
+/// About half exact zeros (both signs) and, when `special` is set, 1.5 %
+/// infinities of both signs and NaNs; the rest uniform in `[-1, 1)`.
+fn operand(rows: usize, cols: usize, special: bool, rng: &mut SeededRng) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| match rng.index(200) {
+        0..=89 => 0.0,
+        90..=99 => -0.0,
+        100 if special => f32::INFINITY,
+        101 if special => f32::NEG_INFINITY,
+        102 if special => f32::NAN,
+        _ => rng.uniform(-1.0, 1.0),
+    })
+}
+
+/// `matmul`'s and `matmul_at`'s documented order: element `(i, j)` starts at
+/// `+0.0` and adds `a(i, k) · b(k, j)` for ascending `k`, skipping every
+/// `a(i, k)` that is exactly zero.
+fn reference_product(
+    (m, inner, n): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+) -> Vec<f32> {
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut sum = 0.0f32;
+            for k in 0..inner {
+                let x = a(i, k);
+                if x != 0.0 {
+                    sum += x * b(k, j);
+                }
+            }
+            out.push(sum);
+        }
+    }
+    out
+}
+
+/// `dot`'s documented order: element `k` of the first `len − len % 8` into
+/// accumulator `k % 8`, the fold `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`,
+/// then the tail left to right.
+fn reference_dot(a: &[f32], b: &[f32]) -> f32 {
+    let body = a.len() - a.len() % 8;
+    let mut acc = [0.0f32; 8];
+    for k in 0..body {
+        acc[k % 8] += a[k] * b[k];
+    }
+    let mut sum = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+    for k in body..a.len() {
+        sum += a[k] * b[k];
+    }
+    sum
+}
+
+/// Bits, with every NaN as one value: IEEE fixes whether a result is NaN,
+/// not which payload it carries.
+fn bits(values: &[f32]) -> Vec<u32> {
+    let canonical = |v: &f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+    values.iter().map(canonical).collect()
+}
+
+#[test]
+fn kernels_follow_their_documented_order_bit_for_bit() {
+    let mut rng = SeededRng::new(29);
+    for (m, inner, n) in shapes() {
+        // Infinities and NaNs only where the reference stays cheap: they
+        // poison most sums, so large shapes add nothing but time.
+        let specials: &[bool] = if m * inner * n <= 1 << 16 {
+            &[false, true]
+        } else {
+            &[false]
+        };
+        for &special in specials {
+            let context = format!("{m} x {inner} x {n}, special values {special}");
+            let a = operand(m, inner, special, &mut rng);
+            let b = operand(inner, n, special, &mut rng);
+            let want = reference_product((m, inner, n), |i, k| a.get(i, k), |k, j| b.get(k, j));
+            assert_eq!(
+                bits(a.matmul(&b).as_slice()),
+                bits(&want),
+                "matmul, {context}"
+            );
+
+            let at = operand(inner, m, special, &mut rng);
+            let want = reference_product((m, inner, n), |i, k| at.get(k, i), |k, j| b.get(k, j));
+            assert_eq!(
+                bits(at.matmul_at(&b).as_slice()),
+                bits(&want),
+                "matmul_at, {context}"
+            );
+
+            let bt = operand(n, inner, special, &mut rng);
+            let want: Vec<f32> = (0..m * n)
+                .map(|e| reference_dot(a.row(e / n), bt.row(e % n)))
+                .collect();
+            assert_eq!(
+                bits(a.matmul_bt(&bt).as_slice()),
+                bits(&want),
+                "matmul_bt, {context}"
+            );
+            if m > 0 && n > 0 {
+                let (x, y) = (a.row(0), bt.row(0));
+                assert_eq!(
+                    bits(&[dot(x, y)]),
+                    bits(&[reference_dot(x, y)]),
+                    "dot, {context}"
+                );
+            }
+        }
     }
 }
 
