@@ -3,7 +3,10 @@
 //! batch 128): the three matmul flavours at the top MLP's first layer
 //! (383 → 128), `matmul` and `matmul_at` also with a post-ReLU left operand,
 //! the 27×32 feature interaction forward and backward, and the whole
-//! `forward_dense` / `backward_dense` they add up to.
+//! `forward_dense` / `backward_dense` they add up to, with the backward pass
+//! also in its two halves: `backward_embeddings` (what the backward exchange
+//! waits for) and `backward_weights` (what the trainer runs while it is in
+//! flight).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dlrm_data::{presets, EmbeddingTrafficGenerator, SyntheticCriteo};
@@ -11,6 +14,7 @@ use dlrm_model::{interaction, Dlrm, DlrmConfig};
 use dlrm_tensor::{ops, Matrix, SeededRng};
 
 const LOCAL_BATCH: usize = 128;
+const SAMPLES: usize = 50;
 
 fn pattern(rows: usize, cols: usize, salt: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |i, j| {
@@ -85,12 +89,25 @@ fn bench_dense(c: &mut Criterion) {
     group.bench_function("backward_dense", |b| {
         b.iter(|| model.backward_dense(black_box(&cache), black_box(&batch.labels)))
     });
+    group.bench_function("backward_embeddings", |b| {
+        b.iter(|| model.backward_embeddings(black_box(&cache), black_box(&batch.labels)))
+    });
+    // `backward_weights` consumes the embedding half: hand each call its own
+    // copy, made outside the timed region (one per sample plus the warm-up).
+    let back = model.backward_embeddings(&cache, &batch.labels);
+    let mut backs = vec![back.clone(); SAMPLES + 1];
+    group.bench_function("backward_weights", |b| {
+        b.iter(|| {
+            let back = backs.pop().unwrap_or_else(|| back.clone());
+            model.backward_weights(black_box(&cache), back)
+        })
+    });
     group.finish();
 }
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(50);
+    config = Criterion::default().sample_size(SAMPLES);
     targets = bench_matmul, bench_interaction, bench_dense
 }
 criterion_main!(benches);

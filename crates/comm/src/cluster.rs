@@ -381,6 +381,13 @@ impl RankCtx {
         let leader = topo.leader_of(rank);
         let am_leader = rank == leader;
         let mut bytes = HierExchangeBytes::default();
+        // A leader's exchange bundle comes home whenever the remote leader
+        // is done with it, which may or may not be before this call takes
+        // its scatter bundles; so may any lease a peer drops. Serving this
+        // call only from what was parked when it began keeps its pool demand
+        // the same in every thread interleaving, so warm-up sizes the pool
+        // for all of them.
+        let _hold = self.pool.hold_returns();
 
         let mut scratch = self.scratch.borrow_mut();
         let mut slots = std::mem::take(&mut scratch.slots);

@@ -53,11 +53,20 @@ impl PoolStats {
 
 #[derive(Debug, Default)]
 struct PoolInner {
-    free: Mutex<Vec<Vec<u8>>>,
+    free: Mutex<FreeList>,
     allocations: AtomicU64,
     allocated_bytes: AtomicU64,
     reuses: AtomicU64,
     reused_bytes: AtomicU64,
+}
+
+/// Parked storage. While a [`ReturnHold`] is open, returned storage waits in
+/// `held` instead of `free`, so takes see only what was parked before.
+#[derive(Debug, Default)]
+struct FreeList {
+    free: Vec<Vec<u8>>,
+    held: Vec<Vec<u8>>,
+    holds: usize,
 }
 
 /// A shared, thread-safe pool of byte buffers. Cheap to clone (`Arc`
@@ -82,7 +91,7 @@ impl BufferPool {
     /// place; only an empty pool allocates.
     pub fn take(&self, capacity: usize) -> PooledBuf {
         let reclaimed = {
-            let mut free = self.inner.free.lock().expect("pool poisoned");
+            let free = &mut self.inner.free.lock().expect("pool poisoned").free;
             let mut best_fit: Option<(usize, usize)> = None; // (index, capacity)
             let mut largest: Option<(usize, usize)> = None;
             for (i, b) in free.iter().enumerate() {
@@ -152,7 +161,35 @@ impl BufferPool {
 
     /// Number of buffers currently parked in the free list.
     pub fn idle_buffers(&self) -> usize {
-        self.inner.free.lock().expect("pool poisoned").len()
+        self.inner.free.lock().expect("pool poisoned").free.len()
+    }
+
+    /// Hold back returned storage until the guard drops: leases returned
+    /// meanwhile — by this rank or by a peer — are parked only then, so
+    /// every take in between is served from what was parked before. A
+    /// collective holds its rank's pool for the whole call, which makes the
+    /// buffers it can reuse independent of how fast peers drop what it sent.
+    pub(crate) fn hold_returns(&self) -> ReturnHold<'_> {
+        self.inner.free.lock().expect("pool poisoned").holds += 1;
+        ReturnHold { pool: self }
+    }
+}
+
+/// Guard of [`BufferPool::hold_returns`]; parks the held-back storage when
+/// the last open hold drops.
+#[derive(Debug)]
+pub(crate) struct ReturnHold<'a> {
+    pool: &'a BufferPool,
+}
+
+impl Drop for ReturnHold<'_> {
+    fn drop(&mut self) {
+        let mut list = self.pool.inner.free.lock().expect("pool poisoned");
+        list.holds -= 1;
+        if list.holds == 0 {
+            let FreeList { free, held, .. } = &mut *list;
+            free.append(held);
+        }
     }
 }
 
@@ -192,9 +229,13 @@ impl Drop for PooledBuf {
             return;
         }
         let buf = std::mem::take(&mut self.buf);
-        let mut free = self.pool.free.lock().expect("pool poisoned");
-        if free.len() < MAX_POOLED {
-            free.push(buf);
+        let mut list = self.pool.free.lock().expect("pool poisoned");
+        if list.free.len() + list.held.len() < MAX_POOLED {
+            if list.holds > 0 {
+                list.held.push(buf);
+            } else {
+                list.free.push(buf);
+            }
         }
     }
 }
@@ -227,6 +268,25 @@ mod tests {
         drop(small); // free list (oldest→newest): [big, small]
         let b = pool.take(500);
         assert!(b.capacity() >= 1000, "should pick the buffer that fits");
+    }
+
+    #[test]
+    fn storage_returned_during_a_hold_is_parked_when_it_closes() {
+        let pool = BufferPool::new();
+        drop(pool.take(100));
+        let outer = pool.hold_returns();
+        let lease = pool.take(1000);
+        let inner = pool.hold_returns();
+        drop(lease);
+        // Held back: only the 100-byte buffer is parked, so it grows.
+        assert!(pool.take(500).capacity() >= 500);
+        assert_eq!((pool.stats().allocations, pool.idle_buffers()), (3, 0));
+        drop(inner);
+        assert_eq!(pool.idle_buffers(), 0, "the outer hold is still open");
+        drop(outer);
+        assert_eq!(pool.idle_buffers(), 2);
+        assert!(pool.take(1000).capacity() >= 1000);
+        assert_eq!(pool.stats().allocations, 3, "the returned lease recycles");
     }
 
     #[test]

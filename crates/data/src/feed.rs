@@ -18,6 +18,12 @@
 //! that does still hold the old step keeps it — the slot gets fresh storage
 //! instead (counted by [`BatchFeed::spills`]) — and a request the two slots
 //! cannot serve is a panic with a message, never a block or an overwrite.
+//!
+//! [`BatchFeed::prefetch`] lets a caller draw the next step while it has
+//! nothing better to do (waiting on the wire). It never waits and never
+//! spills: it does nothing unless the step is the next one, nobody holds the
+//! feed, and the slot it would recycle is unshared. A prefetched step is
+//! served by [`BatchFeed::step`] like any other.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -42,6 +48,25 @@ struct FeedState {
     next: usize,
     generated: u64,
     spills: u64,
+    prefetched: u64,
+}
+
+impl FeedState {
+    /// Draw step `next` into its slot, recycling the slot's storage unless a
+    /// caller still holds it.
+    fn generate(&mut self, batch_size: usize, parts: usize) {
+        let step = self.next;
+        let slot = &mut self.slots[step % 2];
+        if Arc::get_mut(&mut slot.shards).is_none() {
+            slot.shards = Arc::default();
+            self.spills += 1;
+        }
+        let shards = Arc::get_mut(&mut slot.shards).expect("checked or replaced just above");
+        self.generator.next_batch_into(batch_size, parts, shards);
+        slot.step = Some(step);
+        self.next += 1;
+        self.generated += 1;
+    }
 }
 
 #[derive(Debug, Default)]
@@ -65,6 +90,7 @@ impl BatchFeed {
                 next: 0,
                 generated: 0,
                 spills: 0,
+                prefetched: 0,
             }),
         }
     }
@@ -95,21 +121,9 @@ impl BatchFeed {
     /// one step behind the newest (callers sharing a feed must stay within
     /// one step of each other), or if callers disagree on `batch_size`.
     pub fn step(&self, step: usize, batch_size: usize) -> Arc<Vec<MiniBatch>> {
-        let mut guard = self.lock();
-        let state = &mut *guard;
+        let mut state = self.lock();
         if step == state.next {
-            let slot = &mut state.slots[step % 2];
-            if Arc::get_mut(&mut slot.shards).is_none() {
-                slot.shards = Arc::default();
-                state.spills += 1;
-            }
-            let shards = Arc::get_mut(&mut slot.shards).expect("checked or replaced just above");
-            state
-                .generator
-                .next_batch_into(batch_size, self.parts, shards);
-            slot.step = Some(step);
-            state.next += 1;
-            state.generated += 1;
+            state.generate(batch_size, self.parts);
         }
         let slot = &state.slots[step % 2];
         assert!(
@@ -126,6 +140,24 @@ impl BatchFeed {
         Arc::clone(&slot.shards)
     }
 
+    /// Draw step `step` (a global batch of `batch_size` samples) ahead of
+    /// its first [`BatchFeed::step`] call, if that costs nobody anything:
+    /// only when `step` is the next step to generate, no other caller holds
+    /// the feed, and the slot it would recycle is unshared. Otherwise it
+    /// returns at once, so it never blocks and never spills. Returns whether
+    /// it generated the step.
+    pub fn prefetch(&self, step: usize, batch_size: usize) -> bool {
+        let Ok(mut state) = self.state.try_lock() else {
+            return false;
+        };
+        if step != state.next || Arc::get_mut(&mut state.slots[step % 2].shards).is_none() {
+            return false;
+        }
+        state.generate(batch_size, self.parts);
+        state.prefetched += 1;
+        true
+    }
+
     /// Batches generated so far, not counting the fast-forwarded prefix:
     /// one per step served, however many callers asked for it.
     pub fn generated(&self) -> u64 {
@@ -136,6 +168,12 @@ impl BatchFeed {
     /// step before last, and took fresh storage instead of recycling it.
     pub fn spills(&self) -> u64 {
         self.lock().spills
+    }
+
+    /// Steps [`BatchFeed::prefetch`] generated (each is also counted by
+    /// [`BatchFeed::generated`]).
+    pub fn prefetched(&self) -> u64 {
+        self.lock().prefetched
     }
 
     fn lock(&self) -> MutexGuard<'_, FeedState> {

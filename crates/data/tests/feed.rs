@@ -2,9 +2,11 @@
 //! draw for itself, once per step, to callers in any order the
 //! bulk-synchronous schedule allows — and the stream itself is pinned.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Barrier};
 
 use dlrm_data::{presets, BatchFeed, MiniBatch, SyntheticCriteo, TrafficDrift};
+use proptest::prelude::*;
 
 /// Step sizes of a serving-style schedule: full windows, then a short one.
 const WINDOWS: [usize; 5] = [50, 50, 50, 50, 23];
@@ -97,6 +99,87 @@ fn a_caller_two_steps_ahead_panics_instead_of_skipping() {
     let feed = BatchFeed::new(presets::tiny(), 5, 2);
     feed.step(0, 16);
     feed.step(2, 16);
+}
+
+const PREFETCH_STEPS: usize = 8;
+
+/// Step sizes differ, so a prefetch drawn at the wrong size would show.
+fn prefetch_batch(step: usize) -> usize {
+    37 + step % 3
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A caller that prefetches at arbitrary moments — stale steps, the step
+    /// it is about to take, the one after, one too far ahead — while holding
+    /// steps for up to two rounds, gets exactly the stream, spills and
+    /// generation count of a plain feed driven through the same holds.
+    #[test]
+    fn prefetch_in_any_interleaving_serves_the_plain_stream(
+        world in 1usize..=3,
+        schedule in prop::collection::vec((0usize..4, 0usize..4, any::<bool>()), PREFETCH_STEPS),
+    ) {
+        let dataset = presets::tiny();
+        let feed = BatchFeed::new(dataset.clone(), 13, world);
+        let plain = BatchFeed::new(dataset.clone(), 13, world);
+        let mut generator = SyntheticCriteo::new(dataset, 13);
+        let mut held: VecDeque<(usize, _, _)> = VecDeque::new();
+        let prefetch = |step: usize| {
+            if step < PREFETCH_STEPS {
+                feed.prefetch(step, prefetch_batch(step));
+            }
+        };
+        for (k, &(before, after, keep)) in schedule.iter().enumerate() {
+            prefetch((k + before).saturating_sub(1));
+            let got = feed.step(k, prefetch_batch(k));
+            let reference = plain.step(k, prefetch_batch(k));
+            let expected = generator.next_batch(prefetch_batch(k)).shard(world);
+            prop_assert_eq!(&*got, &expected, "step {}", k);
+            prop_assert_eq!(&*reference, &expected, "step {}", k);
+            prefetch((k + after).saturating_sub(1));
+            // A held step lives through the next step's generation.
+            held.retain(|&(step, ..)| step + 1 >= k);
+            if keep {
+                held.push_back((k, got, reference));
+            }
+        }
+        prop_assert_eq!(feed.generated(), plain.generated());
+        prop_assert_eq!(feed.spills(), plain.spills());
+        prop_assert!(feed.prefetched() <= feed.generated());
+        prop_assert_eq!(plain.prefetched(), 0);
+    }
+}
+
+#[test]
+fn a_prefetch_into_a_held_slot_is_a_no_op() {
+    let feed = BatchFeed::new(presets::tiny(), 5, 2);
+    let step0 = feed.step(0, 16);
+    drop(feed.step(1, 16));
+    // Step 2 would recycle step 0's slot, which a caller still holds.
+    assert!(!feed.prefetch(2, 16));
+    assert_eq!(
+        (feed.generated(), feed.spills(), feed.prefetched()),
+        (2, 0, 0)
+    );
+    // Not the next step, stale or too far ahead: no-ops too.
+    for step in [0, 1, 3] {
+        assert!(!feed.prefetch(step, 16));
+    }
+    assert_eq!(
+        (feed.generated(), feed.spills(), feed.prefetched()),
+        (2, 0, 0)
+    );
+    drop(step0);
+    assert!(feed.prefetch(2, 16));
+    assert!(!feed.prefetch(2, 16), "a step is generated once");
+    let mut generator = SyntheticCriteo::new(presets::tiny(), 5);
+    let expected: Vec<_> = (0..3).map(|_| generator.next_batch(16).shard(2)).collect();
+    assert_eq!(*feed.step(2, 16), expected[2]);
+    assert_eq!(
+        (feed.generated(), feed.spills(), feed.prefetched()),
+        (3, 0, 1)
+    );
 }
 
 /// FNV-1a over every bit the batch carries, in a fixed order.

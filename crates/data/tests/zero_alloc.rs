@@ -105,6 +105,32 @@ fn a_warmed_up_input_path_never_allocates() {
 }
 
 #[test]
+fn a_warmed_up_prefetching_feed_never_allocates() {
+    // The trainer's order: every rank takes step k, then one prefetches
+    // step k + 1 while every rank still holds step k.
+    let feed = BatchFeed::new(presets::criteo_kaggle_like(), 3, WORLD);
+    for k in 0..2 {
+        drop(feed.step(k, GLOBAL_BATCH));
+    }
+    let stepped = allocations_in(|| {
+        for k in 2..8 {
+            let taken: [_; WORLD] = std::array::from_fn(|_| feed.step(k, GLOBAL_BATCH));
+            assert!(
+                feed.prefetch(k + 1, GLOBAL_BATCH),
+                "step {} was free",
+                k + 1
+            );
+            assert_eq!(taken[WORLD - 1].len(), WORLD);
+        }
+    });
+    assert_eq!(stepped, 0, "prefetch + step allocated after warm-up");
+    assert_eq!(
+        (feed.generated(), feed.spills(), feed.prefetched()),
+        (9, 0, 6)
+    );
+}
+
+#[test]
 fn a_warmed_up_distinct_index_never_allocates() {
     let dataset = presets::criteo_kaggle_like();
     let dim = dataset.embedding_dim;

@@ -4,7 +4,7 @@
 use crate::embedding::EmbeddingTable;
 use crate::interaction;
 use crate::metrics::EvalMetrics;
-use crate::mlp::{Mlp, MlpCache, MlpGrads};
+use crate::mlp::{Mlp, MlpCache, MlpChain, MlpGrads};
 use dlrm_data::{DatasetConfig, MiniBatch};
 use dlrm_tensor::{ops, Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
@@ -75,6 +75,26 @@ pub struct DenseCache {
     top: MlpCache,
     /// Raw CTR logits, one per sample.
     pub logits: Vec<f32>,
+}
+
+/// The bottom MLP's output and cache: what [`Dlrm::forward_bottom`] hands
+/// to [`Dlrm::forward_top`].
+#[derive(Debug, Clone)]
+pub struct BottomForward {
+    out: Matrix,
+    cache: MlpCache,
+}
+
+/// The first half of [`Dlrm::backward_dense`], from
+/// [`Dlrm::backward_embeddings`]: the embedding gradients plus what
+/// [`Dlrm::backward_weights`] needs to finish the MLP parameter gradients.
+#[derive(Debug, Clone)]
+pub struct EmbeddingBackward {
+    /// Gradient w.r.t. each table's lookup matrix (`batch x dim`, table
+    /// order) — the payload of the backward all-to-all.
+    pub embedding_grads: Vec<Matrix>,
+    top: MlpChain,
+    grad_bottom_out: Matrix,
 }
 
 /// Gradients produced by [`Dlrm::backward_dense`].
@@ -202,20 +222,33 @@ impl Dlrm {
 
     /// Run the data-parallel part of the forward pass: bottom MLP on the
     /// dense features, interaction with the given embedding lookups, top MLP
-    /// to a single logit per sample.
+    /// to a single logit per sample. [`Dlrm::forward_bottom`] then
+    /// [`Dlrm::forward_top`].
     pub fn forward_dense(&self, dense: &Matrix, embeddings: &[Matrix]) -> DenseCache {
+        self.forward_top(self.forward_bottom(dense), embeddings)
+    }
+
+    /// The bottom MLP on the dense features — the part of the forward pass
+    /// that needs no embedding lookup.
+    pub fn forward_bottom(&self, dense: &Matrix) -> BottomForward {
+        // The bottom MLP caches its own copy of the batch's dense features.
+        let (out, cache) = self.bottom.forward(dense.clone());
+        BottomForward { out, cache }
+    }
+
+    /// The rest of the forward pass: interaction of the bottom MLP's output
+    /// with the embedding lookups, then the top MLP.
+    pub fn forward_top(&self, bottom: BottomForward, embeddings: &[Matrix]) -> DenseCache {
         assert_eq!(
             embeddings.len(),
             self.config.num_tables(),
             "one lookup matrix per table"
         );
-        // The bottom MLP caches its own copy of the batch's dense features;
-        // the interaction output is handed over.
-        let (bottom_out, bottom_cache) = self.bottom.forward(dense.clone());
-        let (inter_out, inter_cache) = interaction::forward(&bottom_out, embeddings);
+        // The interaction output is handed over to the top MLP.
+        let (inter_out, inter_cache) = interaction::forward(&bottom.out, embeddings);
         let (top_out, top_cache) = self.top.forward(inter_out);
         DenseCache {
-            bottom: bottom_cache,
+            bottom: bottom.cache,
             interaction: inter_cache,
             top: top_cache,
             logits: top_out.into_vec(),
@@ -240,17 +273,40 @@ impl Dlrm {
     /// Backward pass of the data-parallel part: BCE gradient through the top
     /// MLP, the interaction and the bottom MLP. Returns MLP parameter
     /// gradients and the gradient w.r.t. every table's lookup matrix.
+    /// [`Dlrm::backward_embeddings`] then [`Dlrm::backward_weights`].
     pub fn backward_dense(&self, cache: &DenseCache, labels: &[f32]) -> DenseGrads {
+        self.backward_weights(cache, self.backward_embeddings(cache, labels))
+    }
+
+    /// The half of the backward pass the embedding gradients depend on: the
+    /// loss gradient, the top MLP's input-gradient chain and the interaction
+    /// backward.
+    pub fn backward_embeddings(&self, cache: &DenseCache, labels: &[f32]) -> EmbeddingBackward {
         let grad_logits = Self::loss_grad(cache, labels);
-        let (grad_inter_out, top_grads) = self.top.backward(&cache.top, &grad_logits);
+        let (grad_inter_out, top) = self.top.backward_chain(&cache.top, &grad_logits);
         let (grad_bottom_out, embedding_grads) =
             interaction::backward(&cache.interaction, &grad_inter_out);
-        // The bottom MLP's input is the batch's dense features: no gradient.
-        let bottom_grads = self.bottom.backward_params(&cache.bottom, &grad_bottom_out);
-        DenseGrads {
-            bottom: bottom_grads,
-            top: top_grads,
+        EmbeddingBackward {
             embedding_grads,
+            top,
+            grad_bottom_out,
+        }
+    }
+
+    /// The other half: the top MLP's parameter gradients and the whole
+    /// bottom MLP backward. No embedding gradient depends on it, so it can
+    /// run while they are on the wire; the result equals
+    /// [`Dlrm::backward_dense`]'s bit for bit.
+    pub fn backward_weights(&self, cache: &DenseCache, back: EmbeddingBackward) -> DenseGrads {
+        let top = self.top.param_grads(&cache.top, &back.top);
+        // The bottom MLP's input is the batch's dense features: no gradient.
+        let bottom = self
+            .bottom
+            .backward_params(&cache.bottom, &back.grad_bottom_out);
+        DenseGrads {
+            bottom,
+            top,
+            embedding_grads: back.embedding_grads,
         }
     }
 
@@ -350,7 +406,8 @@ impl Dlrm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlrm_data::{presets, SyntheticCriteo};
+    use crate::mlp::tests::{bits, fused_backward, grad_bits};
+    use dlrm_data::{presets, EmbeddingTrafficGenerator, SyntheticCriteo};
 
     fn tiny_model(seed: u64) -> (Dlrm, SyntheticCriteo) {
         let dataset = presets::tiny();
@@ -537,6 +594,69 @@ mod tests {
         for g in &grads.embedding_grads {
             assert_eq!(g.rows(), 8);
             assert_eq!(g.cols(), model.config().embedding_dim);
+        }
+    }
+
+    /// The fused dense pass the split replaced, built from the MLP's fused
+    /// reference backward.
+    fn fused_dense(
+        model: &Dlrm,
+        dense: &Matrix,
+        lookups: &[Matrix],
+        labels: &[f32],
+    ) -> (Vec<f32>, DenseGrads) {
+        let (bottom_out, bottom_cache) = model.bottom.forward(dense.clone());
+        let (inter_out, inter_cache) = interaction::forward(&bottom_out, lookups);
+        let (top_out, top_cache) = model.top.forward(inter_out);
+        let cache = DenseCache {
+            bottom: bottom_cache,
+            interaction: inter_cache,
+            top: top_cache,
+            logits: top_out.into_vec(),
+        };
+        let grad_logits = Dlrm::loss_grad(&cache, labels);
+        let (grad_inter, top) = fused_backward(&model.top, &cache.top, &grad_logits);
+        let (grad_bottom, embedding_grads) = interaction::backward(&cache.interaction, &grad_inter);
+        let (_, bottom) = fused_backward(&model.bottom, &cache.bottom, &grad_bottom);
+        let grads = DenseGrads {
+            bottom,
+            top,
+            embedding_grads,
+        };
+        (cache.logits, grads)
+    }
+
+    #[test]
+    fn split_dense_pass_is_the_fused_pass_bit_for_bit() {
+        let cases = [
+            (presets::tiny(), 1usize),
+            (presets::tiny(), 17),
+            (presets::criteo_kaggle_like(), 128),
+        ];
+        for (dataset, batch_size) in cases {
+            let model = Dlrm::new(DlrmConfig::from_dataset(&dataset), 5);
+            let batch = SyntheticCriteo::new(dataset.clone(), 5).next_batch(batch_size);
+            let lookups = EmbeddingTrafficGenerator::new(dataset, 5).all_tables_batch(batch_size);
+            // Ordinary labels, then labels that make the upstream gradient
+            // ±inf and NaN on some samples.
+            let special = [0.0, f32::INFINITY, 1.0, f32::NEG_INFINITY, f32::NAN];
+            let odd: Vec<f32> = (0..batch_size).map(|i| special[i % 5]).collect();
+            for labels in [&batch.labels, &odd] {
+                let (logits, fused) = fused_dense(&model, &batch.dense, &lookups, labels);
+                let cache = model.forward_top(model.forward_bottom(&batch.dense), &lookups);
+                assert_eq!(bits(&cache.logits), bits(&logits), "batch {batch_size}");
+                let back = model.backward_embeddings(&cache, labels);
+                let split = model.backward_weights(&cache, back);
+                for grads in [&split, &model.backward_dense(&cache, labels)] {
+                    assert_eq!(grad_bits(&grads.bottom), grad_bits(&fused.bottom));
+                    assert_eq!(grad_bits(&grads.top), grad_bits(&fused.top));
+                    for (a, b) in grads.embedding_grads.iter().zip(&fused.embedding_grads) {
+                        assert_eq!(bits(a.as_slice()), bits(b.as_slice()));
+                    }
+                }
+                let dense = model.forward_dense(&batch.dense, &lookups);
+                assert_eq!(bits(&dense.logits), bits(&logits));
+            }
         }
     }
 }

@@ -15,7 +15,11 @@
 //! * [`dlrm::Dlrm::forward_dense`] / [`dlrm::Dlrm::backward_dense`] run the
 //!   data-parallel part of the model given (possibly decompressed) lookup
 //!   matrices, and hand back per-table gradient matrices — the payload of the
-//!   backward all-to-all;
+//!   backward all-to-all. Each is also available in two halves that run the
+//!   same float operations — [`dlrm::Dlrm::forward_bottom`] /
+//!   [`dlrm::Dlrm::forward_top`] and [`dlrm::Dlrm::backward_embeddings`] /
+//!   [`dlrm::Dlrm::backward_weights`] — so the trainer can run the half no
+//!   exchange feeds while the exchange is on the wire;
 //! * [`embedding::EmbeddingTable::apply_sparse_grad`] applies those gradients
 //!   on whichever rank owns the table.
 //!

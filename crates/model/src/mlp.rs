@@ -31,6 +31,13 @@ pub struct MlpCache {
     inputs: Vec<Matrix>,
 }
 
+/// Every layer's output gradient (masked by its ReLU), in layer order:
+/// what [`Mlp::backward_chain`] hands to [`Mlp::param_grads`].
+#[derive(Debug, Clone)]
+pub(crate) struct MlpChain {
+    grads: Vec<Matrix>,
+}
+
 /// Gradients of every layer, in layer order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MlpGrads {
@@ -104,28 +111,51 @@ impl Mlp {
 
     /// Backward pass given the gradient of the loss w.r.t. the MLP output.
     /// Returns the gradient w.r.t. the MLP input and the per-layer parameter
-    /// gradients.
+    /// gradients. Runs as two halves, the input-gradient chain and then the
+    /// parameter gradients over the output gradients it kept, which the
+    /// model also runs apart.
     pub fn backward(&self, cache: &MlpCache, grad_output: &Matrix) -> (Matrix, MlpGrads) {
-        let (grad, grads) = self.backward_to_first_layer(cache, grad_output);
-        (grad.matmul_bt(&self.layers[0].w), grads)
+        let (grad, chain) = self.backward_chain(cache, grad_output);
+        (grad, self.param_grads(cache, &chain))
     }
 
     /// [`Mlp::backward`] for a caller with no use for the input gradient (the
     /// bottom MLP's input is data): the same parameter gradients, without
     /// layer 0's `dY·Wᵀ`.
     pub fn backward_params(&self, cache: &MlpCache, grad_output: &Matrix) -> MlpGrads {
-        self.backward_to_first_layer(cache, grad_output).1
+        self.param_grads(cache, &self.chain_to_first_layer(cache, grad_output))
     }
 
-    /// Every layer's parameter gradients, and the gradient w.r.t. layer 0's
-    /// output that produced the last of them.
-    fn backward_to_first_layer(
+    /// The sequential half of [`Mlp::backward`]: the gradient w.r.t. the MLP
+    /// input, and every layer's masked output gradient, kept for
+    /// [`Mlp::param_grads`]. Runs the same float operations as the fused
+    /// pass, so the two halves together equal it bit for bit.
+    pub(crate) fn backward_chain(
         &self,
         cache: &MlpCache,
         grad_output: &Matrix,
-    ) -> (Matrix, MlpGrads) {
-        let mut weights = vec![Matrix::zeros(0, 0); self.layers.len()];
-        let mut biases = vec![Vec::new(); self.layers.len()];
+    ) -> (Matrix, MlpChain) {
+        let chain = self.chain_to_first_layer(cache, grad_output);
+        (chain.grads[0].matmul_bt(&self.layers[0].w), chain)
+    }
+
+    /// The parameter half of [`Mlp::backward`]: each layer's weight gradient
+    /// (`Xᵀ·dY`) and bias gradient (column sums of `dY`) over the output
+    /// gradients `chain` kept. Nothing downstream of the MLP input waits on
+    /// it, so a caller can run it while the input gradient is on the wire.
+    pub(crate) fn param_grads(&self, cache: &MlpCache, chain: &MlpChain) -> MlpGrads {
+        assert_eq!(chain.grads.len(), self.layers.len(), "chain of another MLP");
+        let pairs = cache.inputs.iter().zip(&chain.grads);
+        let (weights, biases) = pairs
+            .map(|(input, grad)| (input.matmul_at(grad), grad.column_sums()))
+            .unzip();
+        MlpGrads { weights, biases }
+    }
+
+    /// Every layer's masked output gradient, from the last layer down to
+    /// layer 0 (stored in layer order).
+    fn chain_to_first_layer(&self, cache: &MlpCache, grad_output: &Matrix) -> MlpChain {
+        let mut grads = Vec::with_capacity(self.layers.len());
         let mut grad = grad_output.clone();
         for li in (0..self.layers.len()).rev() {
             // Output layer is linear; hidden layers pass through ReLU.
@@ -136,13 +166,15 @@ impl Mlp {
                     }
                 }
             }
-            weights[li] = cache.inputs[li].matmul_at(&grad);
-            biases[li] = grad.column_sums();
-            if li > 0 {
-                grad = grad.matmul_bt(&self.layers[li].w);
-            }
+            let below = if li > 0 {
+                grad.matmul_bt(&self.layers[li].w)
+            } else {
+                Matrix::default()
+            };
+            grads.push(std::mem::replace(&mut grad, below));
         }
-        (grad, MlpGrads { weights, biases })
+        grads.reverse();
+        MlpChain { grads }
     }
 
     /// SGD update: `param -= lr * grad`.
@@ -231,8 +263,97 @@ impl Mlp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The fused backward pass the split replaced: each layer's parameter
+    /// gradients computed as soon as its output gradient is masked,
+    /// interleaved with the chain.
+    pub(crate) fn fused_backward(
+        mlp: &Mlp,
+        cache: &MlpCache,
+        grad_output: &Matrix,
+    ) -> (Matrix, MlpGrads) {
+        let n = mlp.layers.len();
+        let mut weights = vec![Matrix::zeros(0, 0); n];
+        let mut biases = vec![Vec::new(); n];
+        let mut grad = grad_output.clone();
+        for li in (0..n).rev() {
+            if let Some(activated) = cache.inputs.get(li + 1) {
+                for (g, &y) in grad.as_mut_slice().iter_mut().zip(activated.as_slice()) {
+                    if y <= 0.0 {
+                        *g = 0.0;
+                    }
+                }
+            }
+            weights[li] = cache.inputs[li].matmul_at(&grad);
+            biases[li] = grad.column_sums();
+            grad = grad.matmul_bt(&mlp.layers[li].w);
+        }
+        (grad, MlpGrads { weights, biases })
+    }
+
+    pub(crate) fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    pub(crate) fn grad_bits(grads: &MlpGrads) -> Vec<u32> {
+        bits(&Mlp::flatten_grads(grads))
+    }
+
+    /// Upstream gradients drawn from `±0`, `±inf`, NaN and finite values of
+    /// both signs — every special case the masking and the kernels' zero
+    /// skips see.
+    fn special_grads(rows: usize, cols: usize, rng: &mut SeededRng) -> Matrix {
+        const PALETTE: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        Matrix::from_fn(rows, cols, |_, _| match rng.index(8) {
+            i @ 0..=4 => PALETTE[i],
+            _ => rng.normal(0.0, 1.0),
+        })
+    }
+
+    #[test]
+    fn split_backward_is_the_fused_backward_bit_for_bit() {
+        // Tiny shapes and the benchmark's bottom and top MLPs at batch 128.
+        let shapes: [(&[usize], usize); 5] = [
+            (&[4, 8, 2], 3),
+            (&[3, 5, 7, 1], 1),
+            (&[6, 1], 4),
+            (&[13, 128, 64, 32], 128),
+            (&[383, 128, 64, 1], 128),
+        ];
+        let mut rng = SeededRng::new(41);
+        for (dims, batch) in shapes {
+            let mlp = Mlp::new(dims, &mut rng);
+            // Zero-mean inputs: about half of every post-ReLU activation is
+            // exactly zero, so the masks block about half the gradient.
+            let x = Matrix::from_fn(batch, dims[0], |_, _| rng.normal(0.0, 1.0));
+            let (y, cache) = mlp.forward(x);
+            for hidden in &cache.inputs[1..] {
+                let zeros = hidden.as_slice().iter().filter(|&&v| v == 0.0).count();
+                let frac = zeros as f64 / hidden.len() as f64;
+                assert!((0.2..=0.8).contains(&frac), "{dims:?}: {frac} zeros");
+            }
+            let finite = y.map(|v| v - 0.5);
+            let special = special_grads(y.rows(), y.cols(), &mut rng);
+            for upstream in [&finite, &special] {
+                let (fused_in, fused) = fused_backward(&mlp, &cache, upstream);
+                let (split_in, chain) = mlp.backward_chain(&cache, upstream);
+                let split = mlp.param_grads(&cache, &chain);
+                assert_eq!(
+                    bits(split_in.as_slice()),
+                    bits(fused_in.as_slice()),
+                    "{dims:?}"
+                );
+                assert_eq!(grad_bits(&split), grad_bits(&fused), "{dims:?}");
+                let params = mlp.backward_params(&cache, upstream);
+                assert_eq!(grad_bits(&params), grad_bits(&fused), "{dims:?}");
+                let (whole_in, whole) = mlp.backward(&cache, upstream);
+                assert_eq!(bits(whole_in.as_slice()), bits(fused_in.as_slice()));
+                assert_eq!(grad_bits(&whole), grad_bits(&fused), "{dims:?}");
+            }
+        }
+    }
 
     fn tiny_mlp() -> Mlp {
         let mut rng = SeededRng::new(3);

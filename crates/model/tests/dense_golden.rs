@@ -43,3 +43,30 @@ fn dense_pass_bits_are_pinned() {
     );
     assert_eq!(got, PINNED, "(logits, MLP grads, embedding grads) FNV");
 }
+
+/// The same pin through the split halves the trainer runs around its
+/// exchanges: the bottom MLP, then the rest of the forward pass; the
+/// embedding-gradient half of the backward pass, then the weight half.
+#[test]
+fn split_dense_pass_bits_are_pinned() {
+    let dataset = presets::criteo_kaggle_like();
+    let model = Dlrm::new_partial(DlrmConfig::from_dataset(&dataset), 1, Some(&[]));
+    let batch = SyntheticCriteo::new(dataset.clone(), 1).next_batch(LOCAL_BATCH);
+    let lookups = EmbeddingTrafficGenerator::new(dataset, 1).all_tables_batch(LOCAL_BATCH);
+
+    let bottom = model.forward_bottom(&batch.dense);
+    let cache = model.forward_top(bottom, &lookups);
+    let back = model.backward_embeddings(&cache, &batch.labels);
+    let embedding_fnv = fnv(back
+        .embedding_grads
+        .iter()
+        .flat_map(|g| g.as_slice())
+        .copied());
+    let grads = model.backward_weights(&cache, back);
+    let got = (
+        fnv(cache.logits.iter().copied()),
+        fnv(model.flatten_mlp_grads(&grads)),
+        embedding_fnv,
+    );
+    assert_eq!(got, PINNED, "(logits, MLP grads, embedding grads) FNV");
+}

@@ -1110,6 +1110,18 @@ impl<'a> Accounting<'a> {
         self.wall.mark(phase);
     }
 
+    /// Close `phase`'s share of an exchange window (work run while the
+    /// exchange is in flight, see [`Exchange::run`]): its allocation activity
+    /// and wall time go to `phase`, as [`Accounting::close`] would attribute
+    /// them, but no trace span is cut. Every window phase is also closed
+    /// once per iteration outside the window, so the trace keeps one span
+    /// per phase per iteration and the window's work shows inside the
+    /// exchange span that contained it.
+    fn close_window(&mut self, phase: &'static str, scratch: &PipelineScratch) {
+        self.note_alloc(phase, scratch, 0);
+        self.wall.mark(phase);
+    }
+
     /// Close a streamed exchange region, where decompression interleaves
     /// with waiting on the wire, as two phases: the `(measured, modeled)`
     /// codec seconds go to `codec_phase` on the wall and modeled clocks, the
@@ -1541,12 +1553,19 @@ impl Exchange<'_> {
     /// decompress what arrives into recycled float storage sized for the
     /// source's full shard. Every route writes byte-identical chunks and
     /// delivers bit-identical matrices — only the charged time differs.
+    ///
+    /// `window` is rank work the exchange does not feed. It runs once the
+    /// last chunk is compressed: on the flat route its chunks are then on
+    /// the wire, so the work hides under the wait for the peers' chunks; the
+    /// hierarchical route runs it just before its blocking collective. It
+    /// charges and closes its own phases.
     fn run<'m, B, I, X, S>(
         &self,
         mut dir: Direction<'_, B, X, S>,
         scratch: &mut PipelineScratch,
         acct: &mut Accounting<'_>,
         mut controller: Option<&mut ControllerState>,
+        window: impl FnOnce(&mut PipelineScratch, &mut Accounting<'_>),
     ) where
         B: Fn(usize) -> I,
         I: Iterator<Item = (usize, &'m Matrix, usize)>,
@@ -1631,6 +1650,7 @@ impl Exchange<'_> {
             .add_time(compress, scratch.chunk_codec_s.iter().sum::<f64>());
         acct.ledger.add_bytes(compress, original_bytes);
         acct.close(compress, scratch, lease_growth);
+        window(scratch, acct);
 
         // ── All-to-all. Flat chunks are already in flight; their wire time
         // is charged once the last one has retired.
@@ -2053,10 +2073,12 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
 
         // ── fwd compression → fwd all-to-all → fwd decompression: every
         // owner sends each shard the distinct rows of its tables' lookups,
-        // and every shard re-expands them from its own indices.
+        // and every shard re-expands them from its own indices. The bottom
+        // MLP needs no lookup: it runs while the rows are on the wire.
         lookup_slots.clear();
         lookup_slots.resize_with(num_tables, || None);
         let (owned_tables, lookups, own) = (&owned, &lookup_matrices, &own_distinct);
+        let mut bottom = None;
         exchange.run(
             Direction {
                 phases: [
@@ -2084,6 +2106,13 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             &mut scratch,
             &mut acct,
             controller.as_mut(),
+            |scratch, acct| {
+                let t0 = Instant::now();
+                bottom = Some(model.forward_bottom(&my_shard.dense));
+                acct.ledger
+                    .add_time(phases::MLP_FWD, t0.elapsed().as_secs_f64() * compute_scale);
+                acct.close_window(phases::MLP_FWD, scratch);
+            },
         );
         my_lookups.clear();
         my_lookups.extend(
@@ -2093,9 +2122,10 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 .map(|(t, m)| m.unwrap_or_else(|| panic!("no lookup received for table {t}"))),
         );
 
-        // ── mlp forward, metrics, mlp backward (data-parallel).
+        // ── mlp forward (the rest), metrics, mlp backward (data-parallel).
         let t0 = Instant::now();
-        let cache = model.forward_dense(&my_shard.dense, &my_lookups);
+        let bottom = bottom.expect("the forward window ran the bottom MLP");
+        let cache = model.forward_top(bottom, &my_lookups);
         acct.ledger
             .add_time(phases::MLP_FWD, t0.elapsed().as_secs_f64() * compute_scale);
         per_iteration.push(EvalMetrics::from_logits(&cache.logits, &my_shard.labels));
@@ -2107,11 +2137,12 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
 
         // The gradient of each distinct row of this shard's columns: its
         // samples' gradient rows, summed in sample order (the combined push
-        // accumulates per-sample rows itself).
+        // accumulates per-sample rows itself). Only the embedding half of
+        // the backward pass runs here.
         let t0 = Instant::now();
-        let grads = model.backward_dense(&cache, &my_shard.labels);
+        let back = model.backward_embeddings(&cache, &my_shard.labels);
         if grad_push.is_none() {
-            for (index, grad) in own_distinct.iter().zip(&grads.embedding_grads) {
+            for (index, grad) in own_distinct.iter().zip(&back.embedding_grads) {
                 let mut sums = scratch.take_floats(grad.len());
                 index.sum_rows_into(grad.as_slice(), dim, &mut sums);
                 grad_sums.push(Matrix::from_vec(index.unique().len(), dim, sums));
@@ -2121,18 +2152,44 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             .add_time(phases::MLP_BWD, t0.elapsed().as_secs_f64() * compute_scale);
         acct.close(phases::MLP_BWD, &scratch, 0);
 
+        // What no embedding gradient depends on: the MLP weight gradients,
+        // the all-reduce input (error feedback re-injects what compression
+        // lost so far), and the next global batch. Every rank has passed
+        // this step's forward exchange, so no rank still holds the step
+        // before it, whose slot the next step recycles.
+        let mut grads = None;
+        let window = |scratch: &mut PipelineScratch, acct: &mut Accounting<'_>| {
+            let t0 = Instant::now();
+            let weights = model.backward_weights(&cache, back);
+            acct.ledger
+                .add_time(phases::MLP_BWD, t0.elapsed().as_secs_f64() * compute_scale);
+            model.flatten_mlp_grads_into(&weights, &mut scratch.flat_grads);
+            if let Some(state) = dense.as_mut() {
+                state.compensate(&mut scratch.flat_grads);
+            }
+            grads = Some(weights);
+            acct.close_window(phases::MLP_BWD, scratch);
+            if iter + 1 < seg.end {
+                setup.feed.prefetch(iter + 1, trainer.global_batch);
+            }
+            acct.close_window(phases::INPUT, scratch);
+        };
+
         // ── bwd compression → bwd all-to-all → bwd decompression: every
         // shard sends each table's summed gradient rows home to its owner —
-        // the same exchange, mirrored. The combined push replaces the whole
-        // block (including the owner-side apply): dense per-table
-        // accumulators added in the compressed domain — at node leaders when
-        // hierarchical — so owners decode one stream per table.
+        // the same exchange, mirrored, with the window above in flight. The
+        // combined push replaces the whole block (including the owner-side
+        // apply): dense per-table accumulators added in the compressed
+        // domain — at node leaders when hierarchical — so owners decode one
+        // stream per table. It needs every gradient first, so the window
+        // runs before it.
         if let Some(push) = grad_push.as_mut() {
+            window(&mut scratch, &mut acct);
             push.run(
                 ctx,
                 partition,
                 &mut model,
-                &grads,
+                grads.as_ref().expect("the window ran"),
                 &my_shard.sparse,
                 &push_cards,
                 dim,
@@ -2165,6 +2222,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 &mut scratch,
                 &mut acct,
                 controller.as_mut(),
+                window,
             );
             for m in grad_sums.drain(..) {
                 scratch.put_floats(m.into_vec());
@@ -2193,8 +2251,8 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         );
         acct.close(phases::EMB_UPDATE, &scratch, 0);
 
-        // ── mlp all-reduce: sum MLP gradients and update the replicas.
-        model.flatten_mlp_grads_into(&grads, &mut scratch.flat_grads);
+        // ── mlp all-reduce: sum MLP gradients (flattened and compensated in
+        // the backward window) and update the replicas.
         // Raw (uncompressed-schedule) charge on this cluster shape — the
         // baseline `dense_saved_seconds` compares against: the flat ring
         // formula, or the tiered charge of the same schedule's analytic
@@ -2207,16 +2265,12 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 ti + te
             }
         };
-        // Error feedback re-injects what compression lost so far, and the
-        // collective rebuilds the residual from the bytes it actually sends.
-        // `Off` reduces through the lossless codec: bit for bit the plain
-        // rank-order sum.
+        // The collective rebuilds the error-feedback residual from the bytes
+        // it actually sends. `Off` reduces through the lossless codec: bit
+        // for bit the plain rank-order sum.
         let mut lossless = RawF32Codec;
         let codec: &mut dyn ReduceCodec = match dense.as_mut() {
-            Some(state) => {
-                state.compensate(&mut scratch.flat_grads);
-                state
-            }
+            Some(state) => state,
             None => &mut lossless,
         };
         // A combine-capable codec on a hierarchy takes the leader-combined
@@ -2732,6 +2786,7 @@ mod tests {
             &mut scratch,
             &mut acct,
             None,
+            |_, _| {},
         );
         delivered
     }

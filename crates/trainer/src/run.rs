@@ -201,6 +201,16 @@ pub struct TrainingReport {
     /// Bytes of buffer capacity served from recycled pool leases and scratch
     /// buffers over the whole run, summed across ranks.
     pub buffer_reused_bytes: u64,
+    /// Steps whose input-feed slot was still held when they were drawn, so
+    /// they took fresh storage ([`dlrm_data::BatchFeed::spills`]), summed
+    /// over segments. Zero when the ranks stay in step.
+    #[serde(default)]
+    pub feed_spills: u64,
+    /// Steps a rank drew ahead of time while its backward exchange was in
+    /// flight ([`dlrm_data::BatchFeed::prefetched`]), summed over segments:
+    /// every step but each segment's first when none was skipped.
+    #[serde(default)]
+    pub prefetched_steps: u64,
     /// Label of the fault/elasticity setting (`"none"` without one).
     #[serde(default)]
     pub fault: String,
@@ -282,6 +292,8 @@ struct SegmentRun {
     end: usize,
     outcomes: Vec<RankOutcome>,
     wall_seconds: f64,
+    /// The segment feed's `(spills, prefetched)` counters.
+    feed: (u64, u64),
 }
 
 /// Spawn a fresh simulated cluster sized to the segment's world and run the
@@ -380,7 +392,7 @@ pub fn run_training(dataset: &DatasetConfig, config: &TrainerConfig) -> Training
             segment,
             feed,
         });
-        let (mut outcomes, wall_seconds) = execute_segment(setup);
+        let (mut outcomes, wall_seconds) = execute_segment(Arc::clone(&setup));
         outcomes.sort_by_key(|o| o.rank);
 
         // Settle the replay accounting: the re-executed iterations' share of
@@ -401,6 +413,7 @@ pub fn run_training(dataset: &DatasetConfig, config: &TrainerConfig) -> Training
             end,
             outcomes,
             wall_seconds,
+            feed: (setup.feed.spills(), setup.feed.prefetched()),
         });
         cursor = end;
 
@@ -825,6 +838,9 @@ fn merge_segments(
     };
 
     let (trace, metrics) = merge_obs(config, segments, num_tables);
+    let (feed_spills, prefetched_steps) = segments
+        .iter()
+        .fold((0, 0), |(s, p), seg| (s + seg.feed.0, p + seg.feed.1));
 
     TrainingReport {
         label: config.compression.label(),
@@ -865,6 +881,8 @@ fn merge_segments(
         inter_tier_seconds,
         steady_state_allocated_bytes,
         buffer_reused_bytes,
+        feed_spills,
+        prefetched_steps,
         fault: config
             .fault
             .as_ref()

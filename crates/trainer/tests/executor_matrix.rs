@@ -65,6 +65,18 @@ fn numeric_fingerprint(report: &TrainingReport) -> impl PartialEq + std::fmt::De
     )
 }
 
+/// The input feed never spilled, and every step after the first was drawn
+/// inside a backward exchange window: the ranks stayed in step, and the
+/// prefetch always found the slot of the step before last free.
+fn assert_feed_prefetched(tag: &str, report: &TrainingReport) {
+    assert_eq!(
+        (report.feed_spills, report.prefetched_steps),
+        (0, report.iterations as u64 - 1),
+        "{tag} / {}: (feed spills, prefetched steps)",
+        report.executor
+    );
+}
+
 /// Run the same configuration under both executors and assert bit-identity.
 fn assert_executor_invariant(dataset_tag: &str, cfg: TrainerConfig) {
     let dataset = presets::tiny();
@@ -75,6 +87,9 @@ fn assert_executor_invariant(dataset_tag: &str, cfg: TrainerConfig) {
     let thr = run_training(&dataset, &cfg.with_executor(ExecutorSetting::Threaded));
     assert_eq!(seq.executor, "sequential", "{dataset_tag}");
     assert_eq!(thr.executor, "threaded", "{dataset_tag}");
+    for report in [&seq, &thr] {
+        assert_feed_prefetched(dataset_tag, report);
+    }
     assert_eq!(
         numeric_fingerprint(&seq),
         numeric_fingerprint(&thr),
@@ -157,6 +172,7 @@ fn executors_agree_under_realtime_wire() {
     let thr = run_training(&dataset, &cfg.with_executor(ExecutorSetting::Threaded));
     assert_eq!(numeric_fingerprint(&seq), numeric_fingerprint(&thr));
     for r in [&seq, &thr] {
+        assert_feed_prefetched("paced", r);
         assert!(
             r.wall_seconds > 0.0 && r.wall_seconds.is_finite(),
             "{}",
@@ -190,6 +206,9 @@ fn paced_allreduce_rides_its_own_link() {
         let paced = run_training(&dataset, &cfg);
         let instant = run_training(&dataset, &cfg.with_realtime_wire(false));
         assert_eq!(numeric_fingerprint(&paced), numeric_fingerprint(&instant));
+        for r in [&paced, &instant] {
+            assert_feed_prefetched("paced all-reduce", r);
+        }
         // The ledger's ALLREDUCE bytes are one rank's sent + received.
         let sent_per_iter =
             paced.breakdown.bytes(phases::ALLREDUCE) as f64 / (2.0 * iterations as f64);
