@@ -2,16 +2,17 @@
 //! workloads run (`criteo_kaggle_like`, world 4, global batch 512 → local
 //! batch 128): the three matmul flavours at the top MLP's first layer
 //! (383 → 128), `matmul` and `matmul_at` also with a post-ReLU left operand,
-//! the 27×32 feature interaction forward and backward, and the whole
-//! `forward_dense` / `backward_dense` they add up to, with the backward pass
-//! also in its two halves: `backward_embeddings` (what the backward exchange
-//! waits for) and `backward_weights` (what the trainer runs while it is in
-//! flight).
+//! one `vecmat` and one `dots` at that layer's shape and `dots` at the
+//! interaction's, the 27×32 feature interaction forward and backward, and
+//! the whole `forward_dense` / `backward_dense` they add up to, with the
+//! backward pass also in its two halves: `backward_embeddings` (what the
+//! backward exchange waits for) and `backward_weights` (what the trainer runs
+//! while it is in flight). It prints the lane body the CPU picked first.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dlrm_data::{presets, EmbeddingTrafficGenerator, SyntheticCriteo};
 use dlrm_model::{interaction, Dlrm, DlrmConfig};
-use dlrm_tensor::{ops, Matrix, SeededRng};
+use dlrm_tensor::{matrix, ops, Matrix, SeededRng};
 
 const LOCAL_BATCH: usize = 128;
 const SAMPLES: usize = 50;
@@ -23,6 +24,8 @@ fn pattern(rows: usize, cols: usize, salt: usize) -> Matrix {
 }
 
 fn bench_matmul(c: &mut Criterion) {
+    // Every row below ran on this body of the kernels; the CPU picks it.
+    println!("dense kernels: {} lanes", matrix::lane_path());
     let (k, n) = (383, 128);
     let x = pattern(LOCAL_BATCH, k, 0);
     let w = pattern(k, n, 1);
@@ -49,6 +52,41 @@ fn bench_matmul(c: &mut Criterion) {
     });
     group.bench_function("matmul_at relu(128x383)^T . 128x128", |b| {
         b.iter(|| black_box(&relu).matmul_at(black_box(&dy)))
+    });
+    group.finish();
+}
+
+fn bench_vectors(c: &mut Criterion) {
+    let (k, n) = (383, 128);
+    let x = pattern(1, k, 6);
+    let w = pattern(k, n, 7);
+    let mut out = vec![0.0; n];
+    let mut group = c.benchmark_group("vectors");
+    group.bench_function("vecmat 383 . 383x128", |b| {
+        b.iter(|| matrix::vecmat(black_box(x.as_slice()), black_box(w.as_slice()), &mut out))
+    });
+    let (y, rows) = (pattern(1, n, 8), pattern(k, n, 9));
+    let mut out = vec![0.0; k];
+    group.bench_function("dots 128 . (383x128)^T", |b| {
+        b.iter(|| {
+            matrix::dots(
+                black_box(y.as_slice()),
+                black_box(rows.as_slice()),
+                &mut out,
+            )
+        })
+    });
+    // The interaction forward's shape: the last feature against 24 earlier.
+    let (y, rows) = (pattern(1, 32, 10), pattern(24, 32, 11));
+    let mut out = vec![0.0; 24];
+    group.bench_function("dots 32 . (24x32)^T", |b| {
+        b.iter(|| {
+            matrix::dots(
+                black_box(y.as_slice()),
+                black_box(rows.as_slice()),
+                &mut out,
+            )
+        })
     });
     group.finish();
 }
@@ -108,6 +146,6 @@ fn bench_dense(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(SAMPLES);
-    targets = bench_matmul, bench_interaction, bench_dense
+    targets = bench_matmul, bench_vectors, bench_interaction, bench_dense
 }
 criterion_main!(benches);

@@ -1,19 +1,183 @@
-//! [`F4`], the 4-lane `f32` vector the dense kernels in [`crate::matrix`]
-//! are written in — the one module of this crate that uses `unsafe`.
+//! The lane types the dense kernels in [`crate::matrix`] are written in —
+//! the one module of this crate that uses `unsafe`.
 //!
-//! On x86_64 an `F4` is an SSE2 register. SSE2 is part of the x86_64
-//! baseline, so every x86_64 build compiles this path: there is no runtime
-//! CPU detection and no `target-cpu` flag. Every other target gets the same
-//! API over a `[f32; 4]`. Either way an operation is four independent IEEE
-//! `f32` operations, one per lane, and a multiply and an add stay two
-//! roundings (never a fused multiply–add), so a kernel's bits do not depend
-//! on which of the two it runs on or on the CPU's optional features.
+//! A kernel body is written once over [`Lanes`], whose vector `V` holds
+//! eight `f32` lanes, and [`dispatch`] runs it on the widest path the CPU
+//! has, picked once per call:
+//!
+//! * on x86_64 with AVX (`is_x86_feature_detected!("avx")`), `V` is `F8`,
+//!   one AVX register, and the body runs inside a
+//!   `#[target_feature(enable = "avx")]` function;
+//! * otherwise `V` is [`Halves`], two [`F4`]s: SSE2 registers on x86_64,
+//!   where SSE2 is the baseline, and a `[f32; 4]` on every other target.
+//!
+//! The CPU alone picks the path: there is no setting and no `target-cpu`
+//! flag. Either way a lane operation is one IEEE `f32` operation per lane,
+//! and a multiply and an add stay two roundings (never a fused
+//! multiply–add), so a kernel's bits do not depend on the path it runs on.
+
+use core::ops::{Add, Mul};
 
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 pub(crate) use sse2::F4;
 
 #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
 pub(crate) use portable::F4;
+
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+pub(crate) use avx::Avx;
+
+/// A lane path: the 8-lane vector `V` a kernel body computes in, and how to
+/// enter the code that may use it.
+pub(crate) trait Lanes: Copy {
+    /// Eight `f32` lanes; `+` and `*` are one IEEE operation per lane.
+    type V: Copy + Add<Output = Self::V> + Mul<Output = Self::V>;
+
+    /// Registers one `V` occupies (1 for `F8`, 2 for [`Halves`]), so a
+    /// body can size its register blocks.
+    const REGISTERS: usize;
+
+    /// All lanes `+0.0`.
+    fn zero(self) -> Self::V;
+
+    /// All lanes `x`.
+    fn splat(self, x: f32) -> Self::V;
+
+    /// Lanes `s[0..8]`.
+    ///
+    /// # Panics
+    /// Panics if `s` is shorter than 8.
+    fn load(self, s: &[f32]) -> Self::V;
+
+    /// Write the lanes to `s[0..8]`.
+    ///
+    /// # Panics
+    /// Panics if `s` is shorter than 8.
+    fn store(self, v: Self::V, s: &mut [f32]);
+
+    /// Lane `l` of the result is lane `l` plus lane `l + 4` of `v`.
+    fn fold_halves(self, v: Self::V) -> F4;
+
+    /// `kernel.body(self)`, compiled for this path's CPU features.
+    fn run<K: Kernel>(self, kernel: K) -> K::Output;
+}
+
+/// A kernel written once over [`Lanes`].
+pub(crate) trait Kernel {
+    type Output;
+
+    /// The kernel on `lanes`. Implementations, and every function they pass
+    /// `lanes` to, must be `#[inline(always)]`: the AVX path compiles only
+    /// what is inlined into its `target_feature` function for AVX.
+    fn body<L: Lanes>(self, lanes: L) -> Self::Output;
+}
+
+/// Run `kernel` on the widest path this CPU has: [`Avx`] where the CPU has
+/// AVX, [`Base`] otherwise. The check is one cached load per call.
+#[inline(always)]
+pub(crate) fn dispatch<K: Kernel>(kernel: K) -> K::Output {
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    if let Some(avx) = Avx::detect() {
+        return avx.run(kernel);
+    }
+    Base.run(kernel)
+}
+
+/// The path [`dispatch`] picks on this CPU: `"avx"`, `"sse2"` or
+/// `"portable"`.
+pub(crate) fn path() -> &'static str {
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    if Avx::detect().is_some() {
+        return "avx";
+    }
+    if cfg!(all(target_arch = "x86_64", target_feature = "sse2")) {
+        "sse2"
+    } else {
+        "portable"
+    }
+}
+
+/// Eight lanes as two [`F4`]s, `lo` (lanes 0–3) and `hi` (lanes 4–7): the
+/// base path's vector.
+#[derive(Clone, Copy)]
+pub(crate) struct Halves {
+    lo: F4,
+    hi: F4,
+}
+
+impl Add for Halves {
+    type Output = Self;
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            lo: self.lo + rhs.lo,
+            hi: self.hi + rhs.hi,
+        }
+    }
+}
+
+impl Mul for Halves {
+    type Output = Self;
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        Self {
+            lo: self.lo * rhs.lo,
+            hi: self.hi * rhs.hi,
+        }
+    }
+}
+
+/// The path every CPU has: [`Halves`] of [`F4`]s, in the build's baseline
+/// features.
+#[derive(Clone, Copy)]
+pub(crate) struct Base;
+
+impl Lanes for Base {
+    type V = Halves;
+    const REGISTERS: usize = 2;
+
+    #[inline(always)]
+    fn zero(self) -> Halves {
+        Halves {
+            lo: F4::zero(),
+            hi: F4::zero(),
+        }
+    }
+
+    #[inline(always)]
+    fn splat(self, x: f32) -> Halves {
+        Halves {
+            lo: F4::splat(x),
+            hi: F4::splat(x),
+        }
+    }
+
+    #[inline(always)]
+    fn load(self, s: &[f32]) -> Halves {
+        let s = &s[..8];
+        Halves {
+            lo: F4::load(s),
+            hi: F4::load(&s[4..]),
+        }
+    }
+
+    #[inline(always)]
+    fn store(self, v: Halves, s: &mut [f32]) {
+        let s = &mut s[..8];
+        v.lo.store(s);
+        v.hi.store(&mut s[4..]);
+    }
+
+    #[inline(always)]
+    fn fold_halves(self, v: Halves) -> F4 {
+        v.lo + v.hi
+    }
+
+    #[inline(always)]
+    fn run<K: Kernel>(self, kernel: K) -> K::Output {
+        kernel.body(self)
+    }
+}
 
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 mod sse2 {
@@ -25,7 +189,7 @@ mod sse2 {
 
     /// Four `f32` lanes in one SSE2 register.
     #[derive(Clone, Copy)]
-    pub(crate) struct F4(__m128);
+    pub(crate) struct F4(pub(in crate::lanes) __m128);
 
     impl F4 {
         /// All lanes `+0.0`.
@@ -118,6 +282,113 @@ mod sse2 {
     }
 }
 
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+mod avx {
+    use super::{Kernel, Lanes, F4};
+    use core::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_loadu_ps,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm_add_ps,
+    };
+    use core::ops::{Add, Mul};
+
+    /// Proof that the CPU has AVX: only [`Avx::detect`] makes one.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Avx(());
+
+    impl Avx {
+        /// `Some` if `is_x86_feature_detected!("avx")`: the CPU has AVX and
+        /// the OS saves its registers. The answer is cached after the first
+        /// call.
+        #[inline(always)]
+        pub(crate) fn detect() -> Option<Self> {
+            is_x86_feature_detected!("avx").then_some(Self(()))
+        }
+    }
+
+    /// Eight `f32` lanes in one AVX register. Only an [`Avx`] makes one, so
+    /// every `F8` in existence is on a CPU that `Avx::detect` found AVX on.
+    #[derive(Clone, Copy)]
+    pub(crate) struct F8(__m256);
+
+    impl Add for F8 {
+        type Output = Self;
+        #[inline(always)]
+        fn add(self, rhs: Self) -> Self {
+            // SAFETY: `self` exists, so `is_x86_feature_detected!("avx")`
+            // held; the intrinsic reads only its register operands.
+            Self(unsafe { _mm256_add_ps(self.0, rhs.0) })
+        }
+    }
+
+    impl Mul for F8 {
+        type Output = Self;
+        #[inline(always)]
+        fn mul(self, rhs: Self) -> Self {
+            // SAFETY: `self` exists, so `is_x86_feature_detected!("avx")`
+            // held; the intrinsic reads only its register operands.
+            Self(unsafe { _mm256_mul_ps(self.0, rhs.0) })
+        }
+    }
+
+    impl Lanes for Avx {
+        type V = F8;
+        const REGISTERS: usize = 1;
+
+        #[inline(always)]
+        fn zero(self) -> F8 {
+            // SAFETY: `self` proves `is_x86_feature_detected!("avx")` held;
+            // the intrinsic reads only its register operands.
+            F8(unsafe { _mm256_setzero_ps() })
+        }
+
+        #[inline(always)]
+        fn splat(self, x: f32) -> F8 {
+            // SAFETY: `self` proves `is_x86_feature_detected!("avx")` held;
+            // the intrinsic reads only its register operands.
+            F8(unsafe { _mm256_set1_ps(x) })
+        }
+
+        #[inline(always)]
+        fn load(self, s: &[f32]) -> F8 {
+            let s = &s[..8];
+            // SAFETY: `self` proves `is_x86_feature_detected!("avx")` held;
+            // `s` is a length-checked slice of 8 initialised floats, and
+            // `_mm256_loadu_ps` reads exactly 8 with no alignment needed.
+            F8(unsafe { _mm256_loadu_ps(s.as_ptr()) })
+        }
+
+        #[inline(always)]
+        fn store(self, v: F8, s: &mut [f32]) {
+            let s = &mut s[..8];
+            // SAFETY: `self` proves `is_x86_feature_detected!("avx")` held;
+            // `s` is a length-checked, exclusively borrowed slice of 8
+            // floats, and `_mm256_storeu_ps` writes exactly 8 with no
+            // alignment needed.
+            unsafe { _mm256_storeu_ps(s.as_mut_ptr(), v.0) }
+        }
+
+        #[inline(always)]
+        fn fold_halves(self, v: F8) -> F4 {
+            // SAFETY: `self` proves `is_x86_feature_detected!("avx")` held;
+            // the intrinsics read only their register operands.
+            F4(unsafe { _mm_add_ps(_mm256_castps256_ps128(v.0), _mm256_extractf128_ps::<1>(v.0)) })
+        }
+
+        #[inline(always)]
+        fn run<K: Kernel>(self, kernel: K) -> K::Output {
+            /// The kernel's body, inlined and compiled with AVX enabled.
+            #[target_feature(enable = "avx")]
+            fn with_avx<K: Kernel>(kernel: K, avx: Avx) -> K::Output {
+                kernel.body(avx)
+            }
+            // SAFETY: `self` proves `is_x86_feature_detected!("avx")` held,
+            // the one precondition of a `target_feature(enable = "avx")`
+            // function.
+            unsafe { with_avx(kernel, self) }
+        }
+    }
+}
+
 /// The same API on every other target, and the reference the SSE2 path is
 /// tested against.
 #[cfg_attr(all(target_arch = "x86_64", target_feature = "sse2"), allow(dead_code))]
@@ -192,28 +463,31 @@ mod portable {
 
 #[cfg(all(test, target_arch = "x86_64", target_feature = "sse2"))]
 mod tests {
-    use super::{portable, sse2};
+    use super::{portable, sse2, Avx, Base, Lanes};
     use crate::SeededRng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Bits, with every NaN as one value: IEEE fixes whether a lane is NaN,
     /// not which payload it carries.
-    fn bits(lanes: [f32; 4]) -> [u32; 4] {
+    fn bits<const N: usize>(lanes: [f32; N]) -> [u32; N] {
         lanes.map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
     }
 
-    /// Signed zeros, infinities, NaN, a subnormal, extremes and random values.
-    fn operand(rng: &mut SeededRng) -> [f32; 4] {
-        const SPECIAL: [f32; 8] = [
+    /// Signed zeros, infinities, NaN, subnormals, extremes and random values.
+    fn operand<const N: usize>(rng: &mut SeededRng) -> [f32; N] {
+        const SPECIAL: [f32; 10] = [
             0.0,
             -0.0,
             f32::INFINITY,
             f32::NEG_INFINITY,
             f32::NAN,
             1e-40,
+            -3e-39,
             f32::MAX,
+            f32::MIN,
             -1.5,
         ];
-        [(); 4].map(|_| match rng.index(3) {
+        [(); N].map(|_| match rng.index(3) {
             0 => SPECIAL[rng.index(SPECIAL.len())],
             _ => rng.uniform(-4.0, 4.0),
         })
@@ -223,7 +497,7 @@ mod tests {
     fn sse2_lanes_match_the_portable_lanes() {
         let mut rng = SeededRng::new(5);
         for _ in 0..2_000 {
-            let [a, b, c, d] = [(); 4].map(|_| operand(&mut rng));
+            let [a, b, c, d] = [(); 4].map(|_| operand::<4>(&mut rng));
             let (sa, sb) = (sse2::F4::load(&a), sse2::F4::load(&b));
             let (pa, pb) = (portable::F4::load(&a), portable::F4::load(&b));
             assert_eq!(bits((sa + sb).to_array()), bits((pa + pb).to_array()));
@@ -238,5 +512,54 @@ mod tests {
         }
         assert_eq!(sse2::F4::zero().to_array().map(f32::to_bits), [0; 4]);
         assert_eq!(portable::F4::zero().to_array().map(f32::to_bits), [0; 4]);
+    }
+
+    /// Eight lanes of `lanes` against two portable `F4`s, lane by lane.
+    fn check_eight_lanes<L: Lanes>(lanes: L) {
+        let to_array = |v: L::V| {
+            let mut out = [0.0; 8];
+            lanes.store(v, &mut out);
+            out
+        };
+        let halves = |s: &[f32; 8]| (portable::F4::load(s), portable::F4::load(&s[4..]));
+        let array = |(lo, hi): (portable::F4, portable::F4)| {
+            let mut out = [0.0; 8];
+            out[..4].copy_from_slice(&lo.to_array());
+            out[4..].copy_from_slice(&hi.to_array());
+            out
+        };
+        let mut rng = SeededRng::new(7);
+        for _ in 0..2_000 {
+            let (a, b) = (operand::<8>(&mut rng), operand::<8>(&mut rng));
+            let (va, vb) = (lanes.load(&a), lanes.load(&b));
+            let (pa, pb) = (halves(&a), halves(&b));
+            assert_eq!(bits(to_array(va)), bits(a), "load then store");
+            let sum = array((pa.0 + pb.0, pa.1 + pb.1));
+            assert_eq!(bits(to_array(va + vb)), bits(sum), "add");
+            let product = array((pa.0 * pb.0, pa.1 * pb.1));
+            assert_eq!(bits(to_array(va * vb)), bits(product), "mul");
+            let folded = lanes.fold_halves(va).to_array();
+            assert_eq!(bits(folded), bits((pa.0 + pa.1).to_array()), "fold_halves");
+            assert_eq!(bits(to_array(lanes.splat(a[3]))), bits([a[3]; 8]), "splat");
+            let mut out = [1.0; 10];
+            lanes.store(va, &mut out[1..]);
+            assert_eq!([out[0], out[9]], [1.0; 2], "store wrote outside s[0..8]");
+            assert_eq!(bits(out[1..9].try_into().unwrap()), bits(a), "store");
+        }
+        assert_eq!(bits(to_array(lanes.zero())), [0; 8], "zero is +0.0");
+        let mut short = [0.0f32; 7];
+        let load = AssertUnwindSafe(|| lanes.load(&short));
+        assert!(catch_unwind(load).is_err(), "load from 7 floats");
+        let store = AssertUnwindSafe(|| lanes.store(lanes.zero(), &mut short));
+        assert!(catch_unwind(store).is_err(), "store to 7 floats");
+    }
+
+    #[test]
+    fn avx_lanes_match_the_portable_lanes() {
+        check_eight_lanes(Base);
+        match Avx::detect() {
+            Some(avx) => check_eight_lanes(avx),
+            None => eprintln!("this CPU has no AVX: checked the SSE2 lanes only"),
+        }
     }
 }

@@ -11,15 +11,19 @@
 //! Design notes (following the hpc-parallel guides used in this project):
 //!
 //! * The dense kernels ([`matrix::dot`], [`matrix::dots`], [`matrix::vecmat`]
-//!   and the matmul flavours built on them) keep their accumulators in 4-lane
-//!   registers over contiguous `&[f32]` slices, and every reduction runs in
+//!   and the matmul flavours built on them) keep their accumulators in 8-lane
+//!   vectors over contiguous `&[f32]` slices, and every reduction runs in
 //!   an order fixed by the operand shapes alone. Threads live one level up,
 //!   one per rank, in `dlrm-exec`.
-//! * `unsafe` lives in one private module, the 4-lane vector type: on x86_64
-//!   its SSE2 intrinsic calls and its loads and stores from length-checked
-//!   slices (SSE2 is the x86_64 baseline: no runtime CPU detection, no
-//!   `target-cpu`); elsewhere a `[f32; 4]` with the same API. Nothing else
-//!   in the crate uses it.
+//! * Each kernel is written once and runs on the widest lane path the CPU
+//!   has, picked once per call by CPU feature: one AVX register per vector
+//!   where `is_x86_feature_detected!("avx")`, two SSE2 registers otherwise
+//!   (the x86_64 baseline), a `[f32; 4]` pair on other targets. Every path
+//!   keeps each element's float sequence and never fuses a multiply and an
+//!   add, so the path never changes a bit; [`matrix::lane_path`] names it.
+//! * `unsafe` lives in one private module, the lane types: their intrinsic
+//!   calls, their loads and stores from length-checked slices and the entry
+//!   into the AVX-enabled kernel body. Nothing else in the crate uses it.
 //! * All randomness goes through [`rng::SeededRng`] so every experiment is
 //!   reproducible from a single `u64` seed.
 

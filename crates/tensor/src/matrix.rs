@@ -4,19 +4,19 @@
 //! batches, MLP weights and activations are all 2-D. Storage is contiguous
 //! and row-major. The dense kernels — [`dot`], [`dots`], [`vecmat`] and the
 //! three matmul flavours built on them — are register-blocked over a private
-//! 4-lane vector (SSE2 on x86_64; `unsafe` is confined to that module), and
-//! each fixes the sequence of float operations behind every output element
-//! as a function of the operand shapes alone. Threads live in `dlrm-exec`,
-//! one per rank, never here.
+//! 8-lane vector, and each fixes the sequence of float operations behind
+//! every output element as a function of the operand shapes alone. Each
+//! kernel is written once and runs on the widest lane path the CPU has,
+//! picked once per call: one AVX register where the CPU has AVX, two SSE2
+//! registers otherwise ([`lane_path`] names it; `unsafe` is confined to the
+//! lane module). The path changes which elements are in flight together,
+//! never an element's bits. Threads live in `dlrm-exec`, one per rank, never
+//! here.
 
-use crate::lanes::F4;
+use crate::lanes::{self, Kernel, Lanes, F4};
 use serde::{Deserialize, Serialize};
 
-/// Output columns [`vecmat`] keeps in registers across the whole reduction:
-/// eight 4-lane accumulators.
-const STRIP: usize = 32;
-
-/// Accumulators of a dot product, held as two 4-lane halves (see [`dot`]).
+/// Lanes of the kernels' vector: a dot product's accumulators (see [`dot`]).
 const LANES: usize = 8;
 
 /// A dense, row-major matrix of `f32`. The default is the empty `0 x 0`
@@ -141,7 +141,8 @@ impl Matrix {
     }
 
     /// `self @ other` (standard matrix product): row `r` is
-    /// [`vecmat`]`(self.row(r), other)`.
+    /// [`vecmat`]`(self.row(r), other)`, bit for bit. On AVX two rows with
+    /// no exact zero run together, sharing each load of `other`.
     ///
     /// # Panics
     /// Panics if `self.cols() != other.rows()`.
@@ -152,15 +153,20 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            vecmat(self.row(r), &other.data, out.row_mut(r));
-        }
+        lanes::dispatch(Products {
+            a: &self.data,
+            step: (self.cols, 1),
+            b: &other.data,
+            out: &mut out.data,
+            shape: (self.rows, self.cols, other.cols),
+        });
         out
     }
 
     /// `self @ other.T` — useful for computing gradients without materialising
     /// the transpose: row `r` is [`dots`]`(self.row(r), other)`, so every
-    /// element is bit for bit one [`dot`] of two rows.
+    /// element is bit for bit one [`dot`] of two rows. On AVX two rows of
+    /// `self` run together, sharing each load of `other`.
     pub fn matmul_bt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -168,16 +174,20 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for r in 0..self.rows {
-            dots(self.row(r), &other.data, out.row_mut(r));
-        }
+        lanes::dispatch(Dots {
+            a: &self.data,
+            rows: &other.data,
+            out: &mut out.data,
+            shape: (self.rows, self.cols, other.rows),
+        });
         out
     }
 
     /// `self.T @ other` — the other gradient flavour (e.g. weight gradients
     /// `X^T @ dY`): row `i` is [`vecmat`] of column `i` of `self` with
     /// `other`, so element `(i, j)` sums `self(r, i) · other(r, j)` over
-    /// ascending `r`, skipping every `self(r, i)` that is exactly zero.
+    /// ascending `r`, skipping every `self(r, i)` that is exactly zero. On
+    /// AVX two columns with no exact zero run together, as in `matmul`.
     pub fn matmul_at(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
@@ -185,10 +195,13 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for i in 0..self.cols {
-            let column = self.data.iter().skip(i).step_by(self.cols).copied();
-            vecmat_by(column, &other.data, out.row_mut(i));
-        }
+        lanes::dispatch(Products {
+            a: &self.data,
+            step: (1, self.cols),
+            b: &other.data,
+            out: &mut out.data,
+            shape: (self.cols, self.rows, other.cols),
+        });
         out
     }
 
@@ -289,48 +302,144 @@ impl Matrix {
     }
 }
 
+/// The lane path [`dot`], [`dots`], [`vecmat`] and the matmul flavours run
+/// on, on this CPU: `"avx"` where it has AVX, else `"sse2"` on x86_64 and
+/// `"portable"` elsewhere. Every path gives the same bits; only the CPU picks.
+pub fn lane_path() -> &'static str {
+    lanes::path()
+}
+
 /// `out = x · B`, where `B` is the row-major `x.len() × out.len()` matrix
 /// `b`; `out` is overwritten.
 ///
 /// Element `j` starts at `+0.0` and adds `x[k] · B(k, j)` for ascending `k`,
 /// skipping every `x[k]` that is exactly zero (post-ReLU inputs are about
 /// half zeros), so no value in a skipped row of `B` — not even a NaN or an
-/// infinity — reaches `out`. Each 32-column strip of `out` stays in eight
-/// 4-lane registers across the whole `k` loop; the `out.len() % 32` tail
-/// columns take the same steps one float at a time.
+/// infinity — reaches `out`. Each strip of `out` stays in registers across
+/// the whole `k` loop: on AVX 64 columns in eight registers, then at most one
+/// 32-column strip in four; on SSE2 32 columns in eight. The `out.len() % 32`
+/// tail columns take the same steps one float at a time.
 ///
 /// # Panics
 /// Panics if `b.len() != x.len() * out.len()`.
 pub fn vecmat(x: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(b.len(), x.len() * out.len(), "vecmat shape mismatch");
-    vecmat_by(x.iter().copied(), b, out);
+    lanes::dispatch(Products {
+        a: x,
+        step: (0, 1),
+        b,
+        shape: (1, x.len(), out.len()),
+        out,
+    });
 }
 
-/// [`vecmat`] over a left operand given as an iterator (`matmul_at` walks a
-/// column), walked once per strip.
-fn vecmat_by(x: impl Iterator<Item = f32> + Clone, b: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    let (strips, tail) = out.split_at_mut(n - n % STRIP);
-    for (s, strip) in strips.chunks_exact_mut(STRIP).enumerate() {
-        let j0 = s * STRIP;
-        let mut acc = [F4::zero(); STRIP / 4];
-        for (k, a) in x.clone().enumerate() {
-            if a == 0.0 {
-                continue;
+// `Products` and `Dots` carry their shapes and walk rows by index: the
+// interaction calls them once per feature and sample, and deriving a shape
+// or running a chunk iterator costs a run-time division per call.
+
+/// The `m` rows of [`vecmat`] behind `matmul`, `matmul_at` and `vecmat`:
+/// row `r` of the row-major `m × n` `out` is `vecmat` of the left operand
+/// whose element `k` is `a[r · step.0 + k · step.1]` (a row, or a column for
+/// `matmul_at`) with the row-major `k × n` matrix `b`, where
+/// `shape = (m, k, n)`.
+struct Products<'a> {
+    a: &'a [f32],
+    step: (usize, usize),
+    b: &'a [f32],
+    out: &'a mut [f32],
+    shape: (usize, usize, usize),
+}
+
+impl Kernel for Products<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn body<L: Lanes>(self, lanes: L) {
+        let Self {
+            a,
+            step,
+            b,
+            out,
+            shape: (m, k, n),
+        } = self;
+        let left = |r| Left {
+            a,
+            start: r * step.0,
+            step: step.1,
+            len: k,
+        };
+        let mut r = 0;
+        // On AVX two rows share each load of `b` (their accumulators fit in
+        // eight registers), but only rows without an exact zero: a paired
+        // strip adds every `k`, so it must meet no zero it ought to skip.
+        while L::REGISTERS == 1 && r + 2 <= m {
+            let (o0, o1) = out[r * n..(r + 2) * n].split_at_mut(n);
+            let (x0, x1) = (left(r), left(r + 1));
+            if x0.has_no_zero() && x1.has_no_zero() {
+                vecmat_rows(lanes, [x0, x1], b, [o0, o1]);
+            } else {
+                vecmat_rows(lanes, [x0], b, [o0]);
+                vecmat_rows(lanes, [x1], b, [o1]);
             }
-            let (a, row) = (F4::splat(a), &b[k * n + j0..k * n + j0 + STRIP]);
-            for (acc, row) in acc.iter_mut().zip(row.chunks_exact(4)) {
-                *acc = *acc + a * F4::load(row);
-            }
+            r += 2;
         }
-        for (acc, strip) in acc.iter().zip(strip.chunks_exact_mut(4)) {
-            acc.store(strip);
+        for r in r..m {
+            vecmat_rows(lanes, [left(r)], b, [&mut out[r * n..(r + 1) * n]]);
         }
     }
-    if !tail.is_empty() {
-        let j0 = n - tail.len();
+}
+
+/// A left operand of [`vecmat`]: element `k < len` is `a[start + k · step]`.
+#[derive(Clone, Copy)]
+struct Left<'a> {
+    a: &'a [f32],
+    start: usize,
+    step: usize,
+    len: usize,
+}
+
+impl Left<'_> {
+    #[inline(always)]
+    fn get(self, k: usize) -> f32 {
+        self.a[self.start + k * self.step]
+    }
+
+    fn has_no_zero(self) -> bool {
+        (0..self.len).all(|k| self.get(k) != 0.0)
+    }
+}
+
+/// `outs[i] = xs[i] · B` for `R` rows on `lanes`, every `R` accumulators of
+/// a column sharing one load of `b`. With `R > 1` no `xs[i]` may hold an
+/// exact zero: only a single row skips its zero elements.
+#[inline(always)]
+fn vecmat_rows<L: Lanes, const R: usize>(
+    lanes: L,
+    xs: [Left; R],
+    b: &[f32],
+    mut outs: [&mut [f32]; R],
+) {
+    let n = outs[0].len();
+    let mut j0 = 0;
+    // Eight accumulator registers: 64 columns of one row in `F8`s, else 32.
+    if L::REGISTERS * R == 1 {
+        while n - j0 >= 8 * LANES {
+            strip::<L, 8, R>(lanes, xs, b, (n, j0), &mut outs);
+            j0 += 8 * LANES;
+        }
+    }
+    while n - j0 >= 4 * LANES {
+        strip::<L, 4, R>(lanes, xs, b, (n, j0), &mut outs);
+        j0 += 4 * LANES;
+    }
+    for (x, out) in xs.into_iter().zip(outs) {
+        let tail = &mut out[j0..];
+        if tail.is_empty() {
+            break;
+        }
         tail.fill(0.0);
-        for (k, a) in x.enumerate() {
+        for k in 0..x.len {
+            let a = x.get(k);
             if a == 0.0 {
                 continue;
             }
@@ -341,79 +450,192 @@ fn vecmat_by(x: impl Iterator<Item = f32> + Clone, b: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Columns `j0..j0 + 8·W` of `R` [`vecmat`] rows with an `n`-column `b`:
+/// `R × W` accumulators held across the whole `k` loop, then stored.
+#[inline(always)]
+fn strip<L: Lanes, const W: usize, const R: usize>(
+    lanes: L,
+    xs: [Left; R],
+    b: &[f32],
+    (n, j0): (usize, usize),
+    outs: &mut [&mut [f32]; R],
+) {
+    let mut acc = [[lanes.zero(); W]; R];
+    for k in 0..xs[0].len {
+        let a = xs.map(|x| x.get(k));
+        // Paired rows hold no zero, so only a single row tests for one.
+        if R == 1 && a[0] == 0.0 {
+            continue;
+        }
+        let mut splat = [lanes.zero(); R];
+        for (splat, &a) in splat.iter_mut().zip(&a) {
+            *splat = lanes.splat(a);
+        }
+        let row = &b[k * n + j0..k * n + j0 + W * LANES];
+        for (j, row) in row.chunks_exact(LANES).enumerate() {
+            let v = lanes.load(row);
+            for (acc, &a) in acc.iter_mut().zip(&splat) {
+                acc[j] = acc[j] + a * v;
+            }
+        }
+    }
+    for (acc, out) in acc.into_iter().zip(outs) {
+        for (acc, out) in acc.into_iter().zip(out[j0..].chunks_exact_mut(LANES)) {
+            lanes.store(acc, out);
+        }
+    }
+}
+
 /// Dot product of two equal-length slices.
 ///
 /// The reduction order is a function of the length alone: element `k` of the
 /// first `len − len % 8` goes to accumulator `k % 8`, the eight accumulators
 /// fold in the fixed tree `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`, then the
-/// tail is added left to right. Accumulators 0–3 and 4–7 are two 4-lane
-/// registers, `lo` and `hi`, so the fold is `t = lo + hi`, then
-/// `(t0+t2)+(t1+t3)`. No thread count, CPU feature or caller changes a bit of
-/// the result.
+/// tail is added left to right. The accumulators are one 8-lane vector (one
+/// AVX register, or two 4-lane halves `lo` and `hi`), so the fold is
+/// `t = lo + hi`, then `(t0+t2)+(t1+t3)`. No thread count, CPU feature or
+/// caller changes a bit of the result.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot of unequal lengths");
+    let mut out = [0.0];
+    dots(a, b, &mut out);
+    out[0]
+}
+
+/// [`dot`] on `lanes`.
+#[inline(always)]
+fn dot_with<L: Lanes>(lanes: L, a: &[f32], b: &[f32]) -> f32 {
     let body = a.len() - a.len() % LANES;
-    let (mut lo, mut hi) = (F4::zero(), F4::zero());
+    let mut acc = lanes.zero();
     let chunks = a[..body]
         .chunks_exact(LANES)
         .zip(b[..body].chunks_exact(LANES));
     for (x, y) in chunks {
-        lo = lo + F4::load(&x[..4]) * F4::load(&y[..4]);
-        hi = hi + F4::load(&x[4..]) * F4::load(&y[4..]);
+        acc = acc + lanes.load(x) * lanes.load(y);
     }
-    let [t0, t1, t2, t3] = (lo + hi).to_array();
+    let [t0, t1, t2, t3] = lanes.fold_halves(acc).to_array();
     add_products((t0 + t2) + (t1 + t3), &a[body..], &b[body..])
 }
 
 /// `out[j] = dot(x, B(j))` for every row `j` of the row-major
 /// `out.len() × x.len()` matrix `rows`, bit for bit.
 ///
-/// Four rows are in flight at a time, each dot as [`dot`]'s two 4-lane halves
-/// (eight registers), sharing the loads of `x`; a 4×4 transpose then folds
-/// all four at once in `dot`'s tree. The `out.len() % 4` last rows go
-/// through [`dot`] itself.
+/// Four rows are in flight at a time, each dot as [`dot`]'s 8-lane
+/// accumulator (four registers on AVX, eight on SSE2), sharing the loads of
+/// `x`; a 4×4 transpose then folds all four at once in `dot`'s tree. The
+/// `out.len() % 4` last rows go through [`dot`]'s own loop.
 ///
 /// # Panics
 /// Panics if `rows.len() != x.len() * out.len()`.
 pub fn dots(x: &[f32], rows: &[f32], out: &mut [f32]) {
     let len = x.len();
     assert_eq!(rows.len(), len * out.len(), "dots shape mismatch");
-    if len == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let (quads, rest) = out.split_at_mut(out.len() - out.len() % 4);
-    let (quad_rows, rest_rows) = rows.split_at(quads.len() * len);
-    for (out, b) in quads
-        .chunks_exact_mut(4)
-        .zip(quad_rows.chunks_exact(4 * len))
-    {
-        let b = [0, 1, 2, 3].map(|j| &b[j * len..(j + 1) * len]);
-        out.copy_from_slice(&dot4(x, b));
-    }
-    for (o, b) in rest.iter_mut().zip(rest_rows.chunks_exact(len)) {
-        *o = dot(x, b);
+    lanes::dispatch(Dots {
+        a: x,
+        rows,
+        shape: (1, len, out.len()),
+        out,
+    });
+}
+
+/// The `m` rows of [`dots`] behind `matmul_bt`, `dots` and `dot`: row `r`
+/// of the row-major `m × n` `out` is `dots` of row `r` of the row-major
+/// `m × len` `a` with the row-major `n × len` `rows`, where
+/// `shape = (m, len, n)`.
+struct Dots<'a> {
+    a: &'a [f32],
+    rows: &'a [f32],
+    out: &'a mut [f32],
+    shape: (usize, usize, usize),
+}
+
+impl Kernel for Dots<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn body<L: Lanes>(self, lanes: L) {
+        let Self {
+            a,
+            rows,
+            out,
+            shape: (m, len, n),
+        } = self;
+        let x = |r: usize| &a[r * len..(r + 1) * len];
+        let mut r = 0;
+        // On AVX two rows of `a` share each load of `rows`: their eight
+        // accumulators fit in eight registers.
+        while L::REGISTERS == 1 && r + 2 <= m {
+            let (o0, o1) = out[r * n..(r + 2) * n].split_at_mut(n);
+            dots_rows(lanes, [x(r), x(r + 1)], rows, [o0, o1]);
+            r += 2;
+        }
+        for r in r..m {
+            dots_rows(lanes, [x(r)], rows, [&mut out[r * n..(r + 1) * n]]);
+        }
     }
 }
 
-/// `[dot(x, b[0]), …, dot(x, b[3])]` with the four reductions interleaved.
-fn dot4(x: &[f32], b: [&[f32]; 4]) -> [f32; 4] {
-    let body = x.len() - x.len() % LANES;
-    let b = b.map(|b| &b[..x.len()]);
-    let (mut lo, mut hi) = ([F4::zero(); 4], [F4::zero(); 4]);
-    for k in (0..body).step_by(LANES) {
-        let (xl, xh) = (F4::load(&x[k..]), F4::load(&x[k + 4..]));
-        for j in 0..4 {
-            lo[j] = lo[j] + xl * F4::load(&b[j][k..]);
-            hi[j] = hi[j] + xh * F4::load(&b[j][k + 4..]);
+/// [`dots`] of `R` rows `xs`, all `len` long, against the same `rows` on
+/// `lanes`: four rows of `rows` at a time through [`dot4`], the
+/// `out.len() % 4` last ones through [`dot`]'s loop.
+#[inline(always)]
+fn dots_rows<L: Lanes, const R: usize>(
+    lanes: L,
+    xs: [&[f32]; R],
+    rows: &[f32],
+    mut outs: [&mut [f32]; R],
+) {
+    let (len, n) = (xs[0].len(), outs[0].len());
+    let row = |j: usize| &rows[j * len..(j + 1) * len];
+    let quads = n - n % 4;
+    for j in (0..quads).step_by(4) {
+        let sums = dot4(lanes, xs, [row(j), row(j + 1), row(j + 2), row(j + 3)]);
+        for (out, sums) in outs.iter_mut().zip(sums) {
+            out[j..j + 4].copy_from_slice(&sums);
         }
     }
-    // Lane `l` of `t[j]` is `dot`'s `t_l` for row `j`; after the transpose,
-    // lane `j` of `s[l]` is, so one vector fold serves all four rows.
-    let [s0, s1, s2, s3] = F4::transpose([0, 1, 2, 3].map(|j| lo[j] + hi[j]));
-    let mut sums = ((s0 + s2) + (s1 + s3)).to_array();
-    for (sum, b) in sums.iter_mut().zip(b) {
-        *sum = add_products(*sum, &x[body..], &b[body..]);
+    for j in quads..n {
+        for (out, x) in outs.iter_mut().zip(xs) {
+            out[j] = dot_with(lanes, x, row(j));
+        }
+    }
+}
+
+/// `[dot(x, b[0]), …, dot(x, b[3])]` for every `x` of `xs`, with the `4·R`
+/// reductions interleaved: each load of a `b` row serves every `x`.
+#[inline(always)]
+fn dot4<L: Lanes, const R: usize>(lanes: L, xs: [&[f32]; R], b: [&[f32]; 4]) -> [[f32; 4]; R] {
+    let len = xs[0].len();
+    let body = len - len % LANES;
+    let (xs, b) = (xs.map(|x| &x[..len]), b.map(|b| &b[..len]));
+    let mut acc = [[lanes.zero(); 4]; R];
+    for k in (0..body).step_by(LANES) {
+        let mut xk = [lanes.zero(); R];
+        for (xk, x) in xk.iter_mut().zip(xs) {
+            *xk = lanes.load(&x[k..]);
+        }
+        for (j, b) in b.iter().enumerate() {
+            let v = lanes.load(&b[k..]);
+            for (acc, &x) in acc.iter_mut().zip(&xk) {
+                acc[j] = acc[j] + x * v;
+            }
+        }
+    }
+    let mut sums = [[0.0; 4]; R];
+    for ((sums, [s0, s1, s2, s3]), x) in sums.iter_mut().zip(acc).zip(xs) {
+        // Lane `l` of `t[j]` is `dot`'s `t_l` for row `j`; after the
+        // transpose, lane `j` of `s[l]` is, so one vector fold serves all
+        // four rows.
+        let [s0, s1, s2, s3] = F4::transpose([
+            lanes.fold_halves(s0),
+            lanes.fold_halves(s1),
+            lanes.fold_halves(s2),
+            lanes.fold_halves(s3),
+        ]);
+        *sums = ((s0 + s2) + (s1 + s3)).to_array();
+        for (sum, b) in sums.iter_mut().zip(b) {
+            *sum = add_products(*sum, &x[body..], &b[body..]);
+        }
     }
     sums
 }
@@ -477,7 +699,7 @@ mod tests {
         assert!(direct.max_abs_diff(&explicit) < 1e-4);
     }
 
-    /// `matmul_row` and `matmul_at` skip a left-operand element that is
+    /// `matmul` and `matmul_at` skip a left-operand element that is
     /// exactly zero (post-ReLU activations are about half zeros): the right
     /// operand's row is never read, so not even a NaN or an infinity in it
     /// reaches the output.
@@ -503,6 +725,109 @@ mod tests {
         let mut wide = vec![0.0f32; 16];
         (wide[0], wide[1], wide[8]) = (1e8, 1.0, -1e8);
         assert_eq!(dot(&wide, &[1.0; 16]), 1.0);
+    }
+
+    /// When `zeros` is set, signed zeros (about half the elements, which
+    /// keeps `vecmat`'s rows unpaired); when `special` is set, 1.5 %
+    /// infinities of both signs and NaNs; the rest uniform in `[-1, 1)`.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    fn operand(
+        (rows, cols): (usize, usize),
+        zeros: bool,
+        special: bool,
+        rng: &mut crate::SeededRng,
+    ) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| match rng.index(200) {
+            0..=89 if zeros => 0.0,
+            90..=99 if zeros => -0.0,
+            100 if special => f32::INFINITY,
+            101 if special => f32::NEG_INFINITY,
+            102 if special => f32::NAN,
+            _ => rng.uniform(-1.0, 1.0),
+        })
+    }
+
+    /// The three kernels' outputs on `lanes`, called directly: `a · b`,
+    /// `at^T · b` and `a · bt^T`.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    fn kernel_outputs<L: Lanes>(
+        lanes: L,
+        a: &Matrix,
+        at: &Matrix,
+        b: &Matrix,
+        bt: &Matrix,
+    ) -> [Vec<u32>; 3] {
+        let n = b.cols();
+        let mut product = vec![0.0; a.rows() * n];
+        lanes.run(Products {
+            a: a.as_slice(),
+            step: (a.cols(), 1),
+            b: b.as_slice(),
+            out: &mut product,
+            shape: (a.rows(), a.cols(), n),
+        });
+        let mut product_at = vec![0.0; at.cols() * n];
+        lanes.run(Products {
+            a: at.as_slice(),
+            step: (1, at.cols()),
+            b: b.as_slice(),
+            out: &mut product_at,
+            shape: (at.cols(), at.rows(), n),
+        });
+        let mut dots = vec![0.0; a.rows() * bt.rows()];
+        lanes.run(Dots {
+            a: a.as_slice(),
+            rows: bt.as_slice(),
+            out: &mut dots,
+            shape: (a.rows(), a.cols(), bt.rows()),
+        });
+        // Every NaN as one value: IEEE fixes whether a result is NaN, not
+        // which payload it carries.
+        let bits = |v: Vec<f32>| -> Vec<u32> {
+            v.iter()
+                .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+                .collect()
+        };
+        [bits(product), bits(product_at), bits(dots)]
+    }
+
+    /// The AVX body and the base (SSE2) body of every kernel, each called
+    /// directly, agree bit for bit: inner lengths around the 8-lane edges,
+    /// output widths around the 32- and 64-column strips and the 4-row
+    /// quads, five left rows (two AVX row pairs and a single row), half
+    /// zeros (unpaired `vecmat` rows) or none (paired), ±inf and NaN.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    #[test]
+    fn avx_and_sse2_bodies_agree_bit_for_bit() {
+        let Some(avx) = lanes::Avx::detect() else {
+            eprintln!("this CPU has no AVX: only the SSE2 body runs here");
+            return;
+        };
+        const INNER: [usize; 9] = [0, 1, 7, 8, 9, 63, 64, 65, 383];
+        const WIDTHS: [usize; 16] = [0, 1, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 95, 96, 97, 129];
+        let m = 5;
+        let mut rng = crate::SeededRng::new(31);
+        for inner in INNER {
+            for n in WIDTHS {
+                for (zeros, special) in [(true, false), (true, true), (false, false), (false, true)]
+                {
+                    let mut operand = |shape| operand(shape, zeros, special, &mut rng);
+                    let (a, at) = (operand((m, inner)), operand((inner, m)));
+                    let (b, bt) = (operand((inner, n)), operand((n, inner)));
+                    let sse2 = kernel_outputs(lanes::Base, &a, &at, &b, &bt);
+                    let avx = kernel_outputs(avx, &a, &at, &b, &bt);
+                    for (kernel, (sse2, avx)) in ["matmul", "matmul_at", "dots"]
+                        .iter()
+                        .zip(sse2.iter().zip(&avx))
+                    {
+                        assert_eq!(
+                            sse2, avx,
+                            "{kernel}, {m} x {inner} x {n}, zeros {zeros}, special values {special}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
