@@ -141,8 +141,7 @@ impl Matrix {
     }
 
     /// `self @ other` (standard matrix product): row `r` is
-    /// [`vecmat`]`(self.row(r), other)`, bit for bit. On AVX two rows with
-    /// no exact zero run together, sharing each load of `other`.
+    /// [`vecmat`]`(self.row(r), other)`, bit for bit.
     ///
     /// # Panics
     /// Panics if `self.cols() != other.rows()`.
@@ -186,8 +185,7 @@ impl Matrix {
     /// `self.T @ other` — the other gradient flavour (e.g. weight gradients
     /// `X^T @ dY`): row `i` is [`vecmat`] of column `i` of `self` with
     /// `other`, so element `(i, j)` sums `self(r, i) · other(r, j)` over
-    /// ascending `r`, skipping every `self(r, i)` that is exactly zero. On
-    /// AVX two columns with no exact zero run together, as in `matmul`.
+    /// ascending `r`, skipping every `self(r, i)` that is exactly zero.
     pub fn matmul_at(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
@@ -362,29 +360,14 @@ impl Kernel for Products<'_> {
             out,
             shape: (m, k, n),
         } = self;
-        let left = |r| Left {
-            a,
-            start: r * step.0,
-            step: step.1,
-            len: k,
-        };
-        let mut r = 0;
-        // On AVX two rows share each load of `b` (their accumulators fit in
-        // eight registers), but only rows without an exact zero: a paired
-        // strip adds every `k`, so it must meet no zero it ought to skip.
-        while L::REGISTERS == 1 && r + 2 <= m {
-            let (o0, o1) = out[r * n..(r + 2) * n].split_at_mut(n);
-            let (x0, x1) = (left(r), left(r + 1));
-            if x0.has_no_zero() && x1.has_no_zero() {
-                vecmat_rows(lanes, [x0, x1], b, [o0, o1]);
-            } else {
-                vecmat_rows(lanes, [x0], b, [o0]);
-                vecmat_rows(lanes, [x1], b, [o1]);
-            }
-            r += 2;
-        }
-        for r in r..m {
-            vecmat_rows(lanes, [left(r)], b, [&mut out[r * n..(r + 1) * n]]);
+        for r in 0..m {
+            let x = Left {
+                a,
+                start: r * step.0,
+                step: step.1,
+                len: k,
+            };
+            vecmat_row(lanes, x, b, &mut out[r * n..(r + 1) * n]);
         }
     }
 }
@@ -403,86 +386,64 @@ impl Left<'_> {
     fn get(self, k: usize) -> f32 {
         self.a[self.start + k * self.step]
     }
-
-    fn has_no_zero(self) -> bool {
-        (0..self.len).all(|k| self.get(k) != 0.0)
-    }
 }
 
-/// `outs[i] = xs[i] · B` for `R` rows on `lanes`, every `R` accumulators of
-/// a column sharing one load of `b`. With `R > 1` no `xs[i]` may hold an
-/// exact zero: only a single row skips its zero elements.
+/// `out = x · B` on `lanes`: strips of `out` in registers, then the tail
+/// columns one float at a time.
 #[inline(always)]
-fn vecmat_rows<L: Lanes, const R: usize>(
-    lanes: L,
-    xs: [Left; R],
-    b: &[f32],
-    mut outs: [&mut [f32]; R],
-) {
-    let n = outs[0].len();
+fn vecmat_row<L: Lanes>(lanes: L, x: Left, b: &[f32], out: &mut [f32]) {
+    let n = out.len();
     let mut j0 = 0;
-    // Eight accumulator registers: 64 columns of one row in `F8`s, else 32.
-    if L::REGISTERS * R == 1 {
+    // Eight accumulator registers: 64 columns in `F8`s, else 32.
+    if L::REGISTERS == 1 {
         while n - j0 >= 8 * LANES {
-            strip::<L, 8, R>(lanes, xs, b, (n, j0), &mut outs);
+            strip::<L, 8>(lanes, x, b, (n, j0), out);
             j0 += 8 * LANES;
         }
     }
     while n - j0 >= 4 * LANES {
-        strip::<L, 4, R>(lanes, xs, b, (n, j0), &mut outs);
+        strip::<L, 4>(lanes, x, b, (n, j0), out);
         j0 += 4 * LANES;
     }
-    for (x, out) in xs.into_iter().zip(outs) {
-        let tail = &mut out[j0..];
-        if tail.is_empty() {
-            break;
+    let tail = &mut out[j0..];
+    if tail.is_empty() {
+        return;
+    }
+    tail.fill(0.0);
+    for k in 0..x.len {
+        let a = x.get(k);
+        if a == 0.0 {
+            continue;
         }
-        tail.fill(0.0);
-        for k in 0..x.len {
-            let a = x.get(k);
-            if a == 0.0 {
-                continue;
-            }
-            for (o, &bv) in tail.iter_mut().zip(&b[k * n + j0..(k + 1) * n]) {
-                *o += a * bv;
-            }
+        for (o, &bv) in tail.iter_mut().zip(&b[k * n + j0..(k + 1) * n]) {
+            *o += a * bv;
         }
     }
 }
 
-/// Columns `j0..j0 + 8·W` of `R` [`vecmat`] rows with an `n`-column `b`:
-/// `R × W` accumulators held across the whole `k` loop, then stored.
+/// Columns `j0..j0 + 8·W` of [`vecmat`] with an `n`-column `b`: `W`
+/// accumulators held across the whole `k` loop, then stored.
 #[inline(always)]
-fn strip<L: Lanes, const W: usize, const R: usize>(
+fn strip<L: Lanes, const W: usize>(
     lanes: L,
-    xs: [Left; R],
+    x: Left,
     b: &[f32],
     (n, j0): (usize, usize),
-    outs: &mut [&mut [f32]; R],
+    out: &mut [f32],
 ) {
-    let mut acc = [[lanes.zero(); W]; R];
-    for k in 0..xs[0].len {
-        let a = xs.map(|x| x.get(k));
-        // Paired rows hold no zero, so only a single row tests for one.
-        if R == 1 && a[0] == 0.0 {
+    let mut acc = [lanes.zero(); W];
+    for k in 0..x.len {
+        let a = x.get(k);
+        if a == 0.0 {
             continue;
         }
-        let mut splat = [lanes.zero(); R];
-        for (splat, &a) in splat.iter_mut().zip(&a) {
-            *splat = lanes.splat(a);
-        }
-        let row = &b[k * n + j0..k * n + j0 + W * LANES];
-        for (j, row) in row.chunks_exact(LANES).enumerate() {
-            let v = lanes.load(row);
-            for (acc, &a) in acc.iter_mut().zip(&splat) {
-                acc[j] = acc[j] + a * v;
-            }
+        let (a, row) = (lanes.splat(a), &b[k * n + j0..k * n + j0 + W * LANES]);
+        for (acc, row) in acc.iter_mut().zip(row.chunks_exact(LANES)) {
+            *acc = *acc + a * lanes.load(row);
         }
     }
-    for (acc, out) in acc.into_iter().zip(outs) {
-        for (acc, out) in acc.into_iter().zip(out[j0..].chunks_exact_mut(LANES)) {
-            lanes.store(acc, out);
-        }
+    for (acc, out) in acc.into_iter().zip(out[j0..].chunks_exact_mut(LANES)) {
+        lanes.store(acc, out);
     }
 }
 
@@ -727,8 +688,8 @@ mod tests {
         assert_eq!(dot(&wide, &[1.0; 16]), 1.0);
     }
 
-    /// When `zeros` is set, signed zeros (about half the elements, which
-    /// keeps `vecmat`'s rows unpaired); when `special` is set, 1.5 %
+    /// When `zeros` is set, signed zeros (about half the elements, so
+    /// `vecmat` skips them); when `special` is set, 1.5 %
     /// infinities of both signs and NaNs; the rest uniform in `[-1, 1)`.
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     fn operand(
@@ -794,8 +755,8 @@ mod tests {
     /// The AVX body and the base (SSE2) body of every kernel, each called
     /// directly, agree bit for bit: inner lengths around the 8-lane edges,
     /// output widths around the 32- and 64-column strips and the 4-row
-    /// quads, five left rows (two AVX row pairs and a single row), half
-    /// zeros (unpaired `vecmat` rows) or none (paired), ±inf and NaN.
+    /// quads, five left rows (two AVX `dots` row pairs and a single row),
+    /// half zeros or none, ±inf and NaN.
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     #[test]
     fn avx_and_sse2_bodies_agree_bit_for_bit() {
