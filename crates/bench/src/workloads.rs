@@ -80,7 +80,6 @@ pub fn accuracy_trainer(
         compression,
         overlap: OverlapSetting::Off,
         dense_compression: Default::default(),
-        grad_push: Default::default(),
         network: NetworkConfig::default(),
         topology: Default::default(),
         adaptive: Default::default(),
@@ -128,7 +127,6 @@ pub fn breakdown_trainer(
         compression,
         overlap: OverlapSetting::Off,
         dense_compression: Default::default(),
-        grad_push: Default::default(),
         network: NetworkConfig::paper_figure11(),
         topology: Default::default(),
         adaptive: Default::default(),

@@ -288,16 +288,6 @@ impl TieredCostModel {
         self.topo
     }
 
-    /// Flat α–β model of the intra-node tier.
-    pub fn intra_model(&self) -> CostModel {
-        CostModel::new(self.topo.intra)
-    }
-
-    /// Flat α–β model of the inter-node tier.
-    pub fn inter_model(&self) -> CostModel {
-        CostModel::new(self.topo.inter)
-    }
-
     /// Point-to-point time of `bytes` from `src` to `dst` over whichever
     /// link the pair crosses.
     pub fn pair_time(&self, src: usize, dst: usize, bytes: usize) -> f64 {

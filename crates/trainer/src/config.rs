@@ -225,58 +225,6 @@ impl DenseCompression {
     }
 }
 
-/// How the backward embedding gradients travel home to their owning rank.
-///
-/// `PerSample` is the pipeline's own backward exchange: every rank sums its
-/// shard's per-sample gradient rows per distinct index, compresses one row
-/// per distinct index, and the owner applies them row by row.
-/// `Combined` folds each rank's rows into a **dense per-table accumulator**
-/// first, encodes it with a homomorphic codec, and lets the wire *add the
-/// encoded accumulators* — at node leaders under a hierarchical topology,
-/// straight at the owner when flat — so the owner decodes exactly one
-/// stream per owned table regardless of world size. The fold is
-/// compressed-domain addition ([`dlrm_grad::GradCodec::combine_into`]), so
-/// the flat and hierarchical groupings produce bit-identical weights for
-/// the lattice codec (saturating integer addition, associative absent
-/// saturation).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub enum GradPushSetting {
-    /// Per-sample gradient rows, summed per distinct index, shipped to the
-    /// owner by the pipeline's backward exchange — the default path.
-    #[default]
-    PerSample,
-    /// Dense per-table accumulators combined in the compressed domain on
-    /// the way home (the PR 9 ROADMAP follow-up).
-    Combined {
-        /// Homomorphic codec encoding every accumulator
-        /// ([`GradCodecKind::is_homomorphic`] must hold).
-        codec: GradCodecKind,
-    },
-}
-
-impl GradPushSetting {
-    /// The lattice quantizer at `error_bound` — the recommended setting.
-    pub fn lattice(error_bound: f32) -> Self {
-        GradPushSetting::Combined {
-            codec: GradCodecKind::Lattice { error_bound },
-        }
-    }
-
-    /// True if the backward push folds dense accumulators in the
-    /// compressed domain.
-    pub fn is_combined(&self) -> bool {
-        matches!(self, GradPushSetting::Combined { .. })
-    }
-
-    /// Short label used in reports.
-    pub fn label(&self) -> String {
-        match self {
-            GradPushSetting::PerSample => "push-per-sample".to_string(),
-            GradPushSetting::Combined { codec } => format!("push-combined-{}", codec.label()),
-        }
-    }
-}
-
 /// Whether the two all-to-all stages are charged as the double-buffered
 /// compress/communicate pipeline (the paper's Figure 3 streaming design) or
 /// as the plain sequential schedule.
@@ -586,10 +534,6 @@ pub struct TrainerConfig {
     /// [`DenseCompression::Off`], the bit-exact uncompressed path).
     #[serde(default)]
     pub dense_compression: DenseCompression,
-    /// How backward embedding gradients travel home (defaults to
-    /// [`GradPushSetting::PerSample`], the pipeline's backward exchange).
-    #[serde(default)]
-    pub grad_push: GradPushSetting,
     /// Simulated interconnect.
     pub network: NetworkConfig,
     /// Cluster shape: flat (default) or a node-aware two-tier hierarchy
@@ -675,7 +619,6 @@ impl TrainerConfig {
             compression,
             overlap: OverlapSetting::Off,
             dense_compression: DenseCompression::Off,
-            grad_push: GradPushSetting::PerSample,
             network: NetworkConfig::default(),
             topology: TopologySetting::Flat,
             adaptive: AdaptiveSetting::Static,
@@ -755,13 +698,6 @@ impl TrainerConfig {
     /// (builder-style convenience for the trace test matrix).
     pub fn with_obs(mut self, obs: ObsSetting) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// The same configuration with the given backward gradient-push setting
-    /// (builder-style convenience for the push test matrix).
-    pub fn with_grad_push(mut self, push: GradPushSetting) -> Self {
-        self.grad_push = push;
         self
     }
 
@@ -919,33 +855,6 @@ impl TrainerConfig {
                     "dense codec {} does not support the homomorphic combine",
                     codec.label()
                 ));
-            }
-        }
-        if let GradPushSetting::Combined { codec } = &self.grad_push {
-            if !codec.is_homomorphic() {
-                return Err(format!(
-                    "combined gradient push needs a homomorphic codec, got {}",
-                    codec.label()
-                ));
-            }
-            if let GradCodecKind::Lattice { error_bound } = codec {
-                if !(*error_bound > 0.0 && error_bound.is_finite()) {
-                    return Err("combined-push lattice error bound must be positive".into());
-                }
-            }
-            if self.overlap != OverlapSetting::Off {
-                return Err(
-                    "combined gradient push replaces the backward all-to-all wholesale; \
-                     it does not compose with the double-buffered overlap schedule"
-                        .into(),
-                );
-            }
-            if !matches!(self.adaptive, AdaptiveSetting::Static) {
-                return Err(
-                    "combined gradient push bypasses the controller's backward wire probe; \
-                     use AdaptiveSetting::Static with it"
-                        .into(),
-                );
             }
         }
         Ok(())

@@ -118,7 +118,6 @@
 //! See `docs/ADAPTIVITY.md` for the end-to-end walkthrough.
 
 pub mod config;
-pub mod grad_push;
 pub mod partition;
 pub mod pipeline;
 pub mod plan;
@@ -126,7 +125,7 @@ pub mod run;
 
 pub use config::{
     AdaptiveSetting, CompressionSetting, DenseCompression, ExecutorSetting, FaultSetting,
-    GradPushSetting, ObsSetting, OverlapSetting, TopologySetting, TrainerConfig,
+    ObsSetting, OverlapSetting, TopologySetting, TrainerConfig,
 };
 pub use partition::TablePartition;
 pub use run::{run_training, TableCompressionStats, TrainingReport};

@@ -10,7 +10,6 @@ use crate::config::{
     AdaptiveSetting, CompressionSetting, DenseCompression, OverlapSetting, TopologySetting,
     TrainerConfig,
 };
-use crate::grad_push::GradPushState;
 use crate::partition::TablePartition;
 use dlrm_adaptive::controller::{
     probe_candidates, ControllerConfig, Reselection, RuntimeController, TableObservation,
@@ -567,9 +566,6 @@ pub struct RankOutcome {
     /// device-throughput override; can go negative if combining were slower
     /// than the decodes it replaces).
     pub homo_saved_seconds: f64,
-    /// Compressed-domain combines of the backward embedding-gradient push
-    /// (leader + owner roles; zero on the default backward exchange).
-    pub grad_push_combines: u64,
     /// Combine-aware Equation-2 advice over the dense candidate pool,
     /// evaluated on the last post-all-reduce gradient (`None` when the
     /// segment ran no iterations; identical on every rank — asserted by the
@@ -1843,9 +1839,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     let mut fwd_delivered = vec![0u64; num_tables];
     let mut bwd_traffic = vec![(0u64, 0u64); num_tables];
     let compute_scale = trainer.compute_time_scale;
-    // Combined backward push (None on the default backward exchange).
-    let mut grad_push = GradPushState::from_setting(&trainer.grad_push);
-    let push_cards: Vec<usize> = dataset.tables.iter().map(|t| t.cardinality).collect();
 
     // Reusable per-rank state: everything the steady-state loop touches.
     let mut scratch = PipelineScratch::new(world);
@@ -2136,17 +2129,14 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         acct.close(phases::MLP_FWD, &scratch, 0);
 
         // The gradient of each distinct row of this shard's columns: its
-        // samples' gradient rows, summed in sample order (the combined push
-        // accumulates per-sample rows itself). Only the embedding half of
-        // the backward pass runs here.
+        // samples' gradient rows, summed in sample order. Only the
+        // embedding half of the backward pass runs here.
         let t0 = Instant::now();
         let back = model.backward_embeddings(&cache, &my_shard.labels);
-        if grad_push.is_none() {
-            for (index, grad) in own_distinct.iter().zip(&back.embedding_grads) {
-                let mut sums = scratch.take_floats(grad.len());
-                index.sum_rows_into(grad.as_slice(), dim, &mut sums);
-                grad_sums.push(Matrix::from_vec(index.unique().len(), dim, sums));
-            }
+        for (index, grad) in own_distinct.iter().zip(&back.embedding_grads) {
+            let mut sums = scratch.take_floats(grad.len());
+            index.sum_rows_into(grad.as_slice(), dim, &mut sums);
+            grad_sums.push(Matrix::from_vec(index.unique().len(), dim, sums));
         }
         acct.ledger
             .add_time(phases::MLP_BWD, t0.elapsed().as_secs_f64() * compute_scale);
@@ -2157,7 +2147,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // lost so far), and the next global batch. Every rank has passed
         // this step's forward exchange, so no rank still holds the step
         // before it, whose slot the next step recycles.
-        let mut grads = None;
         let window = |scratch: &mut PipelineScratch, acct: &mut Accounting<'_>| {
             let t0 = Instant::now();
             let weights = model.backward_weights(&cache, back);
@@ -2167,7 +2156,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             if let Some(state) = dense.as_mut() {
                 state.compensate(&mut scratch.flat_grads);
             }
-            grads = Some(weights);
             acct.close_window(phases::MLP_BWD, scratch);
             if iter + 1 < seg.end {
                 setup.feed.prefetch(iter + 1, trainer.global_batch);
@@ -2177,61 +2165,36 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
 
         // ── bwd compression → bwd all-to-all → bwd decompression: every
         // shard sends each table's summed gradient rows home to its owner —
-        // the same exchange, mirrored, with the window above in flight. The
-        // combined push replaces the whole block (including the owner-side
-        // apply): dense per-table accumulators added in the compressed
-        // domain — at node leaders when hierarchical — so owners decode one
-        // stream per table. It needs every gradient first, so the window
-        // runs before it.
-        if let Some(push) = grad_push.as_mut() {
-            window(&mut scratch, &mut acct);
-            push.run(
-                ctx,
-                partition,
-                &mut model,
-                grads.as_ref().expect("the window ran"),
-                &my_shard.sparse,
-                &push_cards,
-                dim,
-                trainer.learning_rate,
-                &cost,
-                hier_iter.as_ref(),
-                &mut scratch,
-                &mut acct.ledger,
-                compute_scale,
-            );
-        } else {
-            let (sums, shard_index) = (&grad_sums, &shard_distinct);
-            exchange.run(
-                Direction {
-                    phases: [
-                        phases::BWD_COMPRESS,
-                        phases::BWD_A2A,
-                        phases::BWD_DECOMPRESS,
-                    ],
-                    // `tables_of` is sorted ascending.
-                    blocks: |owner| {
-                        (partition.tables_of(owner).iter())
-                            .map(move |&t| (t, &sums[t], my_shard.batch_size()))
-                    },
-                    hints: &mut bwd_hints,
-                    traffic: &mut bwd_traffic,
-                    index: |table, src| shard_index.get(table, src),
-                    sink: |table, src, grad| grad_entries.push((table, src, grad)),
+        // the same exchange, mirrored, with the window above in flight.
+        let (sums, shard_index) = (&grad_sums, &shard_distinct);
+        exchange.run(
+            Direction {
+                phases: [
+                    phases::BWD_COMPRESS,
+                    phases::BWD_A2A,
+                    phases::BWD_DECOMPRESS,
+                ],
+                // `tables_of` is sorted ascending.
+                blocks: |owner| {
+                    (partition.tables_of(owner).iter())
+                        .map(move |&t| (t, &sums[t], my_shard.batch_size()))
                 },
-                &mut scratch,
-                &mut acct,
-                controller.as_mut(),
-                window,
-            );
-            for m in grad_sums.drain(..) {
-                scratch.put_floats(m.into_vec());
-            }
+                hints: &mut bwd_hints,
+                traffic: &mut bwd_traffic,
+                index: |table, src| shard_index.get(table, src),
+                sink: |table, src, grad| grad_entries.push((table, src, grad)),
+            },
+            &mut scratch,
+            &mut acct,
+            controller.as_mut(),
+            window,
+        );
+        for m in grad_sums.drain(..) {
+            scratch.put_floats(m.into_vec());
         }
 
         // ── embedding update: one row per distinct index of each shard's
-        // column (the combined push already applied its dense gradients and
-        // left no entries).
+        // column.
         let t0 = Instant::now();
         // Apply per table in source-rank order for determinism (tables are
         // independent, so cross-table order is irrelevant).
@@ -2417,12 +2380,14 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // deterministically allocation-free regardless of thread timing.
         if local + 1 == WARMUP_ITERATIONS {
             // Spares come in three size classes matching the three kinds of
-            // lease an iteration takes (payload chunks, the combined push's
-            // empty frames, the all-reduce flat buffer). The pool's best-fit
-            // policy keeps each class on its own buffers, and the extra sets
-            // parked here exceed the worst-case in-flight amount (bounded by
-            // one iteration's takes), so no racing take can ever land on an
-            // undersized buffer and grow it.
+            // lease an iteration takes (payload chunks; the exchange's empty
+            // frames, which carry no table block and ask for the 64-byte
+            // hint floor whenever a rank owns no table; the all-reduce flat
+            // buffer). The pool's best-fit policy keeps each class on its
+            // own buffers, and the extra sets parked here exceed the
+            // worst-case in-flight amount (bounded by one iteration's
+            // takes), so no racing take can ever land on an undersized
+            // buffer and grow it.
             // Spares must cover the worst-case *request* of the compress
             // stages (their takes ask for the codec worst case, not the
             // learned filled size), and the all-reduce's shard leases: raw
@@ -2563,7 +2528,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         homo_combines,
         homo_combine_seconds,
         homo_saved_seconds,
-        grad_push_combines: grad_push.map_or(0, |p| p.combines),
         dense_advice,
         tier_bytes,
         tier_seconds,

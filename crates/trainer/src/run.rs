@@ -81,7 +81,7 @@ pub struct TrainingReport {
     pub fwd_unique_frac: f64,
     /// Overall backward-payload compression ratio: raw bytes of the summed
     /// gradient rows over their encoded bytes, over every table (1.0 when
-    /// the backward exchange sent nothing, as under the combined push).
+    /// the backward exchange sent nothing, as in a run of zero iterations).
     #[serde(default)]
     pub bwd_ratio: f64,
     /// Total modelled time of the run (sum of the breakdown's phases).
@@ -148,14 +148,6 @@ pub struct TrainingReport {
     /// Identical on every rank — asserted by the merger.
     #[serde(default)]
     pub dense_advice: Option<DenseAdvice>,
-    /// Label of the backward embedding-gradient push
-    /// (`"push-per-sample"` or `"push-combined-<codec>"`).
-    #[serde(default)]
-    pub grad_push: String,
-    /// Compressed-domain combines of the backward push, summed across ranks
-    /// and iterations (zero on the default backward exchange).
-    #[serde(default)]
-    pub grad_push_combines: u64,
     /// Label of the cluster topology the run used (`"flat"` or
     /// `"<nodes>x<ranks_per_node>"`).
     #[serde(default)]
@@ -789,7 +781,6 @@ fn merge_segments(
             .fold(0.0, f64::max)
     });
     let homo_combines: u64 = all().map(|o| o.homo_combines).sum();
-    let grad_push_combines: u64 = all().map(|o| o.grad_push_combines).sum();
     // The advice is computed from the post-all-gather gradient every rank
     // holds identically; a divergence means ranks decoded different values
     // from the same reduced shards — fail loudly.
@@ -869,8 +860,6 @@ fn merge_segments(
         homo_combine_seconds,
         homo_saved_seconds,
         dense_advice,
-        grad_push: config.grad_push.label(),
-        grad_push_combines,
         topology: config.topology.label(),
         adaptive: config.adaptive.label(),
         reselections,

@@ -11,8 +11,8 @@ use dlrm_compress::CompressorKind;
 use dlrm_data::{presets, BatchFeed};
 use dlrm_trainer::pipeline::{run_rank, RankSetup, SegmentSpec};
 use dlrm_trainer::{
-    plan, run_training, CompressionSetting, ExecutorSetting, GradPushSetting, ObsSetting,
-    OverlapSetting, TablePartition, TopologySetting, TrainerConfig, TrainingReport,
+    plan, run_training, CompressionSetting, ExecutorSetting, ObsSetting, OverlapSetting,
+    TablePartition, TopologySetting, TrainerConfig, TrainingReport,
 };
 use std::sync::Arc;
 
@@ -148,7 +148,6 @@ fn timing_config(compression: CompressionSetting) -> TrainerConfig {
         compression,
         overlap: OverlapSetting::Off,
         dense_compression: Default::default(),
-        grad_push: Default::default(),
         network: NetworkConfig::alltoall_bound(5e7),
         topology: Default::default(),
         adaptive: Default::default(),
@@ -217,17 +216,16 @@ fn a2a_charges(report: &TrainingReport) -> [u64; 6] {
     ]
 }
 
-/// [`a2a_charges`] per compression × topology × overlap, then the combined
-/// gradient push per topology, at `timing_config`'s analytic throughputs.
-/// Captured while the flat sequential exchange and the push still ran a
-/// separate metadata round: their rows were re-pinned once when it went,
-/// each all-to-all second lower by exactly one α per exchange. The forward
-/// columns were re-pinned once more when owners began sending each distinct
-/// row once: forward bytes fell on every row, the backward columns stayed.
-/// The backward columns of the per-sample rows were re-pinned once when
-/// shards began sending one summed gradient row per distinct index: under
-/// fp32 and fp16 the backward bytes now equal the forward bytes, and the
-/// forward columns and the combined push's rows stayed.
+/// [`a2a_charges`] per compression × topology × overlap, at
+/// `timing_config`'s analytic throughputs. Captured while the flat
+/// sequential exchange still ran a separate metadata round: its rows were
+/// re-pinned once when it went, each all-to-all second lower by exactly one
+/// α per exchange. The forward columns were re-pinned once more when owners
+/// began sending each distinct row once: forward bytes fell on every row,
+/// the backward columns stayed. The backward columns were re-pinned once
+/// when shards began sending one summed gradient row per distinct index:
+/// under fp32 and fp16 the backward bytes now equal the forward bytes, and
+/// the forward columns stayed.
 #[rustfmt::skip]
 const A2A_CHARGES: &[(&str, [u64; 6])] = &[
     ("fp32-baseline / flat / sequential", [0x3f4841954bac25e3, 0x000000000000c110, 0x0000000000000000, 0x3f4841954bac25e3, 0x000000000000c110, 0x0000000000000000]),
@@ -242,8 +240,6 @@ const A2A_CHARGES: &[(&str, [u64; 6])] = &[
     ("lossy-ours-hybrid-eb0.02 / flat / overlapped", [0x3f230e6969140488, 0x0000000000002712, 0x3f02bdc08b98a082, 0x3f0e17061abb0616, 0x0000000000000c3d, 0x3ef6ed12a3acd41a]),
     ("lossy-ours-hybrid-eb0.02 / 2x2 / sequential", [0x3f1aee31288dce60, 0x0000000000004cf9, 0x0000000000000000, 0x3f10da16bec36261, 0x0000000000001861, 0x0000000000000000]),
     ("lossy-ours-hybrid-eb0.02 / 2x2 / overlapped", [0x3f13cf16886a8db7, 0x0000000000004cf9, 0x3f05424f383b725c, 0x3f0c19a89b4e19c5, 0x0000000000001861, 0x3ef310f60ab33570]),
-    ("push / flat", [0x3f4841954bac25e3, 0x000000000000c110, 0x0000000000000000, 0x3f9d88a1a4aaefad, 0x000000000016d220, 0x0000000000000000]),
-    ("push / 2x2", [0x3f3cb92053fcbc31, 0x0000000000016b50, 0x0000000000000000, 0x3f85ca1dbfb45889, 0x0000000000105600, 0x0000000000000000]),
 ];
 
 #[test]
@@ -265,13 +261,6 @@ fn a2a_charges_are_pinned() {
                 rows.push((tag, a2a_charges(&report)));
             }
         }
-    }
-    for topo in [TopologySetting::Flat, hier_2x2()] {
-        let cfg = timing_config(CompressionSetting::None)
-            .with_topology(topo)
-            .with_grad_push(GradPushSetting::lattice(1e-4));
-        let report = run_training(&dataset, &cfg);
-        rows.push((format!("push / {}", topo.label()), a2a_charges(&report)));
     }
     for ((tag, got), (want_tag, want)) in rows.iter().zip(A2A_CHARGES) {
         assert_eq!((tag.as_str(), got), (*want_tag, want), "a2a charges moved");
