@@ -27,7 +27,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::batch::MiniBatch;
+use crate::batch::{shard_sizes, MiniBatch};
 use crate::config::DatasetConfig;
 use crate::generator::SyntheticCriteo;
 
@@ -156,6 +156,26 @@ impl BatchFeed {
         state.generate(batch_size, self.parts);
         state.prefetched += 1;
         true
+    }
+
+    /// Expected distinct rows per `(table, shard)` of a global batch of
+    /// `batch_size` samples: `out[t][s]` is table `t`'s expected distinct
+    /// categories among shard `s`'s samples. Computed from the Zipf tables
+    /// the feed's generator already holds, once per distinct shard size,
+    /// under the undrifted distributions; it draws nothing from the stream.
+    pub fn expected_distinct(&self, batch_size: usize) -> Vec<Vec<f64>> {
+        let state = self.lock();
+        let sizes: Vec<usize> = shard_sizes(batch_size, self.parts).collect();
+        let mut per_size: Vec<(usize, Vec<f64>)> = Vec::new();
+        for &m in &sizes {
+            if !per_size.iter().any(|&(n, _)| n == m) {
+                per_size.push((m, state.generator.expected_distinct(m)));
+            }
+        }
+        let column = |m: usize| &per_size.iter().find(|&&(n, _)| n == m).expect("computed").1;
+        (0..state.generator.config().num_tables())
+            .map(|t| sizes.iter().map(|&m| column(m)[t]).collect())
+            .collect()
     }
 
     /// Batches generated so far, not counting the fast-forwarded prefix:

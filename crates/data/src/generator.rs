@@ -92,6 +92,16 @@ impl SyntheticCriteo {
         self.batches_drawn
     }
 
+    /// Expected distinct categories per table among `draws` samples, under
+    /// the stream's undrifted query distributions
+    /// ([`Zipf::expected_distinct`] of each table's sampler).
+    pub fn expected_distinct(&self, draws: usize) -> Vec<f64> {
+        self.queries
+            .iter()
+            .map(|z| z.expected_distinct(draws))
+            .collect()
+    }
+
     /// Generate the next mini-batch of `batch_size` samples.
     ///
     /// With [`DatasetConfig::drift`] set, batches past the drift's

@@ -122,6 +122,37 @@ impl Zipf {
         self.cdf[k] - prev
     }
 
+    /// Expected number of distinct categories among `draws` independent
+    /// samples: `Σ_k 1 − (1 − p_k)^draws`, one pass over the cumulative
+    /// table (no `powf`). The powers are taken by binary exponentiation on
+    /// eight categories at a time, so the loop vectorises.
+    pub fn expected_distinct(&self, draws: usize) -> f64 {
+        const LANES: usize = 8;
+        let mut prev = 0.0f64;
+        let mut sum = 0.0f64;
+        for chunk in self.cdf.chunks(LANES) {
+            // `base[i]` starts at category i's miss probability `1 − p`.
+            let mut base = [1.0f64; LANES];
+            for (b, &c) in base.iter_mut().zip(chunk) {
+                *b = 1.0 - (c - prev);
+                prev = c;
+            }
+            let mut miss = [1.0f64; LANES];
+            let mut e = draws;
+            while e > 0 {
+                if e & 1 == 1 {
+                    miss.iter_mut().zip(&base).for_each(|(m, b)| *m *= b);
+                }
+                base.iter_mut().for_each(|b| *b *= *b);
+                e >>= 1;
+            }
+            for m in &miss[..chunk.len()] {
+                sum += 1.0 - m;
+            }
+        }
+        sum
+    }
+
     /// Expected fraction of a batch covered by the `top` hottest categories.
     pub fn head_mass(&self, top: usize) -> f64 {
         if top == 0 {
@@ -256,6 +287,37 @@ mod tests {
         // Hot category must dominate a cold one.
         let cold_freq = samples.iter().filter(|&&s| s == 49).count();
         assert!(samples.iter().filter(|&&s| s == 0).count() > cold_freq * 5);
+    }
+
+    #[test]
+    fn expected_distinct_is_exact_on_closed_forms() {
+        // One category: every draw hits it.
+        for m in [0, 1, 7, 128] {
+            let expected = if m == 0 { 0.0 } else { 1.0 };
+            assert_eq!(Zipf::new(1, 1.3).expected_distinct(m), expected);
+        }
+        // Uniform: n·(1 − (1 − 1/n)^m).
+        for n in [2usize, 9, 1000, 174_000] {
+            for m in [1usize, 128, 2048] {
+                let closed = n as f64 * (1.0 - (1.0 - 1.0 / n as f64).powi(m as i32));
+                let got = Zipf::new(n, 0.0).expected_distinct(m);
+                assert!(
+                    (got - closed).abs() <= 1e-9 * closed,
+                    "n = {n}, m = {m}: {got} vs {closed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn expected_distinct_grows_with_draws_and_stays_in_range() {
+        let z = Zipf::new(5_000, 0.9);
+        let mut last = 0.0;
+        for m in [1, 2, 16, 128, 1024] {
+            let d = z.expected_distinct(m);
+            assert!(d > last && d <= m as f64 + 1e-9, "m = {m}: {d}");
+            last = d;
+        }
     }
 
     #[test]

@@ -216,3 +216,56 @@ fn the_criteo_kaggle_like_stream_is_pinned() {
 }
 
 const GOLDEN_STREAM_HASH: u64 = 0x5f69_3cc4_6cd3_8486;
+
+/// The expectation the trainer places tables by matches what the stream
+/// draws: per table, the analytic distinct count of a 128-sample shard is
+/// within 2 % of the mean over sampled shards of the benchmark's shape
+/// (global batch 512 over 4 ranks).
+#[test]
+fn expected_distinct_matches_sampled_shards() {
+    const STEPS: usize = 60;
+    const WORLD: usize = 4;
+    const BATCH: usize = 512;
+    let dataset = presets::criteo_kaggle_like();
+    let feed = BatchFeed::new(dataset.clone(), 11, WORLD);
+    let expected = feed.expected_distinct(BATCH);
+    assert_eq!(expected.len(), dataset.num_tables());
+    let mut counted = vec![0usize; dataset.num_tables()];
+    for step in 0..STEPS {
+        for shard in feed.step(step, BATCH).iter() {
+            for (count, column) in counted.iter_mut().zip(&shard.sparse) {
+                let mut ids = column.clone();
+                ids.sort_unstable();
+                ids.dedup();
+                *count += ids.len();
+            }
+        }
+    }
+    for (t, row) in expected.iter().enumerate() {
+        assert_eq!(row.len(), WORLD);
+        assert!(row.iter().all(|&d| d == row[0]), "equal shards, equal rows");
+        let mean = counted[t] as f64 / (STEPS * WORLD) as f64;
+        assert!(
+            (row[0] - mean).abs() <= 0.02 * mean,
+            "table {t}: expected {:.3}, sampled mean {mean:.3}",
+            row[0]
+        );
+    }
+}
+
+/// Unequal shards get their own sizes' expectations: 10 samples over 3
+/// parts are shards of 4, 3 and 3.
+#[test]
+fn expected_distinct_follows_the_shard_split() {
+    let dataset = presets::tiny();
+    let feed = BatchFeed::new(dataset.clone(), 1, 3);
+    let generator = SyntheticCriteo::new(dataset, 1);
+    let (four, three) = (
+        generator.expected_distinct(4),
+        generator.expected_distinct(3),
+    );
+    for (t, row) in feed.expected_distinct(10).iter().enumerate() {
+        assert_eq!(row, &vec![four[t], three[t], three[t]]);
+    }
+    assert_eq!(feed.generated(), 0, "the expectation draws nothing");
+}

@@ -127,5 +127,5 @@ pub use config::{
     AdaptiveSetting, CompressionSetting, DenseCompression, ExecutorSetting, FaultSetting,
     ObsSetting, OverlapSetting, TopologySetting, TrainerConfig,
 };
-pub use partition::TablePartition;
+pub use partition::{SenderRows, TablePartition};
 pub use run::{run_training, TableCompressionStats, TrainingReport};

@@ -1,8 +1,20 @@
 //! Model-parallel partitioning of embedding tables across ranks.
 //!
-//! The reference DLRM assigns whole tables to devices; a greedy
-//! largest-first bin packing keeps the per-rank parameter counts balanced,
-//! which is what matters for both memory and lookup-bandwidth balance.
+//! The reference DLRM assigns whole tables to devices. A greedy
+//! largest-first bin packing ([`TablePartition::greedy`]) balances the
+//! per-rank parameter counts, which is what memory needs — but it does not
+//! balance lookup traffic. A table's all-to-all rows are its distinct
+//! lookups per shard, which follow its query skew, not its size: a
+//! 174,000-row table with a flat distribution sends a full shard of rows,
+//! a 3-row table three. Each sender's egress is serialised, so an exchange
+//! lasts as long as its busiest sender takes.
+//!
+//! Training therefore places tables with [`TablePartition::by_traffic`]: a
+//! deterministic local search from the greedy packing that minimises the
+//! busiest sender's expected rows in both directions, with every rank's
+//! table rows held within 1 % of greedy's maximum. Serving and the elastic
+//! remaps ([`TablePartition::after_loss`], [`TablePartition::resized`])
+//! stay on the cardinality rule.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,6 +26,40 @@ pub struct TablePartition {
     /// `owner[t]` is the rank owning table `t`.
     pub owner: Vec<usize>,
 }
+
+/// Expected all-to-all rows each rank sends per iteration under a
+/// placement, from the expected distinct rows per `(table, shard)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SenderRows {
+    /// `forward[r]`: the distinct rows rank `r`'s tables serve to the other
+    /// shards.
+    pub forward: Vec<f64>,
+    /// `backward[r]`: the summed-gradient rows rank `r`'s shard sends home
+    /// to the owners of the tables it does not own.
+    pub backward: Vec<f64>,
+}
+
+impl SenderRows {
+    /// The busiest sender's rows, over both directions (0 with no ranks).
+    pub fn busiest(&self) -> f64 {
+        self.forward
+            .iter()
+            .chain(&self.backward)
+            .copied()
+            .fold(0.0, f64::max)
+    }
+}
+
+/// How far [`TablePartition::by_traffic`] lets a rank's table rows grow
+/// past greedy's most loaded rank: one part in this many (1 %). Ranks whose
+/// table memory differs hold a run's peak memory above greedy's, because a
+/// rank's buffers land in whichever allocator arena its thread picks up.
+const MEMORY_SLACK_PARTS: usize = 100;
+
+/// Fixed-point units per expected row. The traffic search adds and
+/// subtracts integers, so a placement's sender loads are exact and do not
+/// depend on the order of moves that reached it.
+const ROW_UNITS: f64 = (1u64 << 20) as f64;
 
 impl TablePartition {
     /// Greedy largest-first partition of tables (weighted by cardinality)
@@ -37,6 +83,108 @@ impl TablePartition {
             tables.sort_unstable();
         }
         Self { owned, owner }
+    }
+
+    /// Traffic-aware placement: start from [`TablePartition::greedy`], then
+    /// repeatedly make the best exchange of up to two tables each way
+    /// between two ranks (a move, a swap, two for one, two for two), as long
+    /// as one makes the ranks' sender loads strictly smaller — forward and
+    /// backward rows of every rank (see [`TablePartition::sender_rows`]),
+    /// sorted descending and compared lexicographically. The busiest sender
+    /// therefore never ends above greedy's. An exchange is only allowed if
+    /// every rank's table rows stay within 1 % of greedy's most loaded rank.
+    ///
+    /// `distinct[t][s]` is table `t`'s expected distinct rows in shard `s`,
+    /// one entry per rank. Deterministic: ties go to the first exchange in
+    /// (rank pair, table) order.
+    pub fn by_traffic(cardinalities: &[usize], distinct: &[Vec<f64>], world: usize) -> Self {
+        assert_eq!(
+            distinct.len(),
+            cardinalities.len(),
+            "one distinct-row row per table"
+        );
+        let units = row_units(distinct, world);
+        let mut placed = Self::greedy(cardinalities, world);
+        let mut load = placed.loads(cardinalities);
+        let greedy_max = load.iter().copied().max().unwrap_or(0);
+        let cap = greedy_max + greedy_max / MEMORY_SLACK_PARTS;
+        let weight =
+            |group: &[usize]| -> usize { group.iter().map(|&t| cardinalities[t].max(1)).sum() };
+        let mut send = sender_units(&placed.owner, &units, world);
+        let mut key = sorted_descending(&send);
+        loop {
+            let mut best: Option<Trade> = None;
+            for (a, b) in (0..world).flat_map(|a| (a + 1..world).map(move |b| (a, b))) {
+                let back_groups = small_groups(&placed.owned[b]);
+                for out in small_groups(&placed.owned[a]) {
+                    for back in &back_groups {
+                        let (w_out, w_back) = (weight(&out), weight(back));
+                        if out.len() + back.len() == 0
+                            || load[a] + w_back - w_out > cap
+                            || load[b] + w_out - w_back > cap
+                        {
+                            continue;
+                        }
+                        let mut trial = send.clone();
+                        out.iter().for_each(|&t| shift(&mut trial, &units[t], a, b));
+                        back.iter()
+                            .for_each(|&t| shift(&mut trial, &units[t], b, a));
+                        let trial_key = sorted_descending(&trial);
+                        if trial_key < *best.as_ref().map_or(&key, |t| &t.key) {
+                            best = Some(Trade {
+                                key: trial_key,
+                                moves: [(out.clone(), a, b), (back.clone(), b, a)],
+                            });
+                        }
+                    }
+                }
+            }
+            let Some(trade) = best else {
+                break;
+            };
+            for (group, from, to) in trade.moves {
+                for &t in &group {
+                    shift(&mut send, &units[t], from, to);
+                    placed.owner[t] = to;
+                }
+                placed.owned[from].retain(|t| !group.contains(t));
+                placed.owned[to].extend_from_slice(&group);
+                load[from] -= weight(&group);
+                load[to] += weight(&group);
+            }
+            key = trade.key;
+        }
+        for tables in placed.owned.iter_mut() {
+            tables.sort_unstable();
+        }
+        placed
+    }
+
+    /// Expected all-to-all rows each rank sends per iteration under this
+    /// placement; `distinct` as in [`TablePartition::by_traffic`], summed
+    /// in its fixed-point units.
+    pub fn sender_rows(&self, distinct: &[Vec<f64>]) -> SenderRows {
+        let world = self.world();
+        let send = sender_units(&self.owner, &row_units(distinct, world), world);
+        let rows = |units: &[u64]| units.iter().map(|&u| u as f64 / ROW_UNITS).collect();
+        SenderRows {
+            forward: rows(&send[..world]),
+            backward: rows(&send[world..]),
+        }
+    }
+
+    /// A floor no placement's busiest sender goes under: every row that
+    /// crosses the wire leaves one forward sender, so the busiest of `world`
+    /// carries at least a `1/world` share of the least total traffic (each
+    /// table owned by the shard that looks up most of it), and at least one
+    /// table's own forward rows.
+    pub fn sender_lower_bound(distinct: &[Vec<f64>], world: usize) -> f64 {
+        let leaving: Vec<u64> = row_units(distinct, world)
+            .iter()
+            .map(|row| row.iter().sum::<u64>() - row.iter().copied().max().unwrap_or(0))
+            .collect();
+        let share = leaving.iter().sum::<u64>() / world.max(1) as u64;
+        leaving.into_iter().fold(share, u64::max) as f64 / ROW_UNITS
     }
 
     /// Number of ranks in the partition.
@@ -198,6 +346,73 @@ impl TablePartition {
             max / mean
         }
     }
+}
+
+/// One exchange [`TablePartition::by_traffic`] considers: groups of tables
+/// moving `(tables, from, to)`, and the sender loads it leads to, sorted
+/// descending.
+struct Trade {
+    key: Vec<u64>,
+    moves: [(Vec<usize>, usize, usize); 2],
+}
+
+/// `distinct` in fixed-point units, checked to be one finite,
+/// non-negative entry per rank.
+fn row_units(distinct: &[Vec<f64>], world: usize) -> Vec<Vec<u64>> {
+    distinct
+        .iter()
+        .map(|row| {
+            assert_eq!(row.len(), world, "one distinct-row entry per rank");
+            row.iter()
+                .map(|&d| {
+                    assert!(d.is_finite() && d >= 0.0, "bad distinct-row count {d}");
+                    (d * ROW_UNITS).round() as u64
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Sender loads of the placement `owner`: `send[r]` is rank `r`'s forward
+/// rows, `send[world + r]` its backward rows.
+fn sender_units(owner: &[usize], units: &[Vec<u64>], world: usize) -> Vec<u64> {
+    let mut send = vec![0u64; 2 * world];
+    for (row, &o) in units.iter().zip(owner) {
+        for (s, &d) in row.iter().enumerate() {
+            if s != o {
+                send[o] += d;
+                send[world + s] += d;
+            }
+        }
+    }
+    send
+}
+
+/// Move one table (its per-shard rows `row`) from rank `from` to rank `to`
+/// in the sender loads `send`.
+fn shift(send: &mut [u64], row: &[u64], from: usize, to: usize) {
+    let world = row.len();
+    let total: u64 = row.iter().sum();
+    send[from] -= total - row[from];
+    send[world + from] += row[from];
+    send[to] += total - row[to];
+    send[world + to] -= row[to];
+}
+
+fn sorted_descending(send: &[u64]) -> Vec<u64> {
+    let mut key = send.to_vec();
+    key.sort_unstable_by(|a, b| b.cmp(a));
+    key
+}
+
+/// Every group of at most two of `tables`, the empty group first.
+fn small_groups(tables: &[usize]) -> Vec<Vec<usize>> {
+    let mut groups = vec![Vec::new()];
+    for (i, &t) in tables.iter().enumerate() {
+        groups.push(vec![t]);
+        groups.extend(tables[i + 1..].iter().map(|&u| vec![t, u]));
+    }
+    groups
 }
 
 #[cfg(test)]

@@ -539,6 +539,10 @@ pub struct RankOutcome {
     /// all-to-all payloads this rank produced for its own shard: one summed
     /// gradient row per distinct index of every block.
     pub bwd_traffic: Vec<(u64, u64)>,
+    /// `(forward, backward)` all-to-all bytes this rank sent to other ranks,
+    /// summed over the segment: every chunk it framed for a peer, headers
+    /// included (its own chunk never crosses the wire).
+    pub a2a_sent: (u64, u64),
     /// Final counters of this rank's buffer pool.
     pub pool_stats: PoolStats,
     /// Bytes of fresh buffer capacity the compress/send path allocated
@@ -1555,6 +1559,8 @@ impl Exchange<'_> {
     /// the wire, so the work hides under the wait for the peers' chunks; the
     /// hierarchical route runs it just before its blocking collective. It
     /// charges and closes its own phases.
+    ///
+    /// Returns the bytes this rank sent to other ranks.
     fn run<'m, B, I, X, S>(
         &self,
         mut dir: Direction<'_, B, X, S>,
@@ -1562,7 +1568,8 @@ impl Exchange<'_> {
         acct: &mut Accounting<'_>,
         mut controller: Option<&mut ControllerState>,
         window: impl FnOnce(&mut PipelineScratch, &mut Accounting<'_>),
-    ) where
+    ) -> u64
+    where
         B: Fn(usize) -> I,
         I: Iterator<Item = (usize, &'m Matrix, usize)>,
         X: Fn(usize, usize) -> &'m DistinctRows,
@@ -1732,8 +1739,10 @@ impl Exchange<'_> {
             self.device_throughput.map(|(_, d)| d),
             profile.map(|_| profile_s),
         );
+        let sent = scratch.chunk_sent.iter().sum::<usize>() as u64;
         let Some(mut stream) = stream else {
-            return acct.close(decompress, scratch, 0);
+            acct.close(decompress, scratch, 0);
+            return sent;
         };
         let stats = stream.finish();
         debug_assert_eq!(stats.sent, scratch.chunk_sent.iter().sum::<usize>());
@@ -1757,6 +1766,7 @@ impl Exchange<'_> {
             share.wire_seconds += cost.bandwidth_time(bottleneck);
         }
         acct.close_split(decompress, (measured_s, modeled_s), a2a, scratch);
+        sent
     }
 }
 
@@ -1838,6 +1848,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     let mut fwd_traffic = vec![(0u64, 0u64); num_tables];
     let mut fwd_delivered = vec![0u64; num_tables];
     let mut bwd_traffic = vec![(0u64, 0u64); num_tables];
+    let mut a2a_sent = (0u64, 0u64);
     let compute_scale = trainer.compute_time_scale;
 
     // Reusable per-rank state: everything the steady-state loop touches.
@@ -2072,7 +2083,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         lookup_slots.resize_with(num_tables, || None);
         let (owned_tables, lookups, own) = (&owned, &lookup_matrices, &own_distinct);
         let mut bottom = None;
-        exchange.run(
+        a2a_sent.0 += exchange.run(
             Direction {
                 phases: [
                     phases::FWD_COMPRESS,
@@ -2167,7 +2178,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // shard sends each table's summed gradient rows home to its owner —
         // the same exchange, mirrored, with the window above in flight.
         let (sums, shard_index) = (&grad_sums, &shard_distinct);
-        exchange.run(
+        a2a_sent.1 += exchange.run(
             Direction {
                 phases: [
                     phases::BWD_COMPRESS,
@@ -2520,6 +2531,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         fwd_traffic,
         fwd_delivered,
         bwd_traffic,
+        a2a_sent,
         pool_stats: ctx.pool().stats(),
         steady_state_allocated_bytes: steady_allocated,
         dense_traffic,

@@ -84,6 +84,14 @@ pub struct TrainingReport {
     /// the backward exchange sent nothing, as in a run of zero iterations).
     #[serde(default)]
     pub bwd_ratio: f64,
+    /// `(forward, backward)` all-to-all bytes each rank sent to the other
+    /// ranks per iteration, indexed by rank id: every chunk it framed for a
+    /// peer, headers included. With world events a rank id's bytes and
+    /// iterations pool over the segments it ran in. Pacing is per sender,
+    /// so the largest entry of each direction is the one its exchange waits
+    /// for.
+    #[serde(default)]
+    pub a2a_sent_per_iter: Vec<(f64, f64)>,
     /// Total modelled time of the run (sum of the breakdown's phases).
     pub total_seconds: f64,
     /// Virtual seconds the double-buffered pipeline hid (codec time that ran
@@ -346,7 +354,19 @@ pub fn run_training(dataset: &DatasetConfig, config: &TrainerConfig) -> Training
         .map_or_else(Vec::new, |f| f.plan.events().to_vec());
 
     let mut world = config.world;
-    let mut partition = TablePartition::greedy(&cards, world);
+    // Tables are placed by expected all-to-all traffic, read off the first
+    // segment's feed: its Zipf tables are the stream's, so the placement is a
+    // pure function of (dataset, world, global batch). Recovery remaps keep
+    // the cardinality rule's minimal moves.
+    let mut first_feed = Some(BatchFeed::new(
+        dataset.clone(),
+        config.seed.wrapping_add(1),
+        world,
+    ));
+    let mut partition = {
+        let feed = first_feed.as_ref().expect("just built");
+        TablePartition::by_traffic(&cards, &feed.expected_distinct(config.global_batch), world)
+    };
     let mut cursor = 0usize;
     let mut restore: Option<Arc<Checkpoint>> = None;
     let mut last_ckpt: Option<Arc<Checkpoint>> = None;
@@ -375,7 +395,9 @@ pub fn run_training(dataset: &DatasetConfig, config: &TrainerConfig) -> Training
         };
         let mut trainer = config.clone();
         trainer.world = world;
-        let feed = BatchFeed::new(dataset.clone(), config.seed.wrapping_add(1), world)
+        let feed = first_feed
+            .take()
+            .unwrap_or_else(|| BatchFeed::new(dataset.clone(), config.seed.wrapping_add(1), world))
             .starting_at(cursor, config.global_batch);
         let setup = Arc::new(RankSetup {
             dataset: dataset.clone(),
@@ -828,6 +850,29 @@ fn merge_segments(
         bwd_orig as f64 / bwd_comp as f64
     };
 
+    // Per rank id: bytes sent and iterations run, over every segment.
+    let mut sent: Vec<(u64, u64, usize)> = Vec::new();
+    for seg in segments {
+        for o in &seg.outcomes {
+            if sent.len() <= o.rank {
+                sent.resize(o.rank + 1, (0, 0, 0));
+            }
+            let slot = &mut sent[o.rank];
+            *slot = (
+                slot.0 + o.a2a_sent.0,
+                slot.1 + o.a2a_sent.1,
+                slot.2 + (seg.end - seg.start),
+            );
+        }
+    }
+    let a2a_sent_per_iter = sent
+        .into_iter()
+        .map(|(fwd, bwd, iters)| {
+            let n = iters.max(1) as f64;
+            (fwd as f64 / n, bwd as f64 / n)
+        })
+        .collect();
+
     let (trace, metrics) = merge_obs(config, segments, num_tables);
     let (feed_spills, prefetched_steps) = segments
         .iter()
@@ -846,6 +891,7 @@ fn merge_segments(
         overall_ratio,
         fwd_unique_frac,
         bwd_ratio,
+        a2a_sent_per_iter,
         total_seconds,
         overlap_saved_seconds,
         executor: config.executor.label().to_string(),

@@ -1,7 +1,10 @@
 //! Property-based tests of [`TablePartition`]: the greedy packing and both
 //! elastic remaps (`after_loss`, `resized`) are deterministic, keep every
 //! table owned exactly once, stay balanced to within one largest table, and
-//! move only the minimal set of tables an event forces to move.
+//! move only the minimal set of tables an event forces to move. The traffic
+//! placement (`by_traffic`) is deterministic, owns every table exactly once,
+//! holds its memory cap, and lands its busiest sender between the floor and
+//! greedy's.
 
 use dlrm_trainer::TablePartition;
 use proptest::prelude::*;
@@ -42,6 +45,45 @@ fn assert_balanced(p: &TablePartition, cards: &[usize]) {
     let max_w = cards.iter().map(|&c| c.max(1)).max().unwrap_or(1);
     let gap = loads.iter().max().unwrap() - loads.iter().min().unwrap();
     assert!(gap <= max_w, "load gap {gap} exceeds largest table {max_w}");
+}
+
+/// Cardinalities, a world, and expected distinct rows per `(table, shard)`
+/// of matching shape.
+fn placement_strategy() -> impl Strategy<Value = (Vec<usize>, usize, Vec<Vec<f64>>)> {
+    (cards_strategy(), 1usize..6).prop_flat_map(|(cards, world)| {
+        let rows = prop::collection::vec(prop::collection::vec(0.0f64..200.0, world), cards.len());
+        (Just(cards), Just(world), rows)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The traffic placement is a pure function of its inputs, keeps every
+    /// table owned exactly once, keeps every rank's table rows within 1 % of
+    /// greedy's most loaded rank, and puts its busiest sender at or under
+    /// greedy's and at or over the floor. Every row leaves one sender and
+    /// reaches one, so both directions carry the same total.
+    #[test]
+    fn by_traffic_is_deterministic_capped_and_between_floor_and_greedy(
+        (cards, world, distinct) in placement_strategy(),
+    ) {
+        let p = TablePartition::by_traffic(&cards, &distinct, world);
+        prop_assert_eq!(&p, &TablePartition::by_traffic(&cards, &distinct, world));
+        prop_assert_eq!(p.world(), world);
+        assert_consistent(&p, cards.len());
+        let greedy = TablePartition::greedy(&cards, world);
+        let greedy_max = loads(&greedy, &cards).into_iter().max().unwrap();
+        let cap = greedy_max + greedy_max / 100;
+        let placed = loads(&p, &cards);
+        prop_assert!(placed.iter().all(|&l| l <= cap), "loads {:?} over cap {}", placed, cap);
+        let rows = p.sender_rows(&distinct);
+        let busiest = rows.busiest();
+        prop_assert!(busiest <= greedy.sender_rows(&distinct).busiest());
+        prop_assert!(busiest >= TablePartition::sender_lower_bound(&distinct, world));
+        let (fwd, bwd): (f64, f64) = (rows.forward.iter().sum(), rows.backward.iter().sum());
+        prop_assert!((fwd - bwd).abs() <= 1e-9 * fwd.max(1.0), "{} vs {}", fwd, bwd);
+    }
 }
 
 proptest! {
