@@ -34,6 +34,24 @@ pub struct SyntheticCriteo {
     rng: SeededRng,
     samples_drawn: u64,
     batches_drawn: u64,
+    /// The draws [`SyntheticCriteo::next_batch_into`]'s first pass stores
+    /// for the later two, kept so a warmed-up draw allocates nothing.
+    scratch: DrawScratch,
+}
+
+/// Per-batch scratch of the three-pass draw, reused from batch to batch.
+#[derive(Debug, Clone, Default)]
+struct DrawScratch {
+    /// Zipf uniforms, table-major: `units[t * batch + i]` is sample `i`'s
+    /// draw for table `t`, so the inversion pass reads one table's draws
+    /// contiguously.
+    units: Vec<f64>,
+    /// Per sample, the label-noise normal (pass 1), to which pass 3 adds
+    /// the sample's logit: `noise + logit`, bit for bit the sum
+    /// `logit + noise` it replaces.
+    noisy_logits: Vec<f32>,
+    /// Uniform per sample that the label's Bernoulli trial compares with.
+    coins: Vec<f64>,
 }
 
 /// Number of hash buckets the hidden labeler uses per table. Keeping this
@@ -74,6 +92,7 @@ impl SyntheticCriteo {
             bias: -0.8,
             samples_drawn: 0,
             batches_drawn: 0,
+            scratch: DrawScratch::default(),
         }
     }
 
@@ -117,8 +136,29 @@ impl SyntheticCriteo {
     /// Generate the next mini-batch of `batch_size` samples directly as its
     /// `parts` contiguous shards — `shards` ends up equal to
     /// `self.next_batch(batch_size).shard(parts)` — reusing whatever storage
-    /// `shards` already holds: once it has carried a batch of this shape, a
-    /// further call performs no heap allocation.
+    /// `shards` and the generator's scratch already hold: once they have
+    /// carried a batch of this shape, a further call performs no heap
+    /// allocation.
+    ///
+    /// The batch is drawn in three passes, yet it is the stream a
+    /// sample-by-sample draw gives, bit for bit:
+    ///
+    /// 1. every random draw, in stream order: each sample's 13 dense
+    ///    normals (their `ln(1 + ·)` computed on the spot, into the shard),
+    ///    then one uniform per table, the label-noise normal and the label's
+    ///    Bernoulli uniform, the last three stored in the scratch;
+    /// 2. the Zipf inversions, table by table, so one table's guide and
+    ///    cumulative table stay in cache for all of its draws (hot-set
+    ///    rotation applied as each category is written);
+    /// 3. the logits and labels, sample by sample, each logit summed in the
+    ///    order the sample-by-sample draw uses: bias, dense terms, then the
+    ///    tables ascending.
+    ///
+    /// Drawing everything first is legal because what a sample consumes
+    /// does not depend on the values drawn: every draw reads a fixed number
+    /// of ChaCha words (a dense or noise normal two `u32`s, a Zipf or
+    /// Bernoulli uniform one `u64`), 82 per sample at 13 dense features and
+    /// 26 tables.
     pub fn next_batch_into(
         &mut self,
         batch_size: usize,
@@ -126,60 +166,146 @@ impl SyntheticCriteo {
         shards: &mut Vec<MiniBatch>,
     ) {
         assert!(batch_size > 0, "batch size must be positive");
-        let num_dense = self.config.num_dense;
         let num_tables = self.config.num_tables();
+        let (drifted, rotation_steps) = self.begin_batch();
+        reset_shards(shards, batch_size, parts, self.config.num_dense, num_tables);
+        let scratch = &mut self.scratch;
+        scratch.units.resize(num_tables * batch_size, 0.0);
+        scratch.noisy_logits.resize(batch_size, 0.0);
+        scratch.coins.resize(batch_size, 0.0);
 
-        // Resolve the drift state of this batch before any sampling: the
-        // active query distributions and the hot-set rotation offset.
-        let batch_index = self.batches_drawn as usize;
-        let drift = self.config.drift.filter(|d| d.active_at(batch_index));
-        if let Some(d) = drift {
-            if d.exponent_shift != 0.0 && self.drifted_queries.is_none() {
-                self.drifted_queries = Some(
-                    self.config
-                        .tables
-                        .iter()
-                        .map(|t| {
-                            Zipf::new(
-                                t.cardinality,
-                                (t.zipf_exponent + d.exponent_shift).clamp(0.0, 5.0),
-                            )
-                        })
-                        .collect(),
-                );
+        // Pass 1: every draw, in stream order: samples in global order,
+        // shard after shard, so the stream does not depend on `parts`.
+        // Dense features are log-normal-ish positive values, standardised
+        // the way the DLRM reference preprocesses Criteo (log(1+x)).
+        let mut i = 0;
+        for shard in shards.iter_mut() {
+            for r in 0..shard.dense.rows() {
+                for v in shard.dense.row_mut(r) {
+                    let raw = self.rng.normal(0.0, 1.0).abs() * 3.0;
+                    *v = (1.0 + raw).ln();
+                }
+                for t in 0..num_tables {
+                    scratch.units[t * batch_size + i] = self.rng.unit();
+                }
+                // Label noise keeps the task from being perfectly separable.
+                scratch.noisy_logits[i] = self.rng.normal(0.0, 0.5);
+                scratch.coins[i] = self.rng.unit();
+                i += 1;
             }
         }
-        let queries = match (&drift, &self.drifted_queries) {
-            (Some(d), Some(shifted)) if d.exponent_shift != 0.0 => shifted,
+
+        // Pass 2: the categorical features, table by table. Hot-set
+        // rotation re-maps the sampled rank onto a rotated category
+        // identity, so which categories are hot (and therefore which vectors
+        // repeat, and which label buckets fire) churns over the run.
+        let queries = match &self.drifted_queries {
+            Some(shifted) if drifted => shifted,
             _ => &self.queries,
         };
-        let rotation_steps = drift.map_or(0, |d| d.rotation_steps(batch_index));
+        for (t, (zipf, units)) in queries
+            .iter()
+            .zip(scratch.units.chunks_exact(batch_size))
+            .enumerate()
+        {
+            let card = self.config.tables[t].cardinality;
+            let shift = rotation_steps * (card / 8).max(1);
+            let mut units = units.iter();
+            for shard in shards.iter_mut() {
+                let column = &mut shard.sparse[t];
+                column.extend(units.by_ref().take(shard.dense.rows()).map(|&u| {
+                    let cat = zipf.index_of(u);
+                    let cat = if rotation_steps > 0 {
+                        (cat + shift) % card
+                    } else {
+                        cat
+                    };
+                    cat as u32
+                }));
+            }
+        }
 
-        shards.resize_with(parts, MiniBatch::default);
-        // Samples are drawn in global order, shard after shard, so the
-        // stream does not depend on `parts`.
-        for (shard, len) in shards.iter_mut().zip(shard_sizes(batch_size, parts)) {
-            let mut dense = std::mem::take(&mut shard.dense).into_vec();
-            dense.clear();
-            dense.resize(len * num_dense, 0.0);
-            shard.dense = Matrix::from_vec(len, num_dense, dense);
-            shard.sparse.resize_with(num_tables, Vec::new);
-            shard.sparse.iter_mut().for_each(Vec::clear);
-            shard.labels.clear();
+        // Pass 3: logits and labels, sample by sample.
+        let mut i = 0;
+        for shard in shards.iter_mut() {
+            for r in 0..shard.dense.rows() {
+                let mut logit = self.bias;
+                for (v, w) in shard.dense.row(r).iter().zip(&self.dense_weights) {
+                    logit += w * v;
+                }
+                for (t, column) in shard.sparse.iter().enumerate() {
+                    logit += self.table_weights[t][bucket_of(t, column[r] as usize)];
+                }
+                let noisy = &mut scratch.noisy_logits[i];
+                *noisy += logit;
+                let p = sigmoid(*noisy);
+                shard.labels.push(if scratch.coins[i] < p as f64 {
+                    1.0
+                } else {
+                    0.0
+                });
+                i += 1;
+            }
+            debug_assert!(shard.validate().is_ok());
+        }
+        self.samples_drawn += batch_size as u64;
+        self.batches_drawn += 1;
+    }
 
-            for i in 0..len {
-                // Dense features: log-normal-ish positive values, standardised
-                // the way the DLRM reference preprocesses Criteo (log(1+x)).
+    /// Resolve the drift state of the next batch before any sampling:
+    /// whether it samples from the drifted query distributions (built here
+    /// the first time one is needed), and its hot-set rotation steps.
+    fn begin_batch(&mut self) -> (bool, usize) {
+        let batch_index = self.batches_drawn as usize;
+        let Some(d) = self.config.drift.filter(|d| d.active_at(batch_index)) else {
+            return (false, 0);
+        };
+        let drifted = d.exponent_shift != 0.0;
+        if drifted && self.drifted_queries.is_none() {
+            self.drifted_queries = Some(
+                self.config
+                    .tables
+                    .iter()
+                    .map(|t| {
+                        Zipf::new(
+                            t.cardinality,
+                            (t.zipf_exponent + d.exponent_shift).clamp(0.0, 5.0),
+                        )
+                    })
+                    .collect(),
+            );
+        }
+        (drifted, d.rotation_steps(batch_index))
+    }
+
+    /// [`SyntheticCriteo::next_batch_into`] as one sample at a time, every
+    /// draw consumed where it is used — the generator before the three
+    /// passes, kept as the tests' reference. Returns each sample's noisy
+    /// logit (`logit + noise`), whose bits show a change in summation order
+    /// that the labels almost never do.
+    #[cfg(test)]
+    fn reference_next_batch_into(
+        &mut self,
+        batch_size: usize,
+        parts: usize,
+        shards: &mut Vec<MiniBatch>,
+    ) -> Vec<f32> {
+        let mut noisy_logits = Vec::with_capacity(batch_size);
+        let (drifted, rotation_steps) = self.begin_batch();
+        let queries = match &self.drifted_queries {
+            Some(shifted) if drifted => shifted,
+            _ => &self.queries,
+        };
+        let num_tables = self.config.num_tables();
+        reset_shards(shards, batch_size, parts, self.config.num_dense, num_tables);
+        for shard in shards.iter_mut() {
+            for i in 0..shard.dense.rows() {
                 let mut logit = self.bias;
                 for (v, w) in shard.dense.row_mut(i).iter_mut().zip(&self.dense_weights) {
                     let raw = self.rng.normal(0.0, 1.0).abs() * 3.0;
                     *v = (1.0 + raw).ln();
                     logit += w * *v;
                 }
-                // Categorical features. Hot-set rotation re-maps the sampled
-                // rank onto a rotated category identity, so which categories
-                // are hot (and therefore which vectors repeat, and which label
-                // buckets fire) churns over the run.
                 for (t, zipf) in queries.iter().enumerate() {
                     let mut cat = zipf.sample(&mut self.rng);
                     if rotation_steps > 0 {
@@ -188,11 +314,10 @@ impl SyntheticCriteo {
                         cat = (cat + rotation_steps * stride) % card;
                     }
                     shard.sparse[t].push(cat as u32);
-                    let bucket = bucket_of(t, cat);
-                    logit += self.table_weights[t][bucket];
+                    logit += self.table_weights[t][bucket_of(t, cat)];
                 }
-                // Label noise keeps the task from being perfectly separable.
                 let noise = self.rng.normal(0.0, 0.5);
+                noisy_logits.push(logit + noise);
                 let p = sigmoid(logit + noise);
                 shard.labels.push(if self.rng.bernoulli(p as f64) {
                     1.0
@@ -200,10 +325,10 @@ impl SyntheticCriteo {
                     0.0
                 });
             }
-            debug_assert!(shard.validate().is_ok());
         }
         self.samples_drawn += batch_size as u64;
         self.batches_drawn += 1;
+        noisy_logits
     }
 
     /// Generate `count` batches of the dataset's default batch size.
@@ -227,10 +352,153 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
+/// Shape `shards` as the `parts` contiguous shards of a `batch_size`-sample
+/// batch: each shard's dense matrix sized (zeroed) and its columns and labels
+/// emptied, every buffer's storage kept.
+fn reset_shards(
+    shards: &mut Vec<MiniBatch>,
+    batch_size: usize,
+    parts: usize,
+    num_dense: usize,
+    num_tables: usize,
+) {
+    shards.resize_with(parts, MiniBatch::default);
+    for (shard, len) in shards.iter_mut().zip(shard_sizes(batch_size, parts)) {
+        let mut dense = std::mem::take(&mut shard.dense).into_vec();
+        dense.clear();
+        dense.resize(len * num_dense, 0.0);
+        shard.dense = Matrix::from_vec(len, num_dense, dense);
+        shard.sparse.resize_with(num_tables, Vec::new);
+        shard.sparse.iter_mut().for_each(Vec::clear);
+        shard.labels.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets;
+    use crate::config::TrafficDrift;
+    use crate::{presets, BatchFeed};
+    use proptest::prelude::*;
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Bit equality of two sharded batches: every dense value's bits, every
+    /// column, every label's bits.
+    fn assert_same_bits(got: &[MiniBatch], want: &[MiniBatch], context: &str) {
+        assert_eq!(got.len(), want.len(), "{context}: shard count");
+        for (s, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                (g.dense.rows(), g.dense.cols()),
+                (w.dense.rows(), w.dense.cols()),
+                "{context}: shard {s} dense shape"
+            );
+            assert_eq!(
+                bits(g.dense.as_slice()),
+                bits(w.dense.as_slice()),
+                "{context}: shard {s} dense values"
+            );
+            assert_eq!(g.sparse, w.sparse, "{context}: shard {s} columns");
+            assert_eq!(
+                bits(&g.labels),
+                bits(&w.labels),
+                "{context}: shard {s} labels"
+            );
+        }
+    }
+
+    /// The noisy logits the last three-pass draw of `passes` labelled from
+    /// have the reference's bits.
+    fn assert_same_logits(passes: &SyntheticCriteo, want: &[f32], context: &str) {
+        let got = &passes.scratch.noisy_logits[..want.len()];
+        assert_eq!(bits(got), bits(want), "{context}: noisy logits");
+    }
+
+    /// None, exponent shift, rotation only, or both, from `start_batch` on.
+    fn with_drift(dataset: DatasetConfig, kind: usize, start_batch: usize) -> DatasetConfig {
+        match kind {
+            0 => dataset,
+            1 => dataset.with_drift(TrafficDrift::exponent_shift(start_batch, 0.9)),
+            2 => dataset.with_drift(TrafficDrift::hot_rotation(start_batch, 1)),
+            _ => dataset.with_drift(TrafficDrift {
+                start_batch,
+                exponent_shift: -0.4,
+                hot_rotation_every: 2,
+            }),
+        }
+    }
+
+    const BATCH_SIZES: [usize; 5] = [1, 3, 50, 128, 257];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn three_passes_are_the_per_sample_draw(
+            seed in any::<u64>(),
+            parts in 1usize..=5,
+            drift in 0usize..4,
+            start_batch in 1usize..=4,
+            first in 0usize..5,
+        ) {
+            let dataset = with_drift(presets::tiny(), drift, start_batch);
+            let mut passes = SyntheticCriteo::new(dataset, seed);
+            let mut reference = passes.clone();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            // Every batch size once, in a rotated order; the drift starts
+            // after the first batch and before the last.
+            for k in 0..BATCH_SIZES.len() {
+                let n = BATCH_SIZES[(first + k) % BATCH_SIZES.len()];
+                passes.next_batch_into(n, parts, &mut got);
+                let logits = reference.reference_next_batch_into(n, parts, &mut want);
+                let context = format!(
+                    "seed {seed}, parts {parts}, drift {drift} from {start_batch}, batch {k} of {n}"
+                );
+                assert_same_bits(&got, &want, &context);
+                assert_same_logits(&passes, &logits, &context);
+            }
+            prop_assert_eq!(passes.samples_drawn(), reference.samples_drawn());
+            prop_assert_eq!(passes.batches_drawn(), reference.batches_drawn());
+        }
+
+        #[test]
+        fn a_fast_forwarded_feed_is_the_per_sample_draw(
+            seed in any::<u64>(),
+            parts in 1usize..=5,
+            drift in 0usize..4,
+            start in 0usize..=5,
+            n in prop_oneof![Just(1usize), Just(3usize), Just(50usize), Just(128usize)],
+        ) {
+            let dataset = with_drift(presets::tiny(), drift, 2);
+            let feed = BatchFeed::new(dataset.clone(), seed, parts).starting_at(start, n);
+            let mut reference = SyntheticCriteo::new(dataset, seed);
+            let mut want = Vec::new();
+            for _ in 0..=start {
+                reference.reference_next_batch_into(n, parts, &mut want);
+            }
+            let context = format!("seed {seed}, parts {parts}, drift {drift}, start {start}, n {n}");
+            assert_same_bits(&feed.step(start, n), &want, &context);
+        }
+    }
+
+    #[test]
+    fn three_passes_are_the_per_sample_draw_at_kaggle_scale() {
+        for drift in 0..4 {
+            let dataset = with_drift(presets::criteo_kaggle_like(), drift, 1);
+            let mut passes = SyntheticCriteo::new(dataset, 3);
+            let mut reference = passes.clone();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for k in 0..3 {
+                passes.next_batch_into(512, 4, &mut got);
+                let logits = reference.reference_next_batch_into(512, 4, &mut want);
+                let context = format!("drift {drift}, batch {k}");
+                assert_same_bits(&got, &want, &context);
+                assert_same_logits(&passes, &logits, &context);
+            }
+        }
+    }
 
     #[test]
     fn batches_have_requested_shape() {
@@ -319,7 +587,6 @@ mod tests {
 
     #[test]
     fn drifting_stream_matches_stationary_until_start_batch() {
-        use crate::config::TrafficDrift;
         let cfg = presets::tiny();
         let drifted_cfg = cfg.clone().with_drift(TrafficDrift {
             start_batch: 3,
@@ -342,7 +609,6 @@ mod tests {
 
     #[test]
     fn exponent_shift_concentrates_queries() {
-        use crate::config::TrafficDrift;
         // A strong positive shift must make the hot category dominate far
         // more after the drift than before — the repetition structure (and
         // therefore table homogenization) genuinely moves mid-run.
@@ -368,7 +634,6 @@ mod tests {
 
     #[test]
     fn hot_rotation_moves_the_modal_category() {
-        use crate::config::TrafficDrift;
         let cfg = presets::tiny().with_drift(TrafficDrift::hot_rotation(0, 1));
         let mut g = SyntheticCriteo::new(cfg.clone(), 29);
         let modal = |b: &MiniBatch, t: usize| {

@@ -96,7 +96,7 @@ impl Zipf {
     /// is `< j/K <= u`) nor after `guide[j+1]` (whose entry is
     /// `>= (j+1)/K > u`): searching `cdf[guide[j]..=guide[j+1]]` returns
     /// exactly what searching the whole table would.
-    fn index_of(&self, u: f64) -> usize {
+    pub(crate) fn index_of(&self, u: f64) -> usize {
         let slices = self.guide.len() - 1;
         let j = (u * slices as f64) as usize;
         let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);

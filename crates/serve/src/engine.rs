@@ -23,7 +23,9 @@
 //!    its own slice (`request_id % frontends == rank`): rows on the local
 //!    shard are gathered directly from the trained weights, remote rows
 //!    probe the hot-row LRU, and misses fall into the per-owner
-//!    [`BatchCoalescer`].
+//!    [`BatchCoalescer`]. The draw is the window's serial stage: one
+//!    frontend draws the whole batch under the feed's mutex while the others
+//!    wait for it, so its cost lands on every window's wall time.
 //! 2. The coalesced key lists ride one variable all-to-all (request
 //!    direction), owners gather + encode each table's rows into a single
 //!    codec stream, and the payloads ride a second all-to-all back.
