@@ -1,13 +1,17 @@
 //! Micro-benchmark of the dense path's kernels at the shapes the benchmark's
 //! workloads run (`criteo_kaggle_like`, world 4, global batch 512 → local
 //! batch 128): the three matmul flavours at the top MLP's first layer
-//! (383 → 128), `matmul` and `matmul_at` also with a post-ReLU left operand,
-//! one `vecmat` and one `dots` at that layer's shape and `dots` at the
-//! interaction's, the 27×32 feature interaction forward and backward, and
-//! the whole `forward_dense` / `backward_dense` they add up to, with the
-//! backward pass also in its two halves: `backward_embeddings` (what the
-//! backward exchange waits for) and `backward_weights` (what the trainer runs
-//! while it is in flight). It prints the lane body the CPU picked first.
+//! (383 → 128), `matmul` and `matmul_at` also with a post-ReLU left operand
+//! and `matmul` with a 70 %-zero one (the interaction output on codec-like
+//! lookups), `matmul_bt` with half of `dY` masked, the second top layer's
+//! post-ReLU products (128 → 64), one `vecmat` and one `dots` at the first
+//! layer's shape and `dots` at the interaction's, the 27×32 feature
+//! interaction forward and backward on zero-free and on codec-like lookups
+//! (half the vectors exact zeros), and the whole `forward_dense` /
+//! `backward_dense` they add up to, with the backward pass also in its two
+//! halves: `backward_embeddings` (what the backward exchange waits for) and
+//! `backward_weights` (what the trainer runs while it is in flight). It
+//! prints the lane body the CPU picked first.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dlrm_data::{presets, EmbeddingTrafficGenerator, SyntheticCriteo};
@@ -35,6 +39,28 @@ fn bench_matmul(c: &mut Criterion) {
     // `matmul_at` skip.
     let mut rng = SeededRng::new(3);
     let relu = Matrix::from_fn(LOCAL_BATCH, k, |_, _| ops::relu(rng.uniform(-1.0, 1.0)));
+    // The interaction output on codec-like lookups: about 70 % zeros.
+    let sparse = Matrix::from_fn(LOCAL_BATCH, k, |_, _| {
+        if rng.index(10) < 7 {
+            0.0
+        } else {
+            rng.uniform(-1.0, 1.0)
+        }
+    });
+    // A ReLU-masked output gradient: half its elements are exact zeros.
+    let masked = Matrix::from_fn(LOCAL_BATCH, n, |_, _| {
+        if rng.index(2) == 0 {
+            0.0
+        } else {
+            rng.uniform(-1.0, 1.0)
+        }
+    });
+    // The second top layer (128 -> 64): post-ReLU input, its output gradient.
+    let (hidden, w2) = (
+        Matrix::from_fn(LOCAL_BATCH, n, |_, _| ops::relu(rng.uniform(-1.0, 1.0))),
+        pattern(n, 64, 4),
+    );
+    let dy2 = pattern(LOCAL_BATCH, 64, 5);
 
     let mut group = c.benchmark_group("matmul");
     group.throughput(Throughput::Elements((2 * LOCAL_BATCH * k * n) as u64));
@@ -44,14 +70,26 @@ fn bench_matmul(c: &mut Criterion) {
     group.bench_function("matmul relu(128x383) . 383x128", |b| {
         b.iter(|| black_box(&relu).matmul(black_box(&w)))
     });
+    group.bench_function("matmul 70%-zero(128x383) . 383x128", |b| {
+        b.iter(|| black_box(&sparse).matmul(black_box(&w)))
+    });
     group.bench_function("matmul_bt 128x128 . (383x128)^T", |b| {
         b.iter(|| black_box(&dy).matmul_bt(black_box(&w)))
+    });
+    group.bench_function("matmul_bt half-zero(128x128) . (383x128)^T", |b| {
+        b.iter(|| black_box(&masked).matmul_bt(black_box(&w)))
     });
     group.bench_function("matmul_at (128x383)^T . 128x128", |b| {
         b.iter(|| black_box(&x).matmul_at(black_box(&dy)))
     });
     group.bench_function("matmul_at relu(128x383)^T . 128x128", |b| {
         b.iter(|| black_box(&relu).matmul_at(black_box(&dy)))
+    });
+    group.bench_function("matmul relu(128x128) . 128x64", |b| {
+        b.iter(|| black_box(&hidden).matmul(black_box(&w2)))
+    });
+    group.bench_function("matmul_at relu(128x128)^T . 128x64", |b| {
+        b.iter(|| black_box(&hidden).matmul_at(black_box(&dy2)))
     });
     group.finish();
 }
@@ -97,18 +135,30 @@ fn bench_interaction(c: &mut Criterion) {
     let embeddings: Vec<Matrix> = (0..tables)
         .map(|t| pattern(LOCAL_BATCH, dim, 4 + t))
         .collect();
-    let (out, cache) = interaction::forward(&bottom, &embeddings);
-    let grad_out = pattern(LOCAL_BATCH, out.cols(), 5);
-
-    let mut group = c.benchmark_group("interaction 27x32");
-    group.throughput(Throughput::Elements(LOCAL_BATCH as u64));
-    group.bench_function("forward", |b| {
-        b.iter(|| interaction::forward(black_box(&bottom), black_box(&embeddings)))
-    });
-    group.bench_function("backward", |b| {
-        b.iter(|| interaction::backward(black_box(&cache), black_box(&grad_out)))
-    });
-    group.finish();
+    // Codec-like lookups: the error-bounded quantizer returns about half the
+    // lookup vectors as exact zero vectors.
+    let mut rng = SeededRng::new(6);
+    let mut codec_like = embeddings.clone();
+    for table in &mut codec_like {
+        for i in 0..LOCAL_BATCH {
+            if rng.index(2) == 0 {
+                table.row_mut(i).fill(0.0);
+            }
+        }
+    }
+    for (name, embeddings) in [("27x32", &embeddings), ("27x32 codec-like", &codec_like)] {
+        let (out, cache) = interaction::forward(&bottom, embeddings);
+        let grad_out = pattern(LOCAL_BATCH, out.cols(), 5);
+        let mut group = c.benchmark_group(format!("interaction {name}"));
+        group.throughput(Throughput::Elements(LOCAL_BATCH as u64));
+        group.bench_function("forward", |b| {
+            b.iter(|| interaction::forward(black_box(&bottom), black_box(embeddings)))
+        });
+        group.bench_function("backward", |b| {
+            b.iter(|| interaction::backward(black_box(&cache), black_box(&grad_out)))
+        });
+        group.finish();
+    }
 }
 
 fn bench_dense(c: &mut Criterion) {

@@ -5,18 +5,21 @@
 //! `dim`, computes all pairwise dot products (`F·(F−1)/2` values, the strict
 //! lower triangle), and concatenates them with the bottom-MLP output. The
 //! result feeds the top MLP.
+//!
+//! Both passes are one kernel call per batch over the stacked tiles:
+//! [`matrix::interact`] and [`matrix::interact_backward`]. Under the
+//! error-bounded codecs about half the lookup vectors reaching this layer
+//! are exact zero vectors (every value of a large table sits inside the
+//! bound). The kernels write such a vector's pairs as `+0.0` without a dot
+//! and leave its `±0` terms out of the gradient sums, behind guards that keep
+//! every bit of the loops that computed all pairs: a finite tile forward; finite
+//! pair gradients and a pass-through gradient with no `-0.0` backward.
 
 use dlrm_tensor::{matrix, Matrix};
-use std::ops::Range;
 
 /// Number of pairwise interaction terms for `f` feature vectors.
 pub fn num_pairs(f: usize) -> usize {
     f * f.saturating_sub(1) / 2
-}
-
-/// Where feature `a`'s pairs `(a, 0..a)` sit among a sample's pair terms.
-fn pair_range(a: usize) -> Range<usize> {
-    num_pairs(a)..num_pairs(a + 1)
 }
 
 /// Output width of the interaction layer: `dim + pairs(num_tables + 1)`.
@@ -49,16 +52,7 @@ pub fn forward(bottom: &Matrix, embeddings: &[Matrix]) -> (Matrix, InteractionCa
     let stacked = Matrix::hconcat(&features);
 
     let mut out = Matrix::zeros(batch, output_dim(dim, embeddings.len()));
-    for i in 0..batch {
-        let tile = stacked.row(i);
-        let (passthrough, pairs) = out.row_mut(i).split_at_mut(dim);
-        passthrough.copy_from_slice(&tile[..dim]);
-        // Pair (a, b < a) in a-major order: every earlier feature against `va`.
-        for a in 1..features.len() {
-            let (earlier, rest) = tile.split_at(a * dim);
-            matrix::dots(&rest[..dim], earlier, &mut pairs[pair_range(a)]);
-        }
-    }
+    matrix::interact(&stacked, features.len(), &mut out);
     let features = features.len();
     (out, InteractionCache { stacked, features })
 }
@@ -74,50 +68,143 @@ pub fn backward(cache: &InteractionCache, grad_output: &Matrix) -> (Matrix, Vec<
     assert_eq!(grad_output.cols(), output_dim(dim, f - 1));
 
     let mut grads: Vec<Matrix> = (0..f).map(|_| Matrix::zeros(batch, dim)).collect();
-    // One sample's gradient tile, laid out like its `stacked` row.
-    let mut dv = vec![0.0f32; f * dim];
-    let row_len = dim.max(1);
-    for i in 0..batch {
-        let tile = stacked.row(i);
-        let (passthrough, pairs) = grad_output.row(i).split_at(dim);
-        // Direct pass-through of the concatenated bottom output.
-        dv.fill(0.0);
-        dv[..dim].copy_from_slice(passthrough);
-        // Pairwise dot products: d z_ab / d v_a = v_b and vice versa.
-        for a in 1..f {
-            let (earlier, rest) = tile.split_at(a * dim);
-            let va = &rest[..dim];
-            let (d_earlier, d_rest) = dv.split_at_mut(a * dim);
-            let g = &pairs[pair_range(a)];
-            // `da` is still zero here (only features `b < a` were written), so
-            // `da = Σ_b g_ab · v_b` is one vector-matrix product, held in
-            // registers across the `b` loop, skipping zero `g_ab`.
-            matrix::vecmat(g, earlier, &mut d_rest[..dim]);
-            for (db, &g) in d_earlier.chunks_exact_mut(row_len).zip(g) {
-                if g == 0.0 {
-                    continue;
-                }
-                axpy(db, g, va);
-            }
-        }
-        for (grad, d) in grads.iter_mut().zip(dv.chunks_exact(row_len)) {
-            grad.row_mut(i).copy_from_slice(d);
-        }
-    }
+    matrix::interact_backward(stacked, f, grad_output, &mut grads);
     let bottom_grad = grads.remove(0);
     (bottom_grad, grads)
-}
-
-/// `y += alpha * x` over equal-length contiguous rows.
-fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-    for (y, x) in y.iter_mut().zip(x) {
-        *y += alpha * x;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlrm_tensor::SeededRng;
+    use std::ops::Range;
+
+    /// Where feature `a`'s pairs `(a, 0..a)` sit among a sample's pair terms.
+    fn pair_range(a: usize) -> Range<usize> {
+        num_pairs(a)..num_pairs(a + 1)
+    }
+
+    /// The per-sample forward loop the batch kernel replaced, kept as the
+    /// reference: one `dots` of each feature against the earlier ones.
+    fn per_sample_forward(bottom: &Matrix, embeddings: &[Matrix]) -> Matrix {
+        let (batch, dim) = (bottom.rows(), bottom.cols());
+        let features: Vec<&Matrix> = std::iter::once(bottom).chain(embeddings).collect();
+        let stacked = Matrix::hconcat(&features);
+        let mut out = Matrix::zeros(batch, output_dim(dim, embeddings.len()));
+        for i in 0..batch {
+            let tile = stacked.row(i);
+            let (passthrough, pairs) = out.row_mut(i).split_at_mut(dim);
+            passthrough.copy_from_slice(&tile[..dim]);
+            for a in 1..features.len() {
+                let (earlier, rest) = tile.split_at(a * dim);
+                matrix::dots(&rest[..dim], earlier, &mut pairs[pair_range(a)]);
+            }
+        }
+        out
+    }
+
+    /// The per-sample backward loop the batch kernel replaced, kept as the
+    /// reference: feature `a`'s gradient is one `vecmat` over the earlier
+    /// features, then each earlier one takes `g_ab · v_a` as an `axpy`.
+    fn per_sample_backward(cache: &InteractionCache, grad_output: &Matrix) -> Vec<Matrix> {
+        let InteractionCache { stacked, features } = cache;
+        let (batch, f) = (stacked.rows(), *features);
+        let dim = stacked.cols() / f;
+        let mut grads: Vec<Matrix> = (0..f).map(|_| Matrix::zeros(batch, dim)).collect();
+        let mut dv = vec![0.0f32; f * dim];
+        let row_len = dim.max(1);
+        for i in 0..batch {
+            let tile = stacked.row(i);
+            let (passthrough, pairs) = grad_output.row(i).split_at(dim);
+            dv.fill(0.0);
+            dv[..dim].copy_from_slice(passthrough);
+            for a in 1..f {
+                let (earlier, rest) = tile.split_at(a * dim);
+                let va = &rest[..dim];
+                let (d_earlier, d_rest) = dv.split_at_mut(a * dim);
+                let g = &pairs[pair_range(a)];
+                matrix::vecmat(g, earlier, &mut d_rest[..dim]);
+                for (db, &g) in d_earlier.chunks_exact_mut(row_len).zip(g) {
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for (y, x) in db.iter_mut().zip(va) {
+                        *y += g * x;
+                    }
+                }
+            }
+            for (grad, d) in grads.iter_mut().zip(dv.chunks_exact(row_len)) {
+                grad.row_mut(i).copy_from_slice(d);
+            }
+        }
+        grads
+    }
+
+    /// Bits, with every NaN as one value.
+    fn bits(m: &Matrix) -> Vec<u32> {
+        let canonical = |v: &f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+        m.as_slice().iter().map(canonical).collect()
+    }
+
+    /// The batch kernels equal the per-sample loops bit for bit on codec-like
+    /// lookups: zero-free, about half and about nine in ten zero vectors of
+    /// both signs, a bottom output that is itself zero, and (on some
+    /// samples) an infinity or NaN in the tile, in the pair gradients, or a
+    /// `-0.0` in the pass-through gradient, so each guard's fallback runs.
+    #[test]
+    fn batch_kernels_equal_the_per_sample_loops_bit_for_bit() {
+        let mut rng = SeededRng::new(41);
+        for f in [1, 2, 27] {
+            for dim in [1, 5, 8, 32] {
+                for zero_share in [0, 50, 90] {
+                    let batch = 9;
+                    let mut vector = |sample: usize| -> Vec<f32> {
+                        let roll = rng.index(100);
+                        let mut v: Vec<f32> = (0..dim).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                        if roll < zero_share {
+                            let zero = [0.0, -0.0][roll % 2];
+                            v.fill(zero);
+                        }
+                        if sample == 3 && roll.is_multiple_of(7) {
+                            v[dim / 2] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][roll % 3];
+                        }
+                        v
+                    };
+                    let mut feature = || {
+                        let rows: Vec<f32> = (0..batch).flat_map(&mut vector).collect();
+                        Matrix::from_vec(batch, dim, rows)
+                    };
+                    let bottom = feature();
+                    let embeddings: Vec<Matrix> = (1..f).map(|_| feature()).collect();
+                    let shape = format!("F {f}, dim {dim}, {zero_share} % zero vectors");
+
+                    let (out, cache) = forward(&bottom, &embeddings);
+                    let want = per_sample_forward(&bottom, &embeddings);
+                    assert_eq!(bits(&out), bits(&want), "forward, {shape}");
+
+                    // Sample 5 holds an infinite pair gradient, sample 6 a
+                    // NaN, sample 7 a `-0.0` pass-through gradient; exact
+                    // zeros of both signs elsewhere.
+                    let grad_out = Matrix::from_fn(batch, out.cols(), |i, c| {
+                        match (i, c.checked_sub(dim).map(|p| p % 11)) {
+                            (5, Some(3)) => f32::INFINITY,
+                            (6, Some(4)) => f32::NAN,
+                            (7, None) if c == 0 => -0.0,
+                            (_, Some(9)) => -0.0,
+                            (_, Some(8)) => 0.0,
+                            _ => rng.uniform(-1.0, 1.0),
+                        }
+                    });
+                    let (bottom_grad, emb_grads) = backward(&cache, &grad_out);
+                    let want = per_sample_backward(&cache, &grad_out);
+                    let got = std::iter::once(&bottom_grad).chain(&emb_grads);
+                    for (c, (got, want)) in got.zip(&want).enumerate() {
+                        assert_eq!(bits(got), bits(want), "backward, {shape}, feature {c}");
+                    }
+                }
+            }
+        }
+    }
 
     fn setup(batch: usize, dim: usize, tables: usize) -> (Matrix, Vec<Matrix>) {
         let bottom = Matrix::from_fn(batch, dim, |r, c| ((r * dim + c) as f32 * 0.31).sin());

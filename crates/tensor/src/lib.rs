@@ -10,11 +10,13 @@
 //!
 //! Design notes (following the hpc-parallel guides used in this project):
 //!
-//! * The dense kernels ([`matrix::dot`], [`matrix::dots`], [`matrix::vecmat`]
-//!   and the matmul flavours built on them) keep their accumulators in 8-lane
-//!   vectors over contiguous `&[f32]` slices, and every reduction runs in
-//!   an order fixed by the operand shapes alone. Threads live one level up,
-//!   one per rank, in `dlrm-exec`.
+//! * The dense kernels ([`matrix::dot`], [`matrix::dots`], [`matrix::vecmat`],
+//!   the matmul flavours built on them and the feature interaction's
+//!   [`matrix::interact`] / [`matrix::interact_backward`]) keep their
+//!   accumulators in 8-lane vectors over contiguous `&[f32]` slices, and
+//!   every reduction runs in an order fixed by the operand shapes alone;
+//!   exact zeros are skipped only where skipping provably changes no bit.
+//!   Threads live one level up, one per rank, in `dlrm-exec`.
 //! * Each kernel is written once and runs on the widest lane path the CPU
 //!   has, picked once per call by CPU feature: one AVX register per vector
 //!   where `is_x86_feature_detected!("avx")`, two SSE2 registers otherwise

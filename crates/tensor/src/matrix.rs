@@ -2,8 +2,9 @@
 //!
 //! [`Matrix`] is the only tensor type the DLRM reproduction needs: embedding
 //! batches, MLP weights and activations are all 2-D. Storage is contiguous
-//! and row-major. The dense kernels — [`dot`], [`dots`], [`vecmat`] and the
-//! three matmul flavours built on them — are register-blocked over a private
+//! and row-major. The dense kernels — [`dot`], [`dots`], [`vecmat`], the
+//! three matmul flavours built on them and the feature interaction's
+//! [`interact`] / [`interact_backward`] — are register-blocked over a private
 //! 8-lane vector, and each fixes the sequence of float operations behind
 //! every output element as a function of the operand shapes alone. Each
 //! kernel is written once and runs on the widest lane path the CPU has,
@@ -12,6 +13,18 @@
 //! lane module). The path changes which elements are in flight together,
 //! never an element's bits. Threads live in `dlrm-exec`, one per rank, never
 //! here.
+//!
+//! Exact zeros cost nothing and move no bit. `matmul`, `matmul_at` and
+//! [`vecmat`] gather the non-zero elements of a left operand with enough
+//! zeros (post-ReLU activations, the codec's zeros) into a list once,
+//! without branches, and skip exactly what the per-element test skipped.
+//! The interaction writes a pair that touches an all-zero vector as `+0.0`
+//! (that dot's value) and leaves a zero vector's `±0` terms out of the
+//! gradient sums; guards on infinities, NaNs and a `-0.0` pass-through
+//! gradient fall back to computing every term where a skip could change a
+//! bit. A right operand larger than L1 is walked in row blocks, every output
+//! row per block, with the partial sums stored between blocks: the same
+//! additions in the same order.
 
 use crate::lanes::{self, Kernel, Lanes, F4};
 use serde::{Deserialize, Serialize};
@@ -313,15 +326,19 @@ pub fn lane_path() -> &'static str {
 /// Element `j` starts at `+0.0` and adds `x[k] · B(k, j)` for ascending `k`,
 /// skipping every `x[k]` that is exactly zero (post-ReLU inputs are about
 /// half zeros), so no value in a skipped row of `B` — not even a NaN or an
-/// infinity — reaches `out`. Each strip of `out` stays in registers across
-/// the whole `k` loop: on AVX 64 columns in eight registers, then at most one
-/// 32-column strip in four; on SSE2 32 columns in eight. The `out.len() % 32`
-/// tail columns take the same steps one float at a time.
+/// infinity — reaches `out`. When at least one `x[k]` in eight is zero, the
+/// non-zero ones are first gathered, without a branch, into a list of
+/// `(k, x[k])`, and the strips run over that list instead of testing each
+/// element. Each strip of `out` stays in registers across the whole
+/// reduction: on AVX 64 columns in eight registers, then at most one
+/// 32-column strip in four; on SSE2 32 columns in eight. The
+/// `out.len() % 32` tail columns take the same steps one float at a time.
 ///
 /// # Panics
 /// Panics if `b.len() != x.len() * out.len()`.
 pub fn vecmat(x: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(b.len(), x.len() * out.len(), "vecmat shape mismatch");
+    out.fill(0.0);
     lanes::dispatch(Products {
         a: x,
         step: (0, 1),
@@ -331,15 +348,17 @@ pub fn vecmat(x: &[f32], b: &[f32], out: &mut [f32]) {
     });
 }
 
-// `Products` and `Dots` carry their shapes and walk rows by index: the
-// interaction calls them once per feature and sample, and deriving a shape
-// or running a chunk iterator costs a run-time division per call.
+// `Products` and `Dots` carry their shapes and walk rows by index: deriving
+// a shape or running a chunk iterator costs a run-time division per call.
 
 /// The `m` rows of [`vecmat`] behind `matmul`, `matmul_at` and `vecmat`:
 /// row `r` of the row-major `m × n` `out` is `vecmat` of the left operand
 /// whose element `k` is `a[r · step.0 + k · step.1]` (a row, or a column for
 /// `matmul_at`) with the row-major `k × n` matrix `b`, where
-/// `shape = (m, k, n)`.
+/// `shape = (m, k, n)`. `out` must hold `+0.0`. When at least one left
+/// element in [`GATHER_SHARE`] is exactly zero, every row is [`gather`]ed
+/// first; otherwise the rows run in place. A `b` larger than L1 is walked
+/// in blocks of [`BLOCK_FLOATS`], every row at a time.
 struct Products<'a> {
     a: &'a [f32],
     step: (usize, usize),
@@ -360,17 +379,65 @@ impl Kernel for Products<'_> {
             out,
             shape: (m, k, n),
         } = self;
-        for r in 0..m {
-            let x = Left {
-                a,
-                start: r * step.0,
-                step: step.1,
-                len: k,
-            };
-            vecmat_row(lanes, x, b, &mut out[r * n..(r + 1) * n]);
+        // One counting pass in memory order (it vectorises) picks the path.
+        let zeros = a.iter().filter(|&&v| v == 0.0).count();
+        let gathered = zeros * GATHER_SHARE >= a.len() && zeros > 0;
+        let left = |r: usize| Left {
+            a,
+            start: r * step.0,
+            step: step.1,
+            len: k,
+        };
+        // Row `r`'s kept terms are `terms[r * k..][..kept[r]]`.
+        let (mut terms, mut kept) = (Vec::new(), Vec::new());
+        if gathered {
+            terms.resize(m * k, (0, 0.0));
+            kept = (0..m)
+                .map(|r| gather(left(r), &mut terms[r * k..(r + 1) * k]))
+                .collect();
+        }
+        // A block of `b`'s rows stays in L1 while every row of `out` adds
+        // its terms from that block: `out` holds the partial sums between
+        // blocks, so each element's additions keep their order. A `b` that
+        // fits in L1 is one block.
+        let block = match k * n <= 2 * BLOCK_FLOATS {
+            true => k.max(1),
+            false => (BLOCK_FLOATS / n).max(1),
+        };
+        let mut next = vec![0; if gathered { m } else { 0 }];
+        for k0 in (0..k).step_by(block) {
+            let k1 = (k0 + block).min(k);
+            for r in 0..m {
+                let out = &mut out[r * n..(r + 1) * n];
+                if gathered {
+                    let row = &terms[r * k..r * k + kept[r]];
+                    let start = next[r];
+                    next[r] += row[start..].partition_point(|&(j, _)| (j as usize) < k1);
+                    vecmat_row(lanes, Terms::Kept(&row[start..next[r]]), b, out);
+                } else {
+                    let x = Left {
+                        start: r * step.0 + k0 * step.1,
+                        len: k1 - k0,
+                        ..left(r)
+                    };
+                    vecmat_row(lanes, Terms::All(x), &b[k0 * n..k1 * n], out);
+                }
+            }
         }
     }
 }
+
+/// Floats of the right operand's row block [`Products`] keeps in L1 (16 KiB,
+/// a third of the 48 KiB L1 of the machines this was tuned on): 2048 ran
+/// slower, on the partial sums' extra loads and stores, and 8192 let the
+/// block fall out of L1.
+const BLOCK_FLOATS: usize = 4096;
+
+/// [`Products`] gathers its rows when at least one element of its left
+/// operand in `GATHER_SHARE` is exactly zero. Below that the per-element
+/// test rarely fires and costs less than the list; on scattered zeros
+/// (post-ReLU, about half) it mispredicts, and the list runs ≈ 1.8× faster.
+const GATHER_SHARE: usize = 8;
 
 /// A left operand of [`vecmat`]: element `k < len` is `a[start + k · step]`.
 #[derive(Clone, Copy)]
@@ -388,10 +455,44 @@ impl Left<'_> {
     }
 }
 
-/// `out = x · B` on `lanes`: strips of `out` in registers, then the tail
-/// columns one float at a time.
+/// One gathered element `(k, x[k])` of a left operand: the row of the right
+/// operand it scales, and its value.
+type Term = (u32, f32);
+
+/// The terms [`vecmat_row`] sums, in ascending `k`.
+#[derive(Clone, Copy)]
+enum Terms<'a> {
+    /// The elements of a left operand that are not exactly zero, skipped
+    /// one branch at a time.
+    All(Left<'a>),
+    /// Gathered elements.
+    Kept(&'a [Term]),
+}
+
+/// Write `(k, x[k])` for every element of `x` that is not exactly zero (a
+/// NaN is not) to the front of `terms`, in ascending `k`, and return how
+/// many: exactly the elements [`vecmat`]'s skip keeps. There is no branch:
+/// every element is written, and the count moves past the kept ones.
+///
+/// # Panics
+/// Panics if `terms` is shorter than `x`.
 #[inline(always)]
-fn vecmat_row<L: Lanes>(lanes: L, x: Left, b: &[f32], out: &mut [f32]) {
+fn gather(x: Left, terms: &mut [Term]) -> usize {
+    let terms = &mut terms[..x.len];
+    let mut kept = 0;
+    for k in 0..x.len {
+        let v = x.get(k);
+        terms[kept] = (k as u32, v);
+        kept += usize::from(v != 0.0);
+    }
+    kept
+}
+
+/// `out += x · B` on `lanes`: strips of `out` in registers, then the tail
+/// columns one float at a time. Element `j` adds `x_k · B(k, j)` to its
+/// starting value for each term of `x`, in ascending `k`.
+#[inline(always)]
+fn vecmat_row<L: Lanes>(lanes: L, x: Terms, b: &[f32], out: &mut [f32]) {
     let n = out.len();
     let mut j0 = 0;
     // Eight accumulator registers: 64 columns in `F8`s, else 32.
@@ -409,41 +510,62 @@ fn vecmat_row<L: Lanes>(lanes: L, x: Left, b: &[f32], out: &mut [f32]) {
     if tail.is_empty() {
         return;
     }
-    tail.fill(0.0);
-    for k in 0..x.len {
-        let a = x.get(k);
-        if a == 0.0 {
-            continue;
-        }
+    let mut add = |k: usize, a: f32| {
         for (o, &bv) in tail.iter_mut().zip(&b[k * n + j0..(k + 1) * n]) {
             *o += a * bv;
         }
+    };
+    match x {
+        Terms::All(x) => (0..x.len)
+            .filter(|&k| x.get(k) != 0.0)
+            .for_each(|k| add(k, x.get(k))),
+        Terms::Kept(x) => x.iter().for_each(|&(k, a)| add(k as usize, a)),
     }
 }
 
-/// Columns `j0..j0 + 8·W` of [`vecmat`] with an `n`-column `b`: `W`
-/// accumulators held across the whole `k` loop, then stored.
+/// Columns `j0..j0 + 8·W` of [`vecmat_row`] with an `n`-column `b`: `W`
+/// accumulators loaded from `out`, held across the whole term list, then
+/// stored back.
 #[inline(always)]
 fn strip<L: Lanes, const W: usize>(
     lanes: L,
-    x: Left,
+    x: Terms,
     b: &[f32],
     (n, j0): (usize, usize),
     out: &mut [f32],
 ) {
+    let out = &mut out[j0..j0 + W * LANES];
     let mut acc = [lanes.zero(); W];
-    for k in 0..x.len {
-        let a = x.get(k);
-        if a == 0.0 {
-            continue;
+    for (acc, out) in acc.iter_mut().zip(out.chunks_exact(LANES)) {
+        *acc = lanes.load(out);
+    }
+    match x {
+        Terms::All(x) => {
+            for k in 0..x.len {
+                let (a, start) = (x.get(k), k * n + j0);
+                if a != 0.0 {
+                    strip_term(lanes, &mut acc, a, &b[start..start + W * LANES]);
+                }
+            }
         }
-        let (a, row) = (lanes.splat(a), &b[k * n + j0..k * n + j0 + W * LANES]);
-        for (acc, row) in acc.iter_mut().zip(row.chunks_exact(LANES)) {
-            *acc = *acc + a * lanes.load(row);
+        Terms::Kept(x) => {
+            for &(k, a) in x {
+                let start = k as usize * n + j0;
+                strip_term(lanes, &mut acc, a, &b[start..start + W * LANES]);
+            }
         }
     }
-    for (acc, out) in acc.into_iter().zip(out[j0..].chunks_exact_mut(LANES)) {
+    for (acc, out) in acc.into_iter().zip(out.chunks_exact_mut(LANES)) {
         lanes.store(acc, out);
+    }
+}
+
+/// `acc += a · row`, lane by lane, for a `row` of `8·W` floats.
+#[inline(always)]
+fn strip_term<L: Lanes, const W: usize>(lanes: L, acc: &mut [L::V; W], a: f32, row: &[f32]) {
+    let a = lanes.splat(a);
+    for (acc, row) in acc.iter_mut().zip(row.chunks_exact(LANES)) {
+        *acc = *acc + a * lanes.load(row);
     }
 }
 
@@ -606,6 +728,252 @@ fn add_products(sum: f32, a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).fold(sum, |sum, (x, y)| sum + x * y)
 }
 
+/// The feature interaction of a DLRM, forward, over a batch of tiles, in one
+/// kernel call.
+///
+/// Row `i` of `tiles` is sample `i`'s tile: `features` vectors
+/// `v_0 … v_{F−1}` of `dim = tiles.cols() / features` floats, one after the
+/// other. Row `i` of `out` (`dim + F·(F−1)/2` wide) becomes `v_0` (the
+/// pass-through), then `dot(v_a, v_b)` for `a = 1..F` and `b = 0..a`, each
+/// bit for bit [`dot`].
+///
+/// When every element of a tile is finite, a vector whose elements are all
+/// `±0` takes part in no dot: each of its pairs is written as `+0.0`, which
+/// is that dot's value (every product is `±0`, the accumulators start at
+/// `+0.0`, and `+0.0 + -0.0 = +0.0`). The other vectors are packed together
+/// and their pairs run through [`dots`]'s four-row blocks. A tile holding an
+/// infinity or a NaN computes every pair.
+///
+/// # Panics
+/// Panics if `features` is zero or does not divide `tiles.cols()`, or if
+/// `out` is not `tiles.rows() × (dim + F·(F−1)/2)`.
+pub fn interact(tiles: &Matrix, features: usize, out: &mut Matrix) {
+    let (batch, dim) = tile_shape(tiles, features);
+    assert_eq!(
+        (out.rows, out.cols),
+        (batch, dim + pairs(features)),
+        "interaction output shape mismatch"
+    );
+    lanes::dispatch(Interact {
+        tiles: &tiles.data,
+        out: &mut out.data,
+        shape: (batch, features, dim),
+    });
+}
+
+/// The feature interaction's backward pass, over a batch of tiles, in one
+/// kernel call: `grads[c]` (`batch × dim`) becomes the gradient of feature
+/// `c` for the tiles and the output gradient `grad_out` of [`interact`].
+///
+/// Row `i` of `grads[c]` starts at the pass-through gradient for `c = 0`
+/// and at `+0.0` otherwise, then adds `g_cp · v_p` for every partner
+/// `p ≠ c` in ascending `p`, where `g_cp` is the output gradient of pair
+/// `(max(c, p), min(c, p))` and every `g_cp` that is exactly zero is
+/// skipped. Each row is summed in registers, as [`vecmat`] sums its strips.
+///
+/// When a sample's pair gradients are all finite and its pass-through
+/// gradient holds no `-0.0`, the terms of partners whose elements are all
+/// `±0` are left out too: each is `±0`, and a sum that starts at `+0.0` or
+/// at a pass-through with no `-0.0` is never `-0.0`, so adding it would
+/// change no bit. Otherwise every partner is summed.
+///
+/// # Panics
+/// Panics on the shapes [`interact`] panics on, if `grad_out` is not the
+/// shape of its output, or if `grads` is not `features` matrices of
+/// `batch × dim`.
+pub fn interact_backward(tiles: &Matrix, features: usize, grad_out: &Matrix, grads: &mut [Matrix]) {
+    let (batch, dim) = tile_shape(tiles, features);
+    assert_eq!(
+        (grad_out.rows, grad_out.cols),
+        (batch, dim + pairs(features)),
+        "interaction output gradient shape mismatch"
+    );
+    assert_eq!(grads.len(), features, "one gradient per feature");
+    for grad in grads.iter() {
+        assert_eq!(
+            (grad.rows, grad.cols),
+            (batch, dim),
+            "feature gradient shape mismatch"
+        );
+    }
+    lanes::dispatch(InteractBackward {
+        tiles: &tiles.data,
+        grad_out: &grad_out.data,
+        grads,
+        shape: (batch, features, dim),
+    });
+}
+
+/// `(batch, dim)` of `tiles` holding `features` vectors per row.
+fn tile_shape(tiles: &Matrix, features: usize) -> (usize, usize) {
+    assert!(features > 0, "a tile needs at least one feature");
+    assert_eq!(tiles.cols % features, 0, "tile width is not features x dim");
+    (tiles.rows, tiles.cols / features)
+}
+
+/// Pairs `(a, b < a)` among `f` vectors.
+fn pairs(f: usize) -> usize {
+    f * f.saturating_sub(1) / 2
+}
+
+/// The largest magnitude in `v` as a bit pattern: `0` if every element is
+/// `±0`, below [`INFINITE`] if every element is finite. A max reduction, so
+/// it vectorises.
+#[inline(always)]
+fn magnitude(v: &[f32]) -> u32 {
+    v.iter().fold(0, |max, x| max.max(x.to_bits() & !SIGN))
+}
+
+/// The sign bit of an `f32`.
+const SIGN: u32 = 1 << 31;
+
+/// The smallest magnitude, as bits, that is not finite.
+const INFINITE: u32 = f32::INFINITY.to_bits();
+
+/// Set `live` to the features, given their vectors' [`magnitude`]s, that
+/// take part in the interaction: every one, or, if `skip_zero_vectors`,
+/// those with an element that is not `±0`.
+#[inline(always)]
+fn live_features(magnitudes: &[u32], skip_zero_vectors: bool, live: &mut Vec<usize>) {
+    live.clear();
+    for (a, &magnitude) in magnitudes.iter().enumerate() {
+        if !(skip_zero_vectors && magnitude == 0) {
+            live.push(a);
+        }
+    }
+}
+
+/// [`interact`]'s body: `shape = (batch, features, dim)`.
+struct Interact<'a> {
+    tiles: &'a [f32],
+    out: &'a mut [f32],
+    shape: (usize, usize, usize),
+}
+
+impl Kernel for Interact<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn body<L: Lanes>(self, lanes: L) {
+        let Self {
+            tiles,
+            out,
+            shape: (batch, f, dim),
+        } = self;
+        let (tile_len, out_len) = (f * dim, dim + pairs(f));
+        let mut live = Vec::with_capacity(f);
+        let (mut packed, mut sums) = (vec![0.0; tile_len], vec![0.0; 2 * f]);
+        let mut magnitudes = vec![0; f];
+        for i in 0..batch {
+            let tile = &tiles[i * tile_len..(i + 1) * tile_len];
+            let (pass, out) = out[i * out_len..(i + 1) * out_len].split_at_mut(dim);
+            pass.copy_from_slice(&tile[..dim]);
+            for (a, magnitude) in magnitudes.iter_mut().enumerate() {
+                *magnitude = self::magnitude(&tile[a * dim..(a + 1) * dim]);
+            }
+            let finite = magnitudes.iter().all(|&m| m < INFINITE);
+            live_features(&magnitudes, finite, &mut live);
+            let rows = if live.len() == f {
+                tile
+            } else {
+                out.fill(0.0);
+                for (to, &a) in packed.chunks_exact_mut(dim.max(1)).zip(&live) {
+                    to.copy_from_slice(&tile[a * dim..(a + 1) * dim]);
+                }
+                &packed[..live.len() * dim]
+            };
+            let row = |a_: usize| &rows[a_ * dim..(a_ + 1) * dim];
+            // Live vector `a'` against the live ones before it; on AVX two
+            // at a time, sharing each load of the earlier ones, as `Dots`.
+            let mut a_ = 1;
+            while a_ < live.len() {
+                let (s0, s1) = sums.split_at_mut(f);
+                let earlier = &rows[..a_ * dim];
+                let step = if L::REGISTERS == 1 && a_ + 1 < live.len() {
+                    let (x0, x1) = (row(a_), row(a_ + 1));
+                    dots_rows(lanes, [x0, x1], earlier, [&mut s0[..a_], &mut s1[..a_]]);
+                    s1[a_] = dot_with(lanes, x1, x0);
+                    2
+                } else {
+                    dots_rows(lanes, [row(a_)], earlier, [&mut s0[..a_]]);
+                    1
+                };
+                // Each new live vector's dots go to its pairs' columns.
+                for (j, sums) in [&s0[..], &s1[..]].into_iter().take(step).enumerate() {
+                    let out = &mut out[pairs(live[a_ + j])..];
+                    for (&b, &sum) in live[..a_ + j].iter().zip(sums) {
+                        out[b] = sum;
+                    }
+                }
+                a_ += step;
+            }
+        }
+    }
+}
+
+/// [`interact_backward`]'s body: `shape = (batch, features, dim)`.
+struct InteractBackward<'a> {
+    tiles: &'a [f32],
+    grad_out: &'a [f32],
+    grads: &'a mut [Matrix],
+    shape: (usize, usize, usize),
+}
+
+impl Kernel for InteractBackward<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn body<L: Lanes>(self, lanes: L) {
+        let Self {
+            tiles,
+            grad_out,
+            grads,
+            shape: (batch, f, dim),
+        } = self;
+        let (tile_len, out_len) = (f * dim, dim + pairs(f));
+        let mut live = Vec::with_capacity(f);
+        // One sample's pair gradients as a symmetric `f × f` matrix with a
+        // zero diagonal: row `c` holds `g_cp` for every `p`.
+        let mut square = vec![0.0; f * f];
+        let mut magnitudes = vec![0; f];
+        let mut terms = vec![(0, 0.0); f];
+        for i in 0..batch {
+            let tile = &tiles[i * tile_len..(i + 1) * tile_len];
+            let (pass, g) = grad_out[i * out_len..(i + 1) * out_len].split_at(dim);
+            for (a, magnitude) in magnitudes.iter_mut().enumerate() {
+                *magnitude = self::magnitude(&tile[a * dim..(a + 1) * dim]);
+            }
+            let no_negative_zero = pass.iter().all(|x| x.to_bits() != SIGN);
+            live_features(
+                &magnitudes,
+                magnitude(g) < INFINITE && no_negative_zero,
+                &mut live,
+            );
+            for a in 1..f {
+                for (b, &g) in g[pairs(a)..pairs(a + 1)].iter().enumerate() {
+                    (square[a * f + b], square[b * f + a]) = (g, g);
+                }
+            }
+            for (c, grad) in grads.iter_mut().enumerate() {
+                // The live partners' pair gradients, gathered as in `gather`.
+                let g = &square[c * f..(c + 1) * f];
+                let mut kept = 0;
+                for &p in &live {
+                    terms[kept] = (p as u32, g[p]);
+                    kept += usize::from(g[p] != 0.0);
+                }
+                let row = &mut grad.data[i * dim..(i + 1) * dim];
+                if c == 0 {
+                    row.copy_from_slice(pass);
+                } else {
+                    row.fill(0.0);
+                }
+                vecmat_row(lanes, Terms::Kept(&terms[..kept]), tile, row);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,22 +1056,21 @@ mod tests {
         assert_eq!(dot(&wide, &[1.0; 16]), 1.0);
     }
 
-    /// When `zeros` is set, signed zeros (about half the elements, so
-    /// `vecmat` skips them); when `special` is set, 1.5 %
+    /// About `zero_share` % signed zeros (so `vecmat` skips them, and at
+    /// half or more gathers its rows); when `special` is set, 1.5 %
     /// infinities of both signs and NaNs; the rest uniform in `[-1, 1)`.
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     fn operand(
         (rows, cols): (usize, usize),
-        zeros: bool,
+        zero_share: usize,
         special: bool,
         rng: &mut crate::SeededRng,
     ) -> Matrix {
         Matrix::from_fn(rows, cols, |_, _| match rng.index(200) {
-            0..=89 if zeros => 0.0,
-            90..=99 if zeros => -0.0,
             100 if special => f32::INFINITY,
             101 if special => f32::NEG_INFINITY,
             102 if special => f32::NAN,
+            roll if rng.index(100) < zero_share => [0.0, -0.0][roll % 2],
             _ => rng.uniform(-1.0, 1.0),
         })
     }
@@ -742,21 +1109,58 @@ mod tests {
             out: &mut dots,
             shape: (a.rows(), a.cols(), bt.rows()),
         });
-        // Every NaN as one value: IEEE fixes whether a result is NaN, not
-        // which payload it carries.
-        let bits = |v: Vec<f32>| -> Vec<u32> {
-            v.iter()
-                .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
-                .collect()
-        };
-        [bits(product), bits(product_at), bits(dots)]
+        [
+            canonical(&product),
+            canonical(&product_at),
+            canonical(&dots),
+        ]
+    }
+
+    /// Bits with every NaN as one value: IEEE fixes whether a result is NaN,
+    /// not which payload it carries.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    fn canonical(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    /// The interaction kernels' outputs on `lanes`, called directly: the
+    /// forward output, then every feature's gradient.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    fn interaction_outputs<L: Lanes>(
+        lanes: L,
+        tiles: &Matrix,
+        f: usize,
+        grad_out: &Matrix,
+    ) -> Vec<Vec<u32>> {
+        let (batch, dim) = (tiles.rows(), tiles.cols() / f);
+        let mut out = vec![0.0; grad_out.len()];
+        lanes.run(Interact {
+            tiles: tiles.as_slice(),
+            out: &mut out,
+            shape: (batch, f, dim),
+        });
+        let mut grads: Vec<Matrix> = (0..f).map(|_| Matrix::zeros(batch, dim)).collect();
+        lanes.run(InteractBackward {
+            tiles: tiles.as_slice(),
+            grad_out: grad_out.as_slice(),
+            grads: &mut grads,
+            shape: (batch, f, dim),
+        });
+        std::iter::once(canonical(&out))
+            .chain(grads.iter().map(|g| canonical(g.as_slice())))
+            .collect()
     }
 
     /// The AVX body and the base (SSE2) body of every kernel, each called
     /// directly, agree bit for bit: inner lengths around the 8-lane edges,
     /// output widths around the 32- and 64-column strips and the 4-row
     /// quads, five left rows (two AVX `dots` row pairs and a single row),
-    /// half zeros or none, ±inf and NaN.
+    /// no zeros, about half or nine in ten (gathered rows), ±inf and NaN;
+    /// and both interaction kernels at F ∈ {1, 2, 27}, dim ∈ {1, 5, 8, 32},
+    /// with about half the vectors zero (either sign), a `-0.0` pass-through
+    /// gradient and infinities or NaNs where a zero vector meets them.
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     #[test]
     fn avx_and_sse2_bodies_agree_bit_for_bit() {
@@ -770,22 +1174,47 @@ mod tests {
         let mut rng = crate::SeededRng::new(31);
         for inner in INNER {
             for n in WIDTHS {
-                for (zeros, special) in [(true, false), (true, true), (false, false), (false, true)]
-                {
-                    let mut operand = |shape| operand(shape, zeros, special, &mut rng);
-                    let (a, at) = (operand((m, inner)), operand((inner, m)));
-                    let (b, bt) = (operand((inner, n)), operand((n, inner)));
-                    let sse2 = kernel_outputs(lanes::Base, &a, &at, &b, &bt);
-                    let avx = kernel_outputs(avx, &a, &at, &b, &bt);
-                    for (kernel, (sse2, avx)) in ["matmul", "matmul_at", "dots"]
-                        .iter()
-                        .zip(sse2.iter().zip(&avx))
-                    {
-                        assert_eq!(
-                            sse2, avx,
-                            "{kernel}, {m} x {inner} x {n}, zeros {zeros}, special values {special}"
-                        );
+                for zero_share in [0, 50, 90] {
+                    for special in [false, true] {
+                        let mut operand = |shape| operand(shape, zero_share, special, &mut rng);
+                        let (a, at) = (operand((m, inner)), operand((inner, m)));
+                        let (b, bt) = (operand((inner, n)), operand((n, inner)));
+                        let sse2 = kernel_outputs(lanes::Base, &a, &at, &b, &bt);
+                        let avx = kernel_outputs(avx, &a, &at, &b, &bt);
+                        for (kernel, (sse2, avx)) in ["matmul", "matmul_at", "dots"]
+                            .iter()
+                            .zip(sse2.iter().zip(&avx))
+                        {
+                            assert_eq!(
+                                sse2, avx,
+                                "{kernel}, {m} x {inner} x {n}, {zero_share} % zeros, special values {special}"
+                            );
+                        }
                     }
+                }
+            }
+        }
+        for f in [1, 2, 27] {
+            for dim in [1, 5, 8, 32] {
+                for special in [false, true] {
+                    let batch = 7;
+                    let mut tiles = operand((batch, f * dim), 0, special, &mut rng);
+                    for i in 0..batch {
+                        for v in tiles.row_mut(i).chunks_exact_mut(dim) {
+                            if rng.index(2) == 0 {
+                                v.fill([0.0, -0.0][rng.index(2)]);
+                            }
+                        }
+                    }
+                    let width = dim + f * (f - 1) / 2;
+                    let mut grad_out = operand((batch, width), 30, special, &mut rng);
+                    grad_out.row_mut(0)[0] = -0.0;
+                    let sse2 = interaction_outputs(lanes::Base, &tiles, f, &grad_out);
+                    let avx = interaction_outputs(avx, &tiles, f, &grad_out);
+                    assert_eq!(
+                        sse2, avx,
+                        "interaction, F {f}, dim {dim}, special values {special}"
+                    );
                 }
             }
         }
