@@ -16,8 +16,9 @@
 //!
 //! Layout. Every rank produces a [`RankCheckpoint`] for the state it owns:
 //! rank 0 encodes the (replicated) MLP parameters once, each rank encodes
-//! the weight matrix of every embedding table it owns plus its private
-//! error-feedback residual. [`Checkpoint::assemble`] stitches the per-rank
+//! the weight matrix of every embedding table it owns (at the table's row
+//! width, [`CkptCodec::encode_rows`]) plus its private error-feedback
+//! residual. [`Checkpoint::assemble`] stitches the per-rank
 //! parts into one global [`Checkpoint`], keyed by table id — deliberately
 //! **partition-agnostic**, so a checkpoint taken under one
 //! `TablePartition` restores cleanly onto a different world size after a
@@ -31,7 +32,7 @@
 //! let weights: Vec<f32> = (0..64).map(|i| (i as f32 * 0.1).sin()).collect();
 //! let mut part = RankCheckpoint::new(10, 0);
 //! part.mlp = Some(codec.encode(&weights));
-//! part.push_table(3, 8, 8, codec.encode(&weights));
+//! part.push_table(3, 8, 8, codec.encode_rows(&weights, 8));
 //! let ckpt = Checkpoint::assemble(GradCodecKind::Fp16, vec![part]);
 //! assert!(ckpt.ratio() > 1.0);
 //! let mut restored = Vec::new();
@@ -333,10 +334,19 @@ impl CkptCodec {
         self.codec.kind()
     }
 
-    /// Encode one float section.
+    /// Encode one float section as one long row (the MLP parameters and the
+    /// error-feedback residual).
     pub fn encode(&mut self, data: &[f32]) -> EncodedSection {
+        self.encode_rows(data, data.len())
+    }
+
+    /// Encode one float section of row-major rows `row_width` wide: a table
+    /// section at its `dim`, so the error-bounded codecs see whole embedding
+    /// rows (see [`GradCodec::encode_rows_into`]). Decoding needs no width.
+    pub fn encode_rows(&mut self, data: &[f32], row_width: usize) -> EncodedSection {
         let mut bytes = Vec::with_capacity(self.codec.max_encoded_bytes(data.len()).min(1 << 20));
-        self.codec.encode_into(data, &mut self.scratch, &mut bytes);
+        self.codec
+            .encode_rows_into(data, row_width, &mut self.scratch, &mut bytes);
         EncodedSection {
             original_len: data.len(),
             bytes,
@@ -517,5 +527,54 @@ mod tests {
     #[should_panic]
     fn zero_cadence_panics() {
         let _ = CheckpointSpec::new(0, GradCodecKind::Identity);
+    }
+
+    /// A 6 × 8 table whose rows repeat with period 3.
+    fn repeating_table() -> Vec<f32> {
+        (0..48)
+            .map(|i| (((i / 8) % 3 * 8 + i % 8) as f32 * 0.37).sin() * 0.2)
+            .collect()
+    }
+
+    fn fnv_bits(values: &[f32]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// [`repeating_table`] under the hybrid codec at eb 0.01, encoded as one
+    /// long row, as table sections were written before they took the
+    /// table's row width; and the FNV of its decoded bits.
+    const LONG_ROW_SECTION: &str = "30000000010130ff010ad7233c0000080e121414100a0403090f1313110d\
+        0700080e1214141000080e121414100a0403090f1313110d0700080e12141410";
+    const LONG_ROW_DECODED: u64 = 0x801ae06d35d892ad;
+
+    #[test]
+    fn long_row_sections_still_decode_and_rows_decode_the_same() {
+        let kind = GradCodecKind::ErrorBounded {
+            compressor: CompressorKind::OursHybrid,
+            error_bound: 0.01,
+        };
+        let mut codec = CkptCodec::new(&kind);
+        let table = repeating_table();
+        let bytes: Vec<u8> = (0..LONG_ROW_SECTION.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&LONG_ROW_SECTION[i..i + 2], 16).unwrap())
+            .collect();
+        let old = EncodedSection {
+            original_len: table.len(),
+            bytes,
+        };
+        let mut out = Vec::new();
+        codec.decode_into(&old, &mut out);
+        assert_eq!(fnv_bits(&out), LONG_ROW_DECODED);
+        // The long-row encoder still writes those bytes.
+        assert_eq!(codec.encode(&table).bytes, old.bytes);
+        // At the table's width the same bits come back from fewer bytes:
+        // vector-LZ matches the repeated rows.
+        let rows = codec.encode_rows(&table, 8);
+        assert!(rows.bytes.len() < old.bytes.len());
+        codec.decode_into(&rows, &mut out);
+        assert_eq!(fnv_bits(&out), LONG_ROW_DECODED);
     }
 }

@@ -187,13 +187,39 @@ impl GradCodec {
         0
     }
 
-    /// Append the encoded form of `data` to `out`, drawing intermediates
-    /// from `scratch`.
+    /// Append the encoded form of `data` to `out` as one long row, drawing
+    /// intermediates from `scratch`: the flat dense gradient's form, where
+    /// Lorenzo prediction runs along the whole shard.
     pub fn encode_into(&self, data: &[f32], scratch: &mut GradScratch, out: &mut Vec<u8>) {
+        self.encode_rows_into(data, data.len(), scratch, out);
+    }
+
+    /// Append the encoded form of `data`, row-major rows of `row_width`
+    /// values (an embedding table's `dim`), to `out`. The error-bounded
+    /// codecs see whole rows: vector-LZ matches repeated rows and Lorenzo
+    /// predicts from the row above. Every other kind is element-wise and
+    /// ignores the width. The stream records its width, so
+    /// [`GradCodec::decode_into`] needs none.
+    ///
+    /// # Panics
+    /// Panics if `data` is non-empty and `row_width` is zero or does not
+    /// divide `data.len()`.
+    pub fn encode_rows_into(
+        &self,
+        data: &[f32],
+        row_width: usize,
+        scratch: &mut GradScratch,
+        out: &mut Vec<u8>,
+    ) {
         out.extend_from_slice(&(data.len() as u32).to_le_bytes());
         if data.is_empty() {
             return;
         }
+        assert!(
+            row_width > 0 && data.len().is_multiple_of(row_width),
+            "{} values do not split into rows of {row_width}",
+            data.len()
+        );
         match &self.kind {
             GradCodecKind::Identity => {
                 out.reserve(data.len() * 4);
@@ -205,9 +231,7 @@ impl GradCodec {
             GradCodecKind::Fp8 => lowprec::compress_into(data, Precision::Fp8E4M3, out),
             GradCodecKind::ErrorBounded { error_bound, .. } => {
                 let comp = self.compressor.as_ref().expect("built with a compressor");
-                // The flat gradient is one long row: Lorenzo prediction runs
-                // along it, which suits smooth per-layer gradients.
-                comp.compress_into(data, data.len(), *error_bound, &mut scratch.compress, out)
+                comp.compress_into(data, row_width, *error_bound, &mut scratch.compress, out)
                     .expect("gradient compression of finite data cannot fail");
             }
             GradCodecKind::TopK { fraction } => {
@@ -242,7 +266,8 @@ impl GradCodec {
     }
 
     /// Append the decoded values of a stream produced by
-    /// [`GradCodec::encode_into`] to `out`.
+    /// [`GradCodec::encode_rows_into`] (or [`GradCodec::encode_into`]) to
+    /// `out`.
     ///
     /// Returns `Err` (and leaves `out` in an unspecified but valid state)
     /// when the stream is truncated or corrupted, instead of panicking —
@@ -492,6 +517,93 @@ mod tests {
                 assert!((a - b).abs() <= tol, "{}: {a} vs {b}", kind.label());
             }
         }
+    }
+
+    /// `rows × dim` embedding-like values: a third of the rows repeat an
+    /// earlier one, a third quantize to zero at eb 0.01.
+    fn table_rows(rows: usize, dim: usize) -> Vec<f32> {
+        (0..rows * dim)
+            .map(|i| match (i / dim) % 3 {
+                0 => ((i % dim) as f32 * 0.7).sin() * 0.2,
+                1 => ((i % dim) as f32 * 0.3).cos() * 0.004,
+                _ => ((i as f32) * 0.13).sin() * 0.2,
+            })
+            .collect()
+    }
+
+    fn decode(codec: &GradCodec, bytes: &[u8]) -> Vec<f32> {
+        let mut back = Vec::new();
+        codec
+            .decode_into(bytes, &mut GradScratch::new(), &mut back)
+            .unwrap();
+        back
+    }
+
+    #[test]
+    fn row_width_keeps_pointwise_decodes_bit_identical() {
+        let (rows, dim) = (25, 32);
+        let data = table_rows(rows, dim);
+        let eb = |compressor| GradCodecKind::ErrorBounded {
+            compressor,
+            error_bound: 0.01,
+        };
+        for kind in [
+            eb(CompressorKind::OursHybrid),
+            eb(CompressorKind::OursVector),
+            eb(CompressorKind::OursHuffman),
+            eb(CompressorKind::FzLike),
+            eb(CompressorKind::Fp16),
+            eb(CompressorKind::Fp8),
+            GradCodecKind::Fp16,
+            GradCodecKind::Fp8,
+            GradCodecKind::Lattice { error_bound: 0.01 },
+        ] {
+            let codec = kind.build();
+            let mut scratch = GradScratch::new();
+            let (mut long, mut wide) = (Vec::new(), Vec::new());
+            codec.encode_into(&data, &mut scratch, &mut long);
+            codec.encode_rows_into(&data, dim, &mut scratch, &mut wide);
+            assert!(wide.len() <= codec.max_encoded_bytes(data.len()));
+            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(decode(&codec, &long)),
+                bits(decode(&codec, &wide)),
+                "{}",
+                kind.label()
+            );
+        }
+        // Vector-LZ matches the repeated rows only when it sees rows.
+        let codec = eb(CompressorKind::OursVector).build();
+        let mut scratch = GradScratch::new();
+        let (mut long, mut wide) = (Vec::new(), Vec::new());
+        codec.encode_into(&data, &mut scratch, &mut long);
+        codec.encode_rows_into(&data, dim, &mut scratch, &mut wide);
+        assert!(wide.len() < long.len(), "{} !< {}", wide.len(), long.len());
+    }
+
+    #[test]
+    fn row_width_keeps_lorenzo_within_the_bound() {
+        let (rows, dim) = (25, 32);
+        let data = table_rows(rows, dim);
+        let codec = GradCodecKind::ErrorBounded {
+            compressor: CompressorKind::SzLike,
+            error_bound: 0.01,
+        }
+        .build();
+        let mut bytes = Vec::new();
+        codec.encode_rows_into(&data, dim, &mut GradScratch::new(), &mut bytes);
+        let back = decode(&codec, &bytes);
+        assert_eq!(back.len(), data.len());
+        for (a, b) in data.iter().zip(&back) {
+            assert!((a - b).abs() <= 0.01 * 1.0001, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "do not split into rows")]
+    fn row_width_must_divide_the_values() {
+        let codec = GradCodecKind::Fp16.build();
+        codec.encode_rows_into(&[0.0; 10], 4, &mut GradScratch::new(), &mut Vec::new());
     }
 
     #[test]

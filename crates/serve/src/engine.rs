@@ -28,7 +28,11 @@
 //!    wait for it, so its cost lands on every window's wall time.
 //! 2. The coalesced key lists ride one variable all-to-all (request
 //!    direction), owners gather + encode each table's rows into a single
-//!    codec stream, and the payloads ride a second all-to-all back.
+//!    codec stream of `dim`-wide rows, and the payloads ride a second
+//!    all-to-all back, both in the varint frames of [`crate::fetch`]. A
+//!    chunk that does not parse, or a payload group that does not answer
+//!    its request, is one panic naming the rank, the sender and the byte
+//!    offset.
 //! 3. Frontends decode, fill the cache, assemble per-request embedding
 //!    matrices (local weights, cache hits and fresh decodes are all the same
 //!    pure function of the codec, so caching never changes a response bit),
@@ -82,8 +86,8 @@ use crate::cache::HotRowCache;
 use crate::coalesce::BatchCoalescer;
 use crate::config::{FetchSetting, ServeConfig};
 use crate::fetch::{
-    codec_throughput, payload_groups, request_groups, write_payload_group, write_request_group,
-    FetchCodecs,
+    codec_throughput, payload_groups, request_groups, write_payload_group, write_payload_header,
+    write_request_chunk, FetchCodecs, FrameError, VARINT_MAX,
 };
 use crate::latency::{percentile, timeline};
 use crate::report::ServingReport;
@@ -467,15 +471,16 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
     let mut cap_mark = 0u64;
 
     // Worst-case lease capacities, independent of window content, keep the
-    // pool's high-water mark flat after warm-up; the payload's follows the
-    // codec bank, which the controller may switch.
+    // pool's high-water mark flat after warm-up: every frame varint at its
+    // widest. The payload's follows the codec bank, which the controller may
+    // switch.
     let my_req_max = cfg.window / frontends + 1;
-    let req_cap = 4 + tables * (8 + my_req_max * 4);
+    let req_cap = VARINT_MAX * (1 + tables * (2 + my_req_max));
     let pay_cap = |codecs: &FetchCodecs| {
         let groups = owned
             .iter()
-            .map(|&t| 12 + codecs.max_encoded_bytes(t, my_req_max * dim));
-        4 + groups.sum::<usize>()
+            .map(|&t| 3 * VARINT_MAX + codecs.max_encoded_bytes(t, my_req_max * dim));
+        VARINT_MAX + groups.sum::<usize>()
     };
     // Pre-warm the buffer pool to its in-flight high-water mark: each window
     // keeps up to two windows' worth of send buffers in flight (peers return
@@ -542,15 +547,7 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
             let rows = coalescer.rows(dst);
             let mut buf = ctx.take_buf(req_cap);
             if !rows.is_empty() {
-                buf.extend_from_slice(&[0u8; 4]);
-                let mut groups = 0u32;
-                for group in rows.chunk_by(|a, b| a.0 == b.0) {
-                    scratch.idx_buf.clear();
-                    scratch.idx_buf.extend(group.iter().map(|&(_, r)| r));
-                    write_request_group(&mut buf, group[0].0, &scratch.idx_buf);
-                    groups += 1;
-                }
-                buf[0..4].copy_from_slice(&groups.to_le_bytes());
+                write_request_chunk(&mut buf, rows);
             }
             let bytes = buf.len() as u64;
             req_sent[w * world + dst] = bytes;
@@ -565,30 +562,45 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
         for src in 0..world {
             let mut buf = ctx.take_buf(pay_cap);
             if !recv[src].is_empty() {
-                buf.extend_from_slice(&[0u8; 4]);
-                let mut groups = 0u32;
-                for (t_u32, req_rows) in request_groups(&recv[src]) {
-                    let t = t_u32 as usize;
+                let from = ChunkOrigin {
+                    rank,
+                    direction: "request",
+                    src,
+                };
+                let groups = from.check(request_groups(&recv[src]));
+                write_payload_header(&mut buf, groups.remaining());
+                for group in groups {
+                    let group = from.check(group);
+                    let t = group.table as usize;
+                    if t >= tables || partition.owner_of(t) != rank {
+                        from.fail(FrameError::at(group.offset, "request for an unowned table"));
+                    }
                     scratch.idx_buf.clear();
-                    scratch.idx_buf.extend(req_rows.iter());
-                    model
-                        .embedding(t)
-                        .lookup_into(&scratch.idx_buf, &mut scratch.owner_rows);
+                    scratch.idx_buf.extend(group.rows.iter());
+                    let table = model.embedding(t);
+                    let last = scratch.idx_buf.last().map_or(0, |&r| r as usize);
+                    if last >= table.cardinality() {
+                        from.fail(FrameError::at(
+                            group.offset,
+                            "request row past the table's end",
+                        ));
+                    }
+                    table.lookup_into(&scratch.idx_buf, &mut scratch.owner_rows);
                     let raw = (scratch.owner_rows.len() * 4) as u64;
                     fetch_raw_bytes += raw;
                     scratch.enc_buf.clear();
-                    codecs.codec(t).encode_into(
+                    codecs.codec(t).encode_rows_into(
                         &scratch.owner_rows,
+                        dim,
                         &mut gscratch,
                         &mut scratch.enc_buf,
                     );
                     write_payload_group(
                         &mut buf,
-                        t_u32,
+                        group.table,
                         scratch.idx_buf.len() as u32,
                         &scratch.enc_buf,
                     );
-                    groups += 1;
                     let (enc_tput, _) = codec_throughput(codecs.kind(t), &cfg.profile);
                     if enc_tput.is_finite() {
                         enc_seconds += raw as f64 / enc_tput;
@@ -597,7 +609,6 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                         a.note_payload(t, &scratch.owner_rows, scratch.enc_buf.len(), dim);
                     }
                 }
-                buf[0..4].copy_from_slice(&groups.to_le_bytes());
             }
             let bytes = buf.len() as u64;
             pay_sent[w * world + src] = bytes;
@@ -614,24 +625,32 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
         // --- 5. Frontend decode: fill the window store + cache. ---
         let mut dec_seconds = 0.0f64;
         for (src, payload) in pay_recv.iter().enumerate() {
-            if payload.is_empty() {
+            let keys = coalescer.rows(src);
+            if keys.is_empty() && payload.is_empty() {
                 continue;
             }
-            let keys = coalescer.rows(src);
+            let from = ChunkOrigin {
+                rank,
+                direction: "payload",
+                src,
+            };
             let mut cursor = 0usize;
-            for (t_u32, n, stream) in payload_groups(payload) {
-                let t = t_u32 as usize;
-                let n = n as usize;
+            for group in from.check(payload_groups(payload)) {
+                let group = from.check(group);
+                let answered = from.check(group.answered(keys, cursor));
+                let (t, n) = (group.table as usize, answered.len());
                 scratch.dec_buf.clear();
-                codecs
-                    .codec(t)
-                    .decode_into(stream, &mut gscratch, &mut scratch.dec_buf)
-                    .expect("fetch payload decodes");
-                debug_assert_eq!(scratch.dec_buf.len(), n * dim);
-                for k in 0..n {
-                    let (kt, row) = keys[cursor + k];
-                    debug_assert_eq!(kt, t_u32);
-                    let vals = &scratch.dec_buf[k * dim..(k + 1) * dim];
+                let decoded =
+                    codecs
+                        .codec(t)
+                        .decode_into(group.stream, &mut gscratch, &mut scratch.dec_buf);
+                if decoded.is_err() || scratch.dec_buf.len() != n * dim {
+                    from.fail(FrameError::at(
+                        group.offset,
+                        "stream does not decode to rows × dim",
+                    ));
+                }
+                for (&(kt, row), vals) in answered.iter().zip(scratch.dec_buf.chunks_exact(dim)) {
                     let slot = (scratch.store_vals.len() / dim) as u32;
                     scratch
                         .store_keys
@@ -646,7 +665,12 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                     dec_seconds += (n * dim * 4) as f64 / dec_tput;
                 }
             }
-            debug_assert_eq!(cursor, keys.len());
+            if cursor != keys.len() {
+                from.fail(FrameError::at(
+                    payload.len(),
+                    "payload answers fewer rows than requested",
+                ));
+            }
         }
         pay_recv.clear();
         scratch.store_keys.sort_unstable();
@@ -767,6 +791,30 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
         final_codecs: (0..tables).map(|t| codecs.kind(t).label()).collect(),
         steady_alloc,
         ledger,
+    }
+}
+
+/// Where a fetch chunk came from: the receiving rank, the direction and the
+/// sending rank, named by the one panic a malformed chunk raises.
+#[derive(Clone, Copy)]
+struct ChunkOrigin {
+    rank: usize,
+    direction: &'static str,
+    src: usize,
+}
+
+impl ChunkOrigin {
+    fn check<T>(self, parsed: Result<T, FrameError>) -> T {
+        parsed.unwrap_or_else(|e| self.fail(e))
+    }
+
+    fn fail(self, e: FrameError) -> ! {
+        let Self {
+            rank,
+            direction,
+            src,
+        } = self;
+        panic!("rank {rank}: malformed fetch {direction} from rank {src}: {e}")
     }
 }
 

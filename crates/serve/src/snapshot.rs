@@ -12,7 +12,8 @@ use dlrm_ckpt::{Checkpoint, CkptCodec, RankCheckpoint};
 use dlrm_grad::GradCodecKind;
 use dlrm_model::Dlrm;
 
-/// Encode `model` (every table + the MLP) into a checkpoint with `codec`.
+/// Encode `model` (every table at its row width, and the MLP) into a
+/// checkpoint with `codec`.
 pub fn snapshot_model(model: &Dlrm, codec: &GradCodecKind, iteration: usize) -> Checkpoint {
     let mut ck = CkptCodec::new(codec);
     let mut part = RankCheckpoint::new(iteration, 0);
@@ -25,7 +26,7 @@ pub fn snapshot_model(model: &Dlrm, codec: &GradCodecKind, iteration: usize) -> 
             t,
             table.cardinality(),
             table.dim(),
-            ck.encode(table.weights().as_slice()),
+            ck.encode_rows(table.weights().as_slice(), table.dim()),
         );
     }
     Checkpoint::assemble(codec.clone(), vec![part])

@@ -19,7 +19,9 @@
 //! mediocre codec under drifting traffic, and serving from a restored
 //! checkpoint answers bit for bit what the in-memory model answers. A golden
 //! table freezes the controller windows: every reselection, the final codecs
-//! and the response fingerprint over topology × error-bound control.
+//! and the response fingerprint over topology × error-bound control. Two
+//! response-only pins (the controller rows and three lossy pointwise fetch
+//! codecs) hold every answer bit still while the wire format moves.
 
 use dlrm_adaptive::Reselection;
 use dlrm_comm::{NetworkConfig, Topology};
@@ -268,36 +270,46 @@ fn reselection_words(r: &Reselection) -> Vec<u64> {
 /// every reselection field, FNV over the final codec labels, the report
 /// fingerprint)`. The fingerprint covers every response bit, so a moved
 /// error-bound scale shows up there too.
+///
+/// Re-pinned once, columns 3 and 5 only, when fetch groups began to be
+/// encoded at the table's row width and framed with varints: the live
+/// traffic ratios and the wire bytes the reselections read moved, while the
+/// switch counts, the final codecs and every response bit
+/// ([`SERVE_CONTROLLER_RESPONSES`]) stayed.
 const SERVE_CONTROLLER_GOLDEN: [(&str, usize, u64, u64, u64); 4] = [
     (
         "flat/eb-fixed",
         4,
-        0xb324f27738903d03,
+        0xff6b969214e0612a,
         0xd2fe3784ff160581,
-        0x77d49444d8730f95,
+        0x5b360bfb9cd99d23,
     ),
     (
         "flat/eb-plateau",
         4,
-        0x683fcb5b18ed4e0d,
+        0x00d7592ec4faa1c8,
         0xd2fe3784ff160581,
-        0x77d49444d8730f95,
+        0x5b360bfb9cd99d23,
     ),
     (
         "2x2/eb-fixed",
         4,
-        0x37c819ae29065988,
+        0x46fd08e1beaa40b5,
         0xd2fe3784ff160581,
-        0x1dcf8d8a03611308,
+        0xd3d4d9d64901709d,
     ),
     (
         "2x2/eb-plateau",
         4,
-        0xe7ad826307740dd9,
+        0xcc3dcd2c6ca695cf,
         0xd2fe3784ff160581,
-        0x1dcf8d8a03611308,
+        0xd3d4d9d64901709d,
     ),
 ];
+
+/// FNV over the response bits of every [`SERVE_CONTROLLER_GOLDEN`] row,
+/// captured before the fetch wire changed: the re-pin moved no answer.
+const SERVE_CONTROLLER_RESPONSES: u64 = 0x9dcc4aa467afb797;
 
 #[test]
 fn controller_windows_are_pinned() {
@@ -331,6 +343,11 @@ fn controller_windows_are_pinned() {
                 if hierarchical { "2x2" } else { "flat" },
                 if eb_control { "eb-plateau" } else { "eb-fixed" },
             );
+            assert_eq!(
+                fnv(report.response_bits().into_iter().map(u64::from)),
+                SERVE_CONTROLLER_RESPONSES,
+                "{label}: a response bit moved"
+            );
             rows.push((
                 label,
                 report.codec_switches,
@@ -358,6 +375,41 @@ fn controller_windows_are_pinned() {
     }
     // A grid where nothing switches pins nothing worth pinning.
     assert!(rows.iter().any(|r| r.1 > 0), "no row switched a codec");
+}
+
+/// FNV over the response bits of [`ServeConfig::small_test`] runs under
+/// lossy pointwise fetch codecs. Only the responses are pinned, not the
+/// report fingerprint, which covers wire bytes: the fetch frames and the
+/// codec streams' row width may change what crosses the wire, never what a
+/// frontend decodes.
+const LOSSY_RESPONSES: [(&str, u64); 3] = [
+    ("hybrid-eb0.05", 0x0492d35efeaa4fc5),
+    ("fp16", 0x38459e06729390ea),
+    ("lattice-eb0.02", 0x901450cc59cb3d70),
+];
+
+#[test]
+fn lossy_fetch_responses_are_pinned() {
+    let fetches = [
+        FetchSetting::hybrid(0.05),
+        FetchSetting::Compressed {
+            codec: GradCodecKind::Fp16,
+        },
+        FetchSetting::Compressed {
+            codec: GradCodecKind::Lattice { error_bound: 0.02 },
+        },
+    ];
+    for (fetch, (label, golden)) in fetches.into_iter().zip(LOSSY_RESPONSES) {
+        let mut cfg = ServeConfig::small_test();
+        cfg.fetch = fetch;
+        let report = run_serving(&presets::tiny(), &cfg);
+        assert!(
+            report.fetched_rows > 0 && report.fetch_ratio > 1.0,
+            "{label}"
+        );
+        let got = fnv(report.response_bits().into_iter().map(u64::from));
+        assert_eq!(got, golden, "{label}: responses moved, now {got:#018x}");
+    }
 }
 
 #[test]

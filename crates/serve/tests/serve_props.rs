@@ -3,10 +3,18 @@
 //! The LRU cache is checked against a naive recency-list model over
 //! arbitrary op sequences; the coalescer is checked to deliver exactly the
 //! union of requested keys — per owner, sorted, no duplicates — under
-//! arbitrary interleavings.
+//! arbitrary interleavings. The fetch-frame walkers are total: every
+//! truncation and random byte flips of a valid request or payload chunk
+//! parse or give an error, never a panic.
 
 use proptest::prelude::*;
 
+use dlrm_compress::CompressorKind;
+use dlrm_grad::{GradCodec, GradCodecKind, GradScratch};
+use dlrm_serve::fetch::{
+    payload_groups, request_groups, write_payload_group, write_payload_header, write_request_chunk,
+    FrameError,
+};
 use dlrm_serve::{BatchCoalescer, HotRowCache};
 
 /// Naive reference model: a vector of keys ordered most-recently-used first.
@@ -127,4 +135,97 @@ proptest! {
         let unique: usize = (0..owners).map(|o| c.rows(o).len()).sum();
         prop_assert_eq!(c.total_unique(), unique);
     }
+
+    #[test]
+    fn damaged_fetch_chunks_never_panic(
+        notes in prop::collection::vec((0u32..4, 0u32..20_000), 1..40),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+    ) {
+        const DIM: usize = 4;
+        let mut keys = notes;
+        keys.sort_unstable();
+        keys.dedup();
+        let codec = GradCodecKind::ErrorBounded {
+            compressor: CompressorKind::OursHybrid,
+            error_bound: 0.05,
+        }
+        .build();
+        let mut request = Vec::new();
+        write_request_chunk(&mut request, &keys);
+        let payload = payload_for(&request, &codec, DIM);
+        prop_assert_eq!(walk_requests(&request), Ok(keys.clone()));
+        prop_assert_eq!(walk_payload(&payload, &keys, &codec, DIM), Ok(keys.len()));
+        for cut in 0..request.len() {
+            prop_assert!(walk_requests(&request[..cut]).is_err());
+        }
+        for cut in 0..payload.len() {
+            prop_assert!(walk_payload(&payload[..cut], &keys, &codec, DIM).is_err());
+        }
+        let (mut request, mut payload) = (request, payload);
+        for &(at, mask) in &flips {
+            let n = request.len();
+            request[at % n] ^= mask;
+            let n = payload.len();
+            payload[at % n] ^= mask;
+        }
+        // A flip may still parse (a row id moved, a value changed); it must
+        // not panic.
+        let _ = walk_requests(&request);
+        let _ = walk_payload(&payload, &keys, &codec, DIM);
+    }
+}
+
+/// The owner's answer to `request`: one hybrid stream per group, rows
+/// `dim` wide, values derived from the keys.
+fn payload_for(request: &[u8], codec: &GradCodec, dim: usize) -> Vec<u8> {
+    let groups = request_groups(request).unwrap();
+    let mut out = Vec::new();
+    write_payload_header(&mut out, groups.remaining());
+    let (mut rows, mut stream) = (Vec::new(), Vec::new());
+    for group in groups {
+        let group = group.unwrap();
+        rows.clear();
+        for r in group.rows.iter() {
+            rows.extend((0..dim).map(|c| ((r as usize * dim + c) as f32 * 0.01).sin()));
+        }
+        stream.clear();
+        codec.encode_rows_into(&rows, dim, &mut GradScratch::new(), &mut stream);
+        write_payload_group(&mut out, group.table, group.rows.len() as u32, &stream);
+    }
+    out
+}
+
+/// Every `(table, row)` of a request chunk, in order.
+fn walk_requests(chunk: &[u8]) -> Result<Vec<(u32, u32)>, FrameError> {
+    let mut keys = Vec::new();
+    for group in request_groups(chunk)? {
+        let group = group?;
+        keys.extend(group.rows.iter().map(|r| (group.table, r)));
+    }
+    Ok(keys)
+}
+
+/// The frontend's walk of a payload chunk against the `keys` it asked for:
+/// the rows it decodes, or the first error.
+fn walk_payload(
+    chunk: &[u8],
+    keys: &[(u32, u32)],
+    codec: &GradCodec,
+    dim: usize,
+) -> Result<usize, FrameError> {
+    let (mut cursor, mut decoded) = (0, Vec::new());
+    for group in payload_groups(chunk)? {
+        let group = group?;
+        let answered = group.answered(keys, cursor)?;
+        decoded.clear();
+        let ok = codec.decode_into(group.stream, &mut GradScratch::new(), &mut decoded);
+        if ok.is_err() || decoded.len() != answered.len() * dim {
+            return Err(FrameError::at(group.offset, "stream does not decode"));
+        }
+        cursor += answered.len();
+    }
+    if cursor != keys.len() {
+        return Err(FrameError::at(chunk.len(), "fewer rows than requested"));
+    }
+    Ok(cursor)
 }

@@ -1185,7 +1185,12 @@ impl CheckpointWriter {
         }
         for &t in owned {
             let w = model.embedding(t).weights();
-            part.push_table(t, w.rows(), w.cols(), codec.encode(w.as_slice()));
+            part.push_table(
+                t,
+                w.rows(),
+                w.cols(),
+                codec.encode_rows(w.as_slice(), w.cols()),
+            );
         }
         if let Some(residual) = dense.and_then(GradCompressor::residual) {
             part.residual = Some(codec.encode(residual));
