@@ -409,7 +409,7 @@ where
     }
     handles
         .into_iter()
-        .map(|h| h.join().expect("rank thread panicked"))
+        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
         .collect()
 }
 

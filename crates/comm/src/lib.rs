@@ -41,6 +41,15 @@
 //! timelines), and [`ledger::TimingLedger`]'s `overlap_saved` counters
 //! record how much codec time the overlap hid.
 
+//! ## One embedding frame
+//!
+//! [`frame`] holds the wire frame every embedding exchange uses — the
+//! trainer's forward and backward all-to-all chunks and serving's fetch
+//! payloads: `[groups]` then `[table][rows][len][stream]` per group, in
+//! LEB128 varints, with one total walker ([`frame::payload_groups`]), one
+//! [`frame::FrameError`] and one malformed-chunk panic
+//! ([`frame::ChunkOrigin`]).
+
 //! ## Compressed all-reduce
 //!
 //! Every all-reduce entry point runs one sharded reduce-scatter +
@@ -123,6 +132,7 @@ pub mod cluster;
 pub mod cost;
 pub mod fabric;
 pub mod fault;
+pub mod frame;
 pub mod ledger;
 pub mod overlap;
 pub mod phase;

@@ -102,11 +102,6 @@ impl GradCompressor {
         &self.codec
     }
 
-    /// True when an error-feedback residual is maintained.
-    pub fn has_error_feedback(&self) -> bool {
-        self.ef.is_some()
-    }
-
     /// Add the accumulated residual into a fresh gradient vector (the
     /// *compensate* step — call once per iteration, before the all-reduce).
     /// A no-op without error feedback.

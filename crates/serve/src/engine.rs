@@ -70,6 +70,10 @@ use dlrm_adaptive::{
 };
 use dlrm_ckpt::Checkpoint;
 use dlrm_comm::cluster::RankCtx;
+use dlrm_comm::frame::{
+    payload_chunk_capacity, payload_groups, write_payload_group, write_varint, ChunkOrigin,
+    FrameError, VARINT_MAX,
+};
 use dlrm_comm::phase as phases;
 use dlrm_comm::pool::PooledBuf;
 use dlrm_comm::topology::TieredCostModel;
@@ -84,11 +88,8 @@ use dlrm_trainer::TablePartition;
 
 use crate::cache::HotRowCache;
 use crate::coalesce::BatchCoalescer;
-use crate::config::{FetchSetting, ServeConfig};
-use crate::fetch::{
-    codec_throughput, payload_groups, request_groups, write_payload_group, write_payload_header,
-    write_request_chunk, FetchCodecs, FrameError, VARINT_MAX,
-};
+use crate::config::ServeConfig;
+use crate::fetch::{answered, codec_throughput, request_groups, write_request_chunk, FetchCodecs};
 use crate::latency::{percentile, timeline};
 use crate::report::ServingReport;
 use crate::snapshot::restore_owned;
@@ -240,8 +241,6 @@ struct Scratch {
     idx_buf: Vec<u32>,
     /// Owner-side gathered row values.
     owner_rows: Vec<f32>,
-    /// Owner-side encoded stream.
-    enc_buf: Vec<u8>,
     /// Frontend-side decoded stream.
     dec_buf: Vec<f32>,
 }
@@ -255,7 +254,6 @@ impl Scratch {
             + self.emb_bufs.iter().map(Vec::capacity).sum::<usize>() * 4
             + self.idx_buf.capacity() * 4
             + self.owner_rows.capacity() * 4
-            + self.enc_buf.capacity()
             + self.dec_buf.capacity() * 4) as u64
     }
 }
@@ -448,7 +446,6 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
             .collect(),
         idx_buf: Vec::with_capacity(max_group_rows),
         owner_rows: Vec::with_capacity(max_group_rows * dim),
-        enc_buf: Vec::with_capacity(codecs.max_encoded_bytes(0, max_group_rows * dim)),
         dec_buf: Vec::with_capacity(max_group_rows * dim),
     };
     let mut responses: Vec<(u32, f32)> = Vec::with_capacity(cfg.requests / frontends.max(1) + 1);
@@ -477,10 +474,9 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
     let my_req_max = cfg.window / frontends + 1;
     let req_cap = VARINT_MAX * (1 + tables * (2 + my_req_max));
     let pay_cap = |codecs: &FetchCodecs| {
-        let groups = owned
-            .iter()
-            .map(|&t| 3 * VARINT_MAX + codecs.max_encoded_bytes(t, my_req_max * dim));
-        VARINT_MAX + groups.sum::<usize>()
+        payload_chunk_capacity(
+            (owned.iter()).map(|&t| codecs.max_encoded_bytes(t, my_req_max * dim)),
+        )
     };
     // Pre-warm the buffer pool to its in-flight high-water mark: each window
     // keeps up to two windows' worth of send buffers in flight (peers return
@@ -564,11 +560,11 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
             if !recv[src].is_empty() {
                 let from = ChunkOrigin {
                     rank,
-                    direction: "request",
+                    what: "fetch request",
                     src,
                 };
                 let groups = from.check(request_groups(&recv[src]));
-                write_payload_header(&mut buf, groups.remaining());
+                write_varint(&mut buf, groups.remaining());
                 for group in groups {
                     let group = from.check(group);
                     let t = group.table as usize;
@@ -588,25 +584,20 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                     table.lookup_into(&scratch.idx_buf, &mut scratch.owner_rows);
                     let raw = (scratch.owner_rows.len() * 4) as u64;
                     fetch_raw_bytes += raw;
-                    scratch.enc_buf.clear();
-                    codecs.codec(t).encode_rows_into(
-                        &scratch.owner_rows,
-                        dim,
-                        &mut gscratch,
-                        &mut scratch.enc_buf,
-                    );
-                    write_payload_group(
-                        &mut buf,
-                        group.table,
-                        scratch.idx_buf.len() as u32,
-                        &scratch.enc_buf,
-                    );
+                    let encoded = write_payload_group(&mut buf, t, scratch.idx_buf.len(), |out| {
+                        codecs.codec(t).encode_rows_into(
+                            &scratch.owner_rows,
+                            dim,
+                            &mut gscratch,
+                            out,
+                        )
+                    });
                     let (enc_tput, _) = codec_throughput(codecs.kind(t), &cfg.profile);
                     if enc_tput.is_finite() {
                         enc_seconds += raw as f64 / enc_tput;
                     }
                     if let Some(a) = adaptation.as_mut() {
-                        a.note_payload(t, &scratch.owner_rows, scratch.enc_buf.len(), dim);
+                        a.note_payload(t, &scratch.owner_rows, encoded, dim);
                     }
                 }
             }
@@ -631,13 +622,13 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
             }
             let from = ChunkOrigin {
                 rank,
-                direction: "payload",
+                what: "fetch payload",
                 src,
             };
             let mut cursor = 0usize;
             for group in from.check(payload_groups(payload)) {
                 let group = from.check(group);
-                let answered = from.check(group.answered(keys, cursor));
+                let answered = from.check(answered(&group, keys, cursor));
                 let (t, n) = (group.table as usize, answered.len());
                 scratch.dec_buf.clear();
                 let decoded =
@@ -794,30 +785,6 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
     }
 }
 
-/// Where a fetch chunk came from: the receiving rank, the direction and the
-/// sending rank, named by the one panic a malformed chunk raises.
-#[derive(Clone, Copy)]
-struct ChunkOrigin {
-    rank: usize,
-    direction: &'static str,
-    src: usize,
-}
-
-impl ChunkOrigin {
-    fn check<T>(self, parsed: Result<T, FrameError>) -> T {
-        parsed.unwrap_or_else(|e| self.fail(e))
-    }
-
-    fn fail(self, e: FrameError) -> ! {
-        let Self {
-            rank,
-            direction,
-            src,
-        } = self;
-        panic!("rank {rank}: malformed fetch {direction} from rank {src}: {e}")
-    }
-}
-
 fn merge(
     setup: &Setup,
     outcomes: Vec<RankOutcome>,
@@ -951,9 +918,4 @@ fn merge(
         from_checkpoint,
         provenance,
     }
-}
-
-/// True when `fetch` resolves to a lossy codec (test/reporting helper).
-pub fn is_lossy(fetch: &FetchSetting) -> bool {
-    !matches!(fetch.resolved_kind(), GradCodecKind::Identity)
 }

@@ -1,30 +1,32 @@
-//! Fetch codec bank and wire framing for the compressed cross-rank gather.
+//! Fetch codec bank and the request frame of the compressed cross-rank
+//! gather.
 //!
 //! Every embedding table carries its own fetch codec (so the runtime
-//! controller can retune tables independently), and both wire directions use
-//! tiny self-describing frames. Every integer in a frame is an unsigned
-//! LEB128 varint of at most [`VARINT_MAX`] bytes:
+//! controller can retune tables independently). Both wire directions use
+//! tiny self-describing frames built on [`dlrm_comm::frame`]'s LEB128
+//! varints, walker and [`FrameError`]:
 //!
-//! * **request chunk** (frontend → owner): `[groups]` then per group
-//!   `[table][count][gap × count]`. The row ids are sorted ascending and
-//!   unique (the coalescer's output order), so each is written as its gap to
-//!   one past the previous id (the first as itself): a Zipf-hot group's ids
-//!   cost one or two bytes each instead of four;
-//! * **payload chunk** (owner → frontend): `[groups]` then per group
-//!   `[table][rows][len][codec stream]`, one group per request group in
-//!   request order. The stream encodes the rows in request order at the
-//!   table's row width ([`GradCodec::encode_rows_into`] with `dim`), so
-//!   vector-LZ sees whole embedding rows, and the frontend re-associates
-//!   decoded rows with keys positionally, without per-row framing.
+//! * **request chunk** (frontend → owner), defined here: `[groups]` then per
+//!   group `[table][count][gap × count]`. The row ids are sorted ascending
+//!   and unique (the coalescer's output order), so each is written as its
+//!   gap to one past the previous id (the first as itself): a Zipf-hot
+//!   group's ids cost one or two bytes each instead of four;
+//! * **payload chunk** (owner → frontend): the payload frame training's
+//!   all-to-all uses too, [`dlrm_comm::frame::write_payload_group`], one
+//!   group per request group in request order. The stream encodes the rows
+//!   in request order at the table's row width
+//!   ([`GradCodec::encode_rows_into`] with `dim`), so vector-LZ sees whole
+//!   embedding rows, and the frontend re-associates decoded rows with keys
+//!   positionally, without per-row framing.
 //!
-//! The walkers ([`request_groups`], [`payload_groups`]) are total: bytes
-//! that end early, run on past the last group, carry a varint past `u32` or
-//! a length past the chunk's end give a [`FrameError`] with its byte offset,
-//! never a panic. [`PayloadGroup::answered`] checks a payload group against
-//! the keys it should answer.
+//! [`request_groups`] is total like the payload walker: bytes that end
+//! early, run on past the last group, or carry a varint or row id past
+//! `u32` give a [`FrameError`] with its byte offset, never a panic.
+//! [`answered`] checks a payload group against the keys it should answer.
 
 use dlrm_adaptive::CodecProfile;
-use dlrm_compress::{varint, CompressorKind};
+use dlrm_comm::frame::{read_varint, write_varint, FrameError, Groups, PayloadGroup};
+use dlrm_compress::CompressorKind;
 use dlrm_grad::{GradCodec, GradCodecKind};
 
 /// Modeled `(encode, decode)` throughput of the integer-lattice codec, in
@@ -89,111 +91,6 @@ impl FetchCodecs {
     }
 }
 
-/// Fetch-chunk bytes that do not parse, or a payload group that does not
-/// answer the request it should: what is wrong, and the byte offset of the
-/// field or group where it went wrong.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrameError {
-    /// Byte offset where the failed field or group starts.
-    pub offset: usize,
-    /// What is wrong there.
-    pub what: &'static str,
-}
-
-impl FrameError {
-    /// An error at `offset`.
-    pub fn at(offset: usize, what: &'static str) -> Self {
-        Self { offset, what }
-    }
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at offset {}", self.what, self.offset)
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-/// Worst-case bytes of one frame varint (a `u32` in LEB128).
-pub const VARINT_MAX: usize = 5;
-
-fn write_varint(out: &mut Vec<u8>, value: usize) {
-    varint::write_u64(out, value as u64);
-}
-
-/// Read one LEB128 varint that fits a `u32` (at most [`VARINT_MAX`] bytes)
-/// at `*at`, advancing `*at` past it.
-fn read_varint(bytes: &[u8], at: &mut usize) -> Result<u32, FrameError> {
-    let start = *at;
-    let mut value = 0u64;
-    for shift in (0..7 * VARINT_MAX).step_by(7) {
-        let &byte = bytes
-            .get(*at)
-            .ok_or(FrameError::at(start, "chunk ends inside a varint"))?;
-        *at += 1;
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return u32::try_from(value).map_err(|_| FrameError::at(start, "varint exceeds u32"));
-        }
-    }
-    Err(FrameError::at(start, "varint longer than 5 bytes"))
-}
-
-/// Iterator over the groups of a fetch chunk ([`request_groups`],
-/// [`payload_groups`]). After the announced groups it checks that the chunk
-/// ends; the first error ends the walk.
-pub struct Groups<'a, G> {
-    bytes: &'a [u8],
-    at: usize,
-    remaining: u32,
-    group: fn(&'a [u8], &mut usize) -> Result<G, FrameError>,
-}
-
-impl<'a, G> Groups<'a, G> {
-    /// Read a chunk's group count; `group` parses one group at a time.
-    fn new(
-        bytes: &'a [u8],
-        group: fn(&'a [u8], &mut usize) -> Result<G, FrameError>,
-    ) -> Result<Self, FrameError> {
-        let mut at = 0;
-        let remaining = read_varint(bytes, &mut at)?;
-        Ok(Self {
-            bytes,
-            at,
-            remaining,
-            group,
-        })
-    }
-
-    /// Groups the chunk announces that the walk has not reached yet.
-    pub fn remaining(&self) -> usize {
-        self.remaining as usize
-    }
-}
-
-impl<G> Iterator for Groups<'_, G> {
-    type Item = Result<G, FrameError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = match self.remaining {
-            0 if self.at == self.bytes.len() => return None,
-            0 => Err(FrameError::at(
-                self.at,
-                "trailing bytes after the last group",
-            )),
-            _ => {
-                self.remaining -= 1;
-                (self.group)(self.bytes, &mut self.at)
-            }
-        };
-        if item.is_err() {
-            (self.remaining, self.at) = (0, self.bytes.len());
-        }
-        Some(item)
-    }
-}
-
 /// Append a whole request chunk for `keys`: `(table, row)` pairs sorted
 /// ascending and unique, the coalescer's output order.
 ///
@@ -211,7 +108,7 @@ pub fn write_request_chunk(out: &mut Vec<u8>, keys: &[(u32, u32)]) {
         for &(_, row) in group {
             let row = u64::from(row);
             assert!(row >= next, "request rows must be sorted and unique");
-            varint::write_u64(out, row - next);
+            write_varint(out, (row - next) as usize);
             next = row + 1;
         }
     }
@@ -291,103 +188,43 @@ impl RequestRows<'_> {
 
     /// Iterate the row ids, ascending.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        let mut next = 0u64;
-        let gaps = self.gaps.split_inclusive(|&b| b & 0x80 == 0);
-        gaps.map(move |v| {
-            let gap = v
-                .iter()
-                .rev()
-                .fold(0u64, |acc, &b| acc << 7 | u64::from(b & 0x7f));
-            let row = next + gap;
+        let (mut at, mut next) = (0, 0u64);
+        std::iter::from_fn(move || {
+            // The walk checked every gap, so only the end stops this.
+            let row = next + u64::from(read_varint(self.gaps, &mut at).ok()?);
             next = row + 1;
-            row as u32
+            Some(row as u32)
         })
     }
 }
 
-/// Start a payload chunk of `groups` groups (one per request group, in
-/// request order).
-pub fn write_payload_header(out: &mut Vec<u8>, groups: usize) {
-    write_varint(out, groups);
-}
-
-/// Append one payload group (already-encoded stream) to `out`.
-pub fn write_payload_group(out: &mut Vec<u8>, table: u32, rows: u32, encoded: &[u8]) {
-    write_varint(out, table as usize);
-    write_varint(out, rows as usize);
-    write_varint(out, encoded.len());
-    out.extend_from_slice(encoded);
-}
-
-/// One payload group: `rows` rows of `table` in one codec stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PayloadGroup<'a> {
-    /// Byte offset of the group in its chunk.
-    pub offset: usize,
-    /// Table the rows belong to.
-    pub table: u32,
-    /// Rows in the stream (at least one).
-    pub rows: u32,
-    /// The codec stream.
-    pub stream: &'a [u8],
-}
-
-impl PayloadGroup<'_> {
-    /// The `keys` this group answers: the next `rows` keys from `cursor`,
-    /// every one of the group's table. `Err` when the group answers rows
-    /// the request never asked for or names another table.
-    pub fn answered<'k>(
-        &self,
-        keys: &'k [(u32, u32)],
-        cursor: usize,
-    ) -> Result<&'k [(u32, u32)], FrameError> {
-        let answered = keys
-            .get(cursor..cursor + self.rows as usize)
-            .ok_or(FrameError::at(
-                self.offset,
-                "group answers more rows than requested",
-            ))?;
-        if answered.iter().any(|&(t, _)| t != self.table) {
-            return Err(FrameError::at(
-                self.offset,
-                "group's table differs from the request",
-            ));
-        }
-        Ok(answered)
+/// The `keys` payload `group` answers: the next `group.rows` keys from
+/// `cursor`, every one of the group's table. `Err` when the group answers
+/// rows the request never asked for or names another table.
+pub fn answered<'k>(
+    group: &PayloadGroup<'_>,
+    keys: &'k [(u32, u32)],
+    cursor: usize,
+) -> Result<&'k [(u32, u32)], FrameError> {
+    let answered = keys
+        .get(cursor..cursor + group.rows as usize)
+        .ok_or(FrameError::at(
+            group.offset,
+            "group answers more rows than requested",
+        ))?;
+    if answered.iter().any(|&(t, _)| t != group.table) {
+        return Err(FrameError::at(
+            group.offset,
+            "group's table differs from the request",
+        ));
     }
-}
-
-/// Walk the groups of a payload chunk. Total in the same way as
-/// [`request_groups`]: an empty group or a stream length that runs past
-/// the chunk is a [`FrameError`].
-pub fn payload_groups(bytes: &[u8]) -> Result<Groups<'_, PayloadGroup<'_>>, FrameError> {
-    Groups::new(bytes, payload_group)
-}
-
-fn payload_group<'a>(bytes: &'a [u8], at: &mut usize) -> Result<PayloadGroup<'a>, FrameError> {
-    let offset = *at;
-    let table = read_varint(bytes, at)?;
-    let rows = read_varint(bytes, at)?;
-    let len = read_varint(bytes, at)? as usize;
-    if rows == 0 {
-        return Err(FrameError::at(offset, "empty payload group"));
-    }
-    let stream = bytes.get(*at..*at + len).ok_or(FrameError::at(
-        offset,
-        "stream runs past the end of the chunk",
-    ))?;
-    *at += len;
-    Ok(PayloadGroup {
-        offset,
-        table,
-        rows,
-        stream,
-    })
+    Ok(answered)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlrm_comm::frame::{payload_groups, write_payload_group};
     use dlrm_grad::GradScratch;
 
     /// Round-trip `values`, rows `row_width` wide, through `codec`.
@@ -429,35 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn payload_frames_roundtrip() {
-        let mut chunk = vec![];
-        write_payload_header(&mut chunk, 2);
-        write_payload_group(&mut chunk, 2, 4, &[9, 9, 9]);
-        write_payload_group(&mut chunk, 200, 1, &[]);
-        let groups: Vec<PayloadGroup> = payload_groups(&chunk)
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(
-            groups,
-            vec![
-                PayloadGroup {
-                    offset: 1,
-                    table: 2,
-                    rows: 4,
-                    stream: &[9, 9, 9]
-                },
-                PayloadGroup {
-                    offset: 7,
-                    table: 200,
-                    rows: 1,
-                    stream: &[]
-                },
-            ]
-        );
-    }
-
-    #[test]
     fn malformed_chunks_are_errors_with_offsets() {
         let chunk = request_chunk(&[(3, 1), (3, 5), (7, 0)]);
         // Truncated inside the second group.
@@ -489,24 +297,15 @@ mod tests {
             FrameError::at(over.len(), "row id exceeds u32")
         );
 
-        // A payload stream past the chunk, and groups that disagree with
-        // the request they answer.
+        // Payload groups that disagree with the request they answer.
         let mut pay = vec![];
-        write_payload_header(&mut pay, 1);
-        write_payload_group(&mut pay, 3, 2, &[1, 2, 3, 4]);
-        let short = payload_groups(&pay[..pay.len() - 1]).unwrap().next();
-        assert_eq!(
-            short,
-            Some(Err(FrameError::at(
-                1,
-                "stream runs past the end of the chunk"
-            )))
-        );
+        write_varint(&mut pay, 1);
+        write_payload_group(&mut pay, 3, 2, |out| out.extend_from_slice(&[1, 2, 3, 4]));
         let group = payload_groups(&pay).unwrap().next().unwrap().unwrap();
         let keys = [(3, 1), (3, 5), (7, 0)];
-        assert_eq!(group.answered(&keys, 0), Ok(&keys[..2]));
-        assert!(group.answered(&keys, 1).is_err());
-        assert!(group.answered(&keys, 2).is_err());
+        assert_eq!(answered(&group, &keys, 0), Ok(&keys[..2]));
+        assert!(answered(&group, &keys, 1).is_err());
+        assert!(answered(&group, &keys, 2).is_err());
     }
 
     #[test]

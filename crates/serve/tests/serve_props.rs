@@ -9,12 +9,10 @@
 
 use proptest::prelude::*;
 
+use dlrm_comm::frame::{payload_groups, write_payload_group, write_varint, FrameError};
 use dlrm_compress::CompressorKind;
 use dlrm_grad::{GradCodec, GradCodecKind, GradScratch};
-use dlrm_serve::fetch::{
-    payload_groups, request_groups, write_payload_group, write_payload_header, write_request_chunk,
-    FrameError,
-};
+use dlrm_serve::fetch::{answered, request_groups, write_request_chunk};
 use dlrm_serve::{BatchCoalescer, HotRowCache};
 
 /// Naive reference model: a vector of keys ordered most-recently-used first.
@@ -180,17 +178,17 @@ proptest! {
 fn payload_for(request: &[u8], codec: &GradCodec, dim: usize) -> Vec<u8> {
     let groups = request_groups(request).unwrap();
     let mut out = Vec::new();
-    write_payload_header(&mut out, groups.remaining());
-    let (mut rows, mut stream) = (Vec::new(), Vec::new());
+    write_varint(&mut out, groups.remaining());
+    let mut rows = Vec::new();
     for group in groups {
         let group = group.unwrap();
         rows.clear();
         for r in group.rows.iter() {
             rows.extend((0..dim).map(|c| ((r as usize * dim + c) as f32 * 0.01).sin()));
         }
-        stream.clear();
-        codec.encode_rows_into(&rows, dim, &mut GradScratch::new(), &mut stream);
-        write_payload_group(&mut out, group.table, group.rows.len() as u32, &stream);
+        write_payload_group(&mut out, group.table as usize, group.rows.len(), |out| {
+            codec.encode_rows_into(&rows, dim, &mut GradScratch::new(), out)
+        });
     }
     out
 }
@@ -216,7 +214,7 @@ fn walk_payload(
     let (mut cursor, mut decoded) = (0, Vec::new());
     for group in payload_groups(chunk)? {
         let group = group?;
-        let answered = group.answered(keys, cursor)?;
+        let answered = answered(&group, keys, cursor)?;
         decoded.clear();
         let ok = codec.decode_into(group.stream, &mut GradScratch::new(), &mut decoded);
         if ok.is_err() || decoded.len() != answered.len() * dim {

@@ -1,7 +1,5 @@
 //! Activation functions and small vector kernels used by the MLP layers.
 
-use crate::matrix::Matrix;
-
 /// Rectified linear unit applied element-wise.
 pub fn relu(x: f32) -> f32 {
     if x > 0.0 {
@@ -20,16 +18,6 @@ pub fn sigmoid(x: f32) -> f32 {
         let z = x.exp();
         z / (1.0 + z)
     }
-}
-
-/// Apply ReLU to a whole matrix, returning a new matrix.
-pub fn relu_matrix(m: &Matrix) -> Matrix {
-    m.map(relu)
-}
-
-/// Apply sigmoid to a whole matrix, returning a new matrix.
-pub fn sigmoid_matrix(m: &Matrix) -> Matrix {
-    m.map(sigmoid)
 }
 
 /// Binary cross-entropy with logits for a single example.

@@ -18,6 +18,10 @@ use dlrm_adaptive::controller::{
 use dlrm_adaptive::{advise_dense_allreduce, CodecProfile, DenseAdvice, EbSchedule};
 use dlrm_ckpt::{Checkpoint, CheckpointSpec, CkptCodec, RankCheckpoint};
 use dlrm_comm::cluster::{RankCtx, CHUNK_HEADER_BYTES, HIER_ENTRY_HEADER_BYTES};
+use dlrm_comm::frame::{
+    payload_chunk_capacity, payload_groups, write_payload_group, write_varint, ChunkOrigin,
+    FrameError,
+};
 use dlrm_comm::pool::{PoolStats, PooledBuf};
 use dlrm_comm::reduce::{
     allreduce_tier_bytes, shard_range, RawF32Codec, ReduceCodec, ReduceScratch,
@@ -138,14 +142,14 @@ impl ResolvedCompression {
     }
 
     /// Allocation-free decompression of one table's payload: *appends* the
-    /// values to `out`.
+    /// values to `out`. A stream that does not decode is an `Err`.
     fn decompress_into(
         &self,
         table: usize,
         bytes: &[u8],
         scratch: &mut CompressScratch,
         out: &mut Vec<f32>,
-    ) {
+    ) -> dlrm_compress::Result<()> {
         match self {
             ResolvedCompression::Raw => {
                 out.reserve(bytes.len() / 4);
@@ -154,14 +158,12 @@ impl ResolvedCompression {
                         .chunks_exact(4)
                         .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk"))),
                 );
+                Ok(())
             }
-            ResolvedCompression::LowPrec(_) => {
-                lowprec::decompress_into(bytes, out).expect("low-precision payload is well-formed")
+            ResolvedCompression::LowPrec(_) => lowprec::decompress_into(bytes, out),
+            ResolvedCompression::Lossy { per_table, .. } => {
+                per_table[table].0.decompress_into(bytes, scratch, out)
             }
-            ResolvedCompression::Lossy { per_table, .. } => per_table[table]
-                .0
-                .decompress_into(bytes, scratch, out)
-                .expect("lossy payload is well-formed"),
         }
     }
 
@@ -695,116 +697,6 @@ impl PipelineScratch {
     }
 }
 
-/// A chunk whose bytes disagree with the block framing it announces.
-///
-/// `needed > available`: the chunk ends before the field or payload that
-/// starts at `offset`. `needed == 0`: `available` bytes trail the last
-/// announced block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlockError {
-    /// Table id of the block being read, once its header was intact.
-    pub table: Option<u32>,
-    /// Byte offset in the chunk where the read started.
-    pub offset: usize,
-    /// Bytes the framing requires at `offset`.
-    pub needed: usize,
-    /// Bytes the chunk actually holds from `offset` on.
-    pub available: usize,
-}
-
-impl std::fmt::Display for BlockError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "block of table {:?}: need {} bytes at offset {}, chunk has {}",
-            self.table, self.needed, self.offset, self.available
-        )
-    }
-}
-
-impl std::error::Error for BlockError {}
-
-/// Zero-copy walk over one all-to-all chunk — wire format
-/// `[count u32][table u32][len u32][payload]…`, as the exchange stage writes
-/// it — yielding `(table, payload)` with payloads borrowed from `bytes`.
-/// Total: an empty, truncated or length-corrupted chunk yields one
-/// [`BlockError`] and then ends; it never panics.
-pub fn block_slices(bytes: &[u8]) -> impl Iterator<Item = Result<(u32, &[u8]), BlockError>> {
-    BlockWalker {
-        bytes,
-        pos: 0,
-        remaining: None,
-        done: false,
-    }
-}
-
-struct BlockWalker<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Blocks still to read; `None` until the count has been read.
-    remaining: Option<u32>,
-    /// Set after the last block or the first error.
-    done: bool,
-}
-
-impl<'a> BlockWalker<'a> {
-    /// Checked read of `needed` bytes at the cursor.
-    fn take(&mut self, needed: usize, table: Option<u32>) -> Result<&'a [u8], BlockError> {
-        let available = self.bytes.len() - self.pos;
-        if needed > available {
-            return Err(BlockError {
-                table,
-                offset: self.pos,
-                needed,
-                available,
-            });
-        }
-        let field = &self.bytes[self.pos..self.pos + needed];
-        self.pos += needed;
-        Ok(field)
-    }
-
-    fn take_u32(&mut self, table: Option<u32>) -> Result<u32, BlockError> {
-        let field = self.take(4, table)?.try_into().expect("4-byte field");
-        Ok(u32::from_le_bytes(field))
-    }
-
-    fn next_block(&mut self) -> Result<Option<(u32, &'a [u8])>, BlockError> {
-        let remaining = match self.remaining {
-            Some(n) => n,
-            None => self.take_u32(None)?,
-        };
-        if remaining == 0 {
-            return match self.bytes.len() - self.pos {
-                0 => Ok(None),
-                trailing => Err(BlockError {
-                    table: None,
-                    offset: self.pos,
-                    needed: 0,
-                    available: trailing,
-                }),
-            };
-        }
-        self.remaining = Some(remaining - 1);
-        let table = self.take_u32(None)?;
-        let len = self.take_u32(Some(table))? as usize;
-        Ok(Some((table, self.take(len, Some(table))?)))
-    }
-}
-
-impl<'a> Iterator for BlockWalker<'a> {
-    type Item = Result<(u32, &'a [u8]), BlockError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let item = self.next_block().transpose();
-        self.done = !matches!(item, Some(Ok(_)));
-        item
-    }
-}
-
 /// Seconds one chunk's codec work is charged on the virtual codec timeline:
 /// zero for raw payloads (the byte conversion stands in for NCCL sending the
 /// original buffer), the per-codec analytic sum when a [`CodecProfile`] is
@@ -926,29 +818,6 @@ fn charge_a2a(
     }
     ledger.add_time(phase, alpha + timeline.exposed_wire());
     ledger.add_overlap_saved(phase, timeline.saved());
-}
-
-/// Append one `[table u32][len u32][payload]` block to a send lease,
-/// compressing the payload in place and back-patching the length — the
-/// single definition of the chunk wire format ([`block_slices`] is its
-/// reader). Returns the compressed payload length.
-fn write_block(
-    resolved: &ResolvedCompression,
-    table: usize,
-    iter: usize,
-    data: &[f32],
-    dim: usize,
-    scratch: &mut CompressScratch,
-    buf: &mut Vec<u8>,
-) -> usize {
-    buf.extend_from_slice(&(table as u32).to_le_bytes());
-    let len_pos = buf.len();
-    buf.extend_from_slice(&[0u8; 4]);
-    let start = buf.len();
-    resolved.compress_into(table, iter, data, dim, scratch, buf);
-    let payload_len = buf.len() - start;
-    buf[len_pos..len_pos + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    payload_len
 }
 
 /// Grow the codec scratch to the largest demand an exchange can make of it:
@@ -1485,8 +1354,9 @@ struct Direction<'a, B, X, S> {
     hints: &'a mut [usize],
     /// Per-table `(original, compressed)` payload bytes to accumulate into.
     traffic: &'a mut [(u64, u64)],
-    /// The index each arriving `(table, source)` block is checked against:
-    /// the block carries one row per distinct index of it.
+    /// The index each arriving `(table, source)` block is checked against
+    /// (the block carries one row per distinct index of it), or `None` for a
+    /// table the receiver does not expect from that source.
     index: X,
     /// Receives each delivered `(table, source, distinct rows × dim matrix)`.
     sink: S,
@@ -1525,10 +1395,10 @@ impl ShardIndices {
         }
     }
 
-    /// The index of `shard`'s column of owned `table`.
-    fn get(&self, table: usize, shard: usize) -> &DistinctRows {
-        let local = self.local[table].unwrap_or_else(|| panic!("table {table} is not owned here"));
-        &self.indices[local * self.world + shard]
+    /// The index of `shard`'s column of `table`, if this rank owns it.
+    fn get(&self, table: usize, shard: usize) -> Option<&DistinctRows> {
+        let local = (*self.local.get(table)?)?;
+        self.indices.get(local * self.world + shard)
     }
 
     fn capacity_bytes(&self) -> u64 {
@@ -1577,7 +1447,7 @@ impl Exchange<'_> {
     where
         B: Fn(usize) -> I,
         I: Iterator<Item = (usize, &'m Matrix, usize)>,
-        X: Fn(usize, usize) -> &'m DistinctRows,
+        X: Fn(usize, usize) -> Option<&'m DistinctRows>,
         S: FnMut(u32, u32, Matrix),
     {
         let Exchange {
@@ -1605,30 +1475,24 @@ impl Exchange<'_> {
         for step in 0..world {
             let dst = if flat { (rank + step) % world } else { step };
             let t0 = Instant::now();
-            let (count, worst) = (dir.blocks)(dst)
-                .fold((0u32, header + 4), |(n, w), (_, _, rows)| {
-                    (n + 1, w + block_worst_bytes(rows * dim))
-                });
-            let capacity = dir.hints[dst].max(worst);
+            let worst = payload_chunk_capacity(
+                (dir.blocks)(dst).map(|(_, _, rows)| block_worst_bytes(rows * dim)),
+            );
+            let capacity = dir.hints[dst].max(header + worst);
             let mut buf = if flat {
                 ctx.take_chunk_buf(capacity)
             } else {
                 ctx.take_buf(capacity)
             };
             let cap_at_take = buf.capacity();
-            buf.extend_from_slice(&count.to_le_bytes());
+            write_varint(&mut buf, (dir.blocks)(dst).count());
             let mut chunk_original = 0u64;
             let mut chunk_profile_s = 0.0f64;
             for (t, matrix, _) in (dir.blocks)(dst) {
-                let payload_len = write_block(
-                    resolved,
-                    t,
-                    self.iter,
-                    matrix.as_slice(),
-                    dim,
-                    &mut scratch.compress,
-                    &mut buf,
-                );
+                let payload_len = write_payload_group(&mut buf, t, matrix.rows(), |out| {
+                    let data = matrix.as_slice();
+                    resolved.compress_into(t, self.iter, data, dim, &mut scratch.compress, out)
+                });
                 let raw_bytes = (matrix.len() * 4) as u64;
                 chunk_original += raw_bytes;
                 chunk_profile_s += block_profile_seconds(profile, resolved, t, raw_bytes, false);
@@ -1708,29 +1572,40 @@ impl Exchange<'_> {
                 .chunk_recv
                 .push(if src == rank { 0 } else { chunk.len() });
             let t0 = Instant::now();
-            for block in block_slices(&chunk[header..]) {
-                let (table, payload) = block.unwrap_or_else(|e| {
-                    panic!("rank {rank}: malformed {decompress} chunk from rank {src}: {e}")
-                });
-                let index = (dir.index)(table as usize, src);
+            let origin = ChunkOrigin {
+                rank,
+                what: a2a,
+                src,
+            };
+            let mut last_table = None;
+            for group in origin.check(payload_groups(&chunk[header..])) {
+                let group = origin.check(group);
+                let fail = |what| origin.fail(FrameError::at(group.offset, what));
+                let table = group.table as usize;
+                if last_table.is_some_and(|last| table <= last) {
+                    fail("tables out of ascending order");
+                }
+                last_table = Some(table);
+                let index = (dir.index)(table, src)
+                    .unwrap_or_else(|| fail("a table the receiver does not expect"));
+                let rows = index.unique().len();
+                if group.rows as usize != rows {
+                    fail("group rows differ from the receiver's index");
+                }
                 let mut values = scratch.take_floats(index.slots().len() * dim);
-                resolved.decompress_into(
-                    table as usize,
-                    payload,
+                let decoded = resolved.decompress_into(
+                    table,
+                    group.stream,
                     &mut scratch.compress,
                     &mut values,
                 );
+                if decoded.is_err() || values.len() != rows * dim {
+                    fail("stream does not decode to rows × dim");
+                }
                 let raw_bytes = (values.len() * 4) as u64;
                 decompressed_bytes += raw_bytes;
-                profile_s +=
-                    block_profile_seconds(profile, resolved, table as usize, raw_bytes, true);
-                let rows = index.unique().len();
-                assert_eq!(
-                    values.len(),
-                    rows * dim,
-                    "rank {rank}: table {table} from rank {src}: bad payload size"
-                );
-                (dir.sink)(table, src as u32, Matrix::from_vec(rows, dim, values));
+                profile_s += block_profile_seconds(profile, resolved, table, raw_bytes, true);
+                (dir.sink)(group.table, src as u32, Matrix::from_vec(rows, dim, values));
             }
             measured_s += t0.elapsed().as_secs_f64();
         }
@@ -2046,7 +1921,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         for &t in &owned {
             for (s, shard) in shards.iter().enumerate() {
                 let storage = scratch.take_floats(shard.batch_size() * dim);
-                let unique = shard_distinct.get(t, s).unique();
+                let unique = shard_distinct.get(t, s).expect("an owned table").unique();
                 lookup_matrices.push(model.lookup_with_storage(t, unique, storage));
             }
         }
@@ -2102,7 +1977,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 },
                 hints: &mut fwd_hints,
                 traffic: &mut fwd_traffic,
-                index: |table, _src| &own[table],
+                index: |table, src| own.get(table).filter(|_| partition.owner_of(table) == src),
                 sink: |table, _src, rows: Matrix| {
                     let index = &own[table as usize];
                     let mut values = rows.into_vec();
@@ -2218,7 +2093,9 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         for (table, src, grad) in grad_entries.drain(..) {
             model.apply_embedding_grad(
                 table as usize,
-                shard_distinct.get(table as usize, src as usize).unique(),
+                (shard_distinct.get(table as usize, src as usize))
+                    .expect("an owned table")
+                    .unique(),
                 &grad,
                 trainer.learning_rate,
             );
@@ -2426,7 +2303,11 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 .max()
                 .unwrap_or(64)
                 .max(
-                    CHUNK_HEADER_BYTES + 4 + max_tables * block_worst_bytes(max_shard_batch * dim),
+                    CHUNK_HEADER_BYTES
+                        + payload_chunk_capacity(std::iter::repeat_n(
+                            block_worst_bytes(max_shard_batch * dim),
+                            max_tables,
+                        )),
                 );
             let largest_shard = shard_range(scratch.flat_grads.len(), world, 0).len();
             let dense_cap = dense
@@ -2565,87 +2446,116 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlrm_comm::frame::read_varint;
     use dlrm_compress::CompressorKind;
     use proptest::prelude::*;
 
-    /// Build one chunk of raw-fp32 blocks the way the exchange stage does.
+    /// One payload chunk of raw-fp32 blocks, one value per row, written
+    /// the way the exchange stage writes its chunks.
     fn raw_chunk(blocks: &[(u32, Vec<f32>)]) -> Vec<u8> {
-        let mut chunk = (blocks.len() as u32).to_le_bytes().to_vec();
+        let mut chunk = Vec::new();
+        write_varint(&mut chunk, blocks.len());
         let mut scratch = CompressScratch::new();
         for (table, data) in blocks {
-            let raw = ResolvedCompression::Raw;
-            write_block(&raw, *table as usize, 0, data, 1, &mut scratch, &mut chunk);
+            let t = *table as usize;
+            write_payload_group(&mut chunk, t, data.len(), |out| {
+                ResolvedCompression::Raw.compress_into(t, 0, data, 1, &mut scratch, out)
+            });
         }
         chunk
     }
 
+    /// `(offset, table, rows, stream)` of every group of a chunk.
+    type Walked = Vec<(usize, u32, u32, Vec<u8>)>;
+
     /// Walk `bytes`, turning a panic inside the walker into a test failure
     /// that names the input (the vendored proptest does not shrink).
-    fn walk(bytes: &[u8], seed: u64) -> Result<Vec<(u32, Vec<u8>)>, BlockError> {
+    fn walk(bytes: &[u8], seed: u64) -> Result<Walked, FrameError> {
         std::panic::catch_unwind(|| {
-            block_slices(bytes)
-                .map(|b| b.map(|(t, p)| (t, p.to_vec())))
+            payload_groups(bytes)?
+                .map(|g| g.map(|g| (g.offset, g.table, g.rows, g.stream.to_vec())))
                 .collect()
         })
-        .unwrap_or_else(|_| panic!("block_slices panicked: seed {seed:#x}, bytes {bytes:?}"))
+        .unwrap_or_else(|_| panic!("payload_groups panicked: seed {seed:#x}, bytes {bytes:?}"))
     }
 
     #[test]
     fn block_encoding_roundtrips() {
         let blocks = vec![
             (0u32, vec![1.0f32, 2.0, 3.0]),
-            (7u32, vec![]),
+            (7u32, vec![-0.5]),
             (25u32, (0..255).map(|i| i as f32).collect()),
         ];
-        let expected: Vec<(u32, Vec<u8>)> = blocks
-            .iter()
-            .map(|(t, d)| (*t, d.iter().flat_map(|v| v.to_le_bytes()).collect()))
+        let walked: Vec<(u32, u32, Vec<u8>)> = (walk(&raw_chunk(&blocks), 0).unwrap())
+            .into_iter()
+            .map(|(_, t, rows, stream)| (t, rows, stream))
             .collect();
-        assert_eq!(walk(&raw_chunk(&blocks), 0), Ok(expected));
+        let expected: Vec<(u32, u32, Vec<u8>)> = blocks
+            .iter()
+            .map(|(t, d)| {
+                (
+                    *t,
+                    d.len() as u32,
+                    d.iter().flat_map(|v| v.to_le_bytes()).collect(),
+                )
+            })
+            .collect();
+        assert_eq!(walked, expected);
         assert_eq!(walk(&raw_chunk(&[]), 0), Ok(vec![]));
-        // Trailing bytes after the announced blocks are an error too.
-        let mut long = raw_chunk(&blocks[..1]);
+        // Trailing bytes after the announced groups are an error too.
+        let chunk = raw_chunk(&blocks[..1]);
+        let mut long = chunk.clone();
         long.push(0);
-        let err = walk(&long, 0).unwrap_err();
-        assert_eq!((err.needed, err.available), (0, 1));
+        assert_eq!(
+            walk(&long, 0),
+            Err(FrameError::at(
+                chunk.len(),
+                "trailing bytes after the last group"
+            ))
+        );
     }
 
     proptest! {
-        /// The walker is total: every proper prefix of a well-formed chunk
-        /// and every corruption of its count/length fields is an error or a
-        /// (different) successful walk — never a panic.
+        /// The walker is total on the chunks the exchange writes: every
+        /// proper prefix is an error, and a flipped bit in the group count
+        /// or in any group's table, rows or length varint is an error or a
+        /// different walk — never a panic.
         #[test]
-        fn block_walker_is_total(
+        fn payload_walker_is_total_on_training_chunks(
             blocks in prop::collection::vec(
-                (0u32..64, prop::collection::vec(-1.0f32..1.0, 0..12)),
+                (0u32..300, prop::collection::vec(-1.0f32..1.0, 1..40)),
                 0..5,
             ),
             seed in any::<u64>(),
         ) {
             let chunk = raw_chunk(&blocks);
-            assert_eq!(walk(&chunk, seed).map(|b| b.len()), Ok(blocks.len()));
+            let clean = walk(&chunk, seed).expect("a written chunk walks");
+            assert_eq!(clean.len(), blocks.len());
             for cut in 0..chunk.len() {
                 let err = walk(&chunk[..cut], seed)
                     .expect_err("a truncated chunk must not walk cleanly");
                 assert!(
-                    err.needed > err.available && err.offset + err.available == cut,
+                    err.offset <= cut,
                     "cut {cut}: {err} (seed {seed:#x}, bytes {chunk:?})"
                 );
             }
-            // Flip one seed-chosen bit in the count field and in every
-            // block's length field.
+            // Every varint field: the count, then each group's three.
             let mut fields = vec![0usize];
-            let mut pos = 4;
-            for (_, data) in &blocks {
-                fields.push(pos + 4);
-                pos += 8 + data.len() * 4;
+            for &(offset, ..) in &clean {
+                let mut at = offset;
+                for _ in 0..3 {
+                    fields.push(at);
+                    read_varint(&chunk, &mut at).expect("a written varint reads");
+                }
             }
-            for (i, field) in fields.into_iter().enumerate() {
+            for (i, &field) in fields.iter().enumerate() {
                 let pick = seed.rotate_right(5 * i as u32) as usize;
+                let mut end = field;
+                read_varint(&chunk, &mut end).expect("a written varint reads");
                 let mut bad = chunk.clone();
-                bad[field + pick % 4] ^= 1 << (pick / 4 % 8);
+                bad[field + pick % (end - field)] ^= 1 << (pick / 8 % 8);
                 assert!(
-                    walk(&bad, seed) != walk(&chunk, seed),
+                    walk(&bad, seed) != Ok(clean.clone()),
                     "corrupt field at {field} went unnoticed (seed {seed:#x}, bytes {bad:?})"
                 );
             }
@@ -2714,7 +2624,9 @@ mod tests {
         let resolved = ResolvedCompression::from_setting(setting, 2);
         let (mut scratch, mut bytes, mut out) = (CompressScratch::new(), Vec::new(), Vec::new());
         resolved.compress_into(table, 0, data.as_slice(), DIM, &mut scratch, &mut bytes);
-        resolved.decompress_into(table, &bytes, &mut scratch, &mut out);
+        resolved
+            .decompress_into(table, &bytes, &mut scratch, &mut out)
+            .expect("a stream this codec just wrote decodes");
         out
     }
 
@@ -2730,7 +2642,7 @@ mod tests {
         ctx: &RankCtx,
         setting: &CompressionSetting,
         blocks: &'m [(usize, Matrix)],
-        index: impl Fn(usize, usize) -> &'m DistinctRows,
+        index: impl Fn(usize, usize) -> Option<&'m DistinctRows>,
     ) -> Vec<(u32, u32, Matrix)> {
         let resolved = ResolvedCompression::from_setting(setting, 2);
         let mut scratch = PipelineScratch::new(2);
@@ -2790,7 +2702,7 @@ mod tests {
                 })
                 .collect();
             let mut delivered: Vec<Option<Matrix>> = vec![None, None];
-            for (t, _, rows) in two_rank_exchange(&ctx, &setting, &lookups, |t, _| &own[t]) {
+            for (t, _, rows) in two_rank_exchange(&ctx, &setting, &lookups, |t, _| own.get(t)) {
                 let mut values = rows.into_vec();
                 own[t as usize].expand_in_place(&mut values, DIM);
                 delivered[t as usize] = Some(Matrix::from_vec(SHARD, DIM, values));
@@ -2817,7 +2729,7 @@ mod tests {
                 .map(|t| (t, summed(&columns[t][rank], &grads[t][rank])))
                 .collect();
             let peers: Vec<DistinctRows> = (0..2).map(|s| indexed(&columns[rank][s])).collect();
-            two_rank_exchange(&ctx, &setting, &sums, |_, src| &peers[src])
+            two_rank_exchange(&ctx, &setting, &sums, |_, src| peers.get(src))
         })
     }
 
@@ -2958,6 +2870,40 @@ mod tests {
         }
     }
 
+    /// Each rank of a flat two-rank cluster sends a 3-row block of table
+    /// `rank` to both ranks, and checks what arrives from `src` against
+    /// `index(table, src)`.
+    fn checked_exchange(
+        index: impl Fn(&[DistinctRows], usize, usize) -> Option<&DistinctRows> + Send + Sync + 'static,
+    ) {
+        use dlrm_comm::{NetworkConfig, SimCluster};
+        SimCluster::new(2, NetworkConfig::infinite()).run(move |ctx| {
+            let block = Matrix::from_fn(3, DIM, |r, c| (r * DIM + c) as f32);
+            let blocks = [(ctx.rank(), block.clone()), (ctx.rank(), block)];
+            // Three distinct rows, and two.
+            let indices = [indexed(&[0, 1, 2, 1]), indexed(&[4, 4, 5])];
+            two_rank_exchange(&ctx, &CompressionSetting::None, &blocks, |t, src| {
+                index(&indices, t, src)
+            });
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rank 0: malformed fwd all-to-all from rank 1: group rows differ from the receiver's index at offset 1"
+    )]
+    fn a_block_whose_rows_disagree_with_the_index_panics() {
+        checked_exchange(|indices, _, src| indices.get(src));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rank 0: malformed fwd all-to-all from rank 1: a table the receiver does not expect at offset 1"
+    )]
+    fn a_block_of_an_unexpected_table_panics() {
+        checked_exchange(|indices, table, _| (table == 0).then_some(&indices[0]));
+    }
+
     #[test]
     fn resolved_compression_roundtrips_each_mode() {
         let data: Vec<f32> = (0..64).map(|i| (i as f32 * 0.1).sin() * 0.3).collect();
@@ -2965,7 +2911,8 @@ mod tests {
             let mut scratch = CompressScratch::new();
             let (mut bytes, mut out) = (Vec::new(), Vec::new());
             c.compress_into(table, iter, &data, 8, &mut scratch, &mut bytes);
-            c.decompress_into(table, &bytes, &mut scratch, &mut out);
+            c.decompress_into(table, &bytes, &mut scratch, &mut out)
+                .expect("a stream this codec just wrote decodes");
             out
         };
         assert_eq!(roundtrip(&ResolvedCompression::Raw, 0, 0), data);

@@ -267,11 +267,6 @@ impl TrainingReport {
         }
     }
 
-    /// Accuracy of the final quarter of training (convenience accessor).
-    pub fn final_accuracy(&self) -> f64 {
-        self.final_metrics.accuracy
-    }
-
     /// Total number of per-table codec switches the runtime controller made
     /// (0 under the static setting).
     pub fn total_reselections(&self) -> usize {

@@ -411,25 +411,27 @@ fn reselection_words(r: &Reselection) -> Vec<u64> {
 /// or a plateau controller, and the reselection FNV on every row (a
 /// reselection records the window's mean loss and the bandwidth its wire
 /// bytes imply); switches, window ratios and the controller's seconds and
-/// bytes stayed.
+/// bytes stayed. Re-pinned a third time when the all-to-all chunks moved to
+/// the varint payload frame: fewer header bytes move the bandwidth a
+/// reselection records on twelve rows' reselection FNV; nothing else moved.
 #[rustfmt::skip]
 const CONTROLLER_GOLDEN: &[(&str, usize, u64, u64, u64, u64, u64)] = &[
     ("flat/sequential/eb-none/drift", 4, 0xb9decbe0f1063429, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe64a721aaaaaab),
-    ("flat/sequential/eb-none/straggler", 4, 0x7a94737be83d3a99, 0xa484c239bf90b7f9, 0x3eb979b528fd3972, 8304, 0x3fe6473872aaaaab),
+    ("flat/sequential/eb-none/straggler", 4, 0xa76c39a267c63517, 0xa484c239bf90b7f9, 0x3eb979b528fd3972, 8304, 0x3fe6473872aaaaab),
     ("flat/sequential/eb-plateau/drift", 4, 0x52b8f97825ba5034, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe6461d68000000),
-    ("flat/sequential/eb-plateau/straggler", 4, 0x38bbbbed0225639a, 0xce3f792cf6a6013c, 0x3eb979b528fd3972, 8304, 0x3fe6468d82aaaaab),
+    ("flat/sequential/eb-plateau/straggler", 4, 0xd4ed746292010cad, 0xce3f792cf6a6013c, 0x3eb979b528fd3972, 8304, 0x3fe6468d82aaaaab),
     ("flat/overlapped/eb-none/drift", 4, 0x197bb4b562ea1ed1, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe64a721aaaaaab),
-    ("flat/overlapped/eb-none/straggler", 4, 0x37b87ce74d2ebb9e, 0x85fd5bed6ab0faa7, 0x3eb979b528fd3972, 8304, 0x3fe6473a18000000),
+    ("flat/overlapped/eb-none/straggler", 4, 0x101be88561a82662, 0x85fd5bed6ab0faa7, 0x3eb979b528fd3972, 8304, 0x3fe6473a18000000),
     ("flat/overlapped/eb-plateau/drift", 4, 0xf9b7f68e11595693, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe6461d68000000),
-    ("flat/overlapped/eb-plateau/straggler", 4, 0x3fe47e0325d8008a, 0x88c473962fde7901, 0x3eb979b528fd3972, 8304, 0x3fe6470058000000),
-    ("2x2/sequential/eb-none/drift", 4, 0xf5d4dbbd34be090a, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe64a721aaaaaab),
-    ("2x2/sequential/eb-none/straggler", 4, 0x92b850c6b1164bc9, 0x85fd5bed6ab0faa7, 0x3eb979b528fd3972, 8304, 0x3fe6473a18000000),
-    ("2x2/sequential/eb-plateau/drift", 4, 0xa95fa749f6ed7fbb, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe6461d68000000),
-    ("2x2/sequential/eb-plateau/straggler", 4, 0x4306d6d389e49c5d, 0x88c473962fde7901, 0x3eb979b528fd3972, 8304, 0x3fe6470058000000),
-    ("2x2/overlapped/eb-none/drift", 4, 0x5e95ff99566edbda, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe64a721aaaaaab),
-    ("2x2/overlapped/eb-none/straggler", 4, 0x481dbdd401344aec, 0x85fd5bed6ab0faa7, 0x3eb979b528fd3972, 8304, 0x3fe6473a18000000),
-    ("2x2/overlapped/eb-plateau/drift", 4, 0x2f7170ba3d1a7690, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe6461d68000000),
-    ("2x2/overlapped/eb-plateau/straggler", 4, 0x06761fe85ecb2836, 0x88c473962fde7901, 0x3eb979b528fd3972, 8304, 0x3fe6470058000000),
+    ("flat/overlapped/eb-plateau/straggler", 4, 0x3ee10051212e48e1, 0x88c473962fde7901, 0x3eb979b528fd3972, 8304, 0x3fe6470058000000),
+    ("2x2/sequential/eb-none/drift", 4, 0xc4de501fc2784b63, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe64a721aaaaaab),
+    ("2x2/sequential/eb-none/straggler", 4, 0x912e72e9350b13a2, 0x85fd5bed6ab0faa7, 0x3eb979b528fd3972, 8304, 0x3fe6473a18000000),
+    ("2x2/sequential/eb-plateau/drift", 4, 0x35fee4bf2b153152, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe6461d68000000),
+    ("2x2/sequential/eb-plateau/straggler", 4, 0x78c83c0ab8a8f47b, 0x88c473962fde7901, 0x3eb979b528fd3972, 8304, 0x3fe6470058000000),
+    ("2x2/overlapped/eb-none/drift", 4, 0x0e48fa2cf9d4fe53, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe64a721aaaaaab),
+    ("2x2/overlapped/eb-none/straggler", 4, 0xdf26bde8d7bd232a, 0x85fd5bed6ab0faa7, 0x3eb979b528fd3972, 8304, 0x3fe6473a18000000),
+    ("2x2/overlapped/eb-plateau/drift", 4, 0xb471bda28810d469, 0xaf49b4c4db35418e, 0x3eb979b528fd3972, 8304, 0x3fe6461d68000000),
+    ("2x2/overlapped/eb-plateau/straggler", 4, 0xe597f3e83a0aea12, 0x88c473962fde7901, 0x3eb979b528fd3972, 8304, 0x3fe6470058000000),
 ];
 
 #[test]

@@ -167,7 +167,11 @@ fn timing_config(compression: CompressionSetting) -> TrainerConfig {
 fn overlap_strictly_reduces_modelled_time_for_multiple_codecs() {
     let dataset = presets::tiny();
     for kind in [CompressorKind::OursHybrid, CompressorKind::FzLike] {
-        let base = timing_config(CompressionSetting::fixed(0.02, kind));
+        // Both totals carry measured compute. Scaled to nothing, it leaves
+        // only the analytic codec and wire charges, so a loaded machine's
+        // compute noise cannot outgrow the overlap saving.
+        let mut base = timing_config(CompressionSetting::fixed(0.02, kind));
+        base.compute_time_scale = f64::MIN_POSITIVE;
         let seq = run_training(&dataset, &base.clone());
         let ovl = run_training(&dataset, &base.with_overlap(OverlapSetting::DoubleBuffered));
         assert!(
@@ -225,21 +229,23 @@ fn a2a_charges(report: &TrainingReport) -> [u64; 6] {
 /// the backward columns stayed. The backward columns were re-pinned once
 /// when shards began sending one summed gradient row per distinct index:
 /// under fp32 and fp16 the backward bytes now equal the forward bytes, and
-/// the forward columns stayed.
+/// the forward columns stayed. The byte and second columns were re-pinned
+/// once when the chunks moved to the shared varint payload frame
+/// (`dlrm_comm::frame`): fewer header bytes per chunk and block.
 #[rustfmt::skip]
 const A2A_CHARGES: &[(&str, [u64; 6])] = &[
-    ("fp32-baseline / flat / sequential", [0x3f4841954bac25e3, 0x000000000000c110, 0x0000000000000000, 0x3f4841954bac25e3, 0x000000000000c110, 0x0000000000000000]),
-    ("fp32-baseline / flat / overlapped", [0x3f4841954bac25e5, 0x000000000000c110, 0x0000000000000000, 0x3f4841954bac25e4, 0x000000000000c110, 0x0000000000000000]),
-    ("fp32-baseline / 2x2 / sequential", [0x3f3cb92053fcbc31, 0x0000000000016b50, 0x0000000000000000, 0x3f3cb98a9d3c28a7, 0x0000000000016b50, 0x0000000000000000]),
-    ("fp32-baseline / 2x2 / overlapped", [0x3f3cb92053fcbc32, 0x0000000000016b50, 0x0000000000000000, 0x3f3cb98a9d3c28a7, 0x0000000000016b50, 0x0000000000000000]),
-    ("fp16 / flat / sequential", [0x3f39a3eb014046ee, 0x00000000000062e6, 0x0000000000000000, 0x3f39a3eb014046ee, 0x00000000000062e6, 0x0000000000000000]),
-    ("fp16 / flat / overlapped", [0x3f369861a4fa64a5, 0x00000000000062e6, 0x3f085c4ae22f1242, 0x3f38f09a64f9318e, 0x00000000000062e6, 0x3f0477dc2f9645a6]),
-    ("fp16 / 2x2 / sequential", [0x3f2ff6b0400d2d02, 0x000000000000ba6a, 0x0000000000000000, 0x3f2ff71a894c9978, 0x000000000000ba6a, 0x0000000000000000]),
-    ("fp16 / 2x2 / overlapped", [0x3f2c678091560ab4, 0x000000000000ba6a, 0x3f085c4ae22f1245, 0x3f2e907950be6eba, 0x000000000000ba6a, 0x3efd20102f91d7c6]),
-    ("lossy-ours-hybrid-eb0.02 / flat / sequential", [0x3f273bdbce477636, 0x0000000000002712, 0x0000000000000000, 0x3f11d8c57e79d88a, 0x0000000000000c3d, 0x0000000000000000]),
-    ("lossy-ours-hybrid-eb0.02 / flat / overlapped", [0x3f230e6969140488, 0x0000000000002712, 0x3f02bdc08b98a082, 0x3f0e17061abb0616, 0x0000000000000c3d, 0x3ef6ed12a3acd41a]),
-    ("lossy-ours-hybrid-eb0.02 / 2x2 / sequential", [0x3f1aee31288dce60, 0x0000000000004cf9, 0x0000000000000000, 0x3f10da16bec36261, 0x0000000000001861, 0x0000000000000000]),
-    ("lossy-ours-hybrid-eb0.02 / 2x2 / overlapped", [0x3f13cf16886a8db7, 0x0000000000004cf9, 0x3f05424f383b725c, 0x3f0c19a89b4e19c5, 0x0000000000001861, 0x3ef310f60ab33570]),
+    ("fp32-baseline / flat / sequential", [0x3f482c71a3057e19, 0x000000000000c014, 0x0000000000000000, 0x3f482c71a3057e19, 0x000000000000c014, 0x0000000000000000]),
+    ("fp32-baseline / flat / overlapped", [0x3f482c71a3057e19, 0x000000000000c014, 0x0000000000000000, 0x3f482c71a3057e1a, 0x000000000000c014, 0x0000000000000000]),
+    ("fp32-baseline / 2x2 / sequential", [0x3f3c9ceac522e4d2, 0x0000000000016904, 0x0000000000000000, 0x3f3c9d550e625148, 0x0000000000016904, 0x0000000000000000]),
+    ("fp32-baseline / 2x2 / overlapped", [0x3f3c9ceac522e4d2, 0x0000000000016904, 0x0000000000000000, 0x3f3c9d550e625148, 0x0000000000016904, 0x0000000000000000]),
+    ("fp16 / flat / sequential", [0x3f3979a3aff2f75a, 0x00000000000061e4, 0x0000000000000000, 0x3f3979a3aff2f75a, 0x00000000000061e4, 0x0000000000000000]),
+    ("fp16 / flat / overlapped", [0x3f366e1a53ad1511, 0x00000000000061e4, 0x3f085c4ae22f1244, 0x3f38c65313abe1fa, 0x00000000000061e4, 0x3f0477dc2f9645a6]),
+    ("fp16 / 2x2 / sequential", [0x3f2fbe44ca637ebe, 0x000000000000b80c, 0x0000000000000000, 0x3f2fbeaf13a2eb32, 0x000000000000b80c, 0x0000000000000000]),
+    ("fp16 / 2x2 / overlapped", [0x3f2c2f1850a457fc, 0x000000000000b80c, 0x3f085c4ae22f1241, 0x3f2e580ddb14c074, 0x000000000000b80c, 0x3efd20102f91d7c2]),
+    ("lossy-ours-hybrid-eb0.02 / flat / sequential", [0x3f26e74d2bacd70e, 0x000000000000260a, 0x0000000000000000, 0x3f11177f7886239b, 0x0000000000000b1d, 0x0000000000000000]),
+    ("lossy-ours-hybrid-eb0.02 / flat / overlapped", [0x3f22b9dac6796561, 0x000000000000260a, 0x3f02281300256422, 0x3f0c947a0ed39c3a, 0x0000000000000b1d, 0x3ef5b27769a18ce0]),
+    ("lossy-ours-hybrid-eb0.02 / 2x2 / sequential", [0x3f1a754ca7a59fa2, 0x0000000000004a89, 0x0000000000000000, 0x3f105921e8966540, 0x00000000000015c1, 0x0000000000000000]),
+    ("lossy-ours-hybrid-eb0.02 / 2x2 / overlapped", [0x3f135631ea305f21, 0x0000000000004a89, 0x3f04a1a5d1fc8190, 0x3f0b19cce13de262, 0x00000000000015c1, 0x3ef1de26f9147d28]),
 ];
 
 #[test]
@@ -262,20 +268,25 @@ fn a2a_charges_are_pinned() {
             }
         }
     }
+    let computed = rows
+        .iter()
+        .map(|(tag, c)| {
+            let c: Vec<String> = c.iter().map(|v| format!("{v:#018x}")).collect();
+            format!("    ({tag:?}, [{}]),", c.join(", "))
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
     for ((tag, got), (want_tag, want)) in rows.iter().zip(A2A_CHARGES) {
-        assert_eq!((tag.as_str(), got), (*want_tag, want), "a2a charges moved");
+        assert_eq!(
+            (tag.as_str(), got),
+            (*want_tag, want),
+            "a2a charges moved; computed:\n{computed}"
+        );
     }
     assert_eq!(
         rows.len(),
         A2A_CHARGES.len(),
-        "a2a charge table size; computed:\n{}",
-        rows.iter()
-            .map(|(tag, c)| {
-                let c: Vec<String> = c.iter().map(|v| format!("{v:#018x}")).collect();
-                format!("    ({tag:?}, [{}]),", c.join(", "))
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
+        "a2a charge table size; computed:\n{computed}"
     );
 }
 

@@ -69,8 +69,10 @@ fn benchmark_shape_placement_is_pinned() {
 /// Each rank's measured all-to-all bytes sent per iteration match the
 /// placement's expected rows × row bytes within 10 %. The test adds the
 /// framing the rows travel in: per peer chunk a [`CHUNK_HEADER_BYTES`]
-/// header and a 4-byte block count, per `(table, peer)` block 8 bytes
-/// (table id and payload length). Under raw fp32 the payload is the rows.
+/// header and a one-byte varint group count, per `(table, peer)` block
+/// 4 bytes (the varint table id, distinct-row count and payload length at
+/// this shape: under 128 rows of 128 bytes). Under raw fp32 the payload is
+/// the rows.
 #[test]
 fn measured_egress_matches_the_placement() {
     let dataset = presets::criteo_kaggle_like();
@@ -85,15 +87,15 @@ fn measured_egress_matches_the_placement() {
     let placed = TablePartition::by_traffic(&cards, &distinct, WORLD);
     let rows = placed.sender_rows(&distinct);
     let row_bytes = (dataset.embedding_dim * 4) as f64;
-    let chunks = ((WORLD - 1) * (CHUNK_HEADER_BYTES + 4)) as f64;
+    let chunks = ((WORLD - 1) * (CHUNK_HEADER_BYTES + 1)) as f64;
     let blocks = |r: usize| placed.tables_of(r).len();
     let predicted: Vec<(f64, f64)> = (0..WORLD)
         .map(|r| {
             let fwd_blocks = (WORLD - 1) * blocks(r);
             let bwd_blocks = cards.len() - blocks(r);
             (
-                rows.forward[r] * row_bytes + chunks + (8 * fwd_blocks) as f64,
-                rows.backward[r] * row_bytes + chunks + (8 * bwd_blocks) as f64,
+                rows.forward[r] * row_bytes + chunks + (4 * fwd_blocks) as f64,
+                rows.backward[r] * row_bytes + chunks + (4 * bwd_blocks) as f64,
             )
         })
         .collect();
