@@ -7,10 +7,11 @@
 //! iteration-wise decay schedule shared by all tables.
 
 use crate::classify::{EbClass, EbConfig, Thresholds};
+use crate::controller::CodecProfile;
 use crate::decay::EbSchedule;
 use crate::homo::{pattern_counts, HomoReport};
 use crate::speedup::{estimate_speedup, SpeedupInputs};
-use dlrm_compress::{measure_roundtrip, CompressorKind};
+use dlrm_compress::CompressorKind;
 use serde::{Deserialize, Serialize};
 
 /// Per-table outcome of the offline analysis.
@@ -101,6 +102,7 @@ pub fn analyze_tables(
     eb_config
         .validate()
         .map_err(|_| dlrm_compress::CompressError::InvalidErrorBound(eb_config.small))?;
+    let profile = CodecProfile::paper_reference();
     let mut tables = Vec::with_capacity(samples.len());
     for (table_id, sample) in samples.iter().enumerate() {
         // Classification uses the medium (global) bound, as in Algorithm 1.
@@ -108,25 +110,28 @@ pub fn analyze_tables(
         let class = thresholds.classify(homo.index());
         let base_eb = eb_config.for_class(class);
 
-        // Compressor selection (Algorithm 2): measure both candidates on the
-        // sample at the table's own bound and keep the better Equation-2 score.
-        //
-        // A later candidate must also send fewer bytes than the incumbent.
-        // The hybrid that kept its vector-LZ stream is the vector-LZ encoder
-        // plus a tag byte, and since it skips the entropy plan on streams no
-        // plan can beat, it is not measurably slower either: without this,
-        // timer noise would pick the back-end of every repeat-heavy table.
-        let mut best: Option<(CompressorKind, f64, usize)> = None;
+        // Compressor selection (Algorithm 2): compress the sample with both
+        // candidates at the table's own bound and keep the better Equation-2
+        // score, at the reference throughputs rather than timed ones, so the
+        // plan is a function of the sample alone. The hybrid is the slower
+        // candidate there, so it wins only on fewer bytes; on a tie the
+        // vector-LZ encoder, listed first, stays.
+        let mut best: Option<(CompressorKind, f64)> = None;
         for kind in CANDIDATES {
-            let comp = kind.build();
-            let report = measure_roundtrip(comp.as_ref(), sample, dim, base_eb)?;
-            let speedup = estimate_speedup(SpeedupInputs::from_report(&report, bandwidth));
-            if best.is_none_or(|(_, s, bytes)| speedup > s && report.compressed_bytes < bytes) {
-                best = Some((kind, speedup, report.compressed_bytes));
+            let compressed = kind.build().compress(sample, dim, base_eb)?;
+            let (compress_throughput, decompress_throughput) = profile.throughput(kind);
+            let speedup = estimate_speedup(SpeedupInputs {
+                ratio: std::mem::size_of_val(sample.as_slice()) as f64
+                    / compressed.len().max(1) as f64,
+                compress_throughput,
+                decompress_throughput,
+                bandwidth,
+            });
+            if best.is_none_or(|(_, s)| speedup > s) {
+                best = Some((kind, speedup));
             }
         }
-        let (compressor, estimated_speedup, _) =
-            best.unwrap_or((CompressorKind::OursHybrid, 1.0, 0));
+        let (compressor, estimated_speedup) = best.unwrap_or((CompressorKind::OursHybrid, 1.0));
         tables.push(TablePlan {
             table_id,
             homo,

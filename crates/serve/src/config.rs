@@ -119,7 +119,7 @@ pub struct ServeConfig {
     /// Batch windows excluded from the steady-state allocation ledger while
     /// pools and scratch warm up.
     pub warmup_windows: usize,
-    /// Per-frontend hot-row LRU capacity in rows (`0` disables caching).
+    /// Per-frontend hot-row cache capacity in rows (`0` disables caching).
     pub cache_rows: usize,
     /// Cross-rank fetch transport.
     pub fetch: FetchSetting,

@@ -22,7 +22,7 @@
 //!    [`BatchFeed`] (the first to ask draws it, the rest share it) and walks
 //!    its own slice (`request_id % frontends == rank`): rows on the local
 //!    shard are gathered directly from the trained weights, remote rows
-//!    probe the hot-row LRU, and misses fall into the per-owner
+//!    probe the hot-row cache, and misses fall into the per-owner
 //!    [`BatchCoalescer`]. The draw is the window's serial stage: one
 //!    frontend draws the whole batch under the feed's mutex while the others
 //!    wait for it, so its cost lands on every window's wall time.
@@ -33,7 +33,9 @@
 //!    chunk that does not parse, or a payload group that does not answer
 //!    its request, is one panic naming the rank, the sender and the byte
 //!    offset.
-//! 3. Frontends decode, fill the cache, assemble per-request embedding
+//! 3. Frontends decode, offer the rows to the cache (its admission gate
+//!    keeps a row only if it is hit more often than the row it would
+//!    evict), assemble per-request embedding
 //!    matrices (local weights, cache hits and fresh decodes are all the same
 //!    pure function of the codec, so caching never changes a response bit),
 //!    and run the dense MLP for the CTR logits.
@@ -151,6 +153,8 @@ struct RankOutcome {
     hits: u64,
     misses: u64,
     evictions: u64,
+    rejections: u64,
+    flushes: u64,
     local_rows: u64,
     fetched_rows: u64,
     fetch_raw_bytes: u64,
@@ -773,6 +777,8 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
         hits: cache.hits(),
         misses: cache.misses(),
         evictions: cache.evictions(),
+        rejections: cache.rejections(),
+        flushes: cache.flushes(),
         local_rows,
         fetched_rows,
         fetch_raw_bytes,
@@ -857,6 +863,8 @@ fn merge(
     let cache_hits = sum(&|o: &RankOutcome| o.hits);
     let cache_misses = sum(&|o: &RankOutcome| o.misses);
     let cache_evictions = sum(&|o: &RankOutcome| o.evictions);
+    let cache_rejections = sum(&|o: &RankOutcome| o.rejections);
+    let cache_flushes = sum(&|o: &RankOutcome| o.flushes);
     let local_rows = sum(&|o: &RankOutcome| o.local_rows);
     let fetched_rows = sum(&|o: &RankOutcome| o.fetched_rows);
     let fetch_raw_bytes = sum(&|o: &RankOutcome| o.fetch_raw_bytes);
@@ -894,6 +902,8 @@ fn merge(
         cache_hits,
         cache_misses,
         cache_evictions,
+        cache_rejections,
+        cache_flushes,
         hit_rate: if cache_hits + cache_misses > 0 {
             cache_hits as f64 / (cache_hits + cache_misses) as f64
         } else {

@@ -7,9 +7,13 @@
 //! stream, and moves every cross-rank embedding row through the same
 //! compressed transports the trainer uses for gradients:
 //!
-//! * a per-rank **hot-row LRU cache** ([`HotRowCache`]) short-circuits
-//!   repeat fetches of hot rows — transparently, because it stores the
-//!   codec-decoded bytes a fresh fetch would produce;
+//! * a per-rank **hot-row cache** ([`HotRowCache`]) short-circuits repeat
+//!   fetches of hot rows — transparently, because it stores the
+//!   codec-decoded bytes a fresh fetch would produce. It evicts the
+//!   least-recently-used row, but a fetched row only takes that slot when a
+//!   count-min frequency sketch says it is hit more often (TinyLFU
+//!   admission), so one-off rows of large, low-skew tables no longer push
+//!   hot rows out;
 //! * a per-window **request coalescer** ([`BatchCoalescer`]) collapses all
 //!   misses into one deduplicated gather per owner rank;
 //! * the gather rides the `dlrm-grad` **fetch codecs** over the real

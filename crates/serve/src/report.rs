@@ -25,7 +25,7 @@ pub struct ServingReport {
     pub window: usize,
     /// Batch windows executed.
     pub windows: usize,
-    /// Per-frontend LRU capacity in rows.
+    /// Per-frontend hot-row cache capacity in rows.
     pub cache_rows: usize,
     /// Fetch transport label.
     pub fetch: String,
@@ -57,6 +57,11 @@ pub struct ServingReport {
     pub cache_misses: u64,
     /// Cache evictions across frontends.
     pub cache_evictions: u64,
+    /// Fetched rows the cache's admission gate refused across frontends
+    /// (answered, not kept).
+    pub cache_rejections: u64,
+    /// Cache flushes on codec switches across frontends.
+    pub cache_flushes: u64,
     /// `hits / (hits + misses)`, `0` when the cache is off.
     pub hit_rate: f64,
     /// Embedding rows answered from the frontend's own shard.
@@ -112,6 +117,8 @@ impl ServingReport {
         eat(self.cache_hits);
         eat(self.cache_misses);
         eat(self.cache_evictions);
+        eat(self.cache_rejections);
+        eat(self.cache_flushes);
         eat(self.local_rows);
         eat(self.fetched_rows);
         eat(self.fetch_raw_bytes);

@@ -1,7 +1,7 @@
 //! Property tests for the serving data structures.
 //!
-//! The LRU cache is checked against a naive recency-list model over
-//! arbitrary op sequences; the coalescer is checked to deliver exactly the
+//! The hot-row cache (LRU eviction, frequency admission) is checked against
+//! a naive recency-list model over arbitrary op sequences; the coalescer is checked to deliver exactly the
 //! union of requested keys — per owner, sorted, no duplicates — under
 //! arbitrary interleavings. The fetch-frame walkers are total: every
 //! truncation and random byte flips of a valid request or payload chunk
@@ -12,26 +12,35 @@ use proptest::prelude::*;
 use dlrm_comm::frame::{payload_groups, write_payload_group, write_varint, FrameError};
 use dlrm_compress::CompressorKind;
 use dlrm_grad::{GradCodec, GradCodecKind, GradScratch};
+use dlrm_serve::cache::FrequencySketch;
 use dlrm_serve::fetch::{answered, request_groups, write_request_chunk};
 use dlrm_serve::{BatchCoalescer, HotRowCache};
 
-/// Naive reference model: a vector of keys ordered most-recently-used first.
-struct ModelLru {
+/// Naive reference model of the cache's policy: a vector of keys ordered
+/// most-recently-used first, plus the cache's own frequency sketch fed the
+/// same probes. A missing key is kept while there is room, and when full
+/// only if the sketch puts it strictly above the least-recently-used key.
+struct ModelCache {
     capacity: usize,
     entries: Vec<((u32, u32), Vec<f32>)>,
+    sketch: FrequencySketch,
     evictions: u64,
+    rejections: u64,
 }
 
-impl ModelLru {
+impl ModelCache {
     fn new(capacity: usize) -> Self {
         Self {
             capacity,
             entries: Vec::new(),
+            sketch: FrequencySketch::new(capacity),
             evictions: 0,
+            rejections: 0,
         }
     }
 
     fn get(&mut self, key: (u32, u32)) -> Option<Vec<f32>> {
+        self.sketch.record(key.0, key.1);
         let at = self.entries.iter().position(|(k, _)| *k == key)?;
         let hit = self.entries.remove(at);
         let vals = hit.1.clone();
@@ -46,6 +55,11 @@ impl ModelLru {
         if let Some(at) = self.entries.iter().position(|(k, _)| *k == key) {
             self.entries.remove(at);
         } else if self.entries.len() == self.capacity {
+            let victim = self.entries.last().expect("full").0;
+            if self.sketch.estimate(key.0, key.1) <= self.sketch.estimate(victim.0, victim.1) {
+                self.rejections += 1;
+                return;
+            }
             self.entries.pop();
             self.evictions += 1;
         }
@@ -80,7 +94,7 @@ proptest! {
     ) {
         const DIM: usize = 3;
         let mut cache = HotRowCache::new(capacity, DIM);
-        let mut model = ModelLru::new(capacity);
+        let mut model = ModelCache::new(capacity);
         for op in &ops {
             match *op {
                 Op::Get(t, r) => {
@@ -95,12 +109,13 @@ proptest! {
                     model.insert((t, r), vals);
                 }
             }
-            // Capacity is never exceeded and the recency (= reverse
-            // eviction) order matches the model exactly.
+            // Capacity is never exceeded, the recency (= reverse eviction)
+            // order matches the model exactly, and so do the evictions.
             prop_assert!(cache.len() <= capacity);
             prop_assert_eq!(cache.keys_mru_to_lru(), model.keys_mru_to_lru());
+            prop_assert_eq!(cache.evictions(), model.evictions);
         }
-        prop_assert_eq!(cache.evictions(), model.evictions);
+        prop_assert_eq!(cache.rejections(), model.rejections);
     }
 
     #[test]

@@ -80,4 +80,15 @@ mod tests {
         let populated = [l, m, s].iter().filter(|&&c| c > 0).count();
         assert!(populated >= 2, "classes L={l} M={m} S={s}");
     }
+
+    #[test]
+    fn plan_is_a_function_of_the_seed() {
+        // `train_adaptive_paced`'s plan: ranked on reference throughputs,
+        // never on timings, so every build picks the same codec per table.
+        let dataset = presets::criteo_kaggle_like();
+        let first = paper_default_plan(&dataset, 4, 8, 1e7, 1).unwrap();
+        for _ in 1..10 {
+            assert_eq!(paper_default_plan(&dataset, 4, 8, 1e7, 1).unwrap(), first);
+        }
+    }
 }
