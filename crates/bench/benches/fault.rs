@@ -1,15 +1,15 @@
-//! Checkpoint-path benchmarks: `CkptCodec` encode/decode throughput per
+//! Checkpoint-path benchmarks: section encode/decode throughput per
 //! codec kind on an embedding-shard-sized payload, and one full elastic
 //! recovery (rank loss mid-run, compressed restore, replay) end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dlrm_adaptive::CodecProfile;
 use dlrm_bench::workloads::{sampled_traffic, Scale};
-use dlrm_ckpt::{CheckpointSpec, CkptCodec};
+use dlrm_ckpt::{CheckpointSpec, EncodedSection};
 use dlrm_comm::{FaultPlan, NetworkConfig};
 use dlrm_compress::CompressorKind;
 use dlrm_data::presets;
-use dlrm_grad::GradCodecKind;
+use dlrm_grad::{GradCodecKind, GradScratch};
 use dlrm_trainer::{run_training, CompressionSetting, FaultSetting, TrainerConfig};
 
 /// World size the rank-loss run starts from.
@@ -69,22 +69,25 @@ fn bench_ckpt_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("ckpt-codec");
     group.throughput(Throughput::Bytes(bytes));
     for kind in kinds {
-        let mut codec = CkptCodec::new(&kind);
+        let (codec, mut scratch) = (kind.build(), GradScratch::new());
+        let mut encode =
+            |data: &[f32]| EncodedSection::encode(&codec, data, data.len(), &mut scratch);
         group.bench_with_input(
             BenchmarkId::new("encode", kind.label()),
             &shard,
             |b, data| {
-                b.iter(|| codec.encode(data).encoded_bytes());
+                b.iter(|| encode(data).encoded_bytes());
             },
         );
-        let section = codec.encode(&shard);
+        let section = encode(&shard);
         let mut out = Vec::new();
         group.bench_with_input(
             BenchmarkId::new("decode", kind.label()),
             &section,
             |b, section| {
                 b.iter(|| {
-                    codec.decode_into(section, &mut out);
+                    (section.decode_into(&codec, &mut scratch, &mut out))
+                        .expect("a section this codec wrote decodes");
                     out.len()
                 });
             },

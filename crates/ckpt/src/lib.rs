@@ -17,7 +17,7 @@
 //! Layout. Every rank produces a [`RankCheckpoint`] for the state it owns:
 //! rank 0 encodes the (replicated) MLP parameters once, each rank encodes
 //! the weight matrix of every embedding table it owns (at the table's row
-//! width, [`CkptCodec::encode_rows`]) plus its private error-feedback
+//! width, [`EncodedSection::encode`]) plus its private error-feedback
 //! residual. [`Checkpoint::assemble`] stitches the per-rank
 //! parts into one global [`Checkpoint`], keyed by table id — deliberately
 //! **partition-agnostic**, so a checkpoint taken under one
@@ -25,22 +25,23 @@
 //! rank loss or an elastic resize.
 //!
 //! ```
-//! use dlrm_ckpt::{Checkpoint, CkptCodec, RankCheckpoint};
-//! use dlrm_grad::GradCodecKind;
+//! use dlrm_ckpt::{Checkpoint, EncodedSection, RankCheckpoint};
+//! use dlrm_grad::{GradCodecKind, GradScratch};
 //!
-//! let mut codec = CkptCodec::new(&GradCodecKind::Fp16);
+//! let (codec, mut scratch) = (GradCodecKind::Fp16.build(), GradScratch::new());
 //! let weights: Vec<f32> = (0..64).map(|i| (i as f32 * 0.1).sin()).collect();
 //! let mut part = RankCheckpoint::new(10, 0);
-//! part.mlp = Some(codec.encode(&weights));
-//! part.push_table(3, 8, 8, codec.encode_rows(&weights, 8));
+//! part.mlp = Some(EncodedSection::encode(&codec, &weights, 64, &mut scratch));
+//! part.push_table(3, 8, 8, EncodedSection::encode(&codec, &weights, 8, &mut scratch));
 //! let ckpt = Checkpoint::assemble(GradCodecKind::Fp16, vec![part]);
 //! assert!(ckpt.ratio() > 1.0);
 //! let mut restored = Vec::new();
-//! codec.decode_into(&ckpt.table(3).unwrap().section, &mut restored);
+//! let section = &ckpt.table(3).unwrap().section;
+//! section.decode_into(&codec, &mut scratch, &mut restored).unwrap();
 //! assert_eq!(restored.len(), 64);
 //! ```
 
-use dlrm_grad::{GradCodec, GradCodecKind, GradScratch};
+use dlrm_grad::{GradCodec, GradCodecKind, GradScratch, ReduceError};
 use serde::{Deserialize, Serialize};
 
 /// When and how to checkpoint — the knob the trainer's `FaultSetting`
@@ -119,6 +120,45 @@ pub struct EncodedSection {
 }
 
 impl EncodedSection {
+    /// Encode `data`, row-major rows `row_width` wide, as one standalone
+    /// `codec` stream: a table section at its `dim`, so the error-bounded
+    /// codecs see whole embedding rows, and the MLP parameters and the
+    /// error-feedback residual as one long row (see
+    /// [`GradCodec::encode_rows_into`]). Decoding needs no width.
+    pub fn encode(
+        codec: &GradCodec,
+        data: &[f32],
+        row_width: usize,
+        scratch: &mut GradScratch,
+    ) -> Self {
+        let mut bytes = Vec::with_capacity(codec.max_encoded_bytes(data.len()).min(1 << 20));
+        codec.encode_rows_into(data, row_width, scratch, &mut bytes);
+        Self {
+            original_len: data.len(),
+            bytes,
+        }
+    }
+
+    /// Decode the section into `out` (cleared and refilled). `Err` when the
+    /// stream does not decode, or decodes to other than `original_len`
+    /// values.
+    pub fn decode_into(
+        &self,
+        codec: &GradCodec,
+        scratch: &mut GradScratch,
+        out: &mut Vec<f32>,
+    ) -> Result<(), ReduceError> {
+        out.clear();
+        codec.decode_into(&self.bytes, scratch, out)?;
+        if out.len() != self.original_len {
+            return Err(ReduceError::ShardMismatch {
+                expected: self.original_len,
+                got: out.len(),
+            });
+        }
+        Ok(())
+    }
+
     /// Size of the section before compression.
     pub fn original_bytes(&self) -> u64 {
         (self.original_len * 4) as u64
@@ -314,59 +354,6 @@ impl Checkpoint {
     }
 }
 
-/// A [`GradCodec`] with its scratch, wired for whole-section encode/decode.
-pub struct CkptCodec {
-    codec: GradCodec,
-    scratch: GradScratch,
-}
-
-impl CkptCodec {
-    /// Build the codec for `kind`.
-    pub fn new(kind: &GradCodecKind) -> Self {
-        Self {
-            codec: kind.build(),
-            scratch: GradScratch::new(),
-        }
-    }
-
-    /// The codec kind in use.
-    pub fn kind(&self) -> &GradCodecKind {
-        self.codec.kind()
-    }
-
-    /// Encode one float section as one long row (the MLP parameters and the
-    /// error-feedback residual).
-    pub fn encode(&mut self, data: &[f32]) -> EncodedSection {
-        self.encode_rows(data, data.len())
-    }
-
-    /// Encode one float section of row-major rows `row_width` wide: a table
-    /// section at its `dim`, so the error-bounded codecs see whole embedding
-    /// rows (see [`GradCodec::encode_rows_into`]). Decoding needs no width.
-    pub fn encode_rows(&mut self, data: &[f32], row_width: usize) -> EncodedSection {
-        let mut bytes = Vec::with_capacity(self.codec.max_encoded_bytes(data.len()).min(1 << 20));
-        self.codec
-            .encode_rows_into(data, row_width, &mut self.scratch, &mut bytes);
-        EncodedSection {
-            original_len: data.len(),
-            bytes,
-        }
-    }
-
-    /// Decode a section into `out` (cleared and refilled).
-    pub fn decode_into(&mut self, section: &EncodedSection, out: &mut Vec<f32>) {
-        out.clear();
-        self.codec
-            .decode_into(&section.bytes, &mut self.scratch, out)
-            .expect("checkpoint section decodes");
-        assert_eq!(
-            out.len(),
-            section.original_len,
-            "decoded section length mismatch"
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,13 +366,24 @@ mod tests {
             .collect()
     }
 
-    fn roundtrip(kind: &GradCodecKind, data: &[f32]) -> Vec<f32> {
-        let mut codec = CkptCodec::new(kind);
-        let section = codec.encode(data);
-        assert_eq!(section.original_len, data.len());
+    /// Encode `data` as one long row.
+    fn encode(codec: &GradCodec, data: &[f32]) -> EncodedSection {
+        EncodedSection::encode(codec, data, data.len(), &mut GradScratch::new())
+    }
+
+    fn decode(codec: &GradCodec, section: &EncodedSection) -> Vec<f32> {
         let mut out = Vec::new();
-        codec.decode_into(&section, &mut out);
+        section
+            .decode_into(codec, &mut GradScratch::new(), &mut out)
+            .expect("a section this codec wrote decodes");
         out
+    }
+
+    fn roundtrip(kind: &GradCodecKind, data: &[f32]) -> Vec<f32> {
+        let codec = kind.build();
+        let section = encode(&codec, data);
+        assert_eq!(section.original_len, data.len());
+        decode(&codec, &section)
     }
 
     #[test]
@@ -458,18 +456,18 @@ mod tests {
     #[test]
     fn assemble_stitches_ranks_and_reports_ratio() {
         let kind = GradCodecKind::Fp16;
-        let mut codec = CkptCodec::new(&kind);
+        let codec = kind.build();
         let mlp = payload(300);
         let t0 = payload(64);
         let t1 = payload(128);
         let res = payload(300);
 
         let mut part0 = RankCheckpoint::new(8, 0);
-        part0.mlp = Some(codec.encode(&mlp));
-        part0.push_table(0, 8, 8, codec.encode(&t0));
-        part0.residual = Some(codec.encode(&res));
+        part0.mlp = Some(encode(&codec, &mlp));
+        part0.push_table(0, 8, 8, encode(&codec, &t0));
+        part0.residual = Some(encode(&codec, &res));
         let mut part1 = RankCheckpoint::new(8, 1);
-        part1.push_table(1, 16, 8, codec.encode(&t1));
+        part1.push_table(1, 16, 8, encode(&codec, &t1));
 
         let total_original = part0.original_bytes() + part1.original_bytes();
         let ckpt = Checkpoint::assemble(kind, vec![part1, part0]);
@@ -484,20 +482,16 @@ mod tests {
         assert!(ckpt.read_seconds(1e9) > 0.0);
 
         // And the sections restore.
-        let mut out = Vec::new();
-        codec.decode_into(&ckpt.mlp, &mut out);
-        assert_eq!(out.len(), 300);
-        codec.decode_into(&ckpt.table(0).unwrap().section, &mut out);
-        assert_eq!(out.len(), 64);
+        assert_eq!(decode(&codec, &ckpt.mlp).len(), 300);
+        assert_eq!(decode(&codec, &ckpt.table(0).unwrap().section).len(), 64);
     }
 
     #[test]
     #[should_panic(expected = "different iteration")]
     fn assemble_rejects_mixed_iterations() {
         let kind = GradCodecKind::Identity;
-        let mut codec = CkptCodec::new(&kind);
         let mut a = RankCheckpoint::new(4, 0);
-        a.mlp = Some(codec.encode(&payload(10)));
+        a.mlp = Some(encode(&kind.build(), &payload(10)));
         let b = RankCheckpoint::new(5, 1);
         let _ = Checkpoint::assemble(kind, vec![a, b]);
     }
@@ -506,12 +500,12 @@ mod tests {
     #[should_panic(expected = "two ranks")]
     fn assemble_rejects_duplicate_tables() {
         let kind = GradCodecKind::Identity;
-        let mut codec = CkptCodec::new(&kind);
+        let codec = kind.build();
         let mut a = RankCheckpoint::new(4, 0);
-        a.mlp = Some(codec.encode(&payload(10)));
-        a.push_table(2, 2, 5, codec.encode(&payload(10)));
+        a.mlp = Some(encode(&codec, &payload(10)));
+        a.push_table(2, 2, 5, encode(&codec, &payload(10)));
         let mut b = RankCheckpoint::new(4, 1);
-        b.push_table(2, 2, 5, codec.encode(&payload(10)));
+        b.push_table(2, 2, 5, encode(&codec, &payload(10)));
         let _ = Checkpoint::assemble(kind, vec![a, b]);
     }
 
@@ -555,7 +549,7 @@ mod tests {
             compressor: CompressorKind::OursHybrid,
             error_bound: 0.01,
         };
-        let mut codec = CkptCodec::new(&kind);
+        let codec = kind.build();
         let table = repeating_table();
         let bytes: Vec<u8> = (0..LONG_ROW_SECTION.len())
             .step_by(2)
@@ -565,16 +559,39 @@ mod tests {
             original_len: table.len(),
             bytes,
         };
-        let mut out = Vec::new();
-        codec.decode_into(&old, &mut out);
-        assert_eq!(fnv_bits(&out), LONG_ROW_DECODED);
+        assert_eq!(fnv_bits(&decode(&codec, &old)), LONG_ROW_DECODED);
         // The long-row encoder still writes those bytes.
-        assert_eq!(codec.encode(&table).bytes, old.bytes);
+        assert_eq!(encode(&codec, &table).bytes, old.bytes);
         // At the table's width the same bits come back from fewer bytes:
         // vector-LZ matches the repeated rows.
-        let rows = codec.encode_rows(&table, 8);
+        let rows = EncodedSection::encode(&codec, &table, 8, &mut GradScratch::new());
         assert!(rows.bytes.len() < old.bytes.len());
-        codec.decode_into(&rows, &mut out);
-        assert_eq!(fnv_bits(&out), LONG_ROW_DECODED);
+        assert_eq!(fnv_bits(&decode(&codec, &rows)), LONG_ROW_DECODED);
+    }
+
+    #[test]
+    fn malformed_sections_decode_to_errors() {
+        let codec = GradCodecKind::ErrorBounded {
+            compressor: CompressorKind::OursHybrid,
+            error_bound: 0.01,
+        }
+        .build();
+        let good = EncodedSection::encode(&codec, &repeating_table(), 8, &mut GradScratch::new());
+        let (mut scratch, mut out) = (GradScratch::new(), Vec::new());
+        let mut truncated = good.clone();
+        truncated.bytes.pop();
+        assert!(truncated
+            .decode_into(&codec, &mut scratch, &mut out)
+            .is_err());
+        let mut wrong_len = good.clone();
+        wrong_len.original_len += 8;
+        assert_eq!(
+            wrong_len.decode_into(&codec, &mut scratch, &mut out),
+            Err(ReduceError::ShardMismatch {
+                expected: good.original_len + 8,
+                got: good.original_len,
+            })
+        );
+        assert!(good.decode_into(&codec, &mut scratch, &mut out).is_ok());
     }
 }

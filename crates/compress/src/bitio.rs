@@ -109,6 +109,12 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Bytes holding at least one consumed bit: where the stream ends once
+    /// every code is read (its last byte's high bits are padding).
+    pub fn consumed_bytes(&self) -> usize {
+        self.pos - (self.nbits / 8) as usize
+    }
+
     /// Loaded bits not yet consumed. After [`BitReader::refill`], fewer than
     /// 56 means the stream has no more than that left.
     #[inline]

@@ -228,6 +228,9 @@ fn zero_run_decode_into(bytes: &[u8], expected_len: usize, out: &mut Vec<u8>) ->
     if out.len() != expected_len {
         return Err(CompressError::Corrupt("plane buffer length mismatch"));
     }
+    if pos != bytes.len() {
+        return Err(CompressError::Corrupt("bytes after the last plane run"));
+    }
     Ok(())
 }
 

@@ -366,8 +366,9 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u32>> {
 /// many there were. On error `out` is left as it was.
 ///
 /// Total over arbitrary bytes: a header that promises more symbols than the
-/// payload has bits, an unusable length table, or a stream that ends inside
-/// a code or an escape literal is [`CompressError::Corrupt`].
+/// payload has bits, an unusable length table, a stream that ends inside a
+/// code or an escape literal, or bytes past the last code's byte is
+/// [`CompressError::Corrupt`].
 pub fn decode_map_into<T: Copy + Default>(
     bytes: &[u8],
     scratch: &mut HuffmanScratch,
@@ -443,10 +444,17 @@ pub fn decode_map_into<T: Copy + Default>(
         });
         Ok(())
     });
+    let decoded = decoded.and_then(|()| {
+        if r.consumed_bytes() == payload.len() {
+            Ok(n)
+        } else {
+            Err(CompressError::Corrupt("bytes after the huffman stream"))
+        }
+    });
     if decoded.is_err() {
         out.truncate(start);
     }
-    decoded.map(|()| n)
+    decoded
 }
 
 #[cfg(test)]
@@ -669,6 +677,8 @@ mod tests {
         bytes.extend(std::iter::repeat_n(0, LENGTH_TABLE_BYTES + 4));
         assert!(is_corrupt(decode(&bytes)));
         bytes[0] = 0;
+        assert!(is_corrupt(decode(&bytes)), "payload bytes after no symbols");
+        bytes.truncate(1 + LENGTH_TABLE_BYTES);
         assert_eq!(decode(&bytes).unwrap(), []);
     }
 

@@ -205,55 +205,59 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>> {
     Ok(out)
 }
 
-/// Allocation-free [`decompress`]: *appends* the values to `out`.
+/// Allocation-free [`decompress`]: *appends* the values to `out`. A stream
+/// whose payload is shorter or longer than its count says is an `Err`.
 pub fn decompress_into(bytes: &[u8], out: &mut Vec<f32>) -> Result<()> {
     let mut pos = 0usize;
     let n = varint::read_u64(bytes, &mut pos)? as usize;
     let &fmt = bytes
         .get(pos)
         .ok_or(CompressError::Corrupt("missing precision byte"))?;
-    pos += 1;
-    match fmt {
-        0 => {
-            let payload = bytes
-                .get(pos..pos + 2 * n)
-                .ok_or(CompressError::Corrupt("truncated fp16 payload"))?;
-            out.reserve(n);
-            // Mirror of the compress staging: 16 values per fixed-width pass.
-            let mut stage = [0f32; 16];
-            let mut chunks = payload.chunks_exact(32);
-            for chunk in &mut chunks {
-                for (slot, pair) in stage.iter_mut().zip(chunk.chunks_exact(2)) {
-                    *slot = f16_bits_to_f32(u16::from_le_bytes([pair[0], pair[1]]));
-                }
-                out.extend_from_slice(&stage);
-            }
-            out.extend(
-                chunks
-                    .remainder()
-                    .chunks_exact(2)
-                    .map(|c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]]))),
-            );
-            Ok(())
+    let payload = &bytes[pos + 1..];
+    let width = match fmt {
+        0 => 2,
+        1 => 1,
+        _ => return Err(CompressError::UnsupportedFormat("unknown precision tag")),
+    };
+    match n.checked_mul(width) {
+        Some(len) if len == payload.len() => {}
+        Some(len) if len > payload.len() => {
+            return Err(CompressError::Corrupt("truncated low-precision payload"))
         }
-        1 => {
-            let payload = bytes
-                .get(pos..pos + n)
-                .ok_or(CompressError::Corrupt("truncated fp8 payload"))?;
-            out.reserve(n);
-            let mut stage = [0f32; 16];
-            let mut chunks = payload.chunks_exact(16);
-            for chunk in &mut chunks {
-                for (slot, &b) in stage.iter_mut().zip(chunk) {
-                    *slot = fp8_e4m3_to_f32(b);
-                }
-                out.extend_from_slice(&stage);
-            }
-            out.extend(chunks.remainder().iter().map(|&b| fp8_e4m3_to_f32(b)));
-            Ok(())
+        _ => {
+            return Err(CompressError::Corrupt(
+                "bytes after the low-precision payload",
+            ))
         }
-        _ => Err(CompressError::UnsupportedFormat("unknown precision tag")),
     }
+    out.reserve(n);
+    // Mirror of the compress staging: 16 values per fixed-width pass.
+    let mut stage = [0f32; 16];
+    if width == 2 {
+        let mut chunks = payload.chunks_exact(32);
+        for chunk in &mut chunks {
+            for (slot, pair) in stage.iter_mut().zip(chunk.chunks_exact(2)) {
+                *slot = f16_bits_to_f32(u16::from_le_bytes([pair[0], pair[1]]));
+            }
+            out.extend_from_slice(&stage);
+        }
+        out.extend(
+            chunks
+                .remainder()
+                .chunks_exact(2)
+                .map(|c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]]))),
+        );
+    } else {
+        let mut chunks = payload.chunks_exact(16);
+        for chunk in &mut chunks {
+            for (slot, &b) in stage.iter_mut().zip(chunk) {
+                *slot = fp8_e4m3_to_f32(b);
+            }
+            out.extend_from_slice(&stage);
+        }
+        out.extend(chunks.remainder().iter().map(|&b| fp8_e4m3_to_f32(b)));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

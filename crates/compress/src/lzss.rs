@@ -154,6 +154,9 @@ pub fn decompress_bytes_into(bytes: &[u8], out: &mut Vec<u8>) -> Result<()> {
     if out.len() != n {
         return Err(CompressError::Corrupt("decoded length mismatch"));
     }
+    if pos != bytes.len() {
+        return Err(CompressError::Corrupt("bytes after the last token"));
+    }
     Ok(())
 }
 

@@ -297,6 +297,9 @@ pub fn decompress_into(
             codes.extend_from_within(src..src + dim);
         }
     }
+    if pos != bytes.len() {
+        return Err(CompressError::Corrupt("bytes after the last vector"));
+    }
     quant::dequantize_into(codes, eb, out)
 }
 

@@ -18,10 +18,13 @@
 //!   the compressed all-reduce skip the decode → reduce → re-encode
 //!   round-trip at owner shards.
 //!
-//! Every stream opens with the element count, so decoding is
-//! self-describing: `[n u32 LE]` then a kind-specific payload. Decoding and
-//! combining validate the stream and return a
-//! [`ReduceError`] on truncated or corrupted input.
+//! Each kind has one body encoder and one body decoder, and two stream
+//! forms around them. A standalone stream (a dense all-reduce shard, a
+//! checkpoint section) opens with the element count, so it is
+//! self-describing: `[n u32 LE]` then the body. A stream inside a frame (an
+//! embedding exchange or fetch group, whose frame's `rows × dim` is the
+//! count) is the body alone. Decoding and combining validate the stream and
+//! return a [`ReduceError`] on truncated, overlong or corrupted input.
 
 use crate::homomorphic;
 use dlrm_comm::ReduceError;
@@ -92,6 +95,16 @@ impl GradCodecKind {
             self,
             GradCodecKind::Lattice { .. } | GradCodecKind::SumSketch
         )
+    }
+
+    /// The absolute error bound of the error-bounded and lattice kinds;
+    /// 0 for the kinds that have none.
+    pub fn error_bound(&self) -> f32 {
+        match self {
+            GradCodecKind::ErrorBounded { error_bound, .. }
+            | GradCodecKind::Lattice { error_bound } => *error_bound,
+            _ => 0.0,
+        }
     }
 
     /// Build the runnable codec.
@@ -168,12 +181,18 @@ impl GradCodec {
 
     /// Upper bound on the encoded size of a shard of `len` values.
     pub fn max_encoded_bytes(&self, len: usize) -> usize {
-        4 + match self.kind {
+        4 + self.max_body_bytes(len)
+    }
+
+    /// Upper bound on the body of a shard of `len` values: the stream
+    /// without its `[n u32 LE]` count, as it rides inside a frame.
+    pub fn max_body_bytes(&self, len: usize) -> usize {
+        match self.kind {
             GradCodecKind::Identity => len * 4,
             // lowprec streams open with a ≤10-byte varint count + format tag.
             GradCodecKind::Fp16 => 11 + len * 2,
             GradCodecKind::Fp8 => 11 + len,
-            // Same worst case the trainer assumes for the a2a codecs.
+            // ≤ 3× the raw bytes plus the compressors' stream headers.
             GradCodecKind::ErrorBounded { .. } => len * 12 + 708,
             GradCodecKind::TopK { fraction } => 4 + top_k_count(len, fraction) * 8,
             GradCodecKind::Lattice { .. } => homomorphic::lattice_max_bytes(len),
@@ -194,11 +213,10 @@ impl GradCodec {
         self.encode_rows_into(data, data.len(), scratch, out);
     }
 
-    /// Append the encoded form of `data`, row-major rows of `row_width`
-    /// values (an embedding table's `dim`), to `out`. The error-bounded
-    /// codecs see whole rows: vector-LZ matches repeated rows and Lorenzo
-    /// predicts from the row above. Every other kind is element-wise and
-    /// ignores the width. The stream records its width, so
+    /// Append the standalone stream of `data`, row-major rows of
+    /// `row_width` values (an embedding table's `dim`), to `out`: the
+    /// `[n u32 LE]` count, then [`GradCodec::encode_body_into`]'s body at
+    /// the kind's own error bound. The stream records its width, so
     /// [`GradCodec::decode_into`] needs none.
     ///
     /// # Panics
@@ -212,6 +230,29 @@ impl GradCodec {
         out: &mut Vec<u8>,
     ) {
         out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        self.encode_body_into(data, row_width, self.kind.error_bound(), scratch, out);
+    }
+
+    /// Append the body of `data`'s stream to `out`: what rides inside a
+    /// frame whose own `rows × dim` is the value count. The error-bounded
+    /// and lattice kinds encode at `error_bound` (the caller's scheduled
+    /// bound); every other kind ignores it. The error-bounded codecs see
+    /// whole rows of `row_width`: vector-LZ matches repeated rows and
+    /// Lorenzo predicts from the row above. Every other kind is
+    /// element-wise and ignores the width. An empty `data` has an empty
+    /// body.
+    ///
+    /// # Panics
+    /// Panics if `data` is non-empty and `row_width` is zero or does not
+    /// divide `data.len()`.
+    pub fn encode_body_into(
+        &self,
+        data: &[f32],
+        row_width: usize,
+        error_bound: f32,
+        scratch: &mut GradScratch,
+        out: &mut Vec<u8>,
+    ) {
         if data.is_empty() {
             return;
         }
@@ -229,10 +270,10 @@ impl GradCodec {
             }
             GradCodecKind::Fp16 => lowprec::compress_into(data, Precision::Fp16, out),
             GradCodecKind::Fp8 => lowprec::compress_into(data, Precision::Fp8E4M3, out),
-            GradCodecKind::ErrorBounded { error_bound, .. } => {
+            GradCodecKind::ErrorBounded { .. } => {
                 let comp = self.compressor.as_ref().expect("built with a compressor");
-                comp.compress_into(data, row_width, *error_bound, &mut scratch.compress, out)
-                    .expect("gradient compression of finite data cannot fail");
+                comp.compress_into(data, row_width, error_bound, &mut scratch.compress, out)
+                    .expect("compression of finite data cannot fail");
             }
             GradCodecKind::TopK { fraction } => {
                 let k = top_k_count(data.len(), *fraction);
@@ -258,50 +299,74 @@ impl GradCodec {
                     out.extend_from_slice(&data[i as usize].to_le_bytes());
                 }
             }
-            GradCodecKind::Lattice { error_bound } => {
-                homomorphic::lattice_encode(data, *error_bound, out)
-            }
+            GradCodecKind::Lattice { .. } => homomorphic::lattice_encode(data, error_bound, out),
             GradCodecKind::SumSketch => homomorphic::sketch_encode(data, out),
         }
     }
 
-    /// Append the decoded values of a stream produced by
+    /// Append the decoded values of a standalone stream produced by
     /// [`GradCodec::encode_rows_into`] (or [`GradCodec::encode_into`]) to
     /// `out`.
     ///
-    /// Returns `Err` (and leaves `out` in an unspecified but valid state)
-    /// when the stream is truncated or corrupted, instead of panicking —
-    /// malformed wire bytes must surface as a recoverable error at the
-    /// collective layer.
+    /// Returns `Err` (and leaves `out` as it was) when the stream is
+    /// truncated or corrupted, instead of panicking — malformed wire bytes
+    /// must surface as a recoverable error at the collective layer.
     pub fn decode_into(
         &self,
         bytes: &[u8],
         scratch: &mut GradScratch,
         out: &mut Vec<f32>,
     ) -> Result<(), ReduceError> {
-        if bytes.len() < 4 {
+        let Some((count, body)) = bytes.split_first_chunk::<4>() else {
             return Err(ReduceError::Truncated {
                 needed: 4,
                 got: bytes.len(),
             });
-        }
-        let n = u32::from_le_bytes(bytes[0..4].try_into().expect("count header")) as usize;
-        let payload = &bytes[4..];
+        };
+        self.decode_body_into(body, u32::from_le_bytes(*count) as usize, scratch, out)
+    }
+
+    /// Append the `n` values of a stream body (see
+    /// [`GradCodec::encode_body_into`]) to `out`. `Err` when the body does
+    /// not decode to exactly `n` values, is cut short or carries bytes past
+    /// its end; `out` then keeps what it held before.
+    pub fn decode_body_into(
+        &self,
+        body: &[u8],
+        n: usize,
+        scratch: &mut GradScratch,
+        out: &mut Vec<f32>,
+    ) -> Result<(), ReduceError> {
         if n == 0 {
-            return if payload.is_empty() {
+            return if body.is_empty() {
                 Ok(())
             } else {
-                Err(ReduceError::Corrupt("payload after empty-shard header"))
+                Err(ReduceError::Corrupt("payload after an empty shard"))
             };
         }
         let start = out.len();
+        let decoded = self.decode_nonempty(body, n, scratch, out);
+        if decoded.is_err() || out.len() - start != n {
+            out.truncate(start);
+            return decoded.and(Err(ReduceError::Corrupt("decoded count disagrees with n")));
+        }
+        Ok(())
+    }
+
+    fn decode_nonempty(
+        &self,
+        body: &[u8],
+        n: usize,
+        scratch: &mut GradScratch,
+        out: &mut Vec<f32>,
+    ) -> Result<(), ReduceError> {
         match &self.kind {
             GradCodecKind::Identity => {
-                if payload.len() != n * 4 {
-                    return Err(if payload.len() < n * 4 {
+                if body.len() != n * 4 {
+                    return Err(if body.len() < n * 4 {
                         ReduceError::Truncated {
-                            needed: 4 + n * 4,
-                            got: bytes.len(),
+                            needed: n * 4,
+                            got: body.len(),
                         }
                     } else {
                         ReduceError::Corrupt("identity payload longer than declared")
@@ -309,50 +374,48 @@ impl GradCodec {
                 }
                 out.reserve(n);
                 out.extend(
-                    payload
-                        .chunks_exact(4)
+                    body.chunks_exact(4)
                         .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk"))),
                 );
             }
             GradCodecKind::Fp16 | GradCodecKind::Fp8 => {
-                lowprec::decompress_into(payload, out)
+                lowprec::decompress_into(body, out)
                     .map_err(|_| ReduceError::Corrupt("malformed low-precision stream"))?;
             }
             GradCodecKind::ErrorBounded { .. } => {
                 let comp = self.compressor.as_ref().expect("built with a compressor");
-                comp.decompress_into(payload, &mut scratch.compress, out)
+                comp.decompress_into(body, &mut scratch.compress, out)
                     .map_err(|_| ReduceError::Corrupt("malformed error-bounded stream"))?;
             }
             GradCodecKind::TopK { .. } => {
-                if payload.len() < 4 {
+                let Some((k, pairs)) = body.split_first_chunk::<4>() else {
                     return Err(ReduceError::Truncated {
-                        needed: 8,
-                        got: bytes.len(),
+                        needed: 4,
+                        got: body.len(),
                     });
-                }
-                let k = u32::from_le_bytes(payload[0..4].try_into().expect("k header")) as usize;
+                };
+                let k = u32::from_le_bytes(*k) as usize;
                 if k > n {
                     return Err(ReduceError::Corrupt("top-k keeps more than n elements"));
                 }
-                let needed = 4 + k * 8;
-                if payload.len() != needed {
-                    return Err(if payload.len() < needed {
+                if pairs.len() != k * 8 {
+                    return Err(if pairs.len() < k * 8 {
                         ReduceError::Truncated {
-                            needed: 4 + needed,
-                            got: bytes.len(),
+                            needed: 4 + k * 8,
+                            got: body.len(),
                         }
                     } else {
                         ReduceError::Corrupt("top-k payload longer than declared")
                     });
                 }
-                let idx = &payload[4..4 + k * 4];
-                let vals = &payload[4 + k * 4..4 + k * 8];
+                let (idx, vals) = pairs.split_at(k * 4);
                 for ib in idx.chunks_exact(4) {
                     let i = u32::from_le_bytes(ib.try_into().expect("index")) as usize;
                     if i >= n {
                         return Err(ReduceError::Corrupt("top-k index out of range"));
                     }
                 }
+                let start = out.len();
                 out.resize(start + n, 0.0);
                 let dense = &mut out[start..];
                 for (ib, vb) in idx.chunks_exact(4).zip(vals.chunks_exact(4)) {
@@ -360,12 +423,8 @@ impl GradCodec {
                     dense[i] = f32::from_le_bytes(vb.try_into().expect("value"));
                 }
             }
-            GradCodecKind::Lattice { .. } => homomorphic::lattice_decode(payload, n, out)?,
-            GradCodecKind::SumSketch => homomorphic::sketch_decode(payload, n, out)?,
-        }
-        if out.len() - start != n {
-            out.truncate(start);
-            return Err(ReduceError::Corrupt("decoded count disagrees with header"));
+            GradCodecKind::Lattice { .. } => homomorphic::lattice_decode(body, n, out)?,
+            GradCodecKind::SumSketch => homomorphic::sketch_decode(body, n, out)?,
         }
         Ok(())
     }

@@ -33,6 +33,9 @@
 //!   one buffer, sized once, reused every iteration);
 //! * [`GradCodec`] / [`GradCodecKind`] — codec adapters over `dlrm-compress`
 //!   plus the top-k sparsifier, all with reusable scratch;
+//! * [`CodecBank`] — one codec per embedding table, the bank training's
+//!   exchange and serving's fetch encode, decode, size leases and charge
+//!   codec time through;
 //! * [`GradCompressor`] — bundles codec + error feedback + scratch and
 //!   implements [`dlrm_comm::ReduceCodec`], so it plugs straight into
 //!   [`all_reduce_compressed`](dlrm_comm::cluster::RankCtx::all_reduce_compressed):
@@ -42,18 +45,21 @@
 //!   per-layer gradient statistics feeding codec selection through the
 //!   allreduce-aware Equation-2 estimate in `dlrm-adaptive`.
 
+pub mod bank;
 pub mod codec;
 pub mod ef;
 pub mod homomorphic;
 pub mod stats;
 
+pub use bank::CodecBank;
 pub use codec::{GradCodec, GradCodecKind, GradScratch};
+pub use dlrm_comm::ReduceError;
 pub use ef::ErrorFeedback;
 pub use stats::{
     dense_candidates, nominal_combine_throughput, per_layer_stats, select_grad_codec, GradStats,
 };
 
-use dlrm_comm::{ReduceCodec, ReduceError};
+use dlrm_comm::ReduceCodec;
 
 /// Codec + error feedback + scratch, ready to drive a compressed all-reduce.
 ///

@@ -72,11 +72,6 @@ pub struct ServeAdaptive {
     pub hysteresis: f64,
     /// Candidate compressors probed on live fetch payloads each window.
     pub candidates: Vec<CompressorKind>,
-    /// When true, the controller's plateau error-bound scale is applied to
-    /// the fetch error bound (the serving "loss" signal is the cache miss
-    /// rate). Changes response values mid-run; keep off for bit-identity
-    /// comparisons.
-    pub eb_control: bool,
 }
 
 impl ServeAdaptive {
@@ -90,7 +85,6 @@ impl ServeAdaptive {
                 CompressorKind::FzLike,
                 CompressorKind::OursHybrid,
             ],
-            eb_control: false,
         }
     }
 

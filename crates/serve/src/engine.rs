@@ -57,18 +57,18 @@
 //! runs a replica of the trainer's [`RuntimeController`] and applies the same
 //! per-table codec switches — off the request latency path. At each
 //! controller window boundary a rank encodes its [`WindowShare`] (live fetch
-//! traffic, candidate ratios probed on fetched rows, its cache hits as the
-//! miss-rate plateau signal), the shares ride the pooled all-gather, and every
-//! rank decodes and folds them into the identical observation; a malformed
-//! share is one panic naming both ranks and the byte offset. A switch
+//! traffic and candidate ratios probed on fetched rows), the shares ride the
+//! pooled all-gather, and every rank decodes and folds them into the
+//! identical observation; a malformed share is one panic naming both ranks
+//! and the byte offset. A switch
 //! flushes the hot-row cache so stale-codec rows never resurface. Without
 //! adaptation no window state is kept at all.
 
 use std::sync::Arc;
 
 use dlrm_adaptive::{
-    probe_candidates, ControllerConfig, PlateauEbControl, Reselection, RuntimeController,
-    TableObservation, WindowShare, PROBE_ROWS,
+    probe_candidates, ControllerConfig, Reselection, RuntimeController, TableObservation,
+    WindowShare, PROBE_ROWS,
 };
 use dlrm_ckpt::Checkpoint;
 use dlrm_comm::cluster::RankCtx;
@@ -91,7 +91,7 @@ use dlrm_trainer::TablePartition;
 use crate::cache::HotRowCache;
 use crate::coalesce::BatchCoalescer;
 use crate::config::ServeConfig;
-use crate::fetch::{answered, codec_throughput, request_groups, write_request_chunk, FetchCodecs};
+use crate::fetch::{answered, request_groups, write_request_chunk, FetchCodecs};
 use crate::latency::{percentile, timeline};
 use crate::report::ServingReport;
 use crate::snapshot::restore_owned;
@@ -268,11 +268,10 @@ struct Adaptation {
     ctl: RuntimeController,
     /// Prebuilt candidate codecs, in controller-candidate order.
     candidates: Vec<Box<dyn Compressor>>,
-    /// The fetch error bound the controller's scale multiplies.
-    base_eb: f32,
-    /// This rank's share of the current window. Its loss signal counts cache
-    /// hits (`loss_sum`) over remote lookups (`loss_n`); its tables are
-    /// filled at the boundary.
+    /// The fetch error bound the candidates are probed at.
+    eb: f32,
+    /// This rank's share of the current window; its tables are filled at
+    /// the boundary.
     share: WindowShare,
     /// Per-table `(original, compressed)` fetch bytes this window.
     traffic: Vec<(u64, u64)>,
@@ -287,13 +286,10 @@ struct Adaptation {
 impl Adaptation {
     fn new(cfg: &ServeConfig, tables: usize, dim: usize) -> Option<Self> {
         let a = cfg.adaptive.as_ref()?;
-        let mut ctl_cfg = ControllerConfig::new(a.window, a.hysteresis)
+        let ctl_cfg = ControllerConfig::new(a.window, a.hysteresis)
             .with_candidates(a.candidates.clone())
             .with_profile(cfg.profile.clone());
-        if a.eb_control {
-            ctl_cfg = ctl_cfg.with_eb_control(PlateauEbControl::default());
-        }
-        let (initial, base_eb) = match cfg.fetch.resolved_kind() {
+        let (initial, eb) = match cfg.fetch.resolved_kind() {
             GradCodecKind::ErrorBounded {
                 compressor,
                 error_bound,
@@ -304,7 +300,7 @@ impl Adaptation {
         Some(Self {
             ctl: RuntimeController::new(ctl_cfg, vec![initial; tables]),
             candidates: a.candidates.iter().map(|k| k.build()).collect(),
-            base_eb,
+            eb,
             share: WindowShare::default(),
             traffic: vec![(0, 0); tables],
             probe: (0..tables)
@@ -347,8 +343,8 @@ impl Adaptation {
         send: &mut Vec<PooledBuf>,
         recv: &mut Vec<PooledBuf>,
     ) -> Reselection {
-        let eb = self.base_eb * self.ctl.eb_scale();
-        let (candidates, scratch, out) = (&self.candidates, &mut self.scratch, &mut self.out);
+        let (eb, candidates) = (self.eb, &self.candidates);
+        let (scratch, out) = (&mut self.scratch, &mut self.out);
         for &t in owned {
             let table = model.embedding(t);
             let (dim, rows) = (table.dim(), PROBE_ROWS.min(table.cardinality()));
@@ -373,23 +369,14 @@ impl Adaptation {
                 panic!("rank {rank}: malformed window share from rank {src}: {e}")
             })
         });
-        // The miss-rate plateau signal, when error-bound control is on.
-        let eb_control = self.ctl.config().eb_control.is_some();
-        let miss_rate = |hits: f64, lookups: u64| {
-            if eb_control && lookups > 0 {
-                1.0 - hits / lookups as f64
-            } else {
-                0.0
-            }
-        };
+        // Serving has no loss to plateau on.
         let fallback = cfg.network.alltoall_bandwidth;
-        let mut obs = WindowShare::fold(shares, iteration, fallback, miss_rate);
+        let mut obs = WindowShare::fold(shares, iteration, fallback, |_, _| 0.0);
         recv.clear();
         obs.intra_bandwidth = cfg.topology.as_ref().map(|t| t.intra().alltoall_bandwidth);
         let resel = self.ctl.observe(&obs);
-        let new_eb = self.base_eb * self.ctl.eb_scale();
         for s in &resel.switches {
-            codecs.set_compressor(s.table_id, s.to, new_eb);
+            codecs.set_compressor(s.table_id, s.to);
         }
         self.share = WindowShare::default();
         self.traffic.fill((0, 0));
@@ -479,7 +466,7 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
     let req_cap = VARINT_MAX * (1 + tables * (2 + my_req_max));
     let pay_cap = |codecs: &FetchCodecs| {
         payload_chunk_capacity(
-            (owned.iter()).map(|&t| codecs.max_encoded_bytes(t, my_req_max * dim)),
+            (owned.iter()).map(|&t| codecs.max_stream_bytes(t, my_req_max * dim)),
         )
     };
     // Pre-warm the buffer pool to its in-flight high-water mark: each window
@@ -520,12 +507,7 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                         local_bytes += (dim * 4) as u64;
                         continue;
                     }
-                    let cached = cache.get(t as u32, row);
-                    if let Some(a) = adaptation.as_mut() {
-                        a.share.loss_n += 1;
-                        a.share.loss_sum += f64::from(u8::from(cached.is_some()));
-                    }
-                    if let Some(vals) = cached {
+                    if let Some(vals) = cache.get(t as u32, row) {
                         let slot = (scratch.store_vals.len() / dim) as u32;
                         scratch
                             .store_keys
@@ -588,16 +570,12 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                     table.lookup_into(&scratch.idx_buf, &mut scratch.owner_rows);
                     let raw = (scratch.owner_rows.len() * 4) as u64;
                     fetch_raw_bytes += raw;
+                    let eb = codecs.kind(t).error_bound();
                     let encoded = write_payload_group(&mut buf, t, scratch.idx_buf.len(), |out| {
-                        codecs.codec(t).encode_rows_into(
-                            &scratch.owner_rows,
-                            dim,
-                            &mut gscratch,
-                            out,
-                        )
+                        let rows = &scratch.owner_rows;
+                        codecs.encode(t, rows, dim, eb, &mut gscratch, out)
                     });
-                    let (enc_tput, _) = codec_throughput(codecs.kind(t), &cfg.profile);
-                    if enc_tput.is_finite() {
+                    if let Some((enc_tput, _)) = codecs.throughput(t, &cfg.profile) {
                         enc_seconds += raw as f64 / enc_tput;
                     }
                     if let Some(a) = adaptation.as_mut() {
@@ -634,12 +612,12 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                 let group = from.check(group);
                 let answered = from.check(answered(&group, keys, cursor));
                 let (t, n) = (group.table as usize, answered.len());
-                scratch.dec_buf.clear();
-                let decoded =
-                    codecs
-                        .codec(t)
-                        .decode_into(group.stream, &mut gscratch, &mut scratch.dec_buf);
-                if decoded.is_err() || scratch.dec_buf.len() != n * dim {
+                let out = &mut scratch.dec_buf;
+                out.clear();
+                if codecs
+                    .decode(t, group.stream, n * dim, &mut gscratch, out)
+                    .is_err()
+                {
                     from.fail(FrameError::at(
                         group.offset,
                         "stream does not decode to rows × dim",
@@ -655,8 +633,7 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                 }
                 cursor += n;
                 fetched_rows += n as u64;
-                let (_, dec_tput) = codec_throughput(codecs.kind(t), &cfg.profile);
-                if dec_tput.is_finite() {
+                if let Some((_, dec_tput)) = codecs.throughput(t, &cfg.profile) {
                     dec_seconds += (n * dim * 4) as f64 / dec_tput;
                 }
             }

@@ -1,10 +1,11 @@
-//! Fetch codec bank and the request frame of the compressed cross-rank
-//! gather.
+//! The request frame of the compressed cross-rank gather.
 //!
-//! Every embedding table carries its own fetch codec (so the runtime
-//! controller can retune tables independently). Both wire directions use
-//! tiny self-describing frames built on [`dlrm_comm::frame`]'s LEB128
-//! varints, walker and [`FrameError`]:
+//! Every embedding table carries its own fetch codec in a [`FetchCodecs`]
+//! bank — `dlrm-grad`'s [`CodecBank`](dlrm_grad::CodecBank), the one
+//! training's exchange runs through — so the runtime controller can retune
+//! tables independently. Both wire directions use tiny self-describing
+//! frames built on [`dlrm_comm::frame`]'s LEB128 varints, walker and
+//! [`FrameError`]:
 //!
 //! * **request chunk** (frontend → owner), defined here: `[groups]` then per
 //!   group `[table][count][gap × count]`. The row ids are sorted ascending
@@ -13,83 +14,21 @@
 //!   group's ids cost one or two bytes each instead of four;
 //! * **payload chunk** (owner → frontend): the payload frame training's
 //!   all-to-all uses too, [`dlrm_comm::frame::write_payload_group`], one
-//!   group per request group in request order. The stream encodes the rows
-//!   in request order at the table's row width
-//!   ([`GradCodec::encode_rows_into`] with `dim`), so vector-LZ sees whole
-//!   embedding rows, and the frontend re-associates decoded rows with keys
-//!   positionally, without per-row framing.
+//!   group per request group in request order. The stream is the table's
+//!   in-frame codec body
+//!   ([`CodecBank::encode`](dlrm_grad::CodecBank::encode) at the table's row
+//!   width `dim`): the group's `rows × dim` is its value count, so no count
+//!   header travels with it. It encodes the rows in request order, so
+//!   vector-LZ sees whole embedding rows, and the frontend re-associates
+//!   decoded rows with keys positionally, without per-row framing.
 //!
 //! [`request_groups`] is total like the payload walker: bytes that end
 //! early, run on past the last group, or carry a varint or row id past
 //! `u32` give a [`FrameError`] with its byte offset, never a panic.
 //! [`answered`] checks a payload group against the keys it should answer.
 
-use dlrm_adaptive::CodecProfile;
 use dlrm_comm::frame::{read_varint, write_varint, FrameError, Groups, PayloadGroup};
-use dlrm_compress::CompressorKind;
-use dlrm_grad::{GradCodec, GradCodecKind};
-
-/// Modeled `(encode, decode)` throughput of the integer-lattice codec, in
-/// bytes/s (shared-scale quantization, no entropy stage).
-pub const LATTICE_THROUGHPUT: (f64, f64) = (150e9, 200e9);
-/// Modeled `(encode, decode)` throughput of the index–sum sketch.
-pub const SKETCH_THROUGHPUT: (f64, f64) = (120e9, 160e9);
-
-/// Deterministic `(encode, decode)` throughput of a fetch codec under
-/// `profile`. The identity codec charges nothing (raw memcpy rides the wire
-/// charge, not a codec charge).
-pub fn codec_throughput(kind: &GradCodecKind, profile: &CodecProfile) -> (f64, f64) {
-    match kind {
-        GradCodecKind::Identity => (f64::INFINITY, f64::INFINITY),
-        GradCodecKind::Fp16 => profile.throughput(CompressorKind::Fp16),
-        GradCodecKind::Fp8 => profile.throughput(CompressorKind::Fp8),
-        GradCodecKind::ErrorBounded { compressor, .. } => profile.throughput(*compressor),
-        GradCodecKind::Lattice { .. } => LATTICE_THROUGHPUT,
-        GradCodecKind::SumSketch => SKETCH_THROUGHPUT,
-        GradCodecKind::TopK { .. } => (40e9, 200e9),
-    }
-}
-
-/// One codec per table, rebuildable per table when the controller switches.
-pub struct FetchCodecs {
-    kinds: Vec<GradCodecKind>,
-    codecs: Vec<GradCodec>,
-}
-
-impl FetchCodecs {
-    /// Every table starts on `kind`.
-    pub fn new(tables: usize, kind: GradCodecKind) -> Self {
-        Self {
-            kinds: vec![kind.clone(); tables],
-            codecs: (0..tables).map(|_| kind.build()).collect(),
-        }
-    }
-
-    /// The codec kind table `t` currently runs.
-    pub fn kind(&self, t: usize) -> &GradCodecKind {
-        &self.kinds[t]
-    }
-
-    /// The built codec of table `t`.
-    pub fn codec(&self, t: usize) -> &GradCodec {
-        &self.codecs[t]
-    }
-
-    /// Switch table `t` to an error-bounded codec over `compressor` at `eb`.
-    pub fn set_compressor(&mut self, t: usize, compressor: CompressorKind, eb: f32) {
-        let kind = GradCodecKind::ErrorBounded {
-            compressor,
-            error_bound: eb,
-        };
-        self.codecs[t] = kind.build();
-        self.kinds[t] = kind;
-    }
-
-    /// Worst-case encoded bytes for `len` floats of table `t`.
-    pub fn max_encoded_bytes(&self, t: usize, len: usize) -> usize {
-        self.codecs[t].max_encoded_bytes(len)
-    }
-}
+pub use dlrm_grad::CodecBank as FetchCodecs;
 
 /// Append a whole request chunk for `keys`: `(table, row)` pairs sorted
 /// ascending and unique, the coalescer's output order.
@@ -225,16 +164,19 @@ pub fn answered<'k>(
 mod tests {
     use super::*;
     use dlrm_comm::frame::{payload_groups, write_payload_group};
-    use dlrm_grad::GradScratch;
+    use dlrm_compress::CompressorKind;
+    use dlrm_grad::{GradCodecKind, GradScratch};
 
-    /// Round-trip `values`, rows `row_width` wide, through `codec`.
-    fn roundtrip(codec: &GradCodec, values: &[f32], row_width: usize) -> Vec<f32> {
+    /// Round-trip `values`, rows `row_width` wide, through `codecs`' one
+    /// table in the in-frame form.
+    fn roundtrip(codecs: &FetchCodecs, values: &[f32], row_width: usize) -> Vec<f32> {
         let mut scratch = GradScratch::new();
         let mut bytes = Vec::new();
-        codec.encode_rows_into(values, row_width, &mut scratch, &mut bytes);
+        let eb = codecs.kind(0).error_bound();
+        codecs.encode(0, values, row_width, eb, &mut scratch, &mut bytes);
         let mut out = Vec::new();
-        codec
-            .decode_into(&bytes, &mut scratch, &mut out)
+        codecs
+            .decode(0, &bytes, values.len(), &mut scratch, &mut out)
             .expect("fetch codec decodes");
         out
     }
@@ -335,7 +277,7 @@ mod tests {
             GradCodecKind::Lattice { error_bound: 0.01 },
             GradCodecKind::SumSketch,
         ] {
-            let codec = kind.build();
+            let codec = FetchCodecs::new(1, kind.clone());
             // Batch round-trip of all rows in one stream, at the table's
             // row width (the wire's form) and as one long row.
             let flat: Vec<f32> = rows.iter().flatten().copied().collect();

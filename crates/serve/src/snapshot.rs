@@ -8,26 +8,24 @@
 //! from an in-process model — the single-process path that hands a model
 //! trained in this process to the fleet.
 
-use dlrm_ckpt::{Checkpoint, CkptCodec, RankCheckpoint};
-use dlrm_grad::GradCodecKind;
+use dlrm_ckpt::{Checkpoint, EncodedSection, RankCheckpoint};
+use dlrm_grad::{GradCodecKind, GradScratch};
 use dlrm_model::Dlrm;
 
 /// Encode `model` (every table at its row width, and the MLP) into a
 /// checkpoint with `codec`.
 pub fn snapshot_model(model: &Dlrm, codec: &GradCodecKind, iteration: usize) -> Checkpoint {
-    let mut ck = CkptCodec::new(codec);
+    let (built, mut scratch) = (codec.build(), GradScratch::new());
+    let mut encode =
+        |data: &[f32], width| EncodedSection::encode(&built, data, width, &mut scratch);
     let mut part = RankCheckpoint::new(iteration, 0);
     let mut flat = Vec::new();
     model.flatten_mlp_params_into(&mut flat);
-    part.mlp = Some(ck.encode(&flat));
+    part.mlp = Some(encode(&flat, flat.len()));
     for t in 0..model.config().num_tables() {
         let table = model.embedding(t);
-        part.push_table(
-            t,
-            table.cardinality(),
-            table.dim(),
-            ck.encode_rows(table.weights().as_slice(), table.dim()),
-        );
+        let section = encode(table.weights().as_slice(), table.dim());
+        part.push_table(t, table.cardinality(), table.dim(), section);
     }
     Checkpoint::assemble(codec.clone(), vec![part])
 }
@@ -36,11 +34,14 @@ pub fn snapshot_model(model: &Dlrm, codec: &GradCodecKind, iteration: usize) -> 
 /// `checkpoint`.
 ///
 /// # Panics
-/// Panics if the checkpoint is missing an owned table or a shape mismatches.
+/// Panics if the checkpoint is missing an owned table, a shape mismatches
+/// or a section does not decode; the message names the section.
 pub fn restore_owned(model: &mut Dlrm, checkpoint: &Checkpoint, owned: &[usize]) {
-    let mut ck = CkptCodec::new(&checkpoint.codec);
+    let (codec, mut scratch) = (checkpoint.codec.build(), GradScratch::new());
     let mut floats = Vec::new();
-    ck.decode_into(&checkpoint.mlp, &mut floats);
+    (checkpoint.mlp)
+        .decode_into(&codec, &mut scratch, &mut floats)
+        .unwrap_or_else(|e| panic!("checkpoint MLP section: {e}"));
     model.load_flat_mlp_params(&floats);
     for &t in owned {
         let section = checkpoint
@@ -49,7 +50,9 @@ pub fn restore_owned(model: &mut Dlrm, checkpoint: &Checkpoint, owned: &[usize])
         let table = model.embedding_mut(t);
         assert_eq!(section.rows, table.cardinality(), "table {t} row mismatch");
         assert_eq!(section.cols, table.dim(), "table {t} dim mismatch");
-        ck.decode_into(&section.section, &mut floats);
+        (section.section)
+            .decode_into(&codec, &mut scratch, &mut floats)
+            .unwrap_or_else(|e| panic!("checkpoint table {t} section: {e}"));
         table.weights_mut().as_mut_slice().copy_from_slice(&floats);
     }
 }

@@ -11,10 +11,10 @@ use proptest::prelude::*;
 
 use dlrm_comm::frame::{payload_groups, write_payload_group, write_varint, FrameError};
 use dlrm_compress::CompressorKind;
-use dlrm_grad::{GradCodec, GradCodecKind, GradScratch};
+use dlrm_grad::{GradCodecKind, GradScratch};
 use dlrm_serve::cache::FrequencySketch;
 use dlrm_serve::fetch::{answered, request_groups, write_request_chunk};
-use dlrm_serve::{BatchCoalescer, HotRowCache};
+use dlrm_serve::{BatchCoalescer, FetchCodecs, HotRowCache};
 
 /// Naive reference model of the cache's policy: a vector of keys ordered
 /// most-recently-used first, plus the cache's own frequency sketch fed the
@@ -158,11 +158,13 @@ proptest! {
         let mut keys = notes;
         keys.sort_unstable();
         keys.dedup();
-        let codec = GradCodecKind::ErrorBounded {
-            compressor: CompressorKind::OursHybrid,
-            error_bound: 0.05,
-        }
-        .build();
+        let codec = FetchCodecs::new(
+            4,
+            GradCodecKind::ErrorBounded {
+                compressor: CompressorKind::OursHybrid,
+                error_bound: 0.05,
+            },
+        );
         let mut request = Vec::new();
         write_request_chunk(&mut request, &keys);
         let payload = payload_for(&request, &codec, DIM);
@@ -188,9 +190,9 @@ proptest! {
     }
 }
 
-/// The owner's answer to `request`: one hybrid stream per group, rows
-/// `dim` wide, values derived from the keys.
-fn payload_for(request: &[u8], codec: &GradCodec, dim: usize) -> Vec<u8> {
+/// The owner's answer to `request`: one in-frame hybrid stream per group,
+/// rows `dim` wide, values derived from the keys.
+fn payload_for(request: &[u8], codec: &FetchCodecs, dim: usize) -> Vec<u8> {
     let groups = request_groups(request).unwrap();
     let mut out = Vec::new();
     write_varint(&mut out, groups.remaining());
@@ -201,8 +203,10 @@ fn payload_for(request: &[u8], codec: &GradCodec, dim: usize) -> Vec<u8> {
         for r in group.rows.iter() {
             rows.extend((0..dim).map(|c| ((r as usize * dim + c) as f32 * 0.01).sin()));
         }
-        write_payload_group(&mut out, group.table as usize, group.rows.len(), |out| {
-            codec.encode_rows_into(&rows, dim, &mut GradScratch::new(), out)
+        let t = group.table as usize;
+        let eb = codec.kind(t).error_bound();
+        write_payload_group(&mut out, t, group.rows.len(), |out| {
+            codec.encode(t, &rows, dim, eb, &mut GradScratch::new(), out)
         });
     }
     out
@@ -223,7 +227,7 @@ fn walk_requests(chunk: &[u8]) -> Result<Vec<(u32, u32)>, FrameError> {
 fn walk_payload(
     chunk: &[u8],
     keys: &[(u32, u32)],
-    codec: &GradCodec,
+    codec: &FetchCodecs,
     dim: usize,
 ) -> Result<usize, FrameError> {
     let (mut cursor, mut decoded) = (0, Vec::new());
@@ -231,8 +235,9 @@ fn walk_payload(
         let group = group?;
         let answered = answered(&group, keys, cursor)?;
         decoded.clear();
-        let ok = codec.decode_into(group.stream, &mut GradScratch::new(), &mut decoded);
-        if ok.is_err() || decoded.len() != answered.len() * dim {
+        let (t, n) = (group.table as usize, answered.len() * dim);
+        let ok = codec.decode(t, group.stream, n, &mut GradScratch::new(), &mut decoded);
+        if ok.is_err() || decoded.len() != n {
             return Err(FrameError::at(group.offset, "stream does not decode"));
         }
         cursor += answered.len();

@@ -5,7 +5,7 @@ use dlrm_adaptive::{CodecProfile, CompressionPlan, DecaySchedule, EbSchedule, Tr
 use dlrm_ckpt::CheckpointSpec;
 use dlrm_comm::{BandwidthTrace, FaultPlan, NetworkConfig, Topology, WorldEvent};
 use dlrm_compress::CompressorKind;
-use dlrm_grad::GradCodecKind;
+use dlrm_grad::{CodecBank, GradCodecKind};
 use serde::{Deserialize, Serialize};
 
 /// How (and whether) all-to-all payloads are compressed.
@@ -73,6 +73,49 @@ impl CompressionSetting {
     /// True if this setting inserts compression/decompression stages.
     pub fn is_compressed(&self) -> bool {
         !matches!(self, CompressionSetting::None)
+    }
+
+    /// The embedding exchange's codec per table of a `num_tables`-table
+    /// model: `None` the identity codec, the casts theirs, and the lossy
+    /// settings the error-bounded codec at each table's base bound.
+    ///
+    /// # Panics
+    /// Panics if an adaptive plan does not have `num_tables` tables.
+    pub fn codec_bank(&self, num_tables: usize) -> CodecBank {
+        let bounded = |compressor, error_bound| GradCodecKind::ErrorBounded {
+            compressor,
+            error_bound,
+        };
+        match self {
+            CompressionSetting::None => CodecBank::new(num_tables, GradCodecKind::Identity),
+            CompressionSetting::Fp16 => CodecBank::new(num_tables, GradCodecKind::Fp16),
+            CompressionSetting::Fp8 => CodecBank::new(num_tables, GradCodecKind::Fp8),
+            CompressionSetting::FixedLossy {
+                error_bound,
+                compressor,
+                ..
+            } => CodecBank::new(num_tables, bounded(*compressor, *error_bound)),
+            CompressionSetting::Adaptive(plan) => {
+                assert_eq!(
+                    plan.tables.len(),
+                    num_tables,
+                    "compression plan does not match the model's table count"
+                );
+                CodecBank::per_table(
+                    (plan.tables.iter()).map(|t| bounded(t.compressor, t.base_error_bound)),
+                )
+            }
+        }
+    }
+
+    /// The iteration-wise decay of the lossy settings' error bounds; `None`
+    /// for the settings without one.
+    pub fn schedule(&self) -> Option<EbSchedule> {
+        match self {
+            CompressionSetting::FixedLossy { schedule, .. } => Some(*schedule),
+            CompressionSetting::Adaptive(plan) => Some(plan.schedule),
+            _ => None,
+        }
     }
 }
 

@@ -7,16 +7,15 @@
 //! pipeline, with compression spliced around both all-to-alls.
 
 use crate::config::{
-    AdaptiveSetting, CompressionSetting, DenseCompression, OverlapSetting, TopologySetting,
-    TrainerConfig,
+    AdaptiveSetting, DenseCompression, OverlapSetting, TopologySetting, TrainerConfig,
 };
 use crate::partition::TablePartition;
 use dlrm_adaptive::controller::{
     probe_candidates, ControllerConfig, Reselection, RuntimeController, TableObservation,
     WindowShare, PROBE_ROWS,
 };
-use dlrm_adaptive::{advise_dense_allreduce, CodecProfile, DenseAdvice, EbSchedule};
-use dlrm_ckpt::{Checkpoint, CheckpointSpec, CkptCodec, RankCheckpoint};
+use dlrm_adaptive::{advise_dense_allreduce, CodecProfile, DenseAdvice};
+use dlrm_ckpt::{Checkpoint, CheckpointSpec, EncodedSection, RankCheckpoint};
 use dlrm_comm::cluster::{RankCtx, CHUNK_HEADER_BYTES, HIER_ENTRY_HEADER_BYTES};
 use dlrm_comm::frame::{
     payload_chunk_capacity, payload_groups, write_payload_group, write_varint, ChunkOrigin,
@@ -28,10 +27,9 @@ use dlrm_comm::reduce::{
 };
 use dlrm_comm::topology::{TieredCostModel, Topology};
 use dlrm_comm::{CostModel, OverlapTimeline, TimingLedger};
-use dlrm_compress::lowprec::{self, Precision};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
 use dlrm_data::{BatchFeed, DatasetConfig, DistinctRows, MiniBatch};
-use dlrm_grad::GradCompressor;
+use dlrm_grad::{CodecBank, GradCodec, GradCodecKind, GradCompressor, GradScratch};
 use dlrm_model::{Dlrm, DlrmConfig, EvalMetrics};
 use dlrm_obs::{ClockDomain, MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecorder};
 use dlrm_tensor::Matrix;
@@ -48,173 +46,6 @@ pub const WARMUP_ITERATIONS: usize = 2;
 /// [`dlrm_comm::phase`] (next to the stringly-keyed ledger they key); this
 /// alias keeps the trainer-side `pipeline::phases::*` spelling working.
 pub use dlrm_comm::phase as phases;
-
-/// The compression setting resolved to something the inner loop can use
-/// without matching on the config every time.
-pub enum ResolvedCompression {
-    /// Raw FP32 payloads.
-    Raw,
-    /// FP16/FP8 casting.
-    LowPrec(Precision),
-    /// Error-bounded lossy compression: per-table `(compressor, base error
-    /// bound)` plus the shared iteration-wise schedule.
-    Lossy {
-        /// Compressor and base error bound per table.
-        per_table: Vec<(Box<dyn Compressor>, f32)>,
-        /// Iteration-wise decay schedule.
-        schedule: EbSchedule,
-        /// Runtime multiplier on every table's scheduled bound, revised by
-        /// the closed-loop controller's loss-plateau signal. Stays exactly
-        /// `1.0` under [`AdaptiveSetting::Static`], where multiplying by it
-        /// is a bit-exact no-op.
-        eb_scale: f32,
-    },
-}
-
-impl ResolvedCompression {
-    /// Resolve a [`CompressionSetting`] for a model with `num_tables` tables.
-    pub fn from_setting(setting: &CompressionSetting, num_tables: usize) -> Self {
-        match setting {
-            CompressionSetting::None => ResolvedCompression::Raw,
-            CompressionSetting::Fp16 => ResolvedCompression::LowPrec(Precision::Fp16),
-            CompressionSetting::Fp8 => ResolvedCompression::LowPrec(Precision::Fp8E4M3),
-            CompressionSetting::FixedLossy {
-                error_bound,
-                compressor,
-                schedule,
-            } => ResolvedCompression::Lossy {
-                per_table: (0..num_tables)
-                    .map(|_| (compressor.build(), *error_bound))
-                    .collect(),
-                schedule: *schedule,
-                eb_scale: 1.0,
-            },
-            CompressionSetting::Adaptive(plan) => {
-                assert_eq!(
-                    plan.tables.len(),
-                    num_tables,
-                    "compression plan does not match the model's table count"
-                );
-                ResolvedCompression::Lossy {
-                    per_table: plan
-                        .tables
-                        .iter()
-                        .map(|t| (t.compressor.build(), t.base_error_bound))
-                        .collect(),
-                    schedule: plan.schedule,
-                    eb_scale: 1.0,
-                }
-            }
-        }
-    }
-
-    /// Allocation-free compression of one table's payload (a `rows x dim`
-    /// matrix, row-major): *appends* the stream to `out`, drawing
-    /// intermediates from `scratch`.
-    fn compress_into(
-        &self,
-        table: usize,
-        iter: usize,
-        data: &[f32],
-        dim: usize,
-        scratch: &mut CompressScratch,
-        out: &mut Vec<u8>,
-    ) {
-        match self {
-            ResolvedCompression::Raw => {
-                out.reserve(data.len() * 4);
-                for v in data {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            ResolvedCompression::LowPrec(p) => lowprec::compress_into(data, *p, out),
-            ResolvedCompression::Lossy {
-                per_table,
-                schedule,
-                eb_scale,
-            } => {
-                let (comp, base_eb) = &per_table[table];
-                let eb = schedule.error_bound_at(*base_eb, iter) * eb_scale;
-                comp.compress_into(data, dim, eb, scratch, out)
-                    .expect("lossy compression of finite training data cannot fail");
-            }
-        }
-    }
-
-    /// Allocation-free decompression of one table's payload: *appends* the
-    /// values to `out`. A stream that does not decode is an `Err`.
-    fn decompress_into(
-        &self,
-        table: usize,
-        bytes: &[u8],
-        scratch: &mut CompressScratch,
-        out: &mut Vec<f32>,
-    ) -> dlrm_compress::Result<()> {
-        match self {
-            ResolvedCompression::Raw => {
-                out.reserve(bytes.len() / 4);
-                out.extend(
-                    bytes
-                        .chunks_exact(4)
-                        .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk"))),
-                );
-                Ok(())
-            }
-            ResolvedCompression::LowPrec(_) => lowprec::decompress_into(bytes, out),
-            ResolvedCompression::Lossy { per_table, .. } => {
-                per_table[table].0.decompress_into(bytes, scratch, out)
-            }
-        }
-    }
-
-    /// True for the uncompressed (raw FP32) mode. The byte conversion the
-    /// simulator does in that mode stands in for NCCL sending the original
-    /// buffer directly, so its measured cost is not charged to the pipeline.
-    fn is_raw(&self) -> bool {
-        matches!(self, ResolvedCompression::Raw)
-    }
-
-    /// Registry kind of the codec `table` runs under this setting (`None`
-    /// for raw fp32) — what the per-codec analytic throughput profile and
-    /// the runtime controller key on.
-    pub fn kind_of(&self, table: usize) -> Option<CompressorKind> {
-        match self {
-            ResolvedCompression::Raw => None,
-            ResolvedCompression::LowPrec(Precision::Fp16) => Some(CompressorKind::Fp16),
-            ResolvedCompression::LowPrec(Precision::Fp8E4M3) => Some(CompressorKind::Fp8),
-            ResolvedCompression::Lossy { per_table, .. } => Some(per_table[table].0.kind()),
-        }
-    }
-
-    /// The effective error bound of `table` at `iter` (scheduled bound times
-    /// the runtime scale); 0 for non-lossy settings.
-    fn effective_eb(&self, table: usize, iter: usize) -> f32 {
-        match self {
-            ResolvedCompression::Lossy {
-                per_table,
-                schedule,
-                eb_scale,
-            } => schedule.error_bound_at(per_table[table].1, iter) * eb_scale,
-            _ => 0.0,
-        }
-    }
-
-    /// Swap `table`'s codec — how the runtime controller applies a
-    /// reselection. Only meaningful for the lossy setting (the controller is
-    /// only ever constructed over one).
-    fn set_compressor(&mut self, table: usize, comp: Box<dyn Compressor>) {
-        if let ResolvedCompression::Lossy { per_table, .. } = self {
-            per_table[table].0 = comp;
-        }
-    }
-
-    /// Set the runtime error-bound scale (no-op for non-lossy settings).
-    fn set_eb_scale(&mut self, scale: f32) {
-        if let ResolvedCompression::Lossy { eb_scale, .. } = self {
-            *eb_scale = scale;
-        }
-    }
-}
 
 /// Wall-clock stopwatch for the training loop: every elapsed instant is
 /// attributed to exactly one pipeline phase, so the per-phase wall seconds
@@ -618,7 +449,7 @@ pub struct RankOutcome {
 /// storage of lookup/gradient matrices.
 pub struct PipelineScratch {
     /// Codec scratch shared by every compress/decompress call on this rank.
-    pub compress: CompressScratch,
+    pub codec: GradScratch,
     /// Send-side lease container (drained by the collectives).
     pub send: Vec<PooledBuf>,
     /// Receive-side lease container.
@@ -646,7 +477,7 @@ impl PipelineScratch {
     /// Create an empty scratch for a rank of a `world`-sized cluster.
     pub fn new(world: usize) -> Self {
         Self {
-            compress: CompressScratch::new(),
+            codec: GradScratch::new(),
             send: Vec::with_capacity(world),
             recv: Vec::with_capacity(world),
             flat_grads: Vec::new(),
@@ -737,28 +568,6 @@ fn charge_codec(
     seconds
 }
 
-/// Per-block analytic codec seconds under a per-codec throughput profile:
-/// `bytes` over the profile throughput of the codec `table` runs (the
-/// compress side, or the decompress side with `decompress`). Zero without a
-/// profile or for raw payloads — callers sum this per block and pass the
-/// total as the `analytic` argument of [`charge_codec`] /
-/// [`chunk_codec_seconds`].
-fn block_profile_seconds(
-    profile: Option<&CodecProfile>,
-    resolved: &ResolvedCompression,
-    table: usize,
-    bytes: u64,
-    decompress: bool,
-) -> f64 {
-    match (profile, resolved.kind_of(table)) {
-        (Some(p), Some(kind)) => {
-            let (tc, td) = p.throughput(kind);
-            bytes as f64 / if decompress { td } else { tc }
-        }
-        _ => 0.0,
-    }
-}
-
 /// Settle one freshly compressed chunk lease before it is begin-sent.
 ///
 /// If the chunk outgrew the capacity leased at take time, the mid-fill `Vec`
@@ -821,47 +630,41 @@ fn charge_a2a(
 }
 
 /// Grow the codec scratch to the largest demand an exchange can make of it:
-/// encode and decode every table's full-shard `blocks[t]` under its own codec
-/// and under each runtime-controller candidate.
+/// encode and decode every table's full-shard `blocks[t]` at its bound
+/// `bounds[t]` under its own codec and under each runtime-controller
+/// candidate.
 ///
 /// Blocks of both directions carry however many distinct rows a batch has,
 /// so the warm-up batches need not have shown a codec the largest block it
 /// will see; a later batch with more distinct rows would then grow the
-/// scratch in the steady state. Raw and cast settings draw nothing from the
-/// scratch.
+/// scratch in the steady state.
 fn warm_codec_scratch(
-    resolved: &ResolvedCompression,
+    codecs: &CodecBank,
     candidates: &[Box<dyn Compressor>],
-    iter: usize,
+    bounds: &[f32],
     blocks: &[Matrix],
-    scratch: &mut CompressScratch,
+    scratch: &mut GradScratch,
 ) {
-    let ResolvedCompression::Lossy { per_table, .. } = resolved else {
-        return;
-    };
     let (mut bytes, mut values) = (Vec::new(), Vec::new());
     for (t, block) in blocks.iter().enumerate() {
-        let eb = resolved.effective_eb(t, iter);
-        for codec in std::iter::once(&per_table[t].0).chain(candidates) {
+        let (data, dim, eb) = (block.as_slice(), block.cols(), bounds[t]);
+        bytes.clear();
+        values.clear();
+        codecs.encode(t, data, dim, eb, scratch, &mut bytes);
+        codecs
+            .decode(t, &bytes, data.len(), scratch, &mut values)
+            .expect("a stream this codec just wrote decodes");
+        for codec in candidates {
             bytes.clear();
             values.clear();
             codec
-                .compress_into(block.as_slice(), block.cols(), eb, scratch, &mut bytes)
+                .compress_into(data, dim, eb, &mut scratch.compress, &mut bytes)
                 .expect("lossy compression of finite training data cannot fail");
             codec
-                .decompress_into(&bytes, scratch, &mut values)
+                .decompress_into(&bytes, &mut scratch.compress, &mut values)
                 .expect("a stream this codec just wrote decodes");
         }
     }
-}
-
-/// Worst-case compressed bytes of one block of `values` floats under any
-/// codec (≤ 3× the raw bytes plus stream headers). Send leases are sized to
-/// it so a chunk never grows its lease mid-fill — compressed sizes that
-/// fluctuate with the data would otherwise defeat the zero-allocation steady
-/// state.
-fn block_worst_bytes(values: usize) -> usize {
-    values * 12 + 708
 }
 
 /// Running marks for the per-phase allocation accounting.
@@ -907,7 +710,7 @@ impl<'a> Accounting<'a> {
             obs,
             marks: AllocMarks {
                 pool: ctx.pool().stats(),
-                compress_capacity: scratch.compress.capacity_bytes(),
+                compress_capacity: scratch.codec.capacity_bytes(),
                 float: scratch.float_counters(),
             },
             counting: false,
@@ -933,7 +736,7 @@ impl<'a> Accounting<'a> {
         let now = self.ctx.pool().stats();
         let pool_delta = now.since(&marks.pool);
         marks.pool = now;
-        let capacity_now = scratch.compress.capacity_bytes();
+        let capacity_now = scratch.codec.capacity_bytes();
         let scratch_growth = capacity_now.saturating_sub(marks.compress_capacity);
         marks.compress_capacity = capacity_now;
         let (fa, fr) = scratch.float_counters();
@@ -1011,11 +814,12 @@ impl<'a> Accounting<'a> {
     }
 }
 
-/// Checkpoint state of one segment: the codec, a flatten buffer, and the
-/// totals [`RankOutcome`] reports.
+/// Checkpoint state of one segment: the codec and its scratch, a flatten
+/// buffer, and the totals [`RankOutcome`] reports.
 #[derive(Default)]
 struct CheckpointWriter {
-    codec: Option<CkptCodec>,
+    codec: Option<GradCodec>,
+    scratch: GradScratch,
     flat: Vec<f32>,
     taken: usize,
     original_bytes: u64,
@@ -1043,26 +847,24 @@ impl CheckpointWriter {
         acct: &mut Accounting<'_>,
         scratch: &PipelineScratch,
     ) {
-        let codec = self.codec.as_mut().expect("codec built with the spec");
+        let codec = self.codec.as_ref().expect("codec built with the spec");
+        let codec_scratch = &mut self.scratch;
+        let mut encode =
+            |data: &[f32], row_width| EncodedSection::encode(codec, data, row_width, codec_scratch);
         let rank = acct.ctx.rank();
         let t0 = Instant::now();
         let mut part = RankCheckpoint::new(iteration, rank);
         if rank == 0 {
             self.flat.clear();
             model.flatten_mlp_params_into(&mut self.flat);
-            part.mlp = Some(codec.encode(&self.flat));
+            part.mlp = Some(encode(&self.flat, self.flat.len()));
         }
         for &t in owned {
             let w = model.embedding(t).weights();
-            part.push_table(
-                t,
-                w.rows(),
-                w.cols(),
-                codec.encode_rows(w.as_slice(), w.cols()),
-            );
+            part.push_table(t, w.rows(), w.cols(), encode(w.as_slice(), w.cols()));
         }
         if let Some(residual) = dense.and_then(GradCompressor::residual) {
-            part.residual = Some(codec.encode(residual));
+            part.residual = Some(encode(residual, residual.len()));
         }
         part.encode_seconds = t0.elapsed().as_secs_f64();
 
@@ -1093,8 +895,7 @@ impl CheckpointWriter {
 /// observation format ([`WindowShare`]) live in `dlrm-adaptive`; this
 /// wrapper owns the trainer's side: the window accumulators, probing the
 /// candidate codecs on live payloads and charging it, and applying each
-/// reselection (codec swaps and the error-bound scale) to the compression
-/// state.
+/// reselection's codec swaps to the codec bank.
 struct ControllerState {
     ctl: RuntimeController,
     /// Prebuilt candidate codecs, in controller-candidate order.
@@ -1121,11 +922,7 @@ struct ControllerState {
 impl ControllerState {
     /// The controller state `trainer` asks for; `None` under
     /// [`AdaptiveSetting::Static`].
-    fn new(
-        trainer: &TrainerConfig,
-        resolved: &ResolvedCompression,
-        num_tables: usize,
-    ) -> Option<Self> {
+    fn new(trainer: &TrainerConfig, codecs: &CodecBank, num_tables: usize) -> Option<Self> {
         let AdaptiveSetting::Runtime {
             window,
             hysteresis,
@@ -1135,10 +932,9 @@ impl ControllerState {
             return None;
         };
         let initial: Vec<CompressorKind> = (0..num_tables)
-            .map(|t| {
-                resolved
-                    .kind_of(t)
-                    .expect("validated: runtime adaptation requires a lossy setting")
+            .map(|t| match codecs.kind(t) {
+                GradCodecKind::ErrorBounded { compressor, .. } => *compressor,
+                _ => unreachable!("validated: runtime adaptation requires a lossy setting"),
             })
             .collect();
         let mut cfg = ControllerConfig::new(window, hysteresis)
@@ -1190,8 +986,8 @@ impl ControllerState {
     ) {
         let Exchange {
             ctx,
-            resolved,
-            iter,
+            codecs,
+            bounds,
             dim,
             profile,
             ..
@@ -1203,9 +999,9 @@ impl ControllerState {
         for (local_idx, &t) in owned.iter().enumerate() {
             let matrix = &lookup_matrices[local_idx * ctx.world() + ctx.rank()];
             let sample = &matrix.as_slice()[..matrix.len().min(PROBE_ROWS * dim)];
-            let eb = resolved.effective_eb(t, iter);
-            let mut buf = ctx.take_buf(block_worst_bytes(PROBE_ROWS * dim));
-            let ratios = probe_candidates(&self.candidates, sample, dim, eb, scratch, &mut buf);
+            let mut buf = ctx.take_buf(codecs.max_stream_bytes(t, PROBE_ROWS * dim));
+            let ratios =
+                probe_candidates(&self.candidates, sample, dim, bounds[t], scratch, &mut buf);
             self.probe_ratios.push(ratios);
             for codec in &self.candidates {
                 probed_bytes += (sample.len() * 4) as u64;
@@ -1227,9 +1023,9 @@ impl ControllerState {
     /// Close the window ending at `iter`: fill in this rank's share,
     /// all-gather every rank's, fold the identical
     /// [`WindowObservation`](dlrm_adaptive::WindowObservation) on every rank,
-    /// run the controller, apply its revisions to this rank's compression
-    /// state, and return them. The exchange is charged to the controller
-    /// phase.
+    /// run the controller, apply its codec switches to this rank's codec
+    /// bank (the error-bound scale is read off the controller), and return
+    /// them. The exchange is charged to the controller phase.
     #[allow(clippy::too_many_arguments)]
     fn window_boundary(
         &mut self,
@@ -1238,7 +1034,7 @@ impl ControllerState {
         iter: usize,
         owned: &[usize],
         fwd_traffic: &[(u64, u64)],
-        resolved: &mut ResolvedCompression,
+        codecs: &mut CodecBank,
         ledger: &mut TimingLedger,
         send: &mut Vec<PooledBuf>,
         recv: &mut Vec<PooledBuf>,
@@ -1306,9 +1102,8 @@ impl ControllerState {
         // hysteresis guard so the controller reacts within one window.
         let reselection = self.ctl.observe_degraded(&obs, degraded);
         for rev in &reselection.switches {
-            resolved.set_compressor(rev.table_id, rev.to.build());
+            codecs.set_compressor(rev.table_id, rev.to);
         }
-        resolved.set_eb_scale(self.ctl.eb_scale());
 
         // ── Roll the window state.
         self.share = WindowShare::default();
@@ -1410,8 +1205,10 @@ impl ShardIndices {
 #[derive(Clone, Copy)]
 struct Exchange<'a> {
     ctx: &'a RankCtx,
-    resolved: &'a ResolvedCompression,
-    iter: usize,
+    codecs: &'a CodecBank,
+    /// Each table's error bound this iteration: its scheduled base bound
+    /// times the controller's scale.
+    bounds: &'a [f32],
     dim: usize,
     profile: Option<&'a CodecProfile>,
     /// `(compress, decompress)` flat device-throughput override.
@@ -1452,12 +1249,14 @@ impl Exchange<'_> {
     {
         let Exchange {
             ctx,
-            resolved,
+            codecs,
+            bounds,
             dim,
             profile,
             cost,
             ..
         } = *self;
+        let raw = codecs.is_identity();
         let (rank, world) = (ctx.rank(), ctx.world());
         let [compress, a2a, decompress] = dir.phases;
         let flat = matches!(self.route, Route::Flat);
@@ -1476,7 +1275,7 @@ impl Exchange<'_> {
             let dst = if flat { (rank + step) % world } else { step };
             let t0 = Instant::now();
             let worst = payload_chunk_capacity(
-                (dir.blocks)(dst).map(|(_, _, rows)| block_worst_bytes(rows * dim)),
+                (dir.blocks)(dst).map(|(t, _, rows)| codecs.max_stream_bytes(t, rows * dim)),
             );
             let capacity = dir.hints[dst].max(header + worst);
             let mut buf = if flat {
@@ -1491,11 +1290,13 @@ impl Exchange<'_> {
             for (t, matrix, _) in (dir.blocks)(dst) {
                 let payload_len = write_payload_group(&mut buf, t, matrix.rows(), |out| {
                     let data = matrix.as_slice();
-                    resolved.compress_into(t, self.iter, data, dim, &mut scratch.compress, out)
+                    codecs.encode(t, data, dim, bounds[t], &mut scratch.codec, out)
                 });
                 let raw_bytes = (matrix.len() * 4) as u64;
                 chunk_original += raw_bytes;
-                chunk_profile_s += block_profile_seconds(profile, resolved, t, raw_bytes, false);
+                if let Some((encode_tput, _)) = profile.and_then(|p| codecs.throughput(t, p)) {
+                    chunk_profile_s += raw_bytes as f64 / encode_tput;
+                }
                 dir.traffic[t].0 += raw_bytes;
                 dir.traffic[t].1 += payload_len as u64;
             }
@@ -1503,7 +1304,7 @@ impl Exchange<'_> {
             lease_growth += grown;
             dir.hints[dst] = dir.hints[dst].max(buf.len());
             scratch.chunk_codec_s.push(chunk_codec_seconds(
-                resolved.is_raw(),
+                raw,
                 t0.elapsed().as_secs_f64(),
                 chunk_original,
                 self.device_throughput.map(|(c, _)| c),
@@ -1593,18 +1394,21 @@ impl Exchange<'_> {
                     fail("group rows differ from the receiver's index");
                 }
                 let mut values = scratch.take_floats(index.slots().len() * dim);
-                let decoded = resolved.decompress_into(
+                let decoded = codecs.decode(
                     table,
                     group.stream,
-                    &mut scratch.compress,
+                    rows * dim,
+                    &mut scratch.codec,
                     &mut values,
                 );
-                if decoded.is_err() || values.len() != rows * dim {
+                if decoded.is_err() {
                     fail("stream does not decode to rows × dim");
                 }
                 let raw_bytes = (values.len() * 4) as u64;
                 decompressed_bytes += raw_bytes;
-                profile_s += block_profile_seconds(profile, resolved, table, raw_bytes, true);
+                if let Some((_, decode_tput)) = profile.and_then(|p| codecs.throughput(table, p)) {
+                    profile_s += raw_bytes as f64 / decode_tput;
+                }
                 (dir.sink)(group.table, src as u32, Matrix::from_vec(rows, dim, values));
             }
             measured_s += t0.elapsed().as_secs_f64();
@@ -1614,7 +1418,7 @@ impl Exchange<'_> {
         let modeled_s = charge_codec(
             &mut acct.ledger,
             decompress,
-            if resolved.is_raw() { 0.0 } else { measured_s },
+            if raw { 0.0 } else { measured_s },
             decompressed_bytes,
             self.device_throughput.map(|(_, d)| d),
             profile.map(|_| profile_s),
@@ -1679,10 +1483,14 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     );
     let plan = trainer.fault.as_ref().map(|f| &f.plan);
 
-    let mut resolved = ResolvedCompression::from_setting(&trainer.compression, num_tables);
+    // The embedding exchange's codec per table, and each table's error
+    // bound of the current iteration.
+    let mut codecs = trainer.compression.codec_bank(num_tables);
+    let schedule = trainer.compression.schedule();
+    let mut bounds = vec![0.0f32; num_tables];
     let overlapped = matches!(trainer.overlap, OverlapSetting::DoubleBuffered);
     // Closed-loop runtime controller (None under the bit-exact Static path).
-    let mut controller = ControllerState::new(trainer, &resolved, num_tables);
+    let mut controller = ControllerState::new(trainer, &codecs, num_tables);
     // Hierarchical topology: the two-level collective replaces both
     // all-to-alls and every network phase is charged by the tiered model.
     // `None` (flat) takes exactly the topology-less code paths.
@@ -1755,19 +1563,24 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     // world). Sections are keyed by table id, so the restore works for any
     // partition of the surviving world.
     let mut checkpoints = CheckpointWriter {
-        codec: seg.checkpoint.as_ref().map(|s| CkptCodec::new(&s.codec)),
+        codec: seg.checkpoint.as_ref().map(|s| s.codec.build()),
         ..Default::default()
     };
     if let Some(ckpt) = seg.restore.as_deref() {
         let ckpt_flat = &mut checkpoints.flat;
-        let mut codec = CkptCodec::new(&ckpt.codec);
-        codec.decode_into(&ckpt.mlp, ckpt_flat);
+        let (codec, codec_scratch) = (ckpt.codec.build(), &mut checkpoints.scratch);
+        let mut decode =
+            |section: &EncodedSection, what: std::fmt::Arguments, out: &mut Vec<f32>| {
+                (section.decode_into(&codec, codec_scratch, out))
+                    .unwrap_or_else(|e| panic!("rank {rank}: checkpoint {what} section: {e}"))
+            };
+        decode(&ckpt.mlp, format_args!("MLP"), ckpt_flat);
         model.load_flat_mlp_params(ckpt_flat);
         for &t in &owned {
             let section = ckpt
                 .table(t)
                 .unwrap_or_else(|| panic!("checkpoint is missing table {t}"));
-            codec.decode_into(&section.section, ckpt_flat);
+            decode(&section.section, format_args!("table {t}"), ckpt_flat);
             let w = model.embedding_mut(t).weights_mut();
             assert_eq!(
                 (section.rows, section.cols),
@@ -1778,7 +1591,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         }
         if let Some(section) = ckpt.residual_for(rank) {
             if let Some(state) = dense.as_mut() {
-                codec.decode_into(section, ckpt_flat);
+                decode(section, format_args!("residual"), ckpt_flat);
                 state.load_residual(ckpt_flat);
             }
         }
@@ -1889,7 +1702,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     iter,
                     &owned,
                     &fwd_traffic,
-                    &mut resolved,
+                    &mut codecs,
                     &mut acct.ledger,
                     &mut scratch.send,
                     &mut scratch.recv,
@@ -1940,10 +1753,16 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // the two-level collective, flat the chunked pipeline (chunk k+1 is
         // compressed while chunk k is on the virtual wire). Overlap decides
         // whether the charge lets codec time hide wire time.
+        if let Some(schedule) = &schedule {
+            let scale = controller.as_ref().map_or(1.0, |c| c.ctl.eb_scale());
+            for (t, eb) in bounds.iter_mut().enumerate() {
+                *eb = schedule.error_bound_at(codecs.kind(t).error_bound(), iter) * scale;
+            }
+        }
         let exchange = Exchange {
             ctx,
-            resolved: &resolved,
-            iter,
+            codecs: &codecs,
+            bounds: &bounds,
             dim,
             profile,
             device_throughput: trainer.device_throughput,
@@ -2238,7 +2057,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     &exchange,
                     &owned,
                     &lookup_matrices,
-                    &mut scratch.compress,
+                    &mut scratch.codec.compress,
                     &mut acct.ledger,
                 );
                 acct.close(phases::CONTROLLER, &scratch, 0);
@@ -2249,11 +2068,11 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         if local + 1 == WARMUP_ITERATIONS {
             let candidates = controller.as_ref().map_or(&[][..], |s| &s.candidates[..]);
             warm_codec_scratch(
-                &resolved,
+                &codecs,
                 candidates,
-                iter,
+                &bounds,
                 &my_lookups,
-                &mut scratch.compress,
+                &mut scratch.codec,
             );
         }
 
@@ -2296,6 +2115,10 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 .map(|owner| partition.tables_of(owner).len())
                 .max()
                 .unwrap_or(0);
+            let widest_block = (0..num_tables)
+                .map(|t| codecs.max_stream_bytes(t, max_shard_batch * dim))
+                .max()
+                .unwrap_or(0);
             let payload_cap = fwd_hints
                 .iter()
                 .chain(bwd_hints.iter())
@@ -2304,10 +2127,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 .unwrap_or(64)
                 .max(
                     CHUNK_HEADER_BYTES
-                        + payload_chunk_capacity(std::iter::repeat_n(
-                            block_worst_bytes(max_shard_batch * dim),
-                            max_tables,
-                        )),
+                        + payload_chunk_capacity(std::iter::repeat_n(widest_block, max_tables)),
                 );
             let largest_shard = shard_range(scratch.flat_grads.len(), world, 0).len();
             let dense_cap = dense
@@ -2348,7 +2168,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             // Parking and warming the codec scratch are warm-up work;
             // exclude them from the steady counters.
             acct.marks.pool = ctx.pool().stats();
-            acct.marks.compress_capacity = scratch.compress.capacity_bytes();
+            acct.marks.compress_capacity = scratch.codec.capacity_bytes();
         }
 
         if let Some(o) = acct.obs.as_mut() {
@@ -2446,8 +2266,8 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CompressionSetting;
     use dlrm_comm::frame::read_varint;
-    use dlrm_compress::CompressorKind;
     use proptest::prelude::*;
 
     /// One payload chunk of raw-fp32 blocks, one value per row, written
@@ -2455,11 +2275,12 @@ mod tests {
     fn raw_chunk(blocks: &[(u32, Vec<f32>)]) -> Vec<u8> {
         let mut chunk = Vec::new();
         write_varint(&mut chunk, blocks.len());
-        let mut scratch = CompressScratch::new();
+        let codecs = CodecBank::new(300, GradCodecKind::Identity);
+        let mut scratch = GradScratch::new();
         for (table, data) in blocks {
             let t = *table as usize;
             write_payload_group(&mut chunk, t, data.len(), |out| {
-                ResolvedCompression::Raw.compress_into(t, 0, data, 1, &mut scratch, out)
+                codecs.encode(t, data, 1, 0.0, &mut scratch, out)
             });
         }
         chunk
@@ -2621,11 +2442,12 @@ mod tests {
 
     /// What `data` decodes to through `setting`'s codec for `table`.
     fn roundtrip(setting: &CompressionSetting, table: usize, data: &Matrix) -> Vec<f32> {
-        let resolved = ResolvedCompression::from_setting(setting, 2);
-        let (mut scratch, mut bytes, mut out) = (CompressScratch::new(), Vec::new(), Vec::new());
-        resolved.compress_into(table, 0, data.as_slice(), DIM, &mut scratch, &mut bytes);
-        resolved
-            .decompress_into(table, &bytes, &mut scratch, &mut out)
+        let codecs = setting.codec_bank(2);
+        let eb = codecs.kind(table).error_bound();
+        let (mut scratch, mut bytes, mut out) = (GradScratch::new(), Vec::new(), Vec::new());
+        codecs.encode(table, data.as_slice(), DIM, eb, &mut scratch, &mut bytes);
+        codecs
+            .decode(table, &bytes, data.len(), &mut scratch, &mut out)
             .expect("a stream this codec just wrote decodes");
         out
     }
@@ -2644,14 +2466,15 @@ mod tests {
         blocks: &'m [(usize, Matrix)],
         index: impl Fn(usize, usize) -> Option<&'m DistinctRows>,
     ) -> Vec<(u32, u32, Matrix)> {
-        let resolved = ResolvedCompression::from_setting(setting, 2);
+        let codecs = setting.codec_bank(2);
+        let bounds: Vec<f32> = (0..2).map(|t| codecs.kind(t).error_bound()).collect();
         let mut scratch = PipelineScratch::new(2);
         let mut acct = Accounting::new(ctx, &scratch, TimingLedger::new(), None);
         let cost = ctx.cost_model();
         let exchange = Exchange {
             ctx,
-            resolved: &resolved,
-            iter: 0,
+            codecs: &codecs,
+            bounds: &bounds,
             dim: DIM,
             profile: None,
             device_throughput: None,
@@ -2898,6 +2721,38 @@ mod tests {
 
     #[test]
     #[should_panic(
+        expected = "rank 0: malformed fwd all-to-all from rank 1: stream does not decode to rows × dim at offset 1"
+    )]
+    fn a_raw_block_with_trailing_bytes_panics() {
+        use dlrm_comm::{NetworkConfig, SimCluster};
+        SimCluster::new(2, NetworkConfig::infinite()).run(|ctx| {
+            let index = indexed(&[0, 1, 2]);
+            if ctx.rank() == 0 {
+                let block = Matrix::from_fn(3, DIM, |r, c| (r * DIM + c) as f32);
+                let blocks = [(0, block.clone()), (0, block)];
+                two_rank_exchange(&ctx, &CompressionSetting::None, &blocks, |_, _| {
+                    Some(&index)
+                });
+                return;
+            }
+            // Rank 1's raw block of table 1 runs two bytes past its 3 × DIM
+            // values.
+            let mut send: Vec<PooledBuf> = (0..2)
+                .map(|_| {
+                    let mut chunk = ctx.take_chunk_buf(0);
+                    write_varint(&mut chunk, 1);
+                    write_payload_group(&mut chunk, 1, 3, |out| {
+                        out.resize(out.len() + 3 * DIM * 4 + 2, 0)
+                    });
+                    chunk
+                })
+                .collect();
+            ctx.all_to_all_chunked(&mut send, &mut Vec::new(), &[0, 0], &mut Vec::new());
+        });
+    }
+
+    #[test]
+    #[should_panic(
         expected = "rank 0: malformed fwd all-to-all from rank 1: a table the receiver does not expect at offset 1"
     )]
     fn a_block_of_an_unexpected_table_panics() {
@@ -2905,29 +2760,32 @@ mod tests {
     }
 
     #[test]
-    fn resolved_compression_roundtrips_each_mode() {
-        let data: Vec<f32> = (0..64).map(|i| (i as f32 * 0.1).sin() * 0.3).collect();
-        let roundtrip = |c: &ResolvedCompression, table: usize, iter: usize| {
-            let mut scratch = CompressScratch::new();
-            let (mut bytes, mut out) = (Vec::new(), Vec::new());
-            c.compress_into(table, iter, &data, 8, &mut scratch, &mut bytes);
-            c.decompress_into(table, &bytes, &mut scratch, &mut out)
-                .expect("a stream this codec just wrote decodes");
-            out
-        };
-        assert_eq!(roundtrip(&ResolvedCompression::Raw, 0, 0), data);
-
-        let out = roundtrip(&ResolvedCompression::LowPrec(Precision::Fp16), 0, 0);
-        for (a, b) in data.iter().zip(out.iter()) {
-            assert!((a - b).abs() < 1e-3);
-        }
-
-        let lossy = ResolvedCompression::from_setting(
-            &CompressionSetting::fixed(0.01, CompressorKind::OursHybrid),
-            3,
-        );
-        for (a, b) in data.iter().zip(roundtrip(&lossy, 2, 5).iter()) {
-            assert!((a - b).abs() <= 0.0101);
+    fn compression_settings_roundtrip_through_the_codec_bank() {
+        let data = Matrix::from_fn(8, DIM, |r, c| ((r * DIM + c) as f32 * 0.1).sin() * 0.3);
+        let lossy = CompressionSetting::fixed(0.01, CompressorKind::OursHybrid);
+        for (setting, kind, tolerance) in [
+            (CompressionSetting::None, GradCodecKind::Identity, 0.0),
+            (CompressionSetting::Fp16, GradCodecKind::Fp16, 1e-3),
+            (CompressionSetting::Fp8, GradCodecKind::Fp8, 0.02),
+            (
+                lossy,
+                GradCodecKind::ErrorBounded {
+                    compressor: CompressorKind::OursHybrid,
+                    error_bound: 0.01,
+                },
+                0.0101,
+            ),
+        ] {
+            let codecs = setting.codec_bank(2);
+            assert_eq!(codecs.kind(1), &kind);
+            assert_eq!(codecs.is_identity(), kind == GradCodecKind::Identity);
+            for (a, b) in data.as_slice().iter().zip(&roundtrip(&setting, 1, &data)) {
+                assert!(
+                    (a - b).abs() <= tolerance,
+                    "{}: {a} vs {b}",
+                    setting.label()
+                );
+            }
         }
     }
 
