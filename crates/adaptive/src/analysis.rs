@@ -10,7 +10,7 @@ use crate::classify::{EbClass, EbConfig, Thresholds};
 use crate::controller::CodecProfile;
 use crate::decay::EbSchedule;
 use crate::homo::{pattern_counts, HomoReport};
-use crate::speedup::{estimate_speedup, SpeedupInputs};
+use crate::speedup::{estimate_speedup, Dataflow, SpeedupInputs};
 use dlrm_compress::CompressorKind;
 use serde::{Deserialize, Serialize};
 
@@ -120,13 +120,16 @@ pub fn analyze_tables(
         for kind in CANDIDATES {
             let compressed = kind.build().compress(sample, dim, base_eb)?;
             let (compress_throughput, decompress_throughput) = profile.throughput(kind);
-            let speedup = estimate_speedup(SpeedupInputs {
-                ratio: std::mem::size_of_val(sample.as_slice()) as f64
-                    / compressed.len().max(1) as f64,
-                compress_throughput,
-                decompress_throughput,
-                bandwidth,
-            });
+            let speedup = estimate_speedup(
+                SpeedupInputs {
+                    ratio: std::mem::size_of_val(sample.as_slice()) as f64
+                        / compressed.len().max(1) as f64,
+                    compress_throughput,
+                    decompress_throughput,
+                    bandwidth,
+                },
+                Dataflow::AllToAll { overlapped: false },
+            );
             if best.is_none_or(|(_, s)| speedup > s) {
                 best = Some((kind, speedup));
             }

@@ -72,81 +72,9 @@
 //! assert_eq!(ctl.log().len(), 2);
 //! ```
 
-use crate::speedup::{estimate_allreduce_speedup_auto, estimate_speedup_with, SpeedupInputs};
+use crate::speedup::{estimate_speedup, Dataflow, SpeedupInputs};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
 use serde::{Deserialize, Serialize};
-
-/// One dense-path all-reduce codec candidate for
-/// [`advise_dense_allreduce`]: a label plus the Equation-2 inputs, with an
-/// optional compressed-domain combine throughput for homomorphic codecs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DenseCandidate {
-    /// Display label (matches `GradCodecKind::label()` in `dlrm-grad`).
-    pub label: String,
-    /// Compression ratio on a fresh sample of the live gradient.
-    pub ratio: f64,
-    /// Compression throughput, bytes/s.
-    pub compress_throughput: f64,
-    /// Decompression throughput, bytes/s.
-    pub decompress_throughput: f64,
-    /// Compressed-domain combine throughput (bytes of encoded payload
-    /// folded per second) — `Some` only for homomorphic codecs, which are
-    /// then ranked with the homomorphic Equation-2 variant.
-    #[serde(default)]
-    pub combine_throughput: Option<f64>,
-}
-
-/// The winning dense all-reduce candidate and its estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DenseAdvice {
-    /// Label of the winning candidate.
-    pub label: String,
-    /// Its Equation-2 all-reduce estimate at the observed bandwidth.
-    pub estimated_speedup: f64,
-    /// Whether the winner rides the homomorphic combine path.
-    pub homomorphic: bool,
-}
-
-/// Rank dense-gradient all-reduce candidates at an observed bandwidth:
-/// homomorphic candidates (those advertising a combine throughput) are
-/// scored with
-/// [`estimate_homomorphic_allreduce_speedup`](crate::speedup::estimate_homomorphic_allreduce_speedup)
-/// — no second decode term, a combine term instead — and the rest with the
-/// classic [`estimate_allreduce_speedup`](crate::speedup::estimate_allreduce_speedup),
-/// so a homomorphic codec wins exactly when its eliminated re-encode cycles
-/// outweigh its ratio penalty. Pure and deterministic (safe to evaluate
-/// independently on every rank of an SPMD trainer against identical
-/// post-all-reduce data). Returns `None` on an empty candidate list.
-pub fn advise_dense_allreduce(
-    candidates: &[DenseCandidate],
-    bandwidth: f64,
-    world: usize,
-) -> Option<DenseAdvice> {
-    candidates
-        .iter()
-        .map(|c| {
-            let s = estimate_allreduce_speedup_auto(
-                SpeedupInputs {
-                    ratio: c.ratio.max(1e-6),
-                    compress_throughput: c.compress_throughput,
-                    decompress_throughput: c.decompress_throughput,
-                    bandwidth: bandwidth.max(1.0),
-                },
-                c.combine_throughput,
-                world,
-            );
-            DenseAdvice {
-                label: c.label.clone(),
-                estimated_speedup: s,
-                homomorphic: c.combine_throughput.is_some(),
-            }
-        })
-        .max_by(|a, b| {
-            a.estimated_speedup
-                .partial_cmp(&b.estimated_speedup)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-}
 
 /// Reference `(compress, decompress)` throughputs per codec, in bytes/s —
 /// the deterministic stand-in for "measured codec throughput" that keeps
@@ -724,14 +652,16 @@ impl RuntimeController {
     /// under this controller's profile, calibration and overlap mode.
     fn speedup(&self, ratio: f64, kind: CompressorKind, bandwidth: f64, calibration: f64) -> f64 {
         let (tc, td) = self.config.profile.throughput(kind);
-        estimate_speedup_with(
+        estimate_speedup(
             SpeedupInputs {
                 ratio: ratio.max(1e-6),
                 compress_throughput: tc * calibration,
                 decompress_throughput: td * calibration,
                 bandwidth: bandwidth.max(1.0),
             },
-            self.config.overlapped,
+            Dataflow::AllToAll {
+                overlapped: self.config.overlapped,
+            },
         )
     }
 
@@ -1213,36 +1143,6 @@ mod tests {
         let mut o2 = o.clone();
         o2.measured_compress_throughput = 0.0;
         assert_eq!(uncalibrated.observe(&o2).switches.len(), 1);
-    }
-
-    #[test]
-    fn dense_advice_weighs_combine_cycles_against_ratio() {
-        let classic = |ratio: f64| DenseCandidate {
-            label: format!("classic-{ratio}"),
-            ratio,
-            compress_throughput: 150e9,
-            decompress_throughput: 180e9,
-            combine_throughput: None,
-        };
-        let homo = |ratio: f64, tm: f64| DenseCandidate {
-            label: format!("homo-{ratio}"),
-            ratio,
-            compress_throughput: 150e9,
-            decompress_throughput: 180e9,
-            combine_throughput: Some(tm),
-        };
-        // Equal ratio: the homomorphic candidate's skipped decode pass wins.
-        let a = advise_dense_allreduce(&[classic(2.0), homo(2.0, 250e9)], 8e9, 8).unwrap();
-        assert!(a.homomorphic, "{a:?}");
-        // A much better classic ratio overcomes the combine advantage.
-        let b = advise_dense_allreduce(&[classic(16.0), homo(2.0, 250e9)], 8e9, 8).unwrap();
-        assert!(!b.homomorphic, "{b:?}");
-        // Deterministic, and empty input yields no advice.
-        assert_eq!(
-            advise_dense_allreduce(&[classic(2.0), homo(2.0, 250e9)], 8e9, 8),
-            advise_dense_allreduce(&[classic(2.0), homo(2.0, 250e9)], 8e9, 8)
-        );
-        assert!(advise_dense_allreduce(&[], 8e9, 8).is_none());
     }
 
     #[test]

@@ -19,15 +19,14 @@
 //!   traffic.
 //! * **Compressor selection** ([`speedup`]): Equation 2 of the paper converts
 //!   a compressor's ratio and throughput plus the network bandwidth into an
-//!   expected all-to-all speedup; the offline analysis uses it to pick the
-//!   best encoder per table ([`analysis`], Algorithm 2). The same model has
-//!   an allreduce-aware variant
-//!   ([`speedup::estimate_allreduce_speedup`]) for the dense-gradient
-//!   reduce-scatter + all-gather, so dense codec selection works like table
-//!   selection does — and a **homomorphic** variant
-//!   ([`speedup::estimate_homomorphic_allreduce_speedup`]) that drops one of
-//!   the two decode terms and charges a compressed-domain combine term
-//!   instead, for codecs whose encoded shards add without decoding.
+//!   expected speedup; the offline analysis uses it to pick the best encoder
+//!   per table ([`analysis`], Algorithm 2). One estimator,
+//!   [`speedup::estimate_speedup`], serves every selection: a
+//!   [`speedup::Dataflow`] names the exchange it models — the all-to-all,
+//!   sequential or overlapped, or the dense-gradient all-reduce over `world`
+//!   ranks, where a **homomorphic** codec's compressed-domain combine
+//!   replaces one of the two decode terms — so dense codec selection
+//!   (`dlrm_grad::DenseAdvice`) ranks like table selection does.
 
 pub mod analysis;
 pub mod classify;
@@ -39,13 +38,10 @@ pub mod speedup;
 pub use analysis::{analyze_tables, CompressionPlan, TablePlan};
 pub use classify::{EbClass, EbConfig, Thresholds};
 pub use controller::{
-    advise_dense_allreduce, probe_candidates, CodecProfile, ControllerConfig, DenseAdvice,
-    DenseCandidate, PlateauEbControl, Reselection, RuntimeController, ShareError, TableObservation,
-    TableRevision, TierAdvice, WindowObservation, WindowShare, PROBE_ROWS,
+    probe_candidates, CodecProfile, ControllerConfig, PlateauEbControl, Reselection,
+    RuntimeController, ShareError, TableObservation, TableRevision, TierAdvice, WindowObservation,
+    WindowShare, PROBE_ROWS,
 };
 pub use decay::{DecaySchedule, EbSchedule, TrainingPhases};
 pub use homo::{homogenization_index, pattern_counts, HomoReport};
-pub use speedup::{
-    estimate_allreduce_speedup, estimate_allreduce_speedup_auto,
-    estimate_homomorphic_allreduce_speedup, estimate_speedup, select_compressor, SpeedupInputs,
-};
+pub use speedup::{estimate_speedup, Dataflow, SpeedupInputs};

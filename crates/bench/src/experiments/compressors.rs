@@ -4,7 +4,8 @@
 use super::ExpOptions;
 use crate::format::{f2, ratio, TextTable};
 use crate::workloads::{self, Scale, PAPER_BANDWIDTH};
-use dlrm_adaptive::{homo, speedup};
+use dlrm_adaptive::homo;
+use dlrm_adaptive::speedup::{estimate_speedup, Dataflow, SpeedupInputs};
 use dlrm_compress::registry::HybridCompressor;
 use dlrm_compress::vlz::{self, VlzConfig};
 use dlrm_compress::{measure_roundtrip, CompressionReport, Compressor, CompressorKind};
@@ -53,6 +54,9 @@ fn aggregate_over_tables(
     }
 }
 
+/// The plain (non-overlapped) all-to-all the figures' estimates assume.
+const SEQUENTIAL_A2A: Dataflow = Dataflow::AllToAll { overlapped: false };
+
 /// Figure 11: average compression ratio, throughput and estimated all-to-all
 /// speedup of every compressor on both presets (batch 128 / 2048, B = 4 GB/s).
 pub fn fig11(opts: &ExpOptions) -> String {
@@ -73,9 +77,9 @@ pub fn fig11(opts: &ExpOptions) -> String {
         for &kind in CompressorKind::all() {
             let comp = kind.build();
             let report = aggregate_over_tables(comp.as_ref(), &samples, dim, 0.01);
-            let inputs = speedup::SpeedupInputs::from_report(&report, PAPER_BANDWIDTH);
-            let est = speedup::estimate_speedup(inputs);
-            let est_overlapped = speedup::estimate_overlapped_speedup(inputs);
+            let inputs = SpeedupInputs::from_report(&report, PAPER_BANDWIDTH);
+            let est = estimate_speedup(inputs, SEQUENTIAL_A2A);
+            let est_overlapped = estimate_speedup(inputs, Dataflow::AllToAll { overlapped: true });
             table.row(vec![
                 kind.label().to_string(),
                 ratio(report.ratio),
@@ -338,21 +342,18 @@ pub fn abl3(opts: &ExpOptions) -> String {
             (
                 "selected per table",
                 Box::new(move |sample: &Vec<f32>| {
-                    let reports: Vec<(CompressorKind, CompressionReport)> =
-                        [CompressorKind::OursVector, CompressorKind::OursHuffman]
-                            .iter()
-                            .map(|&k| {
-                                let comp = k.build();
-                                (
-                                    k,
-                                    measure_roundtrip(comp.as_ref(), sample, dim, 0.01)
-                                        .expect("rt"),
-                                )
-                            })
-                            .collect();
-                    speedup::select_compressor(&reports, PAPER_BANDWIDTH)
-                        .map(|(k, _)| k)
-                        .unwrap_or(CompressorKind::OursHuffman)
+                    [CompressorKind::OursVector, CompressorKind::OursHuffman]
+                        .iter()
+                        .map(|&k| {
+                            let comp = k.build();
+                            let report =
+                                measure_roundtrip(comp.as_ref(), sample, dim, 0.01).expect("rt");
+                            let inputs = SpeedupInputs::from_report(&report, PAPER_BANDWIDTH);
+                            (k, estimate_speedup(inputs, SEQUENTIAL_A2A))
+                        })
+                        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                        .expect("two candidates")
+                        .0
                 }),
             ),
         ];
@@ -372,12 +373,15 @@ pub fn abl3(opts: &ExpOptions) -> String {
                 decomp_s += r.decompress_seconds;
             }
             let cr = orig as f64 / comp_bytes.max(1) as f64;
-            let est = speedup::estimate_speedup(speedup::SpeedupInputs {
-                ratio: cr,
-                compress_throughput: orig as f64 / comp_s.max(1e-9),
-                decompress_throughput: orig as f64 / decomp_s.max(1e-9),
-                bandwidth: PAPER_BANDWIDTH,
-            });
+            let est = estimate_speedup(
+                SpeedupInputs {
+                    ratio: cr,
+                    compress_throughput: orig as f64 / comp_s.max(1e-9),
+                    decompress_throughput: orig as f64 / decomp_s.max(1e-9),
+                    bandwidth: PAPER_BANDWIDTH,
+                },
+                SEQUENTIAL_A2A,
+            );
             table.row(vec![name.to_string(), f2(cr), ratio(est)]);
         }
         out.push_str(&format!("dataset: {}\n{}\n", dataset.name, table.render()));

@@ -93,18 +93,10 @@ impl CodecBank {
     }
 
     /// Modeled `(encode, decode)` throughput in bytes/s of table `t`'s
-    /// codec under `profile`; `None` for the identity codec, whose raw
-    /// bytes ride the wire charge and are charged no codec time.
+    /// codec under `profile` ([`GradCodecKind::price`]); `None` for the
+    /// identity codec.
     pub fn throughput(&self, t: usize, profile: &CodecProfile) -> Option<(f64, f64)> {
-        Some(match self.kind(t) {
-            GradCodecKind::Identity => return None,
-            GradCodecKind::Fp16 => profile.throughput(CompressorKind::Fp16),
-            GradCodecKind::Fp8 => profile.throughput(CompressorKind::Fp8),
-            GradCodecKind::ErrorBounded { compressor, .. } => profile.throughput(*compressor),
-            // Shared-scale quantization with no entropy stage.
-            GradCodecKind::Lattice { .. } => (150e9, 200e9),
-            GradCodecKind::SumSketch => (120e9, 160e9),
-            GradCodecKind::TopK { .. } => (40e9, 200e9),
-        })
+        let (encode, decode, _) = self.kind(t).price(profile)?;
+        Some((encode, decode))
     }
 }

@@ -27,6 +27,7 @@
 //! return a [`ReduceError`] on truncated, overlong or corrupted input.
 
 use crate::homomorphic;
+use dlrm_adaptive::CodecProfile;
 use dlrm_comm::ReduceError;
 use dlrm_compress::lowprec::{self, Precision};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
@@ -105,6 +106,34 @@ impl GradCodecKind {
             | GradCodecKind::Lattice { error_bound } => *error_bound,
             _ => 0.0,
         }
+    }
+
+    /// The one price of this kind under `profile`: modeled `(encode,
+    /// decode, combine)` throughputs in bytes/s — what the embedding
+    /// exchange and serving's fetch charge for codec time, what the dense
+    /// selector ranks by and what the trainer charges a compressed-domain
+    /// combine at. `combine` is `Some` for the homomorphic kinds only. The
+    /// casts and the error-bounded codecs take the profile's figures; the
+    /// gradient codecs carry their own. `None` for the identity codec, whose
+    /// raw bytes ride the wire charge and are charged no codec time.
+    pub fn price(&self, profile: &CodecProfile) -> Option<(f64, f64, Option<f64>)> {
+        let profiled = |kind| {
+            let (encode, decode) = profile.throughput(kind);
+            (encode, decode, None)
+        };
+        Some(match self {
+            GradCodecKind::Identity => return None,
+            GradCodecKind::Fp16 => profiled(CompressorKind::Fp16),
+            GradCodecKind::Fp8 => profiled(CompressorKind::Fp8),
+            GradCodecKind::ErrorBounded { compressor, .. } => profiled(*compressor),
+            // Shared-scale quantization with no entropy stage; saturating
+            // i16 adds combine at near-memcpy speed.
+            GradCodecKind::Lattice { .. } => (150e9, 200e9, Some(250e9)),
+            // A scan with a branch per element; merges branch per entry.
+            GradCodecKind::SumSketch => (120e9, 160e9, Some(120e9)),
+            // A selection pass.
+            GradCodecKind::TopK { .. } => (40e9, 200e9, None),
+        })
     }
 
     /// Build the runnable codec.

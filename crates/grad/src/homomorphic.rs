@@ -134,7 +134,7 @@ pub(crate) fn lattice_decode(
 /// full payloads (step + codes) of `n`-element shards.
 pub(crate) fn lattice_combine(acc: &mut [u8], other: &[u8], n: usize) -> Result<(), ReduceError> {
     let needed = 4 + n * 2;
-    for (payload, what) in [(&acc[..], "accumulator"), (other, "contribution")] {
+    for payload in [&acc[..], other] {
         if payload.len() != needed {
             return Err(if payload.len() < needed {
                 ReduceError::Truncated {
@@ -145,7 +145,6 @@ pub(crate) fn lattice_combine(acc: &mut [u8], other: &[u8], n: usize) -> Result<
                 ReduceError::Corrupt("lattice payload longer than declared")
             });
         }
-        let _ = what;
     }
     if acc[0..4] != other[0..4] {
         // Shared-scale check: both sides must sit on the same lattice.

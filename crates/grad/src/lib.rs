@@ -41,9 +41,10 @@
 //!   [`all_reduce_compressed`](dlrm_comm::cluster::RankCtx::all_reduce_compressed):
 //!   the residual is rebuilt *inside* `encode_into`, from the same bytes the
 //!   collective sends;
-//! * [`GradStats`] / [`select_grad_codec`] —
-//!   per-layer gradient statistics feeding codec selection through the
-//!   allreduce-aware Equation-2 estimate in `dlrm-adaptive`.
+//! * [`GradStats`] / [`advise_dense`] — per-layer gradient statistics
+//!   feeding dense codec selection through Equation 2's all-reduce arm in
+//!   `dlrm-adaptive`, at each kind's one price ([`GradCodecKind::price`],
+//!   which the bank charges too).
 
 pub mod bank;
 pub mod codec;
@@ -55,9 +56,7 @@ pub use bank::CodecBank;
 pub use codec::{GradCodec, GradCodecKind, GradScratch};
 pub use dlrm_comm::ReduceError;
 pub use ef::ErrorFeedback;
-pub use stats::{
-    dense_candidates, nominal_combine_throughput, per_layer_stats, select_grad_codec, GradStats,
-};
+pub use stats::{advise_dense, per_layer_stats, select_grad_codec, DenseAdvice, GradStats};
 
 use dlrm_comm::ReduceCodec;
 

@@ -4,13 +4,13 @@
 //! look like: near-sparse gradients (most elements ~0, as late-training MLP
 //! layers produce) favour top-k sparsification, dense smooth gradients
 //! favour a cheap cast or an error-bounded codec. [`GradStats`] measures the
-//! relevant features per layer; [`select_grad_codec`] turns them into a
-//! [`GradCodecKind`] by ranking the candidates with the allreduce-aware
-//! Equation-2 estimate from `dlrm-adaptive` — the dense-path mirror of the
-//! paper's per-table compressor selection.
+//! relevant features per layer; [`advise_dense`] ranks the candidate kinds
+//! by Equation 2's all-reduce arm (`dlrm_adaptive::estimate_speedup`) at
+//! each kind's one price ([`GradCodecKind::price`]) — the dense-path mirror
+//! of the paper's per-table compressor selection.
 
 use crate::codec::GradCodecKind;
-use dlrm_adaptive::{estimate_allreduce_speedup_auto, SpeedupInputs};
+use dlrm_adaptive::{estimate_speedup, CodecProfile, Dataflow, SpeedupInputs};
 use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one gradient slice (a layer, or the whole flat
@@ -83,35 +83,6 @@ pub fn per_layer_stats(flat: &[f32], layer_lens: &[usize]) -> Vec<GradStats> {
     out
 }
 
-/// Nominal codec throughputs `(compress, decompress)` in bytes/s used by the
-/// selection model: casts are memory-bound, top-k is a selection pass,
-/// error-bounded codecs run the full quantize+entropy pipeline. These are
-/// GPU-class figures in the spirit of the paper's Table V.
-fn nominal_throughput(kind: &GradCodecKind) -> (f64, f64) {
-    match kind {
-        GradCodecKind::Identity => (1e15, 1e15),
-        GradCodecKind::Fp16 | GradCodecKind::Fp8 => (200e9, 200e9),
-        GradCodecKind::ErrorBounded { .. } => (40e9, 100e9),
-        GradCodecKind::TopK { .. } => (80e9, 150e9),
-        // Lattice quantization is a cast plus a round; the sketch is a scan
-        // with a branch per element.
-        GradCodecKind::Lattice { .. } => (150e9, 180e9),
-        GradCodecKind::SumSketch => (100e9, 140e9),
-    }
-}
-
-/// Nominal compressed-domain combine throughput (bytes of encoded payload
-/// folded per second) of the homomorphic kinds — `None` for codecs that
-/// cannot combine. Saturating i16 lattice adds stream at near-memcpy speed;
-/// sketch merges branch per entry.
-pub fn nominal_combine_throughput(kind: &GradCodecKind) -> Option<f64> {
-    match kind {
-        GradCodecKind::Lattice { .. } => Some(250e9),
-        GradCodecKind::SumSketch => Some(120e9),
-        _ => None,
-    }
-}
-
 /// Expected wire compression ratio of a codec on gradients with the given
 /// statistics.
 fn expected_ratio(kind: &GradCodecKind, stats: &GradStats) -> f64 {
@@ -136,47 +107,40 @@ fn expected_ratio(kind: &GradCodecKind, stats: &GradStats) -> f64 {
     }
 }
 
-/// Pick a dense-gradient codec from measured statistics, the all-reduce
-/// bandwidth (bytes/s) and the world size — the dense-path analogue of the
-/// paper's Algorithm-2 table selection, ranked by
-/// [`dlrm_adaptive::estimate_allreduce_speedup`].
-///
-/// Candidates: fp16 and fp8 casts plus the homomorphic lattice (at a
-/// gradient-scaled error bound) and sum sketch always; top-k (keeping
-/// roughly the non-near-zero fraction, floored at 5%) when the gradients
-/// are at least half near-zero. Homomorphic candidates are ranked with the
-/// combine-aware Equation-2 variant
-/// ([`dlrm_adaptive::estimate_homomorphic_allreduce_speedup`]), so they win
-/// exactly when the eliminated owner-shard re-encode cycles beat their
-/// ratio penalty. Falls back to [`GradCodecKind::Identity`] when no
-/// candidate is estimated to beat the uncompressed exchange.
-pub fn select_grad_codec(stats: &GradStats, bandwidth: f64, world: usize) -> GradCodecKind {
-    let mut best = GradCodecKind::Identity;
-    let candidates = candidate_kinds(stats);
-    let mut best_speedup = 1.0f64;
-    for kind in candidates {
-        let (tc, td) = nominal_throughput(&kind);
-        let inputs = SpeedupInputs {
-            ratio: expected_ratio(&kind, stats),
-            compress_throughput: tc,
-            decompress_throughput: td,
-            bandwidth,
-        };
-        let s = estimate_allreduce_speedup_auto(inputs, nominal_combine_throughput(&kind), world);
-        if s > best_speedup {
-            best_speedup = s;
-            best = kind;
-        }
-    }
-    best
+/// The dense all-reduce codec Equation 2 ranks best for a gradient, and its
+/// estimate — what a training report carries.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DenseAdvice {
+    /// Label of the winning candidate ([`GradCodecKind::label`]).
+    pub label: String,
+    /// Its Equation-2 all-reduce estimate at the given bandwidth.
+    pub estimated_speedup: f64,
+    /// Whether the winner rides the homomorphic combine path.
+    pub homomorphic: bool,
 }
 
-/// The candidate pool [`select_grad_codec`] ranks: fp16 and fp8 casts plus
-/// the homomorphic lattice (at a gradient-scaled error bound — ~0.1% of
-/// max |v| keeps quantization noise well under SGD noise while the i16
-/// range comfortably covers the world-size sum) and the sum sketch always;
-/// top-k when the gradients are at least half near-zero.
-fn candidate_kinds(stats: &GradStats) -> Vec<GradCodecKind> {
+/// The dense-path analogue of the paper's Algorithm-2 table selection: rank
+/// the candidate kinds for a gradient with `stats` by Equation 2's
+/// all-reduce arm at `bandwidth` (bytes/s) over `world` ranks, each at its
+/// price under [`CodecProfile::paper_reference`]. Homomorphic kinds are
+/// ranked with their combine throughput, so they win exactly when the
+/// eliminated owner-shard decode beats their ratio penalty. Returns the
+/// winner and its advice; of equal estimates the later candidate wins.
+/// Pure and deterministic, so every rank of an SPMD trainer gives the same
+/// advice on the same post-all-reduce gradient.
+///
+/// Candidates: fp16 and fp8 casts plus the homomorphic lattice (at a
+/// gradient-scaled error bound — ~0.1% of max |v| keeps quantization noise
+/// well under SGD noise while the i16 range comfortably covers the
+/// world-size sum) and the sum sketch always; top-k (keeping roughly the
+/// non-near-zero fraction, floored at 5%) when the gradients are at least
+/// half near-zero.
+pub fn advise_dense(
+    stats: &GradStats,
+    bandwidth: f64,
+    world: usize,
+) -> (GradCodecKind, DenseAdvice) {
+    let profile = CodecProfile::paper_reference();
     let lattice_eb = (stats.max_abs * 1e-3).max(1e-12);
     let mut candidates = vec![
         GradCodecKind::Fp16,
@@ -190,28 +154,55 @@ fn candidate_kinds(stats: &GradStats) -> Vec<GradCodecKind> {
         let fraction = ((1.0 - stats.near_zero_fraction) as f32).max(0.05);
         candidates.push(GradCodecKind::TopK { fraction });
     }
-    candidates
-}
-
-/// The same candidate pool as [`select_grad_codec`], shaped for the runtime
-/// controller's [`dlrm_adaptive::advise_dense_allreduce`]: one labeled
-/// [`dlrm_adaptive::DenseCandidate`] per kind, carrying the expected ratio,
-/// the nominal codec throughputs and — for the homomorphic kinds — the
-/// combine throughput that triggers the combine-aware Equation-2 variant.
-pub fn dense_candidates(stats: &GradStats) -> Vec<dlrm_adaptive::DenseCandidate> {
-    candidate_kinds(stats)
+    let (kind, estimated_speedup) = candidates
         .into_iter()
         .map(|kind| {
-            let (tc, td) = nominal_throughput(&kind);
-            dlrm_adaptive::DenseCandidate {
-                label: kind.label(),
-                ratio: expected_ratio(&kind, stats),
-                compress_throughput: tc,
-                decompress_throughput: td,
-                combine_throughput: nominal_combine_throughput(&kind),
-            }
+            let s = dense_estimate(&kind, stats, &profile, bandwidth, world);
+            (kind, s)
         })
-        .collect()
+        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .expect("the candidate pool is never empty");
+    let advice = DenseAdvice {
+        label: kind.label(),
+        estimated_speedup,
+        homomorphic: kind.is_homomorphic(),
+    };
+    (kind, advice)
+}
+
+/// Equation 2's all-reduce estimate of `kind` on a gradient with `stats`,
+/// at the kind's price under `profile`.
+fn dense_estimate(
+    kind: &GradCodecKind,
+    stats: &GradStats,
+    profile: &CodecProfile,
+    bandwidth: f64,
+    world: usize,
+) -> f64 {
+    let (compress_throughput, decompress_throughput, combine_throughput) = kind
+        .price(profile)
+        .expect("every dense candidate has a price");
+    estimate_speedup(
+        SpeedupInputs {
+            ratio: expected_ratio(kind, stats),
+            compress_throughput,
+            decompress_throughput,
+            bandwidth,
+        },
+        Dataflow::AllReduce {
+            world,
+            combine_throughput,
+        },
+    )
+}
+
+/// [`advise_dense`]'s winner, or [`GradCodecKind::Identity`] when no
+/// candidate is estimated to beat the uncompressed exchange.
+pub fn select_grad_codec(stats: &GradStats, bandwidth: f64, world: usize) -> GradCodecKind {
+    match advise_dense(stats, bandwidth, world) {
+        (kind, advice) if advice.estimated_speedup > 1.0 => kind,
+        _ => GradCodecKind::Identity,
+    }
 }
 
 #[cfg(test)]
@@ -262,8 +253,8 @@ mod tests {
             kind.label()
         );
 
-        // Dense gradients: a fixed-ratio-2 codec; the homomorphic lattice
-        // edges out the fp16 cast by skipping the owner-shard re-encode.
+        // Dense gradients: no sparsity to exploit, so a fixed-ratio cast or
+        // the lattice.
         let dense: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.01).sin()).collect();
         let stats = GradStats::from_slice(&dense);
         let kind = select_grad_codec(&stats, 8e9, 8);
@@ -279,33 +270,100 @@ mod tests {
 
     #[test]
     fn selection_ranks_homomorphic_kinds_with_the_combine_term() {
-        // The lattice and the fp16 cast share ratio 2, and the lattice's
-        // encode/decode throughputs are *lower* — yet the combine-aware
-        // estimate ranks it above fp16, because one full decode pass
-        // disappears and the saturating-add combine is nearly free. The
-        // selection pool ranks exactly these numbers.
+        // The lattice is ranked with Equation 2's homomorphic arm: one full
+        // decode pass disappears and the saturating-add combine is nearly
+        // free, so it scores above the classic arm at the same price. The
+        // casts advertise no combine and keep the classic arm.
         let dense: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.01).sin()).collect();
         let stats = GradStats::from_slice(&dense);
-        let score = |kind: &GradCodecKind| {
-            let (tc, td) = nominal_throughput(kind);
-            estimate_allreduce_speedup_auto(
+        let profile = CodecProfile::paper_reference();
+        let lattice = GradCodecKind::Lattice { error_bound: 1e-3 };
+        let (tc, td, tm) = lattice.price(&profile).unwrap();
+        assert!(tm.is_some());
+        let classic = estimate_speedup(
+            SpeedupInputs {
+                ratio: expected_ratio(&lattice, &stats),
+                compress_throughput: tc,
+                decompress_throughput: td,
+                bandwidth: 8e9,
+            },
+            Dataflow::AllReduce {
+                world: 8,
+                combine_throughput: None,
+            },
+        );
+        assert!(
+            dense_estimate(&lattice, &stats, &profile, 8e9, 8) > classic,
+            "combine-aware ranking must put the lattice above its classic arm"
+        );
+        assert!(GradCodecKind::Fp16.price(&profile).unwrap().2.is_none());
+    }
+
+    #[test]
+    fn one_codec_one_price() {
+        // The dense selector ranks each kind at the throughputs the codec
+        // bank charges for it (serving's fetch, training's exchange): its
+        // estimate is Equation 2 at the bank's figures, for every kind.
+        use crate::CodecBank;
+        use dlrm_compress::CompressorKind;
+        let profile = CodecProfile::paper_reference();
+        let stats = GradStats::from_slice(&[0.0, 0.0, 0.0, 4.0]);
+        let kinds = [
+            GradCodecKind::Fp16,
+            GradCodecKind::Fp8,
+            GradCodecKind::ErrorBounded {
+                compressor: CompressorKind::SzLike,
+                error_bound: 1e-3,
+            },
+            GradCodecKind::TopK { fraction: 0.25 },
+            GradCodecKind::Lattice { error_bound: 1e-3 },
+            GradCodecKind::SumSketch,
+        ];
+        for kind in kinds {
+            let (tc, td) = CodecBank::new(1, kind.clone())
+                .throughput(0, &profile)
+                .expect("a lossy codec is charged");
+            let combine_throughput = kind.price(&profile).unwrap().2;
+            let charged = estimate_speedup(
                 SpeedupInputs {
-                    ratio: expected_ratio(kind, &stats),
+                    ratio: expected_ratio(&kind, &stats),
                     compress_throughput: tc,
                     decompress_throughput: td,
                     bandwidth: 8e9,
                 },
-                nominal_combine_throughput(kind),
-                8,
-            )
-        };
-        let lattice = GradCodecKind::Lattice { error_bound: 1e-3 };
-        assert!(
-            score(&lattice) > score(&GradCodecKind::Fp16),
-            "combine-aware ranking must put the lattice above the equal-ratio cast"
-        );
-        assert!(nominal_combine_throughput(&lattice).is_some());
-        assert!(nominal_combine_throughput(&GradCodecKind::Fp16).is_none());
+                Dataflow::AllReduce {
+                    world: 8,
+                    combine_throughput,
+                },
+            );
+            let ranked = dense_estimate(&kind, &stats, &profile, 8e9, 8);
+            assert_eq!(ranked.to_bits(), charged.to_bits(), "{}", kind.label());
+            assert_eq!(combine_throughput.is_some(), kind.is_homomorphic());
+        }
+        assert!(CodecBank::new(1, GradCodecKind::Identity)
+            .throughput(0, &profile)
+            .is_none());
+    }
+
+    #[test]
+    fn dense_advice_weighs_codec_cycles_against_ratio() {
+        // Near-all-zero gradients: the lossless sum sketch compresses 64×
+        // but pays a scan and a merge per element; the fp8 cast compresses
+        // 4× at memory speed. On a slow link the ratio wins the homomorphic
+        // sketch; on a fast one the cast's fewer codec cycles win.
+        let mut sparse = vec![0.0f32; 1000];
+        sparse[3] = 1.0;
+        sparse[700] = -2.0;
+        let stats = GradStats::from_slice(&sparse);
+        let (slow_kind, slow) = advise_dense(&stats, 8e9, 8);
+        assert_eq!(slow_kind, GradCodecKind::SumSketch, "{slow:?}");
+        assert!(slow.homomorphic);
+        assert_eq!(slow.label, slow_kind.label());
+        let (fast_kind, fast) = advise_dense(&stats, 200e9, 8);
+        assert_eq!(fast_kind, GradCodecKind::Fp8, "{fast:?}");
+        assert!(!fast.homomorphic);
+        // Deterministic.
+        assert_eq!(advise_dense(&stats, 8e9, 8), (slow_kind, slow));
     }
 
     #[test]

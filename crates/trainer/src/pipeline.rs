@@ -14,7 +14,7 @@ use dlrm_adaptive::controller::{
     probe_candidates, ControllerConfig, Reselection, RuntimeController, TableObservation,
     WindowShare, PROBE_ROWS,
 };
-use dlrm_adaptive::{advise_dense_allreduce, CodecProfile, DenseAdvice};
+use dlrm_adaptive::CodecProfile;
 use dlrm_ckpt::{Checkpoint, CheckpointSpec, EncodedSection, RankCheckpoint};
 use dlrm_comm::cluster::{RankCtx, CHUNK_HEADER_BYTES, HIER_ENTRY_HEADER_BYTES};
 use dlrm_comm::frame::{
@@ -29,7 +29,7 @@ use dlrm_comm::topology::{TieredCostModel, Topology};
 use dlrm_comm::{CostModel, OverlapTimeline, TimingLedger};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
 use dlrm_data::{BatchFeed, DatasetConfig, DistinctRows, MiniBatch};
-use dlrm_grad::{CodecBank, GradCodec, GradCodecKind, GradCompressor, GradScratch};
+use dlrm_grad::{CodecBank, DenseAdvice, GradCodec, GradCodecKind, GradCompressor, GradScratch};
 use dlrm_model::{Dlrm, DlrmConfig, EvalMetrics};
 use dlrm_obs::{ClockDomain, MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecorder};
 use dlrm_tensor::Matrix;
@@ -1517,6 +1517,13 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             error_feedback,
         } => Some(GradCompressor::new(codec, *error_feedback)),
     };
+    // The dense codec's compressed-domain combine price, fixed for the run.
+    let dense_combine_throughput = dense.as_ref().and_then(|state| {
+        let profile = profile
+            .cloned()
+            .unwrap_or_else(CodecProfile::paper_reference);
+        state.codec().kind().price(&profile)?.2
+    });
     let mut dense_traffic = (0u64, 0u64);
     let mut dense_saved_seconds = 0.0f64;
     let mut homo_combines = 0u64;
@@ -1990,17 +1997,16 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // arithmetic. The charge follows the work the collective actually
         // performed — the stats carry the raw f32 bytes pushed through
         // encode and decode, so the classic schedule charges
-        // V/Tc + ((P−1)·own + V)/Td exactly as `estimate_allreduce_speedup`
-        // models it, while the homomorphic schedule's eliminated owner-shard
-        // decodes vanish from the bill and a compressed-domain combine term
-        // (encoded bytes folded, at the codec's nominal combine throughput)
+        // V/Tc + ((P−1)·own + V)/Td exactly as Equation 2's all-reduce
+        // arm models it, while the homomorphic schedule's eliminated
+        // owner-shard decodes vanish from the bill and a compressed-domain
+        // combine term (encoded bytes folded, at the codec's combine price)
         // appears in its place under [`phases::COMBINE`].
         let mut combine_seconds = 0.0f64;
-        if let (Some(state), Some((tc, td))) = (dense.as_ref(), trainer.device_throughput) {
+        if let (Some(_), Some((tc, td))) = (dense.as_ref(), trainer.device_throughput) {
             ar_time += stats.encoded_bytes as f64 / tc + stats.decoded_bytes as f64 / td;
             if stats.combines > 0 {
-                let tm = dlrm_grad::stats::nominal_combine_throughput(state.codec().kind())
-                    .unwrap_or(td);
+                let tm = dense_combine_throughput.unwrap_or(td);
                 combine_seconds = stats.combined_bytes as f64 / tm;
                 // What the classic counterpart of this schedule would have
                 // charged: every element encoded once (V), plus P−1
@@ -2218,16 +2224,13 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     // Combine-aware Equation-2 advice on the last post-all-reduce gradient:
     // every rank holds the identical vector (the all-gather distributed the
     // same reduced shards), so the advice is deterministic across ranks.
-    let dense_advice = if scratch.flat_grads.is_empty() {
-        None
-    } else {
+    // The configured bandwidth is not validated: clamp it, as the
+    // controller's estimates do, so a degenerate one still gets advice.
+    let dense_advice = (!scratch.flat_grads.is_empty()).then(|| {
         let gstats = dlrm_grad::GradStats::from_slice(&scratch.flat_grads);
-        advise_dense_allreduce(
-            &dlrm_grad::dense_candidates(&gstats),
-            base_cost.config().allreduce_bandwidth,
-            world,
-        )
-    };
+        let bandwidth = base_cost.config().allreduce_bandwidth.max(1.0);
+        dlrm_grad::advise_dense(&gstats, bandwidth, world).1
+    });
 
     RankOutcome {
         rank,

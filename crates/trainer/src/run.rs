@@ -4,11 +4,12 @@
 use crate::config::{OverlapSetting, TrainerConfig};
 use crate::partition::TablePartition;
 use crate::pipeline::{self, RankOutcome, RankSetup, SegmentSpec};
-use dlrm_adaptive::{DenseAdvice, Reselection};
+use dlrm_adaptive::Reselection;
 use dlrm_ckpt::{Checkpoint, RankCheckpoint};
 use dlrm_comm::{TimingLedger, WirePolicy, WorldEvent};
 use dlrm_data::{BatchFeed, DatasetConfig};
 use dlrm_exec::Executor;
+use dlrm_grad::DenseAdvice;
 use dlrm_model::EvalMetrics;
 use dlrm_obs::{MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecord, TraceExport};
 use serde::{Deserialize, Serialize};

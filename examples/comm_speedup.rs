@@ -7,7 +7,7 @@
 //! cargo run --release --example comm_speedup
 //! ```
 
-use dlrm_lossy_comm::adaptive::speedup::{estimate_speedup, SpeedupInputs};
+use dlrm_lossy_comm::adaptive::speedup::{estimate_speedup, Dataflow, SpeedupInputs};
 use dlrm_lossy_comm::comm::{NetworkConfig, SimCluster};
 use dlrm_lossy_comm::compress::{measure_roundtrip, CompressorKind};
 use dlrm_lossy_comm::data::{presets, EmbeddingTrafficGenerator};
@@ -37,12 +37,15 @@ fn main() {
     println!("(using the paper's reported GPU codec throughputs of 40.5 / 205.4 GB/s):");
     println!("{:>14} {:>12}", "bandwidth", "speedup");
     for gbps in [1.0f64, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0] {
-        let s = estimate_speedup(SpeedupInputs {
-            ratio: report.ratio,
-            compress_throughput: 40.5e9,
-            decompress_throughput: 205.4e9,
-            bandwidth: gbps * 1e9,
-        });
+        let s = estimate_speedup(
+            SpeedupInputs {
+                ratio: report.ratio,
+                compress_throughput: 40.5e9,
+                decompress_throughput: 205.4e9,
+                bandwidth: gbps * 1e9,
+            },
+            Dataflow::AllToAll { overlapped: false },
+        );
         println!("{:>11} GB/s {:>11.2}x", gbps, s);
     }
 

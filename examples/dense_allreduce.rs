@@ -73,7 +73,7 @@ fn main() {
 
     // Codec selection from measured per-layer gradient statistics, the way
     // the offline analysis picks per-table compressors: one backward pass,
-    // then rank candidates with the allreduce-aware Equation-2 estimate.
+    // then rank candidates by Equation 2's all-reduce arm at each codec's price.
     let model = Dlrm::new(DlrmConfig::from_dataset(&dataset), 7);
     let mut generator = SyntheticCriteo::new(dataset.clone(), 8);
     let batch = generator.next_batch(64);
