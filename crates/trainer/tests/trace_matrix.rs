@@ -9,15 +9,19 @@
 //! * the metrics series pins the controller's codec reselection to the
 //!   iteration the reselection log says it happened at;
 //! * under the sequential executor the trace structure (spans, instants,
-//!   iterations, payloads) is deterministic run to run.
+//!   iterations, payloads) is deterministic run to run, and rank 0's
+//!   phase order (checkpoint and controller instants included) is pinned.
 
 use dlrm_adaptive::CodecProfile;
+use dlrm_ckpt::CheckpointSpec;
+use dlrm_comm::FaultPlan;
 use dlrm_comm::{BandwidthTrace, NetworkConfig};
 use dlrm_compress::CompressorKind;
-use dlrm_obs::SpanRecord;
+use dlrm_grad::GradCodecKind;
+use dlrm_obs::{RecordKind, SpanRecord};
 use dlrm_trainer::{
-    run_training, AdaptiveSetting, CompressionSetting, ExecutorSetting, ObsSetting, TrainerConfig,
-    TrainingReport,
+    run_training, AdaptiveSetting, CompressionSetting, ExecutorSetting, FaultSetting, ObsSetting,
+    TrainerConfig, TrainingReport,
 };
 
 /// Bitwise fingerprint of a run's numerics: every per-iteration metric.
@@ -232,4 +236,61 @@ fn sequential_trace_structure_is_deterministic() {
             .collect::<Vec<_>>()
     };
     assert_eq!(bytes(&ma), bytes(&mb), "metrics byte columns diverged");
+}
+
+/// Rank 0's trace of `drift_config(12)` plus a checkpoint at iteration 7,
+/// one line per iteration: each record in recording order, a phase as its
+/// name, an instant as `label=arg`, the closing iteration span as `end`.
+fn rank0_phase_order() -> Vec<String> {
+    let (dataset, cfg) = drift_config(12);
+    let cfg = cfg.with_fault(
+        FaultSetting::new(FaultPlan::none())
+            .with_checkpoint(CheckpointSpec::new(7, GradCodecKind::Fp16)),
+    );
+    let report = run_training(&dataset, &cfg);
+    let trace = report.trace.expect("trace present");
+    let track = trace.tracks.iter().find(|t| t.rank == 0).expect("rank 0");
+    let mut lines: Vec<String> = Vec::new();
+    for r in &track.records {
+        let token = match r.kind {
+            RecordKind::Phase => r.name.to_string(),
+            RecordKind::Iteration => "end".to_string(),
+            kind => format!("{}={}", kind.label(), r.arg),
+        };
+        let iter = r.iteration as usize;
+        if lines.len() <= iter {
+            lines.resize(iter + 1, format!("{iter}:"));
+        }
+        let line = &mut lines[iter];
+        line.push_str(if line.ends_with(':') { " " } else { ", " });
+        line.push_str(&token);
+    }
+    lines
+}
+
+/// Rank 0's phase order, checkpoint and controller instants included, as
+/// the pipeline records it: a change that moves a phase, or closes one in
+/// another place, moves a line.
+const PHASE_ORDER: &[&str] = &[
+    "0: checkpoint write=83969, checkpoint, input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, end",
+    "1: input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, runtime controller, end",
+    "2: input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, runtime controller, end",
+    "3: runtime controller, input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, end",
+    "4: input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, end",
+    "5: input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, runtime controller, end",
+    "6: runtime controller, input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, end",
+    "7: checkpoint write=83969, checkpoint, input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, end",
+    "8: input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, runtime controller, end",
+    "9: codec reselection=0, codec reselection=1, codec reselection=2, codec reselection=3, runtime controller, input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, end",
+    "10: input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, end",
+    "11: input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, end",
+];
+
+#[test]
+fn sequential_phase_order_is_pinned() {
+    let got = rank0_phase_order();
+    for (iter, (got, want)) in got.iter().zip(PHASE_ORDER).enumerate() {
+        assert_eq!(got, want, "iteration {iter}");
+    }
+    assert_eq!(got.len(), PHASE_ORDER.len());
 }
