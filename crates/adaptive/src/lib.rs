@@ -23,10 +23,7 @@
 //!   per table ([`analysis`], Algorithm 2). One estimator,
 //!   [`speedup::estimate_speedup`], serves every selection: a
 //!   [`speedup::Dataflow`] names the exchange it models — the all-to-all,
-//!   sequential or overlapped, or the dense-gradient all-reduce over `world`
-//!   ranks, where a **homomorphic** codec's compressed-domain combine
-//!   replaces one of the two decode terms — so dense codec selection
-//!   (`dlrm_grad::DenseAdvice`) ranks like table selection does.
+//!   sequential or overlapped.
 
 pub mod analysis;
 pub mod classify;

@@ -67,46 +67,18 @@ pub enum Dataflow {
         /// Whether codec time overlaps the wire.
         overlapped: bool,
     },
-    /// The dense-gradient all-reduce (reduce-scatter + all-gather) over
-    /// `world` ranks, where a rank moves `r = 2·(P−1)/P` of the vector:
-    ///
-    /// ```text
-    /// classic:     t = V/Tc + r·(V/CR)/B + 2·V/Td
-    ///              speedup = r / ( B/Tc + r/CR + 2·B/Td )
-    /// homomorphic: t = V/Tc + r·(V/CR)/B + V/Td + (r/2)·V/(CR·Tm)
-    ///              speedup = r / ( B/Tc + r/CR + B/Td + (r/2)·B/(CR·Tm) )
-    /// ```
-    ///
-    /// Classic, each rank encodes about one vector's worth of shards per
-    /// call (the `(P−1)/P` it contributes plus its reduced shard
-    /// re-encoded for the all-gather) and decodes about two (the peer
-    /// contributions it reduces plus the gathered shards). A homomorphic
-    /// codec (`combine_throughput` is `Some(Tm)`) adds encoded shards
-    /// without decoding them (`dlrm_comm::ReduceCodec::combine`): one of
-    /// the two decode terms disappears and each rank folds `(P−1)/P` of
-    /// the encoded bytes at `Tm` instead, so it wins exactly when the
-    /// eliminated decode outweighs its ratio penalty. At `world <= 1`
-    /// nothing moves and the estimate is 1.
-    AllReduce {
-        /// Ranks in the all-reduce.
-        world: usize,
-        /// Compressed-domain combine throughput of a homomorphic codec,
-        /// bytes of encoded payload folded per second.
-        combine_throughput: Option<f64>,
-    },
 }
 
 /// Equation 2: the estimated end-to-end communication speedup of a codec
 /// with `inputs` over the uncompressed exchange, under `dataflow` — the one
-/// estimate every codec selection ranks by (Algorithm 2's table selection,
-/// the runtime controller, the dense-path advice).
+/// estimate every codec selection ranks by (Algorithm 2's table selection
+/// and the runtime controller).
 ///
-/// Bounded by the ratio (1 when nothing moves); below 1 the codec would
+/// Bounded by the ratio; below 1 the codec would
 /// slow the exchange down (it is slower than the network).
 ///
 /// # Panics
-/// Panics on a non-positive ratio, throughput, bandwidth or combine
-/// throughput.
+/// Panics on a non-positive ratio, throughput or bandwidth.
 pub fn estimate_speedup(inputs: SpeedupInputs, dataflow: Dataflow) -> f64 {
     assert!(inputs.ratio > 0.0, "ratio must be positive");
     assert!(
@@ -123,24 +95,6 @@ pub fn estimate_speedup(inputs: SpeedupInputs, dataflow: Dataflow) -> f64 {
     match dataflow {
         Dataflow::AllToAll { overlapped: false } => 1.0 / (1.0 / cr + b * (1.0 / tc + 1.0 / td)),
         Dataflow::AllToAll { overlapped: true } => 1.0 / ((b / tc).max(1.0 / cr) + b / td),
-        Dataflow::AllReduce {
-            world,
-            combine_throughput,
-        } => {
-            assert!(
-                combine_throughput.is_none_or(|tm| tm > 0.0),
-                "combine throughput must be positive"
-            );
-            if world <= 1 {
-                return 1.0;
-            }
-            let p = world as f64;
-            let r = 2.0 * (p - 1.0) / p;
-            match combine_throughput {
-                None => r / (b / tc + r / cr + 2.0 * b / td),
-                Some(tm) => r / (b / tc + r / cr + b / td + (r / 2.0) * b / (cr * tm)),
-            }
-        }
     }
 }
 
@@ -166,29 +120,13 @@ mod tests {
         // With compressors far faster than the network the speedup approaches CR.
         let s = a2a(inputs(10.0, 1e15, 1e15, 4e9), false);
         assert!((s - 10.0).abs() < 1e-3, "{s}");
-        // Likewise the all-reduce: the wire term shrinks by CR in both
-        // phases of the schedule, and a free combine changes nothing.
-        for combine_throughput in [None, Some(1e15)] {
-            let s = estimate_speedup(
-                inputs(8.0, 1e15, 1e15, 8e9),
-                Dataflow::AllReduce {
-                    world: 4,
-                    combine_throughput,
-                },
-            );
-            assert!((s - 8.0).abs() < 1e-2, "{s}");
-        }
     }
 
     #[test]
     fn slow_compressor_yields_speedup_below_one() {
-        // Compressor slower than the link: not worth it, in either dataflow.
+        // Compressor slower than the link: not worth it, sequential or overlapped.
         assert!(a2a(inputs(10.0, 1e9, 1e9, 4e9), false) < 1.0);
-        let all_reduce = Dataflow::AllReduce {
-            world: 4,
-            combine_throughput: None,
-        };
-        assert!(estimate_speedup(inputs(8.0, 1e9, 1e9, 8e9), all_reduce) < 1.0);
+        assert!(a2a(inputs(10.0, 1e9, 1e9, 4e9), true) < 1.0);
     }
 
     #[test]
@@ -255,27 +193,6 @@ mod tests {
         assert!(a2a(fast, false) > a2a(dense, false));
         assert!(a2a(dense, true) > a2a(fast, true));
         assert!(a2a(dense, true) > 1.0);
-    }
-
-    #[test]
-    fn auto_estimate_dispatches_on_the_combine_capability() {
-        // A combine throughput selects the homomorphic arm: one decode term
-        // gives way to a combine over the encoded bytes. r = 2·7/8 = 1.75.
-        let (cr, tc, td, b, tm, r) = (4.0, 100e9, 140e9, 8e9, 120e9, 1.75);
-        let all_reduce = |combine_throughput| {
-            estimate_speedup(
-                inputs(cr, tc, td, b),
-                Dataflow::AllReduce {
-                    world: 8,
-                    combine_throughput,
-                },
-            )
-        };
-        assert_eq!(all_reduce(None), r / (b / tc + r / cr + 2.0 * b / td));
-        assert_eq!(
-            all_reduce(Some(tm)),
-            r / (b / tc + r / cr + b / td + (r / 2.0) * b / (cr * tm))
-        );
     }
 
     #[test]

@@ -27,20 +27,9 @@ fn a2a(inputs: SpeedupInputs, overlapped: bool) -> f64 {
     estimate_speedup(inputs, Dataflow::AllToAll { overlapped })
 }
 
-fn all_reduce(inputs: SpeedupInputs, world: usize, combine_throughput: Option<f64>) -> f64 {
-    estimate_speedup(
-        inputs,
-        Dataflow::AllReduce {
-            world,
-            combine_throughput,
-        },
-    )
-}
-
 /// Equation 2's closed forms, written out once more as the reference the
 /// estimator's arms are held to bit for bit: sequential and overlapped
-/// all-to-all, then the all-reduce over `world` ranks (`r = 2(P−1)/P`),
-/// classic or with a compressed-domain combine at `tm`.
+/// all-to-all.
 mod closed_form {
     pub fn sequential(cr: f64, tc: f64, td: f64, b: f64) -> f64 {
         1.0 / (1.0 / cr + b * (1.0 / tc + 1.0 / td))
@@ -48,18 +37,6 @@ mod closed_form {
 
     pub fn overlapped(cr: f64, tc: f64, td: f64, b: f64) -> f64 {
         1.0 / ((b / tc).max(1.0 / cr) + b / td)
-    }
-
-    pub fn all_reduce(cr: f64, tc: f64, td: f64, b: f64, world: usize, tm: Option<f64>) -> f64 {
-        if world <= 1 {
-            return 1.0;
-        }
-        let p = world as f64;
-        let r = 2.0 * (p - 1.0) / p;
-        match tm {
-            None => r / (b / tc + r / cr + 2.0 * b / td),
-            Some(tm) => r / (b / tc + r / cr + b / td + (r / 2.0) * b / (cr * tm)),
-        }
     }
 }
 
@@ -166,23 +143,11 @@ proptest! {
         tc in 1e6f64..1e13,
         td in 1e6f64..1e13,
         b in 1e6f64..1e12,
-        world in 1usize..64,
-        tm in 1e6f64..1e13,
     ) {
         let i = inputs(cr, tc, td, b);
         let cases = [
             ("sequential", a2a(i, false), closed_form::sequential(cr, tc, td, b)),
             ("overlapped", a2a(i, true), closed_form::overlapped(cr, tc, td, b)),
-            (
-                "all-reduce",
-                all_reduce(i, world, None),
-                closed_form::all_reduce(cr, tc, td, b, world, None),
-            ),
-            (
-                "homomorphic all-reduce",
-                all_reduce(i, world, Some(tm)),
-                closed_form::all_reduce(cr, tc, td, b, world, Some(tm)),
-            ),
         ];
         for (arm, got, want) in cases {
             prop_assert_eq!(got.to_bits(), want.to_bits(), "{}: {} vs {}", arm, got, want);
@@ -195,8 +160,6 @@ proptest! {
         tc in 1e6f64..1e13,
         td in 1e6f64..1e13,
         b in 1e6f64..1e12,
-        world in 1usize..64,
-        tm in 1e6f64..1e13,
     ) {
         // Hiding codec time behind the wire never estimates slower, and no
         // arm beats the compression ratio.
@@ -204,54 +167,9 @@ proptest! {
         let seq = a2a(i, false);
         let ovl = a2a(i, true);
         prop_assert!(ovl >= seq * (1.0 - 1e-12), "overlapped {ovl} < sequential {seq}");
-        for s in [
-            seq,
-            ovl,
-            all_reduce(i, world, None),
-            all_reduce(i, world, Some(tm)),
-        ] {
+        for s in [seq, ovl] {
             prop_assert!(s > 0.0);
             prop_assert!(s <= cr.max(1.0) * (1.0 + 1e-12), "estimate {s} beats ratio {cr}");
         }
-    }
-
-    #[test]
-    fn allreduce_estimate_limits_and_monotonicity(
-        cr in 1e-3f64..1e3,
-        tc in 1e6f64..1e13,
-        td in 1e6f64..1e13,
-        b in 1e6f64..1e12,
-        tm in 1e6f64..1e13,
-    ) {
-        // world == 1: nothing moves, nothing to speed up, either arm.
-        let i = inputs(cr, tc, td, b);
-        prop_assert_eq!(all_reduce(i, 1, None), 1.0);
-        prop_assert_eq!(all_reduce(i, 1, Some(tm)), 1.0);
-        // More ranks move more relative volume per codec pass, so
-        // compression pays off (weakly) more.
-        let few = all_reduce(i, 2, None);
-        let many = all_reduce(i, 32, None);
-        prop_assert!(many >= few * (1.0 - 1e-12), "{many} < {few}");
-    }
-
-    #[test]
-    fn homomorphic_estimate_beats_classic_when_combine_is_cheap(
-        cr in 1.0f64..64.0,
-        tc in 1e9f64..1e12,
-        td in 1e9f64..1e12,
-        b in 1e8f64..1e11,
-        world in 2usize..64,
-        factor in 1.0f64..100.0,
-    ) {
-        // A combine at least as fast as the decode it replaces folds
-        // (P−1)/P of the *encoded* bytes instead of decoding a full vector,
-        // so it strictly wins at ratio ≥ 1.
-        let i = inputs(cr, tc, td, b);
-        let classic = all_reduce(i, world, None);
-        let homo = all_reduce(i, world, Some(td * factor));
-        prop_assert!(homo > classic, "{homo} <= {classic}");
-        // A combine well below (P−1)/P · Td/CR outgrows the saved decode.
-        let slow = all_reduce(i, world, Some(td / (128.0 * (1.0 + factor))));
-        prop_assert!(slow < classic, "{slow} >= {classic}");
     }
 }

@@ -40,23 +40,17 @@
 //!   implements [`dlrm_comm::ReduceCodec`], so it plugs straight into
 //!   [`all_reduce_compressed`](dlrm_comm::cluster::RankCtx::all_reduce_compressed):
 //!   the residual is rebuilt *inside* `encode_into`, from the same bytes the
-//!   collective sends;
-//! * [`GradStats`] / [`advise_dense`] — per-layer gradient statistics
-//!   feeding dense codec selection through Equation 2's all-reduce arm in
-//!   `dlrm-adaptive`, at each kind's one price ([`GradCodecKind::price`],
-//!   which the bank charges too).
+//!   collective sends.
 
 pub mod bank;
 pub mod codec;
 pub mod ef;
 pub mod homomorphic;
-pub mod stats;
 
 pub use bank::CodecBank;
 pub use codec::{GradCodec, GradCodecKind, GradScratch};
 pub use dlrm_comm::ReduceError;
 pub use ef::ErrorFeedback;
-pub use stats::{advise_dense, per_layer_stats, select_grad_codec, DenseAdvice, GradStats};
 
 use dlrm_comm::ReduceCodec;
 

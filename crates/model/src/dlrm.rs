@@ -182,16 +182,6 @@ impl Dlrm {
         self.bottom.num_params() + self.top.num_params()
     }
 
-    /// Per-layer parameter counts of the flattened MLP gradient (bottom
-    /// layers first, then top — the segments of
-    /// [`Dlrm::flatten_mlp_grads`]'s layout), feeding per-layer gradient
-    /// statistics of the dense all-reduce payload.
-    pub fn mlp_layer_param_counts(&self) -> Vec<usize> {
-        let mut counts = self.bottom.layer_param_counts();
-        counts.extend(self.top.layer_param_counts());
-        counts
-    }
-
     /// Look up one table for a batch of category indices.
     pub fn lookup(&self, table: usize, indices: &[u32]) -> Matrix {
         self.embeddings[table].lookup(indices)
@@ -539,22 +529,6 @@ mod tests {
         {
             assert!(a.max_abs_diff(b) < 1e-5, "table {t} gradient differs");
         }
-    }
-
-    #[test]
-    fn mlp_layer_param_counts_tile_the_flat_gradient() {
-        let (model, mut gen) = tiny_model(13);
-        let counts = model.mlp_layer_param_counts();
-        assert!(counts.len() >= 2, "bottom and top each have layers");
-        assert!(counts.iter().all(|&c| c > 0));
-        assert_eq!(counts.iter().sum::<usize>(), model.mlp_param_count());
-        // And the flat gradient is exactly that long.
-        let batch = gen.next_batch(8);
-        let lookups = model.lookup_all(&batch);
-        let cache = model.forward_dense(&batch.dense, &lookups);
-        let grads = model.backward_dense(&cache, &batch.labels);
-        let flat = model.flatten_mlp_grads(&grads);
-        assert_eq!(flat.len(), counts.iter().sum::<usize>());
     }
 
     #[test]

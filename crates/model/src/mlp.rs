@@ -85,12 +85,6 @@ impl Mlp {
         self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
     }
 
-    /// Parameter count per layer (weights + bias), in the order
-    /// [`Mlp::flatten_grads`] lays the layers out.
-    pub fn layer_param_counts(&self) -> Vec<usize> {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).collect()
-    }
-
     /// Forward pass. Returns the output (`batch x output_dim`) and the cache
     /// needed by [`Mlp::backward`]. Takes its input by value: it becomes the
     /// cache's first entry, as every layer's output becomes the next one.

@@ -1,10 +1,11 @@
 //! The per-rank hybrid-parallel training pipeline.
 //!
 //! Every rank executes [`run_rank`] inside the simulated cluster. The code is
-//! SPMD: all ranks generate the same global batch (a simulation convenience —
-//! in the real system the indices arrive via the input pipeline), shard it by
-//! rank, and then perform exactly the stages of the paper's Figure 3
-//! pipeline, with compression spliced around both all-to-alls.
+//! SPMD: each rank takes its shard of the global batch from the cluster's
+//! shared [`BatchFeed`] (a simulation convenience — in the real system the
+//! indices arrive via the input pipeline), and then performs exactly the
+//! stages of the paper's Figure 3 pipeline, with compression spliced around
+//! both all-to-alls. One iteration is one `RankState::step`.
 
 use crate::config::{
     AdaptiveSetting, DenseCompression, OverlapSetting, TopologySetting, TrainerConfig,
@@ -27,9 +28,10 @@ use dlrm_comm::reduce::{
 };
 use dlrm_comm::topology::{TieredCostModel, Topology};
 use dlrm_comm::{CostModel, OverlapTimeline, TimingLedger};
-use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
+use dlrm_compress::{Compressor, CompressorKind};
 use dlrm_data::{BatchFeed, DatasetConfig, DistinctRows, MiniBatch};
-use dlrm_grad::{CodecBank, DenseAdvice, GradCodec, GradCodecKind, GradCompressor, GradScratch};
+use dlrm_grad::{CodecBank, GradCodec, GradCodecKind, GradCompressor, GradScratch};
+use dlrm_model::dlrm::{BottomForward, DenseCache, EmbeddingBackward};
 use dlrm_model::{Dlrm, DlrmConfig, EvalMetrics};
 use dlrm_obs::{ClockDomain, MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecorder};
 use dlrm_tensor::Matrix;
@@ -152,25 +154,6 @@ impl ObsState {
             + ledger.bytes(phases::ALLREDUCE)
     }
 
-    /// Open this iteration's span and snapshot the deltas' baselines.
-    fn begin_iteration(
-        &mut self,
-        iter: usize,
-        ledger: &TimingLedger,
-        wall: &WallClock,
-        fwd_traffic: &[(u64, u64)],
-        tier_bytes: (u64, u64),
-    ) {
-        self.modeled_mark = ledger.total_seconds();
-        self.wall_mark = wall.ledger.total_seconds();
-        self.comm_seconds_mark = Self::comm_seconds(ledger);
-        self.wire_bytes_mark = Self::wire_bytes(ledger);
-        self.tier_bytes_mark = tier_bytes;
-        self.fwd_mark.copy_from_slice(fwd_traffic);
-        self.depth_max = 0;
-        self.rec.begin_iteration(iter as u64, self.modeled_mark);
-    }
-
     /// Close an overlapped exchange region: codec time to `codec_phase`, the
     /// rest to `rest_phase`. Under the wall clock the measured codec seconds
     /// split the region; under the modeled clock the ledger's own charge
@@ -241,56 +224,6 @@ impl ObsState {
             write_s,
         );
     }
-
-    /// Close this iteration's span and push its metrics row.
-    fn end_iteration(
-        &mut self,
-        iter: usize,
-        ledger: &TimingLedger,
-        wall: &WallClock,
-        fwd_traffic: &[(u64, u64)],
-        tier_bytes: (u64, u64),
-        ef_residual_norm: f64,
-    ) {
-        let now = ledger.total_seconds();
-        let comm = Self::comm_seconds(ledger) - self.comm_seconds_mark;
-        let wire = Self::wire_bytes(ledger) - self.wire_bytes_mark;
-        let mut fwd_orig = 0u64;
-        let mut fwd_enc = 0u64;
-        self.ratio_buf.clear();
-        for (t, &(orig, enc)) in fwd_traffic.iter().enumerate() {
-            let (o0, e0) = self.fwd_mark[t];
-            let (d_orig, d_enc) = (orig - o0, enc - e0);
-            fwd_orig += d_orig;
-            fwd_enc += d_enc;
-            self.ratio_buf.push(if d_enc == 0 {
-                0.0
-            } else {
-                d_orig as f64 / d_enc as f64
-            });
-        }
-        let row = MetricsRow {
-            iteration: iter as u64,
-            modeled_seconds: now - self.modeled_mark,
-            wall_seconds: wall.ledger.total_seconds() - self.wall_mark,
-            comm_seconds: comm,
-            wire_bytes: wire,
-            intra_bytes: tier_bytes.0 - self.tier_bytes_mark.0,
-            inter_bytes: tier_bytes.1 - self.tier_bytes_mark.1,
-            fwd_original_bytes: fwd_orig,
-            fwd_encoded_bytes: fwd_enc,
-            compression_ratio: if fwd_enc == 0 {
-                0.0
-            } else {
-                fwd_orig as f64 / fwd_enc as f64
-            },
-            ef_residual_norm,
-            effective_bandwidth: if comm > 0.0 { wire as f64 / comm } else { 0.0 },
-            channel_depth: self.depth_max,
-        };
-        self.metrics.push_row(row, &self.ratio_buf);
-        self.rec.end_iteration(now);
-    }
 }
 
 /// One contiguous run of global iterations executed on a fixed world — the
@@ -303,8 +236,6 @@ pub struct SegmentSpec {
     pub start: usize,
     /// One past the last global iteration this segment executes.
     pub end: usize,
-    /// True when the leading iterations replay work lost to a rank failure.
-    pub recovery: bool,
     /// Checkpoint to restore model/shards/residuals from before iterating.
     pub restore: Option<Arc<Checkpoint>>,
     /// Checkpoint cadence and codec in effect during this segment.
@@ -320,7 +251,6 @@ impl SegmentSpec {
         Self {
             start: 0,
             end: iterations,
-            recovery: false,
             restore: None,
             checkpoint: None,
             checkpoint_at_end: false,
@@ -403,11 +333,6 @@ pub struct RankOutcome {
     /// device-throughput override; can go negative if combining were slower
     /// than the decodes it replaces).
     pub homo_saved_seconds: f64,
-    /// Combine-aware Equation-2 advice over the dense candidate pool,
-    /// evaluated on the last post-all-reduce gradient (`None` when the
-    /// segment ran no iterations; identical on every rank — asserted by the
-    /// report merger).
-    pub dense_advice: Option<DenseAdvice>,
     /// `(intra, inter)` tier bytes this rank moved (both directions, all
     /// network phases) under a hierarchical topology; zeros when flat.
     pub tier_bytes: (u64, u64),
@@ -447,17 +372,17 @@ pub struct RankOutcome {
 /// steady-state loop allocates nothing: compression scratch, the pooled
 /// send/recv containers of both all-to-alls, and a recycler for the float
 /// storage of lookup/gradient matrices.
-pub struct PipelineScratch {
+struct PipelineScratch {
     /// Codec scratch shared by every compress/decompress call on this rank.
-    pub codec: GradScratch,
+    codec: GradScratch,
     /// Send-side lease container (drained by the collectives).
-    pub send: Vec<PooledBuf>,
+    send: Vec<PooledBuf>,
     /// Receive-side lease container.
-    pub recv: Vec<PooledBuf>,
+    recv: Vec<PooledBuf>,
     /// Flattened MLP gradient buffer for the all-reduce.
-    pub flat_grads: Vec<f32>,
+    flat_grads: Vec<f32>,
     /// Staging buffers of the compressed dense all-reduce.
-    pub dense_reduce: ReduceScratch,
+    dense_reduce: ReduceScratch,
     /// Recycled float storage for lookup/gradient matrices.
     float_pool: Vec<Vec<f32>>,
     /// Bytes of float storage freshly allocated by `take_floats`.
@@ -475,7 +400,7 @@ pub struct PipelineScratch {
 
 impl PipelineScratch {
     /// Create an empty scratch for a rank of a `world`-sized cluster.
-    pub fn new(world: usize) -> Self {
+    fn new(world: usize) -> Self {
         Self {
             codec: GradScratch::new(),
             send: Vec::with_capacity(world),
@@ -493,7 +418,7 @@ impl PipelineScratch {
 
     /// Take a cleared float buffer with at least `len_hint` capacity from
     /// the recycler (allocating only when empty, with the event counted).
-    pub fn take_floats(&mut self, len_hint: usize) -> Vec<f32> {
+    fn take_floats(&mut self, len_hint: usize) -> Vec<f32> {
         match self.float_pool.pop() {
             Some(mut v) => {
                 v.clear();
@@ -516,7 +441,7 @@ impl PipelineScratch {
     }
 
     /// Return a float buffer's storage to the recycler.
-    pub fn put_floats(&mut self, v: Vec<f32>) {
+    fn put_floats(&mut self, v: Vec<f32>) {
         if v.capacity() > 0 {
             self.float_pool.push(v);
         }
@@ -629,44 +554,6 @@ fn charge_a2a(
     ledger.add_overlap_saved(phase, timeline.saved());
 }
 
-/// Grow the codec scratch to the largest demand an exchange can make of it:
-/// encode and decode every table's full-shard `blocks[t]` at its bound
-/// `bounds[t]` under its own codec and under each runtime-controller
-/// candidate.
-///
-/// Blocks of both directions carry however many distinct rows a batch has,
-/// so the warm-up batches need not have shown a codec the largest block it
-/// will see; a later batch with more distinct rows would then grow the
-/// scratch in the steady state.
-fn warm_codec_scratch(
-    codecs: &CodecBank,
-    candidates: &[Box<dyn Compressor>],
-    bounds: &[f32],
-    blocks: &[Matrix],
-    scratch: &mut GradScratch,
-) {
-    let (mut bytes, mut values) = (Vec::new(), Vec::new());
-    for (t, block) in blocks.iter().enumerate() {
-        let (data, dim, eb) = (block.as_slice(), block.cols(), bounds[t]);
-        bytes.clear();
-        values.clear();
-        codecs.encode(t, data, dim, eb, scratch, &mut bytes);
-        codecs
-            .decode(t, &bytes, data.len(), scratch, &mut values)
-            .expect("a stream this codec just wrote decodes");
-        for codec in candidates {
-            bytes.clear();
-            values.clear();
-            codec
-                .compress_into(data, dim, eb, &mut scratch.compress, &mut bytes)
-                .expect("lossy compression of finite training data cannot fail");
-            codec
-                .decompress_into(&bytes, &mut scratch.compress, &mut values)
-                .expect("a stream this codec just wrote decodes");
-        }
-    }
-}
-
 /// Running marks for the per-phase allocation accounting.
 struct AllocMarks {
     pool: PoolStats,
@@ -675,10 +562,11 @@ struct AllocMarks {
 }
 
 /// One rank's accounting: the modeled ledger, the wall-clock ledger, the
-/// span trace and the allocation counters, advanced together. Stages charge
-/// modeled seconds and bytes to `ledger` directly; [`Accounting::close`] and
-/// [`Accounting::close_split`] are the only writers of phase boundaries, so
-/// the three timing systems cannot disagree about which phases ran.
+/// span trace, the allocation counters and the traffic counters, advanced
+/// together. Stages charge modeled seconds and bytes to `ledger` directly;
+/// [`Accounting::close`] and [`Accounting::close_split`] are the only
+/// writers of phase boundaries, so the three timing systems cannot disagree
+/// about which phases ran.
 struct Accounting<'a> {
     ctx: &'a RankCtx,
     ledger: TimingLedger,
@@ -692,6 +580,12 @@ struct Accounting<'a> {
     /// network phases under a hierarchical topology; zeros when flat.
     tier_bytes: (u64, u64),
     tier_seconds: (f64, f64),
+    /// Per-table `(original, compressed)` payload bytes each [`Dir`]'s
+    /// exchange produced on this rank.
+    traffic: [Vec<(u64, u64)>; 2],
+    /// Bytes each [`Dir`]'s exchange sent to other ranks: every chunk
+    /// framed for a peer, headers included.
+    a2a_sent: [u64; 2],
 }
 
 impl<'a> Accounting<'a> {
@@ -700,12 +594,12 @@ impl<'a> Accounting<'a> {
     fn new(
         ctx: &'a RankCtx,
         scratch: &PipelineScratch,
-        ledger: TimingLedger,
         obs: Option<ObsState>,
+        num_tables: usize,
     ) -> Self {
         Self {
             ctx,
-            ledger,
+            ledger: TimingLedger::new(),
             wall: WallClock::new(),
             obs,
             marks: AllocMarks {
@@ -717,7 +611,67 @@ impl<'a> Accounting<'a> {
             steady_allocated: 0,
             tier_bytes: (0, 0),
             tier_seconds: (0.0, 0.0),
+            traffic: [vec![(0, 0); num_tables], vec![(0, 0); num_tables]],
+            a2a_sent: [0, 0],
         }
+    }
+
+    /// Open iteration `iter`'s span and snapshot the baselines of its
+    /// metrics row (observability on only).
+    fn begin_iteration(&mut self, iter: usize) {
+        let Some(o) = self.obs.as_mut() else { return };
+        o.modeled_mark = self.ledger.total_seconds();
+        o.wall_mark = self.wall.ledger.total_seconds();
+        o.comm_seconds_mark = ObsState::comm_seconds(&self.ledger);
+        o.wire_bytes_mark = ObsState::wire_bytes(&self.ledger);
+        o.tier_bytes_mark = self.tier_bytes;
+        o.fwd_mark.copy_from_slice(&self.traffic[Dir::Fwd as usize]);
+        o.depth_max = 0;
+        o.rec.begin_iteration(iter as u64, o.modeled_mark);
+    }
+
+    /// Close iteration `iter`'s span and push its metrics row
+    /// (observability on only).
+    fn end_iteration(&mut self, iter: usize, ef_residual_norm: f64) {
+        let Some(o) = self.obs.as_mut() else { return };
+        let now = self.ledger.total_seconds();
+        let comm = ObsState::comm_seconds(&self.ledger) - o.comm_seconds_mark;
+        let wire = ObsState::wire_bytes(&self.ledger) - o.wire_bytes_mark;
+        let mut fwd_orig = 0u64;
+        let mut fwd_enc = 0u64;
+        o.ratio_buf.clear();
+        for (t, &(orig, enc)) in self.traffic[Dir::Fwd as usize].iter().enumerate() {
+            let (o0, e0) = o.fwd_mark[t];
+            let (d_orig, d_enc) = (orig - o0, enc - e0);
+            fwd_orig += d_orig;
+            fwd_enc += d_enc;
+            o.ratio_buf.push(if d_enc == 0 {
+                0.0
+            } else {
+                d_orig as f64 / d_enc as f64
+            });
+        }
+        let row = MetricsRow {
+            iteration: iter as u64,
+            modeled_seconds: now - o.modeled_mark,
+            wall_seconds: self.wall.ledger.total_seconds() - o.wall_mark,
+            comm_seconds: comm,
+            wire_bytes: wire,
+            intra_bytes: self.tier_bytes.0 - o.tier_bytes_mark.0,
+            inter_bytes: self.tier_bytes.1 - o.tier_bytes_mark.1,
+            fwd_original_bytes: fwd_orig,
+            fwd_encoded_bytes: fwd_enc,
+            compression_ratio: if fwd_enc == 0 {
+                0.0
+            } else {
+                fwd_orig as f64 / fwd_enc as f64
+            },
+            ef_residual_norm,
+            effective_bandwidth: if comm > 0.0 { wire as f64 / comm } else { 0.0 },
+            channel_depth: o.depth_max,
+        };
+        o.metrics.push_row(row, &o.ratio_buf);
+        o.rec.end_iteration(now);
     }
 
     fn add_tiers(&mut self, intra_bytes: u64, inter_bytes: u64, (intra_s, inter_s): (f64, f64)) {
@@ -783,7 +737,7 @@ impl<'a> Accounting<'a> {
     }
 
     /// Close `phase`'s share of an exchange window (work run while the
-    /// exchange is in flight, see [`Exchange::run`]): its allocation activity
+    /// exchange is in flight, see [`Comm::exchange`]): its allocation activity
     /// and wall time go to `phase`, as [`Accounting::close`] would attribute
     /// them, but no trace span is cut. Every window phase is also closed
     /// once per iteration outside the window, so the trace keeps one span
@@ -815,7 +769,8 @@ impl<'a> Accounting<'a> {
 }
 
 /// Checkpoint state of one segment: the codec and its scratch, a flatten
-/// buffer, and the totals [`RankOutcome`] reports.
+/// buffer, and the totals [`RankOutcome`] reports
+/// ([`RankState::checkpoint`] writes, [`RankState::restore`] reads).
 #[derive(Default)]
 struct CheckpointWriter {
     codec: Option<GradCodec>,
@@ -826,65 +781,6 @@ struct CheckpointWriter {
     encoded_bytes: u64,
     write_seconds: f64,
     last: Option<RankCheckpoint>,
-}
-
-impl CheckpointWriter {
-    /// Snapshot this rank's share of a global checkpoint of the state
-    /// `iteration` starts with: the MLP replica (rank 0 only — every rank
-    /// holds identical dense parameters, so one copy suffices), the
-    /// embedding shards this rank owns, and the dense error-feedback
-    /// residual, each encoded through the checkpoint codec, with the store
-    /// write charged at its modeled bandwidth.
-    #[allow(clippy::too_many_arguments)]
-    fn write(
-        &mut self,
-        iteration: usize,
-        spec: &CheckpointSpec,
-        model: &Dlrm,
-        owned: &[usize],
-        dense: Option<&GradCompressor>,
-        compute_scale: f64,
-        acct: &mut Accounting<'_>,
-        scratch: &PipelineScratch,
-    ) {
-        let codec = self.codec.as_ref().expect("codec built with the spec");
-        let codec_scratch = &mut self.scratch;
-        let mut encode =
-            |data: &[f32], row_width| EncodedSection::encode(codec, data, row_width, codec_scratch);
-        let rank = acct.ctx.rank();
-        let t0 = Instant::now();
-        let mut part = RankCheckpoint::new(iteration, rank);
-        if rank == 0 {
-            self.flat.clear();
-            model.flatten_mlp_params_into(&mut self.flat);
-            part.mlp = Some(encode(&self.flat, self.flat.len()));
-        }
-        for &t in owned {
-            let w = model.embedding(t).weights();
-            part.push_table(t, w.rows(), w.cols(), encode(w.as_slice(), w.cols()));
-        }
-        if let Some(residual) = dense.and_then(GradCompressor::residual) {
-            part.residual = Some(encode(residual, residual.len()));
-        }
-        part.encode_seconds = t0.elapsed().as_secs_f64();
-
-        let write_s = part.write_seconds(spec.write_bandwidth);
-        self.taken += 1;
-        self.original_bytes += part.original_bytes();
-        self.encoded_bytes += part.encoded_bytes();
-        self.write_seconds += write_s;
-        acct.ledger.add_time(
-            phases::CHECKPOINT,
-            part.encode_seconds * compute_scale + write_s,
-        );
-        acct.ledger
-            .add_bytes(phases::CHECKPOINT, part.encoded_bytes());
-        if let Some(o) = acct.obs.as_mut() {
-            o.note_checkpoint(part.encoded_bytes(), write_s, &acct.ledger);
-        }
-        self.last = Some(part);
-        acct.close(phases::CHECKPOINT, scratch, 0);
-    }
 }
 
 /// Per-rank state of the closed-loop runtime controller
@@ -976,32 +872,19 @@ impl ControllerState {
     /// record the ratios. The compressed byte counts are deterministic; the
     /// probe's time is charged to the controller phase (per-codec analytic
     /// under a profile, measured otherwise).
-    fn probe(
-        &mut self,
-        exchange: &Exchange<'_>,
-        owned: &[usize],
-        lookup_matrices: &[Matrix],
-        scratch: &mut CompressScratch,
-        ledger: &mut TimingLedger,
-    ) {
-        let Exchange {
-            ctx,
-            codecs,
-            bounds,
-            dim,
-            profile,
-            ..
-        } = *exchange;
+    fn probe(&mut self, comm: &mut Comm<'_>, owned: &[usize], lookups: &[Matrix]) {
+        let (ctx, codecs, dim, profile) = (comm.acct.ctx, &comm.codecs, comm.dim, comm.profile);
         self.probe_ratios.clear();
         let t0 = Instant::now();
         let mut probed_bytes = 0u64;
         let mut profile_seconds = 0.0f64;
         for (local_idx, &t) in owned.iter().enumerate() {
-            let matrix = &lookup_matrices[local_idx * ctx.world() + ctx.rank()];
+            let matrix = &lookups[local_idx * ctx.world() + ctx.rank()];
             let sample = &matrix.as_slice()[..matrix.len().min(PROBE_ROWS * dim)];
             let mut buf = ctx.take_buf(codecs.max_stream_bytes(t, PROBE_ROWS * dim));
-            let ratios =
-                probe_candidates(&self.candidates, sample, dim, bounds[t], scratch, &mut buf);
+            let scratch = &mut comm.scratch.codec.compress;
+            let eb = comm.bounds[t];
+            let ratios = probe_candidates(&self.candidates, sample, dim, eb, scratch, &mut buf);
             self.probe_ratios.push(ratios);
             for codec in &self.candidates {
                 probed_bytes += (sample.len() * 4) as u64;
@@ -1011,35 +894,32 @@ impl ControllerState {
             }
         }
         charge_codec(
-            ledger,
+            &mut comm.acct.ledger,
             phases::CONTROLLER,
             t0.elapsed().as_secs_f64(),
             probed_bytes,
-            exchange.device_throughput.map(|(c, _)| c),
+            comm.device_throughput.map(|(c, _)| c),
             profile.map(|_| profile_seconds),
         );
+        comm.close(phases::CONTROLLER, 0);
     }
 
     /// Close the window ending at `iter`: fill in this rank's share,
     /// all-gather every rank's, fold the identical
     /// [`WindowObservation`](dlrm_adaptive::WindowObservation) on every rank,
     /// run the controller, apply its codec switches to this rank's codec
-    /// bank (the error-bound scale is read off the controller), and return
-    /// them. The exchange is charged to the controller phase.
-    #[allow(clippy::too_many_arguments)]
+    /// bank (the error-bound scale is read off the controller) and to the
+    /// trace. The exchange is charged to the controller phase.
     fn window_boundary(
         &mut self,
-        ctx: &RankCtx,
-        cost: &CostModel,
+        comm: &mut Comm<'_>,
         iter: usize,
         owned: &[usize],
-        fwd_traffic: &[(u64, u64)],
-        codecs: &mut CodecBank,
-        ledger: &mut TimingLedger,
-        send: &mut Vec<PooledBuf>,
-        recv: &mut Vec<PooledBuf>,
         degraded: bool,
-    ) -> Reselection {
+    ) {
+        let (ctx, cost, acct) = (comm.acct.ctx, &comm.link.cost, &mut comm.acct);
+        let (ledger, fwd_traffic) = (&mut acct.ledger, &acct.traffic[Dir::Fwd as usize]);
+        let (send, recv) = (&mut comm.scratch.send, &mut comm.scratch.recv);
         let rank = ctx.rank();
         // Codec throughput over the window, from the ledger's compress
         // phases (deterministic whenever codec time is charged
@@ -1102,53 +982,66 @@ impl ControllerState {
         // hysteresis guard so the controller reacts within one window.
         let reselection = self.ctl.observe_degraded(&obs, degraded);
         for rev in &reselection.switches {
-            codecs.set_compressor(rev.table_id, rev.to);
+            comm.codecs.set_compressor(rev.table_id, rev.to);
         }
 
         // ── Roll the window state.
         self.share = WindowShare::default();
         self.traffic_mark.copy_from_slice(fwd_traffic);
         (self.codec_seconds_mark, self.codec_bytes_mark) = (codec_seconds, codec_bytes);
-        reselection
+        if let Some(o) = acct.obs.as_mut() {
+            o.note_reselection(&reselection, &acct.ledger);
+        }
+        comm.close(phases::CONTROLLER, 0);
     }
 }
 
-/// How one iteration's exchanges travel — derived each iteration from the
-/// topology setting, never configured on its own. The route picks the lease
-/// kind, the visiting order, the collective and its α–β terms (tabulated in
+/// The link one iteration's network charges use — derived each iteration
+/// from the configured network, the bandwidth trace and any straggler
+/// window, never configured on its own. It also picks the exchanges'
+/// route: flat, self-describing chunk leases over the chunked all-to-all
+/// (chunk k goes to destination `rank + k` the moment its compression
+/// finishes and arrives from source `rank − k`, so the codec timeline runs
+/// ahead of the wire); tiered, the two-level collective over plain leases,
+/// visited in rank order. The route picks the lease kind, the visiting
+/// order, the collective and its α–β terms (tabulated in
 /// `docs/ARCHITECTURE.md`); the overlap setting changes only the charge.
 #[derive(Clone, Copy)]
-enum Route<'a> {
-    /// Flat topology: self-describing chunk leases over the chunked
-    /// all-to-all. Chunk k goes to destination `rank + k` the moment its
-    /// compression finishes and arrives from source `rank − k`, so the codec
-    /// timeline runs ahead of the wire.
-    Flat,
-    /// Hierarchical topology: the two-level collective over plain leases,
-    /// visited in rank order.
-    Hier {
-        topo: &'a Topology,
-        tiered: &'a TieredCostModel,
-    },
+struct Link {
+    cost: CostModel,
+    /// The hierarchical topology and its tiered charge; `None` when flat.
+    tiers: Option<(Topology, TieredCostModel)>,
 }
 
-/// What differs between the forward exchange (owners send the distinct
-/// rows of each shard's lookups out) and the backward one (shards send each
-/// distinct row's summed gradient home). Both move one row per distinct
+/// The iteration's two embedding exchanges: owners send the distinct rows
+/// of each shard's lookups out (forward), and shards send each distinct
+/// row's summed gradient home (backward). Both move one row per distinct
 /// index of a (table, shard) column.
-struct Direction<'a, B, X, S> {
+#[derive(Clone, Copy)]
+enum Dir {
+    Fwd,
+    Bwd,
+}
+
+impl Dir {
     /// Ledger phases charged: compress, all-to-all, decompress.
-    phases: [&'static str; 3],
+    fn phases(self) -> [&'static str; 3] {
+        use phases::*;
+        [
+            [FWD_COMPRESS, FWD_A2A, FWD_DECOMPRESS],
+            [BWD_COMPRESS, BWD_A2A, BWD_DECOMPRESS],
+        ][self as usize]
+    }
+}
+
+/// What one exchange sends and where what arrives goes.
+struct Direction<B, X, S> {
+    dir: Dir,
     /// `(table, distinct rows, shard rows)` blocks of the chunk bound for a
     /// destination, in ascending table order. Send leases are sized for the
     /// shard's full row count, so a lease request stays the same every
     /// iteration however few rows the payload carries.
     blocks: B,
-    /// Send-lease capacity per destination learned from earlier iterations,
-    /// so leases rarely have to grow.
-    hints: &'a mut [usize],
-    /// Per-table `(original, compressed)` payload bytes to accumulate into.
-    traffic: &'a mut [(u64, u64)],
     /// The index each arriving `(table, source)` block is checked against
     /// (the block carries one row per distinct index of it), or `None` for a
     /// table the receiver does not expect from that source.
@@ -1162,6 +1055,7 @@ struct Direction<'a, B, X, S> {
 /// index's distinct rows; the backward exchange checks the shard's summed
 /// gradient block against the same index, and the update applies it through
 /// the index's distinct rows.
+#[derive(Default)]
 struct ShardIndices {
     /// Position of each table among the owned ones (`None` if not owned).
     local: Vec<Option<usize>>,
@@ -1201,65 +1095,66 @@ impl ShardIndices {
     }
 }
 
-/// What one iteration's two exchanges share.
-#[derive(Clone, Copy)]
-struct Exchange<'a> {
-    ctx: &'a RankCtx,
-    codecs: &'a CodecBank,
+/// One rank's side of both embedding exchanges, kept across iterations:
+/// the codec bank with this iteration's bounds and link, the send-lease
+/// hints, the scratch and the accounting. The model, the dense state and
+/// the rows live outside it, so the work an exchange window runs can
+/// borrow them while the exchange borrows this.
+struct Comm<'a> {
+    codecs: CodecBank,
     /// Each table's error bound this iteration: its scheduled base bound
     /// times the controller's scale.
-    bounds: &'a [f32],
+    bounds: Vec<f32>,
     dim: usize,
     profile: Option<&'a CodecProfile>,
     /// `(compress, decompress)` flat device-throughput override.
     device_throughput: Option<(f64, f64)>,
-    cost: &'a CostModel,
-    route: Route<'a>,
     /// Double-buffered charge: codec seconds hide wire seconds.
     overlapped: bool,
+    link: Link,
+    /// Send-lease capacity per destination learned from earlier iterations,
+    /// one set per [`Dir`], so leases rarely have to grow.
+    hints: [Vec<usize>; 2],
+    scratch: PipelineScratch,
+    acct: Accounting<'a>,
 }
 
-impl Exchange<'_> {
+impl Comm<'_> {
+    /// Close `phase` (see [`Accounting::close`]).
+    fn close(&mut self, phase: &'static str, extra_alloc: u64) {
+        self.acct.close(phase, &self.scratch, extra_alloc);
+    }
+
     /// The paper's loop, once: compress per-destination chunks straight into
     /// pooled send leases, move them through the route's all-to-all, and
     /// decompress what arrives into recycled float storage sized for the
     /// source's full shard. Every route writes byte-identical chunks and
     /// delivers bit-identical matrices — only the charged time differs.
+    /// The controller's window `share`, if any, accumulates the wire seen.
     ///
     /// `window` is rank work the exchange does not feed. It runs once the
     /// last chunk is compressed: on the flat route its chunks are then on
     /// the wire, so the work hides under the wait for the peers' chunks; the
     /// hierarchical route runs it just before its blocking collective. It
     /// charges and closes its own phases.
-    ///
-    /// Returns the bytes this rank sent to other ranks.
-    fn run<'m, B, I, X, S>(
-        &self,
-        mut dir: Direction<'_, B, X, S>,
-        scratch: &mut PipelineScratch,
-        acct: &mut Accounting<'_>,
-        mut controller: Option<&mut ControllerState>,
+    fn exchange<'m, B, I, X, S>(
+        &mut self,
+        mut dir: Direction<B, X, S>,
+        mut share: Option<&mut WindowShare>,
         window: impl FnOnce(&mut PipelineScratch, &mut Accounting<'_>),
-    ) -> u64
-    where
+    ) where
         B: Fn(usize) -> I,
         I: Iterator<Item = (usize, &'m Matrix, usize)>,
         X: Fn(usize, usize) -> Option<&'m DistinctRows>,
         S: FnMut(u32, u32, Matrix),
     {
-        let Exchange {
-            ctx,
-            codecs,
-            bounds,
-            dim,
-            profile,
-            cost,
-            ..
-        } = *self;
-        let raw = codecs.is_identity();
+        let (codecs, bounds, link, d) = (&self.codecs, &self.bounds, &self.link, dir.dir as usize);
+        let (dim, profile, device_throughput) = (self.dim, self.profile, self.device_throughput);
+        let (hints, scratch, acct) = (&mut self.hints[d], &mut self.scratch, &mut self.acct);
+        let (ctx, raw) = (acct.ctx, codecs.is_identity());
         let (rank, world) = (ctx.rank(), ctx.world());
-        let [compress, a2a, decompress] = dir.phases;
-        let flat = matches!(self.route, Route::Flat);
+        let [compress, a2a, decompress] = dir.dir.phases();
+        let flat = link.tiers.is_none();
         let mut stream = flat.then(|| ctx.begin_chunked());
         let header = if flat { CHUNK_HEADER_BYTES } else { 0 };
 
@@ -1277,7 +1172,7 @@ impl Exchange<'_> {
             let worst = payload_chunk_capacity(
                 (dir.blocks)(dst).map(|(t, _, rows)| codecs.max_stream_bytes(t, rows * dim)),
             );
-            let capacity = dir.hints[dst].max(header + worst);
+            let capacity = hints[dst].max(header + worst);
             let mut buf = if flat {
                 ctx.take_chunk_buf(capacity)
             } else {
@@ -1297,17 +1192,18 @@ impl Exchange<'_> {
                 if let Some((encode_tput, _)) = profile.and_then(|p| codecs.throughput(t, p)) {
                     chunk_profile_s += raw_bytes as f64 / encode_tput;
                 }
-                dir.traffic[t].0 += raw_bytes;
-                dir.traffic[t].1 += payload_len as u64;
+                let traffic = &mut acct.traffic[d][t];
+                traffic.0 += raw_bytes;
+                traffic.1 += payload_len as u64;
             }
             let (buf, grown) = settle_chunk(ctx, buf, cap_at_take);
             lease_growth += grown;
-            dir.hints[dst] = dir.hints[dst].max(buf.len());
+            hints[dst] = hints[dst].max(buf.len());
             scratch.chunk_codec_s.push(chunk_codec_seconds(
                 raw,
                 t0.elapsed().as_secs_f64(),
                 chunk_original,
-                self.device_throughput.map(|(c, _)| c),
+                device_throughput.map(|(c, _)| c),
                 profile.map(|_| chunk_profile_s),
             ));
             scratch
@@ -1327,7 +1223,7 @@ impl Exchange<'_> {
 
         // ── All-to-all. Flat chunks are already in flight; their wire time
         // is charged once the last one has retired.
-        if let Route::Hier { topo, tiered } = self.route {
+        if let Some((topo, tiered)) = &link.tiers {
             let bytes = ctx.all_to_all_hier_pooled(topo, &mut scratch.send, &mut scratch.recv);
             let (intra_t, inter_t) = tiered.hier_tier_times(&bytes);
             acct.ledger.add_bytes(a2a, bytes.total());
@@ -1340,7 +1236,7 @@ impl Exchange<'_> {
                 scratch.chunk_sent.iter().copied(),
             );
             acct.add_tiers(bytes.intra_total(), bytes.inter_total(), (intra_t, inter_t));
-            if let Some(share) = controller.as_mut().map(|c| &mut c.share) {
+            if let Some(share) = share.as_mut() {
                 let ex = bytes.exchange;
                 let inter_b = ex.sent.max(ex.received) as f64;
                 share.wire_bytes += inter_b;
@@ -1420,19 +1316,20 @@ impl Exchange<'_> {
             decompress,
             if raw { 0.0 } else { measured_s },
             decompressed_bytes,
-            self.device_throughput.map(|(_, d)| d),
+            device_throughput.map(|(_, d)| d),
             profile.map(|_| profile_s),
         );
-        let sent = scratch.chunk_sent.iter().sum::<usize>() as u64;
+        acct.a2a_sent[d] += scratch.chunk_sent.iter().sum::<usize>() as u64;
         let Some(mut stream) = stream else {
             acct.close(decompress, scratch, 0);
-            return sent;
+            return;
         };
         let stats = stream.finish();
         debug_assert_eq!(stats.sent, scratch.chunk_sent.iter().sum::<usize>());
         debug_assert_eq!(stats.received, scratch.chunk_recv.iter().sum::<usize>());
         acct.ledger
             .add_bytes(a2a, (stats.sent + stats.received) as u64);
+        let cost = &link.cost;
         charge_a2a(
             &mut acct.ledger,
             a2a,
@@ -1444,244 +1341,427 @@ impl Exchange<'_> {
             &scratch.chunk_codec_s,
             (scratch.chunk_sent.iter().zip(&scratch.chunk_recv)).map(|(&s, &r)| s.max(r)),
         );
-        if let Some(share) = controller.as_mut().map(|c| &mut c.share) {
+        if let Some(share) = share {
             let bottleneck = stats.sent.max(stats.received);
             share.wire_bytes += bottleneck as f64;
             share.wire_seconds += cost.bandwidth_time(bottleneck);
         }
         acct.close_split(decompress, (measured_s, modeled_s), a2a, scratch);
-        sent
+    }
+
+    /// Grow the codec scratch to the largest demand an exchange can make of
+    /// it: encode and decode every table's full-shard `blocks[t]` at its
+    /// bound under its own codec and under each runtime-controller
+    /// candidate.
+    ///
+    /// Blocks of both directions carry however many distinct rows a batch
+    /// has, so the warm-up batches need not have shown a codec the largest
+    /// block it will see; a later batch with more distinct rows would then
+    /// grow the scratch in the steady state.
+    fn warm_codec_scratch(&mut self, candidates: &[Box<dyn Compressor>], blocks: &[Matrix]) {
+        let scratch = &mut self.scratch.codec;
+        let (mut bytes, mut values) = (Vec::new(), Vec::new());
+        for (t, block) in blocks.iter().enumerate() {
+            let (data, dim, eb) = (block.as_slice(), block.cols(), self.bounds[t]);
+            bytes.clear();
+            values.clear();
+            self.codecs.encode(t, data, dim, eb, scratch, &mut bytes);
+            self.codecs
+                .decode(t, &bytes, data.len(), scratch, &mut values)
+                .expect("a stream this codec just wrote decodes");
+            for codec in candidates {
+                bytes.clear();
+                values.clear();
+                codec
+                    .compress_into(data, dim, eb, &mut scratch.compress, &mut bytes)
+                    .expect("lossy compression of finite training data cannot fail");
+                codec
+                    .decompress_into(&bytes, &mut scratch.compress, &mut values)
+                    .expect("a stream this codec just wrote decodes");
+            }
+        }
     }
 }
 
-/// Run the full training loop on one rank. Must be called from within a
-/// [`SimCluster`](dlrm_comm::SimCluster) whose world matches
-/// `setup.trainer.world`.
-pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
-    let rank = ctx.rank();
-    let world = ctx.world();
-    assert_eq!(world, setup.trainer.world, "cluster/config world mismatch");
-    let trainer = &setup.trainer;
-    let dataset = &setup.dataset;
-    let partition = &setup.partition;
-    let num_tables = dataset.num_tables();
-    let dim = dataset.embedding_dim;
-    let base_cost = ctx.cost_model();
-    // Drifting network and per-codec analytic throughputs: both optional,
-    // both `None` on the bit-exact default path.
-    let trace = trainer.bandwidth_trace.as_ref();
-    let profile = trainer.codec_profile.as_ref();
-    // Fault plan and the segment of global iterations this execution covers
-    // (the full run unless the driver scheduled world events).
-    let seg = &setup.segment;
-    assert!(
-        seg.start <= seg.end && seg.end <= trainer.iterations,
-        "segment [{}, {}) out of range for {} iterations",
-        seg.start,
-        seg.end,
-        trainer.iterations
-    );
-    let plan = trainer.fault.as_ref().map(|f| &f.plan);
+/// The dense all-reduce's per-rank state: its codec (with the
+/// error-feedback residual; `None` when dense compression is off) and the
+/// totals [`RankOutcome`] reports.
+#[derive(Default)]
+struct Dense {
+    codec: Option<GradCompressor>,
+    /// The codec's compressed-domain combine price, fixed for the run.
+    combine_throughput: Option<f64>,
+    traffic: (u64, u64),
+    saved_seconds: f64,
+    homo_combines: u64,
+    homo_combine_seconds: f64,
+    homo_saved_seconds: f64,
+    /// Capacity of the codec and the reduce staging at the last close, so
+    /// their warm-up growth is charged to the ALLREDUCE phase and
+    /// steady-state growth would break the zero-allocation test.
+    capacity_mark: u64,
+}
 
-    // The embedding exchange's codec per table, and each table's error
-    // bound of the current iteration.
-    let mut codecs = trainer.compression.codec_bank(num_tables);
-    let schedule = trainer.compression.schedule();
-    let mut bounds = vec![0.0f32; num_tables];
-    let overlapped = matches!(trainer.overlap, OverlapSetting::DoubleBuffered);
-    // Closed-loop runtime controller (None under the bit-exact Static path).
-    let mut controller = ControllerState::new(trainer, &codecs, num_tables);
-    // Hierarchical topology: the two-level collective replaces both
-    // all-to-alls and every network phase is charged by the tiered model.
-    // `None` (flat) takes exactly the topology-less code paths.
-    let hier: Option<(Topology, TieredCostModel)> = match &trainer.topology {
-        TopologySetting::Flat => None,
-        TopologySetting::Hierarchical(topo) => Some((*topo, topo.cost_model())),
-    };
-    // Dense-gradient (all-reduce) compression state: codec + error-feedback
-    // residual + scratch, all per-rank and reused every iteration.
-    let mut dense: Option<GradCompressor> = match &trainer.dense_compression {
-        DenseCompression::Off => None,
-        DenseCompression::Compressed {
-            codec,
-            error_feedback,
-        } => {
-            // The classic comparison arm: combine suppressed even for kinds
-            // that could, so owner shards always decode → reduce → re-encode.
-            let mut state = GradCompressor::new(codec, *error_feedback);
-            state.set_allow_combine(false);
-            Some(state)
+/// The rows one iteration moves, in storage recycled across iterations.
+#[derive(Default)]
+struct Rows {
+    /// The distinct rows of this rank's own shard per table: what arriving
+    /// forward blocks re-expand through and outgoing gradients are summed
+    /// through.
+    own: Vec<DistinctRows>,
+    /// As an owner, the distinct rows of every shard's column of each owned
+    /// table.
+    shards: ShardIndices,
+    /// Capacity of both indices at the last lookup, so their warm-up growth
+    /// is charged to the LOOKUP phase.
+    capacity_mark: u64,
+    /// An owner's lookups, at `[local_idx * world + dst]`.
+    lookups: Vec<Matrix>,
+    /// This shard's lookups per table, as they arrive.
+    slots: Vec<Option<Matrix>>,
+    /// This shard's lookups in table order.
+    mine: Vec<Matrix>,
+    /// This shard's summed gradient rows per table.
+    grad_sums: Vec<Matrix>,
+    /// Delivered `(table, source, summed rows)` gradient blocks.
+    grad_entries: Vec<(u32, u32, Matrix)>,
+    /// Per-table bytes of the re-expanded `rows × dim` lookups this shard
+    /// received.
+    delivered: Vec<u64>,
+}
+
+/// One rank's training state for a segment: built once by
+/// [`RankState::new`], advanced one iteration at a time by
+/// [`RankState::step`] and closed by [`RankState::finish`]. The exchanges
+/// borrow `comm` while their windows run on `model` and `dense`.
+struct RankState<'a> {
+    ctx: &'a RankCtx,
+    setup: &'a RankSetup,
+    owned: Vec<usize>,
+    /// The configured hierarchical topology and its tiered charge, before
+    /// any trace or straggler window; `None` when flat.
+    hier: Option<(Topology, TieredCostModel)>,
+    model: Dlrm,
+    comm: Comm<'a>,
+    dense: Dense,
+    rows: Rows,
+    /// Closed-loop runtime controller (`None` under the bit-exact `Static`
+    /// path).
+    controller: Option<ControllerState>,
+    checkpoints: CheckpointWriter,
+    per_iteration: Vec<EvalMetrics>,
+}
+
+impl<'a> RankState<'a> {
+    /// Build everything the iterations reuse; the wall clock starts here.
+    fn new(ctx: &'a RankCtx, setup: &'a RankSetup) -> Self {
+        let (rank, world) = (ctx.rank(), ctx.world());
+        assert_eq!(world, setup.trainer.world, "cluster/config world mismatch");
+        let (trainer, dataset, seg) = (&setup.trainer, &setup.dataset, &setup.segment);
+        assert!(
+            seg.start <= seg.end && seg.end <= trainer.iterations,
+            "segment [{}, {}) out of range for {} iterations",
+            seg.start,
+            seg.end,
+            trainer.iterations
+        );
+        let num_tables = dataset.num_tables();
+        let owned = setup.partition.tables_of(rank).to_vec();
+        let codecs = trainer.compression.codec_bank(num_tables);
+        let controller = ControllerState::new(trainer, &codecs, num_tables);
+        // Hierarchical topology: the two-level collective replaces both
+        // all-to-alls and every network phase is charged by the tiered model.
+        // `None` (flat) takes exactly the topology-less code paths.
+        let hier = match &trainer.topology {
+            TopologySetting::Flat => None,
+            TopologySetting::Hierarchical(topo) => Some((*topo, topo.cost_model())),
+        };
+        let codec = match &trainer.dense_compression {
+            DenseCompression::Off => None,
+            DenseCompression::Compressed {
+                codec,
+                error_feedback,
+            } => {
+                // The classic comparison arm: combine suppressed even for kinds
+                // that could, so owner shards always decode → reduce → re-encode.
+                let mut state = GradCompressor::new(codec, *error_feedback);
+                state.set_allow_combine(false);
+                Some(state)
+            }
+            DenseCompression::Homomorphic {
+                codec,
+                error_feedback,
+            } => Some(GradCompressor::new(codec, *error_feedback)),
+        };
+        let combine_throughput = codec.as_ref().and_then(|state| {
+            let profile =
+                (trainer.codec_profile.clone()).unwrap_or_else(CodecProfile::paper_reference);
+            state.codec().kind().price(&profile)?.2
+        });
+        let scratch = PipelineScratch::new(world);
+        // Observability (`ObsSetting::On` only): the span ring and metrics
+        // series are sized to the segment up front, so recording in the loop
+        // never allocates. The clock domain follows the executor — modeled
+        // (deterministic) timestamps under the sequential gate, wall timestamps
+        // under free-running threads.
+        let obs = trainer.obs.is_enabled().then(|| {
+            let clock = trainer.executor.clock_domain();
+            ObsState::new(rank, clock, seg.end - seg.start, num_tables)
+        });
+        let model = Dlrm::new_partial(
+            DlrmConfig::from_dataset(dataset),
+            trainer.seed,
+            Some(&owned),
+        );
+        let acct = Accounting::new(ctx, &scratch, obs, num_tables);
+        Self {
+            ctx,
+            setup,
+            hier,
+            model,
+            comm: Comm {
+                codecs,
+                bounds: vec![0.0; num_tables],
+                dim: dataset.embedding_dim,
+                profile: trainer.codec_profile.as_ref(),
+                device_throughput: trainer.device_throughput,
+                overlapped: matches!(trainer.overlap, OverlapSetting::DoubleBuffered),
+                link: Link {
+                    cost: ctx.cost_model(),
+                    tiers: hier,
+                },
+                hints: [vec![64; world], vec![64; world]],
+                scratch,
+                acct,
+            },
+            dense: Dense {
+                codec,
+                combine_throughput,
+                ..Default::default()
+            },
+            rows: Rows {
+                own: vec![DistinctRows::new(); num_tables],
+                shards: ShardIndices::new(&owned, num_tables, world),
+                delivered: vec![0; num_tables],
+                ..Default::default()
+            },
+            controller,
+            checkpoints: CheckpointWriter {
+                codec: seg.checkpoint.as_ref().map(|s| s.codec.build()),
+                ..Default::default()
+            },
+            per_iteration: Vec::with_capacity(seg.end - seg.start),
+            owned,
         }
-        DenseCompression::Homomorphic {
-            codec,
-            error_feedback,
-        } => Some(GradCompressor::new(codec, *error_feedback)),
-    };
-    // The dense codec's compressed-domain combine price, fixed for the run.
-    let dense_combine_throughput = dense.as_ref().and_then(|state| {
-        let profile = profile
-            .cloned()
-            .unwrap_or_else(CodecProfile::paper_reference);
-        state.codec().kind().price(&profile)?.2
-    });
-    let mut dense_traffic = (0u64, 0u64);
-    let mut dense_saved_seconds = 0.0f64;
-    let mut homo_combines = 0u64;
-    let mut homo_combine_seconds = 0.0f64;
-    let mut homo_saved_seconds = 0.0f64;
-    // Capacity mark of the dense state (codec scratch + residual +
-    // reduce staging), so its warm-up growth is charged to the ALLREDUCE
-    // phase and steady-state growth would break the zero-allocation test.
-    let mut dense_capacity_mark = 0u64;
-    let owned = partition.tables_of(rank).to_vec();
+    }
 
-    let model_config = DlrmConfig::from_dataset(dataset);
-    let mut model = Dlrm::new_partial(model_config, trainer.seed, Some(&owned));
-
-    let mut ledger = TimingLedger::new();
-    let mut per_iteration = Vec::with_capacity(seg.end - seg.start);
-    let mut fwd_traffic = vec![(0u64, 0u64); num_tables];
-    let mut fwd_delivered = vec![0u64; num_tables];
-    let mut bwd_traffic = vec![(0u64, 0u64); num_tables];
-    let mut a2a_sent = (0u64, 0u64);
-    let compute_scale = trainer.compute_time_scale;
-
-    // Reusable per-rank state: everything the steady-state loop touches.
-    let mut scratch = PipelineScratch::new(world);
-    // The distinct rows of this rank's own shard per table (what arriving
-    // forward blocks re-expand through and outgoing gradients are summed
-    // through), and, as an owner, of every shard's column of each owned
-    // table. Capacity-tracked like the dense state, so their warm-up growth
-    // is charged to the LOOKUP phase.
-    let mut own_distinct: Vec<DistinctRows> = vec![DistinctRows::new(); num_tables];
-    let mut shard_distinct = ShardIndices::new(&owned, num_tables, world);
-    let mut distinct_capacity_mark = 0u64;
-    let mut lookup_matrices: Vec<Matrix> = Vec::new(); // [local_idx * world + dst]
-    let mut lookup_slots: Vec<Option<Matrix>> = Vec::new();
-    let mut my_lookups: Vec<Matrix> = Vec::new();
-    let mut grad_sums: Vec<Matrix> = Vec::new();
-    let mut grad_entries: Vec<(u32, u32, Matrix)> = Vec::new();
-    // Send-lease capacity hints per destination, one set per direction.
-    let mut fwd_hints = vec![64usize; world];
-    let mut bwd_hints = vec![64usize; world];
-
-    // ── Segment entry: restore from the checkpoint this segment resumes
-    // from (recovery after a rank loss, or re-sharding onto a resized
-    // world). Sections are keyed by table id, so the restore works for any
-    // partition of the surviving world.
-    let mut checkpoints = CheckpointWriter {
-        codec: seg.checkpoint.as_ref().map(|s| s.codec.build()),
-        ..Default::default()
-    };
-    if let Some(ckpt) = seg.restore.as_deref() {
-        let ckpt_flat = &mut checkpoints.flat;
-        let (codec, codec_scratch) = (ckpt.codec.build(), &mut checkpoints.scratch);
+    /// Restore the checkpoint this segment resumes from (recovery after a
+    /// rank loss, or re-sharding onto a resized world). Sections are keyed
+    /// by table id, so the restore works for any partition of the surviving
+    /// world. The read is setup, not training: the wall clock restarts.
+    fn restore(&mut self, ckpt: &Checkpoint) {
+        let rank = self.ctx.rank();
+        let flat = &mut self.checkpoints.flat;
+        let (codec, codec_scratch) = (ckpt.codec.build(), &mut self.checkpoints.scratch);
         let mut decode =
             |section: &EncodedSection, what: std::fmt::Arguments, out: &mut Vec<f32>| {
                 (section.decode_into(&codec, codec_scratch, out))
                     .unwrap_or_else(|e| panic!("rank {rank}: checkpoint {what} section: {e}"))
             };
-        decode(&ckpt.mlp, format_args!("MLP"), ckpt_flat);
-        model.load_flat_mlp_params(ckpt_flat);
-        for &t in &owned {
+        decode(&ckpt.mlp, format_args!("MLP"), flat);
+        self.model.load_flat_mlp_params(flat);
+        for &t in &self.owned {
             let section = ckpt
                 .table(t)
                 .unwrap_or_else(|| panic!("checkpoint is missing table {t}"));
-            decode(&section.section, format_args!("table {t}"), ckpt_flat);
-            let w = model.embedding_mut(t).weights_mut();
+            decode(&section.section, format_args!("table {t}"), flat);
+            let w = self.model.embedding_mut(t).weights_mut();
             assert_eq!(
                 (section.rows, section.cols),
                 (w.rows(), w.cols()),
                 "table {t}: checkpoint shape mismatch"
             );
-            w.as_mut_slice().copy_from_slice(ckpt_flat);
+            w.as_mut_slice().copy_from_slice(flat);
         }
         if let Some(section) = ckpt.residual_for(rank) {
-            if let Some(state) = dense.as_mut() {
-                decode(section, format_args!("residual"), ckpt_flat);
-                state.load_residual(ckpt_flat);
+            if let Some(state) = self.dense.codec.as_mut() {
+                decode(section, format_args!("residual"), flat);
+                state.load_residual(flat);
             }
         }
         // The restore read is charged at the store bandwidth; every rank
         // reads the full checkpoint's bytes (MLP + all shards stream past).
-        let read_bandwidth = seg
-            .checkpoint
-            .as_ref()
-            .map_or(CheckpointSpec::DEFAULT_WRITE_BANDWIDTH, |s| {
-                s.write_bandwidth
-            });
+        let spec = self.setup.segment.checkpoint.as_ref();
+        let read_bandwidth = spec.map_or(CheckpointSpec::DEFAULT_WRITE_BANDWIDTH, |s| {
+            s.write_bandwidth
+        });
+        let ledger = &mut self.comm.acct.ledger;
         ledger.add_time(phases::CHECKPOINT, ckpt.read_seconds(read_bandwidth));
         ledger.add_bytes(phases::CHECKPOINT, ckpt.encoded_bytes);
+        self.comm.acct.wall = WallClock::new();
     }
 
-    // Observability (`ObsSetting::On` only): the span ring and metrics
-    // series are sized to the segment up front, so recording in the loop
-    // never allocates. The clock domain follows the executor — modeled
-    // (deterministic) timestamps under the sequential gate, wall timestamps
-    // under free-running threads.
-    let obs = trainer.obs.is_enabled().then(|| {
-        ObsState::new(
-            rank,
-            trainer.executor.clock_domain(),
-            seg.end - seg.start,
-            num_tables,
-        )
-    });
-    let mut acct = Accounting::new(ctx, &scratch, ledger, obs);
+    /// Snapshot this rank's share of a global checkpoint of the state
+    /// `iteration` starts with: the MLP replica (rank 0 only — every rank
+    /// holds identical dense parameters, so one copy suffices), the
+    /// embedding shards this rank owns, and the dense error-feedback
+    /// residual, each encoded through the checkpoint codec, with the store
+    /// write charged at its modeled bandwidth.
+    fn checkpoint(&mut self, iteration: usize) {
+        let spec = (self.setup.segment.checkpoint.as_ref())
+            .expect("validated: checkpoints are taken under a spec");
+        let ck = &mut self.checkpoints;
+        let (codec, flat) = (
+            ck.codec.as_ref().expect("codec built with the spec"),
+            &mut ck.flat,
+        );
+        let mut encode = |data: &[f32], row_width| {
+            EncodedSection::encode(codec, data, row_width, &mut ck.scratch)
+        };
+        let rank = self.ctx.rank();
+        let t0 = Instant::now();
+        let mut part = RankCheckpoint::new(iteration, rank);
+        if rank == 0 {
+            flat.clear();
+            self.model.flatten_mlp_params_into(flat);
+            part.mlp = Some(encode(flat.as_slice(), flat.len()));
+        }
+        for &t in &self.owned {
+            let w = self.model.embedding(t).weights();
+            part.push_table(t, w.rows(), w.cols(), encode(w.as_slice(), w.cols()));
+        }
+        if let Some(residual) = self.dense.codec.as_ref().and_then(GradCompressor::residual) {
+            part.residual = Some(encode(residual, residual.len()));
+        }
+        part.encode_seconds = t0.elapsed().as_secs_f64();
 
-    for iter in seg.start..seg.end {
+        let write_s = part.write_seconds(spec.write_bandwidth);
+        let ck = &mut self.checkpoints;
+        ck.taken += 1;
+        ck.original_bytes += part.original_bytes();
+        ck.encoded_bytes += part.encoded_bytes();
+        ck.write_seconds += write_s;
+        let acct = &mut self.comm.acct;
+        let compute_scale = self.setup.trainer.compute_time_scale;
+        acct.ledger.add_time(
+            phases::CHECKPOINT,
+            part.encode_seconds * compute_scale + write_s,
+        );
+        acct.ledger
+            .add_bytes(phases::CHECKPOINT, part.encoded_bytes());
+        if let Some(o) = acct.obs.as_mut() {
+            o.note_checkpoint(part.encoded_bytes(), write_s, &acct.ledger);
+        }
+        ck.last = Some(part);
+        self.comm.close(phases::CHECKPOINT, 0);
+    }
+
+    /// Charge `started`'s elapsed compute time to `phase`, scaled.
+    fn charge_compute(&mut self, phase: &'static str, started: Instant) {
+        let scale = self.setup.trainer.compute_time_scale;
+        (self.comm.acct.ledger).add_time(phase, started.elapsed().as_secs_f64() * scale);
+    }
+
+    /// One iteration: the paper's Figure 3 pipeline with compression around
+    /// both all-to-alls, then the MLP all-reduce and the optimizer.
+    fn step(&mut self, iter: usize) {
+        let setup = self.setup;
         // Warm-up is per segment: a fresh executor (and so fresh pools)
         // backs every segment, so the allocation amnesty restarts with it.
-        let local = iter - seg.start;
-        acct.counting = local >= WARMUP_ITERATIONS;
-        if let Some(o) = acct.obs.as_mut() {
-            o.begin_iteration(
-                iter,
-                &acct.ledger,
-                &acct.wall,
-                &fwd_traffic,
-                acct.tier_bytes,
-            );
-        }
+        let local = iter - setup.segment.start;
+        self.comm.acct.counting = local >= WARMUP_ITERATIONS;
+        self.comm.acct.begin_iteration(iter);
         // ── checkpoint (cadence): snapshot the state this iteration
         // *starts* with.
-        if let Some(spec) = seg.checkpoint.as_ref() {
-            if iter.is_multiple_of(spec.every) {
-                checkpoints.write(
-                    iter,
-                    spec,
-                    &model,
-                    &owned,
-                    dense.as_ref(),
-                    compute_scale,
-                    &mut acct,
-                    &scratch,
-                );
-            }
+        let cadence = setup.segment.checkpoint.as_ref().map(|s| s.every);
+        if cadence.is_some_and(|every| iter.is_multiple_of(every)) {
+            self.checkpoint(iter);
         }
-        // The link (and therefore every network charge) in effect this
-        // iteration: the static network without a trace — bit for bit the
-        // pre-trace path — or whatever the trace says right now. An active
-        // straggler window further divides the bandwidths by its multiplier
-        // (the slowest rank's link bounds every bulk-synchronous
-        // collective); factor 1.0 skips the rebuild entirely, keeping the
-        // no-fault path bit-identical.
-        let straggler = plan.map_or(1.0, |p| p.straggler_factor(iter));
+        self.set_link(iter);
+        self.reselect(iter);
+        // ── input batch: the global batch, one shard per rank. Whichever
+        // rank asks first draws it; the modeled clock charges nothing (the
+        // paper's data loader is off the critical path), the wall clock
+        // does.
+        let shards = setup.feed.step(iter, setup.trainer.global_batch);
+        let my_shard = &shards[self.ctx.rank()];
+        self.comm.close(phases::INPUT, 0);
+
+        self.lookup(&shards);
+        let bottom = self.forward_exchange(&shards);
+
+        // ── mlp forward (the rest), metrics, mlp backward (data-parallel).
+        let t0 = Instant::now();
+        let cache = self.model.forward_top(bottom, &self.rows.mine);
+        self.charge_compute(phases::MLP_FWD, t0);
+        let metrics = EvalMetrics::from_logits(&cache.logits, &my_shard.labels);
+        self.per_iteration.push(metrics);
+        if let Some(share) = self.controller.as_mut().map(|c| &mut c.share) {
+            share.loss_sum += metrics.loss;
+            share.loss_n += 1;
+        }
+        self.comm.close(phases::MLP_FWD, 0);
+
+        // The gradient of each distinct row of this shard's columns: its
+        // samples' gradient rows, summed in sample order. Only the
+        // embedding half of the backward pass runs here.
+        let t0 = Instant::now();
+        let back = self.model.backward_embeddings(&cache, &my_shard.labels);
+        for (index, grad) in self.rows.own.iter().zip(&back.embedding_grads) {
+            let mut sums = self.comm.scratch.take_floats(grad.len());
+            index.sum_rows_into(grad.as_slice(), self.comm.dim, &mut sums);
+            let sums = Matrix::from_vec(index.unique().len(), self.comm.dim, sums);
+            self.rows.grad_sums.push(sums);
+        }
+        self.charge_compute(phases::MLP_BWD, t0);
+        self.comm.close(phases::MLP_BWD, 0);
+
+        self.backward_exchange(iter, &shards, &cache, back);
+        self.update_embeddings();
+        self.all_reduce();
+        self.optimizer();
+
+        // ── runtime controller (probe): the candidate codecs try this
+        // iteration's payloads at the end of warm-up and before each
+        // reselection point.
+        if local + 1 == WARMUP_ITERATIONS {
+            self.end_warm_up();
+        } else if (self.controller.as_ref())
+            .is_some_and(|c| c.wants_probe(iter, setup.trainer.iterations))
+        {
+            self.probe();
+        }
+        // Reclaim the float storage of this iteration's matrices for reuse.
+        for m in self.rows.lookups.drain(..).chain(self.rows.mine.drain(..)) {
+            self.comm.scratch.put_floats(m.into_vec());
+        }
+        let ef_norm = (self.dense.codec.as_ref()).map_or(0.0, GradCompressor::residual_norm);
+        self.comm.acct.end_iteration(iter, ef_norm);
+    }
+
+    /// The link (and therefore every network charge) in effect this
+    /// iteration: the static network without a trace — bit for bit the
+    /// pre-trace path — or whatever the trace says right now. An active
+    /// straggler window further divides the bandwidths by its multiplier
+    /// (the slowest rank's link bounds every bulk-synchronous collective);
+    /// factor 1.0 skips the rebuild entirely, keeping the no-fault path
+    /// bit-identical.
+    fn set_link(&mut self, iter: usize) {
+        let trainer = &self.setup.trainer;
+        let trace = trainer.bandwidth_trace.as_ref();
+        let straggler = (trainer.fault.as_ref()).map_or(1.0, |f| f.plan.straggler_factor(iter));
+        let acct = &mut self.comm.acct;
         if let Some(o) = acct.obs.as_mut() {
             o.note_straggler(straggler, &acct.ledger);
         }
-        let cost = {
-            let c = match trace {
-                None => base_cost,
-                Some(t) => t.cost_model_at(iter),
-            };
-            if straggler > 1.0 {
-                c.config().degraded(straggler).cost_model()
-            } else {
-                c
-            }
+        let mut cost = match trace {
+            None => self.ctx.cost_model(),
+            Some(t) => t.cost_model_at(iter),
         };
-        let hier_iter: Option<(Topology, TieredCostModel)> = match (&hier, trace) {
+        if straggler > 1.0 {
+            cost = cost.config().degraded(straggler).cost_model();
+        }
+        let tiers = match (&self.hier, trace) {
             (None, _) => None,
             (Some(pair), None) if straggler <= 1.0 => Some(*pair),
             (Some((topo, _)), t) => {
@@ -1697,125 +1777,89 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 Some((topo_iter, topo_iter.cost_model()))
             }
         };
-        // ── runtime controller (reselection point): close the previous window, exchange
-        // observations, and apply the controller's revisions before any of
-        // this iteration's compression runs (so every rank flips codecs on
-        // the same iteration).
-        if let Some(state) = controller.as_mut() {
-            if state.is_boundary(iter) {
-                let sel = state.window_boundary(
-                    ctx,
-                    &cost,
-                    iter,
-                    &owned,
-                    &fwd_traffic,
-                    &mut codecs,
-                    &mut acct.ledger,
-                    &mut scratch.send,
-                    &mut scratch.recv,
-                    plan.is_some_and(|p| p.degraded_at(iter)),
-                );
-                if let Some(o) = acct.obs.as_mut() {
-                    o.note_reselection(&sel, &acct.ledger);
-                }
-                acct.close(phases::CONTROLLER, &scratch, 0);
-            }
-        }
-        // ── input batch: the global batch, one shard per rank. Whichever
-        // rank asks first draws it; the modeled clock charges nothing (the
-        // paper's data loader is off the critical path), the wall clock
-        // does.
-        let shards = setup.feed.step(iter, trainer.global_batch);
-        let my_shard = &shards[rank];
-        acct.close(phases::INPUT, &scratch, 0);
+        self.comm.link = Link { cost, tiers };
+    }
 
-        // ── embedding lookup: every rank indexes its own shard's columns,
-        // and owners every shard's column of their tables; owners look up
-        // the distinct rows for every destination shard, into float storage
-        // recycled from the previous iteration and sized for the full shard.
-        let t0 = Instant::now();
-        for (index, column) in own_distinct.iter_mut().zip(&my_shard.sparse) {
-            index.build(column);
+    /// ── runtime controller (reselection point): close the previous window,
+    /// exchange observations, and apply the controller's revisions before
+    /// any of this iteration's compression runs (so every rank flips codecs
+    /// on the same iteration). Then set each table's error bound.
+    fn reselect(&mut self, iter: usize) {
+        let plan = self.setup.trainer.fault.as_ref().map(|f| &f.plan);
+        if let Some(state) = self.controller.as_mut().filter(|s| s.is_boundary(iter)) {
+            let degraded = plan.is_some_and(|p| p.degraded_at(iter));
+            state.window_boundary(&mut self.comm, iter, &self.owned, degraded);
         }
-        shard_distinct.build(&owned, &shards);
-        for &t in &owned {
-            for (s, shard) in shards.iter().enumerate() {
-                let storage = scratch.take_floats(shard.batch_size() * dim);
-                let unique = shard_distinct.get(t, s).expect("an owned table").unique();
-                lookup_matrices.push(model.lookup_with_storage(t, unique, storage));
-            }
-        }
-        acct.ledger
-            .add_time(phases::LOOKUP, t0.elapsed().as_secs_f64() * compute_scale);
-        let capacity = own_distinct
-            .iter()
-            .map(DistinctRows::capacity_bytes)
-            .sum::<u64>()
-            + shard_distinct.capacity_bytes();
-        let distinct_extra_alloc = capacity.saturating_sub(distinct_capacity_mark);
-        distinct_capacity_mark = capacity;
-        acct.close(phases::LOOKUP, &scratch, distinct_extra_alloc);
-
-        // The exchange both directions run: under a hierarchical topology
-        // the two-level collective, flat the chunked pipeline (chunk k+1 is
-        // compressed while chunk k is on the virtual wire). Overlap decides
-        // whether the charge lets codec time hide wire time.
-        if let Some(schedule) = &schedule {
-            let scale = controller.as_ref().map_or(1.0, |c| c.ctl.eb_scale());
+        if let Some(schedule) = self.setup.trainer.compression.schedule() {
+            let scale = self.controller.as_ref().map_or(1.0, |c| c.ctl.eb_scale());
+            let Comm { codecs, bounds, .. } = &mut self.comm;
             for (t, eb) in bounds.iter_mut().enumerate() {
                 *eb = schedule.error_bound_at(codecs.kind(t).error_bound(), iter) * scale;
             }
         }
-        let exchange = Exchange {
-            ctx,
-            codecs: &codecs,
-            bounds: &bounds,
-            dim,
-            profile,
-            device_throughput: trainer.device_throughput,
-            cost: &cost,
-            route: match &hier_iter {
-                Some((topo, tiered)) => Route::Hier { topo, tiered },
-                None => Route::Flat,
-            },
-            overlapped,
-        };
+    }
 
-        // ── fwd compression → fwd all-to-all → fwd decompression: every
-        // owner sends each shard the distinct rows of its tables' lookups,
-        // and every shard re-expands them from its own indices. The bottom
-        // MLP needs no lookup: it runs while the rows are on the wire.
-        lookup_slots.clear();
-        lookup_slots.resize_with(num_tables, || None);
-        let (owned_tables, lookups, own) = (&owned, &lookup_matrices, &own_distinct);
+    /// ── embedding lookup: every rank indexes its own shard's columns, and
+    /// owners every shard's column of their tables; owners look up the
+    /// distinct rows for every destination shard, into float storage
+    /// recycled from the previous iteration and sized for the full shard.
+    fn lookup(&mut self, shards: &[MiniBatch]) {
+        let t0 = Instant::now();
+        let (rows, scratch, dim) = (&mut self.rows, &mut self.comm.scratch, self.comm.dim);
+        for (index, column) in rows.own.iter_mut().zip(&shards[self.ctx.rank()].sparse) {
+            index.build(column);
+        }
+        rows.shards.build(&self.owned, shards);
+        for &t in &self.owned {
+            for (s, shard) in shards.iter().enumerate() {
+                let storage = scratch.take_floats(shard.batch_size() * dim);
+                let unique = rows.shards.get(t, s).expect("an owned table").unique();
+                (rows.lookups).push(self.model.lookup_with_storage(t, unique, storage));
+            }
+        }
+        self.charge_compute(phases::LOOKUP, t0);
+        let rows = &mut self.rows;
+        let capacity = (rows.own.iter().map(DistinctRows::capacity_bytes)).sum::<u64>()
+            + rows.shards.capacity_bytes();
+        let extra_alloc = capacity.saturating_sub(rows.capacity_mark);
+        rows.capacity_mark = capacity;
+        self.comm.close(phases::LOOKUP, extra_alloc);
+    }
+
+    /// ── fwd compression → fwd all-to-all → fwd decompression: every owner
+    /// sends each shard the distinct rows of its tables' lookups, and every
+    /// shard re-expands them from its own indices. The bottom MLP needs no
+    /// lookup: it runs while the rows are on the wire.
+    fn forward_exchange(&mut self, shards: &[MiniBatch]) -> BottomForward {
+        let (world, dim) = (self.ctx.world(), self.comm.dim);
+        let (partition, compute_scale) =
+            (&self.setup.partition, self.setup.trainer.compute_time_scale);
+        let (owned, own, lookups, model) =
+            (&self.owned, &self.rows.own, &self.rows.lookups, &self.model);
+        let (slots, delivered) = (&mut self.rows.slots, &mut self.rows.delivered);
+        slots.clear();
+        slots.resize_with(own.len(), || None);
+        let my_shard = &shards[self.ctx.rank()];
         let mut bottom = None;
-        a2a_sent.0 += exchange.run(
+        self.comm.exchange(
             Direction {
-                phases: [
-                    phases::FWD_COMPRESS,
-                    phases::FWD_A2A,
-                    phases::FWD_DECOMPRESS,
-                ],
+                dir: Dir::Fwd,
                 blocks: |dst: usize| {
                     let rows = shards[dst].batch_size();
-                    (owned_tables.iter().enumerate())
+                    (owned.iter().enumerate())
                         .map(move |(local_idx, &t)| (t, &lookups[local_idx * world + dst], rows))
                 },
-                hints: &mut fwd_hints,
-                traffic: &mut fwd_traffic,
                 index: |table, src| own.get(table).filter(|_| partition.owner_of(table) == src),
                 sink: |table, _src, rows: Matrix| {
                     let index = &own[table as usize];
                     let mut values = rows.into_vec();
                     index.expand_in_place(&mut values, dim);
-                    fwd_delivered[table as usize] += (values.len() * 4) as u64;
+                    delivered[table as usize] += (values.len() * 4) as u64;
                     let lookup = Matrix::from_vec(index.slots().len(), dim, values);
-                    lookup_slots[table as usize] = Some(lookup);
+                    slots[table as usize] = Some(lookup);
                 },
             },
-            &mut scratch,
-            &mut acct,
-            controller.as_mut(),
+            self.controller.as_mut().map(|c| &mut c.share),
             |scratch, acct| {
                 let t0 = Instant::now();
                 bottom = Some(model.forward_bottom(&my_shard.dense));
@@ -1824,49 +1868,34 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 acct.close_window(phases::MLP_FWD, scratch);
             },
         );
-        my_lookups.clear();
-        my_lookups.extend(
-            lookup_slots
-                .drain(..)
-                .enumerate()
+        self.rows.mine.extend(
+            (self.rows.slots.drain(..).enumerate())
                 .map(|(t, m)| m.unwrap_or_else(|| panic!("no lookup received for table {t}"))),
         );
+        bottom.expect("the forward window ran the bottom MLP")
+    }
 
-        // ── mlp forward (the rest), metrics, mlp backward (data-parallel).
-        let t0 = Instant::now();
-        let bottom = bottom.expect("the forward window ran the bottom MLP");
-        let cache = model.forward_top(bottom, &my_lookups);
-        acct.ledger
-            .add_time(phases::MLP_FWD, t0.elapsed().as_secs_f64() * compute_scale);
-        per_iteration.push(EvalMetrics::from_logits(&cache.logits, &my_shard.labels));
-        if let Some(share) = controller.as_mut().map(|c| &mut c.share) {
-            share.loss_sum += per_iteration.last().expect("just pushed").loss;
-            share.loss_n += 1;
-        }
-        acct.close(phases::MLP_FWD, &scratch, 0);
-
-        // The gradient of each distinct row of this shard's columns: its
-        // samples' gradient rows, summed in sample order. Only the
-        // embedding half of the backward pass runs here.
-        let t0 = Instant::now();
-        let back = model.backward_embeddings(&cache, &my_shard.labels);
-        for (index, grad) in own_distinct.iter().zip(&back.embedding_grads) {
-            let mut sums = scratch.take_floats(grad.len());
-            index.sum_rows_into(grad.as_slice(), dim, &mut sums);
-            grad_sums.push(Matrix::from_vec(index.unique().len(), dim, sums));
-        }
-        acct.ledger
-            .add_time(phases::MLP_BWD, t0.elapsed().as_secs_f64() * compute_scale);
-        acct.close(phases::MLP_BWD, &scratch, 0);
-
-        // What no embedding gradient depends on: the MLP weight gradients,
-        // the all-reduce input (error feedback re-injects what compression
-        // lost so far), and the next global batch. Every rank has passed
-        // this step's forward exchange, so no rank still holds the step
-        // before it, whose slot the next step recycles.
+    /// ── bwd compression → bwd all-to-all → bwd decompression: every shard
+    /// sends each table's summed gradient rows home to its owner — the
+    /// forward exchange, mirrored. Its window runs what no embedding
+    /// gradient depends on: the MLP weight gradients, the all-reduce input
+    /// (error feedback re-injects what compression lost so far), and the
+    /// next global batch. Every rank has passed this step's forward
+    /// exchange, so no rank still holds the step before it, whose slot the
+    /// next step recycles.
+    fn backward_exchange(
+        &mut self,
+        iter: usize,
+        shards: &[MiniBatch],
+        cache: &DenseCache,
+        back: EmbeddingBackward,
+    ) {
+        let setup = self.setup;
+        let (model, dense) = (&self.model, &mut self.dense.codec);
+        let compute_scale = setup.trainer.compute_time_scale;
         let window = |scratch: &mut PipelineScratch, acct: &mut Accounting<'_>| {
             let t0 = Instant::now();
-            let weights = model.backward_weights(&cache, back);
+            let weights = model.backward_weights(cache, back);
             acct.ledger
                 .add_time(phases::MLP_BWD, t0.elapsed().as_secs_f64() * compute_scale);
             model.flatten_mlp_grads_into(&weights, &mut scratch.flat_grads);
@@ -1874,72 +1903,68 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 state.compensate(&mut scratch.flat_grads);
             }
             acct.close_window(phases::MLP_BWD, scratch);
-            if iter + 1 < seg.end {
-                setup.feed.prefetch(iter + 1, trainer.global_batch);
+            if iter + 1 < setup.segment.end {
+                setup.feed.prefetch(iter + 1, setup.trainer.global_batch);
             }
             acct.close_window(phases::INPUT, scratch);
         };
-
-        // ── bwd compression → bwd all-to-all → bwd decompression: every
-        // shard sends each table's summed gradient rows home to its owner —
-        // the same exchange, mirrored, with the window above in flight.
-        let (sums, shard_index) = (&grad_sums, &shard_distinct);
-        a2a_sent.1 += exchange.run(
+        let (sums, shard_index) = (&self.rows.grad_sums, &self.rows.shards);
+        let (grad_entries, shard_rows) = (
+            &mut self.rows.grad_entries,
+            shards[self.ctx.rank()].batch_size(),
+        );
+        self.comm.exchange(
             Direction {
-                phases: [
-                    phases::BWD_COMPRESS,
-                    phases::BWD_A2A,
-                    phases::BWD_DECOMPRESS,
-                ],
+                dir: Dir::Bwd,
                 // `tables_of` is sorted ascending.
                 blocks: |owner| {
-                    (partition.tables_of(owner).iter())
-                        .map(move |&t| (t, &sums[t], my_shard.batch_size()))
+                    (setup.partition.tables_of(owner).iter())
+                        .map(move |&t| (t, &sums[t], shard_rows))
                 },
-                hints: &mut bwd_hints,
-                traffic: &mut bwd_traffic,
                 index: |table, src| shard_index.get(table, src),
                 sink: |table, src, grad| grad_entries.push((table, src, grad)),
             },
-            &mut scratch,
-            &mut acct,
-            controller.as_mut(),
+            self.controller.as_mut().map(|c| &mut c.share),
             window,
         );
-        for m in grad_sums.drain(..) {
-            scratch.put_floats(m.into_vec());
+        for m in self.rows.grad_sums.drain(..) {
+            self.comm.scratch.put_floats(m.into_vec());
         }
+    }
 
-        // ── embedding update: one row per distinct index of each shard's
-        // column.
+    /// ── embedding update: one row per distinct index of each shard's
+    /// column, per table in source-rank order for determinism (tables are
+    /// independent, so cross-table order is irrelevant).
+    fn update_embeddings(&mut self) {
         let t0 = Instant::now();
-        // Apply per table in source-rank order for determinism (tables are
-        // independent, so cross-table order is irrelevant).
-        grad_entries.sort_unstable_by_key(|&(t, s, _)| (t, s));
-        for (table, src, grad) in grad_entries.drain(..) {
-            model.apply_embedding_grad(
+        let rows = &mut self.rows;
+        rows.grad_entries.sort_unstable_by_key(|&(t, s, _)| (t, s));
+        for (table, src, grad) in rows.grad_entries.drain(..) {
+            self.model.apply_embedding_grad(
                 table as usize,
-                (shard_distinct.get(table as usize, src as usize))
+                (rows.shards.get(table as usize, src as usize))
                     .expect("an owned table")
                     .unique(),
                 &grad,
-                trainer.learning_rate,
+                self.setup.trainer.learning_rate,
             );
-            scratch.put_floats(grad.into_vec());
+            self.comm.scratch.put_floats(grad.into_vec());
         }
-        acct.ledger.add_time(
-            phases::EMB_UPDATE,
-            t0.elapsed().as_secs_f64() * compute_scale,
-        );
-        acct.close(phases::EMB_UPDATE, &scratch, 0);
+        self.charge_compute(phases::EMB_UPDATE, t0);
+        self.comm.close(phases::EMB_UPDATE, 0);
+    }
 
-        // ── mlp all-reduce: sum MLP gradients (flattened and compensated in
-        // the backward window) and update the replicas.
+    /// ── mlp all-reduce: sum the MLP gradients (flattened and compensated
+    /// in the backward window).
+    fn all_reduce(&mut self) {
+        let (ctx, world, rank) = (self.ctx, self.ctx.world(), self.ctx.rank());
+        let (link, scratch, acct) = (&self.comm.link, &mut self.comm.scratch, &mut self.comm.acct);
+        let (cost, dense) = (&link.cost, &mut self.dense);
         // Raw (uncompressed-schedule) charge on this cluster shape — the
         // baseline `dense_saved_seconds` compares against: the flat ring
         // formula, or the tiered charge of the same schedule's analytic
         // per-tier volume under a hierarchical topology.
-        let raw_time = match &hier_iter {
+        let raw_time = match &link.tiers {
             None => cost.allreduce_time(scratch.flat_grads.len() * 4, world),
             Some((topo, tiered)) => {
                 let (ri, re) = allreduce_tier_bytes(scratch.flat_grads.len(), topo, rank);
@@ -1951,7 +1976,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // it actually sends. `Off` reduces through the lossless codec: bit
         // for bit the plain rank-order sum.
         let mut lossless = RawF32Codec;
-        let codec: &mut dyn ReduceCodec = match dense.as_mut() {
+        let codec: &mut dyn ReduceCodec = match dense.codec.as_mut() {
             Some(state) => state,
             None => &mut lossless,
         };
@@ -1959,7 +1984,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // schedule (one aggregate per node pair over the inter tier); every
         // other pairing the direct one, its bytes bucketed by tier (a flat
         // cluster is a single tier).
-        let (topo, relayed) = match &hier_iter {
+        let (topo, relayed) = match &link.tiers {
             Some((topo, _)) => (*topo, codec.is_homomorphic()),
             None => (Topology::flat(world, cost.config()), false),
         };
@@ -1978,7 +2003,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         let stats = tiered.stats;
         // Wire charge: the tiered charge under a hierarchy; flat, the ring
         // formula for `Off` and the measured wire bytes for a codec.
-        let mut ar_time = match &hier_iter {
+        let mut ar_time = match &link.tiers {
             Some((_, tiered_cost)) => {
                 let (ti, te) = tiered_cost.allreduce_tier_times(tiered.intra, tiered.inter);
                 acct.add_tiers(
@@ -1988,7 +2013,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 );
                 ti + te
             }
-            None if dense.is_none() => raw_time,
+            None if dense.codec.is_none() => raw_time,
             None => cost.allreduce_wire_time(stats.wire.sent, stats.wire.received, world),
         };
         // Codec time: charged under a device-throughput override (the same
@@ -1997,16 +2022,16 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // arithmetic. The charge follows the work the collective actually
         // performed — the stats carry the raw f32 bytes pushed through
         // encode and decode, so the classic schedule charges
-        // V/Tc + ((P−1)·own + V)/Td exactly as Equation 2's all-reduce
-        // arm models it, while the homomorphic schedule's eliminated
-        // owner-shard decodes vanish from the bill and a compressed-domain
-        // combine term (encoded bytes folded, at the codec's combine price)
-        // appears in its place under [`phases::COMBINE`].
+        // V/Tc + ((P−1)·own + V)/Td, while the homomorphic schedule's
+        // eliminated owner-shard decodes vanish from the bill and a
+        // compressed-domain combine term (encoded bytes folded, at the
+        // codec's combine price) appears in its place under
+        // [`phases::COMBINE`].
         let mut combine_seconds = 0.0f64;
-        if let (Some(_), Some((tc, td))) = (dense.as_ref(), trainer.device_throughput) {
+        if let (Some(_), Some((tc, td))) = (dense.codec.as_ref(), self.comm.device_throughput) {
             ar_time += stats.encoded_bytes as f64 / tc + stats.decoded_bytes as f64 / td;
             if stats.combines > 0 {
-                let tm = dense_combine_throughput.unwrap_or(td);
+                let tm = dense.combine_throughput.unwrap_or(td);
                 combine_seconds = stats.combined_bytes as f64 / tm;
                 // What the classic counterpart of this schedule would have
                 // charged: every element encoded once (V), plus P−1
@@ -2016,254 +2041,207 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 let own_shard =
                     (shard_range(scratch.flat_grads.len(), world, rank).len() * 4) as f64;
                 let classic_decoded = (world as f64 - 1.0) * own_shard + volume;
-                homo_saved_seconds += (volume - stats.encoded_bytes as f64) / tc
+                dense.homo_saved_seconds += (volume - stats.encoded_bytes as f64) / tc
                     + (classic_decoded - stats.decoded_bytes as f64) / td
                     - combine_seconds;
-                homo_combine_seconds += combine_seconds;
+                dense.homo_combine_seconds += combine_seconds;
                 acct.ledger.add_time(phases::COMBINE, combine_seconds);
                 acct.ledger
                     .add_bytes(phases::COMBINE, stats.combined_bytes as u64);
             }
         }
-        homo_combines += stats.combines as u64;
-        dense_saved_seconds += (raw_time - ar_time - combine_seconds).max(0.0);
-        dense_traffic.0 += (stats.raw.sent + stats.raw.received) as u64;
-        dense_traffic.1 += (stats.wire.sent + stats.wire.received) as u64;
+        dense.homo_combines += stats.combines as u64;
+        dense.saved_seconds += (raw_time - ar_time - combine_seconds).max(0.0);
+        dense.traffic.0 += (stats.raw.sent + stats.raw.received) as u64;
+        dense.traffic.1 += (stats.wire.sent + stats.wire.received) as u64;
         acct.ledger.add_time(phases::ALLREDUCE, ar_time);
         acct.ledger.add_bytes(
             phases::ALLREDUCE,
             (stats.wire.sent + stats.wire.received) as u64,
         );
-        let capacity = dense.as_ref().map_or(0, GradCompressor::capacity_bytes)
+        let capacity = dense
+            .codec
+            .as_ref()
+            .map_or(0, GradCompressor::capacity_bytes)
             + scratch.dense_reduce.capacity_bytes();
-        let dense_extra_alloc = capacity.saturating_sub(dense_capacity_mark);
-        dense_capacity_mark = capacity;
-        acct.close(phases::ALLREDUCE, &scratch, dense_extra_alloc);
+        let extra_alloc = capacity.saturating_sub(dense.capacity_mark);
+        dense.capacity_mark = capacity;
+        self.comm.close(phases::ALLREDUCE, extra_alloc);
+    }
 
-        // ── optimizer.
+    /// ── optimizer: average the summed MLP gradients and update the replica.
+    fn optimizer(&mut self) {
         let t0 = Instant::now();
-        let scale = 1.0 / world as f32;
-        for g in scratch.flat_grads.iter_mut() {
+        let flat = &mut self.comm.scratch.flat_grads;
+        let scale = 1.0 / self.ctx.world() as f32;
+        for g in flat.iter_mut() {
             *g *= scale;
         }
-        model.apply_flat_mlp_grads(&scratch.flat_grads, trainer.learning_rate);
-        acct.ledger.add_time(
-            phases::OPTIMIZER,
-            t0.elapsed().as_secs_f64() * compute_scale,
-        );
-        acct.close(phases::OPTIMIZER, &scratch, 0);
+        (self.model).apply_flat_mlp_grads(flat, self.setup.trainer.learning_rate);
+        self.charge_compute(phases::OPTIMIZER, t0);
+        self.comm.close(phases::OPTIMIZER, 0);
+    }
 
-        // ── runtime controller (probe): try the candidate codecs on live payloads when the next
-        // iteration is a reselection point — and once at the end of warm-up,
-        // so the probe lease class reaches working size before the
-        // steady-state counters arm.
-        if let Some(state) = controller.as_mut() {
-            if state.wants_probe(iter, trainer.iterations) || local + 1 == WARMUP_ITERATIONS {
-                state.probe(
-                    &exchange,
-                    &owned,
-                    &lookup_matrices,
-                    &mut scratch.codec.compress,
-                    &mut acct.ledger,
-                );
-                acct.close(phases::CONTROLLER, &scratch, 0);
-            }
-        }
-
-        // End of warm-up: grow the codec scratch to a full-shard block.
-        if local + 1 == WARMUP_ITERATIONS {
-            let candidates = controller.as_ref().map_or(&[][..], |s| &s.candidates[..]);
-            warm_codec_scratch(
-                &codecs,
-                candidates,
-                &bounds,
-                &my_lookups,
-                &mut scratch.codec,
-            );
-        }
-
-        // Reclaim the float storage of this iteration's matrices for reuse.
-        for m in lookup_matrices.drain(..) {
-            scratch.put_floats(m.into_vec());
-        }
-        for m in my_lookups.drain(..) {
-            scratch.put_floats(m.into_vec());
-        }
-
-        // End of warm-up: park one extra working set of leases in the pool.
-        // Peers may still hold this iteration's leases when the next
-        // iteration's takes happen (the pipeline only synchronises at the
-        // collectives), and the in-flight amount is bounded by one
-        // iteration's working set — so a second set makes the steady state
-        // deterministically allocation-free regardless of thread timing.
-        if local + 1 == WARMUP_ITERATIONS {
-            // Spares come in three size classes matching the three kinds of
-            // lease an iteration takes (payload chunks; the exchange's empty
-            // frames, which carry no table block and ask for the 64-byte
-            // hint floor whenever a rank owns no table; the all-reduce flat
-            // buffer). The pool's best-fit policy keeps each class on its
-            // own buffers, and the extra sets parked here exceed the
-            // worst-case in-flight amount (bounded by one iteration's
-            // takes), so no racing take can ever land on an undersized
-            // buffer and grow it.
-            // Spares must cover the worst-case *request* of the compress
-            // stages (their takes ask for the codec worst case, not the
-            // learned filled size), and the all-reduce's shard leases: raw
-            // f32 shards when dense compression is off, else the dense
-            // codec's worst case for the largest shard. Shard and payload
-            // sizes can sit close together (unlike the old full-vector
-            // all-reduce), so best-fit could let one class steal the
-            // other's spares and leave a later take to grow a too-small
-            // buffer — the large spares are therefore parked at one unified
-            // capacity serving both classes.
-            let max_shard_batch = trainer.global_batch.div_ceil(world);
-            let max_tables = (0..world)
-                .map(|owner| partition.tables_of(owner).len())
-                .max()
-                .unwrap_or(0);
-            let widest_block = (0..num_tables)
-                .map(|t| codecs.max_stream_bytes(t, max_shard_batch * dim))
-                .max()
-                .unwrap_or(0);
-            let payload_cap = fwd_hints
-                .iter()
-                .chain(bwd_hints.iter())
-                .copied()
-                .max()
-                .unwrap_or(64)
-                .max(
-                    CHUNK_HEADER_BYTES
-                        + payload_chunk_capacity(std::iter::repeat_n(widest_block, max_tables)),
-                );
-            let largest_shard = shard_range(scratch.flat_grads.len(), world, 0).len();
-            let dense_cap = dense
-                .as_ref()
-                .map_or(0, |s| s.max_encoded_bytes(largest_shard));
-            let big_cap = payload_cap.max((largest_shard * 4).max(64).max(dense_cap));
-            let mut spares: Vec<PooledBuf> = Vec::with_capacity(9 * world);
-            // 3·world for the two a2a compress stages plus in-flight chunks,
-            // 4·world for the two shard-lease waves per all-reduce
-            // (reduce-scatter, then all-gather) with peers holding a wave.
-            spares.extend((0..7 * world).map(|_| ctx.take_buf(big_cap)));
-            spares.extend((0..2 * world).map(|_| ctx.take_buf(64)));
-            drop(spares);
-            if let Some((topo, _)) = &hier {
-                // The hierarchical collective takes bundle leases bigger
-                // than any single chunk (a node-pair exchange bundle carries
-                // ranks_per_node² framed chunks, a scatter bundle carries
-                // world − ranks_per_node). Park a working set sized to the
-                // largest bundle any phase can request, so fluctuating
-                // compressed sizes never catch the pool short.
-                let rpn = topo.ranks_per_node();
-                let entry = HIER_ENTRY_HEADER_BYTES + payload_cap;
-                let bundle_cap = (4 + rpn * rpn * entry)
-                    .max(4 + world.saturating_sub(rpn) * entry)
-                    .max(4 + rpn * entry);
-                let spares: Vec<PooledBuf> =
-                    (0..6 * world).map(|_| ctx.take_buf(bundle_cap)).collect();
-                drop(spares);
-            }
-            if let Some(state) = &controller {
-                // The window-boundary observation exchange takes one
-                // share-sized lease per peer; park two sets so a boundary
-                // racing peers' in-flight returns never allocates.
-                let cap = WindowShare::encoded_len(owned.len(), state.candidates.len()).max(64);
-                let spares: Vec<PooledBuf> = (0..2 * world).map(|_| ctx.take_buf(cap)).collect();
-                drop(spares);
-            }
-            // Parking and warming the codec scratch are warm-up work;
-            // exclude them from the steady counters.
-            acct.marks.pool = ctx.pool().stats();
-            acct.marks.compress_capacity = scratch.codec.capacity_bytes();
-        }
-
-        if let Some(o) = acct.obs.as_mut() {
-            o.end_iteration(
-                iter,
-                &acct.ledger,
-                &acct.wall,
-                &fwd_traffic,
-                acct.tier_bytes,
-                dense.as_ref().map_or(0.0, GradCompressor::residual_norm),
-            );
+    /// Probe the controller's candidate codecs on this iteration's payloads.
+    fn probe(&mut self) {
+        if let Some(state) = self.controller.as_mut() {
+            state.probe(&mut self.comm, &self.owned, &self.rows.lookups);
         }
     }
 
+    /// End of warm-up: probe once, so the probe lease class reaches working
+    /// size before the steady-state counters arm; grow the codec scratch to
+    /// a full-shard block; and park one extra working set of leases in the
+    /// pool. Peers may still hold this iteration's leases when the next
+    /// iteration's takes happen (the pipeline only synchronises at the
+    /// collectives), and the in-flight amount is bounded by one iteration's
+    /// working set — so a second set makes the steady state
+    /// deterministically allocation-free regardless of thread timing.
+    fn end_warm_up(&mut self) {
+        self.probe();
+        let candidates = self
+            .controller
+            .as_ref()
+            .map_or(&[][..], |s| &s.candidates[..]);
+        self.comm.warm_codec_scratch(candidates, &self.rows.mine);
+
+        // Spares come in three size classes matching the three kinds of
+        // lease an iteration takes (payload chunks; the exchange's empty
+        // frames, which carry no table block and ask for the 64-byte
+        // hint floor whenever a rank owns no table; the all-reduce flat
+        // buffer). The pool's best-fit policy keeps each class on its
+        // own buffers, and the extra sets parked here exceed the
+        // worst-case in-flight amount (bounded by one iteration's
+        // takes), so no racing take can ever land on an undersized
+        // buffer and grow it.
+        // Spares must cover the worst-case *request* of the compress
+        // stages (their takes ask for the codec worst case, not the
+        // learned filled size), and the all-reduce's shard leases: raw
+        // f32 shards when dense compression is off, else the dense
+        // codec's worst case for the largest shard. Shard and payload
+        // sizes can sit close together (unlike the old full-vector
+        // all-reduce), so best-fit could let one class steal the
+        // other's spares and leave a later take to grow a too-small
+        // buffer — the large spares are therefore parked at one unified
+        // capacity serving both classes.
+        let (ctx, world, setup) = (self.ctx, self.ctx.world(), self.setup);
+        let comm = &mut self.comm;
+        let max_shard_batch = setup.trainer.global_batch.div_ceil(world);
+        let max_tables = (0..world)
+            .map(|owner| setup.partition.tables_of(owner).len())
+            .max()
+            .unwrap_or(0);
+        let widest_block = (0..comm.bounds.len())
+            .map(|t| comm.codecs.max_stream_bytes(t, max_shard_batch * comm.dim))
+            .max()
+            .unwrap_or(0);
+        let payload_cap = (comm.hints.iter().flatten().copied().max().unwrap_or(64)).max(
+            CHUNK_HEADER_BYTES
+                + payload_chunk_capacity(std::iter::repeat_n(widest_block, max_tables)),
+        );
+        let largest_shard = shard_range(comm.scratch.flat_grads.len(), world, 0).len();
+        let dense_cap =
+            (self.dense.codec.as_ref()).map_or(0, |s| s.max_encoded_bytes(largest_shard));
+        let big_cap = payload_cap.max((largest_shard * 4).max(64).max(dense_cap));
+        let mut spares: Vec<PooledBuf> = Vec::with_capacity(9 * world);
+        // 3·world for the two a2a compress stages plus in-flight chunks,
+        // 4·world for the two shard-lease waves per all-reduce
+        // (reduce-scatter, then all-gather) with peers holding a wave.
+        spares.extend((0..7 * world).map(|_| ctx.take_buf(big_cap)));
+        spares.extend((0..2 * world).map(|_| ctx.take_buf(64)));
+        drop(spares);
+        if let Some((topo, _)) = &self.hier {
+            // The hierarchical collective takes bundle leases bigger
+            // than any single chunk (a node-pair exchange bundle carries
+            // ranks_per_node² framed chunks, a scatter bundle carries
+            // world − ranks_per_node). Park a working set sized to the
+            // largest bundle any phase can request, so fluctuating
+            // compressed sizes never catch the pool short.
+            let rpn = topo.ranks_per_node();
+            let entry = HIER_ENTRY_HEADER_BYTES + payload_cap;
+            let bundle_cap = (4 + rpn * rpn * entry)
+                .max(4 + world.saturating_sub(rpn) * entry)
+                .max(4 + rpn * entry);
+            let spares: Vec<PooledBuf> = (0..6 * world).map(|_| ctx.take_buf(bundle_cap)).collect();
+            drop(spares);
+        }
+        if let Some(state) = &self.controller {
+            // The window-boundary observation exchange takes one
+            // share-sized lease per peer; park two sets so a boundary
+            // racing peers' in-flight returns never allocates.
+            let cap = WindowShare::encoded_len(self.owned.len(), state.candidates.len()).max(64);
+            let spares: Vec<PooledBuf> = (0..2 * world).map(|_| ctx.take_buf(cap)).collect();
+            drop(spares);
+        }
+        // Parking and warming the codec scratch are warm-up work;
+        // exclude them from the steady counters.
+        comm.acct.marks.pool = ctx.pool().stats();
+        comm.acct.marks.compress_capacity = comm.scratch.codec.capacity_bytes();
+    }
+
+    /// Close the run: this rank's outcome.
+    fn finish(self) -> RankOutcome {
+        let acct = self.comm.acct;
+        let [fwd_traffic, bwd_traffic] = acct.traffic;
+        let (obs_track, obs_metrics) = match acct.obs {
+            None => (None, None),
+            Some(o) => (Some(RankTrack::from(o.rec)), Some(o.metrics)),
+        };
+        let (dense, ck) = (self.dense, self.checkpoints);
+        RankOutcome {
+            rank: self.ctx.rank(),
+            per_iteration: self.per_iteration,
+            ledger: acct.ledger,
+            wall: acct.wall.into_ledger(),
+            fwd_traffic,
+            fwd_delivered: self.rows.delivered,
+            bwd_traffic,
+            a2a_sent: (acct.a2a_sent[0], acct.a2a_sent[1]),
+            pool_stats: self.ctx.pool().stats(),
+            steady_state_allocated_bytes: acct.steady_allocated,
+            dense_traffic: dense.traffic,
+            dense_saved_seconds: dense.saved_seconds,
+            dense_residual_norm: dense
+                .codec
+                .as_ref()
+                .map_or(0.0, GradCompressor::residual_norm),
+            homo_combines: dense.homo_combines,
+            homo_combine_seconds: dense.homo_combine_seconds,
+            homo_saved_seconds: dense.homo_saved_seconds,
+            tier_bytes: acct.tier_bytes,
+            tier_seconds: acct.tier_seconds,
+            reselections: (self.controller.as_ref())
+                .map_or_else(Vec::new, |s| s.ctl.log().to_vec()),
+            window_ratios: self.controller.map_or_else(Vec::new, |s| s.window_ratios),
+            last_checkpoint: ck.last,
+            checkpoints_taken: ck.taken,
+            checkpoint_original_bytes: ck.original_bytes,
+            checkpoint_encoded_bytes: ck.encoded_bytes,
+            checkpoint_write_seconds: ck.write_seconds,
+            obs_track,
+            obs_metrics,
+        }
+    }
+}
+
+/// Run the full training loop on one rank. Must be called from within a
+/// [`SimCluster`](dlrm_comm::SimCluster) whose world matches
+/// `setup.trainer.world`.
+pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
+    let seg = &setup.segment;
+    let mut state = RankState::new(ctx, setup);
+    if let Some(ckpt) = seg.restore.as_deref() {
+        state.restore(ckpt);
+    }
+    for iter in seg.start..seg.end {
+        state.step(iter);
+    }
     // ── checkpoint (segment exit): a planned resize checkpoints the final
     // state so the regrown world has an exact restore point at the boundary.
     if seg.checkpoint_at_end {
-        let spec = seg
-            .checkpoint
-            .as_ref()
-            .expect("validated: a forced end checkpoint requires a spec");
-        checkpoints.write(
-            seg.end,
-            spec,
-            &model,
-            &owned,
-            dense.as_ref(),
-            compute_scale,
-            &mut acct,
-            &scratch,
-        );
+        state.checkpoint(seg.end);
     }
-
-    let Accounting {
-        ledger,
-        wall,
-        obs,
-        steady_allocated,
-        tier_bytes,
-        tier_seconds,
-        ..
-    } = acct;
-    let (obs_track, obs_metrics) = match obs {
-        None => (None, None),
-        Some(o) => (Some(RankTrack::from(o.rec)), Some(o.metrics)),
-    };
-    // Combine-aware Equation-2 advice on the last post-all-reduce gradient:
-    // every rank holds the identical vector (the all-gather distributed the
-    // same reduced shards), so the advice is deterministic across ranks.
-    // The configured bandwidth is not validated: clamp it, as the
-    // controller's estimates do, so a degenerate one still gets advice.
-    let dense_advice = (!scratch.flat_grads.is_empty()).then(|| {
-        let gstats = dlrm_grad::GradStats::from_slice(&scratch.flat_grads);
-        let bandwidth = base_cost.config().allreduce_bandwidth.max(1.0);
-        dlrm_grad::advise_dense(&gstats, bandwidth, world).1
-    });
-
-    RankOutcome {
-        rank,
-        per_iteration,
-        ledger,
-        wall: wall.into_ledger(),
-        fwd_traffic,
-        fwd_delivered,
-        bwd_traffic,
-        a2a_sent,
-        pool_stats: ctx.pool().stats(),
-        steady_state_allocated_bytes: steady_allocated,
-        dense_traffic,
-        dense_saved_seconds,
-        dense_residual_norm: dense.as_ref().map_or(0.0, GradCompressor::residual_norm),
-        homo_combines,
-        homo_combine_seconds,
-        homo_saved_seconds,
-        dense_advice,
-        tier_bytes,
-        tier_seconds,
-        reselections: controller
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.ctl.log().to_vec()),
-        window_ratios: controller.map_or_else(Vec::new, |s| s.window_ratios),
-        last_checkpoint: checkpoints.last,
-        checkpoints_taken: checkpoints.taken,
-        checkpoint_original_bytes: checkpoints.original_bytes,
-        checkpoint_encoded_bytes: checkpoints.encoded_bytes,
-        checkpoint_write_seconds: checkpoints.write_seconds,
-        obs_track,
-        obs_metrics,
-    }
+    state.finish()
 }
 
 #[cfg(test)]
@@ -2470,40 +2448,33 @@ mod tests {
         index: impl Fn(usize, usize) -> Option<&'m DistinctRows>,
     ) -> Vec<(u32, u32, Matrix)> {
         let codecs = setting.codec_bank(2);
-        let bounds: Vec<f32> = (0..2).map(|t| codecs.kind(t).error_bound()).collect();
-        let mut scratch = PipelineScratch::new(2);
-        let mut acct = Accounting::new(ctx, &scratch, TimingLedger::new(), None);
-        let cost = ctx.cost_model();
-        let exchange = Exchange {
-            ctx,
-            codecs: &codecs,
-            bounds: &bounds,
+        let scratch = PipelineScratch::new(2);
+        let mut comm = Comm {
+            bounds: (0..2).map(|t| codecs.kind(t).error_bound()).collect(),
+            codecs,
             dim: DIM,
             profile: None,
             device_throughput: None,
-            cost: &cost,
-            route: Route::Flat,
             overlapped: false,
+            link: Link {
+                cost: ctx.cost_model(),
+                tiers: None,
+            },
+            hints: [vec![64; 2], vec![64; 2]],
+            acct: Accounting::new(ctx, &scratch, None, 2),
+            scratch,
         };
         let mut delivered = Vec::new();
-        exchange.run(
+        comm.exchange(
             Direction {
-                phases: [
-                    phases::FWD_COMPRESS,
-                    phases::FWD_A2A,
-                    phases::FWD_DECOMPRESS,
-                ],
+                dir: Dir::Fwd,
                 blocks: |dst: usize| {
                     let (table, block) = &blocks[dst];
                     std::iter::once((*table, block, SHARD))
                 },
-                hints: &mut [64; 2],
-                traffic: &mut [(0, 0); 2],
                 index,
                 sink: |t, src, m| delivered.push((t, src, m)),
             },
-            &mut scratch,
-            &mut acct,
             None,
             |_, _| {},
         );

@@ -9,7 +9,6 @@ use dlrm_ckpt::{Checkpoint, RankCheckpoint};
 use dlrm_comm::{TimingLedger, WirePolicy, WorldEvent};
 use dlrm_data::{BatchFeed, DatasetConfig};
 use dlrm_exec::Executor;
-use dlrm_grad::DenseAdvice;
 use dlrm_model::EvalMetrics;
 use dlrm_obs::{MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecord, TraceExport};
 use serde::{Deserialize, Serialize};
@@ -152,11 +151,6 @@ pub struct TrainingReport {
     /// segment. Zero without a device-throughput override.
     #[serde(default)]
     pub homo_saved_seconds: f64,
-    /// Combine-aware Equation-2 advice over the dense candidate pool on the
-    /// final post-all-reduce gradient (`None` for zero-iteration runs).
-    /// Identical on every rank — asserted by the merger.
-    #[serde(default)]
-    pub dense_advice: Option<DenseAdvice>,
     /// Label of the cluster topology the run used (`"flat"` or
     /// `"<nodes>x<ranks_per_node>"`).
     #[serde(default)]
@@ -383,7 +377,6 @@ pub fn run_training(dataset: &DatasetConfig, config: &TrainerConfig) -> Training
         let segment = SegmentSpec {
             start: cursor,
             end,
-            recovery: replay_to.is_some(),
             restore: restore.take(),
             checkpoint: spec.clone(),
             // A planned resize gets its exact restore point at the boundary.
@@ -799,20 +792,6 @@ fn merge_segments(
             .fold(0.0, f64::max)
     });
     let homo_combines: u64 = all().map(|o| o.homo_combines).sum();
-    // The advice is computed from the post-all-gather gradient every rank
-    // holds identically; a divergence means ranks decoded different values
-    // from the same reduced shards — fail loudly.
-    let dense_advice = segments.last().and_then(|s| {
-        let advice = s.outcomes[0].dense_advice.clone();
-        for o in &s.outcomes[1..] {
-            assert_eq!(
-                o.dense_advice, advice,
-                "rank {} diverged from rank 0's dense advice",
-                o.rank
-            );
-        }
-        advice
-    });
     let intra_tier_bytes: u64 = all().map(|o| o.tier_bytes.0).sum();
     let inter_tier_bytes: u64 = all().map(|o| o.tier_bytes.1).sum();
     let buffer_reused_bytes: u64 = all().map(|o| o.ledger.total_reused_bytes()).sum();
@@ -901,7 +880,6 @@ fn merge_segments(
         homo_combines,
         homo_combine_seconds,
         homo_saved_seconds,
-        dense_advice,
         topology: config.topology.label(),
         adaptive: config.adaptive.label(),
         reselections,

@@ -10,9 +10,7 @@
 
 use dlrm_lossy_comm::comm::phase as phases;
 use dlrm_lossy_comm::comm::NetworkConfig;
-use dlrm_lossy_comm::data::{presets, SyntheticCriteo};
-use dlrm_lossy_comm::grad::{per_layer_stats, select_grad_codec, GradStats};
-use dlrm_lossy_comm::model::{Dlrm, DlrmConfig};
+use dlrm_lossy_comm::data::presets;
 use dlrm_lossy_comm::trainer::{
     run_training, CompressionSetting, DenseCompression, TrainerConfig, TrainingReport,
 };
@@ -69,34 +67,5 @@ fn main() {
         best.breakdown.seconds(phases::ALLREDUCE),
         baseline.breakdown.seconds(phases::ALLREDUCE)
             / best.breakdown.seconds(phases::ALLREDUCE).max(1e-12)
-    );
-
-    // Codec selection from measured per-layer gradient statistics, the way
-    // the offline analysis picks per-table compressors: one backward pass,
-    // then rank candidates by Equation 2's all-reduce arm at each codec's price.
-    let model = Dlrm::new(DlrmConfig::from_dataset(&dataset), 7);
-    let mut generator = SyntheticCriteo::new(dataset.clone(), 8);
-    let batch = generator.next_batch(64);
-    let lookups = model.lookup_all(&batch);
-    let cache = model.forward_dense(&batch.dense, &lookups);
-    let grads = model.backward_dense(&cache, &batch.labels);
-    let flat = model.flatten_mlp_grads(&grads);
-    let layer_lens = model.mlp_layer_param_counts();
-    println!("\nper-layer codec selection (one measured backward pass):");
-    for (i, stats) in per_layer_stats(&flat, &layer_lens).iter().enumerate() {
-        let picked = select_grad_codec(stats, base.network.allreduce_bandwidth, base.world);
-        println!(
-            "  layer {i}: {:5} params, |g|max {:.2e}, near-zero {:4.0}% -> {}",
-            stats.count,
-            stats.max_abs,
-            stats.near_zero_fraction * 100.0,
-            picked.label()
-        );
-    }
-    let whole = GradStats::from_slice(&flat);
-    println!(
-        "  whole gradient: {} params -> {}",
-        whole.count,
-        select_grad_codec(&whole, base.network.allreduce_bandwidth, base.world).label()
     );
 }
