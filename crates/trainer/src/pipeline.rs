@@ -1558,7 +1558,7 @@ impl<'a> RankState<'a> {
     /// Restore the checkpoint this segment resumes from (recovery after a
     /// rank loss, or re-sharding onto a resized world). Sections are keyed
     /// by table id, so the restore works for any partition of the surviving
-    /// world. The read is setup, not training: the wall clock restarts.
+    /// world. The read is setup, not training: the clocks restart.
     fn restore(&mut self, ckpt: &Checkpoint) {
         let rank = self.ctx.rank();
         let flat = &mut self.checkpoints.flat;
@@ -1592,13 +1592,17 @@ impl<'a> RankState<'a> {
         // The restore read is charged at the store bandwidth; every rank
         // reads the full checkpoint's bytes (MLP + all shards stream past).
         let spec = self.setup.segment.checkpoint.as_ref();
-        let read_bandwidth = spec.map_or(CheckpointSpec::DEFAULT_WRITE_BANDWIDTH, |s| {
+        let bandwidth = spec.map_or(CheckpointSpec::DEFAULT_WRITE_BANDWIDTH, |s| {
             s.write_bandwidth
         });
         let ledger = &mut self.comm.acct.ledger;
-        ledger.add_time(phases::CHECKPOINT, ckpt.read_seconds(read_bandwidth));
+        ledger.add_time(phases::CHECKPOINT, ckpt.read_seconds(bandwidth));
         ledger.add_bytes(phases::CHECKPOINT, ckpt.encoded_bytes);
         self.comm.acct.wall = WallClock::new();
+        if let Some(o) = self.comm.acct.obs.as_mut() {
+            let iterations = self.setup.segment.end - self.setup.segment.start;
+            *o = ObsState::new(rank, o.rec.clock(), iterations, o.fwd_mark.len());
+        }
     }
 
     /// Snapshot this rank's share of a global checkpoint of the state
@@ -1641,16 +1645,12 @@ impl<'a> RankState<'a> {
         ck.original_bytes += part.original_bytes();
         ck.encoded_bytes += part.encoded_bytes();
         ck.write_seconds += write_s;
-        let acct = &mut self.comm.acct;
-        let compute_scale = self.setup.trainer.compute_time_scale;
-        acct.ledger.add_time(
-            phases::CHECKPOINT,
-            part.encode_seconds * compute_scale + write_s,
-        );
-        acct.ledger
-            .add_bytes(phases::CHECKPOINT, part.encoded_bytes());
-        if let Some(o) = acct.obs.as_mut() {
-            o.note_checkpoint(part.encoded_bytes(), write_s, &acct.ledger);
+        let scale = self.setup.trainer.compute_time_scale;
+        let ledger = &mut self.comm.acct.ledger;
+        ledger.add_time(phases::CHECKPOINT, part.encode_seconds * scale + write_s);
+        ledger.add_bytes(phases::CHECKPOINT, part.encoded_bytes());
+        if let Some(o) = self.comm.acct.obs.as_mut() {
+            o.note_checkpoint(part.encoded_bytes(), write_s, &self.comm.acct.ledger);
         }
         ck.last = Some(part);
         self.comm.close(phases::CHECKPOINT, 0);

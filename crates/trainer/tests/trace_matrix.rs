@@ -10,7 +10,8 @@
 //!   iteration the reselection log says it happened at;
 //! * under the sequential executor the trace structure (spans, instants,
 //!   iterations, payloads) is deterministic run to run, and rank 0's
-//!   phase order (checkpoint and controller instants included) is pinned.
+//!   phase order (checkpoint and controller instants included) is pinned;
+//! * a segment restored after a rank loss is traced from its restore point.
 
 use dlrm_adaptive::CodecProfile;
 use dlrm_ckpt::CheckpointSpec;
@@ -293,4 +294,33 @@ fn sequential_phase_order_is_pinned() {
         assert_eq!(got, want, "iteration {iter}");
     }
     assert_eq!(got.len(), PHASE_ORDER.len());
+}
+
+#[test]
+fn a_restored_segment_is_traced_from_its_restore_point() {
+    let dataset = dlrm_data::presets::tiny();
+    let fault = FaultSetting::new(FaultPlan::none().with_rank_loss(7, 1))
+        .with_checkpoint(CheckpointSpec::new(4, GradCodecKind::Fp16));
+    let cfg = base_config()
+        .with_executor(ExecutorSetting::Sequential)
+        .with_obs(ObsSetting::On)
+        .with_fault(fault);
+    let report = run_training(&dataset, &cfg);
+    assert_eq!(report.recovery_iterations, 3);
+    let trace = report.trace.expect("trace present");
+    assert_eq!(trace.tracks.len(), cfg.world);
+    for track in &trace.tracks {
+        let iterations: Vec<u64> = (track.records.iter())
+            .filter(|r| r.kind == RecordKind::Iteration)
+            .map(|r| r.iteration)
+            .collect();
+        // The three survivors ran 0..7, then replayed from the checkpoint
+        // at 4 on the shrunk world; the lost rank's track ends at the loss.
+        let want: Vec<u64> = match track.rank {
+            0..=2 => (0..7).chain(4..12).collect(),
+            _ => (0..7).collect(),
+        };
+        assert_eq!(iterations, want, "rank {}", track.rank);
+        assert_eq!(track.dropped, 0, "rank {}", track.rank);
+    }
 }
