@@ -26,7 +26,7 @@
 use dlrm_adaptive::Reselection;
 use dlrm_comm::{NetworkConfig, Topology};
 use dlrm_compress::CompressorKind;
-use dlrm_data::{presets, TrafficDrift};
+use dlrm_data::{presets, DatasetConfig, TrafficDrift};
 use dlrm_grad::GradCodecKind;
 use dlrm_model::{Dlrm, DlrmConfig};
 use dlrm_serve::{
@@ -314,25 +314,7 @@ const SERVE_CONTROLLER_RESPONSES: u64 = 0x9dcc4aa467afb797;
 fn controller_windows_are_pinned() {
     let mut rows = Vec::new();
     for hierarchical in [false, true] {
-        let mut cfg = overloaded();
-        let windows = cfg.num_windows();
-        let dataset =
-            presets::tiny().with_drift(TrafficDrift::hot_rotation(windows / 4, windows / 8));
-        cfg.fetch = FetchSetting::Compressed {
-            codec: GradCodecKind::ErrorBounded {
-                compressor: CompressorKind::Fp16,
-                error_bound: 0.05,
-            },
-        };
-        cfg.adaptive = Some(ServeAdaptive::new(2, 0.05));
-        if hierarchical {
-            cfg.topology = Some(Topology::new(
-                2,
-                2,
-                NetworkConfig::nvlink_intra_node(),
-                cfg.network,
-            ));
-        }
+        let (dataset, cfg) = drift_controller(hierarchical);
         let report = run_serving(&dataset, &cfg);
         let label = format!("{}/eb-fixed", if hierarchical { "2x2" } else { "flat" });
         assert_eq!(
@@ -366,6 +348,97 @@ fn controller_windows_are_pinned() {
     }
     // A grid where nothing switches pins nothing worth pinning.
     assert!(rows.iter().any(|r| r.1 > 0), "no row switched a codec");
+}
+
+/// The two configurations of [`controller_windows_are_pinned`], shared with
+/// [`serving_charges_are_pinned`]: drifting hot rows, every table starting
+/// on an fp16 cast, a controller window of two batch windows, flat or on the
+/// 2x2 topology.
+fn drift_controller(hierarchical: bool) -> (DatasetConfig, ServeConfig) {
+    let mut cfg = overloaded();
+    let windows = cfg.num_windows();
+    let dataset = presets::tiny().with_drift(TrafficDrift::hot_rotation(windows / 4, windows / 8));
+    cfg.fetch = FetchSetting::Compressed {
+        codec: GradCodecKind::ErrorBounded {
+            compressor: CompressorKind::Fp16,
+            error_bound: 0.05,
+        },
+    };
+    cfg.adaptive = Some(ServeAdaptive::new(2, 0.05));
+    if hierarchical {
+        cfg.topology = Some(two_by_two(&cfg));
+    }
+    (dataset, cfg)
+}
+
+/// Two nodes of two ranks: NVLink inside a node, `cfg`'s network between.
+fn two_by_two(cfg: &ServeConfig) -> Topology {
+    Topology::new(2, 2, NetworkConfig::nvlink_intra_node(), cfg.network)
+}
+
+/// Golden serving charges: every row's `phase_seconds` (phase name and
+/// `f64` bits, in report order) and `steady_state_allocated_bytes`. The
+/// report fingerprint hashes neither, so this is the pin on what a window
+/// is charged: the host gathers, the codec work at the profile's
+/// throughputs, the request and payload wire seconds summed per destination,
+/// and the MLP flops. Rows: [`ServeConfig::small_test`] and the
+/// [`drift_controller`] configuration, each flat and on the 2x2 topology.
+type ChargesRow = (&'static str, [(&'static str, u64); 5], u64);
+
+#[rustfmt::skip]
+const SERVE_CHARGES_GOLDEN: [ChargesRow; 4] = [
+    ("small/flat", [("embedding lookup", 0x3ef3edb48fd60d54), ("fwd all-to-all", 0x3f660fb55d4d15bc), ("fwd compression", 0x3ebb04105a7f71d3), ("fwd decompression", 0x3e954ebbe2abceb0), ("mlp forward", 0x3ebb2bf34aebea82)], 0),
+    ("drift/flat", [("embedding lookup", 0x3ef2d4628cdc915a), ("fwd all-to-all", 0x3f679e1e16492038), ("fwd compression", 0x3ea3f669562bd955), ("fwd decompression", 0x3ea3f669562bd954), ("mlp forward", 0x3ebb2bf34aebea82)], 0),
+    ("small/2x2", [("embedding lookup", 0x3ef3edb48fd60d54), ("fwd all-to-all", 0x3f6027b00bb8a84d), ("fwd compression", 0x3ebb04105a7f71d3), ("fwd decompression", 0x3e954ebbe2abceb0), ("mlp forward", 0x3ebb2bf34aebea82)], 0),
+    ("drift/2x2", [("embedding lookup", 0x3ef2d4628cdc915a), ("fwd all-to-all", 0x3f610e51eb6fd125), ("fwd compression", 0x3ea3f669562bd955), ("fwd decompression", 0x3ea3f669562bd954), ("mlp forward", 0x3ebb2bf34aebea82)], 0),
+];
+
+#[test]
+fn serving_charges_are_pinned() {
+    let mut runs = Vec::new();
+    for hierarchical in [false, true] {
+        let tier = if hierarchical { "2x2" } else { "flat" };
+        let mut small = ServeConfig::small_test();
+        if hierarchical {
+            small.topology = Some(two_by_two(&small));
+        }
+        runs.push((
+            format!("small/{tier}"),
+            run_serving(&presets::tiny(), &small),
+        ));
+        let (dataset, drift) = drift_controller(hierarchical);
+        runs.push((format!("drift/{tier}"), run_serving(&dataset, &drift)));
+    }
+    let phases = |r: &ServingReport| -> Vec<(String, u64)> {
+        (r.phase_seconds.iter())
+            .map(|(name, s)| (name.clone(), s.to_bits()))
+            .collect()
+    };
+    let table: String = runs
+        .iter()
+        .map(|(label, r)| {
+            let phases: Vec<String> = (phases(r).iter())
+                .map(|(name, bits)| format!("(\"{name}\", {bits:#018x})"))
+                .collect();
+            let steady = r.steady_state_allocated_bytes;
+            format!("    (\"{label}\", [{}], {steady}),\n", phases.join(", "))
+        })
+        .collect();
+    assert_eq!(
+        runs.len(),
+        SERVE_CHARGES_GOLDEN.len(),
+        "actual table:\n{table}"
+    );
+    for ((label, r), (g_label, g_phases, g_steady)) in runs.iter().zip(SERVE_CHARGES_GOLDEN) {
+        let golden: Vec<(String, u64)> = (g_phases.iter())
+            .map(|&(name, bits)| (name.to_string(), bits))
+            .collect();
+        assert_eq!(
+            (label.as_str(), phases(r), r.steady_state_allocated_bytes),
+            (g_label, golden, g_steady),
+            "serving charges drifted; actual table:\n{table}"
+        );
+    }
 }
 
 /// FNV over the response bits of [`ServeConfig::small_test`] runs under
