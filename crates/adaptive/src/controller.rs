@@ -16,9 +16,8 @@
 //! effective wire bandwidth derived from the communication ledger, and the
 //! window's mean loss — and emits a [`Reselection`]: per-table codec
 //! revisions (Equation-2 selection at the *observed* bandwidth, guarded by
-//! hysteresis so selection doesn't thrash), an error-bound scale driven by
-//! the loss-plateau signal, and per-tier advice when a second (intra-node)
-//! bandwidth is observed.
+//! hysteresis so selection doesn't thrash) and an error-bound scale driven
+//! by the loss-plateau signal.
 //!
 //! The controller is **deterministic**: its decisions are pure functions of
 //! the observations and its configuration (codec throughputs come from a
@@ -48,7 +47,6 @@
 //! let observe = |bandwidth: f64, iteration: usize| WindowObservation {
 //!     iteration,
 //!     effective_bandwidth: bandwidth,
-//!     intra_bandwidth: None,
 //!     mean_loss: 0.5,
 //!     measured_compress_throughput: 0.0, // no calibration
 //!     tables: vec![TableObservation {
@@ -305,9 +303,6 @@ pub struct WindowObservation {
     /// Effective wire bandwidth (bytes/s) observed over the window — on a
     /// hierarchical cluster, the bottleneck (inter-node) tier.
     pub effective_bandwidth: f64,
-    /// Effective intra-node bandwidth, when a second tier was observed;
-    /// enables per-tier advice.
-    pub intra_bandwidth: Option<f64>,
     /// Mean training loss over the window (the loss-plateau signal).
     pub mean_loss: f64,
     /// Measured aggregate compression throughput (bytes/s) of the codecs
@@ -355,9 +350,9 @@ pub fn probe_candidates(
 /// decides on — identical inputs on every rank, hence identical decisions.
 ///
 /// Wire format, little-endian 8-byte words: `loss_sum`, `loss_n`,
-/// `wire_bytes`, `wire_seconds`, `intra_bytes`, `intra_seconds`,
-/// `codec_bytes`, `codec_seconds`, the table count, then per table its id,
-/// original and compressed bytes and one ratio per candidate codec.
+/// `wire_bytes`, `wire_seconds`, `codec_bytes`, `codec_seconds`, the table
+/// count, then per table its id, original and compressed bytes and one ratio
+/// per candidate codec.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowShare {
     /// Sum and count of the window's loss signal.
@@ -367,9 +362,6 @@ pub struct WindowShare {
     /// quotient is the effective bandwidth the controller reselects against).
     pub wire_bytes: f64,
     pub wire_seconds: f64,
-    /// Intra-node tier bytes and seconds (zero on a flat cluster).
-    pub intra_bytes: f64,
-    pub intra_seconds: f64,
     /// Bytes the running codecs compressed and the seconds charged for them
     /// (their quotient calibrates the throughput profile).
     pub codec_bytes: f64,
@@ -410,8 +402,8 @@ impl std::fmt::Display for ShareError {
 impl std::error::Error for ShareError {}
 
 impl WindowShare {
-    /// Encoded bytes of the eight scalars and the table count.
-    const HEADER_BYTES: usize = 9 * 8;
+    /// Encoded bytes of the six scalars and the table count.
+    const HEADER_BYTES: usize = 7 * 8;
 
     /// Encoded bytes of a share over `tables` tables and `candidates`
     /// candidate codecs — exact, so a lease of this size never grows.
@@ -426,8 +418,6 @@ impl WindowShare {
             self.loss_n,
             self.wire_bytes.to_bits(),
             self.wire_seconds.to_bits(),
-            self.intra_bytes.to_bits(),
-            self.intra_seconds.to_bits(),
             self.codec_bytes.to_bits(),
             self.codec_seconds.to_bits(),
             self.tables.len() as u64,
@@ -456,14 +446,14 @@ impl WindowShare {
             })
         };
         let (words, _) = bytes.as_chunks::<8>();
-        let Some((header, body)) = words.split_first_chunk::<9>() else {
+        let Some((header, body)) = words.split_first_chunk::<7>() else {
             return error(0, Self::HEADER_BYTES);
         };
         let u = |w: &[u8; 8]| u64::from_le_bytes(*w);
         let f = |w: &[u8; 8]| f64::from_le_bytes(*w);
         let entry = 3 + candidates;
         let (at, available) = (Self::HEADER_BYTES, bytes.len() - Self::HEADER_BYTES);
-        let needed = usize::try_from(u(&header[8]))
+        let needed = usize::try_from(u(&header[6]))
             .ok()
             .and_then(|count| count.checked_mul(entry * 8))
             .unwrap_or(usize::MAX);
@@ -478,10 +468,8 @@ impl WindowShare {
             loss_n: u(&header[1]),
             wire_bytes: f(&header[2]),
             wire_seconds: f(&header[3]),
-            intra_bytes: f(&header[4]),
-            intra_seconds: f(&header[5]),
-            codec_bytes: f(&header[6]),
-            codec_seconds: f(&header[7]),
+            codec_bytes: f(&header[4]),
+            codec_seconds: f(&header[5]),
             tables: (body.chunks_exact(entry))
                 .map(|t| TableObservation {
                     table_id: u(&t[0]) as usize,
@@ -510,8 +498,6 @@ impl WindowShare {
             sum.loss_n += share.loss_n;
             sum.wire_bytes += share.wire_bytes;
             sum.wire_seconds += share.wire_seconds;
-            sum.intra_bytes += share.intra_bytes;
-            sum.intra_seconds += share.intra_seconds;
             sum.codec_bytes += share.codec_bytes;
             sum.codec_seconds += share.codec_seconds;
             sum.tables.extend(share.tables);
@@ -522,7 +508,6 @@ impl WindowShare {
             iteration,
             effective_bandwidth: rate(sum.wire_bytes, sum.wire_seconds)
                 .unwrap_or(fallback_bandwidth),
-            intra_bandwidth: rate(sum.intra_bytes, sum.intra_seconds),
             mean_loss: mean_loss(sum.loss_sum, sum.loss_n),
             measured_compress_throughput: rate(sum.codec_bytes, sum.codec_seconds).unwrap_or(0.0),
             tables: sum.tables,
@@ -545,18 +530,6 @@ pub struct TableRevision {
     pub incumbent_speedup: f64,
 }
 
-/// Per-tier selection advice on a hierarchical cluster: Equation 2 answered
-/// once against each observed tier bandwidth, over byte-weighted aggregate
-/// candidate ratios.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TierAdvice {
-    /// Best `(codec, estimated speedup)` for the intra-node tier; `None`
-    /// when even the best candidate loses to the fast link (send raw).
-    pub intra: Option<(CompressorKind, f64)>,
-    /// Best `(codec, estimated speedup)` for the inter-node (fabric) tier.
-    pub inter: (CompressorKind, f64),
-}
-
 /// One entry of the controller's reselection log: what it saw and what it
 /// decided at one window boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -577,8 +550,6 @@ pub struct Reselection {
     pub eb_scale: f32,
     /// Tables whose codec changed (empty when selection held steady).
     pub switches: Vec<TableRevision>,
-    /// Per-tier advice, when an intra-node bandwidth was observed.
-    pub tier_advice: Option<TierAdvice>,
     /// Whether the window ran in degraded mode (a fault-plan straggler was
     /// active), which drops the hysteresis guard — see
     /// [`RuntimeController::observe_degraded`].
@@ -626,11 +597,6 @@ impl RuntimeController {
     /// The codec currently selected for `table`.
     pub fn current(&self, table: usize) -> CompressorKind {
         self.current[table]
-    }
-
-    /// Current per-table selections.
-    pub fn selections(&self) -> &[CompressorKind] {
-        &self.current
     }
 
     /// The error-bound scale currently in effect (1.0 without eb control).
@@ -688,8 +654,8 @@ impl RuntimeController {
     }
 
     /// Ingest one window observation and decide: per-table codec revisions
-    /// (with hysteresis), the error-bound scale (with the loss-plateau
-    /// signal), and per-tier advice. Applies the revisions to the
+    /// (with hysteresis) and the error-bound scale (with the loss-plateau
+    /// signal). Applies the revisions to the
     /// controller's state, appends to the log, and returns the entry.
     ///
     /// Deterministic: the same sequence of observations always produces the
@@ -769,39 +735,6 @@ impl RuntimeController {
         }
         self.prev_loss = Some(obs.mean_loss);
 
-        // Per-tier advice over byte-weighted aggregate candidate ratios.
-        let tier_advice = obs.intra_bandwidth.map(|intra_bw| {
-            let mut weights = 0.0f64;
-            let mut agg = vec![0.0f64; self.config.candidates.len()];
-            for t in &obs.tables {
-                let w = t.original_bytes as f64;
-                weights += w;
-                for (a, &r) in agg.iter_mut().zip(&t.candidate_ratios) {
-                    *a += w * r;
-                }
-            }
-            let ratios: Vec<f64> = agg
-                .iter()
-                .map(|&a| if weights > 0.0 { a / weights } else { 1.0 })
-                .collect();
-            let pick = |bandwidth: f64| {
-                self.config
-                    .candidates
-                    .iter()
-                    .zip(&ratios)
-                    .map(|(&kind, &ratio)| {
-                        (kind, self.speedup(ratio, kind, bandwidth, calibration))
-                    })
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .expect("at least one candidate")
-            };
-            let intra = pick(intra_bw);
-            TierAdvice {
-                intra: (intra.1 > 1.0).then_some(intra),
-                inter: pick(bw),
-            }
-        });
-
         let entry = Reselection {
             index: self.log.len(),
             iteration: obs.iteration,
@@ -810,7 +743,6 @@ impl RuntimeController {
             plateaued,
             eb_scale: self.eb_scale,
             switches,
-            tier_advice,
             degraded,
         };
         self.log.push(entry.clone());
@@ -840,7 +772,6 @@ mod tests {
         WindowObservation {
             iteration,
             effective_bandwidth: bw,
-            intra_bandwidth: None,
             mean_loss: loss,
             measured_compress_throughput: 0.0,
             tables,
@@ -854,8 +785,6 @@ mod tests {
             loss_n: 3,
             wire_bytes: 4096.0,
             wire_seconds: 2e-6,
-            intra_bytes: 512.0,
-            intra_seconds: 1e-7,
             codec_bytes: 8192.0,
             codec_seconds: 3e-7,
             tables: vec![
@@ -883,13 +812,13 @@ mod tests {
         let mut bytes = Vec::new();
         share.encode_into(&mut bytes);
         assert_eq!(bytes.len(), WindowShare::encoded_len(2, 3));
-        assert_eq!(bytes.len(), 72 + 2 * (3 + 3) * 8);
+        assert_eq!(bytes.len(), 56 + 2 * (3 + 3) * 8);
         let word = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
         assert_eq!(word(0), 1.5f64.to_bits());
         assert_eq!(word(1), 3, "loss count");
-        assert_eq!(word(8), 2, "table count");
-        assert_eq!((word(9), word(10), word(11)), (7, 1 << 12, 1 << 10));
-        assert_eq!(word(12), 2.0f64.to_bits());
+        assert_eq!(word(6), 2, "table count");
+        assert_eq!((word(7), word(8), word(9)), (7, 1 << 12, 1 << 10));
+        assert_eq!(word(10), 2.0f64.to_bits());
         assert_eq!(decode(&bytes, 3), Ok(share));
     }
 
@@ -901,14 +830,14 @@ mod tests {
         for len in 0..bytes.len() {
             let e = decode(&bytes[..len], 3).expect_err("a strict prefix decoded");
             assert!(e.needed > e.available, "prefix {len}: {e}");
-            assert_eq!(e.offset, if len < 72 { 0 } else { 72 }, "prefix {len}: {e}");
+            assert_eq!(e.offset, if len < 56 { 0 } else { 56 }, "prefix {len}: {e}");
         }
         // A table count one too many, and an absurd one: nothing to read.
         for count in [3u64, u64::MAX] {
             let mut bad = bytes.clone();
-            bad[64..72].copy_from_slice(&count.to_le_bytes());
+            bad[48..56].copy_from_slice(&count.to_le_bytes());
             let e = decode(&bad, 3).expect_err("an overcounted share decoded");
-            assert_eq!((e.offset, e.available), (72, bytes.len() - 72), "{e}");
+            assert_eq!((e.offset, e.available), (56, bytes.len() - 56), "{e}");
             assert!(e.needed > e.available, "{e}");
         }
         // Trailing bytes past the last table.
@@ -929,10 +858,10 @@ mod tests {
         );
         // A candidate-count mismatch misreads the per-table stride either way.
         let short = decode(&bytes, 2).expect_err("fewer candidates decoded");
-        assert_eq!((short.offset, short.needed), (72 + 2 * 5 * 8, 0));
+        assert_eq!((short.offset, short.needed), (56 + 2 * 5 * 8, 0));
         let wide = decode(&bytes, 4).expect_err("more candidates decoded");
-        assert_eq!((wide.offset, wide.needed), (72, 2 * 7 * 8));
-        assert!(wide.to_string().contains("at offset 72"), "{wide}");
+        assert_eq!((wide.offset, wide.needed), (56, 2 * 7 * 8));
+        assert!(wide.to_string().contains("at offset 56"), "{wide}");
     }
 
     #[test]
@@ -953,14 +882,12 @@ mod tests {
         assert_eq!(obs.iteration, 9);
         assert_eq!(obs.mean_loss, 0.5);
         assert_eq!(obs.effective_bandwidth, (4096.0 + 1024.0) / (2e-6 + 1e-6));
-        assert_eq!(obs.intra_bandwidth, Some(512.0 / 1e-7));
         assert_eq!(obs.measured_compress_throughput, 8192.0 / 3e-7);
         let ids: Vec<usize> = obs.tables.iter().map(|t| t.table_id).collect();
         assert_eq!(ids, [2, 4, 7]);
-        // A window that charged no wire (or intra, or codec) time falls back.
+        // A window that charged no wire (or codec) time falls back.
         let idle = WindowShare::fold([WindowShare::default()], 3, 1e9, |_, _| 0.0);
         assert_eq!(idle.effective_bandwidth, 1e9);
-        assert_eq!(idle.intra_bandwidth, None);
         assert_eq!(idle.measured_compress_throughput, 0.0);
         assert!(idle.tables.is_empty());
     }
@@ -1105,22 +1032,6 @@ mod tests {
         assert_eq!(r.eb_scale, 0.5);
         let r = ctl.observe(&obs(24, 60e9, 0.25, vec![table(0, &[2.0, 12.0])]));
         assert_eq!(r.eb_scale, 1.0);
-    }
-
-    #[test]
-    fn tier_advice_compresses_the_fabric_not_the_fast_tier() {
-        let mut ctl = RuntimeController::new(two_codec_config(0.1), vec![CompressorKind::Fp16]);
-        let mut o = obs(4, 2e9, 0.5, vec![table(0, &[2.0, 12.0])]);
-        o.intra_bandwidth = Some(150e9);
-        let r = ctl.observe(&o);
-        let advice = r.tier_advice.expect("intra bandwidth observed");
-        assert_eq!(advice.inter.0, CompressorKind::OursHybrid);
-        assert!(advice.inter.1 > 1.0);
-        assert!(
-            advice.intra.is_none(),
-            "nothing should compress a 150 GB/s link: {:?}",
-            advice.intra
-        );
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub use analysis::{analyze_tables, CompressionPlan, TablePlan};
 pub use classify::{EbClass, EbConfig, Thresholds};
 pub use controller::{
     probe_candidates, CodecProfile, ControllerConfig, PlateauEbControl, Reselection,
-    RuntimeController, ShareError, TableObservation, TableRevision, TierAdvice, WindowObservation,
-    WindowShare, PROBE_ROWS,
+    RuntimeController, ShareError, TableObservation, TableRevision, WindowObservation, WindowShare,
+    PROBE_ROWS,
 };
 pub use decay::{DecaySchedule, EbSchedule, TrainingPhases};
 pub use homo::{homogenization_index, pattern_counts, HomoReport};

@@ -35,7 +35,8 @@
 //!   plus the top-k sparsifier, all with reusable scratch;
 //! * [`CodecBank`] — one codec per embedding table, the bank training's
 //!   exchange and serving's fetch encode, decode, size leases and charge
-//!   codec time through;
+//!   codec time through; [`ControllerReplica`] — the runtime controller
+//!   both engines replicate over it, window boundary included;
 //! * [`GradCompressor`] — bundles codec + error feedback + scratch and
 //!   implements [`dlrm_comm::ReduceCodec`], so it plugs straight into
 //!   [`all_reduce_compressed`](dlrm_comm::cluster::RankCtx::all_reduce_compressed):
@@ -47,7 +48,7 @@ pub mod codec;
 pub mod ef;
 pub mod homomorphic;
 
-pub use bank::CodecBank;
+pub use bank::{CodecBank, ControllerReplica};
 pub use codec::{GradCodec, GradCodecKind, GradScratch};
 pub use dlrm_comm::ReduceError;
 pub use ef::ErrorFeedback;

@@ -18,27 +18,32 @@
 //!
 //! ## One batch window
 //!
-//! 1. Every frontend takes the window's request batch from the cluster's one
-//!    [`BatchFeed`] (the first to ask draws it, the rest share it) and walks
-//!    its own slice (`request_id % frontends == rank`): rows on the local
-//!    shard are gathered directly from the trained weights, remote rows
-//!    probe the hot-row cache, and misses fall into the per-owner
+//! [`ServeRank::new`] builds what the windows reuse, [`ServeRank::window`]
+//! runs one window as six steps and [`ServeRank::finish`] closes the run.
+//!
+//! 1. **walk**: every frontend takes the window's request batch from the
+//!    cluster's one [`BatchFeed`] (the first to ask draws it, the rest share
+//!    it) and walks its own slice (`request_id % frontends == rank`): rows on
+//!    the local shard are gathered directly from the trained weights, remote
+//!    rows probe the hot-row cache, and misses fall into the per-owner
 //!    [`BatchCoalescer`]. The draw is the window's serial stage: one
 //!    frontend draws the whole batch under the feed's mutex while the others
 //!    wait for it, so its cost lands on every window's wall time.
-//! 2. The coalesced key lists ride one variable all-to-all (request
-//!    direction), owners gather + encode each table's rows into a single
+//! 2. **request**: the coalesced key lists ride one variable all-to-all.
+//! 3. **answer**: owners gather + encode each table's rows into a single
 //!    codec stream of `dim`-wide rows, and the payloads ride a second
 //!    all-to-all back, both in the varint frames of [`crate::fetch`]. A
 //!    chunk that does not parse, or a payload group that does not answer
 //!    its request, is one panic naming the rank, the sender and the byte
 //!    offset.
-//! 3. Frontends decode, offer the rows to the cache (its admission gate
-//!    keeps a row only if it is hit more often than the row it would
-//!    evict), assemble per-request embedding
-//!    matrices (local weights, cache hits and fresh decodes are all the same
-//!    pure function of the codec, so caching never changes a response bit),
-//!    and run the dense MLP for the CTR logits.
+//! 4. **receive**: frontends decode and offer the rows to the cache (its
+//!    admission gate keeps a row only if it is hit more often than the row
+//!    it would evict).
+//! 5. **respond**: frontends assemble per-request embedding matrices (local
+//!    weights, cache hits and fresh decodes are all the same pure function
+//!    of the codec, so caching never changes a response bit) and run the
+//!    dense MLP for the CTR logits.
+//! 6. **boundary**: with adaptation on, a controller window may close.
 //!
 //! ## Modeled time
 //!
@@ -47,29 +52,26 @@
 //! work at the [`CodecProfile`](dlrm_adaptive::CodecProfile) throughputs,
 //! wire bytes through the flat α–β model or the tiered topology model, MLP
 //! flops at [`ServeConfig::mlp_flops`] — never from wall clocks, which is why
-//! sequential and threaded execution produce bit-identical reports. The
-//! window times then drive the queueing [`timeline`](crate::latency::timeline())
-//! that yields per-request latencies and the p50/p99 tail.
+//! sequential and threaded execution produce bit-identical reports. Each
+//! rank ships one [`WindowCharges`] per window; the window times then drive
+//! the queueing [`timeline`](crate::latency::timeline()) that yields
+//! per-request latencies and the p50/p99 tail.
 //!
 //! ## Adaptation
 //!
 //! With [`ServeAdaptive`](crate::config::ServeAdaptive) enabled, every rank
-//! runs a replica of the trainer's [`RuntimeController`] and applies the same
-//! per-table codec switches — off the request latency path. At each
-//! controller window boundary a rank encodes its [`WindowShare`] (live fetch
-//! traffic and candidate ratios probed on fetched rows), the shares ride the
-//! pooled all-gather, and every rank decodes and folds them into the
-//! identical observation; a malformed share is one panic naming both ranks
-//! and the byte offset. A switch
-//! flushes the hot-row cache so stale-codec rows never resurface. Without
-//! adaptation no window state is kept at all.
+//! runs the trainer's [`ControllerReplica`] over its fetch codec bank, off
+//! the request latency path. Owners sample live payload rows and count each
+//! table's fetch traffic; at each controller window boundary a rank probes
+//! the candidate codecs on its samples, fills its
+//! [`WindowShare`](dlrm_adaptive::WindowShare) and closes the replica's
+//! window, which all-gathers the shares and applies the identical switches
+//! on every rank. A switch flushes the hot-row cache so stale-codec rows
+//! never resurface. Without adaptation no window state is kept at all.
 
 use std::sync::Arc;
 
-use dlrm_adaptive::{
-    probe_candidates, ControllerConfig, Reselection, RuntimeController, TableObservation,
-    WindowShare, PROBE_ROWS,
-};
+use dlrm_adaptive::{ControllerConfig, Reselection, TableObservation, PROBE_ROWS};
 use dlrm_ckpt::Checkpoint;
 use dlrm_comm::cluster::RankCtx;
 use dlrm_comm::frame::{
@@ -77,13 +79,12 @@ use dlrm_comm::frame::{
     FrameError, VARINT_MAX,
 };
 use dlrm_comm::phase as phases;
-use dlrm_comm::pool::PooledBuf;
+use dlrm_comm::pool::{PoolStats, PooledBuf};
 use dlrm_comm::topology::TieredCostModel;
 use dlrm_comm::{CostModel, Link, TimingLedger, WirePolicy};
-use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
-use dlrm_data::{BatchFeed, DatasetConfig};
+use dlrm_data::{BatchFeed, DatasetConfig, MiniBatch};
 use dlrm_exec::Executor;
-use dlrm_grad::{GradCodecKind, GradScratch};
+use dlrm_grad::{ControllerReplica, GradScratch};
 use dlrm_model::{Dlrm, DlrmConfig};
 use dlrm_tensor::Matrix;
 use dlrm_trainer::TablePartition;
@@ -132,29 +133,32 @@ struct Setup {
     feed: BatchFeed,
 }
 
+/// One rank's modeled seconds for one batch window: host gathers (local
+/// lookups, cache hits and response assembly), each direction's wire
+/// summed over destinations in rank order, owner-side encode,
+/// frontend-side decode and the MLP forward.
+#[derive(Clone, Copy, Default)]
+struct WindowCharges {
+    local: f64,
+    request_wire: f64,
+    encode: f64,
+    payload_wire: f64,
+    decode: f64,
+    mlp: f64,
+}
+
 /// Everything one rank hands back to the merge step. All charges are
 /// analytic (bytes over modeled throughput) — never wall-clock — so the
 /// merged report is independent of executor mode.
+#[derive(Default)]
 struct RankOutcome {
     /// `(request id, logit)` for the requests this frontend answered.
     responses: Vec<(u32, f32)>,
-    /// Per-window host-gather seconds (local lookups + response assembly).
-    local_s: Vec<f64>,
-    /// Per-window owner-side encode seconds.
-    encode_s: Vec<f64>,
-    /// Per-window frontend-side decode seconds.
-    decode_s: Vec<f64>,
-    /// Per-window MLP forward seconds.
-    mlp_s: Vec<f64>,
-    /// Request-direction bytes sent, `windows × world` row-major.
-    req_sent: Vec<u64>,
-    /// Payload-direction bytes sent, `windows × world` row-major.
-    pay_sent: Vec<u64>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    rejections: u64,
-    flushes: u64,
+    /// One entry per batch window.
+    windows: Vec<WindowCharges>,
+    /// The hot-row cache, for its hit, miss, eviction, rejection and flush
+    /// counters.
+    cache: Option<HotRowCache>,
     local_rows: u64,
     fetched_rows: u64,
     fetch_raw_bytes: u64,
@@ -164,22 +168,6 @@ struct RankOutcome {
     final_codecs: Vec<String>,
     steady_alloc: u64,
     ledger: TimingLedger,
-}
-
-fn pair_cost(
-    cost: &CostModel,
-    tiered: Option<&TieredCostModel>,
-    src: usize,
-    dst: usize,
-    bytes: u64,
-) -> f64 {
-    if bytes == 0 || src == dst {
-        return 0.0;
-    }
-    match tiered {
-        Some(t) => t.pair_time(src, dst, bytes as usize),
-        None => cost.message_time(Link::AllToAll, bytes as usize),
-    }
 }
 
 fn run_inner(
@@ -250,65 +238,42 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn capacity_bytes(&self) -> u64 {
-        (self.my_ids.capacity() * 8
-            + self.my_dense.capacity() * 4
-            + self.store_keys.capacity() * 12
-            + self.store_vals.capacity() * 4
-            + self.emb_bufs.iter().map(Vec::capacity).sum::<usize>() * 4
-            + self.idx_buf.capacity() * 4
-            + self.owner_rows.capacity() * 4
-            + self.dec_buf.capacity() * 4) as u64
+    /// Add a remote row (a cache hit or a fresh decode) to the window store.
+    fn store(&mut self, table: u32, row: u32, vals: &[f32]) {
+        let slot = (self.store_vals.len() / vals.len()) as u32;
+        (self.store_keys).push((((table as u64) << 32) | row as u64, slot));
+        self.store_vals.extend_from_slice(vals);
     }
 }
 
-/// One rank's controller replica and its window inputs; `None` without
-/// [`ServeConfig::adaptive`], so a plain run accumulates nothing.
-struct Adaptation {
-    ctl: RuntimeController,
-    /// Prebuilt candidate codecs, in controller-candidate order.
-    candidates: Vec<Box<dyn Compressor>>,
-    /// The fetch error bound the candidates are probed at.
-    eb: f32,
-    /// This rank's share of the current window; its tables are filled at
-    /// the boundary.
-    share: WindowShare,
+/// One rank's controller replica and what serving feeds it: each owned
+/// table's fetch traffic and a sample of its live payload rows over the
+/// open window. `None` without [`ServeConfig::adaptive`], so a plain run
+/// accumulates nothing.
+struct Controller {
+    replica: ControllerReplica,
     /// Per-table `(original, compressed)` fetch bytes this window.
     traffic: Vec<(u64, u64)>,
     /// Per-table probe sample of live payload rows (owner side).
-    probe: Vec<Vec<f32>>,
-    scratch: CompressScratch,
-    /// Reused probe output and share encoding.
+    sample: Vec<Vec<f32>>,
+    /// Reused probe output.
     out: Vec<u8>,
-    blob: Vec<u8>,
 }
 
-impl Adaptation {
-    fn new(cfg: &ServeConfig, tables: usize, dim: usize) -> Option<Self> {
+impl Controller {
+    fn new(cfg: &ServeConfig, codecs: &FetchCodecs, dim: usize) -> Option<Self> {
         let a = cfg.adaptive.as_ref()?;
         let ctl_cfg = ControllerConfig::new(a.window, a.hysteresis)
             .with_candidates(a.candidates.clone())
             .with_profile(cfg.profile.clone());
-        let (initial, eb) = match cfg.fetch.resolved_kind() {
-            GradCodecKind::ErrorBounded {
-                compressor,
-                error_bound,
-            } => (compressor, error_bound),
-            // Unreachable behind validate(); a harmless default keeps this total.
-            _ => (CompressorKind::OursHybrid, 0.0),
-        };
+        let tables = codecs.tables();
         Some(Self {
-            ctl: RuntimeController::new(ctl_cfg, vec![initial; tables]),
-            candidates: a.candidates.iter().map(|k| k.build()).collect(),
-            eb,
-            share: WindowShare::default(),
+            replica: ControllerReplica::new(ctl_cfg, codecs, cfg.world),
             traffic: vec![(0, 0); tables],
-            probe: (0..tables)
+            sample: (0..tables)
                 .map(|_| Vec::with_capacity(PROBE_ROWS * dim))
                 .collect(),
-            scratch: CompressScratch::new(),
             out: Vec::new(),
-            blob: Vec::new(),
         })
     }
 
@@ -317,288 +282,328 @@ impl Adaptation {
         let raw = (rows.len() * 4) as u64;
         self.traffic[t].0 += raw;
         self.traffic[t].1 += encoded as u64;
-        self.share.codec_bytes += raw as f64;
+        self.replica.share.codec_bytes += raw as f64;
         // Candidate probing wants a fresh sample of live payload.
-        let probe = &mut self.probe[t];
+        let sample = &mut self.sample[t];
         let take = (PROBE_ROWS * dim)
-            .saturating_sub(probe.len())
+            .saturating_sub(sample.len())
             .min(rows.len());
-        probe.extend_from_slice(&rows[..take]);
-    }
-
-    /// Close the controller window ending before batch window `iteration`:
-    /// probe the candidates on each owned table's sample (its leading weight
-    /// rows when nothing was fetched), all-gather the shares, fold the
-    /// identical observation on every rank, and apply the replica's switches
-    /// to the codec bank.
-    #[allow(clippy::too_many_arguments)]
-    fn boundary(
-        &mut self,
-        ctx: &RankCtx,
-        cfg: &ServeConfig,
-        owned: &[usize],
-        model: &Dlrm,
-        codecs: &mut FetchCodecs,
-        iteration: usize,
-        send: &mut Vec<PooledBuf>,
-        recv: &mut Vec<PooledBuf>,
-    ) -> Reselection {
-        let (eb, candidates) = (self.eb, &self.candidates);
-        let (scratch, out) = (&mut self.scratch, &mut self.out);
-        for &t in owned {
-            let table = model.embedding(t);
-            let (dim, rows) = (table.dim(), PROBE_ROWS.min(table.cardinality()));
-            let sample = match self.probe[t].as_slice() {
-                [] => &table.weights().as_slice()[..rows * dim],
-                live => live,
-            };
-            let candidate_ratios = probe_candidates(candidates, sample, dim, eb, scratch, out);
-            self.share.tables.push(TableObservation {
-                table_id: t,
-                original_bytes: self.traffic[t].0,
-                compressed_bytes: self.traffic[t].1,
-                candidate_ratios,
-            });
-        }
-        self.blob.clear();
-        self.share.encode_into(&mut self.blob);
-        ctx.all_gather_pooled(&self.blob, send, recv);
-        let (rank, candidates) = (ctx.rank(), self.candidates.len());
-        let shares = recv.iter().enumerate().map(|(src, chunk)| {
-            WindowShare::decode(chunk, candidates).unwrap_or_else(|e| {
-                panic!("rank {rank}: malformed window share from rank {src}: {e}")
-            })
-        });
-        // Serving has no loss to plateau on.
-        let fallback = cfg.network.alltoall_bandwidth;
-        let mut obs = WindowShare::fold(shares, iteration, fallback, |_, _| 0.0);
-        recv.clear();
-        obs.intra_bandwidth = cfg.topology.as_ref().map(|t| t.intra().alltoall_bandwidth);
-        let resel = self.ctl.observe(&obs);
-        for s in &resel.switches {
-            codecs.set_compressor(s.table_id, s.to);
-        }
-        self.share = WindowShare::default();
-        self.traffic.fill((0, 0));
-        self.probe.iter_mut().for_each(Vec::clear);
-        resel
+        sample.extend_from_slice(&rows[..take]);
     }
 }
 
-#[allow(clippy::too_many_lines)]
+/// One rank's serving state: built once by [`ServeRank::new`], advanced one
+/// batch window at a time by [`ServeRank::window`] and closed by
+/// [`ServeRank::finish`]. Counters and charges accumulate straight into the
+/// outcome.
+struct ServeRank<'a> {
+    ctx: &'a RankCtx,
+    setup: &'a Setup,
+    owned: Vec<usize>,
+    /// Owned tables plus the MLP replica.
+    model: Dlrm,
+    cost: CostModel,
+    tiered: Option<TieredCostModel>,
+    cache: HotRowCache,
+    coalescer: BatchCoalescer,
+    codecs: FetchCodecs,
+    controller: Option<Controller>,
+    gscratch: GradScratch,
+    scratch: Scratch,
+    send: Vec<PooledBuf>,
+    recv: Vec<PooledBuf>,
+    /// The most requests one frontend answers per window, and the request
+    /// lease sized for them with every frame varint at its widest.
+    my_req_max: usize,
+    req_cap: usize,
+    /// Pool and scratch marks at the end of warm-up.
+    pool_mark: Option<PoolStats>,
+    cap_mark: u64,
+    out: RankOutcome,
+}
+
 fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
-    let cfg = &setup.cfg;
-    let dataset = &setup.dataset;
-    let partition = &setup.partition;
-    let rank = ctx.rank();
-    let world = ctx.world();
-    let frontends = cfg.frontend_count();
-    let is_frontend = rank < frontends;
-    let tables = dataset.tables.len();
-    let dim = dataset.embedding_dim;
-    let windows = cfg.num_windows();
-
-    let cost = cfg.network.cost_model();
-    let tiered = cfg.topology.map(TieredCostModel::new);
-
-    // Model shard: owned tables + MLP replica (frontends only).
-    let owned: Vec<usize> = if is_frontend {
-        partition.tables_of(rank).to_vec()
-    } else {
-        Vec::new()
-    };
-    let mut model = Dlrm::new_partial(
-        DlrmConfig::from_dataset(dataset),
-        cfg.model_seed,
-        Some(&owned),
-    );
-    if let Some(ckpt) = &setup.checkpoint {
-        restore_owned(&mut model, ckpt, &owned);
+    let mut rank = ServeRank::new(ctx, setup);
+    for w in 0..setup.cfg.num_windows() {
+        rank.window(w);
     }
-    let mlp_params = model.mlp_param_count();
+    rank.finish()
+}
 
-    let mut cache = HotRowCache::new(if is_frontend { cfg.cache_rows } else { 0 }, dim);
-    let mut coalescer = BatchCoalescer::new(world);
-    coalescer.reserve((cfg.window / frontends.max(1) + 1) * tables);
-    let mut codecs = FetchCodecs::new(tables, cfg.fetch.resolved_kind());
-    // Controller replica (identical on every rank; decisions replayed from
-    // an identical all-gathered observation).
-    let mut adaptation = Adaptation::new(cfg, tables, dim);
+impl<'a> ServeRank<'a> {
+    fn new(ctx: &'a RankCtx, setup: &'a Setup) -> Self {
+        let (cfg, dataset) = (&setup.cfg, &setup.dataset);
+        let (rank, world, frontends) = (ctx.rank(), ctx.world(), cfg.frontend_count());
+        // Ranks past the partition own nothing and answer no request.
+        let frontend = rank < frontends;
+        let (tables, dim) = (dataset.tables.len(), dataset.embedding_dim);
+        let owned = if frontend {
+            setup.partition.tables_of(rank).to_vec()
+        } else {
+            Vec::new()
+        };
+        let mut model = Dlrm::new_partial(
+            DlrmConfig::from_dataset(dataset),
+            cfg.model_seed,
+            Some(&owned),
+        );
+        if let Some(ckpt) = &setup.checkpoint {
+            restore_owned(&mut model, ckpt, &owned);
+        }
+        let my_req_max = cfg.window / frontends + 1;
+        let mut coalescer = BatchCoalescer::new(world);
+        coalescer.reserve(my_req_max * tables);
+        let codecs = FetchCodecs::new(tables, cfg.fetch.resolved_kind());
+        let rank = Self {
+            ctx,
+            setup,
+            model,
+            cost: cfg.network.cost_model(),
+            tiered: cfg.topology.map(TieredCostModel::new),
+            cache: HotRowCache::new(if frontend { cfg.cache_rows } else { 0 }, dim),
+            coalescer,
+            controller: Controller::new(cfg, &codecs, dim),
+            codecs,
+            gscratch: GradScratch::new(),
+            scratch: Scratch {
+                my_ids: Vec::with_capacity(my_req_max),
+                my_dense: Vec::with_capacity(my_req_max * dataset.num_dense),
+                store_keys: Vec::with_capacity(cfg.window * tables),
+                store_vals: Vec::with_capacity(cfg.window * tables * dim),
+                emb_bufs: (0..tables)
+                    .map(|_| Vec::with_capacity(my_req_max * dim))
+                    .collect(),
+                idx_buf: Vec::with_capacity(cfg.window),
+                owner_rows: Vec::with_capacity(cfg.window * dim),
+                dec_buf: Vec::with_capacity(cfg.window * dim),
+            },
+            send: Vec::with_capacity(world),
+            recv: Vec::with_capacity(world),
+            my_req_max,
+            req_cap: VARINT_MAX * (1 + tables * (2 + my_req_max)),
+            pool_mark: None,
+            cap_mark: 0,
+            out: RankOutcome {
+                responses: Vec::with_capacity(cfg.requests / frontends + 1),
+                windows: Vec::with_capacity(cfg.num_windows()),
+                ..RankOutcome::default()
+            },
+            owned,
+        };
+        // Pre-warm the buffer pool to its in-flight high-water mark: each
+        // window keeps up to two windows' worth of send buffers in flight
+        // (peers return leases one exchange late), so park that many
+        // worst-case-sized buffers up front. Without this the pool keeps
+        // allocating for a few windows past any fixed warm-up as traffic
+        // ramps.
+        let cap = rank.req_cap.max(rank.payload_cap());
+        let warm: Vec<_> = (0..4 * world).map(|_| ctx.take_buf(cap)).collect();
+        drop(warm);
+        rank
+    }
 
-    let mut gscratch = GradScratch::new();
-    let max_group_rows = cfg.window;
-    let mut scratch = Scratch {
-        my_ids: Vec::with_capacity(cfg.window / frontends.max(1) + 1),
-        my_dense: Vec::with_capacity((cfg.window / frontends.max(1) + 1) * dataset.num_dense),
-        store_keys: Vec::with_capacity(cfg.window * tables),
-        store_vals: Vec::with_capacity(cfg.window * tables * dim),
-        emb_bufs: (0..tables)
-            .map(|_| Vec::with_capacity((cfg.window / frontends.max(1) + 1) * dim))
-            .collect(),
-        idx_buf: Vec::with_capacity(max_group_rows),
-        owner_rows: Vec::with_capacity(max_group_rows * dim),
-        dec_buf: Vec::with_capacity(max_group_rows * dim),
-    };
-    let mut responses: Vec<(u32, f32)> = Vec::with_capacity(cfg.requests / frontends.max(1) + 1);
+    /// Worst-case payload lease, independent of window content: every owned
+    /// table's widest stream for a full window of requests. It follows the
+    /// codec bank, which the controller may switch.
+    fn payload_cap(&self) -> usize {
+        let len = self.my_req_max * self.setup.dataset.embedding_dim;
+        payload_chunk_capacity((self.owned.iter()).map(|&t| self.codecs.max_stream_bytes(t, len)))
+    }
 
-    let mut local_s = vec![0.0f64; windows];
-    let mut encode_s = vec![0.0f64; windows];
-    let mut decode_s = vec![0.0f64; windows];
-    let mut mlp_s = vec![0.0f64; windows];
-    let mut req_sent = vec![0u64; windows * world];
-    let mut pay_sent = vec![0u64; windows * world];
-    let (mut local_rows, mut fetched_rows) = (0u64, 0u64);
-    let (mut fetch_raw_bytes, mut fetch_wire_bytes, mut request_wire_bytes) = (0u64, 0u64, 0u64);
-    let mut ledger = TimingLedger::new();
+    /// Modeled seconds of `bytes` sent from this rank to `dst`: the flat
+    /// α–β model or the tiered one.
+    fn wire_seconds(&self, dst: usize, bytes: u64) -> f64 {
+        let src = self.ctx.rank();
+        match &self.tiered {
+            _ if bytes == 0 || src == dst => 0.0,
+            Some(t) => t.pair_time(src, dst, bytes as usize),
+            None => self.cost.message_time(Link::AllToAll, bytes as usize),
+        }
+    }
 
-    let mut send: Vec<PooledBuf> = Vec::with_capacity(world);
-    let mut recv: Vec<PooledBuf> = Vec::with_capacity(world);
-    let mut pay_recv: Vec<PooledBuf> = Vec::with_capacity(world);
+    /// Scratch, coalescer and response capacity, for the steady-state
+    /// allocation ledger.
+    fn capacity_bytes(&self) -> u64 {
+        let s = &self.scratch;
+        (s.my_ids.capacity() * 8
+            + s.my_dense.capacity() * 4
+            + s.store_keys.capacity() * 12
+            + s.store_vals.capacity() * 4
+            + s.emb_bufs.iter().map(Vec::capacity).sum::<usize>() * 4
+            + s.idx_buf.capacity() * 4
+            + s.owner_rows.capacity() * 4
+            + s.dec_buf.capacity() * 4
+            + self.coalescer.capacity_entries() * 8
+            + self.out.responses.capacity() * 8) as u64
+    }
 
-    let mut pool_mark = None;
-    let mut cap_mark = 0u64;
+    /// Run batch window `w`.
+    fn window(&mut self, w: usize) {
+        let setup = self.setup;
+        let cfg = &setup.cfg;
+        let start = w * cfg.window;
+        let len = cfg.window.min(cfg.requests - start);
+        let frontend = self.ctx.rank() < cfg.frontend_count();
+        let shared = frontend.then(|| setup.feed.step(w, len));
+        let batch = shared.as_deref().map(|parts| &parts[0]);
+        let mut charges = WindowCharges::default();
+        let mut gathered = self.walk(batch, start, len);
+        let request_bytes = self.request(&mut charges);
+        self.answer(&mut charges, request_bytes);
+        charges.decode = self.receive();
+        gathered += self.respond(batch, start);
+        charges.local = gathered as f64 / cfg.host_gather_bandwidth;
+        let (nreq, params) = (self.scratch.my_ids.len(), self.model.mlp_param_count());
+        charges.mlp = nreq as f64 * 2.0 * params as f64 / cfg.mlp_flops;
+        let ledger = &mut self.out.ledger;
+        ledger.add_time(phases::LOOKUP, charges.local);
+        ledger.add_time(phases::FWD_COMPRESS, charges.encode);
+        ledger.add_time(phases::FWD_DECOMPRESS, charges.decode);
+        ledger.add_time(phases::MLP_FWD, charges.mlp);
+        self.out.windows.push(charges);
+        self.boundary(w);
+        if w + 1 == cfg.warmup_windows {
+            self.pool_mark = Some(self.ctx.pool().stats());
+            self.cap_mark = self.capacity_bytes();
+        }
+    }
 
-    // Worst-case lease capacities, independent of window content, keep the
-    // pool's high-water mark flat after warm-up: every frame varint at its
-    // widest. The payload's follows the codec bank, which the controller may
-    // switch.
-    let my_req_max = cfg.window / frontends + 1;
-    let req_cap = VARINT_MAX * (1 + tables * (2 + my_req_max));
-    let pay_cap = |codecs: &FetchCodecs| {
-        payload_chunk_capacity(
-            (owned.iter()).map(|&t| codecs.max_stream_bytes(t, my_req_max * dim)),
-        )
-    };
-    // Pre-warm the buffer pool to its in-flight high-water mark: each window
-    // keeps up to two windows' worth of send buffers in flight (peers return
-    // leases one exchange late), so park that many worst-case-sized buffers
-    // up front. Without this the pool keeps allocating for a few windows
-    // past any fixed warm-up as traffic ramps.
-    let warm_big: Vec<_> = (0..4 * world)
-        .map(|_| ctx.take_buf(req_cap.max(pay_cap(&codecs))))
-        .collect();
-    drop(warm_big);
-
-    for w in 0..windows {
-        let wstart = w * cfg.window;
-        let wlen = cfg.window.min(cfg.requests - wstart);
-
-        // --- 1. Frontend walk: classify every (request, table) pair. ---
+    /// Walk this frontend's slice of the batch: local rows count as host
+    /// gathers, cache hits go to the window store, misses to the
+    /// coalescer. Returns the host bytes gathered.
+    fn walk(&mut self, batch: Option<&MiniBatch>, start: usize, len: usize) -> u64 {
+        let (setup, rank) = (self.setup, self.ctx.rank());
+        let (dim, frontends) = (setup.dataset.embedding_dim, setup.cfg.frontend_count());
+        let scratch = &mut self.scratch;
         scratch.my_ids.clear();
         scratch.my_dense.clear();
         scratch.store_keys.clear();
         scratch.store_vals.clear();
-        coalescer.clear();
-        let mut local_bytes = 0u64;
-        let shared = is_frontend.then(|| setup.feed.step(w, wlen));
-        let batch = shared.as_deref().map(|parts| &parts[0]);
+        self.coalescer.clear();
+        let mut gathered = 0u64;
         if let Some(batch) = batch {
-            for i in 0..wlen {
-                if (wstart + i) % frontends != rank {
-                    continue;
-                }
+            for i in (0..len).filter(|i| (start + i) % frontends == rank) {
                 scratch.my_ids.push(i);
                 scratch.my_dense.extend_from_slice(batch.dense.row(i));
-                for t in 0..tables {
-                    let row = batch.sparse[t][i];
-                    let owner = partition.owner_of(t);
+                for (t, column) in batch.sparse.iter().enumerate() {
+                    let (row, owner) = (column[i], setup.partition.owner_of(t));
                     if owner == rank {
-                        local_rows += 1;
-                        local_bytes += (dim * 4) as u64;
-                        continue;
-                    }
-                    if let Some(vals) = cache.get(t as u32, row) {
-                        let slot = (scratch.store_vals.len() / dim) as u32;
-                        scratch
-                            .store_keys
-                            .push((((t as u64) << 32) | row as u64, slot));
-                        scratch.store_vals.extend_from_slice(vals);
-                        local_bytes += (dim * 4) as u64;
+                        self.out.local_rows += 1;
+                        gathered += (dim * 4) as u64;
+                    } else if let Some(vals) = self.cache.get(t as u32, row) {
+                        scratch.store(t as u32, row, vals);
+                        gathered += (dim * 4) as u64;
                     } else {
-                        coalescer.note(owner, t as u32, row);
+                        self.coalescer.note(owner, t as u32, row);
                     }
                 }
             }
         }
-        coalescer.finish();
+        self.coalescer.finish();
+        gathered
+    }
 
-        // --- 2. Request-direction all-to-all (coalesced key lists). ---
-        let pay_cap = pay_cap(&codecs);
-        let mut my_wire_seconds = 0.0f64;
-        for dst in 0..world {
-            let rows = coalescer.rows(dst);
-            let mut buf = ctx.take_buf(req_cap);
+    /// Send the coalesced key lists, one request chunk per owner. Returns
+    /// the bytes sent.
+    fn request(&mut self, charges: &mut WindowCharges) -> u64 {
+        let ctx = self.ctx;
+        let mut bytes = 0u64;
+        for dst in 0..ctx.world() {
+            let rows = self.coalescer.rows(dst);
+            let mut buf = ctx.take_buf(self.req_cap);
             if !rows.is_empty() {
                 write_request_chunk(&mut buf, rows);
             }
-            let bytes = buf.len() as u64;
-            req_sent[w * world + dst] = bytes;
-            request_wire_bytes += bytes;
-            my_wire_seconds += pair_cost(&cost, tiered.as_ref(), rank, dst, bytes);
-            send.push(buf);
+            let sent = buf.len() as u64;
+            bytes += sent;
+            charges.request_wire += self.wire_seconds(dst, sent);
+            self.send.push(buf);
         }
-        ctx.all_to_all_pooled(&mut send, &mut recv);
+        self.out.request_wire_bytes += bytes;
+        ctx.all_to_all_pooled(&mut self.send, &mut self.recv);
+        bytes
+    }
 
-        // --- 3. Owner side: gather, encode, frame payloads. ---
-        let mut enc_seconds = 0.0f64;
-        for src in 0..world {
+    /// Owner side: gather, encode and frame each request's rows, then send
+    /// the payloads back. The wire of both directions is charged as one
+    /// running sum, and goes to the controller's share with this window's
+    /// `request_bytes` and encode seconds.
+    fn answer(&mut self, charges: &mut WindowCharges, request_bytes: u64) {
+        let (ctx, setup, rank) = (self.ctx, self.setup, self.ctx.rank());
+        let (cfg, dim) = (&setup.cfg, setup.dataset.embedding_dim);
+        let pay_cap = self.payload_cap();
+        let mut wire = charges.request_wire;
+        let mut bytes = request_bytes;
+        for (src, request) in self.recv.iter().enumerate() {
             let mut buf = ctx.take_buf(pay_cap);
-            if !recv[src].is_empty() {
+            if !request.is_empty() {
                 let from = ChunkOrigin {
                     rank,
                     what: "fetch request",
                     src,
                 };
-                let groups = from.check(request_groups(&recv[src]));
+                let groups = from.check(request_groups(request));
                 write_varint(&mut buf, groups.remaining());
                 for group in groups {
                     let group = from.check(group);
                     let t = group.table as usize;
-                    if t >= tables || partition.owner_of(t) != rank {
+                    if t >= self.codecs.tables() || setup.partition.owner_of(t) != rank {
                         from.fail(FrameError::at(group.offset, "request for an unowned table"));
                     }
-                    scratch.idx_buf.clear();
-                    scratch.idx_buf.extend(group.rows.iter());
-                    let table = model.embedding(t);
-                    let last = scratch.idx_buf.last().map_or(0, |&r| r as usize);
+                    let (idx, rows) = (&mut self.scratch.idx_buf, &mut self.scratch.owner_rows);
+                    idx.clear();
+                    idx.extend(group.rows.iter());
+                    let table = self.model.embedding(t);
+                    let last = idx.last().map_or(0, |&r| r as usize);
                     if last >= table.cardinality() {
                         from.fail(FrameError::at(
                             group.offset,
                             "request row past the table's end",
                         ));
                     }
-                    table.lookup_into(&scratch.idx_buf, &mut scratch.owner_rows);
-                    let raw = (scratch.owner_rows.len() * 4) as u64;
-                    fetch_raw_bytes += raw;
+                    table.lookup_into(idx, rows);
+                    let raw = (rows.len() * 4) as u64;
+                    self.out.fetch_raw_bytes += raw;
+                    let (codecs, gscratch) = (&self.codecs, &mut self.gscratch);
                     let eb = codecs.kind(t).error_bound();
-                    let encoded = write_payload_group(&mut buf, t, scratch.idx_buf.len(), |out| {
-                        let rows = &scratch.owner_rows;
-                        codecs.encode(t, rows, dim, eb, &mut gscratch, out)
+                    let encoded = write_payload_group(&mut buf, t, idx.len(), |out| {
+                        codecs.encode(t, rows, dim, eb, gscratch, out)
                     });
                     if let Some((enc_tput, _)) = codecs.throughput(t, &cfg.profile) {
-                        enc_seconds += raw as f64 / enc_tput;
+                        charges.encode += raw as f64 / enc_tput;
                     }
-                    if let Some(a) = adaptation.as_mut() {
-                        a.note_payload(t, &scratch.owner_rows, encoded, dim);
+                    if let Some(c) = self.controller.as_mut() {
+                        c.note_payload(t, rows, encoded, dim);
                     }
                 }
             }
-            let bytes = buf.len() as u64;
-            pay_sent[w * world + src] = bytes;
-            fetch_wire_bytes += bytes;
-            my_wire_seconds += pair_cost(&cost, tiered.as_ref(), rank, src, bytes);
-            send.push(buf);
+            let sent = buf.len() as u64;
+            bytes += sent;
+            self.out.fetch_wire_bytes += sent;
+            let seconds = self.wire_seconds(src, sent);
+            charges.payload_wire += seconds;
+            wire += seconds;
+            self.send.push(buf);
         }
-        recv.clear();
+        self.recv.clear();
+        ctx.all_to_all_pooled(&mut self.send, &mut self.recv);
+        self.out.ledger.add_time(phases::FWD_A2A, wire);
+        if let Some(c) = self.controller.as_mut() {
+            let share = &mut c.replica.share;
+            share.wire_bytes += bytes as f64;
+            share.wire_seconds += wire;
+            share.codec_seconds += charges.encode;
+        }
+    }
 
-        // --- 4. Payload-direction all-to-all. ---
-        ctx.all_to_all_pooled(&mut send, &mut pay_recv);
-        ledger.add_time(phases::FWD_A2A, my_wire_seconds);
-
-        // --- 5. Frontend decode: fill the window store + cache. ---
-        let mut dec_seconds = 0.0f64;
-        for (src, payload) in pay_recv.iter().enumerate() {
-            let keys = coalescer.rows(src);
+    /// Frontend side: decode every payload into the window store and offer
+    /// the rows to the cache. Returns the decode seconds.
+    fn receive(&mut self) -> f64 {
+        let (rank, dim) = (self.ctx.rank(), self.setup.dataset.embedding_dim);
+        let profile = &self.setup.cfg.profile;
+        let mut seconds = 0.0f64;
+        for (src, payload) in self.recv.iter().enumerate() {
+            let keys = self.coalescer.rows(src);
             if keys.is_empty() && payload.is_empty() {
                 continue;
             }
@@ -612,29 +617,27 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                 let group = from.check(group);
                 let answered = from.check(answered(&group, keys, cursor));
                 let (t, n) = (group.table as usize, answered.len());
-                let out = &mut scratch.dec_buf;
-                out.clear();
-                if codecs
-                    .decode(t, group.stream, n * dim, &mut gscratch, out)
-                    .is_err()
+                // Taken so the rows can go to the store in the same scratch.
+                let mut rows = std::mem::take(&mut self.scratch.dec_buf);
+                rows.clear();
+                let gscratch = &mut self.gscratch;
+                if (self
+                    .codecs
+                    .decode(t, group.stream, n * dim, gscratch, &mut rows))
+                .is_err()
                 {
-                    from.fail(FrameError::at(
-                        group.offset,
-                        "stream does not decode to rows × dim",
-                    ));
+                    let e = FrameError::at(group.offset, "stream does not decode to rows × dim");
+                    from.fail(e);
                 }
-                for (&(kt, row), vals) in answered.iter().zip(scratch.dec_buf.chunks_exact(dim)) {
-                    let slot = (scratch.store_vals.len() / dim) as u32;
-                    scratch
-                        .store_keys
-                        .push((((kt as u64) << 32) | row as u64, slot));
-                    scratch.store_vals.extend_from_slice(vals);
-                    cache.insert(kt, row, vals);
+                for (&(kt, row), vals) in answered.iter().zip(rows.chunks_exact(dim)) {
+                    self.scratch.store(kt, row, vals);
+                    self.cache.insert(kt, row, vals);
                 }
+                self.scratch.dec_buf = rows;
                 cursor += n;
-                fetched_rows += n as u64;
-                if let Some((_, dec_tput)) = codecs.throughput(t, &cfg.profile) {
-                    dec_seconds += (n * dim * 4) as f64 / dec_tput;
+                self.out.fetched_rows += n as u64;
+                if let Some((_, dec_tput)) = self.codecs.throughput(t, profile) {
+                    seconds += (n * dim * 4) as f64 / dec_tput;
                 }
             }
             if cursor != keys.len() {
@@ -644,127 +647,112 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                 ));
             }
         }
-        pay_recv.clear();
-        scratch.store_keys.sort_unstable();
-        scratch.store_keys.dedup_by_key(|&mut (k, _)| k);
+        self.recv.clear();
+        self.scratch.store_keys.sort_unstable();
+        self.scratch.store_keys.dedup_by_key(|&mut (k, _)| k);
+        seconds
+    }
 
-        // --- 6. Response assembly + MLP forward. ---
-        let nreq = scratch.my_ids.len();
-        if let Some(batch) = batch {
-            if nreq > 0 {
-                let mut embs: Vec<Matrix> = Vec::with_capacity(tables);
-                for t in 0..tables {
-                    let mut buf = std::mem::take(&mut scratch.emb_bufs[t]);
-                    buf.clear();
-                    let owner = partition.owner_of(t);
-                    for &i in &scratch.my_ids {
-                        let row = batch.sparse[t][i];
-                        if owner == rank {
-                            buf.extend_from_slice(model.embedding(t).weights().row(row as usize));
-                        } else {
-                            let key = ((t as u64) << 32) | row as u64;
-                            let at = scratch
-                                .store_keys
-                                .binary_search_by_key(&key, |&(k, _)| k)
-                                .expect("remote row present in window store");
-                            let slot = scratch.store_keys[at].1 as usize;
-                            buf.extend_from_slice(
-                                &scratch.store_vals[slot * dim..(slot + 1) * dim],
-                            );
-                        }
-                    }
-                    local_bytes += (buf.len() * 4) as u64;
-                    embs.push(Matrix::from_vec(nreq, dim, buf));
-                }
-                let dense = Matrix::from_vec(
-                    nreq,
-                    dataset.num_dense,
-                    std::mem::take(&mut scratch.my_dense),
-                );
-                let fwd = model.forward_dense(&dense, &embs);
-                for (j, &i) in scratch.my_ids.iter().enumerate() {
-                    responses.push(((wstart + i) as u32, fwd.logits[j]));
-                }
-                mlp_s[w] = nreq as f64 * 2.0 * mlp_params as f64 / cfg.mlp_flops;
-                scratch.my_dense = dense.into_vec();
-                for (t, m) in embs.into_iter().enumerate() {
-                    scratch.emb_bufs[t] = m.into_vec();
+    /// Assemble this frontend's requests from local weights and the window
+    /// store, run the MLP and record the responses. Returns the host bytes
+    /// gathered.
+    fn respond(&mut self, batch: Option<&MiniBatch>, start: usize) -> u64 {
+        let (setup, rank, scratch) = (self.setup, self.ctx.rank(), &mut self.scratch);
+        let (dim, nreq) = (setup.dataset.embedding_dim, scratch.my_ids.len());
+        let Some(batch) = batch.filter(|_| nreq > 0) else {
+            return 0;
+        };
+        let mut gathered = 0u64;
+        let mut embs: Vec<Matrix> = Vec::with_capacity(batch.sparse.len());
+        for (t, column) in batch.sparse.iter().enumerate() {
+            let mut buf = std::mem::take(&mut scratch.emb_bufs[t]);
+            buf.clear();
+            let local = setup.partition.owner_of(t) == rank;
+            for &i in &scratch.my_ids {
+                let row = column[i];
+                if local {
+                    buf.extend_from_slice(self.model.embedding(t).weights().row(row as usize));
+                } else {
+                    let key = ((t as u64) << 32) | row as u64;
+                    let at = (scratch.store_keys)
+                        .binary_search_by_key(&key, |&(k, _)| k)
+                        .expect("remote row present in window store");
+                    let slot = scratch.store_keys[at].1 as usize;
+                    buf.extend_from_slice(&scratch.store_vals[slot * dim..(slot + 1) * dim]);
                 }
             }
+            gathered += (buf.len() * 4) as u64;
+            embs.push(Matrix::from_vec(nreq, dim, buf));
         }
-        local_s[w] = local_bytes as f64 / cfg.host_gather_bandwidth;
-        encode_s[w] = enc_seconds;
-        decode_s[w] = dec_seconds;
-        ledger.add_time(phases::LOOKUP, local_s[w]);
-        ledger.add_time(phases::FWD_COMPRESS, enc_seconds);
-        ledger.add_time(phases::FWD_DECOMPRESS, dec_seconds);
-        ledger.add_time(phases::MLP_FWD, mlp_s[w]);
-
-        // --- 7. Controller window: this window's wire and encode totals,
-        // then the boundary (off the request latency path). ---
-        if let Some(a) = adaptation.as_mut() {
-            let sent = w * world..(w + 1) * world;
-            let bytes: u64 = req_sent[sent.clone()].iter().chain(&pay_sent[sent]).sum();
-            a.share.wire_bytes += bytes as f64;
-            a.share.wire_seconds += my_wire_seconds;
-            a.share.codec_seconds += enc_seconds;
-            if (w + 1) % a.ctl.config().window == 0 {
-                let resel = a.boundary(
-                    ctx,
-                    cfg,
-                    &owned,
-                    &model,
-                    &mut codecs,
-                    w + 1,
-                    &mut send,
-                    &mut recv,
-                );
-                if !resel.switches.is_empty() {
-                    cache.clear();
-                }
-            }
+        let num_dense = setup.dataset.num_dense;
+        let dense = Matrix::from_vec(nreq, num_dense, std::mem::take(&mut scratch.my_dense));
+        let fwd = self.model.forward_dense(&dense, &embs);
+        for (j, &i) in scratch.my_ids.iter().enumerate() {
+            self.out.responses.push(((start + i) as u32, fwd.logits[j]));
         }
+        scratch.my_dense = dense.into_vec();
+        for (t, m) in embs.into_iter().enumerate() {
+            scratch.emb_bufs[t] = m.into_vec();
+        }
+        gathered
+    }
 
-        if w + 1 == cfg.warmup_windows {
-            pool_mark = Some(ctx.pool().stats());
-            cap_mark = scratch.capacity_bytes()
-                + (coalescer.capacity_entries() * 8) as u64
-                + (responses.capacity() * 8) as u64;
+    /// Close the controller window ending with batch window `w`, if one
+    /// does (off the request latency path): probe the candidates on each
+    /// owned table's sample (its leading weight rows when nothing was
+    /// fetched), close the replica's window, and flush the cache when a
+    /// codec switched.
+    fn boundary(&mut self, w: usize) {
+        let Some(c) = self.controller.as_mut() else {
+            return;
+        };
+        if !c.replica.closes_at(w + 1) {
+            return;
+        }
+        for &t in &self.owned {
+            let table = self.model.embedding(t);
+            let (dim, rows) = (table.dim(), PROBE_ROWS.min(table.cardinality()));
+            let sample = match c.sample[t].as_slice() {
+                [] => &table.weights().as_slice()[..rows * dim],
+                live => live,
+            };
+            let eb = self.codecs.kind(t).error_bound();
+            let candidate_ratios =
+                c.replica
+                    .probe(sample, dim, eb, &mut self.gscratch.compress, &mut c.out);
+            c.replica.share.tables.push(TableObservation {
+                table_id: t,
+                original_bytes: c.traffic[t].0,
+                compressed_bytes: c.traffic[t].1,
+                candidate_ratios,
+            });
+        }
+        // Serving has no loss to plateau on.
+        let (ctx, fallback) = (self.ctx, self.setup.cfg.network.alltoall_bandwidth);
+        let (reselection, ..) =
+            (c.replica).close_window(ctx, w + 1, fallback, |_, _| 0.0, false, &mut self.codecs);
+        c.traffic.fill((0, 0));
+        c.sample.iter_mut().for_each(Vec::clear);
+        if !reselection.switches.is_empty() {
+            self.cache.clear();
         }
     }
 
-    let steady_alloc = match pool_mark {
-        Some(mark) => {
-            let cap_now = scratch.capacity_bytes()
-                + (coalescer.capacity_entries() * 8) as u64
-                + (responses.capacity() * 8) as u64;
-            ctx.pool().stats().since(&mark).allocated_bytes + (cap_now - cap_mark)
+    /// Close the run: this rank's outcome.
+    fn finish(self) -> RankOutcome {
+        let steady_alloc = self.pool_mark.map_or(0, |mark| {
+            let pool = self.ctx.pool().stats().since(&mark).allocated_bytes;
+            pool + (self.capacity_bytes() - self.cap_mark)
+        });
+        let tables = self.codecs.tables();
+        RankOutcome {
+            cache: Some(self.cache),
+            reselections: (self.controller)
+                .map_or_else(Vec::new, |c| c.replica.controller().log().to_vec()),
+            final_codecs: (0..tables).map(|t| self.codecs.kind(t).label()).collect(),
+            steady_alloc,
+            ..self.out
         }
-        None => 0,
-    };
-
-    RankOutcome {
-        responses,
-        local_s,
-        encode_s,
-        decode_s,
-        mlp_s,
-        req_sent,
-        pay_sent,
-        hits: cache.hits(),
-        misses: cache.misses(),
-        evictions: cache.evictions(),
-        rejections: cache.rejections(),
-        flushes: cache.flushes(),
-        local_rows,
-        fetched_rows,
-        fetch_raw_bytes,
-        fetch_wire_bytes,
-        request_wire_bytes,
-        reselections: adaptation.map_or_else(Vec::new, |a| a.ctl.log().to_vec()),
-        final_codecs: (0..tables).map(|t| codecs.kind(t).label()).collect(),
-        steady_alloc,
-        ledger,
     }
 }
 
@@ -775,11 +763,7 @@ fn merge(
     from_checkpoint: bool,
     provenance: Option<String>,
 ) -> ServingReport {
-    let cfg = &setup.cfg;
-    let world = cfg.world;
-    let windows = cfg.num_windows();
-    let cost = cfg.network.cost_model();
-    let tiered = cfg.topology.map(TieredCostModel::new);
+    let (cfg, windows) = (&setup.cfg, setup.cfg.num_windows());
 
     // The controller replicas must have replayed identical decisions.
     for o in &outcomes[1..] {
@@ -793,31 +777,20 @@ fn merge(
         );
     }
 
-    // Per-window processing time: the slowest rank of each serial stage plus
-    // the slowest rank's wire time of each all-to-all.
-    let mut proc = Vec::with_capacity(windows);
-    for w in 0..windows {
-        let stage_max =
-            |f: &dyn Fn(&RankOutcome) -> f64| outcomes.iter().map(f).fold(0.0f64, f64::max);
-        let wire_max = |sent: &dyn Fn(&RankOutcome) -> Vec<u64>| {
-            outcomes
-                .iter()
-                .enumerate()
-                .map(|(src, o)| {
-                    let row = sent(o);
-                    (0..world)
-                        .map(|dst| pair_cost(&cost, tiered.as_ref(), src, dst, row[dst]))
-                        .sum::<f64>()
-                })
-                .fold(0.0f64, f64::max)
-        };
-        let local = stage_max(&|o: &RankOutcome| o.local_s[w]);
-        let enc = stage_max(&|o: &RankOutcome| o.encode_s[w]);
-        let tail = stage_max(&|o: &RankOutcome| o.decode_s[w] + o.mlp_s[w]);
-        let reqw = wire_max(&|o: &RankOutcome| o.req_sent[w * world..(w + 1) * world].to_vec());
-        let payw = wire_max(&|o: &RankOutcome| o.pay_sent[w * world..(w + 1) * world].to_vec());
-        proc.push(local + reqw + enc + payw + tail);
-    }
+    // Per-window processing time: the slowest rank of each serial stage,
+    // each all-to-all's wire included.
+    let proc: Vec<f64> = (0..windows)
+        .map(|w| {
+            let max = |f: fn(&WindowCharges) -> f64| {
+                (outcomes.iter()).fold(0.0f64, |m, o| m.max(f(&o.windows[w])))
+            };
+            max(|c| c.local)
+                + max(|c| c.request_wire)
+                + max(|c| c.encode)
+                + max(|c| c.payload_wire)
+                + max(|c| c.decode + c.mlp)
+        })
+        .collect();
 
     let tl = timeline(cfg.requests, cfg.window, cfg.arrival_qps, &proc);
     let mut sorted = tl.latencies.clone();
@@ -837,17 +810,10 @@ fn merge(
     let responses: Vec<f32> = tagged.into_iter().map(|(_, v)| v).collect();
 
     let sum = |f: &dyn Fn(&RankOutcome) -> u64| outcomes.iter().map(f).sum::<u64>();
-    let cache_hits = sum(&|o: &RankOutcome| o.hits);
-    let cache_misses = sum(&|o: &RankOutcome| o.misses);
-    let cache_evictions = sum(&|o: &RankOutcome| o.evictions);
-    let cache_rejections = sum(&|o: &RankOutcome| o.rejections);
-    let cache_flushes = sum(&|o: &RankOutcome| o.flushes);
-    let local_rows = sum(&|o: &RankOutcome| o.local_rows);
-    let fetched_rows = sum(&|o: &RankOutcome| o.fetched_rows);
-    let fetch_raw_bytes = sum(&|o: &RankOutcome| o.fetch_raw_bytes);
-    let fetch_wire_bytes = sum(&|o: &RankOutcome| o.fetch_wire_bytes);
-    let request_wire_bytes = sum(&|o: &RankOutcome| o.request_wire_bytes);
-    let steady = sum(&|o: &RankOutcome| o.steady_alloc);
+    let cache = |f: fn(&HotRowCache) -> u64| sum(&|o| o.cache.as_ref().map_or(0, f));
+    let (cache_hits, cache_misses) = (cache(HotRowCache::hits), cache(HotRowCache::misses));
+    let fetch_raw_bytes = sum(&|o| o.fetch_raw_bytes);
+    let fetch_wire_bytes = sum(&|o| o.fetch_wire_bytes);
 
     let mut ledger = TimingLedger::new();
     for o in &outcomes {
@@ -859,7 +825,7 @@ fn merge(
 
     ServingReport {
         dataset: setup.dataset.name.clone(),
-        world,
+        world: cfg.world,
         frontends: cfg.frontend_count(),
         requests: cfg.requests,
         window: cfg.window,
@@ -878,19 +844,19 @@ fn merge(
         max_ms,
         cache_hits,
         cache_misses,
-        cache_evictions,
-        cache_rejections,
-        cache_flushes,
+        cache_evictions: cache(HotRowCache::evictions),
+        cache_rejections: cache(HotRowCache::rejections),
+        cache_flushes: cache(HotRowCache::flushes),
         hit_rate: if cache_hits + cache_misses > 0 {
             cache_hits as f64 / (cache_hits + cache_misses) as f64
         } else {
             0.0
         },
-        local_rows,
-        fetched_rows,
+        local_rows: sum(&|o| o.local_rows),
+        fetched_rows: sum(&|o| o.fetched_rows),
         fetch_raw_bytes,
         fetch_wire_bytes,
-        request_wire_bytes,
+        request_wire_bytes: sum(&|o| o.request_wire_bytes),
         fetch_ratio: if fetch_wire_bytes > 0 {
             fetch_raw_bytes as f64 / fetch_wire_bytes as f64
         } else {
@@ -899,7 +865,7 @@ fn merge(
         reselections,
         codec_switches,
         final_codecs: outcomes[0].final_codecs.clone(),
-        steady_state_allocated_bytes: steady,
+        steady_state_allocated_bytes: sum(&|o| o.steady_alloc),
         phase_seconds: ledger.phases(),
         responses,
         from_checkpoint,

@@ -19,9 +19,9 @@
 //! * the gather rides the `dlrm-grad` **fetch codecs** over the real
 //!   channel fabric, with modeled wire/codec charges driving a queueing
 //!   timeline whose sorted per-request latencies give p50/p99;
-//! * the PR 5 **runtime controller** re-selects each table's fetch codec
-//!   (and optionally scales the error bound) from live traffic at window
-//!   boundaries, off the request latency path.
+//! * the trainer's **runtime controller** replica re-selects each table's
+//!   fetch codec from live traffic at window boundaries, off the request
+//!   latency path.
 //!
 //! [`run_serving`] executes a full run and returns a [`ServingReport`];
 //! [`run_serving_from_checkpoint`] starts from a trained snapshot produced
@@ -30,6 +30,8 @@
 pub mod cache;
 pub mod coalesce;
 pub mod config;
+// One batch window is a chain of step methods; clippy.toml caps their length.
+#[warn(clippy::too_many_lines)]
 pub mod engine;
 pub mod fetch;
 pub mod latency;

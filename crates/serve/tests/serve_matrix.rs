@@ -251,17 +251,6 @@ fn reselection_words(r: &Reselection) -> Vec<u64> {
             s.incumbent_speedup.to_bits(),
         ]);
     }
-    match &r.tier_advice {
-        None => w.push(0),
-        Some(a) => {
-            w.push(1);
-            match a.intra {
-                None => w.push(0),
-                Some((k, s)) => w.extend([1, kind(k), s.to_bits()]),
-            }
-            w.extend([kind(a.inter.0), a.inter.1.to_bits()]);
-        }
-    }
     w
 }
 
@@ -289,18 +278,23 @@ fn reselection_words(r: &Reselection) -> Vec<u64> {
 /// bandwidth and ratio words read and the fingerprint's `fetch_wire_bytes`
 /// moved. The serving error-bound control and its two `eb-plateau` rows
 /// were deleted then.
+///
+/// Re-pinned a fourth time, column 3 only, when the per-tier advice was
+/// deleted: [`reselection_words`] lost its tier words. With those words left
+/// out, the commit before the deletion gives these same two FNVs, so no
+/// reselection field moved.
 const SERVE_CONTROLLER_GOLDEN: [(&str, usize, u64, u64, u64); 2] = [
     (
         "flat/eb-fixed",
         4,
-        0xd3a4cf3f415f8bed,
+        0xddfd1d4e3591e007,
         0xd2fe3784ff160581,
         0x21dc23a4157ba8da,
     ),
     (
         "2x2/eb-fixed",
         4,
-        0xf88fa6694b4f3e10,
+        0x799c20e2a058befd,
         0xd2fe3784ff160581,
         0x5e779eb1a1160910,
     ),

@@ -12,8 +12,7 @@ use crate::config::{
 };
 use crate::partition::TablePartition;
 use dlrm_adaptive::controller::{
-    probe_candidates, ControllerConfig, Reselection, RuntimeController, TableObservation,
-    WindowShare, PROBE_ROWS,
+    ControllerConfig, Reselection, TableObservation, WindowShare, PROBE_ROWS,
 };
 use dlrm_adaptive::CodecProfile;
 use dlrm_ckpt::{Checkpoint, CheckpointSpec, EncodedSection, RankCheckpoint};
@@ -28,9 +27,9 @@ use dlrm_comm::reduce::{
 };
 use dlrm_comm::topology::{TieredCostModel, Topology};
 use dlrm_comm::{CostModel, OverlapTimeline, TimingLedger};
-use dlrm_compress::{Compressor, CompressorKind};
+use dlrm_compress::Compressor;
 use dlrm_data::{BatchFeed, DatasetConfig, DistinctRows, MiniBatch};
-use dlrm_grad::{CodecBank, GradCodec, GradCodecKind, GradCompressor, GradScratch};
+use dlrm_grad::{CodecBank, ControllerReplica, GradCodec, GradCompressor, GradScratch};
 use dlrm_model::dlrm::{BottomForward, DenseCache, EmbeddingBackward};
 use dlrm_model::{Dlrm, DlrmConfig, EvalMetrics};
 use dlrm_obs::{ClockDomain, MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecorder};
@@ -787,21 +786,14 @@ struct CheckpointWriter {
 /// ([`AdaptiveSetting::Runtime`]); `None` under the bit-exact
 /// [`AdaptiveSetting::Static`] path.
 ///
-/// The controller ([`RuntimeController`]) and the window boundary's
-/// observation format ([`WindowShare`]) live in `dlrm-adaptive`; this
-/// wrapper owns the trainer's side: the window accumulators, probing the
-/// candidate codecs on live payloads and charging it, and applying each
-/// reselection's codec swaps to the codec bank.
+/// The window boundary itself is the [`ControllerReplica`] serving runs
+/// too; this wrapper owns the trainer's side: the window accumulators,
+/// probing the candidate codecs on live payloads and charging it, the
+/// boundary's controller-phase charge and the window ratios.
 struct ControllerState {
-    ctl: RuntimeController,
-    /// Prebuilt candidate codecs, in controller-candidate order.
-    candidates: Vec<Box<dyn Compressor>>,
+    replica: ControllerReplica,
     /// `fwd_traffic` snapshot at the current window's start.
     traffic_mark: Vec<(u64, u64)>,
-    /// This rank's share of the current window: the loss, wire and intra
-    /// sums accumulate as it runs, the codec and table fields are filled at
-    /// the boundary.
-    share: WindowShare,
     /// Codec-phase marks at the window start (ledger seconds/bytes of the
     /// two compress phases), for measured-throughput calibration.
     codec_seconds_mark: f64,
@@ -809,8 +801,6 @@ struct ControllerState {
     /// Candidate compression ratios per owned table (local index), probed on
     /// the iteration preceding a window boundary.
     probe_ratios: Vec<Vec<f64>>,
-    /// Reusable encoding buffer for the observation exchange.
-    blob: Vec<u8>,
     /// Measured compression ratio over every table per completed window.
     window_ratios: Vec<f64>,
 }
@@ -818,7 +808,7 @@ struct ControllerState {
 impl ControllerState {
     /// The controller state `trainer` asks for; `None` under
     /// [`AdaptiveSetting::Static`].
-    fn new(trainer: &TrainerConfig, codecs: &CodecBank, num_tables: usize) -> Option<Self> {
+    fn new(trainer: &TrainerConfig, codecs: &CodecBank) -> Option<Self> {
         let AdaptiveSetting::Runtime {
             window,
             hysteresis,
@@ -827,12 +817,6 @@ impl ControllerState {
         else {
             return None;
         };
-        let initial: Vec<CompressorKind> = (0..num_tables)
-            .map(|t| match codecs.kind(t) {
-                GradCodecKind::ErrorBounded { compressor, .. } => *compressor,
-                _ => unreachable!("validated: runtime adaptation requires a lossy setting"),
-            })
-            .collect();
         let mut cfg = ControllerConfig::new(window, hysteresis)
             .with_overlap(matches!(trainer.overlap, OverlapSetting::DoubleBuffered));
         if let Some(p) = &trainer.codec_profile {
@@ -841,30 +825,21 @@ impl ControllerState {
         if let Some(ebc) = eb_control {
             cfg = cfg.with_eb_control(ebc);
         }
-        let candidates = cfg.candidates.iter().map(|k| k.build()).collect();
         Some(Self {
-            ctl: RuntimeController::new(cfg, initial),
-            candidates,
-            traffic_mark: vec![(0, 0); num_tables],
-            share: WindowShare::default(),
+            replica: ControllerReplica::new(cfg, codecs, trainer.world),
+            traffic_mark: vec![(0, 0); codecs.tables()],
             codec_seconds_mark: 0.0,
             codec_bytes_mark: 0,
             probe_ratios: Vec::new(),
-            blob: Vec::new(),
             window_ratios: Vec::new(),
         })
     }
 
-    /// True when `iter` starts a new window (a reselection point).
-    fn is_boundary(&self, iter: usize) -> bool {
-        iter > 0 && iter.is_multiple_of(self.ctl.config().window)
-    }
-
-    /// True when the iteration *before* `boundary_iter` should probe the
-    /// candidate codecs on live payloads.
+    /// True when iteration `iter` should probe the candidate codecs on
+    /// live payloads: the next one closes a window.
     fn wants_probe(&self, iter: usize, iterations: usize) -> bool {
         let next = iter + 1;
-        next < iterations && self.is_boundary(next)
+        next < iterations && self.replica.closes_at(next)
     }
 
     /// Probe every candidate codec on a [`PROBE_ROWS`] sample of each owned
@@ -884,9 +859,9 @@ impl ControllerState {
             let mut buf = ctx.take_buf(codecs.max_stream_bytes(t, PROBE_ROWS * dim));
             let scratch = &mut comm.scratch.codec.compress;
             let eb = comm.bounds[t];
-            let ratios = probe_candidates(&self.candidates, sample, dim, eb, scratch, &mut buf);
+            let ratios = self.replica.probe(sample, dim, eb, scratch, &mut buf);
             self.probe_ratios.push(ratios);
-            for codec in &self.candidates {
+            for codec in self.replica.candidates() {
                 probed_bytes += (sample.len() * 4) as u64;
                 if let Some(p) = profile {
                     profile_seconds += (sample.len() * 4) as f64 / p.throughput(codec.kind()).0;
@@ -904,12 +879,12 @@ impl ControllerState {
         comm.close(phases::CONTROLLER, 0);
     }
 
-    /// Close the window ending at `iter`: fill in this rank's share,
-    /// all-gather every rank's, fold the identical
-    /// [`WindowObservation`](dlrm_adaptive::WindowObservation) on every rank,
-    /// run the controller, apply its codec switches to this rank's codec
-    /// bank (the error-bound scale is read off the controller) and to the
-    /// trace. The exchange is charged to the controller phase.
+    /// Close the window ending at `iter`: fill in this rank's share from
+    /// the ledger's compress phases, the forward traffic and the probe, and
+    /// close the replica's window, which applies the reselection to the
+    /// codec bank (the error-bound scale is read off the controller). The
+    /// share exchange is charged to the controller phase; the reselection
+    /// goes to the trace.
     fn window_boundary(
         &mut self,
         comm: &mut Comm<'_>,
@@ -919,15 +894,14 @@ impl ControllerState {
     ) {
         let (ctx, cost, acct) = (comm.acct.ctx, &comm.link.cost, &mut comm.acct);
         let (ledger, fwd_traffic) = (&mut acct.ledger, &acct.traffic[Dir::Fwd as usize]);
-        let (send, recv) = (&mut comm.scratch.send, &mut comm.scratch.recv);
-        let rank = ctx.rank();
         // Codec throughput over the window, from the ledger's compress
         // phases (deterministic whenever codec time is charged
         // analytically).
         let codec_seconds =
             ledger.seconds(phases::FWD_COMPRESS) + ledger.seconds(phases::BWD_COMPRESS);
         let codec_bytes = ledger.bytes(phases::FWD_COMPRESS) + ledger.bytes(phases::BWD_COMPRESS);
-        let share = &mut self.share;
+        let candidates = self.replica.candidates().len();
+        let share = &mut self.replica.share;
         share.codec_seconds = codec_seconds - self.codec_seconds_mark;
         share.codec_bytes = (codec_bytes - self.codec_bytes_mark) as f64;
         let mut probes = self.probe_ratios.drain(..);
@@ -942,14 +916,16 @@ impl ControllerState {
             // measured ratio for every candidate: selection then holds.
             table.candidate_ratios = probes
                 .next()
-                .unwrap_or_else(|| vec![table.measured_ratio(); self.candidates.len()]);
+                .unwrap_or_else(|| vec![table.measured_ratio(); candidates]);
             share.tables.push(table);
         }
-        drop(probes);
 
-        self.blob.clear();
-        share.encode_into(&mut self.blob);
-        let stats = ctx.all_gather_pooled(&self.blob, send, recv);
+        // ── Decide and apply. A fault-degraded network drops the
+        // hysteresis guard so the controller reacts within one window.
+        let mean = |sum: f64, n: u64| if n > 0 { sum / n as f64 } else { 0.0 };
+        let fallback = cost.config().alltoall_bandwidth;
+        let (reselection, observation, stats) =
+            (self.replica).close_window(ctx, iter, fallback, mean, degraded, &mut comm.codecs);
         // Charged as extra *bytes*, not an extra collective: the share is
         // a few hundred bytes and rides the α already paid by the
         // iteration's forward all-to-all, so only the bandwidth term is
@@ -959,16 +935,7 @@ impl ControllerState {
             cost.bandwidth_time(stats.sent.max(stats.received)),
         );
         ledger.add_bytes(phases::CONTROLLER, (stats.sent + stats.received) as u64);
-        let candidates = self.candidates.len();
-        let shares = recv.iter().enumerate().map(|(src, chunk)| {
-            WindowShare::decode(chunk, candidates).unwrap_or_else(|e| {
-                panic!("rank {rank}: malformed window share from rank {src}: {e}")
-            })
-        });
-        let mean = |sum: f64, n: u64| if n > 0 { sum / n as f64 } else { 0.0 };
-        let obs = WindowShare::fold(shares, iter, cost.config().alltoall_bandwidth, mean);
-        recv.clear(); // release the leases back to their origin pools
-        let (orig, comp) = (obs.tables.iter()).fold((0, 0), |(o, c), t| {
+        let (orig, comp) = (observation.tables.iter()).fold((0, 0), |(o, c), t| {
             (o + t.original_bytes, c + t.compressed_bytes)
         });
         let ratio = if comp > 0 {
@@ -978,15 +945,7 @@ impl ControllerState {
         };
         self.window_ratios.push(ratio);
 
-        // ── Decide and apply. A fault-degraded network drops the
-        // hysteresis guard so the controller reacts within one window.
-        let reselection = self.ctl.observe_degraded(&obs, degraded);
-        for rev in &reselection.switches {
-            comm.codecs.set_compressor(rev.table_id, rev.to);
-        }
-
         // ── Roll the window state.
-        self.share = WindowShare::default();
         self.traffic_mark.copy_from_slice(fwd_traffic);
         (self.codec_seconds_mark, self.codec_bytes_mark) = (codec_seconds, codec_bytes);
         if let Some(o) = acct.obs.as_mut() {
@@ -1241,11 +1200,6 @@ impl Comm<'_> {
                 let inter_b = ex.sent.max(ex.received) as f64;
                 share.wire_bytes += inter_b;
                 share.wire_seconds += inter_b / tiered.node_fabric_bandwidth();
-                let intra_b = (bytes.gather.sent.max(bytes.gather.received)
-                    + bytes.scatter.sent.max(bytes.scatter.received))
-                    as f64;
-                share.intra_bytes += intra_b;
-                share.intra_seconds += intra_b / topo.intra().alltoall_bandwidth;
             }
             acct.close(a2a, scratch, 0);
         }
@@ -1468,7 +1422,7 @@ impl<'a> RankState<'a> {
         let num_tables = dataset.num_tables();
         let owned = setup.partition.tables_of(rank).to_vec();
         let codecs = trainer.compression.codec_bank(num_tables);
-        let controller = ControllerState::new(trainer, &codecs, num_tables);
+        let controller = ControllerState::new(trainer, &codecs);
         // Hierarchical topology: the two-level collective replaces both
         // all-to-alls and every network phase is charged by the tiered model.
         // `None` (flat) takes exactly the topology-less code paths.
@@ -1696,7 +1650,7 @@ impl<'a> RankState<'a> {
         self.charge_compute(phases::MLP_FWD, t0);
         let metrics = EvalMetrics::from_logits(&cache.logits, &my_shard.labels);
         self.per_iteration.push(metrics);
-        if let Some(share) = self.controller.as_mut().map(|c| &mut c.share) {
+        if let Some(share) = self.controller.as_mut().map(|c| &mut c.replica.share) {
             share.loss_sum += metrics.loss;
             share.loss_n += 1;
         }
@@ -1786,12 +1740,17 @@ impl<'a> RankState<'a> {
     /// on the same iteration). Then set each table's error bound.
     fn reselect(&mut self, iter: usize) {
         let plan = self.setup.trainer.fault.as_ref().map(|f| &f.plan);
-        if let Some(state) = self.controller.as_mut().filter(|s| s.is_boundary(iter)) {
+        if let Some(state) = self
+            .controller
+            .as_mut()
+            .filter(|s| s.replica.closes_at(iter))
+        {
             let degraded = plan.is_some_and(|p| p.degraded_at(iter));
             state.window_boundary(&mut self.comm, iter, &self.owned, degraded);
         }
         if let Some(schedule) = self.setup.trainer.compression.schedule() {
-            let scale = self.controller.as_ref().map_or(1.0, |c| c.ctl.eb_scale());
+            let scale =
+                (self.controller.as_ref()).map_or(1.0, |c| c.replica.controller().eb_scale());
             let Comm { codecs, bounds, .. } = &mut self.comm;
             for (t, eb) in bounds.iter_mut().enumerate() {
                 *eb = schedule.error_bound_at(codecs.kind(t).error_bound(), iter) * scale;
@@ -1859,7 +1818,7 @@ impl<'a> RankState<'a> {
                     slots[table as usize] = Some(lookup);
                 },
             },
-            self.controller.as_mut().map(|c| &mut c.share),
+            self.controller.as_mut().map(|c| &mut c.replica.share),
             |scratch, acct| {
                 let t0 = Instant::now();
                 bottom = Some(model.forward_bottom(&my_shard.dense));
@@ -1924,7 +1883,7 @@ impl<'a> RankState<'a> {
                 index: |table, src| shard_index.get(table, src),
                 sink: |table, src, grad| grad_entries.push((table, src, grad)),
             },
-            self.controller.as_mut().map(|c| &mut c.share),
+            self.controller.as_mut().map(|c| &mut c.replica.share),
             window,
         );
         for m in self.rows.grad_sums.drain(..) {
@@ -2102,7 +2061,7 @@ impl<'a> RankState<'a> {
         let candidates = self
             .controller
             .as_ref()
-            .map_or(&[][..], |s| &s.candidates[..]);
+            .map_or(&[][..], |s| s.replica.candidates());
         self.comm.warm_codec_scratch(candidates, &self.rows.mine);
 
         // Spares come in three size classes matching the three kinds of
@@ -2169,7 +2128,8 @@ impl<'a> RankState<'a> {
             // The window-boundary observation exchange takes one
             // share-sized lease per peer; park two sets so a boundary
             // racing peers' in-flight returns never allocates.
-            let cap = WindowShare::encoded_len(self.owned.len(), state.candidates.len()).max(64);
+            let cap = WindowShare::encoded_len(self.owned.len(), state.replica.candidates().len())
+                .max(64);
             let spares: Vec<PooledBuf> = (0..2 * world).map(|_| ctx.take_buf(cap)).collect();
             drop(spares);
         }
@@ -2211,7 +2171,7 @@ impl<'a> RankState<'a> {
             tier_bytes: acct.tier_bytes,
             tier_seconds: acct.tier_seconds,
             reselections: (self.controller.as_ref())
-                .map_or_else(Vec::new, |s| s.ctl.log().to_vec()),
+                .map_or_else(Vec::new, |s| s.replica.controller().log().to_vec()),
             window_ratios: self.controller.map_or_else(Vec::new, |s| s.window_ratios),
             last_checkpoint: ck.last,
             checkpoints_taken: ck.taken,
@@ -2249,6 +2209,8 @@ mod tests {
     use super::*;
     use crate::config::CompressionSetting;
     use dlrm_comm::frame::read_varint;
+    use dlrm_compress::CompressorKind;
+    use dlrm_grad::GradCodecKind;
     use proptest::prelude::*;
 
     /// One payload chunk of raw-fp32 blocks, one value per row, written
