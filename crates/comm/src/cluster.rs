@@ -33,10 +33,11 @@ use std::ops::Range;
 /// replay of the two-phase [`CostModel::metadata_time`] formula.
 pub const METADATA_RECORD_BYTES: usize = 16;
 
-/// Bytes of the self-describing header prefixed to every chunk of the
-/// *chunked* all-to-all: `[payload_len u64][tag u32][reserved u32]`. Every
-/// chunk announces its own size, as a streaming pipeline must (the sizes are
-/// only known chunk by chunk), so no flat exchange runs a metadata round.
+/// Bytes of the `[payload_len u64][tag u32][reserved u32]` header that
+/// [`RankCtx::all_to_all_chunked`] writes before every payload, so each
+/// chunk announces its own size and tag without a metadata round. Only
+/// `benchmark/`'s all-to-all replay uses it outside tests; every other flat
+/// exchange sends its chunks as they are.
 pub const CHUNK_HEADER_BYTES: usize = 16;
 
 /// Bytes of the `[src u32][dst u32][len u32]` frame prefixed to every chunk
@@ -186,9 +187,10 @@ impl RankCtx {
 
     /// Zero-allocation all-to-all: drains the `send` container (entry `d`
     /// goes to rank `d`) and refills `recv` so its entry `s` is the chunk
-    /// received from rank `s`. The local chunk is moved, not copied. Both
-    /// containers keep their capacity, and every chunk is a pool lease, so a
-    /// steady-state caller allocates nothing.
+    /// received from rank `s`, through one [`ChunkedAllToAll`]. The local
+    /// chunk is moved, not copied. Both containers keep their capacity, and
+    /// every chunk is a pool lease, so a steady-state caller allocates
+    /// nothing.
     ///
     /// # Panics
     /// Panics if `send.len() != world`.
@@ -202,29 +204,13 @@ impl RankCtx {
             self.world,
             "all_to_all needs exactly one chunk per rank"
         );
-        let mut stats = ExchangeBytes::default();
-        // Keep the local chunk aside, send the rest.
-        let mut local: Option<PooledBuf> = None;
+        let mut exchange = self.begin_chunked();
         for (dst, chunk) in send.drain(..).enumerate() {
-            if dst == self.rank {
-                local = Some(chunk);
-            } else {
-                stats.sent += chunk.len();
-                self.fabric.send(dst, chunk);
-            }
+            exchange.send(dst, chunk);
         }
         recv.clear();
-        recv.reserve(self.world);
-        for src in 0..self.world {
-            if src == self.rank {
-                recv.push(local.take().expect("local chunk present"));
-            } else {
-                let chunk = self.fabric.recv(src);
-                stats.received += chunk.len();
-                recv.push(chunk);
-            }
-        }
-        stats
+        recv.extend((0..self.world).map(|src| exchange.recv(src)));
+        exchange.finish()
     }
 
     /// Variable-size all-to-all over headerless payloads: each payload is
@@ -236,7 +222,8 @@ impl RankCtx {
     /// the payload from rank `s` with the header stripped, and refills
     /// `records` with each source's `(payload_len, tag)`. The byte totals
     /// count one [`CHUNK_HEADER_BYTES`] header per peer and direction. Frames
-    /// ride pool leases, so the steady state allocates nothing.
+    /// ride pool leases, so the steady state allocates nothing. Only
+    /// `benchmark/`'s all-to-all replay calls it outside tests.
     pub fn all_to_all_var_pooled(
         &self,
         send: &mut Vec<PooledBuf>,
@@ -256,17 +243,17 @@ impl RankCtx {
         stats
     }
 
-    /// Lease a send buffer for the chunked all-to-all: the first
-    /// [`CHUNK_HEADER_BYTES`] are reserved (zeroed) for the self-describing
-    /// header that [`ChunkedAllToAll::send`] back-patches; the payload is
-    /// appended after them.
+    /// Lease a send buffer for [`RankCtx::all_to_all_chunked`]: the first
+    /// [`CHUNK_HEADER_BYTES`] are reserved (zeroed) for the header it
+    /// back-patches; the payload is appended after them. Only
+    /// `benchmark/`'s all-to-all replay calls it outside tests.
     pub fn take_chunk_buf(&self, capacity: usize) -> PooledBuf {
         let mut buf = self.pool.take(capacity.max(CHUNK_HEADER_BYTES));
         buf.extend_from_slice(&[0u8; CHUNK_HEADER_BYTES]);
         buf
     }
 
-    /// Start a non-blocking chunked all-to-all. See [`ChunkedAllToAll`].
+    /// Start a non-blocking all-to-all. See [`ChunkedAllToAll`].
     ///
     /// Exactly one chunk must be sent to and received from every rank
     /// (including this one — the local chunk is moved, not copied) before
@@ -290,17 +277,20 @@ impl RankCtx {
         }
     }
 
-    /// Chunked all-to-all over header-prefixed chunks (each built with
-    /// [`RankCtx::take_chunk_buf`]): drains `send` (entry `d` to rank `d`),
+    /// All-to-all over header-prefixed chunks (each built with
+    /// [`RankCtx::take_chunk_buf`]): writes each chunk's
+    /// `[payload_len u64][tag u32][reserved u32]` header, moves the chunks
+    /// with [`RankCtx::all_to_all_pooled`], and checks each received header
+    /// against its chunk's size. Drains `send` (entry `d` to rank `d`),
     /// refills `recv` so entry `s` is the chunk received from rank `s` —
     /// *with its header still in place*, payload at
     /// `&chunk[CHUNK_HEADER_BYTES..]` — and refills `records` with each
-    /// source's `(payload_len, tag)`.
+    /// source's `(payload_len, tag)`. The byte totals count the headers.
+    /// Only `benchmark/`'s all-to-all replay calls it outside tests.
     ///
-    /// Every chunk carries its own 16-byte header, so sizes arrive streamed
-    /// with the chunks. All sends are issued before any receive completes; a
-    /// caller that wants true compress/transfer interleaving drives
-    /// [`ChunkedAllToAll`] directly.
+    /// # Panics
+    /// Panics if a chunk is shorter than its header, or a received header
+    /// disagrees with its chunk's size.
     pub fn all_to_all_chunked(
         &self,
         send: &mut Vec<PooledBuf>,
@@ -308,22 +298,31 @@ impl RankCtx {
         tags: &[u32],
         records: &mut Vec<(usize, u32)>,
     ) -> ExchangeBytes {
-        assert_eq!(send.len(), self.world);
         assert_eq!(tags.len(), self.world);
-        let mut exchange = self.begin_chunked();
-        for (dst, chunk) in send.drain(..).enumerate() {
-            exchange.send(dst, chunk, tags[dst]);
+        for (chunk, tag) in send.iter_mut().zip(tags) {
+            assert!(
+                chunk.len() >= CHUNK_HEADER_BYTES,
+                "chunk is missing its header placeholder (use take_chunk_buf)"
+            );
+            let payload_len = (chunk.len() - CHUNK_HEADER_BYTES) as u64;
+            chunk[0..8].copy_from_slice(&payload_len.to_le_bytes());
+            chunk[8..12].copy_from_slice(&tag.to_le_bytes());
+            chunk[12..16].copy_from_slice(&[0u8; 4]);
         }
-        recv.clear();
-        recv.reserve(self.world);
+        let stats = self.all_to_all_pooled(send, recv);
         records.clear();
-        records.reserve(self.world);
-        for src in 0..self.world {
-            let (chunk, payload_len, tag) = exchange.recv(src);
+        for (src, chunk) in recv.iter().enumerate() {
+            let payload_len = u64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes")) as usize;
+            let tag = u32::from_le_bytes(chunk[8..12].try_into().expect("4 bytes"));
+            assert_eq!(
+                payload_len,
+                chunk.len() - CHUNK_HEADER_BYTES,
+                "rank {}: chunk header from {src} disagrees with chunk size",
+                self.rank
+            );
             records.push((payload_len, tag));
-            recv.push(chunk);
         }
-        exchange.finish()
+        stats
     }
 
     /// Two-level hierarchical all-to-all over a node-aware [`Topology`]:
@@ -1074,15 +1073,18 @@ fn bundle_entries(
     hier_entries(bundle).unwrap_or_else(|e| panic!("rank {rank}: bundle from {src}: {e}"))
 }
 
-/// Handle of an in-flight non-blocking chunked all-to-all.
+/// Handle of an in-flight non-blocking all-to-all — the one flat send /
+/// receive / byte-count loop under every flat collective.
 ///
 /// Created by [`RankCtx::begin_chunked`]. The sender side is a *begin-send*:
-/// [`ChunkedAllToAll::send`] back-patches the chunk's header and posts it to
-/// the destination's FIFO without blocking, so the caller can go compress
-/// the next chunk while this one is (virtually) on the wire — the paper's
-/// double-buffered pipeline. The receiver side offers both *poll-complete*
+/// [`ChunkedAllToAll::send`] posts the chunk to the destination's FIFO
+/// without blocking, so the caller can go compress the next chunk while this
+/// one is (virtually) on the wire — the paper's double-buffered pipeline.
+/// The receiver side offers both *poll-complete*
 /// ([`ChunkedAllToAll::try_recv`]) and blocking completion
-/// ([`ChunkedAllToAll::recv`]).
+/// ([`ChunkedAllToAll::recv`]). Chunks pass through unchanged: the fabric
+/// delivers each at its exact length, so the handle neither writes nor
+/// reads a header.
 ///
 /// [`ChunkedAllToAll::finish`] asserts the exchange is complete (every rank
 /// sent to and received from) and returns the byte accounting. All internal
@@ -1099,29 +1101,17 @@ pub struct ChunkedAllToAll<'a> {
 }
 
 impl ChunkedAllToAll<'_> {
-    /// Begin-send `chunk` to `dst`, tagging its header with `tag`. The chunk
-    /// must have been built with [`RankCtx::take_chunk_buf`] (its first
-    /// [`CHUNK_HEADER_BYTES`] are the header placeholder); this call
-    /// back-patches the payload length and tag, then posts the chunk without
-    /// blocking. Sending to this rank itself parks the chunk locally.
+    /// Begin-send `chunk` to `dst` without blocking. Sending to this rank
+    /// itself parks the chunk locally.
     ///
     /// # Panics
-    /// Panics if a chunk was already sent to `dst` or the chunk is shorter
-    /// than its header.
-    pub fn send(&mut self, dst: usize, mut chunk: PooledBuf, tag: u32) {
-        assert!(
-            chunk.len() >= CHUNK_HEADER_BYTES,
-            "chunk is missing its header placeholder (use take_chunk_buf)"
-        );
+    /// Panics if a chunk was already sent to `dst`.
+    pub fn send(&mut self, dst: usize, chunk: PooledBuf) {
         assert!(
             !std::mem::replace(&mut self.sent[dst], true),
             "rank {}: chunk for {dst} sent twice",
             self.ctx.rank
         );
-        let payload_len = (chunk.len() - CHUNK_HEADER_BYTES) as u64;
-        chunk[0..8].copy_from_slice(&payload_len.to_le_bytes());
-        chunk[8..12].copy_from_slice(&tag.to_le_bytes());
-        chunk[12..16].copy_from_slice(&[0u8; 4]);
         if dst == self.ctx.rank {
             self.local = Some(chunk);
         } else {
@@ -1130,9 +1120,8 @@ impl ChunkedAllToAll<'_> {
         }
     }
 
-    /// Poll for the chunk from `src`: returns `Some((chunk, payload_len,
-    /// tag))` if it has arrived, `None` if it is still in flight. The
-    /// payload sits at `&chunk[CHUNK_HEADER_BYTES..]`.
+    /// Poll for the chunk from `src`: `Some(chunk)` if it has arrived, `None`
+    /// if it is still in flight.
     ///
     /// The caller tracks which sources have completed (e.g. a shrinking
     /// pending list): polling `src == rank()` before the local chunk was
@@ -1141,7 +1130,7 @@ impl ChunkedAllToAll<'_> {
     /// # Panics
     /// Panics if the chunk from `src` was already received — a completed
     /// source must not be polled again.
-    pub fn try_recv(&mut self, src: usize) -> Option<(PooledBuf, usize, u32)> {
+    pub fn try_recv(&mut self, src: usize) -> Option<PooledBuf> {
         assert!(!self.received[src], "chunk from {src} already received");
         let chunk = if src == self.ctx.rank {
             self.local.take()?
@@ -1151,14 +1140,12 @@ impl ChunkedAllToAll<'_> {
         Some(self.complete_recv(src, chunk))
     }
 
-    /// Block until the chunk from `src` arrives and return `(chunk,
-    /// payload_len, tag)`. The payload sits at
-    /// `&chunk[CHUNK_HEADER_BYTES..]`.
+    /// Block until the chunk from `src` arrives and return it.
     ///
     /// # Panics
     /// Panics if the chunk from `src` was already received, or when
     /// completing the local chunk before it was sent.
-    pub fn recv(&mut self, src: usize) -> (PooledBuf, usize, u32) {
+    pub fn recv(&mut self, src: usize) -> PooledBuf {
         assert!(!self.received[src], "chunk from {src} already received");
         let chunk = if src == self.ctx.rank {
             self.local.take().expect("local chunk was never sent")
@@ -1168,24 +1155,16 @@ impl ChunkedAllToAll<'_> {
         self.complete_recv(src, chunk)
     }
 
-    fn complete_recv(&mut self, src: usize, chunk: PooledBuf) -> (PooledBuf, usize, u32) {
+    fn complete_recv(&mut self, src: usize, chunk: PooledBuf) -> PooledBuf {
         self.received[src] = true;
         if src != self.ctx.rank {
             self.stats.received += chunk.len();
         }
-        let payload_len = u64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes")) as usize;
-        let tag = u32::from_le_bytes(chunk[8..12].try_into().expect("4 bytes"));
-        assert_eq!(
-            payload_len,
-            chunk.len() - CHUNK_HEADER_BYTES,
-            "rank {}: chunk header from {src} disagrees with chunk size",
-            self.ctx.rank
-        );
-        (chunk, payload_len, tag)
+        chunk
     }
 
     /// Complete the collective: asserts every chunk was sent and received
-    /// and returns the byte totals, headers included.
+    /// and returns the byte totals.
     pub fn finish(&mut self) -> ExchangeBytes {
         assert!(!self.finished, "chunked all-to-all finished twice");
         for dst in 0..self.ctx.world {
@@ -1465,19 +1444,18 @@ mod tests {
             let mut exchange = ctx.begin_chunked();
             // Begin-send all chunks without blocking.
             for dst in 0..world {
-                let mut b = ctx.take_chunk_buf(32);
+                let mut b = ctx.take_buf(32);
                 b.extend_from_slice(&[ctx.rank() as u8; 5]);
-                exchange.send(dst, b, 7);
+                exchange.send(dst, b);
             }
-            // Poll-complete in whatever order the chunks arrive.
+            // Poll-complete in whatever order the chunks arrive; each
+            // arrives exactly as it was sent, no header added or read.
             let mut pending: Vec<usize> = (0..world).collect();
             let mut seen = 0usize;
             while !pending.is_empty() {
                 pending.retain(|&src| match exchange.try_recv(src) {
-                    Some((chunk, payload_len, tag)) => {
-                        assert_eq!(payload_len, 5);
-                        assert_eq!(tag, 7);
-                        assert_eq!(chunk[CHUNK_HEADER_BYTES], src as u8);
+                    Some(chunk) => {
+                        assert_eq!(chunk.as_slice(), &[src as u8; 5]);
                         seen += 1;
                         false
                     }
@@ -1486,7 +1464,8 @@ mod tests {
             }
             assert_eq!(seen, world);
             let stats = exchange.finish();
-            assert_eq!(stats.received, (world - 1) * (5 + CHUNK_HEADER_BYTES));
+            assert_eq!(stats.sent, (world - 1) * 5);
+            assert_eq!(stats.received, (world - 1) * 5);
         });
     }
 
@@ -1563,7 +1542,7 @@ mod tests {
     fn chunked_finish_before_completion_panics() {
         cluster(2).run(|ctx| {
             let mut exchange = ctx.begin_chunked();
-            exchange.send(ctx.rank(), ctx.take_chunk_buf(16), 0);
+            exchange.send(ctx.rank(), ctx.take_buf(16));
             let _ = exchange.finish(); // never sent to / received from the peer
         });
     }

@@ -213,16 +213,6 @@ impl FaultPlan {
             .fold(1.0, f64::max)
     }
 
-    /// The slowdown factor of one specific rank at `iter` (1.0 when that
-    /// rank is healthy) — the per-rank view behind the accounting tests.
-    pub fn rank_factor(&self, rank: usize, iter: usize) -> f64 {
-        self.stragglers
-            .iter()
-            .filter(|w| w.rank == rank && w.active_at(iter))
-            .map(|w| w.multiplier)
-            .fold(1.0, f64::max)
-    }
-
     /// True while any straggler window is active — the signal the runtime
     /// controller uses to drop its hysteresis and shift to heavier
     /// compression immediately.
@@ -289,12 +279,21 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// The slowdown factor of one specific rank at `iter` (1.0 when that
+    /// rank is healthy).
+    fn rank_factor(plan: &FaultPlan, rank: usize, iter: usize) -> f64 {
+        (plan.stragglers.iter())
+            .filter(|w| w.rank == rank && w.active_at(iter))
+            .map(|w| w.multiplier)
+            .fold(1.0, f64::max)
+    }
+
     #[test]
     fn none_plan_is_inert() {
         let plan = FaultPlan::none();
         assert!(plan.is_none());
         assert_eq!(plan.straggler_factor(0), 1.0);
-        assert_eq!(plan.rank_factor(3, 100), 1.0);
+        assert_eq!(rank_factor(&plan, 3, 100), 1.0);
         assert!(!plan.degraded_at(5));
         assert_eq!(plan.world_after(4, 1000), 4);
         assert!(plan.validate().is_ok());
@@ -310,9 +309,9 @@ mod tests {
         assert_eq!(plan.straggler_factor(6), 16.0); // both active, worst wins
         assert_eq!(plan.straggler_factor(9), 16.0);
         assert_eq!(plan.straggler_factor(10), 1.0); // end is exclusive
-        assert_eq!(plan.rank_factor(0, 6), 4.0);
-        assert_eq!(plan.rank_factor(1, 6), 16.0);
-        assert_eq!(plan.rank_factor(2, 6), 1.0);
+        assert_eq!(rank_factor(&plan, 0, 6), 4.0);
+        assert_eq!(rank_factor(&plan, 1, 6), 16.0);
+        assert_eq!(rank_factor(&plan, 2, 6), 1.0);
     }
 
     #[test]

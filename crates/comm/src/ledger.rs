@@ -38,12 +38,12 @@ impl TimingLedger {
 
     /// Add `seconds` to `phase`.
     pub fn add_time(&mut self, phase: &str, seconds: f64) {
-        *self.seconds.entry(phase.to_string()).or_insert(0.0) += seconds;
+        *charge(&mut self.seconds, phase) += seconds;
     }
 
     /// Add `bytes` moved during `phase`.
     pub fn add_bytes(&mut self, phase: &str, bytes: u64) {
-        *self.bytes.entry(phase.to_string()).or_insert(0) += bytes;
+        *charge(&mut self.bytes, phase) += bytes;
     }
 
     /// Seconds accumulated for `phase` (0 if never recorded).
@@ -59,7 +59,7 @@ impl TimingLedger {
     /// Record `bytes` of freshly allocated buffer capacity in `phase`.
     pub fn add_allocated_bytes(&mut self, phase: &str, bytes: u64) {
         if bytes > 0 {
-            *self.allocated.entry(phase.to_string()).or_insert(0) += bytes;
+            *charge(&mut self.allocated, phase) += bytes;
         }
     }
 
@@ -67,7 +67,7 @@ impl TimingLedger {
     /// scratch buffers in `phase`.
     pub fn add_reused_bytes(&mut self, phase: &str, bytes: u64) {
         if bytes > 0 {
-            *self.reused.entry(phase.to_string()).or_insert(0) += bytes;
+            *charge(&mut self.reused, phase) += bytes;
         }
     }
 
@@ -85,7 +85,7 @@ impl TimingLedger {
     /// behind `phase`'s wire time.
     pub fn add_overlap_saved(&mut self, phase: &str, seconds: f64) {
         if seconds > 0.0 {
-            *self.overlap_saved.entry(phase.to_string()).or_insert(0.0) += seconds;
+            *charge(&mut self.overlap_saved, phase) += seconds;
         }
     }
 
@@ -178,6 +178,16 @@ impl TimingLedger {
         }
         out
     }
+}
+
+/// `phase`'s counter in `map`, looked up by `&str`: the key is allocated
+/// only on the phase's first charge, so a steady-state charge allocates
+/// nothing.
+fn charge<'m, V: Default>(map: &'m mut BTreeMap<String, V>, phase: &str) -> &'m mut V {
+    if !map.contains_key(phase) {
+        map.insert(phase.to_owned(), V::default());
+    }
+    map.get_mut(phase).expect("inserted above")
 }
 
 #[cfg(test)]

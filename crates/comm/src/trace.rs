@@ -145,35 +145,6 @@ impl BandwidthTrace {
         Self::new(segments)
     }
 
-    /// A transient congestion spike: `base` everywhere except iterations
-    /// `[start, start + len)`, which see `spiked`.
-    ///
-    /// # Panics
-    /// Panics unless `start > 0` and `len > 0`.
-    pub fn congestion_spike(
-        base: NetworkConfig,
-        spiked: NetworkConfig,
-        start: usize,
-        len: usize,
-    ) -> Self {
-        assert!(start > 0, "a spike at iteration 0 is just a step");
-        assert!(len > 0, "spike needs a positive length");
-        Self::new(vec![
-            TraceSegment {
-                start_iter: 0,
-                network: base,
-            },
-            TraceSegment {
-                start_iter: start,
-                network: spiked,
-            },
-            TraceSegment {
-                start_iter: start + len,
-                network: base,
-            },
-        ])
-    }
-
     /// The link parameters in effect at `iter`.
     pub fn network_at(&self, iter: usize) -> NetworkConfig {
         // Last segment whose start is ≤ iter; validation guarantees the
@@ -197,14 +168,6 @@ impl BandwidthTrace {
     /// Tiered cost model of [`BandwidthTrace::topology_at`].
     pub fn tiered_cost_model_at(&self, base: &Topology, iter: usize) -> TieredCostModel {
         self.topology_at(base, iter).cost_model()
-    }
-
-    /// True when every segment carries the same link — the trace degenerates
-    /// to a static network.
-    pub fn is_constant(&self) -> bool {
-        self.segments
-            .windows(2)
-            .all(|w| w[0].network == w[1].network)
     }
 
     /// The underlying segments, sorted by start iteration.
@@ -241,11 +204,16 @@ impl BandwidthTrace {
 mod tests {
     use super::*;
 
+    /// True when every segment carries the same link.
+    fn is_constant(trace: &BandwidthTrace) -> bool {
+        (trace.segments.windows(2)).all(|w| w[0].network == w[1].network)
+    }
+
     #[test]
     fn constant_trace_is_the_static_network() {
         let net = NetworkConfig::default();
         let trace = BandwidthTrace::constant(net);
-        assert!(trace.is_constant());
+        assert!(is_constant(&trace));
         for iter in [0, 1, 17, 100_000] {
             assert_eq!(trace.network_at(iter), net);
         }
@@ -256,7 +224,7 @@ mod tests {
         let fast = NetworkConfig::alltoall_bound(4e9);
         let slow = NetworkConfig::alltoall_bound(5e8);
         let trace = BandwidthTrace::step(fast, slow, 10);
-        assert!(!trace.is_constant());
+        assert!(!is_constant(&trace));
         assert_eq!(trace.network_at(9), fast);
         assert_eq!(trace.network_at(10), slow);
         assert_eq!(trace.network_at(999), slow);
@@ -303,7 +271,16 @@ mod tests {
     fn congestion_spike_recovers() {
         let base = NetworkConfig::alltoall_bound(4e9);
         let spiked = NetworkConfig::alltoall_bound(2e8);
-        let trace = BandwidthTrace::congestion_spike(base, spiked, 20, 5);
+        // `base` everywhere except iterations [20, 25), which see `spiked`.
+        let segment = |start_iter, network| TraceSegment {
+            start_iter,
+            network,
+        };
+        let trace = BandwidthTrace::new(vec![
+            segment(0, base),
+            segment(20, spiked),
+            segment(25, base),
+        ]);
         assert_eq!(trace.network_at(19), base);
         assert_eq!(trace.network_at(20), spiked);
         assert_eq!(trace.network_at(24), spiked);

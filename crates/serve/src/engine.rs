@@ -18,8 +18,8 @@
 //!
 //! ## One batch window
 //!
-//! [`ServeRank::new`] builds what the windows reuse, [`ServeRank::window`]
-//! runs one window as six steps and [`ServeRank::finish`] closes the run.
+//! `ServeRank::new` builds what the windows reuse, `ServeRank::window`
+//! runs one window as six steps and `ServeRank::finish` closes the run.
 //!
 //! 1. **walk**: every frontend takes the window's request batch from the
 //!    cluster's one [`BatchFeed`] (the first to ask draws it, the rest share
@@ -53,7 +53,7 @@
 //! wire bytes through the flat α–β model or the tiered topology model, MLP
 //! flops at [`ServeConfig::mlp_flops`] — never from wall clocks, which is why
 //! sequential and threaded execution produce bit-identical reports. Each
-//! rank ships one [`WindowCharges`] per window; the window times then drive
+//! rank ships one `WindowCharges` per window; the window times then drive
 //! the queueing [`timeline`](crate::latency::timeline()) that yields
 //! per-request latencies and the p50/p99 tail.
 //!

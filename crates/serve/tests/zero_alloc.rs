@@ -1,5 +1,6 @@
 //! Proof that the serving hot path — LRU probe/insert, request coalescing,
-//! codec encode/decode — never touches the allocator in the steady state.
+//! codec encode/decode, the timing ledger's charges — never touches the
+//! allocator in the steady state.
 //!
 //! The engine's own steady-state ledger watches the pool and the engine
 //! scratch; this test installs a counting global allocator underneath the
@@ -151,4 +152,38 @@ fn serving_row_hot_path_never_allocates() {
         "serving row hot path allocated {} times",
         after - before
     );
+}
+
+/// Every phase close of the training loop and every serving window charges
+/// a `TimingLedger`: once a phase has its counters, charging it again must
+/// not allocate its name afresh.
+#[test]
+fn ledger_charges_allocate_only_a_phases_first_key() {
+    use dlrm_comm::{phase, TimingLedger};
+
+    let mut ledger = TimingLedger::new();
+    let charge_all = |ledger: &mut TimingLedger| {
+        for name in phase::ALL {
+            ledger.add_time(name, 0.5);
+            ledger.add_bytes(name, 64);
+            ledger.add_allocated_bytes(name, 8);
+            ledger.add_reused_bytes(name, 16);
+            ledger.add_overlap_saved(name, 0.25);
+        }
+    };
+    charge_all(&mut ledger);
+
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    ARMED.with(|a| a.set(true));
+    charge_all(&mut ledger);
+    ARMED.with(|a| a.set(false));
+    let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "re-charging {} phases allocated {} times",
+        phase::ALL.len(),
+        after - before
+    );
+    assert_eq!(ledger.bytes(phase::ALL[0]), 128);
 }

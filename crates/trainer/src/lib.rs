@@ -11,8 +11,8 @@
 //! 1. owners look up the distinct rows of their tables for every rank's
 //!    batch shard ([`dlrm_data::DistinctRows`]) and **compress** the
 //!    per-destination chunks;
-//! 2. the **all-to-all** moves the compressed rows, each chunk behind a
-//!    16-byte header announcing its size;
+//! 2. the **all-to-all** moves the compressed rows, each chunk one
+//!    [`dlrm_comm::frame`] payload delivered at its exact length;
 //! 3. receivers **decompress**, re-expand each block to one row per sample
 //!    from their own indices, and run the data-parallel forward/backward;
 //! 4. each rank sums its embedding gradient rows per distinct index

@@ -16,7 +16,7 @@ use dlrm_adaptive::controller::{
 };
 use dlrm_adaptive::CodecProfile;
 use dlrm_ckpt::{Checkpoint, CheckpointSpec, EncodedSection, RankCheckpoint};
-use dlrm_comm::cluster::{RankCtx, CHUNK_HEADER_BYTES, HIER_ENTRY_HEADER_BYTES};
+use dlrm_comm::cluster::{RankCtx, HIER_ENTRY_HEADER_BYTES};
 use dlrm_comm::frame::{
     payload_chunk_capacity, payload_groups, write_payload_group, write_varint, ChunkOrigin,
     FrameError,
@@ -391,9 +391,9 @@ struct PipelineScratch {
     /// Per-chunk codec seconds of the current exchange (visiting order),
     /// feeding the [`OverlapTimeline`].
     chunk_codec_s: Vec<f64>,
-    /// Per-chunk bytes this rank sent (visiting order, headers included).
+    /// Per-chunk bytes this rank sent (visiting order).
     chunk_sent: Vec<usize>,
-    /// Per-chunk bytes this rank received (visiting order, headers included).
+    /// Per-chunk bytes this rank received (visiting order).
     chunk_recv: Vec<usize>,
 }
 
@@ -583,7 +583,7 @@ struct Accounting<'a> {
     /// exchange produced on this rank.
     traffic: [Vec<(u64, u64)>; 2],
     /// Bytes each [`Dir`]'s exchange sent to other ranks: every chunk
-    /// framed for a peer, headers included.
+    /// framed for a peer.
     a2a_sent: [u64; 2],
 }
 
@@ -1115,7 +1115,6 @@ impl Comm<'_> {
         let [compress, a2a, decompress] = dir.dir.phases();
         let flat = link.tiers.is_none();
         let mut stream = flat.then(|| ctx.begin_chunked());
-        let header = if flat { CHUNK_HEADER_BYTES } else { 0 };
 
         // ── Compress, destination-major, so per-chunk codec seconds can feed
         // the overlap timeline.
@@ -1131,12 +1130,7 @@ impl Comm<'_> {
             let worst = payload_chunk_capacity(
                 (dir.blocks)(dst).map(|(t, _, rows)| codecs.max_stream_bytes(t, rows * dim)),
             );
-            let capacity = hints[dst].max(header + worst);
-            let mut buf = if flat {
-                ctx.take_chunk_buf(capacity)
-            } else {
-                ctx.take_buf(capacity)
-            };
+            let mut buf = ctx.take_buf(hints[dst].max(worst));
             let cap_at_take = buf.capacity();
             write_varint(&mut buf, (dir.blocks)(dst).count());
             let mut chunk_original = 0u64;
@@ -1170,7 +1164,7 @@ impl Comm<'_> {
                 .push(if dst == rank { 0 } else { buf.len() });
             original_bytes += chunk_original;
             match stream.as_mut() {
-                Some(s) => s.send(dst, buf, 0),
+                Some(s) => s.send(dst, buf),
                 None => scratch.send.push(buf),
             }
         }
@@ -1215,7 +1209,7 @@ impl Comm<'_> {
             let (src, chunk) = match stream.as_mut() {
                 Some(s) => {
                     let src = (rank + world - step) % world;
-                    (src, s.recv(src).0)
+                    (src, s.recv(src))
                 }
                 None => (step, delivered.next().expect("one chunk per source rank")),
             };
@@ -1229,7 +1223,7 @@ impl Comm<'_> {
                 src,
             };
             let mut last_table = None;
-            for group in origin.check(payload_groups(&chunk[header..])) {
+            for group in origin.check(payload_groups(&chunk)) {
                 let group = origin.check(group);
                 let fail = |what| origin.fail(FrameError::at(group.offset, what));
                 let table = group.table as usize;
@@ -2095,8 +2089,7 @@ impl<'a> RankState<'a> {
             .max()
             .unwrap_or(0);
         let payload_cap = (comm.hints.iter().flatten().copied().max().unwrap_or(64)).max(
-            CHUNK_HEADER_BYTES
-                + payload_chunk_capacity(std::iter::repeat_n(widest_block, max_tables)),
+            payload_chunk_capacity(std::iter::repeat_n(widest_block, max_tables)),
         );
         let largest_shard = shard_range(comm.scratch.flat_grads.len(), world, 0).len();
         let dense_cap =
@@ -2675,7 +2668,7 @@ mod tests {
             // values.
             let mut send: Vec<PooledBuf> = (0..2)
                 .map(|_| {
-                    let mut chunk = ctx.take_chunk_buf(0);
+                    let mut chunk = ctx.take_buf(0);
                     write_varint(&mut chunk, 1);
                     write_payload_group(&mut chunk, 1, 3, |out| {
                         out.resize(out.len() + 3 * DIM * 4 + 2, 0)
@@ -2683,7 +2676,7 @@ mod tests {
                     chunk
                 })
                 .collect();
-            ctx.all_to_all_chunked(&mut send, &mut Vec::new(), &[0, 0], &mut Vec::new());
+            ctx.all_to_all_pooled(&mut send, &mut Vec::new());
         });
     }
 
@@ -2744,7 +2737,7 @@ mod tests {
         use dlrm_comm::{NetworkConfig, SimCluster};
         SimCluster::new(1, NetworkConfig::infinite()).run(|ctx| {
             // Chunk that stays within its lease: no retry, nothing counted.
-            let mut buf = ctx.take_chunk_buf(256);
+            let mut buf = ctx.take_buf(256);
             let cap = buf.capacity();
             buf.extend_from_slice(&[1u8; 64]);
             let before = ctx.pool().stats();
@@ -2756,7 +2749,7 @@ mod tests {
             // Chunk that outgrows its lease mid-fill: the realloc is
             // reported once (as grown bytes), the retry lease is a separate,
             // pool-visible take — never a second count of the same realloc.
-            let mut buf = ctx.take_chunk_buf(CHUNK_HEADER_BYTES);
+            let mut buf = ctx.take_buf(0);
             let cap_at_take = buf.capacity();
             buf.extend(std::iter::repeat_n(7u8, cap_at_take + 100));
             let len = buf.len();
@@ -2768,7 +2761,7 @@ mod tests {
             assert_eq!(grown, (old_capacity - cap_at_take) as u64);
             // The retried chunk carries the same bytes.
             assert_eq!(retried.len(), len);
-            assert!(retried[CHUNK_HEADER_BYTES..].iter().all(|&b| b == 7));
+            assert!(retried.iter().all(|&b| b == 7));
             // The pool recorded the retry take once (here as an allocation —
             // the grown lease was still held when the retry was taken; on
             // its next take the parked grown storage is reused instead).
@@ -2778,7 +2771,7 @@ mod tests {
             // Steady state after the retry: re-leasing the same sizes is
             // allocation-free, so the warm-up growth was a one-time cost.
             let before = ctx.pool().stats();
-            let again = ctx.take_chunk_buf(len);
+            let again = ctx.take_buf(len);
             let cap = again.capacity();
             let (again, grown) = settle_chunk(&ctx, again, cap);
             assert_eq!(grown, 0);

@@ -86,7 +86,7 @@ pub struct TrainingReport {
     pub bwd_ratio: f64,
     /// `(forward, backward)` all-to-all bytes each rank sent to the other
     /// ranks per iteration, indexed by rank id: every chunk it framed for a
-    /// peer, headers included. With world events a rank id's bytes and
+    /// peer, the same bytes on either route. With world events a rank id's bytes and
     /// iterations pool over the segments it ran in. Pacing is per sender,
     /// so the largest entry of each direction is the one its exchange waits
     /// for.

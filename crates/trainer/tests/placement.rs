@@ -6,7 +6,6 @@
 //! here with its predicted busiest senders next to greedy's, and a short run
 //! checks that each rank's measured bytes sent match the prediction.
 
-use dlrm_comm::CHUNK_HEADER_BYTES;
 use dlrm_data::{presets, BatchFeed, DatasetConfig};
 use dlrm_trainer::{run_training, CompressionSetting, TablePartition, TrainerConfig};
 
@@ -68,11 +67,10 @@ fn benchmark_shape_placement_is_pinned() {
 
 /// Each rank's measured all-to-all bytes sent per iteration match the
 /// placement's expected rows × row bytes within 10 %. The test adds the
-/// framing the rows travel in: per peer chunk a [`CHUNK_HEADER_BYTES`]
-/// header and a one-byte varint group count, per `(table, peer)` block
-/// 4 bytes (the varint table id, distinct-row count and payload length at
-/// this shape: under 128 rows of 128 bytes). Under raw fp32 the payload is
-/// the rows.
+/// framing the rows travel in: per peer chunk a one-byte varint group count
+/// (the frame is the whole chunk), per `(table, peer)` block 4 bytes (the
+/// varint table id, distinct-row count and payload length at this shape:
+/// under 128 rows of 128 bytes). Under raw fp32 the payload is the rows.
 #[test]
 fn measured_egress_matches_the_placement() {
     let dataset = presets::criteo_kaggle_like();
@@ -87,7 +85,7 @@ fn measured_egress_matches_the_placement() {
     let placed = TablePartition::by_traffic(&cards, &distinct, WORLD);
     let rows = placed.sender_rows(&distinct);
     let row_bytes = (dataset.embedding_dim * 4) as f64;
-    let chunks = ((WORLD - 1) * (CHUNK_HEADER_BYTES + 1)) as f64;
+    let chunks = (WORLD - 1) as f64;
     let blocks = |r: usize| placed.tables_of(r).len();
     let predicted: Vec<(f64, f64)> = (0..WORLD)
         .map(|r| {

@@ -79,6 +79,12 @@ fn hierarchical_topology_never_changes_numerics() {
                 "{label}"
             );
             assert_eq!(flat.per_table, report.per_table, "{label}");
+            // Both routes write byte-identical chunks, so each rank sends
+            // the same bytes per iteration.
+            assert_eq!(
+                flat.a2a_sent_per_iter, report.a2a_sent_per_iter,
+                "{label}: the routes wrote different chunks"
+            );
         }
     }
 }
