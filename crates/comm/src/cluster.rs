@@ -40,11 +40,27 @@ pub const METADATA_RECORD_BYTES: usize = 16;
 /// exchange sends its chunks as they are.
 pub const CHUNK_HEADER_BYTES: usize = 16;
 
-/// Bytes of the `[src u32][dst u32][len u32]` frame prefixed to every chunk
-/// carried inside a hierarchical-all-to-all bundle (bundles additionally
-/// carry a 4-byte entry count), so relaying leaders can split aggregated
-/// node-pair payloads back into per-rank chunks.
-pub const HIER_ENTRY_HEADER_BYTES: usize = 12;
+/// Bytes of the `[src u32][dst u32][len u32]` frame prefixed to every entry
+/// of a relay bundle (bundles additionally carry a 4-byte entry count), so
+/// relaying leaders can split aggregated node-pair payloads back into
+/// per-rank chunks.
+const HIER_ENTRY_HEADER_BYTES: usize = 12;
+
+/// Bytes of a relay bundle of `count` entries carrying `payload` bytes.
+fn bundle_len(count: usize, payload: usize) -> usize {
+    4 + count * HIER_ENTRY_HEADER_BYTES + payload
+}
+
+/// The largest lease a relayed all-to-all over `topo` takes when no chunk
+/// exceeds `chunk_capacity` bytes: a node-pair bundle of `ranks_per_node²`
+/// entries, a scatter bundle of `world − ranks_per_node` or a gather bundle
+/// of `ranks_per_node`, whichever carries the most. A caller that parks
+/// spares of this size keeps the relay allocation-free.
+pub fn relay_lease_capacity(topo: &Topology, chunk_capacity: usize) -> usize {
+    let rpn = topo.ranks_per_node();
+    let entries = (rpn * rpn).max(topo.world() - rpn).max(rpn);
+    bundle_len(entries, entries * chunk_capacity)
+}
 
 /// A simulated cluster of `world` ranks.
 #[derive(Debug, Clone, Copy)]
@@ -100,25 +116,39 @@ pub struct ExchangeBytes {
     pub received: usize,
 }
 
+impl ExchangeBytes {
+    /// Send `buf` to `dst` on the all-to-all link, counting it as sent.
+    fn post(&mut self, ctx: &RankCtx, dst: usize, buf: PooledBuf) {
+        self.sent += buf.len();
+        ctx.fabric.send(dst, buf);
+    }
+
+    /// Receive the next message from `src`, counting it as received.
+    fn fetch(&mut self, ctx: &RankCtx, src: usize) -> PooledBuf {
+        let buf = ctx.fabric.recv(src);
+        self.received += buf.len();
+        buf
+    }
+}
+
 /// Reusable containers for the collectives' internal message handles, so a
 /// steady-state caller allocates nothing per call. Interior state of
 /// [`RankCtx`] (each rank thread owns its ctx exclusively).
 #[derive(Debug, Default)]
 struct CollectiveScratch {
-    bufs_a: Vec<PooledBuf>,
-    bufs_b: Vec<PooledBuf>,
     /// Per-destination "chunk sent" flags of an in-flight chunked all-to-all.
     sent_flags: Vec<bool>,
     /// Per-source "chunk received" flags of an in-flight chunked all-to-all.
     recv_flags: Vec<bool>,
+    /// Parked and delivered chunks of an in-flight chunked all-to-all.
+    slots: Vec<Option<PooledBuf>>,
+    /// The bundles a relay leader holds: one remote node's member bundles
+    /// until it can size their node-pair bundle, then the remote leaders'
+    /// node-pair bundles until it has scattered them.
+    bundles: Vec<PooledBuf>,
     /// Float/byte staging of [`RankCtx::all_reduce_sum`]'s reduce-scatter +
     /// all-gather schedule.
     reduce: ReduceScratch,
-    /// Per-source assembly slots of the hierarchical all-to-all.
-    slots: Vec<Option<PooledBuf>>,
-    /// Reusable length staging of the hierarchical all-to-all (chunk sizes,
-    /// then per-member scatter-bundle sizes).
-    lens: Vec<usize>,
 }
 
 /// Per-rank handle to the simulated cluster.
@@ -199,18 +229,7 @@ impl RankCtx {
         send: &mut Vec<PooledBuf>,
         recv: &mut Vec<PooledBuf>,
     ) -> ExchangeBytes {
-        assert_eq!(
-            send.len(),
-            self.world,
-            "all_to_all needs exactly one chunk per rank"
-        );
-        let mut exchange = self.begin_chunked();
-        for (dst, chunk) in send.drain(..).enumerate() {
-            exchange.send(dst, chunk);
-        }
-        recv.clear();
-        recv.extend((0..self.world).map(|src| exchange.recv(src)));
-        exchange.finish()
+        drive(self.begin_chunked(), send, recv).exchange
     }
 
     /// Variable-size all-to-all over headerless payloads: each payload is
@@ -262,19 +281,53 @@ impl RankCtx {
         let mut scratch = self.scratch.borrow_mut();
         let mut sent = std::mem::take(&mut scratch.sent_flags);
         let mut received = std::mem::take(&mut scratch.recv_flags);
+        let mut slots = std::mem::take(&mut scratch.slots);
         drop(scratch);
         sent.clear();
         sent.resize(self.world, false);
         received.clear();
         received.resize(self.world, false);
+        slots.clear();
+        slots.resize_with(self.world, || None);
         ChunkedAllToAll {
             ctx: self,
-            stats: ExchangeBytes::default(),
-            local: None,
+            relay: None,
+            bytes: HierExchangeBytes::default(),
+            slots,
             sent,
             received,
             finished: false,
         }
+    }
+
+    /// Start a two-level all-to-all over a node-aware [`Topology`]: a
+    /// [`ChunkedAllToAll`] whose `send` parks each chunk and whose first
+    /// `recv` runs the relay — the message pattern of a real two-level
+    /// NCCL/MPI all-to-all, where only node leaders touch the fabric.
+    /// Same-node chunks go directly over the intra tier; members **gather**
+    /// their inter-node chunks onto their leader, leaders **exchange** one
+    /// bundle per node pair, and each leader **scatters** one bundle per
+    /// member. Bundle entries carry `[src u32][dst u32][len u32]` frames, so
+    /// leaders relay payloads they cannot interpret verbatim, and every hop
+    /// checks the entries it carries. Every rank receives exactly the bytes
+    /// each source sent — **bit-identical** to the flat route
+    /// (property-tested); only the per-tier wire volume, and so the modeled
+    /// time, differs. Bundles and delivered chunks ride leases sized exactly
+    /// (at most [`relay_lease_capacity`]), so a warmed-up caller allocates
+    /// nothing. `nodes == 1` sends only direct chunks; `ranks_per_node == 1`
+    /// makes every rank a leader (no gather or scatter).
+    ///
+    /// # Panics
+    /// Panics if `topo.world() != world`.
+    pub fn begin_relayed(&self, topo: &Topology) -> ChunkedAllToAll<'_> {
+        assert_eq!(
+            topo.world(),
+            self.world,
+            "topology does not match the cluster's world"
+        );
+        let mut exchange = self.begin_chunked();
+        exchange.relay = Some(*topo);
+        exchange
     }
 
     /// All-to-all over header-prefixed chunks (each built with
@@ -325,259 +378,23 @@ impl RankCtx {
         stats
     }
 
-    /// Two-level hierarchical all-to-all over a node-aware [`Topology`]:
-    /// same-node chunks move directly over the intra tier, inter-node-bound
-    /// chunks are **gathered onto the node's leader**, exchanged between
-    /// leaders as one aggregated bundle per node pair, and **scattered** to
-    /// their destination ranks — the message pattern of a real two-level
-    /// NCCL/MPI all-to-all, where only leaders touch the fabric.
-    ///
-    /// Drains `send` (entry `d` to rank `d`) and refills `recv` so entry `s`
-    /// holds exactly the bytes rank `s` sent — **bit-identical** to
-    /// [`RankCtx::all_to_all_pooled`] (property-tested); only the route, the
-    /// per-tier wire volume and therefore the modeled time change. Chunks
-    /// inside bundles are framed with [`HIER_ENTRY_HEADER_BYTES`] headers so
-    /// leaders can relay payloads they cannot interpret (e.g. compressed
-    /// blocks) verbatim.
-    ///
-    /// Returns per-phase byte accounting ([`HierExchangeBytes`]): gather and
-    /// scatter ride the intra tier, the leader exchange the fabric — the
-    /// inputs of [`crate::topology::TieredCostModel::hier_alltoall_time`].
-    /// All bundles and delivered chunks ride pool leases sized exactly, so a
-    /// steady-state caller (with warmed spares parked) allocates nothing.
-    ///
-    /// Degenerate shapes hold: `nodes == 1` performs only direct intra sends
-    /// (no bundling), `ranks_per_node == 1` makes every rank a leader (no
-    /// gather/scatter).
+    /// Two-level all-to-all over a node-aware [`Topology`]: drains `send`
+    /// (entry `d` to rank `d`) and refills `recv` so entry `s` holds exactly
+    /// the bytes rank `s` sent, through one relayed [`ChunkedAllToAll`]
+    /// ([`RankCtx::begin_relayed`]). Returns per-phase byte accounting
+    /// ([`HierExchangeBytes`]): gather and scatter ride the intra tier, the
+    /// leader exchange the fabric — the inputs of
+    /// [`crate::topology::TieredCostModel::hier_alltoall_time`].
     ///
     /// # Panics
     /// Panics if `topo.world() != world` or `send.len() != world`.
-    // Rank ids index channels AND assembly slots together; range loops over
-    // rank ranges read better than enumerate/skip/take chains here.
-    #[allow(clippy::needless_range_loop)]
     pub fn all_to_all_hier_pooled(
         &self,
         topo: &Topology,
         send: &mut Vec<PooledBuf>,
         recv: &mut Vec<PooledBuf>,
     ) -> HierExchangeBytes {
-        assert_eq!(
-            topo.world(),
-            self.world,
-            "topology does not match the cluster's world"
-        );
-        assert_eq!(
-            send.len(),
-            self.world,
-            "all_to_all needs exactly one chunk per rank"
-        );
-        let world = self.world;
-        let rank = self.rank;
-        let rpn = topo.ranks_per_node();
-        let nodes = topo.nodes();
-        let my_node = topo.node_of(rank);
-        let node_first = my_node * rpn;
-        let leader = topo.leader_of(rank);
-        let am_leader = rank == leader;
-        let mut bytes = HierExchangeBytes::default();
-        // A leader's exchange bundle comes home whenever the remote leader
-        // is done with it, which may or may not be before this call takes
-        // its scatter bundles; so may any lease a peer drops. Serving this
-        // call only from what was parked when it began keeps its pool demand
-        // the same in every thread interleaving, so warm-up sizes the pool
-        // for all of them.
-        let _hold = self.pool.hold_returns();
-
-        let mut scratch = self.scratch.borrow_mut();
-        let mut slots = std::mem::take(&mut scratch.slots);
-        let mut bufs_a = std::mem::take(&mut scratch.bufs_a);
-        let mut bufs_b = std::mem::take(&mut scratch.bufs_b);
-        let mut lens = std::mem::take(&mut scratch.lens);
-        drop(scratch);
-        slots.clear();
-        slots.resize_with(world, || None);
-        bufs_a.clear();
-        bufs_b.clear();
-        lens.clear();
-        lens.extend(send.iter().map(|c| c.len()));
-
-        // ── Phase A sends, in destination order (so every channel's message
-        // sequence is the one the matching receive schedule below expects):
-        // the local chunk is kept, same-node chunks are posted directly,
-        // and inter-node chunks are bundled — members frame one bundle per
-        // remote node for their leader, the leader parks its own (bufs_b,
-        // ascending destination order) for the exchange bundles it builds.
-        {
-            let mut chunks = send.drain(..);
-            for dst_node in 0..nodes {
-                let first = dst_node * rpn;
-                if dst_node == my_node {
-                    for dst in first..first + rpn {
-                        let chunk = chunks.next().expect("one chunk per destination");
-                        if dst == rank {
-                            slots[dst] = Some(chunk);
-                        } else {
-                            bytes.gather.sent += chunk.len();
-                            self.fabric.send(dst, chunk);
-                        }
-                    }
-                } else if am_leader {
-                    bufs_b.extend(
-                        (first..first + rpn)
-                            .map(|_| chunks.next().expect("one chunk per destination")),
-                    );
-                } else {
-                    let total = 4
-                        + (first..first + rpn)
-                            .map(|d| HIER_ENTRY_HEADER_BYTES + lens[d])
-                            .sum::<usize>();
-                    let mut bundle = self.pool.take(total);
-                    bundle.extend_from_slice(&(rpn as u32).to_le_bytes());
-                    for dst in first..first + rpn {
-                        let chunk = chunks.next().expect("one chunk per destination");
-                        write_hier_entry(&mut bundle, rank, dst, &chunk);
-                    }
-                    bytes.gather.sent += bundle.len();
-                    self.fabric.send(leader, bundle);
-                }
-            }
-        }
-
-        if am_leader {
-            // ── Leader: walk nodes in the same ascending order every member
-            // used when sending, so FIFO channels line up — direct chunks at
-            // my node's slot, one member segment per remote node otherwise,
-            // aggregated (with this leader's own parked chunks) into one
-            // exchange bundle per node pair.
-            let mut remote_idx = 0usize; // run index into bufs_b
-            for dst_node in 0..nodes {
-                if dst_node == my_node {
-                    for src in node_first + 1..node_first + rpn {
-                        let chunk = self.fabric.recv(src);
-                        bytes.gather.received += chunk.len();
-                        slots[src] = Some(chunk);
-                    }
-                    continue;
-                }
-                bufs_a.clear();
-                for src in node_first + 1..node_first + rpn {
-                    let seg = self.fabric.recv(src);
-                    bytes.gather.received += seg.len();
-                    bufs_a.push(seg);
-                }
-                let own = &bufs_b[remote_idx * rpn..(remote_idx + 1) * rpn];
-                let own_len: usize = own.iter().map(|c| HIER_ENTRY_HEADER_BYTES + c.len()).sum();
-                let seg_len: usize = bufs_a.iter().map(|s| s.len() - 4).sum();
-                let mut bundle = self.pool.take(4 + own_len + seg_len);
-                bundle.extend_from_slice(&((rpn * rpn) as u32).to_le_bytes());
-                for (j, chunk) in own.iter().enumerate() {
-                    write_hier_entry(&mut bundle, rank, dst_node * rpn + j, chunk);
-                }
-                for seg in &bufs_a {
-                    let count = u32::from_le_bytes(seg[0..4].try_into().expect("4 bytes")) as usize;
-                    assert_eq!(count, rpn, "member segment with the wrong entry count");
-                    bundle.extend_from_slice(&seg[4..]);
-                }
-                bufs_a.clear(); // recycle member segments to their pools
-                bytes.exchange.sent += bundle.len();
-                self.fabric.send(topo.leader_of_node(dst_node), bundle);
-                remote_idx += 1;
-            }
-            bufs_b.clear(); // own inter chunks were copied into bundles
-
-            // ── Phase B receive + phase C: collect every remote leader's
-            // bundle, size the per-member scatter bundles exactly (pass 1),
-            // then deliver (pass 2) — own chunks into slots, the rest framed
-            // onward to their destination rank. A single-node topology has
-            // neither phase.
-            if nodes > 1 {
-                let sources = (0..nodes)
-                    .filter(|&n| n != my_node)
-                    .map(|n| topo.leader_of_node(n));
-                for src in sources.clone() {
-                    let bundle = self.fabric.recv(src);
-                    bytes.exchange.received += bundle.len();
-                    bufs_a.push(bundle);
-                }
-                lens.clear();
-                lens.resize(rpn, 0);
-                for (bundle, src) in bufs_a.iter().zip(sources.clone()) {
-                    for (_, dst, payload) in bundle_entries(rank, src, bundle) {
-                        assert!(
-                            topo.node_of(dst) == my_node,
-                            "rank {rank}: bundle entry for foreign rank {dst}"
-                        );
-                        if dst != rank {
-                            lens[dst - node_first] += HIER_ENTRY_HEADER_BYTES + payload.len();
-                        }
-                    }
-                }
-                for local in 1..rpn {
-                    let mut b = self.pool.take(4 + lens[local]);
-                    b.extend_from_slice(&((world - rpn) as u32).to_le_bytes());
-                    bufs_b.push(b);
-                }
-                for (bundle, from) in bufs_a.iter().zip(sources) {
-                    for (src, dst, payload) in bundle_entries(rank, from, bundle) {
-                        if dst == rank {
-                            let mut chunk = self.pool.take(payload.len());
-                            chunk.extend_from_slice(payload);
-                            slots[src] = Some(chunk);
-                        } else {
-                            write_hier_entry(&mut bufs_b[dst - node_first - 1], src, dst, payload);
-                        }
-                    }
-                }
-                bufs_a.clear(); // recycle the inbound bundles to their leaders
-                for (local, bundle) in (1..rpn).zip(bufs_b.drain(..)) {
-                    bytes.scatter.sent += bundle.len();
-                    self.fabric.send(node_first + local, bundle);
-                }
-            }
-        } else {
-            // ── Member: direct chunks from every same-node peer (each
-            // peer's first message on its channel), then the leader's
-            // scatter bundle (the leader's second message) carrying every
-            // inter-node chunk destined here.
-            for src in node_first..node_first + rpn {
-                if src == rank {
-                    continue;
-                }
-                let chunk = self.fabric.recv(src);
-                bytes.gather.received += chunk.len();
-                slots[src] = Some(chunk);
-            }
-            if nodes > 1 {
-                let bundle = self.fabric.recv(leader);
-                bytes.scatter.received += bundle.len();
-                let entries = bundle_entries(rank, leader, &bundle);
-                // The framing is checked, so the count field is present.
-                let count = u32::from_le_bytes(bundle[0..4].try_into().expect("4 bytes")) as usize;
-                assert_eq!(count, world - rpn, "scatter bundle with wrong entry count");
-                for (src, dst, payload) in entries {
-                    assert_eq!(dst, rank, "misrouted scatter entry");
-                    let mut chunk = self.pool.take(payload.len());
-                    chunk.extend_from_slice(payload);
-                    slots[src] = Some(chunk);
-                }
-            }
-        }
-
-        recv.clear();
-        recv.reserve(world);
-        for (s, slot) in slots.iter_mut().enumerate() {
-            recv.push(
-                slot.take()
-                    .unwrap_or_else(|| panic!("rank {rank}: no chunk received from {s}")),
-            );
-        }
-
-        let mut scratch = self.scratch.borrow_mut();
-        scratch.slots = slots;
-        scratch.bufs_a = bufs_a;
-        scratch.bufs_b = bufs_b;
-        scratch.lens = lens;
-        bytes
+        drive(self.begin_relayed(topo), send, recv)
     }
 
     /// All-gather over pool leases: every rank contributes `chunk`, and
@@ -592,12 +409,36 @@ impl RankCtx {
         recv: &mut Vec<PooledBuf>,
     ) -> ExchangeBytes {
         send.clear();
-        send.extend((0..self.world).map(|_| {
-            let mut lease = self.pool.take(chunk.len());
-            lease.extend_from_slice(chunk);
-            lease
-        }));
+        send.extend((0..self.world).map(|_| self.copy_lease(chunk.len(), chunk)));
         self.all_to_all_pooled(send, recv)
+    }
+
+    /// Lease `capacity` bytes and copy `bytes` into them.
+    fn copy_lease(&self, capacity: usize, bytes: &[u8]) -> PooledBuf {
+        let mut lease = self.pool.take(capacity);
+        lease.extend_from_slice(bytes);
+        lease
+    }
+
+    /// Lease a relay bundle of `capacity` bytes, its entry `count` written.
+    fn bundle_lease(&self, capacity: usize, count: usize) -> PooledBuf {
+        let mut bundle = self.pool.take(capacity);
+        bundle.extend_from_slice(&(count as u32).to_le_bytes());
+        bundle
+    }
+
+    /// A relay bundle of `(src, dst, payload)` `entries`, on a lease of
+    /// exactly its size.
+    fn bundle_of<'p>(
+        &self,
+        entries: impl Iterator<Item = (usize, usize, &'p [u8])> + Clone,
+    ) -> PooledBuf {
+        let (count, payload) = (entries.clone()).fold((0, 0), |(n, b), e| (n + 1, b + e.2.len()));
+        let mut bundle = self.bundle_lease(bundle_len(count, payload), count);
+        for (src, dst, payload) in entries {
+            write_hier_entry(&mut bundle, src, dst, payload);
+        }
+        bundle
     }
 
     /// Sum-all-reduce over an `f32` vector: every rank ends with the
@@ -806,9 +647,10 @@ impl RankCtx {
                 }
                 for src in group(my_node).filter(|&r| r != rank) {
                     let bundle = s.recv(src, s.span(group(dst_node)));
-                    for (from, dst, payload) in bundle_entries(rank, src, &bundle) {
+                    let carried = group(dst_node).map(|dst| (src, dst));
+                    for (_, dst, payload) in bundle_entries(rank, src, &bundle, carried) {
                         let acc = &mut accs[dst - dst_node * rpn];
-                        s.fold_contribution(acc, false, dst, from, payload);
+                        s.fold_contribution(acc, false, dst, src, payload);
                     }
                 }
                 let mut bundle = s.bundle(group(dst_node));
@@ -827,8 +669,10 @@ impl RankCtx {
                 s.fold_contribution(encoded, false, rank, leader, &chunk);
                 continue;
             }
-            let bundle = s.recv(src_node * rpn, s.span(group(my_node)));
-            for (from, dst, payload) in bundle_entries(rank, src_node * rpn, &bundle) {
+            let from = src_node * rpn;
+            let bundle = s.recv(from, s.span(group(my_node)));
+            let carried = group(my_node).map(|dst| (from, dst));
+            for (_, dst, payload) in bundle_entries(rank, from, &bundle, carried) {
                 if dst == rank {
                     s.fold_contribution(encoded, false, rank, from, payload);
                 } else {
@@ -850,10 +694,9 @@ impl RankCtx {
         }
         data[own].copy_from_slice(s.decode_shard(rank, rank, encoded));
         // Gather bundles have room for rank 0's (the largest) shard per entry.
-        let gather_cap = 4 + rpn * (HIER_ENTRY_HEADER_BYTES + s.max_encoded(0));
+        let gather_cap = bundle_len(rpn, rpn * s.max_encoded(0));
         let mut gathered = am_leader.then(|| {
-            let mut bundle = self.pool.take(gather_cap);
-            bundle.extend_from_slice(&(rpn as u32).to_le_bytes());
+            let mut bundle = self.bundle_lease(gather_cap, rpn);
             write_hier_entry(&mut bundle, rank, rank, encoded);
             bundle
         });
@@ -875,7 +718,8 @@ impl RankCtx {
             for dst in group(my_node).filter(|&d| am_leader && d != rank) {
                 s.post_copy(dst, gather_cap, &bundle, s.span(group(src_node)));
             }
-            for (src, _, payload) in bundle_entries(rank, from, &bundle) {
+            let carried = group(src_node).map(|src| (src, src));
+            for (src, _, payload) in bundle_entries(rank, from, &bundle, carried) {
                 data[s.range(src)].copy_from_slice(s.decode_shard(src, src, payload));
             }
         }
@@ -924,10 +768,8 @@ impl<C: ReduceCodec + ?Sized> Sharded<'_, C> {
     /// A bundle lease for one entry per rank of `owners`, count written.
     fn bundle(&self, owners: Range<usize>) -> PooledBuf {
         let payloads: usize = owners.clone().map(|o| self.max_encoded(o)).sum();
-        let cap = 4 + owners.len() * HIER_ENTRY_HEADER_BYTES + payloads;
-        let mut bundle = self.ctx.pool.take(cap);
-        bundle.extend_from_slice(&(owners.len() as u32).to_le_bytes());
-        bundle
+        let count = owners.len();
+        self.ctx.bundle_lease(bundle_len(count, payloads), count)
     }
 
     /// Send `buf` to `dst` on the all-reduce link, recording its wire bytes
@@ -942,9 +784,7 @@ impl<C: ReduceCodec + ?Sized> Sharded<'_, C> {
 
     /// [`Sharded::post`] a copy of `bytes` in a lease of `cap` bytes.
     fn post_copy(&mut self, dst: usize, cap: usize, bytes: &[u8], raw: usize) {
-        let mut buf = self.ctx.pool.take(cap);
-        buf.extend_from_slice(bytes);
-        self.post(dst, buf, raw);
+        self.post(dst, self.ctx.copy_lease(cap, bytes), raw);
     }
 
     /// Receive from `src`, recording what [`Sharded::post`] records.
@@ -1030,12 +870,12 @@ impl std::fmt::Display for BundleOverrun {
     }
 }
 
-/// Walk a hierarchical bundle's `[count u32]` + entry stream, yielding
+/// Walk a relay bundle's `[count u32]` + entry stream, yielding
 /// `(src, dst, payload)` with payloads borrowed from `bundle`. The whole
 /// framing is checked before the first entry is yielded.
 fn hier_entries(
     bundle: &[u8],
-) -> Result<impl Iterator<Item = (usize, usize, &[u8])>, BundleOverrun> {
+) -> Result<impl ExactSizeIterator<Item = (usize, usize, &[u8])> + Clone, BundleOverrun> {
     let overrun = |offset| BundleOverrun {
         offset,
         len: bundle.len(),
@@ -1063,26 +903,80 @@ fn hier_entries(
     }))
 }
 
-/// [`hier_entries`] for a collective on `rank`: a bundle from `src` whose
-/// framing overruns is one panic naming both ranks and the byte offset.
+/// [`hier_entries`] for a relay hop on `rank`, checked against `carried`,
+/// the `(src, dst)` pairs the hop carries in the order they are written. A
+/// bundle from `from` whose framing overruns, whose entry count differs, or
+/// whose entry names another pair — a rank outside the hop, or a repeat —
+/// is one panic naming both ranks.
 fn bundle_entries(
     rank: usize,
-    src: usize,
+    from: usize,
     bundle: &[u8],
-) -> impl Iterator<Item = (usize, usize, &[u8])> {
-    hier_entries(bundle).unwrap_or_else(|e| panic!("rank {rank}: bundle from {src}: {e}"))
+    carried: impl Iterator<Item = (usize, usize)> + Clone,
+) -> impl Iterator<Item = (usize, usize, &[u8])> + Clone {
+    let fail =
+        |what: std::fmt::Arguments<'_>| -> ! { panic!("rank {rank}: bundle from {from}: {what}") };
+    let entries = hier_entries(bundle).unwrap_or_else(|e| fail(format_args!("{e}")));
+    let expected = carried.clone().count();
+    if entries.len() != expected {
+        fail(format_args!(
+            "{} entries, but the hop carries {expected}",
+            entries.len()
+        ));
+    }
+    for (i, ((src, dst, _), want)) in entries.clone().zip(carried).enumerate() {
+        if (src, dst) != want {
+            let (s, d) = want;
+            fail(format_args!("entry {i} is {src} → {dst}, not {s} → {d}"));
+        }
+    }
+    entries
 }
 
-/// Handle of an in-flight non-blocking all-to-all — the one flat send /
-/// receive / byte-count loop under every flat collective.
+/// The relay entries of `rank`'s chunks for ranks `dsts`, parked in
+/// `chunks`.
+fn parked_entries(
+    rank: usize,
+    dsts: Range<usize>,
+    chunks: &[Option<PooledBuf>],
+) -> impl Iterator<Item = (usize, usize, &[u8])> + Clone {
+    dsts.zip(chunks).map(move |(dst, chunk)| {
+        let chunk = chunk.as_ref().expect("every chunk was sent");
+        (rank, dst, chunk.as_slice())
+    })
+}
+
+/// Send every chunk of `send` (entry `d` to rank `d`) through `exchange`,
+/// refill `recv` with what arrives (entry `s` from rank `s`) and finish.
+fn drive(
+    mut exchange: ChunkedAllToAll<'_>,
+    send: &mut Vec<PooledBuf>,
+    recv: &mut Vec<PooledBuf>,
+) -> HierExchangeBytes {
+    assert_eq!(
+        send.len(),
+        exchange.ctx.world,
+        "all_to_all needs exactly one chunk per rank"
+    );
+    for (dst, chunk) in send.drain(..).enumerate() {
+        exchange.send(dst, chunk);
+    }
+    recv.clear();
+    recv.extend((0..exchange.ctx.world).map(|src| exchange.recv(src)));
+    exchange.finish()
+}
+
+/// Handle of an in-flight all-to-all — the one send / receive / byte-count
+/// loop under every all-to-all, flat or relayed.
 ///
-/// Created by [`RankCtx::begin_chunked`]. The sender side is a *begin-send*:
-/// [`ChunkedAllToAll::send`] posts the chunk to the destination's FIFO
-/// without blocking, so the caller can go compress the next chunk while this
-/// one is (virtually) on the wire — the paper's double-buffered pipeline.
-/// The receiver side offers both *poll-complete*
-/// ([`ChunkedAllToAll::try_recv`]) and blocking completion
-/// ([`ChunkedAllToAll::recv`]). Chunks pass through unchanged: the fabric
+/// Created by [`RankCtx::begin_chunked`] (flat) or
+/// [`RankCtx::begin_relayed`] (two-level). The sender side is a
+/// *begin-send*: on the flat route [`ChunkedAllToAll::send`] posts the
+/// chunk to the destination's FIFO without blocking, so the caller can go
+/// compress the next chunk while this one is (virtually) on the wire — the
+/// paper's double-buffered pipeline; the relayed route parks it until the
+/// first [`ChunkedAllToAll::recv`] runs the relay. `recv` blocks until the
+/// chunk from a source is here. Chunks pass through unchanged: the fabric
 /// delivers each at its exact length, so the handle neither writes nor
 /// reads a header.
 ///
@@ -1092,9 +986,13 @@ fn bundle_entries(
 /// allocates nothing.
 pub struct ChunkedAllToAll<'a> {
     ctx: &'a RankCtx,
-    stats: ExchangeBytes,
-    /// The local chunk is moved, not sent through a channel.
-    local: Option<PooledBuf>,
+    /// The relayed route's topology until the relay has run; `None` when
+    /// flat, and once the relay has delivered every chunk into `slots`.
+    relay: Option<Topology>,
+    bytes: HierExchangeBytes,
+    /// Chunks held by rank: the local chunk (flat), every sent chunk by
+    /// destination until the relay runs, then every delivered one by source.
+    slots: Vec<Option<PooledBuf>>,
     sent: Vec<bool>,
     received: Vec<bool>,
     finished: bool,
@@ -1102,7 +1000,8 @@ pub struct ChunkedAllToAll<'a> {
 
 impl ChunkedAllToAll<'_> {
     /// Begin-send `chunk` to `dst` without blocking. Sending to this rank
-    /// itself parks the chunk locally.
+    /// itself parks the chunk locally, as the relayed route does with every
+    /// chunk.
     ///
     /// # Panics
     /// Panics if a chunk was already sent to `dst`.
@@ -1112,78 +1011,176 @@ impl ChunkedAllToAll<'_> {
             "rank {}: chunk for {dst} sent twice",
             self.ctx.rank
         );
-        if dst == self.ctx.rank {
-            self.local = Some(chunk);
+        if dst == self.ctx.rank || self.relay.is_some() {
+            self.slots[dst] = Some(chunk);
         } else {
-            self.stats.sent += chunk.len();
-            self.ctx.fabric.send(dst, chunk);
+            self.bytes.exchange.post(self.ctx, dst, chunk);
         }
     }
 
-    /// Poll for the chunk from `src`: `Some(chunk)` if it has arrived, `None`
-    /// if it is still in flight.
-    ///
-    /// The caller tracks which sources have completed (e.g. a shrinking
-    /// pending list): polling `src == rank()` before the local chunk was
-    /// sent also reports `None` (nothing can be in flight yet).
+    /// Block until the chunk from `src` arrives and return it. On the
+    /// relayed route the first call runs the relay.
     ///
     /// # Panics
-    /// Panics if the chunk from `src` was already received — a completed
-    /// source must not be polled again.
-    pub fn try_recv(&mut self, src: usize) -> Option<PooledBuf> {
-        assert!(!self.received[src], "chunk from {src} already received");
-        let chunk = if src == self.ctx.rank {
-            self.local.take()?
-        } else {
-            self.ctx.fabric.try_recv(src)?
-        };
-        Some(self.complete_recv(src, chunk))
-    }
-
-    /// Block until the chunk from `src` arrives and return it.
-    ///
-    /// # Panics
-    /// Panics if the chunk from `src` was already received, or when
-    /// completing the local chunk before it was sent.
+    /// Panics if the chunk from `src` was already received, when completing
+    /// the local chunk before it was sent, or when the relay runs before a
+    /// chunk was sent to every rank.
     pub fn recv(&mut self, src: usize) -> PooledBuf {
-        assert!(!self.received[src], "chunk from {src} already received");
-        let chunk = if src == self.ctx.rank {
-            self.local.take().expect("local chunk was never sent")
-        } else {
-            self.ctx.fabric.recv(src)
-        };
-        self.complete_recv(src, chunk)
-    }
-
-    fn complete_recv(&mut self, src: usize, chunk: PooledBuf) -> PooledBuf {
-        self.received[src] = true;
-        if src != self.ctx.rank {
-            self.stats.received += chunk.len();
+        let rank = self.ctx.rank;
+        assert!(
+            !std::mem::replace(&mut self.received[src], true),
+            "rank {rank}: chunk from {src} already received"
+        );
+        if let Some(topo) = self.relay.take() {
+            if let Some(dst) = self.sent.iter().position(|&sent| !sent) {
+                panic!("rank {rank}: no chunk was sent to rank {dst} before the relay");
+            }
+            self.relay(&topo);
         }
-        chunk
+        match self.slots[src].take() {
+            Some(chunk) => chunk,
+            // Flat, only the local chunk is held; a peer's is on the fabric.
+            None if src != rank => self.bytes.exchange.fetch(self.ctx, src),
+            None => panic!("rank {rank}: local chunk was never sent"),
+        }
     }
 
     /// Complete the collective: asserts every chunk was sent and received
-    /// and returns the byte totals.
-    pub fn finish(&mut self) -> ExchangeBytes {
+    /// and returns the byte totals. A flat exchange counts every byte as
+    /// `exchange`, as on a topology of one rank per node.
+    pub fn finish(&mut self) -> HierExchangeBytes {
         assert!(!self.finished, "chunked all-to-all finished twice");
         for dst in 0..self.ctx.world {
             assert!(self.sent[dst], "no chunk was sent to rank {dst}");
             assert!(self.received[dst], "no chunk was received from {dst}");
         }
         self.finished = true;
-        self.stats
+        self.bytes
+    }
+
+    /// The relay over the chunks parked by destination in `slots`, which it
+    /// refills by source: gather, leader exchange and scatter (see
+    /// [`RankCtx::begin_relayed`]). Every rank walks nodes in ascending
+    /// order, so each FIFO channel drains in the order its receiver expects.
+    fn relay(&mut self, topo: &Topology) {
+        let Self {
+            ctx, bytes, slots, ..
+        } = self;
+        let (ctx, world, rank) = (*ctx, ctx.world, ctx.rank);
+        let (nodes, rpn) = (topo.nodes(), topo.ranks_per_node());
+        let (my_node, leader) = (topo.node_of(rank), topo.leader_of(rank));
+        let group = |node: usize| node * rpn..(node + 1) * rpn;
+        let members = || group(my_node).filter(move |&r| r != leader);
+        let remote_nodes = || (0..nodes).filter(move |&n| n != my_node);
+        // A leader's node-pair bundle comes home whenever the remote leader
+        // is done with it, which may or may not be before this relay takes
+        // its scatter bundles; so may any lease a peer drops. Serving the
+        // relay only from what was parked when it began keeps its pool
+        // demand the same in every thread interleaving, so warm-up sizes
+        // the pool for all of them.
+        let _hold = ctx.pool.hold_returns();
+        let mut bundles = std::mem::take(&mut ctx.scratch.borrow_mut().bundles);
+
+        // ── Gather sends, in destination order: same-node chunks go
+        // straight to their rank; a member bundles each remote node's
+        // chunks for its leader, which keeps its own parked for the
+        // node-pair bundles.
+        for dst_node in 0..nodes {
+            let chunks = &mut slots[group(dst_node)];
+            if dst_node == my_node {
+                for (dst, chunk) in group(dst_node).zip(chunks).filter(|c| c.0 != rank) {
+                    bytes
+                        .gather
+                        .post(ctx, dst, chunk.take().expect("every chunk was sent"));
+                }
+            } else if rank != leader {
+                let bundle = ctx.bundle_of(parked_entries(rank, group(dst_node), chunks));
+                chunks.fill_with(|| None);
+                bytes.gather.post(ctx, leader, bundle);
+            }
+        }
+
+        if rank == leader {
+            // ── Walk the nodes in the members' send order: their direct
+            // chunks at this node, one bundle each per remote node
+            // otherwise, merged behind this leader's own chunks into one
+            // node-pair bundle.
+            for dst_node in 0..nodes {
+                if dst_node == my_node {
+                    for src in members() {
+                        slots[src] = Some(bytes.gather.fetch(ctx, src));
+                    }
+                    continue;
+                }
+                bundles.extend(members().map(|src| bytes.gather.fetch(ctx, src)));
+                let own = &mut slots[group(dst_node)];
+                let gathered = members().zip(&bundles).flat_map(|(src, b)| {
+                    bundle_entries(rank, src, b, group(dst_node).map(move |d| (src, d)))
+                });
+                let bundle =
+                    ctx.bundle_of(parked_entries(rank, group(dst_node), own).chain(gathered));
+                own.fill_with(|| None);
+                bundles.clear();
+                bytes
+                    .exchange
+                    .post(ctx, topo.leader_of_node(dst_node), bundle);
+            }
+
+            // ── Exchange receives and scatter: one bundle per member of
+            // every inter-node chunk bound for it, then this leader's own.
+            // A single-node topology has neither phase.
+            if nodes > 1 {
+                let from = |n: usize| topo.leader_of_node(n);
+                bundles.extend(remote_nodes().map(|n| bytes.exchange.fetch(ctx, from(n))));
+                let bound_for = |dst: usize| {
+                    remote_nodes().zip(&bundles).flat_map(move |(n, b)| {
+                        let carried =
+                            group(n).flat_map(move |s| group(my_node).map(move |d| (s, d)));
+                        bundle_entries(rank, from(n), b, carried).filter(move |e| e.1 == dst)
+                    })
+                };
+                for member in members() {
+                    bytes
+                        .scatter
+                        .post(ctx, member, ctx.bundle_of(bound_for(member)));
+                }
+                for (src, _, payload) in bound_for(rank) {
+                    slots[src] = Some(ctx.copy_lease(payload.len(), payload));
+                }
+                bundles.clear(); // recycle the node-pair bundles to their leaders
+            }
+        } else {
+            // ── Member: direct chunks from every same-node peer (each
+            // peer's first message on its channel), then the leader's
+            // scatter bundle (the leader's second message) carrying every
+            // inter-node chunk bound here.
+            for src in group(my_node).filter(|&s| s != rank) {
+                slots[src] = Some(bytes.gather.fetch(ctx, src));
+            }
+            if nodes > 1 {
+                let bundle = bytes.scatter.fetch(ctx, leader);
+                let carried = (0..world).filter(|&s| !topo.same_node(s, rank));
+                for (src, _, payload) in
+                    bundle_entries(rank, leader, &bundle, carried.map(|s| (s, rank)))
+                {
+                    slots[src] = Some(ctx.copy_lease(payload.len(), payload));
+                }
+            }
+        }
+        ctx.scratch.borrow_mut().bundles = bundles;
     }
 }
 
 impl Drop for ChunkedAllToAll<'_> {
     fn drop(&mut self) {
-        // Return the flag storage to the rank's scratch so the next
-        // collective reuses it (whether or not finish() ran — an unwinding
-        // rank must not poison the scratch).
+        // Return the flag and slot storage to the rank's scratch so the
+        // next collective reuses it (whether or not finish() ran — an
+        // unwinding rank must not poison the scratch).
         let mut scratch = self.ctx.scratch.borrow_mut();
         scratch.sent_flags = std::mem::take(&mut self.sent);
         scratch.recv_flags = std::mem::take(&mut self.received);
+        self.slots.clear();
+        scratch.slots = std::mem::take(&mut self.slots);
     }
 }
 
@@ -1448,22 +1445,12 @@ mod tests {
                 b.extend_from_slice(&[ctx.rank() as u8; 5]);
                 exchange.send(dst, b);
             }
-            // Poll-complete in whatever order the chunks arrive; each
-            // arrives exactly as it was sent, no header added or read.
-            let mut pending: Vec<usize> = (0..world).collect();
-            let mut seen = 0usize;
-            while !pending.is_empty() {
-                pending.retain(|&src| match exchange.try_recv(src) {
-                    Some(chunk) => {
-                        assert_eq!(chunk.as_slice(), &[src as u8; 5]);
-                        seen += 1;
-                        false
-                    }
-                    None => true,
-                });
+            // Complete every source; each chunk arrives exactly as it was
+            // sent, no header added or read.
+            for src in (0..world).rev() {
+                assert_eq!(exchange.recv(src).as_slice(), &[src as u8; 5]);
             }
-            assert_eq!(seen, world);
-            let stats = exchange.finish();
+            let stats = exchange.finish().exchange;
             assert_eq!(stats.sent, (world - 1) * 5);
             assert_eq!(stats.received, (world - 1) * 5);
         });
@@ -1537,13 +1524,49 @@ mod tests {
         }
     }
 
+    /// Run `misuse` on every rank of a handle opened on each route — flat,
+    /// then relayed over 2×2 — and check each panics with a message
+    /// containing `expected`, which is raised again for `#[should_panic]`.
+    fn misuse_panics_on_both_routes(expected: &str, misuse: fn(&RankCtx, ChunkedAllToAll<'_>)) {
+        for relay in [None, Some(hier_topo(2, 2))] {
+            let run = std::panic::catch_unwind(|| {
+                cluster(4).run(move |ctx| {
+                    let exchange = match &relay {
+                        None => ctx.begin_chunked(),
+                        Some(topo) => ctx.begin_relayed(topo),
+                    };
+                    misuse(&ctx, exchange);
+                })
+            });
+            let payload = run.expect_err("misuse did not panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(message.contains(expected), "{relay:?}: {message}");
+        }
+        panic!("{expected}");
+    }
+
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "no chunk was sent to rank")]
     fn chunked_finish_before_completion_panics() {
-        cluster(2).run(|ctx| {
-            let mut exchange = ctx.begin_chunked();
+        misuse_panics_on_both_routes("no chunk was sent to rank", |ctx, mut exchange| {
+            // Never sent to the peers: flat, `finish` notices; relayed, the
+            // relay refuses to run at the first `recv`.
             exchange.send(ctx.rank(), ctx.take_buf(16));
-            let _ = exchange.finish(); // never sent to / received from the peer
+            drop(exchange.recv(ctx.rank()));
+            let _ = exchange.finish();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "sent twice")]
+    fn chunked_double_send_panics() {
+        misuse_panics_on_both_routes("sent twice", |ctx, mut exchange| {
+            exchange.send(ctx.rank(), ctx.take_buf(16));
+            exchange.send(ctx.rank(), ctx.take_buf(16));
         });
     }
 
@@ -1701,6 +1724,66 @@ mod tests {
                 offset: bundle.len(),
                 len: bundle.len()
             }
+        );
+    }
+
+    /// The panic message of walking `bundle` as rank 2's hop from rank 0
+    /// carrying `carried`.
+    fn bundle_panic(bundle: &[u8], carried: &[(usize, usize)]) -> String {
+        let walk = || bundle_entries(2, 0, bundle, carried.iter().copied()).count();
+        let payload = std::panic::catch_unwind(walk).expect_err("bundle accepted");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn bundle_entries_rejects_a_wrong_count_a_foreign_rank_and_a_repeat() {
+        // The leader-exchange hop of a 2×2 topology: node 0 → node 1.
+        let carried = [(0, 2), (0, 3), (1, 2), (1, 3)];
+        let bundle = |pairs: &[(usize, usize)]| {
+            let mut bundle = BufferPool::new().take(256);
+            bundle.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+            for &(src, dst) in pairs {
+                write_hier_entry(&mut bundle, src, dst, &hier_chunk(src, dst));
+            }
+            bundle
+        };
+        let valid = bundle(&carried);
+        let entries: Vec<_> = bundle_entries(2, 0, &valid, carried.iter().copied()).collect();
+        assert_eq!(entries.len(), carried.len());
+        let named = "rank 2: bundle from 0: ";
+        let cases: [(&[(usize, usize)], &str); 6] = [
+            (&carried[..3], "3 entries, but the hop carries 4"),
+            (&[(0, 2), (0, 3), (1, 2), (1, 3), (1, 3)], "5 entries"),
+            (
+                &[(0, 2), (0, 3), (5, 2), (1, 3)],
+                "entry 2 is 5 → 2, not 1 → 2",
+            ),
+            (
+                &[(0, 2), (0, 3), (2, 2), (1, 3)],
+                "entry 2 is 2 → 2, not 1 → 2",
+            ),
+            (
+                &[(0, 2), (0, 1), (1, 2), (1, 3)],
+                "entry 1 is 0 → 1, not 0 → 3",
+            ),
+            (
+                &[(0, 2), (0, 3), (0, 3), (1, 3)],
+                "entry 2 is 0 → 3, not 1 → 2",
+            ),
+        ];
+        for (pairs, what) in cases {
+            let message = bundle_panic(&bundle(pairs), &carried);
+            assert!(message.starts_with(named), "{pairs:?}: {message}");
+            assert!(message.contains(what), "{pairs:?}: {message}");
+        }
+        // A truncated bundle is the same named panic.
+        let message = bundle_panic(&valid[..valid.len() - 1], &carried);
+        assert!(
+            message.starts_with(named) && message.contains("overruns"),
+            "{message}"
         );
     }
 

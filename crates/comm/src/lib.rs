@@ -33,13 +33,15 @@
 //!
 //! [`cluster::RankCtx::begin_chunked`] opens a non-blocking **chunked
 //! all-to-all** ([`cluster::ChunkedAllToAll`]): begin-send posts one chunk
-//! per destination without blocking, poll-complete (`try_recv`) or blocking
-//! `recv` retire them — the transport under the trainer's double-buffered
-//! compress/communicate pipeline. The handle passes leases through
-//! unchanged (the fabric delivers each at its exact length, so no header
-//! rides along) and is the one flat send/receive/byte-count loop:
-//! [`cluster::RankCtx::all_to_all_pooled`] and
-//! [`cluster::RankCtx::all_gather_pooled`] are wrappers over it.
+//! per destination without blocking and a blocking `recv` retires each —
+//! the transport under the trainer's double-buffered compress/communicate
+//! pipeline. The handle passes leases through unchanged (the fabric
+//! delivers each at its exact length, so no header rides along) and is the
+//! one send/receive/byte-count loop of every all-to-all, flat or relayed
+//! ([`cluster::RankCtx::begin_relayed`], below):
+//! [`cluster::RankCtx::all_to_all_pooled`],
+//! [`cluster::RankCtx::all_gather_pooled`] and
+//! [`cluster::RankCtx::all_to_all_hier_pooled`] are wrappers over it.
 //! [`overlap::OverlapTimeline`] computes the exact virtual schedule of that
 //! pipeline (codec stage and wire stage on separate serial timelines), and
 //! [`ledger::TimingLedger`]'s `overlap_saved` counters record how much codec
@@ -84,12 +86,17 @@
 //! [`cost::NetworkConfig`] tier; its [`topology::TieredCostModel`] charges
 //! every `(src, dst)` pair by the link it actually crosses (the flat model
 //! remains the `nodes == 1` special case).
-//! [`cluster::RankCtx::all_to_all_hier_pooled`] runs the matching two-level
-//! collective — intra-node gather of inter-node-bound payloads onto each
-//! node's leader, one aggregated bundle per node pair across the fabric,
-//! intra-node scatter — delivering payloads **bit-identical** to the flat
-//! all-to-all (property-tested) while reporting per-tier
-//! [`topology::HierExchangeBytes`]. Given a topology, the all-reduce
+//! [`cluster::RankCtx::begin_relayed`] opens the matching two-level
+//! all-to-all on the same handle — intra-node gather of inter-node-bound
+//! payloads onto each node's leader, one aggregated bundle per node pair
+//! across the fabric, intra-node scatter — delivering payloads
+//! **bit-identical** to the flat all-to-all (property-tested) while
+//! reporting per-tier [`topology::HierExchangeBytes`]. Its bundles share
+//! their framing, leases and checked entry reader with the relayed
+//! all-reduce: every hop checks the entry count and the `(src, dst)` pairs
+//! it carries, so a malformed or mis-sent bundle is one named panic.
+//! [`cluster::relay_lease_capacity`] is the largest lease the relay takes.
+//! Given a topology, the all-reduce
 //! ([`cluster::RankCtx::all_reduce_compressed_tiered`]) also buckets its
 //! wire bytes by tier for the same charging.
 
@@ -147,10 +154,7 @@ pub mod reduce;
 pub mod topology;
 pub mod trace;
 
-pub use cluster::{
-    ChunkedAllToAll, ExchangeBytes, RankCtx, SimCluster, CHUNK_HEADER_BYTES,
-    HIER_ENTRY_HEADER_BYTES,
-};
+pub use cluster::{ChunkedAllToAll, ExchangeBytes, RankCtx, SimCluster, CHUNK_HEADER_BYTES};
 pub use cost::{CostModel, Link, NetworkConfig};
 pub use fabric::{ChannelFabric, Fabric, GatePolicy, SerialGate, WirePolicy};
 pub use fault::{FaultPlan, StragglerWindow, WorldEvent};

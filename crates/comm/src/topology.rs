@@ -13,8 +13,8 @@
 //! Ranks are numbered node-major: rank `r` lives on node `r / ranks_per_node`
 //! with local index `r % ranks_per_node`, and local rank 0 is the node's
 //! *leader* — the rank that drives the aggregated inter-node exchange of the
-//! hierarchical all-to-all
-//! ([`RankCtx::all_to_all_hier_pooled`](crate::cluster::RankCtx::all_to_all_hier_pooled)).
+//! relayed all-to-all
+//! ([`RankCtx::begin_relayed`](crate::cluster::RankCtx::begin_relayed)).
 //!
 //! ## Bandwidth conventions
 //!

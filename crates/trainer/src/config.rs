@@ -399,12 +399,12 @@ impl ObsSetting {
 ///
 /// `Flat` takes exactly the code path the topology-less trainer took —
 /// bit-for-bit, in numerics *and* in charged virtual time (asserted by the
-/// topology test matrix). `Hierarchical` routes both all-to-all stages
-/// through [`dlrm_comm`]'s two-level collective (intra-node gather onto the
-/// node leader, aggregated leader exchange across the fabric, intra-node
-/// scatter) and charges every phase — the all-to-alls *and* the dense
-/// all-reduce — with the [`Topology`]'s tiered cost model. Delivered
-/// payloads and reduced gradients are bit-identical to the flat run; only
+/// topology test matrix). `Hierarchical` relays both all-to-all stages
+/// through node leaders ([`dlrm_comm::RankCtx::begin_relayed`]: intra-node
+/// gather onto the node leader, aggregated leader exchange across the
+/// fabric, intra-node scatter) and charges every phase — the all-to-alls
+/// *and* the dense all-reduce — with the [`Topology`]'s tiered cost model.
+/// Payloads and reduced gradients are bit-identical to the flat run; only
 /// modeled time and per-tier wire volume change. When a topology is set,
 /// [`TrainerConfig::network`] is ignored in favour of the per-tier links.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]

@@ -82,12 +82,13 @@
 //! single-tier model and takes exactly the topology-less code paths;
 //! `Hierarchical` describes `nodes × ranks_per_node` with a fast intra-node
 //! and a slow inter-node link ([`dlrm_comm::Topology`]). Under a hierarchy,
-//! both all-to-all stages run [`dlrm_comm`]'s two-level collective
-//! (intra-node gather onto the node leader, one aggregated bundle per node
-//! pair across the fabric, intra-node scatter), the dense all-reduce keeps
-//! its rank-order schedule with per-tier byte accounting, and every network
-//! phase is charged by the tiered cost model — per-rank tier bandwidths, the
-//! leader exchange over the node's NIC pool. Delivered payloads and reduced
+//! both all-to-all stages run the relayed form of the flat route's
+//! [`dlrm_comm::ChunkedAllToAll`] (intra-node gather onto the node leader,
+//! one aggregated bundle per node pair across the fabric, intra-node
+//! scatter), the dense all-reduce keeps its rank-order schedule with
+//! per-tier byte accounting, and every network phase is charged by the
+//! tiered cost model — per-rank tier bandwidths, the leader exchange over
+//! the node's NIC pool. Delivered payloads and reduced
 //! gradients are **bit-identical** to the flat run (asserted by the topology
 //! test matrix); only modeled time and per-tier wire volume change, surfaced
 //! as [`run::TrainingReport::intra_tier_bytes`] /

@@ -16,7 +16,7 @@ use dlrm_adaptive::controller::{
 };
 use dlrm_adaptive::CodecProfile;
 use dlrm_ckpt::{Checkpoint, CheckpointSpec, EncodedSection, RankCheckpoint};
-use dlrm_comm::cluster::{RankCtx, HIER_ENTRY_HEADER_BYTES};
+use dlrm_comm::cluster::{relay_lease_capacity, ChunkedAllToAll, RankCtx};
 use dlrm_comm::frame::{
     payload_chunk_capacity, payload_groups, write_payload_group, write_varint, ChunkOrigin,
     FrameError,
@@ -25,7 +25,7 @@ use dlrm_comm::pool::{PoolStats, PooledBuf};
 use dlrm_comm::reduce::{
     allreduce_tier_bytes, shard_range, RawF32Codec, ReduceCodec, ReduceScratch,
 };
-use dlrm_comm::topology::{TieredCostModel, Topology};
+use dlrm_comm::topology::{HierExchangeBytes, TieredCostModel, Topology};
 use dlrm_comm::{CostModel, OverlapTimeline, TimingLedger};
 use dlrm_compress::Compressor;
 use dlrm_data::{BatchFeed, DatasetConfig, DistinctRows, MiniBatch};
@@ -368,16 +368,12 @@ pub struct RankOutcome {
 }
 
 /// Per-rank reusable state threaded through every pipeline stage so the
-/// steady-state loop allocates nothing: compression scratch, the pooled
-/// send/recv containers of both all-to-alls, and a recycler for the float
-/// storage of lookup/gradient matrices.
+/// steady-state loop allocates nothing: compression scratch, the per-chunk
+/// records of both all-to-alls, and a recycler for the float storage of
+/// lookup/gradient matrices.
 struct PipelineScratch {
     /// Codec scratch shared by every compress/decompress call on this rank.
     codec: GradScratch,
-    /// Send-side lease container (drained by the collectives).
-    send: Vec<PooledBuf>,
-    /// Receive-side lease container.
-    recv: Vec<PooledBuf>,
     /// Flattened MLP gradient buffer for the all-reduce.
     flat_grads: Vec<f32>,
     /// Staging buffers of the compressed dense all-reduce.
@@ -402,8 +398,6 @@ impl PipelineScratch {
     fn new(world: usize) -> Self {
         Self {
             codec: GradScratch::new(),
-            send: Vec::with_capacity(world),
-            recv: Vec::with_capacity(world),
             flat_grads: Vec::new(),
             dense_reduce: ReduceScratch::new(),
             float_pool: Vec::new(),
@@ -958,18 +952,81 @@ impl ControllerState {
 /// The link one iteration's network charges use — derived each iteration
 /// from the configured network, the bandwidth trace and any straggler
 /// window, never configured on its own. It also picks the exchanges'
-/// route: flat, self-describing chunk leases over the chunked all-to-all
-/// (chunk k goes to destination `rank + k` the moment its compression
-/// finishes and arrives from source `rank − k`, so the codec timeline runs
-/// ahead of the wire); tiered, the two-level collective over plain leases,
-/// visited in rank order. The route picks the lease kind, the visiting
-/// order, the collective and its α–β terms (tabulated in
-/// `docs/ARCHITECTURE.md`); the overlap setting changes only the charge.
+/// route: flat, or relayed through node leaders under a hierarchical
+/// topology. Both run one [`ChunkedAllToAll`] over the same chunks; the
+/// route picks the visiting order and the α–β terms (tabulated in
+/// `docs/ARCHITECTURE.md`), and the overlap setting changes only the charge.
 #[derive(Clone, Copy)]
 struct Link {
     cost: CostModel,
     /// The hierarchical topology and its tiered charge; `None` when flat.
     tiers: Option<(Topology, TieredCostModel)>,
+}
+
+impl Link {
+    /// Open one exchange on this link's route.
+    fn begin<'c>(&self, ctx: &'c RankCtx) -> ChunkedAllToAll<'c> {
+        match &self.tiers {
+            None => ctx.begin_chunked(),
+            Some((topo, _)) => ctx.begin_relayed(topo),
+        }
+    }
+
+    /// Exchange step `step`'s `(destination, source)`. Flat, chunk k goes to
+    /// `rank + k` the moment its compression finishes and the chunk from
+    /// `rank − k` is retired k-th, so the codec timeline runs ahead of the
+    /// wire; relayed, rank order, since the relay delivers every chunk at
+    /// once.
+    fn peers(&self, rank: usize, world: usize, step: usize) -> (usize, usize) {
+        match self.tiers {
+            None => ((rank + step) % world, (rank + world - step) % world),
+            Some(_) => (step, step),
+        }
+    }
+
+    /// Charge a finished exchange's `bytes` to `a2a` through [`charge_a2a`]
+    /// on this route's terms. Flat: one α plus the bottleneck direction over
+    /// the all-to-all bandwidth, each chunk weighted by its larger
+    /// direction. Relayed: the tiered α–β of every phase, also added to the
+    /// tier counters, each chunk weighted by the bytes it sent. Returns the
+    /// bottleneck-direction bytes the fabric carried and their seconds at
+    /// the fabric's bandwidth, which a controller window accumulates.
+    fn charge(
+        &self,
+        acct: &mut Accounting<'_>,
+        a2a: &str,
+        bytes: &HierExchangeBytes,
+        overlapped: bool,
+        scratch: &PipelineScratch,
+    ) -> (usize, f64) {
+        acct.ledger.add_bytes(a2a, bytes.total());
+        let fabric = bytes.exchange.sent.max(bytes.exchange.received);
+        let (terms, fabric_s) = match &self.tiers {
+            None => {
+                let (sent, received) = (bytes.exchange.sent, bytes.exchange.received);
+                let cost = &self.cost;
+                let terms = (cost.config().latency, cost.alltoall_time(sent, received));
+                (terms, cost.bandwidth_time(fabric))
+            }
+            Some((_, tiered)) => {
+                let (intra_t, inter_t) = tiered.hier_tier_times(bytes);
+                acct.add_tiers(bytes.intra_total(), bytes.inter_total(), (intra_t, inter_t));
+                let terms = (tiered.hier_alpha_seconds(), intra_t + inter_t);
+                (terms, fabric as f64 / tiered.node_fabric_bandwidth())
+            }
+        };
+        let relayed = self.tiers.is_some();
+        let chunks = scratch.chunk_sent.iter().zip(&scratch.chunk_recv);
+        charge_a2a(
+            &mut acct.ledger,
+            a2a,
+            terms,
+            overlapped,
+            &scratch.chunk_codec_s,
+            chunks.map(|(&sent, &received)| if relayed { sent } else { sent.max(received) }),
+        );
+        (fabric, fabric_s)
+    }
 }
 
 /// The iteration's two embedding exchanges: owners send the distinct rows
@@ -1085,8 +1142,8 @@ impl Comm<'_> {
     }
 
     /// The paper's loop, once: compress per-destination chunks straight into
-    /// pooled send leases, move them through the route's all-to-all, and
-    /// decompress what arrives into recycled float storage sized for the
+    /// pooled send leases, move them through the link's [`ChunkedAllToAll`],
+    /// and decompress what arrives into recycled float storage sized for the
     /// source's full shard. Every route writes byte-identical chunks and
     /// delivers bit-identical matrices — only the charged time differs.
     /// The controller's window `share`, if any, accumulates the wire seen.
@@ -1094,12 +1151,12 @@ impl Comm<'_> {
     /// `window` is rank work the exchange does not feed. It runs once the
     /// last chunk is compressed: on the flat route its chunks are then on
     /// the wire, so the work hides under the wait for the peers' chunks; the
-    /// hierarchical route runs it just before its blocking collective. It
-    /// charges and closes its own phases.
+    /// relayed route runs it before the first receive blocks on the relay.
+    /// It charges and closes its own phases.
     fn exchange<'m, B, I, X, S>(
         &mut self,
         mut dir: Direction<B, X, S>,
-        mut share: Option<&mut WindowShare>,
+        share: Option<&mut WindowShare>,
         window: impl FnOnce(&mut PipelineScratch, &mut Accounting<'_>),
     ) where
         B: Fn(usize) -> I,
@@ -1113,19 +1170,17 @@ impl Comm<'_> {
         let (ctx, raw) = (acct.ctx, codecs.is_identity());
         let (rank, world) = (ctx.rank(), ctx.world());
         let [compress, a2a, decompress] = dir.dir.phases();
-        let flat = link.tiers.is_none();
-        let mut stream = flat.then(|| ctx.begin_chunked());
+        let mut stream = link.begin(ctx);
 
         // ── Compress, destination-major, so per-chunk codec seconds can feed
         // the overlap timeline.
         scratch.chunk_codec_s.clear();
         scratch.chunk_sent.clear();
         scratch.chunk_recv.clear();
-        scratch.send.clear();
         let mut original_bytes = 0u64;
         let mut lease_growth = 0u64;
         for step in 0..world {
-            let dst = if flat { (rank + step) % world } else { step };
+            let (dst, _) = link.peers(rank, world, step);
             let t0 = Instant::now();
             let worst = payload_chunk_capacity(
                 (dir.blocks)(dst).map(|(t, _, rows)| codecs.max_stream_bytes(t, rows * dim)),
@@ -1163,10 +1218,7 @@ impl Comm<'_> {
                 .chunk_sent
                 .push(if dst == rank { 0 } else { buf.len() });
             original_bytes += chunk_original;
-            match stream.as_mut() {
-                Some(s) => s.send(dst, buf),
-                None => scratch.send.push(buf),
-            }
+            stream.send(dst, buf);
         }
         acct.ledger
             .add_time(compress, scratch.chunk_codec_s.iter().sum::<f64>());
@@ -1174,45 +1226,15 @@ impl Comm<'_> {
         acct.close(compress, scratch, lease_growth);
         window(scratch, acct);
 
-        // ── All-to-all. Flat chunks are already in flight; their wire time
-        // is charged once the last one has retired.
-        if let Some((topo, tiered)) = &link.tiers {
-            let bytes = ctx.all_to_all_hier_pooled(topo, &mut scratch.send, &mut scratch.recv);
-            let (intra_t, inter_t) = tiered.hier_tier_times(&bytes);
-            acct.ledger.add_bytes(a2a, bytes.total());
-            charge_a2a(
-                &mut acct.ledger,
-                a2a,
-                (tiered.hier_alpha_seconds(), intra_t + inter_t),
-                self.overlapped,
-                &scratch.chunk_codec_s,
-                scratch.chunk_sent.iter().copied(),
-            );
-            acct.add_tiers(bytes.intra_total(), bytes.inter_total(), (intra_t, inter_t));
-            if let Some(share) = share.as_mut() {
-                let ex = bytes.exchange;
-                let inter_b = ex.sent.max(ex.received) as f64;
-                share.wire_bytes += inter_b;
-                share.wire_seconds += inter_b / tiered.node_fabric_bandwidth();
-            }
-            acct.close(a2a, scratch, 0);
-        }
-
-        // ── Decompress each chunk in place as it is retired; its lease drops
-        // back to the sender's pool at once.
-        let mut recv = std::mem::take(&mut scratch.recv);
-        let mut delivered = recv.drain(..);
+        // ── Retire each chunk and decompress it in place; its lease drops
+        // back to the sender's pool at once. The wire time is charged once
+        // the last chunk has retired.
         let mut decompressed_bytes = 0u64;
         let mut profile_s = 0.0f64;
         let mut measured_s = 0.0f64;
         for step in 0..world {
-            let (src, chunk) = match stream.as_mut() {
-                Some(s) => {
-                    let src = (rank + world - step) % world;
-                    (src, s.recv(src))
-                }
-                None => (step, delivered.next().expect("one chunk per source rank")),
-            };
+            let (_, src) = link.peers(rank, world, step);
+            let chunk = stream.recv(src);
             scratch
                 .chunk_recv
                 .push(if src == rank { 0 } else { chunk.len() });
@@ -1257,8 +1279,6 @@ impl Comm<'_> {
             }
             measured_s += t0.elapsed().as_secs_f64();
         }
-        drop(delivered);
-        scratch.recv = recv;
         let modeled_s = charge_codec(
             &mut acct.ledger,
             decompress,
@@ -1268,31 +1288,11 @@ impl Comm<'_> {
             profile.map(|_| profile_s),
         );
         acct.a2a_sent[d] += scratch.chunk_sent.iter().sum::<usize>() as u64;
-        let Some(mut stream) = stream else {
-            acct.close(decompress, scratch, 0);
-            return;
-        };
-        let stats = stream.finish();
-        debug_assert_eq!(stats.sent, scratch.chunk_sent.iter().sum::<usize>());
-        debug_assert_eq!(stats.received, scratch.chunk_recv.iter().sum::<usize>());
-        acct.ledger
-            .add_bytes(a2a, (stats.sent + stats.received) as u64);
-        let cost = &link.cost;
-        charge_a2a(
-            &mut acct.ledger,
-            a2a,
-            (
-                cost.config().latency,
-                cost.alltoall_time(stats.sent, stats.received),
-            ),
-            self.overlapped,
-            &scratch.chunk_codec_s,
-            (scratch.chunk_sent.iter().zip(&scratch.chunk_recv)).map(|(&s, &r)| s.max(r)),
-        );
+        let bytes = stream.finish();
+        let (fabric, fabric_s) = link.charge(acct, a2a, &bytes, self.overlapped, scratch);
         if let Some(share) = share {
-            let bottleneck = stats.sent.max(stats.received);
-            share.wire_bytes += bottleneck as f64;
-            share.wire_seconds += cost.bandwidth_time(bottleneck);
+            share.wire_bytes += fabric as f64;
+            share.wire_seconds += fabric_s;
         }
         acct.close_split(decompress, (measured_s, modeled_s), a2a, scratch);
     }
@@ -1417,8 +1417,8 @@ impl<'a> RankState<'a> {
         let owned = setup.partition.tables_of(rank).to_vec();
         let codecs = trainer.compression.codec_bank(num_tables);
         let controller = ControllerState::new(trainer, &codecs);
-        // Hierarchical topology: the two-level collective replaces both
-        // all-to-alls and every network phase is charged by the tiered model.
+        // Hierarchical topology: both all-to-alls are relayed through node
+        // leaders and every network phase is charged by the tiered model.
         // `None` (flat) takes exactly the topology-less code paths.
         let hier = match &trainer.topology {
             TopologySetting::Flat => None,
@@ -2103,17 +2103,11 @@ impl<'a> RankState<'a> {
         spares.extend((0..2 * world).map(|_| ctx.take_buf(64)));
         drop(spares);
         if let Some((topo, _)) = &self.hier {
-            // The hierarchical collective takes bundle leases bigger
-            // than any single chunk (a node-pair exchange bundle carries
-            // ranks_per_node² framed chunks, a scatter bundle carries
-            // world − ranks_per_node). Park a working set sized to the
-            // largest bundle any phase can request, so fluctuating
-            // compressed sizes never catch the pool short.
-            let rpn = topo.ranks_per_node();
-            let entry = HIER_ENTRY_HEADER_BYTES + payload_cap;
-            let bundle_cap = (4 + rpn * rpn * entry)
-                .max(4 + world.saturating_sub(rpn) * entry)
-                .max(4 + rpn * entry);
+            // The relay takes bundle leases bigger than any single chunk.
+            // Park a working set sized to the largest bundle any phase can
+            // request, so fluctuating compressed sizes never catch the
+            // pool short.
+            let bundle_cap = relay_lease_capacity(topo, payload_cap);
             let spares: Vec<PooledBuf> = (0..6 * world).map(|_| ctx.take_buf(bundle_cap)).collect();
             drop(spares);
         }
