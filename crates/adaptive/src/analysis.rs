@@ -12,10 +12,9 @@ use crate::decay::EbSchedule;
 use crate::homo::{pattern_counts, HomoReport};
 use crate::speedup::{estimate_speedup, Dataflow, SpeedupInputs};
 use dlrm_compress::CompressorKind;
-use serde::{Deserialize, Serialize};
 
 /// Per-table outcome of the offline analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TablePlan {
     /// Table id (matches the dataset config).
     pub table_id: usize,
@@ -33,7 +32,7 @@ pub struct TablePlan {
 }
 
 /// Full output of the offline analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompressionPlan {
     /// One plan per table, indexed by table id.
     pub tables: Vec<TablePlan>,

@@ -14,10 +14,8 @@
 //! The default bounds follow the paper's chosen configuration:
 //! Large = 0.05, Medium = 0.03, Small = 0.01.
 
-use serde::{Deserialize, Serialize};
-
 /// Error-bound class of an embedding table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EbClass {
     /// Tolerates a large error bound (highest compression).
     Large,
@@ -39,7 +37,7 @@ impl EbClass {
 }
 
 /// Homogenization-index thresholds used by the classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thresholds {
     /// Tables with η **below** this get the Large error bound.
     pub large_below: f64,
@@ -78,7 +76,7 @@ impl Thresholds {
 /// `SmallEB = GlobalEB ÷ β`); [`EbConfig::from_global`] mirrors that, while
 /// [`EbConfig::paper_default`] pins the exact values the evaluation settled
 /// on (0.05 / 0.03 / 0.01).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EbConfig {
     /// Error bound assigned to [`EbClass::Large`] tables.
     pub large: f32,

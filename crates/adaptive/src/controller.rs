@@ -72,7 +72,6 @@
 
 use crate::speedup::{estimate_speedup, Dataflow, SpeedupInputs};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
-use serde::{Deserialize, Serialize};
 
 /// Reference `(compress, decompress)` throughputs per codec, in bytes/s —
 /// the deterministic stand-in for "measured codec throughput" that keeps
@@ -84,7 +83,7 @@ use serde::{Deserialize, Serialize};
 /// [`WindowObservation`] may carry the live measured throughput of the
 /// currently-running codecs, which the controller uses to *calibrate* the
 /// whole profile (scale it so the profile agrees with what was measured).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodecProfile {
     entries: Vec<(CompressorKind, (f64, f64))>,
 }
@@ -154,7 +153,7 @@ impl CodecProfile {
 /// improving it relaxes the scale back toward 1. The scale multiplies the
 /// decay schedule's bound, so iteration-wise decay and runtime control
 /// compose.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlateauEbControl {
     /// Relative per-window loss improvement below which the window counts as
     /// plateaued, e.g. `0.02` = less than 2% improvement.
@@ -177,7 +176,7 @@ impl Default for PlateauEbControl {
 }
 
 /// Static configuration of a [`RuntimeController`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControllerConfig {
     /// Iterations per observation window (one [`WindowObservation`] is
     /// expected per window).
@@ -269,7 +268,7 @@ impl ControllerConfig {
 }
 
 /// One table's share of a window observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableObservation {
     /// Table id.
     pub table_id: usize,
@@ -296,7 +295,7 @@ impl TableObservation {
 }
 
 /// Everything the controller sees about one window of training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowObservation {
     /// Iteration at which the window ended (the reselection point).
     pub iteration: usize,
@@ -516,7 +515,7 @@ impl WindowShare {
 }
 
 /// One table's codec switch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TableRevision {
     /// Table id.
     pub table_id: usize,
@@ -532,7 +531,7 @@ pub struct TableRevision {
 
 /// One entry of the controller's reselection log: what it saw and what it
 /// decided at one window boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reselection {
     /// Zero-based reselection counter.
     pub index: usize,
@@ -553,7 +552,6 @@ pub struct Reselection {
     /// Whether the window ran in degraded mode (a fault-plan straggler was
     /// active), which drops the hysteresis guard — see
     /// [`RuntimeController::observe_degraded`].
-    #[serde(default)]
     pub degraded: bool,
 }
 

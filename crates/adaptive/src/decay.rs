@@ -9,10 +9,8 @@
 //! trade-off, and that an abrupt *drop* at the phase boundary hurts
 //! convergence.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of the error-bound decay during the initial phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DecaySchedule {
     /// No decay: the multiplier is 1 throughout (fixed global error bound).
     None,
@@ -53,7 +51,7 @@ impl DecaySchedule {
 }
 
 /// Lengths of the two training phases, in iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrainingPhases {
     /// Iterations of the initial (decaying) phase.
     pub initial_iters: usize,
@@ -70,7 +68,7 @@ impl TrainingPhases {
 
 /// A complete iteration-wise error-bound schedule: a decay shape, a starting
 /// multiplier and the phase split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EbSchedule {
     /// Decay function used during the initial phase.
     pub schedule: DecaySchedule,

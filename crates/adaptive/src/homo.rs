@@ -20,11 +20,10 @@
 //! convention can be compared against the paper.
 
 use dlrm_compress::quant;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Pattern counts and homogenization scores for one sampled batch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HomoReport {
     /// Number of vectors in the sampled batch.
     pub batch_size: usize,

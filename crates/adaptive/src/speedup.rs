@@ -16,10 +16,9 @@
 //! largest estimated speedup.
 
 use dlrm_compress::CompressionReport;
-use serde::{Deserialize, Serialize};
 
 /// Inputs of the speedup model for one compressor on one table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupInputs {
     /// Compression ratio (original bytes / compressed bytes).
     pub ratio: f64,

@@ -42,11 +42,10 @@
 //! ```
 
 use dlrm_grad::{GradCodec, GradCodecKind, GradScratch, ReduceError};
-use serde::{Deserialize, Serialize};
 
 /// When and how to checkpoint — the knob the trainer's `FaultSetting`
 /// carries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointSpec {
     /// Take a checkpoint every `every` iterations (and always at a segment
     /// boundary, so a restore point exists for any scheduled event).
@@ -111,7 +110,7 @@ impl CheckpointSpec {
 }
 
 /// One compressed section: a float vector as the codec's byte stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedSection {
     /// Element count of the original float vector.
     pub original_len: usize,
@@ -172,7 +171,7 @@ impl EncodedSection {
 
 /// One embedding table's weights, identified globally by table id so the
 /// restore side needs no knowledge of the partition that wrote it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableSection {
     /// Stable table id (matches the dataset configuration).
     pub table_id: usize,
@@ -185,7 +184,7 @@ pub struct TableSection {
 }
 
 /// The state one rank contributes to a checkpoint.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RankCheckpoint {
     /// Iteration the snapshot describes (state *entering* this iteration).
     pub iteration: usize,
@@ -248,7 +247,7 @@ impl RankCheckpoint {
 
 /// A complete, partition-agnostic snapshot assembled from every rank's
 /// [`RankCheckpoint`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Iteration the snapshot describes.
     pub iteration: usize,

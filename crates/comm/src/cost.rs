@@ -6,8 +6,6 @@
 //! `latency + bytes / bandwidth` virtual seconds, where `bytes` is the
 //! bottleneck rank's traffic for that collective.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of the simulated interconnect (one link tier; a
 /// two-tier cluster pairs two of these in a
 /// [`Topology`](crate::topology::Topology)).
@@ -29,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(NetworkConfig::alltoall_bound(5e7).alltoall_bandwidth < 1e8);
 /// assert!(NetworkConfig::allreduce_bound(5e7).allreduce_bandwidth < 1e8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Effective per-rank all-to-all bandwidth in bytes per second.
     /// The paper's speedup analysis (Figure 11) uses 4 GB/s.

@@ -19,9 +19,9 @@
 //!   iteration `iter` (elastic scale-out/in); training re-shards and
 //!   continues from a checkpoint taken at the boundary.
 //!
-//! Like a trace, a plan is pure data: deterministic, serializable, and a
-//! pure function of the iteration counter, so every rank of an SPMD trainer
-//! derives identical decisions from the shared configuration.
+//! Like a trace, a plan is pure data: deterministic and a pure function of
+//! the iteration counter, so every rank of an SPMD trainer derives identical
+//! decisions from the shared configuration.
 //!
 //! ```
 //! use dlrm_comm::FaultPlan;
@@ -39,7 +39,6 @@
 //! ```
 
 use crate::cost::NetworkConfig;
-use serde::{Deserialize, Serialize};
 
 impl NetworkConfig {
     /// This network with every bandwidth divided by `factor` (latency
@@ -62,7 +61,7 @@ impl NetworkConfig {
 }
 
 /// One rank running slow over a half-open iteration window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerWindow {
     /// The straggling rank (an index into the world at the window's start).
     pub rank: usize,
@@ -83,7 +82,7 @@ impl StragglerWindow {
 }
 
 /// A scheduled change of the world size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorldEvent {
     /// Rank `rank` dies at the start of iteration `iter`: the world shrinks
     /// by one and the lost rank's tables re-shard onto the survivors.
@@ -122,7 +121,7 @@ impl WorldEvent {
 
 /// A deterministic schedule of stragglers and world events. See the
 /// [module docs](self).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     stragglers: Vec<StragglerWindow>,
     events: Vec<WorldEvent>,
@@ -236,8 +235,8 @@ impl FaultPlan {
             .fold(initial_world, |w, e| e.world_after(w))
     }
 
-    /// Structural validation (also the check to run on deserialized plans,
-    /// which bypass the panicking builders).
+    /// Structural validation; every builder panics on any error it
+    /// returns.
     pub fn validate(&self) -> Result<(), String> {
         for w in &self.stragglers {
             if !(w.multiplier >= 1.0 && w.multiplier.is_finite()) {

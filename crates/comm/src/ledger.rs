@@ -7,7 +7,6 @@
 //! compression phases). Ledgers from all ranks are merged to produce the
 //! breakdowns of Figures 1 and 12.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Accumulates seconds, bytes moved, and buffer-allocation accounting per
@@ -17,7 +16,7 @@ use std::collections::BTreeMap;
 /// capacity a phase obtained from fresh heap allocations vs recycled pool
 /// leases and scratch buffers — the evidence behind the zero-allocation
 /// steady-state claim of the compress → send pipeline.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimingLedger {
     seconds: BTreeMap<String, f64>,
     bytes: BTreeMap<String, u64>,
@@ -26,7 +25,6 @@ pub struct TimingLedger {
     /// Virtual seconds the overlapped (double-buffered) pipeline hid per
     /// phase: codec time that ran while a chunk was on the wire. A phase's
     /// *un-overlapped* cost is `seconds(phase) + overlap_saved(phase)`.
-    #[serde(default)]
     overlap_saved: BTreeMap<String, f64>,
 }
 

@@ -31,10 +31,9 @@
 
 use crate::cluster::ExchangeBytes;
 use crate::cost::{CostModel, Link, NetworkConfig};
-use serde::{Deserialize, Serialize};
 
 /// Which link a message crosses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Both ranks live on the same node (NVLink-class link).
     Intra,
@@ -68,7 +67,7 @@ pub enum Tier {
 /// assert!(flat.same_node(0, 7));
 /// assert_eq!(flat.inter_fraction(), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Topology {
     nodes: usize,
     ranks_per_node: usize,
@@ -204,7 +203,8 @@ impl Topology {
         (world - self.ranks_per_node) as f64 / (world - 1) as f64
     }
 
-    /// Structural validation (for configs that arrive via deserialization).
+    /// Structural validation: positive dimensions and positive link
+    /// parameters ([`Topology::new`] checks only the dimensions).
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 || self.ranks_per_node == 0 {
             return Err("topology dimensions must be positive".into());

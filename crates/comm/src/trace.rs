@@ -40,11 +40,10 @@
 
 use crate::cost::{CostModel, NetworkConfig};
 use crate::topology::{TieredCostModel, Topology};
-use serde::{Deserialize, Serialize};
 
 /// One segment of a [`BandwidthTrace`]: from `start_iter` (inclusive) until
 /// the next segment begins, the modeled link looks like `network`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSegment {
     /// First iteration this segment applies to.
     pub start_iter: usize,
@@ -55,7 +54,7 @@ pub struct TraceSegment {
 /// A piecewise-constant description of how the modeled interconnect changes
 /// over the iterations of a run. See the [module docs](self) for the
 /// motivation and a drift example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthTrace {
     /// Segments sorted by `start_iter`; the first starts at iteration 0.
     segments: Vec<TraceSegment>,
@@ -175,7 +174,8 @@ impl BandwidthTrace {
         &self.segments
     }
 
-    /// Structural validation (for traces that arrive via deserialization).
+    /// Structural validation; [`BandwidthTrace::new`] panics on any error
+    /// it returns.
     pub fn validate(&self) -> Result<(), String> {
         if self.segments.is_empty() {
             return Err("trace needs at least one segment".into());

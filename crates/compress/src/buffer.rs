@@ -26,11 +26,10 @@
 use crate::registry::Compressor;
 use crate::scratch::CompressScratch;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// A contiguous send buffer holding every destination's compressed chunk plus
 /// the offset table that the variable-size all-to-all sends as metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusedBuffer {
     /// Concatenated compressed chunks.
     pub bytes: Vec<u8>,

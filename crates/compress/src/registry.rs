@@ -8,7 +8,6 @@ use crate::scratch::CompressScratch;
 use crate::vlz::VlzConfig;
 use crate::Result;
 use crate::{deflate, fzlike, lzss, szlike};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a compressor implementation.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// `OursHuffman` = "Ours-Huffman", `SzLike` ≈ cuSZ, `FzLike` ≈ FZ-GPU,
 /// `Lz4Like` ≈ nvCOMP-LZ4, `DeflateLike` ≈ nvCOMP Deflate, and the two
 /// low-precision baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompressorKind {
     /// The paper's hybrid compressor (vector-LZ or Huffman, whichever wins).
     OursHybrid,

@@ -3,11 +3,10 @@
 
 use crate::registry::Compressor;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Outcome of one compress + decompress measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompressionReport {
     /// Compressor label.
     pub compressor: String,

@@ -2,7 +2,6 @@
 //! distributed trainer.
 
 use dlrm_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Sizes of the `parts` contiguous shards `n` samples split into — the one
 /// split rule, shared by [`MiniBatch::shard`] and the generator's sharded
@@ -14,7 +13,7 @@ pub(crate) fn shard_sizes(n: usize, parts: usize) -> impl Iterator<Item = usize>
 
 /// One mini-batch of DLRM training data. The default is the empty batch,
 /// which owns no storage.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MiniBatch {
     /// Dense (continuous) features, `batch_size x num_dense`.
     pub dense: Matrix,

@@ -1,7 +1,5 @@
 //! Dataset and embedding-table configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// How the values of an embedding table are distributed.
 ///
 /// The paper's observation ❸ notes that some tables' value distributions
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// vectors concentrate mass) while others look uniform. The synthetic
 /// generator makes this an explicit per-table property so that both the
 /// Huffman-friendly and the LZ-friendly regimes appear in every preset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ValueDistribution {
     /// Values drawn from N(0, std²), truncated to ±4·std.
     Gaussian {
@@ -41,7 +39,7 @@ impl ValueDistribution {
 /// draws each category's vector as `centroid[c mod centroids] + jitter`, so
 /// the amount of homogenization is controlled by how the jitter compares to
 /// the quantization bin width.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Number of distinct centroids the category vectors cluster around.
     pub centroids: usize,
@@ -50,7 +48,7 @@ pub struct ClusterSpec {
 }
 
 /// Static description of one categorical feature / embedding table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableProfile {
     /// Stable identifier (0-based, matches the paper's "EMB Table ID").
     pub id: usize,
@@ -109,7 +107,7 @@ impl TableProfile {
 /// shifts by `exponent_shift` (more or less repetition per batch), and every
 /// `hot_rotation_every` batches the hot set rotates to a different slice of
 /// each table's categories.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficDrift {
     /// Batch index at which the drift begins.
     pub start_batch: usize,
@@ -170,7 +168,7 @@ impl TrafficDrift {
 }
 
 /// Full description of a synthetic dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetConfig {
     /// Human-readable preset name ("criteo-kaggle-like", …).
     pub name: String,
@@ -186,7 +184,6 @@ pub struct DatasetConfig {
     pub label_seed: u64,
     /// Optional mid-run traffic drift (`None` keeps the stream stationary —
     /// and bit-identical to the drift-less generator).
-    #[serde(default)]
     pub drift: Option<TrafficDrift>,
 }
 

@@ -31,11 +31,9 @@ use dlrm_adaptive::CodecProfile;
 use dlrm_comm::ReduceError;
 use dlrm_compress::lowprec::{self, Precision};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
-use serde::{Deserialize, Serialize};
 
-/// Serializable description of a gradient codec (the form carried in
-/// trainer configs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Description of a gradient codec (the form carried in trainer configs).
+#[derive(Debug, Clone, PartialEq)]
 pub enum GradCodecKind {
     /// Raw f32 — lossless, ratio 1. The control arm of every experiment.
     Identity,

@@ -7,10 +7,9 @@ use crate::metrics::EvalMetrics;
 use crate::mlp::{Mlp, MlpCache, MlpChain, MlpGrads};
 use dlrm_data::{DatasetConfig, MiniBatch};
 use dlrm_tensor::{ops, Matrix, SeededRng};
-use serde::{Deserialize, Serialize};
 
 /// Architecture description of a DLRM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DlrmConfig {
     /// Number of dense (continuous) input features.
     pub num_dense: usize,

@@ -1,11 +1,10 @@
 //! Embedding tables: the model-parallel half of a DLRM.
 
 use dlrm_tensor::{init, Initializer, Matrix, SeededRng};
-use serde::{Deserialize, Serialize};
 
 /// One embedding table (`cardinality x dim`), storing a dense vector per
 /// category of a categorical feature.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingTable {
     /// Stable table id (matches the dataset configuration).
     pub id: usize,

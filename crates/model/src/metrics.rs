@@ -1,10 +1,9 @@
 //! Evaluation metrics for CTR prediction.
 
 use dlrm_tensor::ops;
-use serde::{Deserialize, Serialize};
 
 /// Loss/accuracy/AUC of one evaluation pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalMetrics {
     /// Mean binary cross-entropy (with logits).
     pub loss: f64,

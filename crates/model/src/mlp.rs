@@ -4,10 +4,9 @@
 //! averaged result).
 
 use dlrm_tensor::{init, ops, Initializer, Matrix, SeededRng};
-use serde::{Deserialize, Serialize};
 
 /// One fully-connected layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Linear {
     /// `in x out` weight matrix.
     w: Matrix,
@@ -17,7 +16,7 @@ struct Linear {
 
 /// An MLP: `dims[0] -> dims[1] -> … -> dims.last()`, ReLU after every layer
 /// except the last.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Linear>,
     dims: Vec<usize>,

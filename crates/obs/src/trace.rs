@@ -8,8 +8,8 @@
 //! by timestamp containment, which is how the viewers infer hierarchy.
 //! Timestamps are microseconds, converted from the recorder's seconds.
 //!
-//! The encoder is a hand-rolled string builder — the workspace is offline
-//! and its serde is a derive-only shim — and its output is deterministic:
+//! The encoder is a hand-rolled string builder, and its output is
+//! deterministic:
 //! records are sorted by start time (ties broken structurally), so a
 //! modeled-clock trace is byte-identical across runs.
 //!

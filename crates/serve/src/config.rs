@@ -5,10 +5,9 @@ use dlrm_comm::{NetworkConfig, Topology};
 use dlrm_compress::CompressorKind;
 use dlrm_grad::GradCodecKind;
 use dlrm_trainer::ExecutorSetting;
-use serde::{Deserialize, Serialize};
 
 /// How cross-rank embedding fetches travel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FetchSetting {
     /// Raw `f32` rows on the wire (the no-compression baseline).
     Raw,
@@ -64,7 +63,7 @@ impl FetchSetting {
 
 /// Closed-loop codec adaptation for the fetch path (the PR 5 controller
 /// re-pointed at serving traffic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeAdaptive {
     /// Batch windows per controller observation window.
     pub window: usize,
@@ -96,7 +95,7 @@ impl ServeAdaptive {
 }
 
 /// Full description of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Ranks the executor spawns.
     pub world: usize,

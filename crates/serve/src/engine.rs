@@ -87,6 +87,7 @@ use dlrm_exec::Executor;
 use dlrm_grad::{ControllerReplica, GradScratch};
 use dlrm_model::{Dlrm, DlrmConfig};
 use dlrm_tensor::Matrix;
+use dlrm_trainer::pipeline::restore_model;
 use dlrm_trainer::TablePartition;
 
 use crate::cache::HotRowCache;
@@ -95,7 +96,6 @@ use crate::config::ServeConfig;
 use crate::fetch::{answered, request_groups, write_request_chunk, FetchCodecs};
 use crate::latency::{percentile, timeline};
 use crate::report::ServingReport;
-use crate::snapshot::restore_owned;
 
 /// Serve `cfg.requests` requests against freshly-initialized model weights
 /// (`cfg.model_seed` stands in for the trained state).
@@ -348,7 +348,7 @@ impl<'a> ServeRank<'a> {
             Some(&owned),
         );
         if let Some(ckpt) = &setup.checkpoint {
-            restore_owned(&mut model, ckpt, &owned);
+            restore_model(&mut model, ckpt, &owned);
         }
         let my_req_max = cfg.window / frontends + 1;
         let mut coalescer = BatchCoalescer::new(world);

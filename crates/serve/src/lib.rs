@@ -45,4 +45,4 @@ pub use engine::{run_serving, run_serving_from_checkpoint};
 pub use fetch::FetchCodecs;
 pub use latency::{percentile, timeline, Timeline};
 pub use report::ServingReport;
-pub use snapshot::{restore_owned, snapshot_model};
+pub use snapshot::snapshot_model;

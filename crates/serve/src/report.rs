@@ -1,7 +1,6 @@
 //! The serving run's outcome.
 
 use dlrm_adaptive::Reselection;
-use serde::{Deserialize, Serialize};
 
 /// Everything one serving run produced: throughput, tail latency, cache and
 /// fetch statistics, the controller's reselection log, and the raw
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// pure function of `(dataset, partition, seeds, config)` — independent of
 /// executor mode, wire pacing, wall clock and host load. That split is what
 /// [`Self::fingerprint`] hashes and the determinism regression suite pins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
     /// Dataset preset name.
     pub dataset: String,

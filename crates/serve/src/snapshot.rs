@@ -8,53 +8,18 @@
 //! from an in-process model — the single-process path that hands a model
 //! trained in this process to the fleet.
 
-use dlrm_ckpt::{Checkpoint, EncodedSection, RankCheckpoint};
+use dlrm_ckpt::{Checkpoint, RankCheckpoint};
 use dlrm_grad::{GradCodecKind, GradScratch};
 use dlrm_model::Dlrm;
+use dlrm_trainer::pipeline::encode_model;
 
 /// Encode `model` (every table at its row width, and the MLP) into a
 /// checkpoint with `codec`.
 pub fn snapshot_model(model: &Dlrm, codec: &GradCodecKind, iteration: usize) -> Checkpoint {
-    let (built, mut scratch) = (codec.build(), GradScratch::new());
-    let mut encode =
-        |data: &[f32], width| EncodedSection::encode(&built, data, width, &mut scratch);
-    let mut part = RankCheckpoint::new(iteration, 0);
-    let mut flat = Vec::new();
-    model.flatten_mlp_params_into(&mut flat);
-    part.mlp = Some(encode(&flat, flat.len()));
-    for t in 0..model.config().num_tables() {
-        let table = model.embedding(t);
-        let section = encode(table.weights().as_slice(), table.dim());
-        part.push_table(t, table.cardinality(), table.dim(), section);
-    }
+    let tables: Vec<usize> = (0..model.config().num_tables()).collect();
+    let (built, mut part) = (codec.build(), RankCheckpoint::new(iteration, 0));
+    encode_model(model, &tables, &built, &mut GradScratch::new(), &mut part);
     Checkpoint::assemble(codec.clone(), vec![part])
-}
-
-/// Restore the MLP replica and the `owned` table shards of `model` from
-/// `checkpoint`.
-///
-/// # Panics
-/// Panics if the checkpoint is missing an owned table, a shape mismatches
-/// or a section does not decode; the message names the section.
-pub fn restore_owned(model: &mut Dlrm, checkpoint: &Checkpoint, owned: &[usize]) {
-    let (codec, mut scratch) = (checkpoint.codec.build(), GradScratch::new());
-    let mut floats = Vec::new();
-    (checkpoint.mlp)
-        .decode_into(&codec, &mut scratch, &mut floats)
-        .unwrap_or_else(|e| panic!("checkpoint MLP section: {e}"));
-    model.load_flat_mlp_params(&floats);
-    for &t in owned {
-        let section = checkpoint
-            .table(t)
-            .unwrap_or_else(|| panic!("checkpoint is missing table {t}"));
-        let table = model.embedding_mut(t);
-        assert_eq!(section.rows, table.cardinality(), "table {t} row mismatch");
-        assert_eq!(section.cols, table.dim(), "table {t} dim mismatch");
-        (section.section)
-            .decode_into(&codec, &mut scratch, &mut floats)
-            .unwrap_or_else(|e| panic!("checkpoint table {t} section: {e}"));
-        table.weights_mut().as_mut_slice().copy_from_slice(&floats);
-    }
 }
 
 #[cfg(test)]
@@ -62,6 +27,7 @@ mod tests {
     use super::*;
     use dlrm_data::presets;
     use dlrm_model::DlrmConfig;
+    use dlrm_trainer::pipeline::restore_model;
 
     #[test]
     fn lossless_snapshot_restores_bitwise() {
@@ -71,7 +37,7 @@ mod tests {
         let ckpt = snapshot_model(&model, &GradCodecKind::Identity, 7);
         // Restore into a partial replica owning tables 1 and 3.
         let mut partial = Dlrm::new_partial(cfg, 1234, Some(&[1, 3]));
-        restore_owned(&mut partial, &ckpt, &[1, 3]);
+        restore_model(&mut partial, &ckpt, &[1, 3]);
         for t in [1usize, 3] {
             assert_eq!(
                 model.embedding(t).weights().as_slice(),

@@ -27,14 +27,13 @@
 //! additions in the same order.
 
 use crate::lanes::{self, Kernel, Lanes, F4};
-use serde::{Deserialize, Serialize};
 
 /// Lanes of the kernels' vector: a dot product's accumulators (see [`dot`]).
 const LANES: usize = 8;
 
 /// A dense, row-major matrix of `f32`. The default is the empty `0 x 0`
 /// matrix, which owns no storage.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

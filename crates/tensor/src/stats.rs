@@ -2,10 +2,8 @@
 //! embedding values (Figures 13 and 14 of the paper), mean/variance, and a
 //! simple normality score used by the offline table analysis.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a sample of `f32` values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of finite samples.
     pub count: usize,
@@ -64,7 +62,7 @@ impl Summary {
 }
 
 /// A fixed-width histogram over a closed value range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Inclusive lower edge of the first bin.
     pub lo: f32,

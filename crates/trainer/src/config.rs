@@ -6,10 +6,9 @@ use dlrm_ckpt::CheckpointSpec;
 use dlrm_comm::{BandwidthTrace, FaultPlan, NetworkConfig, Topology, WorldEvent};
 use dlrm_compress::CompressorKind;
 use dlrm_grad::{CodecBank, GradCodecKind};
-use serde::{Deserialize, Serialize};
 
 /// How (and whether) all-to-all payloads are compressed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CompressionSetting {
     /// Baseline: raw FP32 payloads, no compression stages.
     None,
@@ -128,7 +127,7 @@ impl CompressionSetting {
 /// collective with a [`GradCodecKind`] encoding every hop; with
 /// `error_feedback` the per-rank residual accumulator re-injects whatever
 /// the codec lost (required for top-k, recommended for every lossy codec).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum DenseCompression {
     /// Uncompressed fp32 all-reduce — today's path, bit for bit.
     #[default]
@@ -277,7 +276,7 @@ impl DenseCompression {
 /// with `DoubleBuffered`, the codec for chunk *k+1* runs while chunk *k* is
 /// on the wire, and the hidden wire time is recorded in the ledger's
 /// `overlap_saved` counters instead of the iteration's critical path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverlapSetting {
     /// Sequential charge: every exchange pays its full α + β after the codec.
     #[default]
@@ -318,7 +317,7 @@ impl OverlapSetting {
 /// codec throughput into its Equation-2 reselections, and measured time is
 /// executor- (and machine-) dependent. Configure a codec profile when
 /// reselections must be reproducible across executors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorSetting {
     /// Ranks take turns under a serial gate (single-core baseline).
     Sequential,
@@ -368,7 +367,7 @@ impl ExecutorSetting {
 /// follow the executor: modeled (deterministic) under
 /// [`ExecutorSetting::Sequential`], wall-clock under
 /// [`ExecutorSetting::Threaded`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsSetting {
     /// No recording — the default, and byte-identical to the trainer
     /// without the observability layer.
@@ -407,7 +406,7 @@ impl ObsSetting {
 /// Payloads and reduced gradients are bit-identical to the flat run; only
 /// modeled time and per-tier wire volume change. When a topology is set,
 /// [`TrainerConfig::network`] is ignored in favour of the per-tier links.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TopologySetting {
     /// Single-tier cluster over [`TrainerConfig::network`] — today's path.
     #[default]
@@ -456,7 +455,7 @@ impl TopologySetting {
 /// measurements are all-gathered at each window boundary, so the rank that
 /// compresses a table and the ranks that decompress it always agree on the
 /// codec.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum AdaptiveSetting {
     /// Offline selection only — today's path, bit for bit.
     #[default]
@@ -471,7 +470,6 @@ pub enum AdaptiveSetting {
         hysteresis: f64,
         /// Optional loss-plateau-driven error-bound control; `None` leaves
         /// error bounds to the decay schedule alone.
-        #[serde(default)]
         eb_control: Option<PlateauEbControl>,
     },
 }
@@ -513,12 +511,11 @@ impl AdaptiveSetting {
 /// before the event, re-sharding the embedding tables onto the new world
 /// (see `trainer::partition`), so validation rejects a plan with world
 /// events but no checkpoint policy.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSetting {
     /// The scheduled stragglers and world events.
     pub plan: FaultPlan,
     /// Checkpoint cadence/codec; required when the plan has world events.
-    #[serde(default)]
     pub checkpoint: Option<CheckpointSpec>,
 }
 
@@ -557,7 +554,7 @@ impl FaultSetting {
 }
 
 /// Full configuration of one training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainerConfig {
     /// Number of simulated ranks (GPUs).
     pub world: usize,
@@ -571,22 +568,18 @@ pub struct TrainerConfig {
     pub compression: CompressionSetting,
     /// Whether the all-to-all stages overlap compression with the wire
     /// (defaults to [`OverlapSetting::Off`], the sequential charge).
-    #[serde(default)]
     pub overlap: OverlapSetting,
     /// Compression of the dense MLP-gradient all-reduce (defaults to
     /// [`DenseCompression::Off`], the bit-exact uncompressed path).
-    #[serde(default)]
     pub dense_compression: DenseCompression,
     /// Simulated interconnect.
     pub network: NetworkConfig,
     /// Cluster shape: flat (default) or a node-aware two-tier hierarchy
     /// (see [`TopologySetting`]).
-    #[serde(default)]
     pub topology: TopologySetting,
     /// Whether compressor selection is frozen at iteration 0 or revised
     /// mid-run by the closed-loop controller (defaults to
     /// [`AdaptiveSetting::Static`], the bit-exact offline-only path).
-    #[serde(default)]
     pub adaptive: AdaptiveSetting,
     /// Optional piecewise-constant drift of the modeled interconnect.
     /// `None` (the default) charges [`TrainerConfig::network`] — or the
@@ -594,7 +587,6 @@ pub struct TrainerConfig {
     /// makes every network charge use the link in effect at the current
     /// iteration (under a hierarchical topology the trace replaces the
     /// **inter-node** tier).
-    #[serde(default)]
     pub bandwidth_trace: Option<BandwidthTrace>,
     /// Optional fault/elasticity scenario. `None` — and a setting whose
     /// plan is [`FaultPlan::none`] — run today's healthy path **bit for
@@ -602,7 +594,6 @@ pub struct TrainerConfig {
     /// straggler window is active and splits the run into segments around
     /// each world event, with checkpoint/re-shard/replay recovery between
     /// them.
-    #[serde(default)]
     pub fault: Option<FaultSetting>,
     /// Optional per-codec analytic throughput model: when set, compression
     /// and decompression time of the all-to-all payloads is charged as
@@ -611,24 +602,20 @@ pub struct TrainerConfig {
     /// codecs with different speed/ratio trade-offs be compared in modeled
     /// time (and what the runtime controller's selection assumes). Takes
     /// precedence over `device_throughput` for the embedding payloads.
-    #[serde(default)]
     pub codec_profile: Option<CodecProfile>,
     /// Which `dlrm-exec` scheduling mode runs the rank pipelines (defaults
     /// to [`ExecutorSetting::Threaded`], the free-running thread-per-rank
     /// executor). Numerics are identical either way.
-    #[serde(default)]
     pub executor: ExecutorSetting,
     /// When `true`, message delivery is paced by the α–β model with real
     /// sleeps (`dlrm-comm`'s `WirePolicy::Modeled`), making the wall-clock
     /// phase timings in the report meaningful against the modeled ledger.
     /// Defaults to `false`: instant delivery, wall timings then measure
     /// compute and synchronisation only.
-    #[serde(default)]
     pub realtime_wire: bool,
     /// Whether the run records structured spans and per-iteration metrics
     /// (defaults to [`ObsSetting::Off`], the bit-identical no-recorder
     /// path).
-    #[serde(default)]
     pub obs: ObsSetting,
     /// Seed for data generation and model initialisation.
     pub seed: u64,
@@ -763,10 +750,11 @@ impl TrainerConfig {
         if self.iterations == 0 {
             return Err("need at least one iteration".into());
         }
-        if !(self.learning_rate > 0.0 && self.learning_rate.is_finite()) {
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        if !positive(self.learning_rate.into()) {
             return Err("learning rate must be positive".into());
         }
-        if !(self.compute_time_scale > 0.0 && self.compute_time_scale.is_finite()) {
+        if !positive(self.compute_time_scale) {
             return Err("compute_time_scale must be positive".into());
         }
         if let TopologySetting::Hierarchical(topo) = &self.topology {
@@ -803,6 +791,21 @@ impl TrainerConfig {
                         .into(),
                 );
             }
+        }
+        // The error-bounded codecs refuse a bound that is not positive and
+        // finite: reject it here, not as a panic inside a rank's encode.
+        let embedding_bounds_ok = match &self.compression {
+            CompressionSetting::FixedLossy { error_bound, .. } => positive((*error_bound).into()),
+            CompressionSetting::Adaptive(plan) => plan.tables.iter().all(|t| {
+                positive(t.base_error_bound.into()) || !t.compressor.build().is_error_bounded()
+            }),
+            _ => true,
+        };
+        if !embedding_bounds_ok {
+            return Err("embedding error bounds must be positive and finite".into());
+        }
+        if (self.device_throughput).is_some_and(|(c, d)| !(positive(c) && positive(d))) {
+            return Err("device_throughput rates must be positive and finite".into());
         }
         if let Some(trace) = &self.bandwidth_trace {
             trace.validate()?;
@@ -887,7 +890,7 @@ impl TrainerConfig {
                 }
                 GradCodecKind::ErrorBounded { error_bound, .. }
                 | GradCodecKind::Lattice { error_bound }
-                    if !(*error_bound > 0.0 && error_bound.is_finite()) =>
+                    if !positive((*error_bound).into()) =>
                 {
                     return Err("dense error bound must be positive".into());
                 }
@@ -933,6 +936,37 @@ mod tests {
         let mut bad3 = good;
         bad3.learning_rate = -1.0;
         assert!(bad3.validate().is_err());
+    }
+
+    #[test]
+    fn embedding_error_bound_must_be_positive_and_finite() {
+        let validate = |c| TrainerConfig::small_test(c).validate();
+        for eb in [0.0, -0.02, f32::NAN, f32::INFINITY] {
+            assert!(validate(CompressionSetting::fixed(eb, CompressorKind::OursHybrid)).is_err());
+        }
+        let mut plan = crate::plan::paper_default_plan(&dlrm_data::presets::tiny(), 4, 4, 4e9, 7)
+            .expect("offline analysis succeeds on synthetic traffic");
+        plan.tables[1].base_error_bound = 0.0;
+        plan.tables[1].compressor = CompressorKind::SzLike;
+        assert!(validate(CompressionSetting::Adaptive(plan.clone())).is_err());
+        // A lossless table ignores its bound.
+        plan.tables[1].compressor = CompressorKind::Lz4Like;
+        assert!(validate(CompressionSetting::Adaptive(plan)).is_ok());
+    }
+
+    #[test]
+    fn device_throughput_must_be_positive_and_finite() {
+        let mut cfg = TrainerConfig::small_test(CompressionSetting::None)
+            .with_dense_compression(DenseCompression::fp16());
+        let nan = f64::NAN;
+        for (rates, ok) in [
+            ((5e10, 5e10), true),
+            ((0.0, -1.0), false),
+            ((5e10, nan), false),
+        ] {
+            cfg.device_throughput = Some(rates);
+            assert_eq!(cfg.validate().is_ok(), ok, "{rates:?}");
+        }
     }
 
     #[test]

@@ -16,10 +16,8 @@
 //! remaps ([`TablePartition::after_loss`], [`TablePartition::resized`])
 //! stay on the cardinality rule.
 
-use serde::{Deserialize, Serialize};
-
 /// Assignment of embedding tables to ranks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TablePartition {
     /// `owned[r]` lists the table ids owned by rank `r`, in ascending order.
     pub owned: Vec<Vec<usize>>,

@@ -464,7 +464,7 @@ fn chunk_codec_seconds(
     }
     match (analytic, throughput) {
         (Some(a), _) => a,
-        (None, Some(t)) if t > 0.0 => bytes as f64 / t,
+        (None, Some(t)) => bytes as f64 / t,
         _ => measured,
     }
 }
@@ -761,19 +761,68 @@ impl<'a> Accounting<'a> {
     }
 }
 
-/// Checkpoint state of one segment: the codec and its scratch, a flatten
-/// buffer, and the totals [`RankOutcome`] reports
+/// Checkpoint state of one segment: the codec and its scratch, and the
+/// totals [`RankOutcome`] reports
 /// ([`RankState::checkpoint`] writes, [`RankState::restore`] reads).
 #[derive(Default)]
 struct CheckpointWriter {
     codec: Option<GradCodec>,
     scratch: GradScratch,
-    flat: Vec<f32>,
     taken: usize,
     original_bytes: u64,
     encoded_bytes: u64,
     write_seconds: f64,
     last: Option<RankCheckpoint>,
+}
+
+/// Encode `model`'s MLP replica (into rank 0's `part` only: every rank holds
+/// the same one) and its `tables`, each at its row width, into `part`.
+pub fn encode_model(
+    model: &Dlrm,
+    tables: &[usize],
+    codec: &GradCodec,
+    scratch: &mut GradScratch,
+    part: &mut RankCheckpoint,
+) {
+    let mut encode = |data: &[f32], width| EncodedSection::encode(codec, data, width, scratch);
+    if part.rank == 0 {
+        let mut flat = Vec::new();
+        model.flatten_mlp_params_into(&mut flat);
+        part.mlp = Some(encode(&flat, flat.len()));
+    }
+    for &t in tables {
+        let w = model.embedding(t).weights();
+        part.push_table(t, w.rows(), w.cols(), encode(w.as_slice(), w.cols()));
+    }
+}
+
+/// Restore the MLP replica and the `owned` tables of `model` from `ckpt`,
+/// whatever partition wrote it (sections are keyed by table id).
+///
+/// # Panics
+/// Panics, naming the section, on a missing table, a shape mismatch or a
+/// section that does not decode.
+pub fn restore_model(model: &mut Dlrm, ckpt: &Checkpoint, owned: &[usize]) {
+    let (codec, mut scratch, mut flat) = (ckpt.codec.build(), GradScratch::new(), Vec::new());
+    let mut decode = |section: &EncodedSection, what: std::fmt::Arguments, out: &mut Vec<f32>| {
+        (section.decode_into(&codec, &mut scratch, out))
+            .unwrap_or_else(|e| panic!("checkpoint {what} section: {e}"))
+    };
+    decode(&ckpt.mlp, format_args!("MLP"), &mut flat);
+    model.load_flat_mlp_params(&flat);
+    for &t in owned {
+        let section = ckpt
+            .table(t)
+            .unwrap_or_else(|| panic!("checkpoint is missing table {t}"));
+        decode(&section.section, format_args!("table {t}"), &mut flat);
+        let w = model.embedding_mut(t).weights_mut();
+        assert_eq!(
+            (section.rows, section.cols),
+            (w.rows(), w.cols()),
+            "table {t}: checkpoint shape mismatch"
+        );
+        w.as_mut_slice().copy_from_slice(&flat);
+    }
 }
 
 /// Per-rank state of the closed-loop runtime controller
@@ -1504,38 +1553,17 @@ impl<'a> RankState<'a> {
     }
 
     /// Restore the checkpoint this segment resumes from (recovery after a
-    /// rank loss, or re-sharding onto a resized world). Sections are keyed
-    /// by table id, so the restore works for any partition of the surviving
-    /// world. The read is setup, not training: the clocks restart.
+    /// rank loss, or re-sharding onto a resized world): [`restore_model`]
+    /// and this rank's residual. The read is setup, not training: the
+    /// clocks restart.
     fn restore(&mut self, ckpt: &Checkpoint) {
         let rank = self.ctx.rank();
-        let flat = &mut self.checkpoints.flat;
-        let (codec, codec_scratch) = (ckpt.codec.build(), &mut self.checkpoints.scratch);
-        let mut decode =
-            |section: &EncodedSection, what: std::fmt::Arguments, out: &mut Vec<f32>| {
-                (section.decode_into(&codec, codec_scratch, out))
-                    .unwrap_or_else(|e| panic!("rank {rank}: checkpoint {what} section: {e}"))
-            };
-        decode(&ckpt.mlp, format_args!("MLP"), flat);
-        self.model.load_flat_mlp_params(flat);
-        for &t in &self.owned {
-            let section = ckpt
-                .table(t)
-                .unwrap_or_else(|| panic!("checkpoint is missing table {t}"));
-            decode(&section.section, format_args!("table {t}"), flat);
-            let w = self.model.embedding_mut(t).weights_mut();
-            assert_eq!(
-                (section.rows, section.cols),
-                (w.rows(), w.cols()),
-                "table {t}: checkpoint shape mismatch"
-            );
-            w.as_mut_slice().copy_from_slice(flat);
-        }
-        if let Some(section) = ckpt.residual_for(rank) {
-            if let Some(state) = self.dense.codec.as_mut() {
-                decode(section, format_args!("residual"), flat);
-                state.load_residual(flat);
-            }
+        restore_model(&mut self.model, ckpt, &self.owned);
+        if let (Some(section), Some(state)) = (ckpt.residual_for(rank), self.dense.codec.as_mut()) {
+            let (codec, residual) = (ckpt.codec.build(), &mut Vec::new());
+            (section.decode_into(&codec, &mut self.checkpoints.scratch, residual))
+                .unwrap_or_else(|e| panic!("rank {rank}: checkpoint residual section: {e}"));
+            state.load_residual(residual);
         }
         // The restore read is charged at the store bandwidth; every rank
         // reads the full checkpoint's bytes (MLP + all shards stream past).
@@ -1554,36 +1582,21 @@ impl<'a> RankState<'a> {
     }
 
     /// Snapshot this rank's share of a global checkpoint of the state
-    /// `iteration` starts with: the MLP replica (rank 0 only — every rank
-    /// holds identical dense parameters, so one copy suffices), the
-    /// embedding shards this rank owns, and the dense error-feedback
-    /// residual, each encoded through the checkpoint codec, with the store
-    /// write charged at its modeled bandwidth.
+    /// `iteration` starts with: [`encode_model`] over the shards this rank
+    /// owns, and the dense error-feedback residual, each encoded through
+    /// the checkpoint codec, with the store write charged at its modeled
+    /// bandwidth.
     fn checkpoint(&mut self, iteration: usize) {
         let spec = (self.setup.segment.checkpoint.as_ref())
             .expect("validated: checkpoints are taken under a spec");
         let ck = &mut self.checkpoints;
-        let (codec, flat) = (
-            ck.codec.as_ref().expect("codec built with the spec"),
-            &mut ck.flat,
-        );
-        let mut encode = |data: &[f32], row_width| {
-            EncodedSection::encode(codec, data, row_width, &mut ck.scratch)
-        };
-        let rank = self.ctx.rank();
+        let codec = ck.codec.as_ref().expect("codec built with the spec");
         let t0 = Instant::now();
-        let mut part = RankCheckpoint::new(iteration, rank);
-        if rank == 0 {
-            flat.clear();
-            self.model.flatten_mlp_params_into(flat);
-            part.mlp = Some(encode(flat.as_slice(), flat.len()));
-        }
-        for &t in &self.owned {
-            let w = self.model.embedding(t).weights();
-            part.push_table(t, w.rows(), w.cols(), encode(w.as_slice(), w.cols()));
-        }
+        let mut part = RankCheckpoint::new(iteration, self.ctx.rank());
+        encode_model(&self.model, &self.owned, codec, &mut ck.scratch, &mut part);
         if let Some(residual) = self.dense.codec.as_ref().and_then(GradCompressor::residual) {
-            part.residual = Some(encode(residual, residual.len()));
+            let section = EncodedSection::encode(codec, residual, residual.len(), &mut ck.scratch);
+            part.residual = Some(section);
         }
         part.encode_seconds = t0.elapsed().as_secs_f64();
 

@@ -11,13 +11,12 @@ use dlrm_data::{BatchFeed, DatasetConfig};
 use dlrm_exec::Executor;
 use dlrm_model::EvalMetrics;
 use dlrm_obs::{MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecord, TraceExport};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Per-table forward all-to-all compression statistics, summed over the whole
 /// run and over all ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TableCompressionStats {
     /// Table id.
     pub table_id: usize,
@@ -29,7 +28,6 @@ pub struct TableCompressionStats {
     pub compressed_bytes: u64,
     /// `rows × dim × 4` bytes the receivers got once each block was
     /// re-expanded to one row per sample.
-    #[serde(default)]
     pub delivered_bytes: u64,
 }
 
@@ -45,12 +43,11 @@ impl TableCompressionStats {
 }
 
 /// Merged result of one distributed training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingReport {
     /// Compression setting label.
     pub label: String,
     /// Overlap mode the run used (sequential vs double-buffered pipeline).
-    #[serde(default)]
     pub overlap: OverlapSetting,
     /// Number of ranks.
     pub world: usize,
@@ -77,12 +74,10 @@ pub struct TrainingReport {
     /// Distinct-row bytes over delivered bytes of the forward exchange, over
     /// every table: the share of one-row-per-sample traffic the owners sent
     /// (1.0 when nothing was delivered).
-    #[serde(default)]
     pub fwd_unique_frac: f64,
     /// Overall backward-payload compression ratio: raw bytes of the summed
     /// gradient rows over their encoded bytes, over every table (1.0 when
     /// the backward exchange sent nothing, as in a run of zero iterations).
-    #[serde(default)]
     pub bwd_ratio: f64,
     /// `(forward, backward)` all-to-all bytes each rank sent to the other
     /// ranks per iteration, indexed by rank id: every chunk it framed for a
@@ -90,104 +85,83 @@ pub struct TrainingReport {
     /// iterations pool over the segments it ran in. Pacing is per sender,
     /// so the largest entry of each direction is the one its exchange waits
     /// for.
-    #[serde(default)]
     pub a2a_sent_per_iter: Vec<(f64, f64)>,
     /// Total modelled time of the run (sum of the breakdown's phases).
     pub total_seconds: f64,
     /// Virtual seconds the double-buffered pipeline hid (codec time that ran
     /// while chunks were on the wire), max-merged across ranks and summed
     /// over both all-to-all phases. Zero for sequential runs.
-    #[serde(default)]
     pub overlap_saved_seconds: f64,
     /// Executor label the run used (`"sequential"` or `"threaded"`).
-    #[serde(default)]
     pub executor: String,
     /// Real wall-clock seconds of the whole execution, spawn to join.
-    #[serde(default)]
     pub wall_seconds: f64,
     /// Per-phase wall-clock seconds, max-merged across ranks (the slowest
     /// rank bounds each bulk-synchronous phase). Each rank's buckets
     /// partition its training-loop wall time; the merged buckets need not
     /// sum to [`TrainingReport::wall_seconds`], which also covers setup and
     /// thread spawn/join.
-    #[serde(default)]
     pub wall_phase_seconds: TimingLedger,
     /// Total modeled seconds over measured wall seconds (0 when wall is 0).
     /// Meaningful under [`crate::config::TrainerConfig::realtime_wire`],
     /// where modeled wire time costs real sleeps and the ratio
     /// cross-validates the cost model against the clock; with an instant
     /// wire it merely reports virtual seconds charged per real second.
-    #[serde(default)]
     pub modeled_vs_wall_ratio: f64,
     /// Label of the dense-gradient (`mlp all-reduce`) compression setting.
-    #[serde(default)]
     pub dense_compression: String,
     /// Wire compression ratio of the dense all-reduce: raw bytes the
     /// schedule would have moved over bytes it actually moved, summed over
     /// ranks and iterations (1.0 when off).
-    #[serde(default)]
     pub dense_ratio: f64,
     /// Virtual seconds the compressed dense all-reduce saved vs the raw
     /// ring-formula charge, max-merged across ranks (the slowest rank bounds
     /// the bulk-synchronous step). Zero when off.
-    #[serde(default)]
     pub dense_saved_seconds: f64,
     /// Largest final error-feedback residual L2 norm across ranks (0
     /// without EF) — bounded residuals are the EF convergence invariant.
-    #[serde(default)]
     pub dense_residual_norm: f64,
     /// Compressed-domain combines performed at owner shards, summed across
     /// ranks and iterations. Zero on the classic decode → reduce → re-encode
     /// path and when dense compression is off.
-    #[serde(default)]
     pub homo_combines: u64,
     /// Virtual seconds charged to the homomorphic-combine phase, max-merged
     /// across ranks per segment (zero without a device-throughput override).
-    #[serde(default)]
     pub homo_combine_seconds: f64,
     /// Virtual codec seconds the homomorphic path saved vs the classic
     /// counterpart of the same schedule (eliminated owner-shard decodes and
     /// re-encodes minus the combine charge), max-merged across ranks per
     /// segment. Zero without a device-throughput override.
-    #[serde(default)]
     pub homo_saved_seconds: f64,
     /// Label of the cluster topology the run used (`"flat"` or
     /// `"<nodes>x<ranks_per_node>"`).
-    #[serde(default)]
     pub topology: String,
     /// Intra-node tier bytes moved (both directions, all network phases),
     /// summed across ranks and iterations. Zero under a flat topology —
     /// tier accounting is only recorded when a hierarchy is configured.
-    #[serde(default)]
     pub intra_tier_bytes: u64,
     /// Inter-node (fabric) tier bytes moved, summed across ranks and
     /// iterations. Zero under a flat topology.
-    #[serde(default)]
     pub inter_tier_bytes: u64,
     /// Virtual seconds charged to the intra-node tier, max-merged across
     /// ranks (the slowest rank bounds each bulk-synchronous phase). The
     /// un-overlapped charge: hidden time stays in `overlap_saved_seconds`.
-    #[serde(default)]
     pub intra_tier_seconds: f64,
     /// Virtual seconds charged to the inter-node (fabric) tier, max-merged
     /// across ranks.
-    #[serde(default)]
     pub inter_tier_seconds: f64,
     /// Label of the adaptive setting the run used (`"static"` or
     /// `"runtime-w<window>-h<hysteresis>"`).
-    #[serde(default)]
     pub adaptive: String,
     /// The runtime controller's reselection log: one entry per window
     /// boundary, recording the observed bandwidth, the loss-plateau signal,
     /// the error-bound scale and every codec switch. Empty under the static
     /// setting. Identical on every rank (asserted by the merger) — the SPMD
     /// consistency that keeps mid-run codec switches coherent.
-    #[serde(default)]
     pub reselections: Vec<Reselection>,
     /// Overall forward-payload compression ratio per controller window
     /// (over every table of the folded observation). Empty under the static
     /// setting.
-    #[serde(default)]
     pub window_ratios: Vec<f64>,
     /// Bytes of fresh buffer capacity the compress/send path allocated after
     /// the warm-up iterations, summed across ranks. Zero when the buffer
@@ -199,53 +173,41 @@ pub struct TrainingReport {
     /// Steps whose input-feed slot was still held when they were drawn, so
     /// they took fresh storage ([`dlrm_data::BatchFeed::spills`]), summed
     /// over segments. Zero when the ranks stay in step.
-    #[serde(default)]
     pub feed_spills: u64,
     /// Steps a rank drew ahead of time while its backward exchange was in
     /// flight ([`dlrm_data::BatchFeed::prefetched`]), summed over segments:
     /// every step but each segment's first when none was skipped.
-    #[serde(default)]
     pub prefetched_steps: u64,
     /// Label of the fault/elasticity setting (`"none"` without one).
-    #[serde(default)]
     pub fault: String,
     /// Human-readable log of the world events the run went through (rank
     /// losses, resizes), in schedule order. Empty for fault-free runs.
-    #[serde(default)]
     pub world_events: Vec<String>,
     /// World size after the last scheduled event (equals
     /// [`TrainingReport::world`] when nothing changed it).
-    #[serde(default)]
     pub final_world: usize,
     /// Global checkpoints taken across the run (every rank contributes its
     /// part to each).
-    #[serde(default)]
     pub checkpoints_taken: usize,
     /// Raw over encoded bytes across every checkpoint section (1.0 when no
     /// checkpoint was taken).
-    #[serde(default)]
     pub checkpoint_ratio: f64,
     /// Modeled store-write seconds, bounded per checkpoint by the slowest
     /// rank's part and summed over checkpoints.
-    #[serde(default)]
     pub checkpoint_write_seconds: f64,
     /// Modeled seconds lost to recovery: restore reads plus the re-executed
     /// iterations' share of their segments' modeled time.
-    #[serde(default)]
     pub recovery_seconds: f64,
     /// Iterations re-executed because a rank loss rolled back to the last
     /// checkpoint.
-    #[serde(default)]
     pub recovery_iterations: usize,
     /// Merged per-rank span trace (`None` with observability off). Segments
     /// concatenate on the timeline, so replayed iterations appear again —
     /// the trace shows the work that actually ran, in execution order.
-    #[serde(default)]
     pub trace: Option<TraceExport>,
     /// Merged per-iteration metrics series (`None` with observability off).
     /// Rows key by iteration with replay overwriting its slot, matching the
     /// accuracy-curve semantics.
-    #[serde(default)]
     pub metrics: Option<MetricsSeries>,
 }
 

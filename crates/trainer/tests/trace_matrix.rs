@@ -10,19 +10,20 @@
 //!   iteration the reselection log says it happened at;
 //! * under the sequential executor the trace structure (spans, instants,
 //!   iterations, payloads) is deterministic run to run, and rank 0's
-//!   phase order (checkpoint and controller instants included) is pinned;
+//!   phase order (checkpoint and controller instants included) is pinned,
+//!   flat and on a 2×2 node grid;
 //! * a segment restored after a rank loss is traced from its restore point.
 
 use dlrm_adaptive::CodecProfile;
 use dlrm_ckpt::CheckpointSpec;
 use dlrm_comm::FaultPlan;
-use dlrm_comm::{BandwidthTrace, NetworkConfig};
+use dlrm_comm::{BandwidthTrace, NetworkConfig, Topology};
 use dlrm_compress::CompressorKind;
 use dlrm_grad::GradCodecKind;
 use dlrm_obs::{RecordKind, SpanRecord};
 use dlrm_trainer::{
     run_training, AdaptiveSetting, CompressionSetting, ExecutorSetting, FaultSetting, ObsSetting,
-    TrainerConfig, TrainingReport,
+    TopologySetting, TrainerConfig, TrainingReport,
 };
 
 /// Bitwise fingerprint of a run's numerics: every per-iteration metric.
@@ -239,16 +240,20 @@ fn sequential_trace_structure_is_deterministic() {
     assert_eq!(bytes(&ma), bytes(&mb), "metrics byte columns diverged");
 }
 
-/// Rank 0's trace of `drift_config(12)` plus a checkpoint at iteration 7,
-/// one line per iteration: each record in recording order, a phase as its
-/// name, an instant as `label=arg`, the closing iteration span as `end`.
-fn rank0_phase_order() -> Vec<String> {
+/// Rank 0's trace of `drift_config(12)` on `topology` plus a checkpoint at
+/// iteration 7, one line per iteration: each record in recording order, a
+/// phase as its name, an instant as `label=arg`, the closing iteration span
+/// as `end`. The run's numerics must equal the untraced run's.
+fn rank0_phase_order(topology: TopologySetting) -> Vec<String> {
     let (dataset, cfg) = drift_config(12);
-    let cfg = cfg.with_fault(
+    let cfg = cfg.with_topology(topology).with_fault(
         FaultSetting::new(FaultPlan::none())
             .with_checkpoint(CheckpointSpec::new(7, GradCodecKind::Fp16)),
     );
     let report = run_training(&dataset, &cfg);
+    let untraced = run_training(&dataset, &cfg.with_obs(ObsSetting::Off));
+    assert_eq!(numeric_bits(&report), numeric_bits(&untraced));
+    assert_eq!(report.inter_tier_bytes > 0, topology.is_hierarchical());
     let trace = report.trace.expect("trace present");
     let track = trace.tracks.iter().find(|t| t.rank == 0).expect("rank 0");
     let mut lines: Vec<String> = Vec::new();
@@ -287,13 +292,20 @@ const PHASE_ORDER: &[&str] = &[
     "11: input batch, embedding lookup, fwd compression, fwd decompression, fwd all-to-all, mlp forward, mlp backward, bwd compression, bwd decompression, bwd all-to-all, embedding update, mlp all-reduce, optimizer, end",
 ];
 
+/// A 2×2 node grid relays both all-to-alls through the node leaders inside
+/// the exchange's receive loop and closes each exchange with the flat
+/// route's one split close, so rank 0 records the flat order.
 #[test]
 fn sequential_phase_order_is_pinned() {
-    let got = rank0_phase_order();
-    for (iter, (got, want)) in got.iter().zip(PHASE_ORDER).enumerate() {
-        assert_eq!(got, want, "iteration {iter}");
+    let nvlink = NetworkConfig::nvlink_intra_node();
+    let grid = Topology::new(2, 2, nvlink, NetworkConfig::paper_figure11());
+    for topology in [TopologySetting::Flat, TopologySetting::Hierarchical(grid)] {
+        let got = rank0_phase_order(topology);
+        for (iter, (got, want)) in got.iter().zip(PHASE_ORDER).enumerate() {
+            assert_eq!(got, want, "{}: iteration {iter}", topology.label());
+        }
+        assert_eq!(got.len(), PHASE_ORDER.len());
     }
-    assert_eq!(got.len(), PHASE_ORDER.len());
 }
 
 #[test]
